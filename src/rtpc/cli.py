@@ -27,6 +27,7 @@ from .extraction import (
     RoiSeries,
     compute_flow,
     correct_background,
+    crop_to_roi,
     quality_score,
     segment_roi,
     sum_flows,
@@ -149,6 +150,7 @@ def cmd_extract(args, written: list) -> int:
             velocity_threshold_fraction=args.threshold_fraction,
             max_radius_px=args.max_radius_px,
         )
+    series, roi = crop_to_roi(series, roi)
 
     background_offset = None
     n_band = None

@@ -9,6 +9,7 @@ component.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,10 @@ from .io import QcFlags, RoiMask, SampledSignal, VelocityMapSeries
 ML_MIN_PER_MM3_S = 0.06
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+#: Default outer edge (pixels) of correct_background's stationary-tissue band;
+#: crop_to_roi's default margin is its ceiling, so the band survives the crop.
+BAND_OUTER_PX = 6.0
 
 
 @dataclass(frozen=True)
@@ -60,9 +65,6 @@ class RoiSeries:
 
     def n_empty_frames(self) -> int:
         return sum(1 for m in self.masks if not m.membership.any())
-
-    def stacked(self) -> np.ndarray:
-        return np.stack([m.membership for m in self.masks])
 
 
 @dataclass(frozen=True)
@@ -133,11 +135,47 @@ def segment_roi(
     return RoiSeries(masks=tuple(RoiMask(m) for m in per_frame))
 
 
+def crop_to_roi(
+    series: VelocityMapSeries,
+    roi: RoiSeries,
+    margin_px: int = math.ceil(BAND_OUTER_PX),
+) -> tuple[VelocityMapSeries, RoiSeries]:
+    """Cut a series and its ROI down to the neighbourhood the chain reads.
+
+    The window is the bounding box of the union ROI grown by margin_px and
+    clipped to the image. Every pixel within margin_px of the ROI lies inside
+    it, so correct_background (with band_outer_px <= margin_px), unalias and
+    compute_flow see the same ROI and band pixels, in the same row-major
+    order, as on the whole frame. An ROI that is empty in every frame is
+    returned uncropped.
+    """
+    if len(roi) != series.n_frames:
+        raise ValueError(f"ROI has {len(roi)} masks for {series.n_frames} frames")
+    union = roi.union()
+    if union.shape != (series.height, series.width):
+        raise ValueError("ROI dimensions do not match the series")
+    if not union.any():
+        return series, roi
+    rows = np.flatnonzero(union.any(axis=1))
+    cols = np.flatnonzero(union.any(axis=0))
+    window = (
+        slice(max(int(rows[0]) - margin_px, 0), int(rows[-1]) + margin_px + 1),
+        slice(max(int(cols[0]) - margin_px, 0), int(cols[-1]) + margin_px + 1),
+    )
+    cropped = VelocityMapSeries(
+        frames=series.frames[(slice(None),) + window],
+        dt_ms=series.dt_ms,
+        venc_mm_s=series.venc_mm_s,
+        pixel_area_mm2=series.pixel_area_mm2,
+    )
+    return cropped, RoiSeries(masks=tuple(RoiMask(m.membership[window]) for m in roi.masks))
+
+
 def correct_background(
     series: VelocityMapSeries,
     roi: RoiSeries,
     band_inner_px: float = 2.0,
-    band_outer_px: float = 6.0,
+    band_outer_px: float = BAND_OUTER_PX,
     variance_quantile: float = 0.25,
     min_band_pixels: int = 8,
 ) -> tuple[VelocityMapSeries, BackgroundEstimate]:
@@ -230,13 +268,17 @@ def compute_flow(series: VelocityMapSeries, roi: RoiSeries) -> SampledSignal:
 
     Q(t) = 0.06 * pixel_area_mm2 * sum of ROI velocities (mm/s). Frames with
     an empty ROI yield Q = 0 (count them via RoiSeries.n_empty_frames for QC).
+    Each frame sums only its ROI pixels, in row-major order, so the pixels
+    around the ROI, and cropping them away, cannot change a flow value.
     """
     if len(roi) != series.n_frames:
         raise ValueError(f"ROI has {len(roi)} masks for {series.n_frames} frames")
     if roi.masks[0].membership.shape != (series.height, series.width):
         raise ValueError("ROI dimensions do not match the series")
-    masks = roi.stacked()
-    sums = np.where(masks, series.frames.astype(np.float64), 0.0).sum(axis=(1, 2))
+    sums = np.array([
+        frame[mask.membership].astype(np.float64).sum()
+        for frame, mask in zip(series.frames, roi.masks)
+    ])
     q = ML_MIN_PER_MM3_S * series.pixel_area_mm2 * sums
     return SampledSignal(t0_s=0.0, dt_s=series.dt_s, values=q, kind="flow")
 

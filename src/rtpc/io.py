@@ -70,7 +70,8 @@ class VelocityMapSeries:
             raise InvalidHeader(
                 f"frames must be a non-empty (n_frames, height, width) array, got shape {frames.shape}"
             )
-        if not np.isfinite(frames).all():
+        # min and max propagate NaN and reach +-inf, with no full-size temporary.
+        if not (np.isfinite(frames.min()) and np.isfinite(frames.max())):
             raise NonFiniteVelocity("velocity frames contain non-finite values")
         object.__setattr__(self, "frames", frames)
         for name in ("dt_ms", "venc_mm_s", "pixel_area_mm2"):
@@ -393,9 +394,11 @@ def write_velocity_series(series: VelocityMapSeries, path) -> None:
     """Write a series so that read_velocity_series reproduces it exactly."""
     header = MAGIC + struct.pack("<III", series.width, series.height, series.n_frames)
     header += struct.pack("<fff", series.dt_ms, series.venc_mm_s, series.pixel_area_mm2)
-    payload = np.ascontiguousarray(series.frames, dtype="<f4").tobytes()
+    payload = np.ascontiguousarray(series.frames, dtype="<f4")
     try:
-        Path(path).write_bytes(header + payload)
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.write(memoryview(payload).cast("B"))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

@@ -497,15 +497,19 @@ def generate_velocity_series(config: SimConfig) -> ImageBundle:
 
     # ml/min -> mm^3/s -> required velocity sum (mm/s) over member pixels.
     target_sums = flow.values / (0.06 * vessel.pixel_area_mm2)
-    frames = np.zeros((len(flow), height, width))
-    frames[:, member] = np.outer(target_sums / profile_sum, profile[member])
+    member_values = np.outer(target_sums / profile_sum, profile[member])
     nominal_peak = (
         config.cardiac.base_mean_flow_ml_min / (0.06 * vessel.pixel_area_mm2) / profile_sum
     )
-    if config.artifacts.eddy_offset_mm_s != 0.0:
-        frames += config.artifacts.eddy_offset_mm_s
-
-    frames32 = frames.astype(np.float32)
+    # Offset added in float64, then one rounding to float32 per pixel.
+    offset = config.artifacts.eddy_offset_mm_s
+    shape = (len(flow), height, width)
+    if offset != 0.0:
+        frames32 = np.full(shape, np.float32(offset))
+        member_values += offset
+    else:
+        frames32 = np.zeros(shape, dtype=np.float32)
+    frames32[:, member] = member_values
     wrapped = []
     fraction = config.artifacts.aliased_pixel_fraction
     if fraction > 0:

@@ -7,7 +7,29 @@ import numpy as np
 import pytest
 
 from rtpc.cli import main
-from rtpc.io import MAGIC, SampledSignal, read_report, read_signal_csv, write_signal_csv
+from rtpc.errors import InsufficientStationaryTissue
+from rtpc.extraction import (
+    RoiSeries,
+    compute_flow,
+    correct_background,
+    quality_score,
+    segment_roi,
+    unalias,
+)
+from rtpc.io import (
+    MAGIC,
+    RoiMask,
+    SampledSignal,
+    VelocityMapSeries,
+    read_mask,
+    read_report,
+    read_signal_csv,
+    read_velocity_series,
+    write_mask,
+    write_signal_csv,
+    write_velocity_series,
+)
+from rtpc.synthgen import SimConfig, generate_velocity_series
 
 
 BASE_CONFIG = {
@@ -149,6 +171,113 @@ class TestExtract:
                   "--mask", str(dataset / "mask.pgm"), "--seed", "16,16",
                   "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+
+def full_frame_extract(series_path, mask_path=None, seed=None, background=True, unwrap=True):
+    """The extraction chain on whole frames, with the QC payload `rtpc extract` writes."""
+    series = read_velocity_series(series_path)
+    if mask_path is not None:
+        mask = read_mask(mask_path, series.width, series.height)
+        roi = RoiSeries.from_static(mask, series.n_frames)
+    else:
+        roi = segment_roi(series, seed=seed)
+    offset = n_band = n_unaliased = None
+    if background:
+        series, estimate = correct_background(series, roi)
+        offset, n_band = estimate.offset_mm_s, estimate.n_band_pixels
+    if unwrap:
+        before = series.frames
+        series = unalias(series, roi)
+        n_unaliased = int(np.count_nonzero(series.frames != before))
+    flow = compute_flow(series, roi)
+    qc = quality_score(flow)
+    return flow, {
+        "cardiac_snr": qc.cardiac_snr,
+        "excluded": qc.excluded,
+        "empty_roi_frames": roi.n_empty_frames(),
+        "background_offset_mm_s": offset,
+        "n_band_pixels": n_band,
+        "n_unaliased_pixels": n_unaliased,
+    }
+
+
+def write_images(directory, series, mask):
+    directory.mkdir()
+    write_velocity_series(series, directory / "series.rtpc")
+    write_mask(mask, directory / "mask.pgm")
+    return directory
+
+
+@pytest.fixture(scope="module")
+def crop_datasets(tmp_path_factory):
+    """A centred vessel, and the same frames cut so the image edge clips the
+    vessel and its background ring; each with the seed pixel at the centre."""
+    config = SimConfig.from_dict({
+        "duration_s": 30.0,
+        "artifacts": {"eddy_offset_mm_s": 3.0, "aliased_pixel_fraction": 0.3, "noise_sd": 4.0},
+        "seed": 11,
+    })
+    series, mask, truth = generate_velocity_series(config)
+    assert truth.wrapped_pixels
+    root = tmp_path_factory.mktemp("crop")
+    cut = (slice(12, None), slice(12, None))
+    edge = VelocityMapSeries(
+        frames=series.frames[(slice(None),) + cut], dt_ms=series.dt_ms,
+        venc_mm_s=series.venc_mm_s, pixel_area_mm2=series.pixel_area_mm2,
+    )
+    return {
+        "centred": (write_images(root / "centred", series, mask), "16,16"),
+        "edge": (write_images(root / "edge", edge, RoiMask(mask.membership[cut])), "4,4"),
+    }
+
+
+class TestExtractMatchesFullFrame:
+    """`rtpc extract` works on a window around the ROI; its outputs must be
+    those of the chain run on whole frames."""
+
+    @pytest.mark.parametrize("flags", [
+        (), ("--no-background-correction",), ("--no-unalias",),
+        ("--no-background-correction", "--no-unalias"),
+    ])
+    @pytest.mark.parametrize("source", ["mask", "seed"])
+    @pytest.mark.parametrize("name", ["centred", "edge"])
+    def test_same_csv_and_qc(self, crop_datasets, tmp_path, name, source, flags):
+        data, seed = crop_datasets[name]
+        roi_args = ["--mask", str(data / "mask.pgm")] if source == "mask" else ["--seed", seed]
+        out, qc = tmp_path / "flow.csv", tmp_path / "qc.json"
+        rc = main(["extract", "--series", str(data / "series.rtpc"), *roi_args, *flags,
+                   "--out", str(out), "--qc", str(qc)])
+        assert rc == 0
+        flow, payload = full_frame_extract(
+            data / "series.rtpc",
+            mask_path=data / "mask.pgm" if source == "mask" else None,
+            seed=tuple(int(v) for v in seed.split(",")),
+            background="--no-background-correction" not in flags,
+            unwrap="--no-unalias" not in flags,
+        )
+        expected = tmp_path / "expected.csv"
+        write_signal_csv(flow, expected)
+        assert out.read_bytes() == expected.read_bytes()
+        assert json.loads(qc.read_text()) == payload
+
+    def test_empty_ring_at_image_edge_same_error(self, crop_datasets, tmp_path, capsys):
+        source = read_velocity_series(crop_datasets["centred"][0] / "series.rtpc")
+        series = VelocityMapSeries(
+            frames=source.frames[:, 13:19, 13:19], dt_ms=source.dt_ms,
+            venc_mm_s=source.venc_mm_s, pixel_area_mm2=source.pixel_area_mm2,
+        )
+        member = np.zeros((6, 6), dtype=bool)
+        member[:5, :5] = True  # every other pixel lies within 2 px of the mask
+        data = write_images(tmp_path / "tiny", series, RoiMask(member))
+        with pytest.raises(InsufficientStationaryTissue) as library:
+            correct_background(series, RoiSeries.from_static(RoiMask(member), series.n_frames))
+        capsys.readouterr()
+        out = tmp_path / "flow.csv"
+        rc = main(["extract", "--series", str(data / "series.rtpc"),
+                   "--mask", str(data / "mask.pgm"), "--out", str(out)])
+        assert rc == library.value.exit_code == 4
+        assert capsys.readouterr().err == f"rtpc extract: error: {library.value}\n"
+        assert not out.exists()
 
 
 class TestAnalyze:

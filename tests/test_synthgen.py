@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from helpers import images, signals
 
 from rtpc.errors import InvalidConfig
 from rtpc.extraction import RoiSeries, compute_flow
-from rtpc.io import read_signal_csv, write_signal_csv
+from rtpc.io import MAGIC, read_signal_csv, write_signal_csv, write_velocity_series
 from rtpc.respiration import detect_resp_intervals
 from rtpc.synthgen import (
     GroundTruth,
@@ -214,6 +215,42 @@ class TestGenerateVelocitySeries:
         assert series.dt_ms == 75.0
         assert series.venc_mm_s == 1000.0
         assert series.pixel_area_mm2 == 0.25
+
+    @pytest.mark.parametrize("eddy", [0.0, 3.0])
+    def test_float32_render_and_write_match_float64_reference(self, eddy, tmp_path):
+        cfg = SimConfig.from_dict({
+            "duration_s": 20.0,
+            "artifacts": {"eddy_offset_mm_s": eddy, "aliased_pixel_fraction": 0.3, "noise_sd": 4.0},
+            "seed": 9,
+        })
+        series, mask, truth = generate_velocity_series(cfg)
+        # Reference: render the whole series in float64, then cast once.
+        flow = generate_signals(cfg).flow
+        vessel = cfg.vessel
+        h, w = vessel.grid.height, vessel.grid.width
+        yy, xx = np.mgrid[0:h, 0:w]
+        dist = np.sqrt((xx - w // 2) ** 2 + (yy - h // 2) ** 2)
+        member = dist <= vessel.radius_px
+        profile = np.zeros((h, w))
+        profile[member] = 1.0 - (dist[member] / (vessel.radius_px + 0.5)) ** 2
+        target_sums = flow.values / (0.06 * vessel.pixel_area_mm2)
+        frames = np.zeros((len(flow), h, w))
+        frames[:, member] = np.outer(target_sums / float(profile[member].sum()), profile[member])
+        if eddy != 0.0:
+            frames += eddy
+        expected = frames.astype(np.float32)
+        assert truth.wrapped_pixels
+        for t, y, x in truth.wrapped_pixels:
+            expected[t, y, x] -= np.float32(2.0 * vessel.venc_mm_s)
+        assert series.frames.dtype == np.float32
+        assert series.frames.tobytes() == expected.tobytes()
+        assert np.array_equal(mask.membership, member)
+
+        path = tmp_path / "series.rtpc"
+        write_velocity_series(series, path)
+        header = MAGIC + struct.pack("<III", w, h, len(flow))
+        header += struct.pack("<fff", series.dt_ms, series.venc_mm_s, series.pixel_area_mm2)
+        assert path.read_bytes() == header + series.frames.astype("<f4").tobytes()
 
 
 class TestPipelineClosure:
