@@ -31,7 +31,7 @@ ML_MIN_PER_MM3_S = 0.06
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 #: Default outer edge (pixels) of correct_background's stationary-tissue band;
-#: crop_to_roi's default margin is its ceiling, so the band survives the crop.
+#: crop_to_roi grows the ROI box by its ceiling, so the band survives the crop.
 BAND_OUTER_PX = 6.0
 
 
@@ -136,18 +136,16 @@ def segment_roi(
 
 
 def crop_to_roi(
-    series: VelocityMapSeries,
-    roi: RoiSeries,
-    margin_px: int = math.ceil(BAND_OUTER_PX),
+    series: VelocityMapSeries, roi: RoiSeries
 ) -> tuple[VelocityMapSeries, RoiSeries]:
     """Cut a series and its ROI down to the neighbourhood the chain reads.
 
-    The window is the bounding box of the union ROI grown by margin_px and
-    clipped to the image. Every pixel within margin_px of the ROI lies inside
-    it, so correct_background (with band_outer_px <= margin_px), unalias and
-    compute_flow see the same ROI and band pixels, in the same row-major
-    order, as on the whole frame. An ROI that is empty in every frame is
-    returned uncropped.
+    The window is the bounding box of the union ROI grown by
+    ceil(BAND_OUTER_PX) and clipped to the image. Every pixel within that
+    distance of the ROI lies inside it, so correct_background (with its
+    default band), unalias and compute_flow see the same ROI and band pixels,
+    in the same row-major order, as on the whole frame. An ROI that is empty
+    in every frame is returned uncropped.
     """
     if len(roi) != series.n_frames:
         raise ValueError(f"ROI has {len(roi)} masks for {series.n_frames} frames")
@@ -156,6 +154,7 @@ def crop_to_roi(
         raise ValueError("ROI dimensions do not match the series")
     if not union.any():
         return series, roi
+    margin_px = math.ceil(BAND_OUTER_PX)
     rows = np.flatnonzero(union.any(axis=1))
     cols = np.flatnonzero(union.any(axis=0))
     window = (
@@ -239,6 +238,11 @@ def unalias(series: VelocityMapSeries, roi: RoiSeries) -> VelocityMapSeries:
     2*venc that brings it closest to that median. One pass only, non-ROI
     pixels untouched. Pixels wrapped so far that they land within venc of the
     median (true speed beyond median + venc) cannot be recovered this way.
+
+    Valid while venc stays above about 0.6 x the systolic peak velocity.
+    Below that, pixels that never wrapped are shifted too: a radius-6 px
+    vessel at venc 600 mm/s had 13,519 pixels changed against 13,394
+    wrapped. Nothing flags this.
     """
     if len(roi) != series.n_frames:
         raise ValueError(f"ROI has {len(roi)} masks for {series.n_frames} frames")
@@ -270,6 +274,9 @@ def compute_flow(series: VelocityMapSeries, roi: RoiSeries) -> SampledSignal:
     an empty ROI yield Q = 0 (count them via RoiSeries.n_empty_frames for QC).
     Each frame sums only its ROI pixels, in row-major order, so the pixels
     around the ROI, and cropping them away, cannot change a flow value.
+    Earlier code summed whole frames with zeros outside the ROI; where the
+    float64 sum of the ROI values is not exact (values spanning more than
+    about 2**20), flow can differ from its output in the last bit.
     """
     if len(roi) != series.n_frames:
         raise ValueError(f"ROI has {len(roi)} masks for {series.n_frames} frames")

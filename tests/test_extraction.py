@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from rtpc.extraction import (
     RoiSeries,
     compute_flow,
     correct_background,
+    crop_to_roi,
     quality_score,
     segment_roi,
     sum_flows,
@@ -274,6 +277,22 @@ class TestComputeFlow:
         flow = compute_flow(series, roi)
         assert flow.values[1] == 0.0
         assert roi.n_empty_frames() == 1
+
+    def test_crop_exact_for_wide_value_range(self):
+        # ROI values spanning ~2**40, so the float64 frame sums are inexact
+        rng = np.random.default_rng(4)
+        frames = rng.normal(0.0, 300.0, size=(6, 24, 20))
+        member = np.zeros((24, 20), dtype=bool)
+        member[10:14, 2:7] = True
+        frames[:, member] = rng.choice([700.0, -650.0, 3e-9, -7e-10], size=(6, int(member.sum())))
+        series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
+        roi = RoiSeries.from_static(RoiMask(membership=member), 6)
+        vals = series.frames[:, member].astype(np.float64)
+        assert any(v.sum() != math.fsum(v) for v in vals)
+        cropped, cropped_roi = crop_to_roi(series, roi)
+        assert cropped.frames.shape[1:] == (16, 13)
+        full = compute_flow(series, roi).values
+        assert np.array_equal(compute_flow(cropped, cropped_roi).values, full)
 
     def test_linearity(self):
         series, mask, _ = images(duration_s=60.0, seed=5)
