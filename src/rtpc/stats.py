@@ -1,16 +1,15 @@
 """Nonparametric statistics: Spearman rank correlation, Wilcoxon signed-rank,
 and mean +/- SD summaries.
 
-Both tests use exact small-sample p-values (full permutation / sign
-enumeration) because the cohorts this package targets are tiny, where the
-usual approximations are untrustworthy. Ties get average ranks throughout.
-Exact two-sided p-values count outcomes at least as extreme as observed with
-a 1e-12 slack so float noise cannot flip an exact tie.
+Both tests use exact small-sample p-values because the cohorts this package
+targets are tiny, where the usual approximations are untrustworthy. Ties get
+average ranks throughout. The exact null distributions are counted on
+doubled ranks, which are integers, so "at least as extreme as observed" is
+an exact integer comparison.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,9 +20,6 @@ from .errors import AllZeroDifferences, EmptyInput, TooFewSamples, ZeroVariance
 
 EXACT_SPEARMAN_MAX_N = 10
 EXACT_WILCOXON_MAX_N = 20
-
-_TIE_EPS = 1e-12
-_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -58,13 +54,33 @@ def average_ranks(values) -> np.ndarray:
     return ranks
 
 
-def _permutation_chunks(items, chunk_size: int = _CHUNK):
-    perms = itertools.permutations(items)
-    while True:
-        chunk = list(itertools.islice(perms, chunk_size))
-        if not chunk:
-            return
-        yield np.asarray(chunk, dtype=np.float64)
+def _doubled(ranks) -> np.ndarray:
+    """Average ranks times two: exact integers."""
+    return np.rint(2.0 * ranks).astype(np.int64)
+
+
+def _rank_product_counts(a, b) -> np.ndarray:
+    """counts[S] = number of permutations p with sum_i a[i] * b[p[i]] == S.
+
+    A DP over subsets of b's positions: after placing a[0..i-1], each set of
+    i used positions holds the distribution of the partial sums.
+    """
+    n = a.size
+    width = int(np.sort(a) @ np.sort(b)) + 1  # the largest sum, by rearrangement
+    start = np.zeros(width, dtype=np.int64)
+    start[0] = 1
+    layer = {0: start}
+    for i in range(n):
+        nxt = {}
+        for used, counts in layer.items():
+            for j in range(n):
+                if used >> j & 1:
+                    continue
+                step = int(a[i] * b[j])
+                dest = nxt.setdefault(used | 1 << j, np.zeros(width, dtype=np.int64))
+                dest[step:] += counts[:width - step]
+        layer = nxt
+    return layer[(1 << n) - 1]
 
 
 def spearman(x, y) -> CorrelationResult:
@@ -72,8 +88,9 @@ def spearman(x, y) -> CorrelationResult:
 
     rho is the Pearson correlation of the average-rank vectors. For n <= 10
     the p-value is exact: the fraction of all n! orderings of y whose |rho|
-    reaches the observed one. Larger samples use the t approximation with
-    n - 2 degrees of freedom.
+    reaches the observed one; with doubled ranks a and b, |rho| of an ordering
+    p grows with |S - n(n+1)^2| for S = sum a[i] * b[p[i]]. Larger samples
+    use the t approximation with n - 2 degrees of freedom.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -94,15 +111,12 @@ def spearman(x, y) -> CorrelationResult:
     rho = float(cx @ cy) / norm
 
     if n <= EXACT_SPEARMAN_MAX_N:
-        # |rho_perm| >= |rho_obs| compared on the shared scale of rank products.
-        observed = abs(float(cx @ cy))
-        threshold = observed - _TIE_EPS * norm
-        count = 0
-        total = math.factorial(n)
-        for chunk in _permutation_chunks(ry):
-            dots = (chunk - ry.mean()) @ cx
-            count += int((np.abs(dots) >= threshold).sum())
-        return CorrelationResult(rho=rho, p_value=count / total, n=n, method="exact-permutation")
+        a, b = _doubled(rx), _doubled(ry)
+        center = n * (n + 1) ** 2  # the mean of S over all orderings
+        counts = _rank_product_counts(a, b)
+        extreme = np.abs(np.arange(counts.size) - center) >= abs(int(a @ b) - center)
+        p = int(counts[extreme].sum()) / math.factorial(n)
+        return CorrelationResult(rho=rho, p_value=p, n=n, method="exact-permutation")
 
     if abs(rho) >= 1.0:
         p = math.ulp(0.0)
@@ -113,22 +127,14 @@ def spearman(x, y) -> CorrelationResult:
     return CorrelationResult(rho=rho, p_value=p, n=n, method="t-approximation")
 
 
-def _sign_assignment_chunks(n: int, chunk_size: int = _CHUNK):
-    total = 1 << n
-    bit = np.arange(n, dtype=np.uint64)
-    for start in range(0, total, chunk_size):
-        masks = np.arange(start, min(start + chunk_size, total), dtype=np.uint64)
-        yield (masks[:, None] >> bit) & np.uint64(1)
-
-
 def wilcoxon_signed_rank(x, y) -> SignedRankResult:
     """Wilcoxon signed-rank test on paired samples, two-sided.
 
     Zero differences are discarded; |differences| get average ranks and
     W = min(positive rank sum, negative rank sum). For up to 20 nonzero
-    differences the p-value is exact over all 2^n sign assignments;
-    otherwise the normal approximation with tie correction and a 0.5
-    continuity correction is used.
+    differences the p-value is exact over all 2^n sign assignments, counted
+    by a subset-sum recursion over doubled ranks; otherwise the normal
+    approximation with tie correction and a 0.5 continuity correction is used.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -145,14 +151,15 @@ def wilcoxon_signed_rank(x, y) -> SignedRankResult:
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     w = min(w_plus, w_minus)
-    total_rank = 0.5 * n * (n + 1)
 
     if n <= EXACT_WILCOXON_MAX_N:
-        count = 0
-        for bits in _sign_assignment_chunks(n):
-            s_plus = bits.astype(np.float64) @ ranks
-            stat = np.minimum(s_plus, total_rank - s_plus)
-            count += int((stat <= w + _TIE_EPS).sum())
+        total = n * (n + 1)  # doubled sum of all ranks
+        counts = np.zeros(total + 1, dtype=np.int64)  # counts[T]: sign sets with doubled W+ == T
+        counts[0] = 1
+        for r in _doubled(ranks):
+            counts[r:] = counts[r:] + counts[:-r]
+        t = np.arange(total + 1)
+        count = int(counts[np.minimum(t, total - t) <= round(2.0 * w)].sum())
         return SignedRankResult(
             w_statistic=w, p_value=count / (1 << n), n_nonzero=n, method="exact"
         )

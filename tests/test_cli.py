@@ -87,6 +87,18 @@ class TestSimulate:
         cfg = tmp_path / "bad.json"
         cfg.write_text("{")
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 8
+        cfg.write_bytes('{"seed": 3, "note": "é"}'.encode("latin-1"))  # not UTF-8
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 8
+        for bad in [
+            {"seed": 2.5},
+            {"seed": True},
+            {"vessel": {"grid": {"width": 40.7}}},
+            {"duration_s": "abc"},
+            {"duration_s": None},
+            {"vessel": {"peak_velocity_mm_s": 760.0}},
+        ]:
+            cfg.write_text(json.dumps({**BASE_CONFIG, **bad}))
+            assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 8
 
     def test_pure_default_config(self, tmp_path):
         cfg = tmp_path / "empty.json"

@@ -47,6 +47,24 @@ def oracle_spearman(x, y):
     return rho, count / total
 
 
+def oracle_spearman_p_chunked(x, y):
+    """Exact Spearman p-value by enumerating all n! orderings of y in numpy
+    chunks, with a 1e-12 relative slack against float noise; fast enough for
+    n = 10 (3.6M orderings), where the plain-Python oracle is not."""
+    rx = np.asarray(oracle_ranks(x))
+    ry = np.asarray(oracle_ranks(y))
+    cx = rx - rx.mean()
+    cy = ry - ry.mean()
+    norm = math.sqrt(float(cx @ cx) * float(cy @ cy))
+    threshold = abs(float(cx @ cy)) - 1e-12 * norm
+    perms = itertools.permutations(ry)
+    count = 0
+    while chunk := list(itertools.islice(perms, 65536)):
+        dots = (np.asarray(chunk) - ry.mean()) @ cx
+        count += int((np.abs(dots) >= threshold).sum())
+    return count / math.factorial(len(x))
+
+
 def oracle_wilcoxon(x, y):
     d = [a - b for a, b in zip(x, y) if a != b]
     n = len(d)
@@ -105,6 +123,13 @@ class TestSpearman:
         rho_o, p_o = oracle_spearman(list(x), list(y))
         assert result.rho == pytest.approx(rho_o, abs=1e-12)
         assert result.p_value == p_o
+
+    def test_n10_with_ties_against_oracle(self):
+        x = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0]
+        y = [2.0, 7.0, 1.0, 8.0, 2.0, 8.0, 1.0, 8.0, 2.0, 8.0]
+        result = spearman(x, y)
+        assert result.method == "exact-permutation"
+        assert result.p_value == oracle_spearman_p_chunked(x, y)  # all 3,628,800 orderings
 
     def test_exact_method_active_through_n10(self):
         rng = np.random.default_rng(6)

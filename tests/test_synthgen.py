@@ -30,6 +30,40 @@ class TestSimConfig:
         assert cfg.duration_s == 120.0
         assert cfg.modulation.mean_flow_pct == 5.0
         assert cfg.cardiac.base_period_s == 0.94  # default preserved
+        # Every field away from its default, so a field the loader drops shows.
+        everything = {
+            "duration_s": 90.0,
+            "dt_ms": 50.0,
+            "cardiac": {
+                "base_period_s": 1.1,
+                "base_mean_flow_ml_min": 500.0,
+                "waveform": {"shape": 2.5, "scale": 0.2, "floor": 0.25},
+            },
+            "respiration": {"period_s": 5.0, "belt_waveform": "rounded-square"},
+            "modulation": {"mean_flow_pct": -5.0, "period_pct": 3.0, "shape": "sine", "sensor_delay_s": 0.6},
+            "artifacts": {"eddy_offset_mm_s": 2.0, "aliased_pixel_fraction": 0.2, "noise_sd": 4.0},
+            "vessel": {
+                "radius_px": 5.0,
+                "grid": {"width": 40, "height": 36},
+                "venc_mm_s": 800.0,
+                "pixel_area_mm2": 0.5,
+            },
+            "seed": 11,
+        }
+
+        def leaves(tree, prefix=""):
+            for key, value in tree.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, prefix + key + ".")
+                else:
+                    yield prefix + key, value
+
+        defaults = dict(leaves(SimConfig().to_dict()))
+        assert dict(leaves(everything)).keys() == defaults.keys()
+        assert all(defaults[k] != v for k, v in leaves(everything))
+        cfg = SimConfig.from_dict(everything)
+        assert cfg.to_dict() == everything
+        assert SimConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_partial_merge(self):
         cfg = SimConfig.from_dict({"cardiac": {"base_period_s": 1.0}})
@@ -41,6 +75,8 @@ class TestSimConfig:
             SimConfig.from_dict({"durationz": 60.0})
         with pytest.raises(InvalidConfig):
             SimConfig.from_dict({"cardiac": {"bpm": 60}})
+        with pytest.raises(InvalidConfig, match="unknown config key 'vessel.peak_velocity_mm_s'"):
+            SimConfig.from_dict({"vessel": {"peak_velocity_mm_s": 760.0}})
 
     def test_too_short_duration(self):
         with pytest.raises(InvalidConfig):
@@ -57,6 +93,21 @@ class TestSimConfig:
             SimConfig.from_dict({"modulation": {"shape": "triangle"}})
         with pytest.raises(InvalidConfig):
             SimConfig.from_dict({"respiration": {"belt_waveform": "saw"}})
+        # Values of the wrong JSON type are rejected, never coerced.
+        for bad, key in [
+            ({"seed": 2.5}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"vessel": {"grid": {"width": 40.7}}}, "vessel.grid.width"),
+            ({"duration_s": "abc"}, "duration_s"),
+            ({"duration_s": None}, "duration_s"),
+            ({"duration_s": False}, "duration_s"),
+            ({"duration_s": float("nan")}, "duration_s"),
+            ({"duration_s": 10**400}, "duration_s"),
+            ({"modulation": {"shape": 1}}, "modulation.shape"),
+            ({"cardiac": 3}, "cardiac"),
+        ]:
+            with pytest.raises(InvalidConfig, match=f"config key '{key}' must be"):
+                SimConfig.from_dict(bad)
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "sim.json"
@@ -66,6 +117,9 @@ class TestSimConfig:
         (tmp_path / "bad.json").write_text("{not json")
         with pytest.raises(InvalidConfig):
             SimConfig.from_json(tmp_path / "bad.json")
+        (tmp_path / "latin1.json").write_bytes('{"duration_s": 60.0, "x": "é"}'.encode("latin-1"))
+        with pytest.raises(InvalidConfig):
+            SimConfig.from_json(tmp_path / "latin1.json")
 
 
 class TestPulseWaveform:
