@@ -9,6 +9,7 @@ separation and the validity band. Each cycle carries the parameter triple
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,15 +122,20 @@ def _select_minima(values: np.ndarray, min_separation: int) -> np.ndarray:
     """Greedy deepest-first minima selection with a separation constraint.
 
     Ties on depth go to the earliest index, which makes the selection
-    deterministic.
+    deterministic. The accepted indices stay sorted, so each candidate is
+    checked against its two nearest accepted neighbours only.
     """
     candidates, _ = find_peaks(-values)
-    order = sorted(candidates, key=lambda i: (values[i], i))
+    order = candidates[np.lexsort((candidates, values[candidates]))]
     accepted: list = []
-    for idx in order:
-        if all(abs(idx - a) >= min_separation for a in accepted):
-            accepted.append(idx)
-    return np.asarray(sorted(accepted), dtype=np.intp)
+    for idx in order.tolist():
+        pos = bisect_left(accepted, idx)
+        if pos > 0 and idx - accepted[pos - 1] < min_separation:
+            continue
+        if pos < len(accepted) and accepted[pos] - idx < min_separation:
+            continue
+        accepted.insert(pos, idx)
+    return np.asarray(accepted, dtype=np.intp)
 
 
 def detect_cycles(

@@ -17,7 +17,8 @@ import numpy as np
 from .cycles import CycleParams
 from .errors import InsufficientCycles, ZeroInspiratoryValue
 from .io import DiffRecord, REPORT_PARAMETERS
-from .respiration import EX, IN, RespIntervals, label_cycles, shift_intervals
+# label_cycles stays importable here: perfbench/tracing.py hooks diff.label_cycles.
+from .respiration import EX, IN, RespIntervals, _interval_index, label_cycles  # noqa: F401
 
 PARAMETERS = REPORT_PARAMETERS
 
@@ -88,25 +89,59 @@ def sweep_diffs(
 ) -> tuple:
     """Diff of all three parameters at every delay of the scan grid.
 
+    At each delay d a cycle takes the phase of the interval whose shifted
+    half-open [start, end) holds its midpoint, where the shifted boundaries
+    are base_bounds + (intervals.delay_s + d); midpoints outside the shifted
+    span are unlabelled. The cycle list is read into arrays once and every
+    delay is labelled with one searchsorted; each phase mean is np.mean over
+    a contiguous gather in cycle order, so the results are bit-identical to
+    label_cycles(cycles, shift_intervals(intervals, d)) followed by
+    average_params and diff_ex_in at every delay.
+
     Delays where either phase has fewer than min_cycles valid cycles are
     skipped and recorded as NaN; more than max_missing_fraction of the grid
-    missing is an error.
+    missing is an error, and so is a belt whose intervals hold no cycle
+    midpoint at any delay.
 
     Returns (delays_s, {parameter: diff array}).
     """
     delays = _delay_grid(intervals.mean_period_s, step_s)
+    midpoints = np.array([c.boundary.midpoint_s for c in cycles], dtype=np.float64)
+    valid = np.array([c.valid for c in cycles], dtype=bool)
+    # One contiguous row per parameter, in cycle order.
+    params = np.array(
+        [[getattr(c.params, attr) for c in cycles] for attr in _PARAM_ATTR.values()],
+        dtype=np.float64,
+    )
+    bounds = np.asarray(intervals.base_bounds)
+    # Index -1 (outside the span) picks the trailing False.
+    is_ex = np.array([p == EX for p in intervals.phases] + [False])
+    is_in = np.array([p == IN for p in intervals.phases] + [False])
     diffs = {p: np.full(delays.size, np.nan) for p in PARAMETERS}
     missing = 0
+    covered = False
     for i, delay in enumerate(delays):
-        labels = label_cycles(cycles, shift_intervals(intervals, float(delay)))
-        try:
-            p_ex = average_params(cycles, labels, EX, min_cycles=min_cycles)
-            p_in = average_params(cycles, labels, IN, min_cycles=min_cycles)
-        except InsufficientCycles:
+        idx = _interval_index(midpoints, bounds, intervals.delay_s + float(delay))
+        covered = covered or bool((idx >= 0).any())
+        ex = valid & is_ex[idx]
+        in_ = valid & is_in[idx]
+        if np.count_nonzero(ex) < min_cycles or np.count_nonzero(in_) < min_cycles:
             missing += 1
             continue
+        p_ex = CycleParams(*(float(np.mean(row[ex])) for row in params))
+        p_in = CycleParams(*(float(np.mean(row[in_])) for row in params))
         for param, value in diff_ex_in(p_ex, p_in).items():
             diffs[param][i] = value
+    if cycles and not covered:
+        belt_start, belt_end = intervals.span
+        flow_start = min(c.boundary.start_s for c in cycles)
+        flow_end = max(c.boundary.end_s for c in cycles)
+        raise InsufficientCycles(
+            f"belt and flow do not overlap: breathing intervals span "
+            f"{belt_start:.2f}-{belt_end:.2f} s, flow cycles span "
+            f"{flow_start:.2f}-{flow_end:.2f} s, and no cycle midpoint falls "
+            f"inside the belt span at any scan delay"
+        )
     if missing > max_missing_fraction * delays.size:
         raise InsufficientCycles(
             f"{missing} of {delays.size} scan delays lack phase coverage "

@@ -169,6 +169,19 @@ def shift_intervals(intervals: RespIntervals, delay_s: float) -> RespIntervals:
     return replace(intervals, delay_s=intervals.delay_s + delay_s)
 
 
+def _interval_index(midpoints: np.ndarray, bounds: np.ndarray, delay_s: float) -> np.ndarray:
+    """Index of the half-open interval [start, end) holding each midpoint.
+
+    bounds are the undelayed interval boundaries and delay_s the total shift;
+    the shifted boundaries are bounds + delay_s, the same float operation as
+    RespIntervals.starts and .span. Midpoints outside the shifted span get -1.
+    """
+    shifted = bounds + delay_s
+    idx = np.searchsorted(shifted[:-1], midpoints, side="right") - 1
+    idx[(midpoints < shifted[0]) | (midpoints >= shifted[-1])] = -1
+    return idx
+
+
 def label_cycles(cycles: list, intervals: RespIntervals) -> list:
     """Phase label per cycle from midpoint containment.
 
@@ -176,14 +189,6 @@ def label_cycles(cycles: list, intervals: RespIntervals) -> list:
     intervals are half-open [start, end), and midpoints outside the covered
     span are UNLABELED.
     """
-    starts = intervals.starts
-    span_start, span_end = intervals.span
-    labels = []
-    for cycle in cycles:
-        mid = cycle.boundary.midpoint_s
-        if mid < span_start or mid >= span_end:
-            labels.append(UNLABELED)
-            continue
-        idx = int(np.searchsorted(starts, mid, side="right")) - 1
-        labels.append(intervals.phases[idx])
-    return labels
+    midpoints = np.array([cycle.boundary.midpoint_s for cycle in cycles], dtype=np.float64)
+    idx = _interval_index(midpoints, np.asarray(intervals.base_bounds), intervals.delay_s)
+    return [intervals.phases[i] if i >= 0 else UNLABELED for i in idx.tolist()]

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -359,6 +360,25 @@ class TestAnalyze:
         rc = main(["analyze", "--flow", str(dataset / "flow.csv"), "--resp", str(flat),
                    "--out", str(tmp_path / "r.json")])
         assert rc == 5
+
+    def test_belt_without_overlap_names_spans(self, dataset, tmp_path, capsys):
+        resp = read_signal_csv(dataset / "resp.csv", "respiration")
+        shifted = tmp_path / "resp_late.csv"
+        write_signal_csv(
+            SampledSignal(resp.t0_s + 5000.0, resp.dt_s, resp.values, "respiration"), shifted
+        )
+        out = tmp_path / "r.json"
+        rc = main(["analyze", "--flow", str(dataset / "flow.csv"), "--resp", str(shifted),
+                   "--out", str(out)])
+        assert rc == 6
+        assert not out.exists()
+        message = capsys.readouterr().err
+        assert "do not overlap" in message
+        belt = re.search(r"breathing intervals span (\d+\.\d+)-(\d+\.\d+) s", message)
+        flow = re.search(r"flow cycles span (\d+\.\d+)-(\d+\.\d+) s", message)
+        assert belt and flow, message
+        assert 5000.0 <= float(belt[1]) < float(belt[2]) <= 5060.0
+        assert 0.0 <= float(flow[1]) < float(flow[2]) <= 60.0
 
     def test_thread_cap_preserves_output(self, dataset, tmp_path, monkeypatch):
         flow = read_signal_csv(dataset / "flow.csv", "flow")

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from helpers import match_boundaries, signals
 
 from rtpc.cycles import (
     CycleBoundary,
+    _select_minima,
     cycle_params,
     detect_cycles,
     resample,
@@ -177,3 +181,47 @@ class TestCycleParams:
         s = SampledSignal(t0_s=0.0, dt_s=0.075, values=np.arange(10.0), kind="flow")
         with pytest.raises(ValueError):
             cycle_params(s, CycleBoundary(start_s=0.0, end_s=1.5))
+
+
+def oracle_select_minima(values: np.ndarray, min_separation: int) -> np.ndarray:
+    """The quadratic greedy selection the package used to run: every accepted
+    minimum is checked against every candidate."""
+    candidates, _ = find_peaks(-values)
+    order = sorted(candidates, key=lambda i: (values[i], i))
+    accepted: list = []
+    for idx in order:
+        if all(abs(idx - a) >= min_separation for a in accepted):
+            accepted.append(idx)
+    return np.asarray(sorted(accepted), dtype=np.intp)
+
+
+class TestSelectMinima:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_quadratic_oracle(self, data):
+        # few distinct levels force many tied depths
+        n = data.draw(st.integers(3, 200), label="n")
+        levels = data.draw(st.integers(1, 6), label="levels")
+        values = np.asarray(
+            data.draw(st.lists(st.integers(0, levels), min_size=n, max_size=n), label="values"),
+            dtype=np.float64,
+        )
+        min_separation = data.draw(st.integers(1, n), label="min_separation")
+        got = _select_minima(values, min_separation)
+        want = oracle_select_minima(values, min_separation)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_matches_oracle_on_flow_signal(self):
+        flow, _, _ = signals(duration_s=60.0, seed=5)
+        up = resample(flow, 8)
+        for min_separation in (1, 7, 60, 500):
+            assert np.array_equal(
+                _select_minima(up.values, min_separation),
+                oracle_select_minima(up.values, min_separation),
+            )
+
+    def test_ties_go_to_earliest(self):
+        values = np.array([5.0, 0.0, 5.0, 0.0, 5.0, 0.0, 5.0])
+        assert _select_minima(values, 3).tolist() == [1, 5]
+        assert _select_minima(values, 5).tolist() == [1]

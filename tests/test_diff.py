@@ -1,10 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_cycle, periodic_intervals, signals
 
 from rtpc.cycles import CycleParams, detect_cycles
 from rtpc.diff import (
+    PARAMETERS,
+    _delay_grid,
     average_params,
     delay_scan,
     diff_ex_in,
@@ -13,7 +19,15 @@ from rtpc.diff import (
     sweep_diffs,
 )
 from rtpc.errors import InsufficientCycles, ZeroInspiratoryValue
-from rtpc.respiration import EX, IN, detect_resp_intervals, label_cycles, shift_intervals
+from rtpc.respiration import (
+    EX,
+    IN,
+    UNLABELED,
+    RespIntervals,
+    detect_resp_intervals,
+    label_cycles,
+    shift_intervals,
+)
 
 
 def params(mean=740.0, sv=11.6, period=0.94):
@@ -158,6 +172,174 @@ class TestSweepMissingDelays:
         with pytest.raises(InsufficientCycles):
             sweep_diffs(cycles, intervals, step_s=0.25, min_cycles=3,
                         max_missing_fraction=0.2)
+
+
+def oracle_label_cycles(cycles, intervals):
+    """The per-cycle labelling the package used to run: one scalar
+    searchsorted per midpoint."""
+    starts = intervals.starts
+    span_start, span_end = intervals.span
+    labels = []
+    for cycle in cycles:
+        mid = cycle.boundary.midpoint_s
+        if mid < span_start or mid >= span_end:
+            labels.append(UNLABELED)
+            continue
+        idx = int(np.searchsorted(starts, mid, side="right")) - 1
+        labels.append(intervals.phases[idx])
+    return labels
+
+
+def oracle_sweep(cycles, intervals, step_s, min_cycles, max_missing_fraction):
+    """The per-delay sweep the package used to run: one shifted RespIntervals,
+    labelling and average_params per delay. Also checks label_cycles at every
+    delay. Returns (delays, diffs, whether any midpoint was labelled at any
+    delay)."""
+    delays = _delay_grid(intervals.mean_period_s, step_s)
+    diffs = {p: np.full(delays.size, np.nan) for p in PARAMETERS}
+    missing = 0
+    covered = False
+    for i, delay in enumerate(delays):
+        shifted = shift_intervals(intervals, float(delay))
+        labels = oracle_label_cycles(cycles, shifted)
+        assert label_cycles(cycles, shifted) == labels
+        covered = covered or any(lab != UNLABELED for lab in labels)
+        try:
+            p_ex = average_params(cycles, labels, EX, min_cycles=min_cycles)
+            p_in = average_params(cycles, labels, IN, min_cycles=min_cycles)
+        except InsufficientCycles:
+            missing += 1
+            continue
+        for param, value in diff_ex_in(p_ex, p_in).items():
+            diffs[param][i] = value
+    if missing > max_missing_fraction * delays.size:
+        raise InsufficientCycles(f"{missing} of {delays.size} scan delays lack phase coverage")
+    return delays, diffs, covered
+
+
+def assert_sweeps_identical(cycles, intervals, step_s=0.075, min_cycles=3,
+                            max_missing_fraction=0.2):
+    kwargs = dict(step_s=step_s, min_cycles=min_cycles, max_missing_fraction=max_missing_fraction)
+    try:
+        want = oracle_sweep(cycles, intervals, **kwargs)
+    except InsufficientCycles:
+        with pytest.raises(InsufficientCycles):
+            sweep_diffs(cycles, intervals, **kwargs)
+        return None
+    if cycles and not want[2]:
+        # The oracle returns an all-NaN scan; the sweep names the missing overlap.
+        with pytest.raises(InsufficientCycles, match="do not overlap"):
+            sweep_diffs(cycles, intervals, **kwargs)
+        return None
+    delays, diffs = sweep_diffs(cycles, intervals, **kwargs)
+    assert np.array_equal(delays, want[0])
+    assert list(diffs) == list(want[1])
+    for param in PARAMETERS:
+        assert np.array_equal(diffs[param], want[1][param], equal_nan=True), param
+    return diffs
+
+
+@st.composite
+def sweep_cases(draw):
+    """Belt intervals, cycles and sweep settings that exercise the labelling edges."""
+    n_intervals = draw(st.integers(2, 12), label="n_intervals")
+    period = draw(st.sampled_from([2.0, 3.3, 4.3]), label="period")
+    start = draw(st.sampled_from([0.0, 0.35, 7.1]), label="start")
+    # durations inside RespIntervals' (0.3, 3.0) x mean-period band
+    durations = draw(st.lists(st.floats(0.35 * period, 0.9 * period), min_size=n_intervals,
+                              max_size=n_intervals), label="durations")
+    bounds = tuple(start + np.concatenate([[0.0], np.cumsum(durations)]))
+    first = draw(st.sampled_from([IN, EX]), label="first")
+    other = EX if first == IN else IN
+    phases = tuple(first if i % 2 == 0 else other for i in range(n_intervals))
+    intervals = RespIntervals(phases=phases, base_bounds=bounds, mean_period_s=period)
+    pre_delay = draw(st.sampled_from([0.0, 0.0, 0.075, 1.3]), label="pre_delay")
+    if pre_delay:
+        intervals = shift_intervals(intervals, pre_delay)
+
+    step_s = draw(st.sampled_from([0.075, 0.25, 0.5]), label="step_s")
+    # Midpoints on the shifted boundaries of some delays, beyond the span, and at random.
+    grid = _delay_grid(period, step_s)
+    shifted = [b + (intervals.delay_s + float(d)) for d in grid[:3] for b in bounds]
+    lo, hi = bounds[0] - 1.0, bounds[-1] + period + 1.0
+    # A train under the first breath only leaves one phase short at some delays.
+    train_end = draw(st.sampled_from([hi, bounds[0] + period]), label="train_end")
+    train = np.linspace(lo, train_end, draw(st.integers(0, 60), label="n_train")).tolist()
+    midpoints = train + draw(st.lists(
+        st.one_of(st.sampled_from(shifted), st.floats(lo - 3.0, hi + 3.0)),
+        max_size=20,
+    ), label="midpoints")
+    cycles = []
+    for mid in sorted(midpoints):
+        half = draw(st.sampled_from([0.25, 0.4, 0.47]), label="half")
+        mean = draw(st.sampled_from([0.0, 250.0, 600.0, 740.0]) | st.floats(100.0, 900.0),
+                    label="mean")
+        valid = draw(st.sampled_from([True, True, True, False]), label="valid")
+        cycles.append(make_cycle(mid - half, mid + half, mean, valid=valid))
+    min_cycles = draw(st.integers(1, 5), label="min_cycles")
+    max_missing = draw(st.sampled_from([0.2, 0.5, 1.0, 1.0]), label="max_missing")
+    return cycles, intervals, step_s, min_cycles, max_missing
+
+
+class TestSweepMatchesPerDelayOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=sweep_cases())
+    def test_bit_identical(self, case):
+        cycles, intervals, step_s, min_cycles, max_missing = case
+        try:
+            assert_sweeps_identical(cycles, intervals, step_s, min_cycles, max_missing)
+        except ZeroInspiratoryValue:
+            with pytest.raises(ZeroInspiratoryValue):
+                sweep_diffs(cycles, intervals, step_s=step_s, min_cycles=min_cycles,
+                            max_missing_fraction=max_missing)
+
+    def test_min_cycles_edge(self):
+        # exactly min_cycles cycles per phase at zero delay: kept; one more needed: skipped
+        intervals = periodic_intervals(period_s=4.0, n_breaths=3)
+        cycles = [make_cycle(0.1 + 0.6 * i, 0.7 + 0.6 * i, 700.0 + i) for i in range(6)]
+        labels = label_cycles(cycles, intervals)
+        assert labels.count(IN) == 3 and labels.count(EX) == 3
+        kept = assert_sweeps_identical(cycles, intervals, step_s=0.5, min_cycles=3,
+                                       max_missing_fraction=1.0)
+        assert np.isfinite(kept["mean_flow"][0])
+        skipped = assert_sweeps_identical(cycles, intervals, step_s=0.5, min_cycles=4,
+                                          max_missing_fraction=1.0)
+        assert np.isnan(skipped["mean_flow"]).all()
+
+    def test_midpoint_on_boundary_is_half_open(self):
+        # dyadic times: every midpoint sits exactly on a shifted boundary
+        intervals = shift_intervals(periodic_intervals(period_s=4.0, n_breaths=4), 0.25)
+        mids = [float(m) for m in intervals.starts] * 2 + [intervals.span[1]]
+        cycles = [make_cycle(m - 0.5, m + 0.5, 600.0 + 10.0 * k) for k, m in enumerate(mids)]
+        assert [c.midpoint_s for c in cycles] == mids
+        labels = label_cycles(cycles, intervals)
+        assert labels[:8] == list(intervals.phases)  # [start, end): a start opens its interval
+        assert labels[-1] == UNLABELED  # the span's end is outside
+        assert_sweeps_identical(cycles, intervals, step_s=0.25, min_cycles=2)
+
+    def test_detected_signal(self):
+        flow, resp, _ = signals(duration_s=120.0, seed=5)
+        cycles = detect_cycles(flow)
+        intervals = detect_resp_intervals(resp)
+        assert_sweeps_identical(cycles, intervals)
+        assert_sweeps_identical(cycles, shift_intervals(intervals, 0.6))
+
+    def test_zero_inspiratory_stroke_volume(self):
+        intervals = periodic_intervals(period_s=4.0, n_breaths=6)
+        cycles = [make_cycle(0.05 + 0.5 * i, 0.55 + 0.5 * i, 700.0) for i in range(48)]
+        cycles = [replace(c, params=replace(c.params, stroke_volume_ml=0.0)) for c in cycles]
+        with pytest.raises(ZeroInspiratoryValue, match="inspiratory stroke_volume is zero"):
+            sweep_diffs(cycles, intervals)
+
+    def test_no_overlap_names_both_spans(self):
+        intervals = shift_intervals(periodic_intervals(period_s=4.0, n_breaths=6), 5000.0)
+        cycles = [make_cycle(0.05 + 0.5 * i, 0.55 + 0.5 * i, 700.0) for i in range(48)]
+        for max_missing in (0.2, 1.0):
+            with pytest.raises(InsufficientCycles) as exc:
+                sweep_diffs(cycles, intervals, max_missing_fraction=max_missing)
+            message = str(exc.value)
+            assert "5000.00-5024.00 s" in message
+            assert "0.05-24.05 s" in message
 
 
 class TestSignedMaxCompleteness:
