@@ -13,11 +13,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.signal import find_peaks
 
 from .errors import DegenerateCycle, NoCyclesFound, TooShort
 from .io import SampledSignal
+from .numerics import local_maxima, natural_cubic_spline
 
 INVALID_PERIOD = "period_outside_validity_band"
 
@@ -76,11 +75,11 @@ def resample(flow: SampledSignal, factor: int) -> SampledSignal:
     if factor == 1:
         return flow
     t = flow.times
-    spline = CubicSpline(t, flow.values, bc_type="natural")
     new_dt = flow.dt_s / factor
     n_out = (len(flow) - 1) * factor + 1
     tt = np.minimum(flow.t0_s + np.arange(n_out) * new_dt, t[-1])
-    return SampledSignal(t0_s=flow.t0_s, dt_s=new_dt, values=spline(tt), kind=flow.kind)
+    values = natural_cubic_spline(t, flow.values, tt)
+    return SampledSignal(t0_s=flow.t0_s, dt_s=new_dt, values=values, kind=flow.kind)
 
 
 def _dominant_period(values: np.ndarray, dt_s: float, band: tuple) -> float:
@@ -125,7 +124,7 @@ def _select_minima(values: np.ndarray, min_separation: int) -> np.ndarray:
     deterministic. The accepted indices stay sorted, so each candidate is
     checked against its two nearest accepted neighbours only.
     """
-    candidates, _ = find_peaks(-values)
+    candidates = local_maxima(-values)
     order = candidates[np.lexsort((candidates, values[candidates]))]
     accepted: list = []
     for idx in order.tolist():

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.signal import welch
 
 from .errors import (
     EmptySegmentation,
@@ -24,11 +22,10 @@ from .errors import (
     TooShort,
 )
 from .io import QcFlags, RoiMask, SampledSignal, VelocityMapSeries
+from .numerics import distance_band, seed_component, welch
 
 #: 1 mm^3/s = 0.06 ml/min
 ML_MIN_PER_MM3_S = 0.06
-
-_FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 #: Default outer edge (pixels) of correct_background's stationary-tissue band;
 #: crop_to_roi grows the ROI box by its ceiling, so the band survives the crop.
@@ -107,32 +104,21 @@ def segment_roi(
         raise ValueError("velocity_threshold_fraction must be in (0, 1]")
     yy, xx = np.mgrid[0 : series.height, 0 : series.width]
     neighborhood = (xx - sx) ** 2 + (yy - sy) ** 2 <= max_radius_px**2
-    speeds = np.abs(series.frames[:, neighborhood])
-    reference = float(np.percentile(speeds, 99.0))
+    reference = float(np.percentile(np.abs(series.frames[:, neighborhood]), 99.0))
     if reference <= 0.0:
         raise EmptySegmentation(f"no velocity signal within {max_radius_px} px of seed {seed}")
     threshold = velocity_threshold_fraction * reference
 
-    per_frame: list = []
-    for frame in series.frames:
-        above = np.abs(frame) >= threshold
-        if not above[sy, sx]:
-            per_frame.append(None)
-            continue
-        labels, _ = ndimage.label(above, structure=_FOUR_CONNECTED)
-        per_frame.append(labels == labels[sy, sx])
-
-    if all(m is None for m in per_frame):
+    masks = seed_component(series.frames, threshold, sy, sx)
+    seeded = masks[:, sy, sx]
+    if not seeded.any():
         raise SeedOutsideVessel(f"seed {seed} below threshold {threshold:.3g} mm/s in every frame")
 
-    # Sequential fix-up: empty frames fall back to the previous frame's mask.
-    first = next(i for i, m in enumerate(per_frame) if m is not None)
-    for i in range(first):
-        per_frame[i] = per_frame[first]
-    for i in range(first + 1, len(per_frame)):
-        if per_frame[i] is None:
-            per_frame[i] = per_frame[i - 1]
-    return RoiSeries(masks=tuple(RoiMask(m) for m in per_frame))
+    # Empty frames fall back to the previous seeded frame's mask, leading
+    # ones to the first seeded frame's.
+    frame_idx = np.arange(seeded.size)
+    source = np.maximum.accumulate(np.where(seeded, frame_idx, int(np.argmax(seeded))))
+    return RoiSeries(masks=tuple(RoiMask(masks[i]) for i in source.tolist()))
 
 
 def crop_to_roi(
@@ -191,8 +177,7 @@ def correct_background(
     union = roi.union()
     if not union.any():
         raise ValueError("ROI is empty in every frame")
-    distance = ndimage.distance_transform_edt(~union)
-    ring = (distance >= band_inner_px) & (distance <= band_outer_px)
+    ring = distance_band(union, band_inner_px, band_outer_px)
     if not ring.any():
         raise InsufficientStationaryTissue("no pixels in the distance band around the ROI")
     ring_values = series.frames[:, ring].astype(np.float64)
@@ -323,7 +308,7 @@ def quality_score(flow: SampledSignal, snr_threshold: float = 5.0) -> QcFlags:
     if len(flow) < 64:
         raise TooShort(f"quality gate needs >= 64 samples, got {len(flow)}")
     fs = 1.0 / flow.dt_s
-    freqs, power = welch(flow.values, fs=fs, nperseg=min(256, len(flow)), detrend="constant")
+    freqs, power = welch(flow.values, fs, min(256, len(flow)))
     cardiac = (freqs >= 0.7) & (freqs <= 2.0)
     noise = (freqs >= 2.5) & (freqs <= 6.0)
     if not cardiac.any() or not noise.any():

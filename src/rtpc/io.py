@@ -410,6 +410,7 @@ def read_signal_csv(path, kind: str) -> SampledSignal:
 
     The time column is validated for strict monotony and uniform spacing
     (relative tolerance 1e-6); dt_s is then fixed to the median spacing.
+    The file must be UTF-8; LF and CRLF line endings parse alike.
     """
     if kind not in SIGNAL_KINDS:
         raise ValueError(f"kind must be one of {SIGNAL_KINDS}, got {kind!r}")
@@ -417,6 +418,8 @@ def read_signal_csv(path, kind: str) -> SampledSignal:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     lines = [ln.strip() for ln in text.split("\n")]
     while lines and lines[-1] == "":
         lines.pop()
@@ -553,6 +556,8 @@ def read_report(path) -> Report:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         d = json.loads(text)
     except json.JSONDecodeError as exc:

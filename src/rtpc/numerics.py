@@ -1,0 +1,282 @@
+"""numpy forms of the scipy routines the analysis path uses.
+
+Each function reproduces one scipy routine bit for bit: the same operations
+in the same order, so every flow, cycle, breath and QC value is identical to
+what scipy computes. The tests compare each function with its scipy
+original for exact equality.
+
+- natural_cubic_spline: scipy.interpolate.CubicSpline(x, y, bc_type="natural")
+  evaluated at given points;
+- local_maxima: the peaks of scipy.signal.find_peaks(x);
+- find_peaks: scipy.signal.find_peaks(x, distance=, prominence=);
+- welch: scipy.signal.welch with a periodic Hann window, nperseg samples,
+  half overlap and constant detrending;
+- seed_component: the component of scipy.ndimage.label (4-connected) that
+  holds a seed pixel, frame by frame;
+- distance_band: distance_transform_edt(~mask) restricted to [inner, outer].
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+_COMPONENT_CHUNK_FRAMES = 256
+_COMPONENT_START_HALF_PX = 16
+_BAND_PAIRS_PER_CHUNK = 1 << 20
+
+
+def natural_cubic_spline(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Natural cubic spline through (x, y), evaluated at xi within [x0, x-1].
+
+    Follows CubicSpline: the banded slope system, solved in the order of
+    LAPACK's dgtsv, then CubicHermiteSpline's coefficients and PPoly's
+    power-sum evaluation. dgtsv's row interchange is never taken for
+    near-uniform x (the pivot stays above 3.5 dx against dx below it), so it
+    is left out; x needs n >= 4 strictly increasing points.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+
+    # The banded system as CubicSpline builds it for bc_type="natural".
+    d = np.empty(n)
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    d[0] = 2 * dx[0]
+    d[-1] = 2 * dx[-1]
+    du = np.empty(n - 1)
+    du[1:] = dx[:-1]
+    du[0] = dx[0]
+    dl = np.empty(n - 1)
+    dl[:-1] = dx[1:]
+    dl[-1] = dx[-1]
+    b = np.empty(n)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # Second derivative 0 at both ends, kept in scipy's expressions so a
+    # zero right-hand side keeps scipy's sign.
+    b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
+    b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
+
+    # dgtsv, no interchange: forward elimination, then back substitution
+    # (the eliminated sub-diagonal stays in the last term as 0.0 * b[i + 2]).
+    d, du, dl, b = d.tolist(), du.tolist(), dl.tolist(), b.tolist()
+    for i in range(n - 1):
+        fact = dl[i] / d[i]
+        d[i + 1] = d[i + 1] - fact * du[i]
+        b[i + 1] = b[i + 1] - fact * b[i]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - 0.0 * b[i + 2]) / d[i]
+    s = np.array(b)
+
+    # CubicHermiteSpline coefficients, highest power first.
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0 = t / dx
+    c1 = (slope - s[:-1]) / dx - t
+    c2 = s[:-1]
+    c3 = y[:-1]
+
+    # PPoly: the interval closed on the right at the last breakpoint.
+    xi = np.asarray(xi, dtype=np.float64)
+    k = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, n - 2)
+    h = xi - x[k]
+    h2 = h * h
+    out = 0.0 + c3[k]
+    out = out + c2[k] * h
+    out = out + c1[k] * h2
+    return out + c0[k] * (h2 * h)
+
+
+def local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of find_peaks(x) with no conditions.
+
+    A peak is a run of equal samples with a smaller neighbour on each side;
+    its index is the middle of the run (the left one of two middles). The
+    first and last samples are never peaks.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    ends = np.concatenate((starts[1:], [x.size])) - 1
+    inner = (starts > 0) & (ends < x.size - 1)
+    starts, ends = starts[inner], ends[inner]
+    peak = (x[starts - 1] < x[starts]) & (x[ends + 1] < x[ends])
+    return ((starts[peak] + ends[peak]) // 2).astype(np.intp)
+
+
+def find_peaks(x: np.ndarray, distance: int, prominence: float) -> np.ndarray:
+    """Indices of find_peaks(x, distance=distance, prominence=prominence).
+
+    As in scipy, the distance rule runs first, on all local maxima: the
+    highest peak (in np.argsort order, so ties resolve exactly as scipy's)
+    removes every lower-priority neighbour closer than distance. Then the
+    prominence floor applies to the survivors.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    peaks = local_maxima(x)
+    keep = np.ones(peaks.size, dtype=bool)
+    distance = math.ceil(distance)
+    pos = peaks.tolist()
+    for j in np.argsort(x[peaks])[::-1].tolist():
+        if not keep[j]:
+            continue
+        k = j - 1
+        while k >= 0 and pos[j] - pos[k] < distance:
+            keep[k] = False
+            k -= 1
+        k = j + 1
+        while k < len(pos) and pos[k] - pos[j] < distance:
+            keep[k] = False
+            k += 1
+    peaks = peaks[keep]
+    return peaks[prominence <= _prominences(x, peaks)]
+
+
+def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Peak height over the higher of the two bases, scipy's unbounded walk.
+
+    Each base is the minimum of x from the peak out to (not including) the
+    first sample higher than the peak, or to the end of the signal. Those
+    stretches are found for all peaks at once by binary lifting on a table
+    of range maxima: level k holds max(x[i : i + 2**k]).
+    """
+    n = x.size
+    levels = [x]
+    while 2 ** len(levels) <= n:
+        half = 2 ** (len(levels) - 1)
+        levels.append(np.maximum(levels[-1][:-half], levels[-1][half:]))
+    height = x[peaks]
+    lo, hi = peaks.copy(), peaks + 1  # grows to the stretch [lo, hi) around each peak
+    for k in range(len(levels) - 1, -1, -1):
+        step = 2**k
+        fits = lo >= step
+        fits[fits] = levels[k][lo[fits] - step] <= height[fits]
+        lo[fits] -= step
+        fits = hi + step <= n
+        fits[fits] = levels[k][hi[fits]] <= height[fits]
+        hi[fits] += step
+    padded = np.append(x, np.inf)  # lets a stretch end at n
+    left_min = np.minimum.reduceat(padded, np.column_stack((lo, peaks + 1)).ravel())[::2]
+    right_min = np.minimum.reduceat(padded, np.column_stack((peaks, hi)).ravel())[::2]
+    return height - np.maximum(left_min, right_min)
+
+
+def welch(x: np.ndarray, fs: float, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and one-sided power density of welch(x, fs, nperseg=nperseg).
+
+    scipy's defaults otherwise: periodic Hann window, nperseg // 2 overlap,
+    mean detrending per segment, density scaling, mean over segments. The
+    steps follow csd and ShortTimeFFT: the window as general_cosine builds
+    it, scaled by 1 / sqrt(sum(w**2) / T) with the builtin sequential sum,
+    |rfft|**2 as re**2 + im**2 on a (frequency, segment) array, the inner
+    bins doubled, then the mean over segments.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    hop = nperseg - nperseg // 2
+    n_segments = (x.size - nperseg // 2) // hop
+    fac = np.linspace(-np.pi, np.pi, nperseg + 1)
+    w = np.zeros(nperseg + 1)
+    w += 0.5 * np.cos(0 * fac)
+    w += 0.5 * np.cos(1 * fac)
+    w = w[:-1]
+    period = 1 / fs
+    w = w * (1 / np.sqrt(sum(w**2) / period))
+
+    starts = np.arange(n_segments) * hop
+    segments = x[starts[:, None] + np.arange(nperseg)]
+    segments = segments - np.mean(segments, -1, keepdims=True)
+    spectrum = np.fft.rfft(segments * w, axis=-1)
+    power = np.ascontiguousarray((spectrum.real**2 + spectrum.imag**2).T)
+    power[1 : -1 if nperseg % 2 == 0 else None] *= 2
+    return np.fft.rfftfreq(nperseg, period), power.mean(axis=-1)
+
+
+def seed_component(frames: np.ndarray, threshold: float, seed_row: int, seed_col: int) -> np.ndarray:
+    """Per frame, the 4-connected component of |frame| >= threshold holding the seed.
+
+    Frames where the seed is below threshold get an empty mask. Frames are
+    filled a chunk at a time, by repeated 4-neighbour growth inside a window
+    around the seed; a chunk whose component reaches an inner window edge is
+    filled again on a window twice as wide, so the result equals
+    ndimage.label's component exactly.
+    """
+    n, height, width = frames.shape
+    out = np.zeros((n, height, width), dtype=bool)
+    for lo in range(0, n, _COMPONENT_CHUNK_FRAMES):
+        chunk = frames[lo : lo + _COMPONENT_CHUNK_FRAMES]
+        half = _COMPONENT_START_HALF_PX
+        while True:
+            r0, r1 = max(seed_row - half, 0), min(seed_row + half + 1, height)
+            c0, c1 = max(seed_col - half, 0), min(seed_col + half + 1, width)
+            above = np.abs(chunk[:, r0:r1, c0:c1]) >= threshold
+            reach = _grow(above, seed_row - r0, seed_col - c0)
+            clipped = (
+                (r0 > 0 and reach[:, 0, :].any())
+                or (r1 < height and reach[:, -1, :].any())
+                or (c0 > 0 and reach[:, :, 0].any())
+                or (c1 < width and reach[:, :, -1].any())
+            )
+            if not clipped:
+                break
+            half *= 2
+        out[lo : lo + len(chunk), r0:r1, c0:c1] = reach
+    return out
+
+
+def _grow(above: np.ndarray, row: int, col: int) -> np.ndarray:
+    """Flood fill of each frame of `above` from (row, col), 4-connected."""
+    reach = np.zeros_like(above)
+    reach[:, row, col] = above[:, row, col]
+    frontier = reach.copy()
+    while frontier.any():
+        grown = np.zeros_like(frontier)
+        grown[:, 1:, :] |= frontier[:, :-1, :]
+        grown[:, :-1, :] |= frontier[:, 1:, :]
+        grown[:, :, 1:] |= frontier[:, :, :-1]
+        grown[:, :, :-1] |= frontier[:, :, 1:]
+        frontier = grown & above & ~reach
+        reach |= frontier
+    return reach
+
+
+def distance_band(mask: np.ndarray, inner: float, outer: float) -> np.ndarray:
+    """Pixels whose distance_transform_edt(~mask) lies in [inner, outer].
+
+    The distance is sqrt of the smallest integer squared distance to a mask
+    pixel, as the exact transform gives it. Only pixels within floor(outer)
+    of the mask's bounding box can fall in the band, and only mask pixels
+    with a 4-neighbour outside the mask can be nearest, so the pairwise
+    distances are taken between those two sets, a bounded number at a time.
+    mask must have at least one pixel; inner > 0.
+    """
+    height, width = mask.shape
+    reach = math.floor(outer)
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    r0, r1 = max(int(rows[0]) - reach, 0), min(int(rows[-1]) + reach + 1, height)
+    c0, c1 = max(int(cols[0]) - reach, 0), min(int(cols[-1]) + reach + 1, width)
+
+    padded = np.pad(mask, 1, constant_values=True)
+    interior = (
+        padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
+    )
+    edge_r, edge_c = np.nonzero(mask & ~interior)
+    cand_r, cand_c = np.nonzero(~mask[r0:r1, c0:c1])
+    cand_r += r0
+    cand_c += c0
+    band = np.zeros_like(mask)
+    if not cand_r.size:
+        return band
+
+    d2 = np.empty(cand_r.size, dtype=np.int64)
+    step = max(1, _BAND_PAIRS_PER_CHUNK // edge_r.size)
+    for lo in range(0, cand_r.size, step):
+        dr = cand_r[lo : lo + step, None] - edge_r
+        dc = cand_c[lo : lo + step, None] - edge_c
+        d2[lo : lo + step] = (dr * dr + dc * dc).min(axis=1)
+    distance = np.sqrt(d2.astype(np.float64))
+    band[cand_r, cand_c] = (distance >= inner) & (distance <= outer)
+    return band

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import NoBreathsDetected, NonAlternating
 from .io import SampledSignal
+from .numerics import find_peaks
 
 IN = "IN"
 EX = "EX"
@@ -128,8 +128,8 @@ def detect_resp_intervals(
         raise NoBreathsDetected("belt signal is constant")
     prominence = prominence_fraction * signal_range
     distance = max(1, int(np.ceil(min_separation_s / resp.dt_s)))
-    peak_idx, _ = find_peaks(smoothed, distance=distance, prominence=prominence)
-    trough_idx, _ = find_peaks(-smoothed, distance=distance, prominence=prominence)
+    peak_idx = find_peaks(smoothed, distance, prominence)
+    trough_idx = find_peaks(-smoothed, distance, prominence)
 
     events = sorted(
         [(int(i), "peak") for i in peak_idx] + [(int(i), "trough") for i in trough_idx]

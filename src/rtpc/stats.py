@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import AllZeroDifferences, EmptyInput, TooFewSamples, ZeroVariance
 
@@ -121,6 +120,8 @@ def spearman(x, y) -> CorrelationResult:
     if abs(rho) >= 1.0:
         p = math.ulp(0.0)
     else:
+        from scipy.special import stdtr  # imported here: the exact path needs no scipy
+
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
         p = 2.0 * float(stdtr(n - 2, -abs(t)))
         p = min(1.0, max(p, math.ulp(0.0)))

@@ -31,7 +31,6 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, gammainc
 
 from .errors import InvalidConfig
 from .io import RoiMask, SampledSignal, VelocityMapSeries
@@ -264,6 +263,8 @@ def pulse_waveform(u, shape: float = 3.0, scale: float = 0.18, floor: float = 0.
     that floor. The result integrates to 1 over the cycle, so a cycle scaled
     by S has true mean flow S, and the minimum sits at u = 0 (the boundary).
     """
+    from scipy.special import gamma as gamma_fn, gammainc  # imported here: only simulation needs it
+
     u = np.asarray(u, dtype=np.float64)
     # integral of u^(shape-1) exp(-u/scale) (1 - u^taper) over [0, 1]
     norm = scale**shape * gamma_fn(shape) * gammainc(shape, 1.0 / scale)

@@ -1,11 +1,16 @@
 import json
+import os
 import re
 import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import rtpc
 
 from rtpc.cli import main
 from rtpc.errors import InsufficientStationaryTissue
@@ -467,6 +472,95 @@ class TestReportCommand:
         write_report(report, path)
         rc = main(["report", "--in", str(path), "--plots", str(tmp_path / "plots")])
         assert rc == 3
+
+
+class TestNonUtf8Input:
+    """A text input that is not UTF-8 is a format error (exit 3) naming the
+    file, not an escaped UnicodeDecodeError."""
+
+    def test_latin1_flow_csv(self, tmp_path, capsys):
+        flow = tmp_path / "fl\u00f6w.csv"
+        flow.write_bytes("time_s,value\n0.0,1\n# caf\u00e9\n".encode("latin-1"))
+        resp = tmp_path / "resp.csv"
+        resp.write_text("time_s,value\n" + "".join(f"{i * 0.075},{i % 7}\n" for i in range(200)))
+        rc = main(["analyze", "--flow", str(flow), "--resp", str(resp), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(flow) in err and "UTF-8" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_latin1_report_json(self, tmp_path, capsys):
+        report = tmp_path / "r\u00e9port.json"
+        report.write_bytes('{"version": "caf\u00e9"}'.encode("latin-1"))
+        rc = main(["report", "--in", str(report), "--plots", str(tmp_path / "plots")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(report) in err and "UTF-8" in err
+        assert "Traceback" not in err
+
+
+#: Runs `rtpc.cli.main(argv)` with every scipy import refused.
+NO_SCIPY_RUNNER = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+import rtpc.cli
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+if loaded:
+    sys.exit(f"import rtpc.cli loaded {loaded}")
+sys.exit(rtpc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0)
+"""
+
+
+class TestWithoutScipy:
+    """extract, analyze and report run, and write the same bytes, when scipy
+    cannot be imported at all."""
+
+    @staticmethod
+    def commands(data, out):
+        series = str(data / "series.rtpc")
+        return [
+            ["extract", "--series", series, "--mask", str(data / "mask.pgm"),
+             "--out", str(out / "mask_flow.csv"), "--qc", str(out / "mask_qc.json")],
+            ["extract", "--series", series, "--seed", "16,16",
+             "--out", str(out / "seed_flow.csv"), "--qc", str(out / "seed_qc.json")],
+            ["analyze", "--flow", str(out / "mask_flow.csv"), "--resp", str(data / "resp.csv"),
+             "--out", str(out / "report.json"), "--plots", str(out / "plots")],
+            ["report", "--in", str(out / "report.json"), "--plots", str(out / "replots")],
+        ]
+
+    def test_same_outputs(self, dataset, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(rtpc.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUNNER], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+        with_scipy, without = tmp_path / "with", tmp_path / "without"
+        for argv in self.commands(dataset, with_scipy):
+            with_scipy.mkdir(exist_ok=True)
+            assert main(argv) == 0
+        for argv in self.commands(dataset, without):
+            without.mkdir(exist_ok=True)
+            proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUNNER, *argv], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+
+        files = sorted(p.relative_to(with_scipy) for p in with_scipy.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(without) for p in without.rglob("*") if p.is_file())
+        assert len(files) > 10
+        for name in files:
+            a, b = (with_scipy / name).read_bytes(), (without / name).read_bytes()
+            if name.suffix == ".json" and name.stem == "report":
+                a, b = (re.sub(rb'"generated_at": "[^"]*"', b"", x) for x in (a, b))
+            assert a == b, name
 
 
 class TestEntryPoint:

@@ -237,6 +237,16 @@ class TestSignalCsv:
         assert raw.startswith(b"time_s,value\n")
 
 
+    def test_crlf_reads_as_lf(self, tmp_path):
+        s = SampledSignal(t0_s=0.5, dt_s=0.075, values=np.array([1.0, -2.5, 3.25]), kind="flow")
+        lf = tmp_path / "lf.csv"
+        write_signal_csv(s, lf)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = read_signal_csv(lf, kind="flow"), read_signal_csv(crlf, kind="flow")
+        assert (a.t0_s, a.dt_s, a.kind) == (b.t0_s, b.dt_s, b.kind)
+        assert np.array_equal(a.values, b.values)
+
 class TestPgmMask:
     def test_single_member(self, tmp_path):
         raster = bytearray(16)

@@ -1,0 +1,161 @@
+"""The numpy stand-ins in rtpc.numerics against their scipy originals.
+
+Every comparison is exact (np.array_equal): the stand-ins replace scipy on
+the analysis path, and the reports must stay bit for bit what scipy gave.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
+from scipy.interpolate import CubicSpline
+from scipy.signal import find_peaks as scipy_find_peaks
+from scipy.signal import welch as scipy_welch
+
+from rtpc import numerics
+from rtpc.cycles import resample
+from rtpc.io import SampledSignal
+
+FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+
+@st.composite
+def plateau_signals(draw, min_size=0, max_size=60):
+    """Small-integer levels, each repeated 1-4 times: plateaus of odd and
+    even length, tied heights and peaks at the edges are all common."""
+    levels = draw(st.lists(st.integers(-4, 4), min_size=min_size, max_size=max_size))
+    repeats = draw(st.lists(st.integers(1, 4), min_size=len(levels), max_size=len(levels)))
+    scale = draw(st.sampled_from([1.0, 0.1, 1e3]))
+    return np.repeat(np.asarray(levels, dtype=np.float64), repeats) * scale
+
+
+class TestLocalMaxima:
+    @settings(max_examples=400, deadline=None)
+    @given(x=plateau_signals())
+    def test_matches_find_peaks(self, x):
+        for signal in (x, -x):
+            expected, _ = scipy_find_peaks(signal)
+            assert np.array_equal(numerics.local_maxima(signal), expected)
+
+    @pytest.mark.parametrize("x", [
+        [0, 1, 1, 0],            # even plateau: the left middle
+        [0, 1, 1, 1, 0],         # odd plateau
+        [1, 0, 1],               # edge samples are never peaks
+        [0, 1, 1],               # plateau running into the last sample
+        [2, 2, 2],
+        [0, 2, 1, 2, 0, 2, 2, 0],
+    ])
+    def test_examples(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        assert np.array_equal(numerics.local_maxima(x), scipy_find_peaks(x)[0])
+
+
+class TestFindPeaks:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_find_peaks(self, data):
+        x = data.draw(plateau_signals(min_size=1))
+        distance = data.draw(st.integers(1, max(1, x.size)))
+        prominence = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]) | st.floats(0.0, 10.0))
+        expected, _ = scipy_find_peaks(x, distance=distance, prominence=prominence)
+        assert np.array_equal(numerics.find_peaks(x, distance, prominence), expected)
+
+    def test_tied_heights_resolve_as_scipy(self):
+        x = np.array([0, 3, 0, 3, 0, 3, 0, 3, 0, 3, 0], dtype=np.float64)
+        for distance in range(1, x.size + 1):
+            expected, _ = scipy_find_peaks(x, distance=distance, prominence=1.0)
+            assert np.array_equal(numerics.find_peaks(x, distance, 1.0), expected)
+
+
+class TestNaturalCubicSpline:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=4, max_size=80),
+        t0=st.floats(-100.0, 100.0),
+        dt=st.sampled_from([0.075, 0.01, 0.5, 1.0, 0.004, 1 / 3]),
+        factor=st.integers(1, 8),
+    )
+    def test_matches_cubic_spline(self, values, t0, dt, factor):
+        flow = SampledSignal(t0_s=t0, dt_s=dt, values=np.asarray(values), kind="flow")
+        t = flow.times
+        tt = np.minimum(t0 + np.arange((len(flow) - 1) * factor + 1) * (dt / factor), t[-1])
+        expected = CubicSpline(t, flow.values, bc_type="natural")(tt)
+        assert np.array_equal(numerics.natural_cubic_spline(t, flow.values, tt), expected)
+        if factor > 1:
+            assert np.array_equal(resample(flow, factor).values, expected)
+
+
+class TestWelch:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_welch(self, data):
+        n = data.draw(st.integers(64, 600))
+        nperseg = data.draw(st.sampled_from([min(256, n), n]) | st.integers(8, n))
+        fs = data.draw(st.sampled_from([1 / 0.075, 20.0, 25.0, 17.3, 1000.0]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(size=n).cumsum() * data.draw(st.sampled_from([1.0, 1e-3, 700.0]))
+        freqs, power = numerics.welch(x, fs, nperseg)
+        expected_freqs, expected_power = scipy_welch(x, fs=fs, nperseg=nperseg, detrend="constant")
+        assert np.array_equal(freqs, expected_freqs)
+        assert np.array_equal(power, expected_power)
+
+
+def label_component(frame_above: np.ndarray, row: int, col: int) -> np.ndarray:
+    if not frame_above[row, col]:
+        return np.zeros_like(frame_above)
+    labels, _ = ndimage.label(frame_above, structure=FOUR_CONNECTED)
+    return labels == labels[row, col]
+
+
+class TestSeedComponent:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_label(self, data):
+        n = data.draw(st.integers(1, 6))
+        height, width = data.draw(st.integers(1, 90)), data.draw(st.integers(1, 90))
+        # Densities around the percolation threshold give components that
+        # reach the seed window's edge and the image edge.
+        density = data.draw(st.floats(0.2, 0.8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        frames = np.where(rng.random((n, height, width)) < density, 2.0, 0.5).astype(np.float32)
+        frames *= rng.choice([-1.0, 1.0], size=frames.shape).astype(np.float32)
+        row, col = data.draw(st.integers(0, height - 1)), data.draw(st.integers(0, width - 1))
+        got = numerics.seed_component(frames, 1.0, row, col)
+        for frame, mask in zip(frames, got):
+            assert np.array_equal(mask, label_component(np.abs(frame) >= 1.0, row, col))
+
+    def test_long_component_and_chunk_boundary(self):
+        # A ring wider than any starting window, in more frames than a chunk.
+        height = width = 120
+        yy, xx = np.mgrid[0:height, 0:width]
+        radius = np.hypot(yy - 60, xx - 60)
+        frames = np.where((radius > 40) & (radius < 44), 3.0, 0.0)
+        frames = np.repeat(frames[None], 300, axis=0).astype(np.float32)
+        frames[::7, 60, 17:23] = 0.0  # cut the ring in some frames
+        row, col = 60, 102
+        got = numerics.seed_component(frames, 1.0, row, col)
+        for frame, mask in zip(frames, got):
+            assert np.array_equal(mask, label_component(frame >= 1.0, row, col))
+
+
+class TestDistanceBand:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_distance_transform(self, data):
+        height, width = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        mask = rng.random((height, width)) < data.draw(st.floats(0.0, 0.4))
+        for edge in data.draw(st.lists(st.sampled_from(["top", "bottom", "left", "right"]))):
+            line = {"top": mask[0], "bottom": mask[-1], "left": mask[:, 0], "right": mask[:, -1]}[edge]
+            line[rng.integers(0, line.size)] = True
+        mask[rng.integers(0, height), rng.integers(0, width)] = True
+        # sqrt of an integer hits the band limits exactly.
+        limit = st.sampled_from([1.0, 2.0, np.sqrt(5.0), 3.0, 6.0, np.sqrt(40.0)]) | st.floats(0.1, 12.0)
+        inner, outer = sorted((data.draw(limit), data.draw(limit)))
+        distance = ndimage.distance_transform_edt(~mask)
+        expected = (distance >= inner) & (distance <= outer)
+        assert np.array_equal(numerics.distance_band(mask, inner, outer), expected)
+
+    def test_full_mask_has_no_band(self):
+        assert not numerics.distance_band(np.ones((5, 7), dtype=bool), 1.0, 6.0).any()
