@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -22,13 +23,20 @@ import numpy as np
 from . import __version__
 from .cycles import detect_cycles
 from .diff import PARAMETERS, extract_result, finalize_scan, sweep_diffs
-from .errors import InsufficientCycles, ParseError, RtpcError, TooShort
+from .errors import (
+    EmptySegmentation,
+    InsufficientCycles,
+    ParseError,
+    RtpcError,
+    SeedOutsideVessel,
+    TooShort,
+)
 from .extraction import (
     RoiSeries,
     compute_flow,
     correct_background,
-    crop_to_roi,
     quality_score,
+    roi_window,
     segment_roi,
     sum_flows,
     unalias,
@@ -37,7 +45,9 @@ from .io import (
     ArteryRecord,
     QcFlags,
     Report,
+    RoiMask,
     SampledSignal,
+    frame_chunks,
     read_mask,
     read_report,
     read_signal_csv,
@@ -48,6 +58,7 @@ from .io import (
     write_signal_csv,
     write_velocity_series,
 )
+from .numerics import COMPONENT_START_HALF_PX, reaches_inner_edge, seed_window
 from .respiration import detect_resp_intervals
 from .svgplot import render_line_chart
 from .synthgen import SimConfig, generate_signals, generate_velocity_series
@@ -79,6 +90,11 @@ def _seed_type(text: str) -> tuple:
 
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
+
+
+def _usage_error(command: str, message: str) -> int:
+    print(f"rtpc {command}: {message}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 def analyze_flow_signal(
@@ -128,29 +144,77 @@ def _render_diff_svg(artery_name: str, parameter: str, record, out_path) -> None
 
 # -- commands --------------------------------------------------------------------
 
+def _seeded_roi(args, height: int, width: int) -> tuple:
+    """The seed's ROI and the series, both cut to roi_window of the union ROI.
+
+    segment_roi runs on a window around the seed that covers --max-radius-px
+    and seed_component's first window. While the union ROI touches a window
+    edge that is not an image edge, the window is read again twice as wide,
+    so the ROI is the one whole frames give. Then the ROI's own window is
+    read. Errors name the seed in image coordinates.
+    """
+    sx, sy = args.seed
+    half = max(COMPONENT_START_HALF_PX, math.floor(args.max_radius_px))
+    while True:
+        window = seed_window(sy, sx, half, height, width)
+        local = (sx - window[1].start, sy - window[0].start)
+        try:
+            roi = segment_roi(
+                read_velocity_series(args.series, venc_mm_s=args.venc, window=window),
+                seed=local,
+                velocity_threshold_fraction=args.threshold_fraction,
+                max_radius_px=args.max_radius_px,
+            )
+        except (EmptySegmentation, SeedOutsideVessel) as exc:
+            raise type(exc)(str(exc).replace(f"seed {local}", f"seed {args.seed}")) from None
+        union = roi.union()
+        if not reaches_inner_edge(union, window, (height, width)):
+            break
+        half *= 2
+
+    image_union = np.zeros((height, width), dtype=bool)
+    image_union[window] = union
+    final = roi_window(image_union)
+    # Every ROI pixel lies in both windows; copy their overlap across.
+    src, dst = [slice(None)], [slice(None)]
+    for cut, into in zip(window, final):
+        lo, hi = max(cut.start, into.start), min(cut.stop, into.stop)
+        src.append(slice(lo - cut.start, hi - cut.start))
+        dst.append(slice(lo - into.start, hi - into.start))
+    masks = np.zeros((len(roi), final[0].stop - final[0].start, final[1].stop - final[1].start), dtype=bool)
+    masks[tuple(dst)] = np.stack([m.membership for m in roi.masks])[tuple(src)]
+    series = read_velocity_series(args.series, venc_mm_s=args.venc, window=final)
+    return series, RoiSeries(masks=tuple(RoiMask(m) for m in masks))
+
+
 def cmd_extract(args, written: list) -> int:
     header = read_velocity_header(args.series)
+    height, width = header["height"], header["width"]
     if args.venc is not None and args.venc <= 0:
-        print("rtpc extract: --venc must be positive", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error("extract", "--venc must be positive")
     if header["venc_mm_s"] == 0.0 and args.venc is None:
-        print(
-            "rtpc extract: series header has venc 0 (unknown); --venc MM_S is required",
-            file=sys.stderr,
+        return _usage_error(
+            "extract", "series header has venc 0 (unknown); --venc MM_S is required"
         )
-        return USAGE_ERROR
-    series = read_velocity_series(args.series, venc_mm_s=args.venc)
+    if not (0.0 < args.threshold_fraction <= 1.0):
+        return _usage_error(
+            "extract", f"--threshold-fraction must be in (0, 1], got {args.threshold_fraction!r}"
+        )
+    if not (math.isfinite(args.max_radius_px) and args.max_radius_px >= 0.0):
+        return _usage_error(
+            "extract", f"--max-radius-px must be finite and >= 0, got {args.max_radius_px!r}"
+        )
     if args.mask is not None:
-        mask = read_mask(args.mask, series.width, series.height)
-        roi = RoiSeries.from_static(mask, series.n_frames)
-    else:
-        roi = segment_roi(
-            series,
-            seed=args.seed,
-            velocity_threshold_fraction=args.threshold_fraction,
-            max_radius_px=args.max_radius_px,
+        membership = read_mask(args.mask, width, height).membership
+        window = roi_window(membership)
+        series = read_velocity_series(args.series, venc_mm_s=args.venc, window=window)
+        roi = RoiSeries.from_static(RoiMask(membership[window]), series.n_frames)
+    elif not (0 <= args.seed[0] < width and 0 <= args.seed[1] < height):
+        return _usage_error(
+            "extract", f"--seed {args.seed[0]},{args.seed[1]} lies outside the {width}x{height} image"
         )
-    series, roi = crop_to_roi(series, roi)
+    else:
+        series, roi = _seeded_roi(args, height, width)
 
     background_offset = None
     n_band = None
@@ -160,9 +224,13 @@ def cmd_extract(args, written: list) -> int:
         n_band = estimate.n_band_pixels
     n_unaliased = None
     if not args.no_unalias:
-        before = series.frames
+        before = series
         series = unalias(series, roi)
-        n_unaliased = int(np.count_nonzero(series.frames != before))
+        n_unaliased = sum(
+            int(np.count_nonzero(series.frames[chunk] != before.frames[chunk]))
+            for chunk in frame_chunks(series.n_frames, series.height, series.width)
+        )
+        del before
 
     flow = compute_flow(series, roi)
     out = Path(args.out)
@@ -192,8 +260,7 @@ def cmd_extract(args, written: list) -> int:
 def cmd_analyze(args, written: list) -> int:
     flow_paths = [p for chunk in args.flow for p in chunk.split(",") if p]
     if not flow_paths:
-        print("rtpc analyze: no flow files given", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error("analyze", "no flow files given")
     flows = [read_signal_csv(p, kind="flow") for p in flow_paths]
     resp = read_signal_csv(args.resp, kind="respiration")
     if args.invert_belt:

@@ -21,7 +21,7 @@ from .errors import (
     SeedOutsideVessel,
     TooShort,
 )
-from .io import QcFlags, RoiMask, SampledSignal, VelocityMapSeries
+from .io import QcFlags, RoiMask, SampledSignal, VelocityMapSeries, frame_chunks
 from .numerics import distance_band, seed_component, welch
 
 #: 1 mm^3/s = 0.06 ml/min
@@ -95,13 +95,15 @@ def segment_roi(
     velocity_threshold_fraction : float
         Fraction of the pooled 99th-percentile reference speed.
     max_radius_px : float
-        Radius of the reference neighborhood around the seed.
+        Radius of the reference neighborhood around the seed; finite and >= 0.
     """
     sx, sy = int(seed[0]), int(seed[1])
     if not (0 <= sx < series.width and 0 <= sy < series.height):
         raise ValueError(f"seed {seed} outside {series.width}x{series.height} image")
     if not (0.0 < velocity_threshold_fraction <= 1.0):
         raise ValueError("velocity_threshold_fraction must be in (0, 1]")
+    if not (math.isfinite(max_radius_px) and max_radius_px >= 0.0):
+        raise ValueError(f"max_radius_px must be finite and >= 0, got {max_radius_px!r}")
     yy, xx = np.mgrid[0 : series.height, 0 : series.width]
     neighborhood = (xx - sx) ** 2 + (yy - sy) ** 2 <= max_radius_px**2
     reference = float(np.percentile(np.abs(series.frames[:, neighborhood]), 99.0))
@@ -121,14 +123,31 @@ def segment_roi(
     return RoiSeries(masks=tuple(RoiMask(masks[i]) for i in source.tolist()))
 
 
+def roi_window(union: np.ndarray) -> tuple[slice, slice]:
+    """The (rows, cols) window the chain reads around a union ROI.
+
+    It is the ROI's bounding box grown by ceil(BAND_OUTER_PX) and clipped to
+    the image; an empty ROI gives the whole image.
+    """
+    height, width = union.shape
+    if not union.any():
+        return slice(0, height), slice(0, width)
+    margin_px = math.ceil(BAND_OUTER_PX)
+    rows = np.flatnonzero(union.any(axis=1))
+    cols = np.flatnonzero(union.any(axis=0))
+    return (
+        slice(max(int(rows[0]) - margin_px, 0), min(int(rows[-1]) + margin_px + 1, height)),
+        slice(max(int(cols[0]) - margin_px, 0), min(int(cols[-1]) + margin_px + 1, width)),
+    )
+
+
 def crop_to_roi(
     series: VelocityMapSeries, roi: RoiSeries
 ) -> tuple[VelocityMapSeries, RoiSeries]:
     """Cut a series and its ROI down to the neighbourhood the chain reads.
 
-    The window is the bounding box of the union ROI grown by
-    ceil(BAND_OUTER_PX) and clipped to the image. Every pixel within that
-    distance of the ROI lies inside it, so correct_background (with its
+    The window is roi_window of the union ROI. Every pixel within
+    BAND_OUTER_PX of the ROI lies inside it, so correct_background (with its
     default band), unalias and compute_flow see the same ROI and band pixels,
     in the same row-major order, as on the whole frame. An ROI that is empty
     in every frame is returned uncropped.
@@ -140,13 +159,7 @@ def crop_to_roi(
         raise ValueError("ROI dimensions do not match the series")
     if not union.any():
         return series, roi
-    margin_px = math.ceil(BAND_OUTER_PX)
-    rows = np.flatnonzero(union.any(axis=1))
-    cols = np.flatnonzero(union.any(axis=0))
-    window = (
-        slice(max(int(rows[0]) - margin_px, 0), int(rows[-1]) + margin_px + 1),
-        slice(max(int(cols[0]) - margin_px, 0), int(cols[-1]) + margin_px + 1),
-    )
+    window = roi_window(union)
     cropped = VelocityMapSeries(
         frames=series.frames[(slice(None),) + window],
         dt_ms=series.dt_ms,
@@ -170,7 +183,8 @@ def correct_background(
     union ROI; of those, the quietest variance_quantile by temporal standard
     deviation form the band. The offset is the median velocity over band
     pixels and frames, treated as static, and is subtracted from every pixel
-    of every frame.
+    of every frame, in float64 and rounded once to float32, a chunk of
+    frames at a time.
     """
     if not (0 < band_inner_px <= band_outer_px):
         raise ValueError("need 0 < band_inner_px <= band_outer_px")
@@ -189,8 +203,12 @@ def correct_background(
     band = np.zeros_like(ring)
     band[tuple(idx[keep] for idx in np.nonzero(ring))] = True
     offset = float(np.median(ring_values[:, keep]))
+    del ring_values  # before the corrected frames are allocated
+    frames = np.empty_like(series.frames)
+    for chunk in frame_chunks(series.n_frames, series.height, series.width):
+        frames[chunk] = series.frames[chunk].astype(np.float64) - offset
     corrected = VelocityMapSeries(
-        frames=series.frames.astype(np.float64) - offset,
+        frames=frames,
         dt_ms=series.dt_ms,
         venc_mm_s=series.venc_mm_s,
         pixel_area_mm2=series.pixel_area_mm2,
@@ -221,7 +239,8 @@ def unalias(series: VelocityMapSeries, roi: RoiSeries) -> VelocityMapSeries:
     Per frame, each ROI pixel is compared with the median of the other ROI
     pixels; if it deviates by more than venc it is shifted by the multiple of
     2*venc that brings it closest to that median. One pass only, non-ROI
-    pixels untouched. Pixels wrapped so far that they land within venc of the
+    pixels untouched. The shift is added in float64 and rounded once to
+    float32. Pixels wrapped so far that they land within venc of the
     median (true speed beyond median + venc) cannot be recovered this way.
 
     Valid while venc stays above about 0.6 x the systolic peak velocity.
@@ -233,12 +252,12 @@ def unalias(series: VelocityMapSeries, roi: RoiSeries) -> VelocityMapSeries:
         raise ValueError(f"ROI has {len(roi)} masks for {series.n_frames} frames")
     venc = series.venc_mm_s
     two_venc = 2.0 * venc
-    frames = series.frames.astype(np.float64)
+    frames = series.frames.copy()
     for t, mask in enumerate(roi.masks):
         member = mask.membership
         if member.sum() < 2:
             continue
-        vals = frames[t][member]
+        vals = frames[t][member].astype(np.float64)
         deltas = _leave_one_out_medians(vals) - vals
         wrapped = np.abs(deltas) > venc
         if wrapped.any():

@@ -12,12 +12,19 @@ Velocity series layout (little-endian throughout):
     f32 x 3      dt_ms, venc_mm_s, pixel_area_mm2
     payload      n_frames frames of height x width f32 velocities in mm/s,
                  row-major within a frame, frame-major overall
+
+Series are read and written a chunk of whole frames at a time, about
+SERIES_CHUNK_BYTES each. The reader keeps only a window of each frame, so
+reading holds the windowed series plus one chunk; it still checks every
+chunk of the file for non-finite values, inside the window or not. A full
+read is the same reader with the whole frame as its window.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,6 +47,9 @@ from .errors import (
 
 MAGIC = b"RTPC1"
 HEADER_SIZE = len(MAGIC) + 12 + 12  # magic + three u32 + three f32
+
+#: Target size of one chunk of frames when a series is read or written.
+SERIES_CHUNK_BYTES = 1 << 22
 
 SIGNAL_KINDS = ("flow", "respiration")
 CSV_HEADER = "time_s,value"
@@ -95,6 +105,11 @@ class VelocityMapSeries:
     @property
     def dt_s(self) -> float:
         return self.dt_ms / 1000.0
+
+    def chunks(self):
+        """The frames as consecutive views of about SERIES_CHUNK_BYTES each."""
+        for frames in frame_chunks(self.n_frames, self.height, self.width):
+            yield self.frames[frames]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VelocityMapSeries):
@@ -335,19 +350,25 @@ class Report:
 
 # -- velocity series ------------------------------------------------------------
 
-def read_velocity_header(path) -> dict:
-    """Read just the fixed-size header. Raises BadMagic/TruncatedFile."""
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(HEADER_SIZE)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+def frame_chunks(n_frames: int, height: int, width: int):
+    """Slices of consecutive frames, each of about SERIES_CHUNK_BYTES of float32
+    (at least one frame); the last one holds what is left."""
+    step = max(1, SERIES_CHUNK_BYTES // (4 * height * width))
+    for lo in range(0, n_frames, step):
+        yield slice(lo, min(lo + step, n_frames))
+
+
+def _parse_header(head: bytes, path) -> dict:
     if head[: len(MAGIC)] != MAGIC:
         raise BadMagic(f"{path} does not start with {MAGIC!r}")
     if len(head) < HEADER_SIZE:
         raise TruncatedFile(f"{path}: header truncated at {len(head)} bytes")
     width, height, n_frames = struct.unpack_from("<III", head, len(MAGIC))
+    if min(width, height, n_frames) < 1:
+        raise InvalidHeader(f"{path}: zero dimension in header ({width}x{height}, {n_frames} frames)")
     dt_ms, venc_mm_s, pixel_area_mm2 = struct.unpack_from("<fff", head, len(MAGIC) + 12)
+    if venc_mm_s < 0:
+        raise InvalidHeader(f"{path}: negative venc {venc_mm_s} in header")
     return {
         "width": width,
         "height": height,
@@ -358,47 +379,84 @@ def read_velocity_header(path) -> dict:
     }
 
 
-def read_velocity_series(path, venc_mm_s: float | None = None) -> VelocityMapSeries:
-    """Parse a velocity-series file, bit-exact.
+def read_velocity_header(path) -> dict:
+    """Read and check just the fixed-size header.
+
+    Raises BadMagic, TruncatedFile, or InvalidHeader for a zero dimension or
+    a negative venc; the payload is not looked at.
+    """
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(HEADER_SIZE)
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    return _parse_header(head, path)
+
+
+def read_velocity_series(path, venc_mm_s: float | None = None, window=None) -> VelocityMapSeries:
+    """Parse a velocity-series file, bit-exact, keeping the pixels in window.
+
+    window is a (rows, cols) pair of slices with explicit bounds inside the
+    frame; None keeps whole frames. The payload is read one chunk of frames
+    at a time, and every chunk is checked for non-finite values, so a bad
+    value anywhere in the file is rejected whatever the window.
 
     venc_mm_s, when given, replaces the header value before validation; this
     is how files recorded with an unknown encoding limit (header venc 0) are
     loaded.
     """
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            header = _parse_header(fh.read(HEADER_SIZE), path)
+            width, height, n_frames = header["width"], header["height"], header["n_frames"]
+            size = os.fstat(fh.fileno()).st_size
+            expected = HEADER_SIZE + 4 * width * height * n_frames
+            if size < expected:
+                raise TruncatedFile(f"{path}: {size} bytes, header promises {expected}")
+            if size > expected:
+                raise TruncatedFile(f"{path}: {size} bytes, {size - expected} trailing beyond header promise")
+            rows, cols = window or (slice(0, height), slice(0, width))
+            for cut, extent in ((rows, height), (cols, width)):
+                if cut.step is not None or not (0 <= cut.start < cut.stop <= extent):
+                    raise ValueError(f"window {window} does not fit a {width}x{height} frame")
+            whole = rows.stop - rows.start == height and cols.stop - cols.start == width
+            frames = np.empty((n_frames, rows.stop - rows.start, cols.stop - cols.start), dtype="<f4")
+            if not whole:  # the first chunk is the largest
+                first = next(frame_chunks(n_frames, height, width))
+                buffer = np.empty((first.stop, height, width), dtype="<f4")
+            for chunk in frame_chunks(n_frames, height, width):
+                block = frames[chunk] if whole else buffer[: chunk.stop - chunk.start]
+                if fh.readinto(memoryview(block).cast("B")) != block.nbytes:
+                    raise TruncatedFile(f"{path}: file shrank while being read")
+                # min and max propagate NaN and reach +-inf, with no temporary.
+                if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+                    raise NonFiniteVelocity(
+                        f"{path}: non-finite velocity in frames {chunk.start}-{chunk.stop - 1}"
+                    )
+                if not whole:
+                    frames[chunk] = block[:, rows, cols]
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if data[: len(MAGIC)] != MAGIC:
-        raise BadMagic(f"{path} does not start with {MAGIC!r}")
-    if len(data) < HEADER_SIZE:
-        raise TruncatedFile(f"{path}: header truncated at {len(data)} bytes")
-    width, height, n_frames = struct.unpack_from("<III", data, len(MAGIC))
-    if min(width, height, n_frames) < 1:
-        raise InvalidHeader(f"{path}: zero dimension in header ({width}x{height}, {n_frames} frames)")
-    dt_ms, venc, pixel_area_mm2 = struct.unpack_from("<fff", data, len(MAGIC) + 12)
-    if venc < 0:
-        raise InvalidHeader(f"{path}: negative venc {venc} in header")
-    if venc_mm_s is not None:
-        venc = venc_mm_s
-    expected = HEADER_SIZE + 4 * width * height * n_frames
-    if len(data) < expected:
-        raise TruncatedFile(f"{path}: {len(data)} bytes, header promises {expected}")
-    if len(data) > expected:
-        raise TruncatedFile(f"{path}: {len(data)} bytes, {len(data) - expected} trailing beyond header promise")
-    frames = np.frombuffer(data, dtype="<f4", offset=HEADER_SIZE).reshape(n_frames, height, width)
-    return VelocityMapSeries(frames=frames, dt_ms=dt_ms, venc_mm_s=venc, pixel_area_mm2=pixel_area_mm2)
+    venc = header["venc_mm_s"] if venc_mm_s is None else venc_mm_s
+    return VelocityMapSeries(
+        frames=frames, dt_ms=header["dt_ms"], venc_mm_s=venc, pixel_area_mm2=header["pixel_area_mm2"]
+    )
 
 
-def write_velocity_series(series: VelocityMapSeries, path) -> None:
-    """Write a series so that read_velocity_series reproduces it exactly."""
+def write_velocity_series(series, path) -> None:
+    """Write a series so that read_velocity_series reproduces it exactly.
+
+    series is a VelocityMapSeries, or any object with its header attributes
+    and a chunks() method that yields the frames in order, such as the
+    simulator's VesselSeries; it is written one chunk at a time.
+    """
     header = MAGIC + struct.pack("<III", series.width, series.height, series.n_frames)
     header += struct.pack("<fff", series.dt_ms, series.venc_mm_s, series.pixel_area_mm2)
-    payload = np.ascontiguousarray(series.frames, dtype="<f4")
     try:
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(memoryview(payload).cast("B"))
+            for block in series.chunks():
+                fh.write(memoryview(np.ascontiguousarray(block, dtype="<f4")).cast("B"))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

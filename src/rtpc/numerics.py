@@ -23,7 +23,8 @@ import math
 import numpy as np
 
 _COMPONENT_CHUNK_FRAMES = 256
-_COMPONENT_START_HALF_PX = 16
+#: Half-width of the first window seed_component fills around the seed.
+COMPONENT_START_HALF_PX = 16
 _BAND_PAIRS_PER_CHUNK = 1 << 20
 
 
@@ -207,23 +208,38 @@ def seed_component(frames: np.ndarray, threshold: float, seed_row: int, seed_col
     out = np.zeros((n, height, width), dtype=bool)
     for lo in range(0, n, _COMPONENT_CHUNK_FRAMES):
         chunk = frames[lo : lo + _COMPONENT_CHUNK_FRAMES]
-        half = _COMPONENT_START_HALF_PX
+        half = COMPONENT_START_HALF_PX
         while True:
-            r0, r1 = max(seed_row - half, 0), min(seed_row + half + 1, height)
-            c0, c1 = max(seed_col - half, 0), min(seed_col + half + 1, width)
-            above = np.abs(chunk[:, r0:r1, c0:c1]) >= threshold
-            reach = _grow(above, seed_row - r0, seed_col - c0)
-            clipped = (
-                (r0 > 0 and reach[:, 0, :].any())
-                or (r1 < height and reach[:, -1, :].any())
-                or (c0 > 0 and reach[:, :, 0].any())
-                or (c1 < width and reach[:, :, -1].any())
-            )
-            if not clipped:
+            window = seed_window(seed_row, seed_col, half, height, width)
+            above = np.abs(chunk[(slice(None),) + window]) >= threshold
+            reach = _grow(above, seed_row - window[0].start, seed_col - window[1].start)
+            if not reaches_inner_edge(reach.any(axis=0), window, (height, width)):
                 break
             half *= 2
-        out[lo : lo + len(chunk), r0:r1, c0:c1] = reach
+        out[(slice(lo, lo + len(chunk)),) + window] = reach
     return out
+
+
+def seed_window(seed_row: int, seed_col: int, half: int, height: int, width: int) -> tuple:
+    """(rows, cols) slices of the square of half-width half around the seed,
+    clipped to the image."""
+    return (
+        slice(max(seed_row - half, 0), min(seed_row + half + 1, height)),
+        slice(max(seed_col - half, 0), min(seed_col + half + 1, width)),
+    )
+
+
+def reaches_inner_edge(footprint: np.ndarray, window: tuple, shape: tuple) -> bool:
+    """Whether a footprint cut to window touches a window edge that is not an
+    image edge, where a 4-connected component could continue outside."""
+    rows, cols = window
+    height, width = shape
+    return bool(
+        (rows.start > 0 and footprint[0].any())
+        or (rows.stop < height and footprint[-1].any())
+        or (cols.start > 0 and footprint[:, 0].any())
+        or (cols.stop < width and footprint[:, -1].any())
+    )
 
 
 def _grow(above: np.ndarray, row: int, col: int) -> np.ndarray:

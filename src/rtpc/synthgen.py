@@ -17,7 +17,8 @@ disk-vessel profile scaled per frame so the discrete velocity integral
 reproduces the flow exactly, then add an eddy-current offset everywhere and
 wrap a random subset of above-limit pixels by -2*venc. Wrapping happens
 after float32 quantization, so unwrapping restores the stored frames
-bit for bit.
+bit for bit. A series is kept as its vessel pixels plus the one background
+value every other pixel holds, and rendered to whole frames a chunk at a time.
 
 Everything is deterministic given the config (including its seed).
 """
@@ -33,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidConfig
-from .io import RoiMask, SampledSignal, VelocityMapSeries
+from .io import RoiMask, SampledSignal, VelocityMapSeries, frame_chunks
 
 BELT_WAVEFORMS = ("sine", "rounded-square")
 MODULATION_SHAPES = ("square", "sine")
@@ -244,8 +245,58 @@ class SignalBundle(NamedTuple):
     truth: GroundTruth
 
 
+@dataclass(frozen=True, eq=False)
+class VesselSeries:
+    """A simulated velocity series held as its vessel pixels.
+
+    Every pixel outside the vessel holds `background` in every frame, so the
+    series is stored as that float32 value plus, per frame, the float32
+    velocities of the vessel pixels in row-major order. chunks() renders whole
+    frames a chunk at a time (what write_velocity_series consumes);
+    to_series() renders them all at once.
+    """
+
+    member: np.ndarray  # bool (height, width)
+    member_values: np.ndarray  # float32 (n_frames, member.sum())
+    background: np.float32
+    dt_ms: float
+    venc_mm_s: float
+    pixel_area_mm2: float
+
+    @property
+    def n_frames(self) -> int:
+        return self.member_values.shape[0]
+
+    @property
+    def height(self) -> int:
+        return self.member.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.member.shape[1]
+
+    def _render(self, frames: slice) -> np.ndarray:
+        """Whole float32 frames for a slice of frame indices."""
+        values = self.member_values[frames]
+        out = np.full((values.shape[0], self.height, self.width), self.background)
+        out[:, self.member] = values
+        return out
+
+    def chunks(self):
+        for frames in frame_chunks(self.n_frames, self.height, self.width):
+            yield self._render(frames)
+
+    def to_series(self) -> VelocityMapSeries:
+        return VelocityMapSeries(
+            frames=self._render(slice(None)),
+            dt_ms=self.dt_ms,
+            venc_mm_s=self.venc_mm_s,
+            pixel_area_mm2=self.pixel_area_mm2,
+        )
+
+
 class ImageBundle(NamedTuple):
-    series: VelocityMapSeries
+    series: VesselSeries
     mask: RoiMask
     truth: GroundTruth
 
@@ -405,6 +456,9 @@ def generate_velocity_series(config: SimConfig) -> ImageBundle:
     -2*venc after float32 quantization (so unwrapping is bit-exact). The
     truth manifest gains the vessel mask side effects: eddy offset, wrapped
     pixel set, and the derived nominal peak velocity at base mean flow.
+
+    The series comes back as a VesselSeries, which holds the vessel pixels
+    only; whole frames are rendered by its chunks() or to_series().
     """
     config.validate()
     vessel = config.vessel
@@ -435,33 +489,32 @@ def generate_velocity_series(config: SimConfig) -> ImageBundle:
     )
     # Offset added in float64, then one rounding to float32 per pixel.
     offset = config.artifacts.eddy_offset_mm_s
-    shape = (len(flow), height, width)
+    background = np.float32(0.0)
     if offset != 0.0:
-        frames32 = np.full(shape, np.float32(offset))
+        background = np.float32(offset)
         member_values += offset
-    else:
-        frames32 = np.zeros(shape, dtype=np.float32)
-    frames32[:, member] = member_values
+    member32 = member_values.astype(np.float32)
+    del member_values
     wrapped = []
     fraction = config.artifacts.aliased_pixel_fraction
     if fraction > 0:
         two_venc = np.float32(2.0 * vessel.venc_mm_s)
         member_ys, member_xs = np.nonzero(member)
-        for t in range(frames32.shape[0]):
-            over = frames32[t, member_ys, member_xs] > vessel.venc_mm_s
-            candidates = np.flatnonzero(over)
+        for t in range(member32.shape[0]):
+            candidates = np.flatnonzero(member32[t] > vessel.venc_mm_s)
             n_wrap = int(round(fraction * candidates.size))
             if n_wrap == 0:
                 continue
             rng = np.random.default_rng([config.seed, 2, t])
             chosen = rng.choice(candidates, size=n_wrap, replace=False)
-            ys, xs = member_ys[chosen], member_xs[chosen]
-            frames32[t, ys, xs] -= two_venc
-            wrapped.extend((t, int(y), int(x)) for y, x in zip(ys, xs))
+            member32[t, chosen] -= two_venc
+            wrapped.extend((t, int(y), int(x)) for y, x in zip(member_ys[chosen], member_xs[chosen]))
     wrapped.sort()
 
-    series = VelocityMapSeries(
-        frames=frames32,
+    series = VesselSeries(
+        member=member,
+        member_values=member32,
+        background=background,
         dt_ms=config.dt_ms,
         venc_mm_s=vessel.venc_mm_s,
         pixel_area_mm2=vessel.pixel_area_mm2,

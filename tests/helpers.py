@@ -21,7 +21,8 @@ def _signals_cached(key: str):
 
 @lru_cache(maxsize=8)
 def _images_cached(key: str):
-    return generate_velocity_series(SimConfig.from_dict(json.loads(key)))
+    bundle = generate_velocity_series(SimConfig.from_dict(json.loads(key)))
+    return bundle._replace(series=bundle.series.to_series())
 
 
 def signals(**overrides):

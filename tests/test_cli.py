@@ -13,7 +13,7 @@ import pytest
 import rtpc
 
 from rtpc.cli import main
-from rtpc.errors import InsufficientStationaryTissue
+from rtpc.errors import EmptySegmentation, InsufficientStationaryTissue, SeedOutsideVessel
 from rtpc.extraction import (
     RoiSeries,
     compute_flow,
@@ -27,6 +27,7 @@ from rtpc.io import (
     RoiMask,
     SampledSignal,
     VelocityMapSeries,
+    frame_chunks,
     read_mask,
     read_report,
     read_signal_csv,
@@ -35,6 +36,7 @@ from rtpc.io import (
     write_signal_csv,
     write_velocity_series,
 )
+from rtpc.numerics import COMPONENT_START_HALF_PX, seed_window
 from rtpc.synthgen import SimConfig, generate_velocity_series
 
 
@@ -191,6 +193,64 @@ class TestExtract:
         assert exc.value.code == 2
 
 
+def write_raw_series(path, frames, venc=800.0):
+    """An RTPC1 file holding frames as they are, non-finite values included."""
+    n, h, w = frames.shape
+    head = MAGIC + struct.pack("<III", w, h, n) + struct.pack("<fff", 75.0, venc, 0.25)
+    path.write_bytes(head + np.asarray(frames, dtype="<f4").tobytes())
+    return path
+
+
+class TestExtractOptions:
+    """Out-of-range extract options exit 2 with a message naming the option.
+    They are checked before the payload is read: the payload here holds a NaN,
+    which reading would report with exit 3."""
+
+    @pytest.mark.parametrize("option, value", [
+        ("--seed", "500,500"), ("--seed", "40,0"), ("--seed", "0,40"), ("--seed=-1,3", None),
+        ("--threshold-fraction", "0"), ("--threshold-fraction", "1.5"),
+        ("--threshold-fraction", "nan"),
+        ("--max-radius-px", "nan"), ("--max-radius-px", "-1"), ("--max-radius-px", "inf"),
+    ])
+    def test_usage_error_names_option(self, tmp_path, capsys, option, value):
+        frames = np.ones((3, 40, 40))
+        frames[2, 39, 39] = np.nan
+        series = write_raw_series(tmp_path / "s.rtpc", frames)
+        argv = ["extract", "--series", str(series), "--out", str(tmp_path / "x.csv"), option]
+        argv += [value] if value is not None else []
+        if not option.startswith("--seed"):
+            argv += ["--seed", "20,20"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert option.split("=")[0] in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_nan_payload_still_exit_3(self, tmp_path):
+        frames = np.ones((3, 40, 40))
+        frames[2, 39, 39] = np.nan
+        series = write_raw_series(tmp_path / "s.rtpc", frames)
+        assert main(["extract", "--series", str(series), "--seed", "20,20",
+                     "--out", str(tmp_path / "x.csv")]) == 3
+
+    @pytest.mark.parametrize("seed, radius, error", [
+        ((38, 38), 12.0, SeedOutsideVessel),
+        ((30, 30), 2.0, EmptySegmentation),
+    ])
+    def test_seed_errors_name_image_coordinates(self, tmp_path, capsys, seed, radius, error):
+        frames = np.zeros((3, 48, 48))
+        frames[:, 40:45, 40:45] = 100.0
+        frames[:, 2:5, 2:5] = 100.0
+        series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
+        with pytest.raises(error) as library:
+            segment_roi(series, seed=seed, max_radius_px=radius)
+        path = write_raw_series(tmp_path / "s.rtpc", frames)
+        rc = main(["extract", "--series", str(path), "--seed", f"{seed[0]},{seed[1]}",
+                   "--max-radius-px", str(radius), "--out", str(tmp_path / "x.csv")])
+        assert rc == library.value.exit_code == 4
+        assert capsys.readouterr().err == f"rtpc extract: error: {library.value}\n"
+        assert f"seed {seed}" in str(library.value)
+
+
 def full_frame_extract(series_path, mask_path=None, seed=None, background=True, unwrap=True):
     """The extraction chain on whole frames, with the QC payload `rtpc extract` writes."""
     series = read_velocity_series(series_path)
@@ -229,23 +289,43 @@ def write_images(directory, series, mask):
 @pytest.fixture(scope="module")
 def crop_datasets(tmp_path_factory):
     """A centred vessel, and the same frames cut so the image edge clips the
-    vessel and its background ring; each with the seed pixel at the centre."""
-    config = SimConfig.from_dict({
-        "duration_s": 30.0,
-        "artifacts": {"eddy_offset_mm_s": 3.0, "aliased_pixel_fraction": 0.3, "noise_sd": 4.0},
-        "seed": 11,
-    })
+    vessel and its background ring; a 128x128 vessel of radius 24, whose
+    seeded ROI reaches past the first seed window; and 64x64 frames whose
+    count is not a multiple of the read chunk. Each has the seed pixel at
+    the centre."""
+    artifacts = {"eddy_offset_mm_s": 3.0, "aliased_pixel_fraction": 0.3, "noise_sd": 4.0}
+    config = SimConfig.from_dict({"duration_s": 30.0, "artifacts": artifacts, "seed": 11})
     series, mask, truth = generate_velocity_series(config)
     assert truth.wrapped_pixels
     root = tmp_path_factory.mktemp("crop")
     cut = (slice(12, None), slice(12, None))
     edge = VelocityMapSeries(
-        frames=series.frames[(slice(None),) + cut], dt_ms=series.dt_ms,
+        frames=series.to_series().frames[(slice(None),) + cut], dt_ms=series.dt_ms,
         venc_mm_s=series.venc_mm_s, pixel_area_mm2=series.pixel_area_mm2,
     )
+
+    wide, wide_mask, wide_truth = generate_velocity_series(SimConfig.from_dict({
+        "duration_s": 30.0, "artifacts": {**artifacts, "noise_sd": 2.0}, "seed": 5,
+        "vessel": {"radius_px": 24.0, "grid": {"width": 128, "height": 128}, "venc_mm_s": 60.0},
+    }))
+    assert wide_truth.wrapped_pixels
+    union = segment_roi(wide.to_series(), seed=(64, 64)).union()
+    first = seed_window(64, 64, COMPONENT_START_HALF_PX, 128, 128)
+    assert union.sum() > union[first].sum()  # the seed window must widen
+
+    ragged, ragged_mask, ragged_truth = generate_velocity_series(SimConfig.from_dict({
+        "duration_s": 30.0, "artifacts": artifacts, "seed": 12,
+        "vessel": {"grid": {"width": 64, "height": 64}},
+    }))
+    assert ragged_truth.wrapped_pixels
+    chunks = list(frame_chunks(ragged.n_frames, ragged.height, ragged.width))
+    assert len(chunks) > 1 and chunks[-1].stop - chunks[-1].start < chunks[0].stop
+
     return {
         "centred": (write_images(root / "centred", series, mask), "16,16"),
         "edge": (write_images(root / "edge", edge, RoiMask(mask.membership[cut])), "4,4"),
+        "wide": (write_images(root / "wide", wide, wide_mask), "64,64"),
+        "ragged": (write_images(root / "ragged", ragged, ragged_mask), "32,32"),
     }
 
 
@@ -258,7 +338,7 @@ class TestExtractMatchesFullFrame:
         ("--no-background-correction", "--no-unalias"),
     ])
     @pytest.mark.parametrize("source", ["mask", "seed"])
-    @pytest.mark.parametrize("name", ["centred", "edge"])
+    @pytest.mark.parametrize("name", ["centred", "edge", "wide", "ragged"])
     def test_same_csv_and_qc(self, crop_datasets, tmp_path, name, source, flags):
         data, seed = crop_datasets[name]
         roi_args = ["--mask", str(data / "mask.pgm")] if source == "mask" else ["--seed", seed]
@@ -296,6 +376,48 @@ class TestExtractMatchesFullFrame:
         assert rc == library.value.exit_code == 4
         assert capsys.readouterr().err == f"rtpc extract: error: {library.value}\n"
         assert not out.exists()
+
+
+def peak_rss_mb(argv, env) -> float:
+    """Peak resident memory of `python -m rtpc ARGV` in its own process."""
+    proc = subprocess.Popen([sys.executable, "-m", "rtpc", *map(str, argv)], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    _pid, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, proc.stderr.read().decode()
+    proc.stderr.close()
+    return usage.ru_maxrss / 1024.0  # KiB on Linux
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+class TestMemoryBound:
+    """simulate --with-images and extract hold a window of the series plus one
+    chunk, not whole frames. From N to 4N frames of 128x128, code that held
+    whole frames in each of those three commands would grow by at least
+    3N x 64 KiB (37.5 MB here); the bound is 25 MB."""
+
+    N_SECONDS = 15.0  # 200 frames at 75 ms
+
+    @pytest.mark.parametrize("command", ["simulate", "extract_mask", "extract_seed"])
+    def test_growth_from_n_to_4n_frames(self, tmp_path, command):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(rtpc.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+        peaks = []
+        for duration in (self.N_SECONDS, 4 * self.N_SECONDS):
+            data = tmp_path / f"d{duration:g}"
+            config = write_config(tmp_path, {
+                "duration_s": duration,
+                "artifacts": {"eddy_offset_mm_s": 15.0, "aliased_pixel_fraction": 0.5, "noise_sd": 5.0},
+                "vessel": {"radius_px": 10.0, "grid": {"width": 128, "height": 128}, "venc_mm_s": 400.0},
+            }, name=f"sim{duration:g}.json")
+            simulate = ["simulate", "--config", config, "--out-dir", data, "--with-images"]
+            extract = ["extract", "--series", data / "series.rtpc", "--out", data / "f.csv"]
+            if command == "simulate":
+                peaks.append(peak_rss_mb(simulate, env))
+                continue
+            assert main([str(a) for a in simulate]) == 0
+            roi = ["--mask", data / "mask.pgm"] if command == "extract_mask" else ["--seed", "64,64"]
+            peaks.append(peak_rss_mb(extract + roi, env))
+        assert peaks[1] - peaks[0] < 25.0, peaks
 
 
 class TestAnalyze:

@@ -69,6 +69,11 @@ class TestSegmentRoi:
         with pytest.raises(ValueError):
             segment_roi(series, seed=(100, 2))
 
+    @pytest.mark.parametrize("radius", [-1.0, -0.5, math.nan, math.inf])
+    def test_radius_not_finite_or_negative(self, radius):
+        with pytest.raises(ValueError, match="max_radius_px"):
+            segment_roi(disk_series([5]), seed=(12, 12), max_radius_px=radius)
+
     def test_oscillating_radius_tracks_truth(self):
         radii = [4, 5, 6, 5, 4, 5, 6]
         series = disk_series(radii)

@@ -1,9 +1,15 @@
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rtpc.io as rtpc_io
+from rtpc.cli import main
 from rtpc.errors import (
     BadMagic,
     DimensionMismatch,
@@ -14,6 +20,7 @@ from rtpc.errors import (
     NonUniformSampling,
     NotPgm,
     ParseError,
+    RtpcError,
     TooShort,
     TruncatedFile,
 )
@@ -158,6 +165,133 @@ class TestVelocitySeries:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):
             read_velocity_series(tmp_path / "absent.rtpc")
+
+
+def series_bytes(width, height, n_frames, dt_ms=75.0, venc=800.0, area=0.25, seed=0):
+    """An RTPC1 file's bytes with a random finite payload of the promised size."""
+    frames = np.random.default_rng(seed).normal(0.0, 300.0, size=n_frames * height * width)
+    head = MAGIC + struct.pack("<III", width, height, n_frames)
+    return head + struct.pack("<fff", dt_ms, venc, area) + frames.astype("<f4").tobytes()
+
+
+def extract_exit(path, venc=None) -> int:
+    """Exit status of `rtpc extract --seed 0,0` on a series file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["extract", "--series", str(path), "--seed", "0,0", "--out", str(Path(tmp) / "f.csv")]
+        return main(argv + (["--venc", str(venc)] if venc is not None else []))
+
+
+def windows(height, width):
+    """(rows, cols) slices with explicit bounds inside a height x width frame."""
+    def cut(extent):
+        return st.integers(0, extent - 1).flatmap(
+            lambda lo: st.integers(lo + 1, extent).map(lambda hi: slice(lo, hi)))
+    return st.tuples(cut(height), cut(width))
+
+
+#: Header floats: the edge cases the reader must reject, and random float32s.
+HEADER_FLOATS = st.one_of(
+    st.sampled_from([75.0, 0.0, -0.0, -1.0, float("nan"), float("inf")]), st.floats(width=32)
+)
+
+
+class TestVelocitySeriesFuzz:
+    """The reader on random files, with chunks of 1 to 3 frames so that most
+    files span several chunks and many end in a partial one. Only RtpcError
+    subclasses may escape, and `rtpc extract` exits 3 on each file the reader
+    rejects; a windowed read is the full read cut to the window; a full read
+    writes back bit for bit."""
+
+    @staticmethod
+    def chunk_frames(monkeypatch, height, width, frames_per_chunk):
+        monkeypatch.setattr(rtpc_io, "SERIES_CHUNK_BYTES", 4 * height * width * frames_per_chunk)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 8)),
+        floats=st.tuples(HEADER_FLOATS, HEADER_FLOATS, HEADER_FLOATS),
+        extra=st.sampled_from([0, 0, 0, -4, -1, 1, 4]),
+        frames_per_chunk=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_random_headers(self, dims, floats, extra, frames_per_chunk, data):
+        width, height, n_frames = dims
+        dt_ms, venc, area = floats
+        raw = series_bytes(width, height, n_frames, dt_ms, venc, area)
+        raw = raw[: len(raw) + extra] if extra < 0 else raw + b"\x01" * extra
+        override = 800.0 if venc == 0 else None  # header venc 0 needs --venc
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            self.chunk_frames(mp, max(height, 1), max(width, 1), frames_per_chunk)
+            path = Path(tmp) / "s.rtpc"
+            path.write_bytes(raw)
+            try:
+                series = read_velocity_series(path, venc_mm_s=override)
+            except RtpcError:
+                assert extract_exit(path, override) == 3
+                return
+            written = Path(tmp) / "w.rtpc"
+            write_velocity_series(series, written)
+            assert read_velocity_series(written) == series
+            if override is None:
+                assert written.read_bytes() == raw
+            rows, cols = data.draw(windows(height, width))
+            cut = read_velocity_series(path, venc_mm_s=override, window=(rows, cols))
+            assert cut.frames.tobytes() == series.frames[:, rows, cols].tobytes()
+            assert (cut.dt_ms, cut.venc_mm_s, cut.pixel_area_mm2) == (
+                series.dt_ms, series.venc_mm_s, series.pixel_area_mm2)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)),
+        frames_per_chunk=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_truncation_and_trailing_bytes(self, dims, frames_per_chunk, seed):
+        width, height, n_frames = dims
+        raw = series_bytes(width, height, n_frames, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            self.chunk_frames(mp, height, width, frames_per_chunk)
+            path = Path(tmp) / "s.rtpc"
+            bad = [raw[:size] for size in range(len(raw))] + [raw + b"\x00" * k for k in (1, 3, 4, 9)]
+            for body in bad:
+                path.write_bytes(body)
+                expected = BadMagic if len(body) < len(MAGIC) else TruncatedFile
+                with pytest.raises(expected):
+                    read_velocity_series(path)
+                with pytest.raises(expected):
+                    read_velocity_series(path, window=(slice(0, 1), slice(0, 1)))
+                assert extract_exit(path) == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 20), st.integers(1, 20), st.integers(1, 7)),
+        bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        frames_per_chunk=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_one_non_finite_value_anywhere(self, dims, bad, frames_per_chunk, data):
+        width, height, n_frames = dims
+        t = data.draw(st.integers(0, n_frames - 1), label="frame")
+        y = data.draw(st.integers(0, height - 1), label="row")
+        x = data.draw(st.integers(0, width - 1), label="col")
+        rows, cols = data.draw(windows(height, width), label="window")
+        frames = np.ones((n_frames, height, width), dtype="<f4")
+        frames[t, y, x] = bad
+        raw = series_bytes(width, height, n_frames)[:HEADER_SIZE] + frames.tobytes()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            self.chunk_frames(mp, height, width, frames_per_chunk)
+            path = Path(tmp) / "s.rtpc"
+            path.write_bytes(raw)
+            with pytest.raises(NonFiniteVelocity):
+                read_velocity_series(path)
+            with pytest.raises(NonFiniteVelocity):
+                read_velocity_series(path, window=(rows, cols))
+            mask = np.zeros((height, width), dtype=bool)
+            mask[rows.start, cols.start] = True
+            write_mask(RoiMask(mask), Path(tmp) / "m.pgm")
+            assert main(["extract", "--series", str(path), "--mask", str(Path(tmp) / "m.pgm"),
+                         "--out", str(Path(tmp) / "f.csv")]) == 3
+            assert extract_exit(path) == 3
 
 
 class TestSignalCsv:

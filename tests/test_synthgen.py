@@ -214,7 +214,7 @@ class TestGenerateVelocitySeries:
         cfg = SimConfig.from_dict({"duration_s": 60.0, "artifacts": {"aliased_pixel_fraction": 0.1}, "seed": 3})
         a = generate_velocity_series(cfg)
         b = generate_velocity_series(cfg)
-        assert a.series.frames.tobytes() == b.series.frames.tobytes()
+        assert a.series.to_series().frames.tobytes() == b.series.to_series().frames.tobytes()
         assert a.truth.to_dict() == b.truth.to_dict()
 
     def test_flow_conservation(self):
@@ -296,15 +296,16 @@ class TestGenerateVelocitySeries:
         assert truth.wrapped_pixels
         for t, y, x in truth.wrapped_pixels:
             expected[t, y, x] -= np.float32(2.0 * vessel.venc_mm_s)
-        assert series.frames.dtype == np.float32
-        assert series.frames.tobytes() == expected.tobytes()
+        frames = series.to_series().frames
+        assert frames.dtype == np.float32
+        assert frames.tobytes() == expected.tobytes()
         assert np.array_equal(mask.membership, member)
 
         path = tmp_path / "series.rtpc"
         write_velocity_series(series, path)
         header = MAGIC + struct.pack("<III", w, h, len(flow))
         header += struct.pack("<fff", series.dt_ms, series.venc_mm_s, series.pixel_area_mm2)
-        assert path.read_bytes() == header + series.frames.astype("<f4").tobytes()
+        assert path.read_bytes() == header + frames.astype("<f4").tobytes()
 
 
 class TestPipelineClosure:
