@@ -7,7 +7,15 @@ labels -> delay-scanned expiration-vs-inspiration percentage differences.
 
 __version__ = "0.1.0"
 
-from .cycles import CCFC, CycleBoundary, CycleParams, cycle_params, detect_cycles, resample
+from .cycles import (
+    CCFC,
+    CycleBoundary,
+    CycleParams,
+    CycleTable,
+    cycle_params,
+    detect_cycles,
+    resample,
+)
 from .diff import (
     DiffScanResult,
     PARAMETERS,

@@ -111,20 +111,21 @@ def analyze_flow_signal(
     except TooShort:
         qc = QcFlags(cardiac_snr=None, excluded=False)
     cycles = detect_cycles(flow)
-    valid = [c.params for c in cycles if c.valid]
-    if not valid:
+    n_valid = int(np.count_nonzero(cycles.valid))
+    if not n_valid:
         raise InsufficientCycles(f"{name}: no valid cardiac cycles")
     delays, diffs = sweep_diffs(cycles, intervals, step_s=step_s, min_cycles=min_cycles)
     diff_records = {
         param: extract_result(finalize_scan(param, delays, diffs[param], intervals.mean_period_s))
         for param in PARAMETERS
     }
+    mean_flow, stroke_volume, period = (float(np.mean(row[cycles.valid])) for row in cycles.params)
     return ArteryRecord(
         name=name,
-        mean_flow_ml_min=float(np.mean([p.mean_flow_ml_min for p in valid])),
-        stroke_volume_ml=float(np.mean([p.stroke_volume_ml for p in valid])),
-        cardiac_period_s=float(np.mean([p.cardiac_period_s for p in valid])),
-        n_cycles=len(valid),
+        mean_flow_ml_min=mean_flow,
+        stroke_volume_ml=stroke_volume,
+        cardiac_period_s=period,
+        n_cycles=n_valid,
         qc=qc,
         diff=diff_records,
     )
@@ -196,16 +197,29 @@ def cmd_extract(args, written: list) -> int:
         return _usage_error(
             "extract", "series header has venc 0 (unknown); --venc MM_S is required"
         )
-    if not (0.0 < args.threshold_fraction <= 1.0):
-        return _usage_error(
-            "extract", f"--threshold-fraction must be in (0, 1], got {args.threshold_fraction!r}"
-        )
-    if not (math.isfinite(args.max_radius_px) and args.max_radius_px >= 0.0):
-        return _usage_error(
-            "extract", f"--max-radius-px must be finite and >= 0, got {args.max_radius_px!r}"
-        )
+    if args.mask is not None:
+        # Segmentation options mean nothing for a given mask: refuse them.
+        for option, value in (("--threshold-fraction", args.threshold_fraction),
+                              ("--max-radius-px", args.max_radius_px)):
+            if value is not None:
+                return _usage_error("extract", f"{option} applies to --seed only, not to --mask")
+    else:
+        if args.threshold_fraction is None:
+            args.threshold_fraction = 0.5
+        if args.max_radius_px is None:
+            args.max_radius_px = 12.0
+        if not (0.0 < args.threshold_fraction <= 1.0):
+            return _usage_error(
+                "extract", f"--threshold-fraction must be in (0, 1], got {args.threshold_fraction!r}"
+            )
+        if not (math.isfinite(args.max_radius_px) and args.max_radius_px >= 0.0):
+            return _usage_error(
+                "extract", f"--max-radius-px must be finite and >= 0, got {args.max_radius_px!r}"
+            )
     if args.mask is not None:
         membership = read_mask(args.mask, width, height).membership
+        if not membership.any():
+            raise EmptySegmentation(f"mask {args.mask} has no member pixel")
         window = roi_window(membership)
         series = read_velocity_series(args.series, venc_mm_s=args.venc, window=window)
         roi = RoiSeries.from_static(RoiMask(membership[window]), series.n_frames)
@@ -391,10 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="encoding limit override (required when the header venc is 0)")
     pe.add_argument("--no-background-correction", action="store_true")
     pe.add_argument("--no-unalias", action="store_true")
-    pe.add_argument("--threshold-fraction", type=float, default=0.5,
-                    help="segmentation threshold as a fraction of the local p99 speed")
-    pe.add_argument("--max-radius-px", type=float, default=12.0,
-                    help="reference neighborhood radius around the seed")
+    pe.add_argument("--threshold-fraction", type=float,
+                    help="segmentation threshold as a fraction of the local p99 speed "
+                         "(--seed only; default 0.5)")
+    pe.add_argument("--max-radius-px", type=float,
+                    help="reference neighborhood radius around the seed (--seed only; default 12)")
     pe.add_argument("--snr-threshold", type=float, default=5.0,
                     help="cardiac SNR below this flags the signal for exclusion")
     pe.add_argument("--out", required=True, help="output flow CSV")

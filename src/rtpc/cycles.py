@@ -5,11 +5,15 @@ upsampled grid; the dominant period from the autocorrelation steers minimum
 separation and the validity band. Each cycle carries the parameter triple
 (mean flow, stroke volume, cardiac period), with mean flow defined as
 60 * SV / period so the identity between the three is exact by construction.
+detect_cycles returns the cycles as a CycleTable of arrays; each cycle is
+also readable as a CCFC object.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +63,99 @@ class CCFC:
     @property
     def midpoint_s(self) -> float:
         return self.boundary.midpoint_s
+
+
+class CycleTable(Sequence):
+    """The cycles between consecutive boundaries of one signal, as arrays.
+
+    Cycle i spans samples bounds[i]..bounds[i + 1] of signal (both ends
+    included) and is valid when its period lies in valid_period_s
+    (inclusive). Arrays, one entry per cycle in time order:
+
+        start_s, end_s, midpoint_s   boundary times and midpoint
+        params                       3 x n rows: mean flow (ml/min), stroke
+                                     volume (ml), cardiac period (s)
+        valid                        period inside valid_period_s
+
+    The table is also a read-only sequence of CCFC: each one is built on
+    first access and cached, so the same index gives the same object. The
+    values equal cycle_params on each cycle bit for bit: a stroke volume is
+    one sum over the trapezoid terms of the whole signal, which are the
+    terms np.trapezoid forms for the cycle alone.
+    """
+
+    def __init__(self, signal: SampledSignal, bounds: np.ndarray, valid_period_s: tuple):
+        bounds = np.array(bounds, dtype=np.intp)  # a copy: it is made read-only below
+        if bounds.ndim != 1 or bounds.size < 2:
+            raise ValueError(f"need at least 2 boundaries, got shape {bounds.shape}")
+        if bounds[0] < 0 or bounds[-1] >= len(signal):
+            raise ValueError(f"boundaries {bounds[0]}..{bounds[-1]} outside the signal span")
+        if (np.diff(bounds) < 2).any():
+            raise DegenerateCycle("a cycle spans fewer than 2 samples")
+        self.signal = signal
+        self.bounds = bounds
+        times = signal.t0_s + bounds * signal.dt_s
+        self.start_s, self.end_s = times[:-1], times[1:]
+        period = self.end_s - self.start_s
+        self.midpoint_s = self.start_s + 0.5 * period
+        y = signal.values
+        terms = signal.dt_s * (y[1:] + y[:-1]) / 2.0
+        sums = [terms[i0:i1].sum() for i0, i1 in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+        stroke_volume = np.array(sums, dtype=np.float64) / 60.0
+        self.params = np.stack([60.0 * stroke_volume / period, stroke_volume, period])
+        lo, hi = valid_period_s
+        self.valid = (lo <= period) & (period <= hi)
+        for array in (self.bounds, times, self.midpoint_s, self.params, self.valid):
+            array.flags.writeable = False  # the cached CCFC views must stay true
+        self._views = [None] * period.size
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"cycle index {index} out of range for {len(self)} cycles")
+        view = self._views[i]
+        if view is None:
+            view = self._views[i] = self._view(i)
+        return view
+
+    def _view(self, i: int) -> CCFC:
+        ok = bool(self.valid[i])
+        mean_flow, stroke_volume, period = self.params[:, i].tolist()
+        return CCFC(
+            boundary=CycleBoundary(start_s=float(self.start_s[i]), end_s=float(self.end_s[i])),
+            samples=self.signal.values[self.bounds[i] : self.bounds[i + 1] + 1].copy(),
+            params=CycleParams(
+                mean_flow_ml_min=mean_flow, stroke_volume_ml=stroke_volume, cardiac_period_s=period
+            ),
+            valid=ok,
+            invalid_reason=None if ok else INVALID_PERIOD,
+        )
+
+
+def cycle_arrays(cycles) -> tuple:
+    """(start_s, end_s, midpoint_s, params, valid) of a CycleTable, or read
+    from any sequence of CCFC in the same layout and with the same values."""
+    if isinstance(cycles, CycleTable):
+        return cycles.start_s, cycles.end_s, cycles.midpoint_s, cycles.params, cycles.valid
+    start = np.array([c.boundary.start_s for c in cycles], dtype=np.float64)
+    end = np.array([c.boundary.end_s for c in cycles], dtype=np.float64)
+    params = np.array(
+        [
+            [c.params.mean_flow_ml_min for c in cycles],
+            [c.params.stroke_volume_ml for c in cycles],
+            [c.params.cardiac_period_s for c in cycles],
+        ],
+        dtype=np.float64,
+    )
+    valid = np.array([c.valid for c in cycles], dtype=bool)
+    return start, end, start + 0.5 * (end - start), params, valid
 
 
 def resample(flow: SampledSignal, factor: int) -> SampledSignal:
@@ -143,7 +240,7 @@ def detect_cycles(
     period_band_s: tuple = (0.4, 2.0),
     min_separation_fraction: float = 0.6,
     validity_band: tuple = (0.6, 1.5),
-) -> list:
+) -> CycleTable:
     """Segment a flow signal into cardiac-cycle flow curves.
 
     Steps: (1) estimate the dominant period T from the autocorrelation within
@@ -171,24 +268,7 @@ def detect_cycles(
     boundaries = _select_minima(up.values, min_sep)
     if boundaries.size < 3:
         raise NoCyclesFound(f"only {boundaries.size} cycle boundaries found")
-    lo, hi = validity_band[0] * period, validity_band[1] * period
-    cycles = []
-    for i0, i1 in zip(boundaries[:-1], boundaries[1:]):
-        boundary = CycleBoundary(
-            start_s=up.t0_s + i0 * up.dt_s, end_s=up.t0_s + i1 * up.dt_s
-        )
-        params = cycle_params(up, boundary)
-        ok = lo <= params.cardiac_period_s <= hi
-        cycles.append(
-            CCFC(
-                boundary=boundary,
-                samples=up.values[i0 : i1 + 1].copy(),
-                params=params,
-                valid=ok,
-                invalid_reason=None if ok else INVALID_PERIOD,
-            )
-        )
-    return cycles
+    return CycleTable(up, boundaries, (validity_band[0] * period, validity_band[1] * period))
 
 
 def cycle_params(flow: SampledSignal, boundary: CycleBoundary) -> CycleParams:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import CycleParams
+from .cycles import CycleParams, cycle_arrays
 from .errors import InsufficientCycles, ZeroInspiratoryValue
 from .io import DiffRecord, REPORT_PARAMETERS
 # label_cycles stays importable here: perfbench/tracing.py hooks diff.label_cycles.
@@ -60,16 +60,18 @@ def average_params(cycles: list, labels: list, phase: str, min_cycles: int = 3) 
     )
 
 
+def _diff_pct(parameter: str, ex_value: float, in_value: float) -> float:
+    if in_value == 0:
+        raise ZeroInspiratoryValue(f"inspiratory {parameter} is zero")
+    return 100.0 * (ex_value - in_value) / in_value
+
+
 def diff_ex_in(p_ex: CycleParams, p_in: CycleParams) -> dict:
     """Percentage difference 100 * (EX - IN) / IN for each parameter."""
-    out = {}
-    for param, attr in _PARAM_ATTR.items():
-        ex_value = getattr(p_ex, attr)
-        in_value = getattr(p_in, attr)
-        if in_value == 0:
-            raise ZeroInspiratoryValue(f"inspiratory {param} is zero")
-        out[param] = 100.0 * (ex_value - in_value) / in_value
-    return out
+    return {
+        param: _diff_pct(param, getattr(p_ex, attr), getattr(p_in, attr))
+        for param, attr in _PARAM_ATTR.items()
+    }
 
 
 def _delay_grid(mean_period_s: float, step_s: float) -> np.ndarray:
@@ -81,20 +83,23 @@ def _delay_grid(mean_period_s: float, step_s: float) -> np.ndarray:
 
 
 def sweep_diffs(
-    cycles: list,
+    cycles,
     intervals: RespIntervals,
     step_s: float = 0.075,
     min_cycles: int = 3,
     max_missing_fraction: float = 0.2,
+    parameters: tuple = PARAMETERS,
 ) -> tuple:
-    """Diff of all three parameters at every delay of the scan grid.
+    """Diff of each of the given parameters at every delay of the scan grid.
 
-    At each delay d a cycle takes the phase of the interval whose shifted
-    half-open [start, end) holds its midpoint, where the shifted boundaries
-    are base_bounds + (intervals.delay_s + d); midpoints outside the shifted
-    span are unlabelled. The cycle list is read into arrays once and every
-    delay is labelled with one searchsorted; each phase mean is np.mean over
-    a contiguous gather in cycle order, so the results are bit-identical to
+    cycles is a CycleTable, whose arrays are used as they are, or any
+    sequence of CCFC, which is read into the same arrays once. At each delay
+    d a cycle takes the phase of the interval whose shifted half-open
+    [start, end) holds its midpoint, where the shifted boundaries are
+    base_bounds + (intervals.delay_s + d); midpoints outside the shifted span
+    are unlabelled. Every delay is labelled with one searchsorted; each phase
+    mean is a sum over a contiguous gather in cycle order divided by its
+    count, as np.mean computes it, so the results are bit-identical to
     label_cycles(cycles, shift_intervals(intervals, d)) followed by
     average_params and diff_ex_in at every delay.
 
@@ -103,43 +108,38 @@ def sweep_diffs(
     missing is an error, and so is a belt whose intervals hold no cycle
     midpoint at any delay.
 
-    Returns (delays_s, {parameter: diff array}).
+    Returns (delays_s, {parameter: diff array}), in the order of parameters.
     """
+    unknown = [p for p in parameters if p not in PARAMETERS]
+    if unknown:
+        raise ValueError(f"parameters must be among {PARAMETERS}, got {unknown}")
     delays = _delay_grid(intervals.mean_period_s, step_s)
-    midpoints = np.array([c.boundary.midpoint_s for c in cycles], dtype=np.float64)
-    valid = np.array([c.valid for c in cycles], dtype=bool)
-    # One contiguous row per parameter, in cycle order.
-    params = np.array(
-        [[getattr(c.params, attr) for c in cycles] for attr in _PARAM_ATTR.values()],
-        dtype=np.float64,
-    )
+    start, end, midpoints, params, valid = cycle_arrays(cycles)
+    rows = params[[PARAMETERS.index(p) for p in parameters]]
     bounds = np.asarray(intervals.base_bounds)
     # Index -1 (outside the span) picks the trailing False.
     is_ex = np.array([p == EX for p in intervals.phases] + [False])
     is_in = np.array([p == IN for p in intervals.phases] + [False])
-    diffs = {p: np.full(delays.size, np.nan) for p in PARAMETERS}
+    diffs = {p: np.full(delays.size, np.nan) for p in parameters}
     missing = 0
     covered = False
-    for i, delay in enumerate(delays):
-        idx = _interval_index(midpoints, bounds, intervals.delay_s + float(delay))
+    for i, delay in enumerate(delays.tolist()):
+        idx = _interval_index(midpoints, bounds, intervals.delay_s + delay)
         covered = covered or bool((idx >= 0).any())
         ex = valid & is_ex[idx]
         in_ = valid & is_in[idx]
-        if np.count_nonzero(ex) < min_cycles or np.count_nonzero(in_) < min_cycles:
+        n_ex, n_in = np.count_nonzero(ex), np.count_nonzero(in_)
+        if n_ex < min_cycles or n_in < min_cycles:
             missing += 1
             continue
-        p_ex = CycleParams(*(float(np.mean(row[ex])) for row in params))
-        p_in = CycleParams(*(float(np.mean(row[in_])) for row in params))
-        for param, value in diff_ex_in(p_ex, p_in).items():
-            diffs[param][i] = value
-    if cycles and not covered:
+        for param, ex_row, in_row in zip(parameters, rows[:, ex], rows[:, in_]):
+            diffs[param][i] = _diff_pct(param, float(ex_row.sum() / n_ex), float(in_row.sum() / n_in))
+    if midpoints.size and not covered:
         belt_start, belt_end = intervals.span
-        flow_start = min(c.boundary.start_s for c in cycles)
-        flow_end = max(c.boundary.end_s for c in cycles)
         raise InsufficientCycles(
             f"belt and flow do not overlap: breathing intervals span "
             f"{belt_start:.2f}-{belt_end:.2f} s, flow cycles span "
-            f"{flow_start:.2f}-{flow_end:.2f} s, and no cycle midpoint falls "
+            f"{start.min():.2f}-{end.max():.2f} s, and no cycle midpoint falls "
             f"inside the belt span at any scan delay"
         )
     if missing > max_missing_fraction * delays.size:
@@ -151,7 +151,7 @@ def sweep_diffs(
 
 
 def delay_scan(
-    cycles: list,
+    cycles,
     intervals: RespIntervals,
     parameter: str,
     step_s: float = 0.075,
@@ -159,13 +159,14 @@ def delay_scan(
 ) -> DiffScanResult:
     """Scan Diff(parameter) over delays in [0, mean breathing period).
 
-    The reported delay is the argmax of the signed Diff; exact ties go to the
+    Only parameter is swept (see sweep_diffs for the labelling and the
+    skipped delays). The reported delay is the argmax of the signed Diff; exact ties go to the
     smallest delay. delay_pct expresses it as a percentage of the mean
     breathing period and always falls in [0, 100).
     """
-    if parameter not in PARAMETERS:
-        raise ValueError(f"parameter must be one of {PARAMETERS}, got {parameter!r}")
-    delays, diffs = sweep_diffs(cycles, intervals, step_s=step_s, min_cycles=min_cycles)
+    delays, diffs = sweep_diffs(
+        cycles, intervals, step_s=step_s, min_cycles=min_cycles, parameters=(parameter,)
+    )
     return finalize_scan(parameter, delays, diffs[parameter], intervals.mean_period_s)
 
 

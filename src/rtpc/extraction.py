@@ -31,6 +31,10 @@ ML_MIN_PER_MM3_S = 0.06
 #: crop_to_roi grows the ROI box by its ceiling, so the band survives the crop.
 BAND_OUTER_PX = 6.0
 
+#: Ring pixels whose temporal std correct_background takes at once; a block
+#: holds n_frames x STD_BLOCK_PIXELS float64 values.
+STD_BLOCK_PIXELS = 32
+
 
 @dataclass(frozen=True)
 class RoiSeries:
@@ -194,16 +198,22 @@ def correct_background(
     ring = distance_band(union, band_inner_px, band_outer_px)
     if not ring.any():
         raise InsufficientStationaryTissue("no pixels in the distance band around the ROI")
-    ring_values = series.frames[:, ring].astype(np.float64)
-    stds = ring_values.std(axis=0)
+    rows, cols = np.nonzero(ring)
+    # The gather lays each pixel's frames out as one contiguous column, which
+    # numpy reduces on its own: a pixel's std does not depend on its block.
+    stds = np.concatenate([
+        series.frames[:, rows[b : b + STD_BLOCK_PIXELS], cols[b : b + STD_BLOCK_PIXELS]]
+        .astype(np.float64)
+        .std(axis=0)
+        for b in range(0, rows.size, STD_BLOCK_PIXELS)
+    ])
     keep = stds <= np.quantile(stds, variance_quantile)
     n_band = int(keep.sum())
     if n_band < min_band_pixels:
         raise InsufficientStationaryTissue(f"{n_band} quiet band pixels, need {min_band_pixels}")
     band = np.zeros_like(ring)
-    band[tuple(idx[keep] for idx in np.nonzero(ring))] = True
-    offset = float(np.median(ring_values[:, keep]))
-    del ring_values  # before the corrected frames are allocated
+    band[rows[keep], cols[keep]] = True
+    offset = float(np.median(series.frames[:, rows[keep], cols[keep]].astype(np.float64)))
     frames = np.empty_like(series.frames)
     for chunk in frame_chunks(series.n_frames, series.height, series.width):
         frames[chunk] = series.frames[chunk].astype(np.float64) - offset

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .cycles import cycle_arrays
 from .errors import NoBreathsDetected, NonAlternating
 from .io import SampledSignal
 from .numerics import find_peaks
@@ -182,13 +183,13 @@ def _interval_index(midpoints: np.ndarray, bounds: np.ndarray, delay_s: float) -
     return idx
 
 
-def label_cycles(cycles: list, intervals: RespIntervals) -> list:
+def label_cycles(cycles, intervals: RespIntervals) -> list:
     """Phase label per cycle from midpoint containment.
 
     A cycle gets the phase of the interval containing its temporal midpoint;
     intervals are half-open [start, end), and midpoints outside the covered
     span are UNLABELED.
     """
-    midpoints = np.array([cycle.boundary.midpoint_s for cycle in cycles], dtype=np.float64)
+    midpoints = cycle_arrays(cycles)[2]
     idx = _interval_index(midpoints, np.asarray(intervals.base_bounds), intervals.delay_s)
     return [intervals.phases[i] if i >= 0 else UNLABELED for i in idx.tolist()]

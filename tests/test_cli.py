@@ -225,6 +225,36 @@ class TestExtractOptions:
         assert option.split("=")[0] in err and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("option, value", [
+        ("--threshold-fraction", "0.5"), ("--max-radius-px", "12"), ("--max-radius-px", "3"),
+    ])
+    def test_seed_option_with_mask_is_refused(self, tmp_path, capsys, option, value):
+        # Segmentation options change nothing with --mask, even at their --seed defaults.
+        frames = np.ones((3, 40, 40))
+        frames[2, 39, 39] = np.nan
+        series = write_raw_series(tmp_path / "s.rtpc", frames)
+        member = np.zeros((40, 40), dtype=bool)
+        member[18:22, 18:22] = True
+        write_mask(RoiMask(member), tmp_path / "m.pgm")
+        argv = ["extract", "--series", str(series), "--mask", str(tmp_path / "m.pgm"),
+                option, value, "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert option in err and "--seed only" in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_empty_mask_exit_4_names_mask(self, tmp_path, capsys):
+        frames = np.random.default_rng(0).normal(0.0, 5.0, (100, 20, 20))
+        series = write_raw_series(tmp_path / "s.rtpc", frames)
+        mask = tmp_path / "empty.pgm"
+        write_mask(RoiMask(np.zeros((20, 20), dtype=bool)), mask)
+        for extra in ([], ["--no-background-correction", "--no-unalias"]):
+            rc = main(["extract", "--series", str(series), "--mask", str(mask), *extra,
+                       "--out", str(tmp_path / "x.csv")])
+            assert rc == EmptySegmentation.exit_code == 4
+            assert capsys.readouterr().err == f"rtpc extract: error: mask {mask} has no member pixel\n"
+            assert not (tmp_path / "x.csv").exists()
+
     def test_nan_payload_still_exit_3(self, tmp_path):
         frames = np.ones((3, 40, 40))
         frames[2, 39, 39] = np.nan

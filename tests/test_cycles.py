@@ -8,6 +8,7 @@ from helpers import match_boundaries, signals
 
 from rtpc.cycles import (
     CycleBoundary,
+    CycleTable,
     _select_minima,
     cycle_params,
     detect_cycles,
@@ -138,6 +139,88 @@ class TestDetectCycles:
         a = detect_cycles(flow)
         b = detect_cycles(flow)
         assert [c.boundary for c in a] == [c.boundary for c in b]
+
+
+#: Flow signals the property tests draw from: seeds, durations and modulation.
+PROPERTY_FLOWS = [
+    dict(duration_s=60.0, seed=5),
+    dict(duration_s=45.0, seed=11, modulation={"mean_flow_pct": 10.0, "shape": "square"}),
+    dict(duration_s=60.0, seed=23, modulation={"period_pct": 6.0, "shape": "square"}),
+    dict(duration_s=30.0, seed=2, artifacts={"noise_sd": 20.0}),
+]
+
+
+class TestCycleTable:
+    def test_sequence_views_are_cached(self):
+        flow, _, _ = signals(duration_s=60.0, seed=5)
+        table = detect_cycles(flow)
+        assert isinstance(table, CycleTable)
+        n = len(table)
+        assert table[0] is table[0] is table[-n]
+        assert table[-1] is table[n - 1]
+        assert table[1:4] == [table[1], table[2], table[3]]
+        assert list(table)[-1] is table[-1]
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                table[bad]
+        c = table[3]
+        assert c.samples.base is None  # a copy: writing it leaves the table alone
+        with pytest.raises(ValueError):
+            table.params[0, 3] = 0.0
+        assert np.array_equal(c.samples, table.signal.values[table.bounds[3] : table.bounds[4] + 1])
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=st.sampled_from(PROPERTY_FLOWS), factor=st.sampled_from([1, 8]))
+    def test_arrays_equal_cycle_params_on_each_view(self, case, factor):
+        flow, _, _ = signals(**case)
+        table = detect_cycles(flow, upsample_factor=factor)
+        assert table.params.shape == (3, len(table))
+        for i, c in enumerate(table):
+            assert (c.boundary.start_s, c.boundary.end_s) == (table.start_s[i], table.end_s[i])
+            assert c.midpoint_s == table.midpoint_s[i]
+            assert c.params == cycle_params(table.signal, c.boundary)
+            assert [c.params.mean_flow_ml_min, c.params.stroke_volume_ml,
+                    c.params.cardiac_period_s] == table.params[:, i].tolist()
+            assert c.valid == table.valid[i]
+            assert (c.invalid_reason is None) == c.valid
+
+    def test_degenerate_and_out_of_span_boundaries_rejected(self):
+        s = SampledSignal(t0_s=0.0, dt_s=0.075, values=np.arange(10.0), kind="flow")
+        with pytest.raises(DegenerateCycle):
+            CycleTable(s, np.array([0, 4, 5]), (0.0, 10.0))
+        with pytest.raises(ValueError):
+            CycleTable(s, np.array([0, 4, 10]), (0.0, 10.0))
+
+
+class TestDetectCyclesProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(case=st.sampled_from(PROPERTY_FLOWS), exponent=st.integers(-6, 6))
+    def test_power_of_two_scaling_is_exact(self, case, exponent):
+        # Every step is linear in the values or compares them, and scaling by
+        # a power of two rounds nothing.
+        flow, _, _ = signals(**case)
+        scale = 2.0**exponent
+        base = detect_cycles(flow)
+        scaled = detect_cycles(SampledSignal(t0_s=flow.t0_s, dt_s=flow.dt_s,
+                                             values=scale * flow.values, kind="flow"))
+        assert np.array_equal(scaled.bounds, base.bounds)
+        assert np.array_equal(scaled.valid, base.valid)
+        assert np.array_equal(scaled.params[:2], scale * base.params[:2])
+        assert np.array_equal(scaled.params[2], base.params[2])
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=st.sampled_from(PROPERTY_FLOWS), shift=st.integers(-4000, 4000))
+    def test_whole_sample_time_shift(self, case, shift):
+        flow, _, _ = signals(**case)
+        base = detect_cycles(flow)
+        moved = detect_cycles(SampledSignal(t0_s=flow.t0_s + shift * flow.dt_s, dt_s=flow.dt_s,
+                                            values=flow.values, kind="flow"))
+        assert np.array_equal(moved.bounds, base.bounds)
+        step = shift * flow.dt_s
+        np.testing.assert_allclose(moved.start_s, base.start_s + step, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(moved.end_s, base.end_s + step, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(moved.params, base.params, rtol=1e-9, atol=0)
+        assert np.array_equal(moved.valid, base.valid)
 
 
 class TestCycleParams:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import make_cycle, periodic_intervals, signals
 
+import rtpc.diff
 from rtpc.cycles import CycleParams, detect_cycles
 from rtpc.diff import (
     PARAMETERS,
@@ -370,6 +371,75 @@ class TestPhaseSwapProperty:
             for a, b in zip(lab_a, lab_b):
                 if a in swapped and b in swapped:
                     assert b == swapped[a]
+
+
+class TestHalfPeriodShiftInvertsRatio:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        durations=st.lists(st.floats(0.6, 1.2), min_size=120, max_size=160),
+        means=st.lists(st.floats(100.0, 900.0), min_size=160, max_size=160),
+        valid=st.lists(st.booleans(), min_size=160, max_size=160),
+    )
+    def test_diff_becomes_reciprocal_ratio(self, durations, means, valid):
+        # Dyadic period, step and boundaries: a half-period shift moves every
+        # interval boundary onto the next one exactly, so EX and IN swap for
+        # every cycle, and each Diff 100 (r - 1) turns into 100 (1/r - 1).
+        intervals = periodic_intervals(period_s=4.0, n_breaths=60)
+        ends = 8.0 + np.cumsum(durations)
+        starts = np.concatenate([[8.0], ends[:-1]])
+        # At least every third cycle is valid, so every phase keeps cycles.
+        cycles = [make_cycle(a, b, m, valid=ok or k % 3 == 0)
+                  for k, (a, b, m, ok) in enumerate(zip(starts, ends, means, valid))]
+        delays, diffs = sweep_diffs(cycles, intervals, step_s=0.5, min_cycles=3,
+                                    max_missing_fraction=1.0)
+        half = int(round(intervals.mean_period_s / 2.0 / 0.5))
+        assert delays[half] == intervals.mean_period_s / 2.0
+        checked = 0
+        for param in PARAMETERS:
+            for i in range(half):
+                before, after = diffs[param][i], diffs[param][i + half]
+                assert np.isnan(before) == np.isnan(after)
+                if np.isnan(before):
+                    continue
+                r = 1.0 + before / 100.0
+                assert after == pytest.approx(100.0 * (1.0 / r - 1.0), rel=1e-9, abs=1e-9)
+                checked += 1
+        assert checked > 0
+
+
+class TestSweepOnCycleTable:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        case=st.sampled_from([dict(duration_s=120.0, seed=5),
+                              dict(duration_s=90.0, seed=8,
+                                   modulation={"mean_flow_pct": 10.0, "shape": "square"})]),
+        pre_delay=st.sampled_from([0.0, 0.6, 1.3]),
+        step_s=st.sampled_from([0.075, 0.25]),
+        parameters=st.sampled_from([PARAMETERS, ("stroke_volume",), ("cardiac_period", "mean_flow")]),
+    )
+    def test_table_sweep_equals_list_sweep(self, case, pre_delay, step_s, parameters):
+        flow, resp, _ = signals(**case)
+        table = detect_cycles(flow)
+        intervals = shift_intervals(detect_resp_intervals(resp), pre_delay)
+        delays, diffs = sweep_diffs(table, intervals, step_s=step_s, parameters=parameters)
+        want_delays, want = sweep_diffs(list(table), intervals, step_s=step_s)
+        assert np.array_equal(delays, want_delays)
+        assert list(diffs) == list(parameters)
+        for param in parameters:
+            assert np.array_equal(diffs[param], want[param], equal_nan=True), param
+
+    def test_delay_scan_sweeps_only_its_parameter(self, monkeypatch):
+        flow, resp, _ = signals(duration_s=120.0, seed=5)
+        table = detect_cycles(flow)
+        intervals = detect_resp_intervals(resp)
+        _, full = sweep_diffs(table, intervals)
+        swept = []
+        monkeypatch.setattr(rtpc.diff, "sweep_diffs",
+                            lambda *a, **k: swept.append(k["parameters"]) or sweep_diffs(*a, **k))
+        for param in PARAMETERS:
+            scan = delay_scan(table, intervals, param)
+            assert np.array_equal(scan.diff_pct, full[param], equal_nan=True)
+        assert swept == [(p,) for p in PARAMETERS]
 
 
 class TestExtractResult:

@@ -13,6 +13,8 @@ from rtpc.errors import (
     TooShort,
 )
 from rtpc.extraction import (
+    BAND_OUTER_PX,
+    STD_BLOCK_PIXELS,
     RoiSeries,
     compute_flow,
     correct_background,
@@ -23,6 +25,7 @@ from rtpc.extraction import (
     unalias,
 )
 from rtpc.io import RoiMask, SampledSignal, VelocityMapSeries
+from rtpc.numerics import distance_band
 
 
 def disk_mask(h, w, cx, cy, radius):
@@ -158,6 +161,29 @@ class TestCorrectBackground:
         _, estimate = correct_background(series, roi)
         assert not (estimate.band & roi.union()).any()
         assert estimate.n_band_pixels >= 8
+
+    @pytest.mark.parametrize("radius", [3.0, 6.0])
+    def test_blockwise_std_matches_whole_ring(self, radius):
+        # The ring of a radius-6 disk holds more pixels than one std block,
+        # and not a whole number of blocks.
+        rng = np.random.default_rng(4)
+        frames = rng.normal(2.0, 5.0, (300, 40, 40)) * rng.uniform(0.2, 3.0, (40, 40))
+        series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
+        roi = RoiSeries.from_static(RoiMask(disk_mask(40, 40, 20, 20, radius)), series.n_frames)
+        corrected, estimate = correct_background(series, roi)
+        # The whole-ring computation the function used to run.
+        ring = distance_band(roi.union(), 2.0, BAND_OUTER_PX)
+        assert ring.sum() > STD_BLOCK_PIXELS and ring.sum() % STD_BLOCK_PIXELS
+        ring_values = series.frames[:, ring].astype(np.float64)
+        stds = ring_values.std(axis=0)
+        keep = stds <= np.quantile(stds, 0.25)
+        band = np.zeros_like(ring)
+        band[tuple(idx[keep] for idx in np.nonzero(ring))] = True
+        offset = float(np.median(ring_values[:, keep]))
+        assert estimate.offset_mm_s == offset
+        assert np.array_equal(estimate.band, band)
+        assert estimate.n_band_pixels == int(keep.sum())
+        assert np.array_equal(corrected.frames, (series.frames.astype(np.float64) - offset).astype(np.float32))
 
     def test_insufficient_band(self):
         # ROI fills almost the whole image; nothing left for the band
