@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# ThreadPoolExecutor stays importable here: perfbench/tracing.py hooks cli.ThreadPoolExecutor.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -64,18 +64,6 @@ from .svgplot import render_line_chart
 from .synthgen import SimConfig, generate_signals, generate_velocity_series
 
 USAGE_ERROR = 2
-
-
-def worker_count() -> int:
-    """Parallelism cap from RTPC_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("RTPC_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return n
 
 
 def _seed_type(text: str) -> tuple:
@@ -183,16 +171,25 @@ def _seeded_roi(args, height: int, width: int) -> tuple:
         src.append(slice(lo - cut.start, hi - cut.start))
         dst.append(slice(lo - into.start, hi - into.start))
     masks = np.zeros((len(roi), final[0].stop - final[0].start, final[1].stop - final[1].start), dtype=bool)
-    masks[tuple(dst)] = np.stack([m.membership for m in roi.masks])[tuple(src)]
+    masks[tuple(dst)] = roi.masks[tuple(src)]
     series = read_velocity_series(args.series, venc_mm_s=args.venc, window=final)
-    return series, RoiSeries(masks=tuple(RoiMask(m) for m in masks))
+    return series, RoiSeries(masks=masks)
 
 
 def cmd_extract(args, written: list) -> int:
     header = read_velocity_header(args.series)
     height, width = header["height"], header["width"]
-    if args.venc is not None and args.venc <= 0:
-        return _usage_error("extract", "--venc must be positive")
+    if args.venc is not None and not (math.isfinite(args.venc) and args.venc > 0.0):
+        return _usage_error("extract", f"--venc must be finite and > 0, got {args.venc!r}")
+    if args.snr_threshold is not None and args.qc is None:
+        # The threshold only sets the QC sidecar's `excluded`: refuse it without one.
+        return _usage_error("extract", "--snr-threshold applies to --qc only")
+    if args.snr_threshold is None:
+        args.snr_threshold = 5.0
+    if not (math.isfinite(args.snr_threshold) and args.snr_threshold >= 0.0):
+        return _usage_error(
+            "extract", f"--snr-threshold must be finite and >= 0, got {args.snr_threshold!r}"
+        )
     if header["venc_mm_s"] == 0.0 and args.venc is None:
         return _usage_error(
             "extract", "series header has venc 0 (unknown); --venc MM_S is required"
@@ -275,6 +272,16 @@ def cmd_analyze(args, written: list) -> int:
     flow_paths = [p for chunk in args.flow for p in chunk.split(",") if p]
     if not flow_paths:
         return _usage_error("analyze", "no flow files given")
+    if not (math.isfinite(args.delay_step_ms) and args.delay_step_ms > 0.0):
+        return _usage_error(
+            "analyze", f"--delay-step-ms must be finite and > 0, got {args.delay_step_ms!r}"
+        )
+    if args.min_cycles < 1:
+        return _usage_error("analyze", f"--min-cycles must be >= 1, got {args.min_cycles}")
+    if not (math.isfinite(args.snr_threshold) and args.snr_threshold >= 0.0):
+        return _usage_error(
+            "analyze", f"--snr-threshold must be finite and >= 0, got {args.snr_threshold!r}"
+        )
     flows = [read_signal_csv(p, kind="flow") for p in flow_paths]
     resp = read_signal_csv(args.resp, kind="respiration")
     if args.invert_belt:
@@ -305,19 +312,11 @@ def cmd_analyze(args, written: list) -> int:
     if len(flows) > 1:
         jobs.append((args.name, sum_flows(flows)))
 
-    def run(job):
-        name, flow = job
-        return analyze_flow_signal(
-            name, flow, intervals, step_s=step_s, min_cycles=args.min_cycles,
-            snr_threshold=args.snr_threshold,
-        )
-
-    workers = min(worker_count(), len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, jobs))  # merged in input order
-    else:
-        records = [run(job) for job in jobs]
+    records = [
+        analyze_flow_signal(name, flow, intervals, step_s=step_s, min_cycles=args.min_cycles,
+                            snr_threshold=args.snr_threshold)
+        for name, flow in jobs
+    ]
 
     report = Report(
         version=__version__,
@@ -410,8 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "(--seed only; default 0.5)")
     pe.add_argument("--max-radius-px", type=float,
                     help="reference neighborhood radius around the seed (--seed only; default 12)")
-    pe.add_argument("--snr-threshold", type=float, default=5.0,
-                    help="cardiac SNR below this flags the signal for exclusion")
+    pe.add_argument("--snr-threshold", type=float,
+                    help="cardiac SNR below this flags the signal for exclusion "
+                         "(--qc only; default 5)")
     pe.add_argument("--out", required=True, help="output flow CSV")
     pe.add_argument("--qc", help="optional QC sidecar JSON")
     pe.set_defaults(func=cmd_extract)

@@ -75,8 +75,8 @@ def diff_ex_in(p_ex: CycleParams, p_in: CycleParams) -> dict:
 
 
 def _delay_grid(mean_period_s: float, step_s: float) -> np.ndarray:
-    if step_s <= 0:
-        raise ValueError(f"step_s must be positive, got {step_s}")
+    if not (np.isfinite(step_s) and step_s > 0):
+        raise ValueError(f"step_s must be finite and positive, got {step_s}")
     n = int(np.ceil(mean_period_s / step_s))
     delays = step_s * np.arange(n + 1)
     return delays[delays < mean_period_s]
@@ -110,6 +110,8 @@ def sweep_diffs(
 
     Returns (delays_s, {parameter: diff array}), in the order of parameters.
     """
+    if min_cycles < 1:
+        raise ValueError(f"min_cycles must be >= 1, got {min_cycles}")
     unknown = [p for p in parameters if p not in PARAMETERS]
     if unknown:
         raise ValueError(f"parameters must be among {PARAMETERS}, got {unknown}")

@@ -28,7 +28,7 @@ from .numerics import distance_band, seed_component, welch
 ML_MIN_PER_MM3_S = 0.06
 
 #: Default outer edge (pixels) of correct_background's stationary-tissue band;
-#: crop_to_roi grows the ROI box by its ceiling, so the band survives the crop.
+#: roi_window grows the ROI box by its ceiling, so the band lies in the window.
 BAND_OUTER_PX = 6.0
 
 #: Ring pixels whose temporal std correct_background takes at once; a block
@@ -36,36 +36,34 @@ BAND_OUTER_PX = 6.0
 STD_BLOCK_PIXELS = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoiSeries:
-    """One ROI mask per frame; all masks share dimensions."""
+    """One ROI mask per frame: a read-only bool array (n_frames, height, width)."""
 
-    masks: tuple
+    masks: np.ndarray
 
     def __post_init__(self):
-        if len(self.masks) < 1:
-            raise ValueError("RoiSeries needs at least one mask")
-        shape = self.masks[0].membership.shape
-        for m in self.masks:
-            if m.membership.shape != shape:
-                raise ValueError("all masks in a RoiSeries must share dimensions")
-        object.__setattr__(self, "masks", tuple(self.masks))
+        masks = np.asarray(self.masks, dtype=bool)
+        if masks.ndim != 3 or min(masks.shape) < 1:
+            raise ValueError(
+                f"RoiSeries needs a non-empty (frames, height, width) array, got {masks.shape}"
+            )
+        masks = masks.view()
+        masks.flags.writeable = False
+        object.__setattr__(self, "masks", masks)
 
     def __len__(self) -> int:
         return len(self.masks)
 
     @classmethod
     def from_static(cls, mask: RoiMask, n_frames: int) -> "RoiSeries":
-        return cls(masks=(mask,) * n_frames)
+        return cls(masks=np.broadcast_to(mask.membership, (n_frames, *mask.membership.shape)))
 
     def union(self) -> np.ndarray:
-        out = np.zeros(self.masks[0].membership.shape, dtype=bool)
-        for m in self.masks:
-            out |= m.membership
-        return out
+        return self.masks.any(axis=0)
 
     def n_empty_frames(self) -> int:
-        return sum(1 for m in self.masks if not m.membership.any())
+        return int(np.count_nonzero(~self.masks.any(axis=(1, 2))))
 
 
 @dataclass(frozen=True)
@@ -124,7 +122,9 @@ def segment_roi(
     # ones to the first seeded frame's.
     frame_idx = np.arange(seeded.size)
     source = np.maximum.accumulate(np.where(seeded, frame_idx, int(np.argmax(seeded))))
-    return RoiSeries(masks=tuple(RoiMask(masks[i]) for i in source.tolist()))
+    empty = ~seeded
+    masks[empty] = masks[source[empty]]
+    return RoiSeries(masks=masks)
 
 
 def roi_window(union: np.ndarray) -> tuple[slice, slice]:
@@ -143,34 +143,6 @@ def roi_window(union: np.ndarray) -> tuple[slice, slice]:
         slice(max(int(rows[0]) - margin_px, 0), min(int(rows[-1]) + margin_px + 1, height)),
         slice(max(int(cols[0]) - margin_px, 0), min(int(cols[-1]) + margin_px + 1, width)),
     )
-
-
-def crop_to_roi(
-    series: VelocityMapSeries, roi: RoiSeries
-) -> tuple[VelocityMapSeries, RoiSeries]:
-    """Cut a series and its ROI down to the neighbourhood the chain reads.
-
-    The window is roi_window of the union ROI. Every pixel within
-    BAND_OUTER_PX of the ROI lies inside it, so correct_background (with its
-    default band), unalias and compute_flow see the same ROI and band pixels,
-    in the same row-major order, as on the whole frame. An ROI that is empty
-    in every frame is returned uncropped.
-    """
-    if len(roi) != series.n_frames:
-        raise ValueError(f"ROI has {len(roi)} masks for {series.n_frames} frames")
-    union = roi.union()
-    if union.shape != (series.height, series.width):
-        raise ValueError("ROI dimensions do not match the series")
-    if not union.any():
-        return series, roi
-    window = roi_window(union)
-    cropped = VelocityMapSeries(
-        frames=series.frames[(slice(None),) + window],
-        dt_ms=series.dt_ms,
-        venc_mm_s=series.venc_mm_s,
-        pixel_area_mm2=series.pixel_area_mm2,
-    )
-    return cropped, RoiSeries(masks=tuple(RoiMask(m.membership[window]) for m in roi.masks))
 
 
 def correct_background(
@@ -263,8 +235,7 @@ def unalias(series: VelocityMapSeries, roi: RoiSeries) -> VelocityMapSeries:
     venc = series.venc_mm_s
     two_venc = 2.0 * venc
     frames = series.frames.copy()
-    for t, mask in enumerate(roi.masks):
-        member = mask.membership
+    for t, member in enumerate(roi.masks):
         if member.sum() < 2:
             continue
         vals = frames[t][member].astype(np.float64)
@@ -294,11 +265,11 @@ def compute_flow(series: VelocityMapSeries, roi: RoiSeries) -> SampledSignal:
     """
     if len(roi) != series.n_frames:
         raise ValueError(f"ROI has {len(roi)} masks for {series.n_frames} frames")
-    if roi.masks[0].membership.shape != (series.height, series.width):
+    if roi.masks.shape[1:] != (series.height, series.width):
         raise ValueError("ROI dimensions do not match the series")
     sums = np.array([
-        frame[mask.membership].astype(np.float64).sum()
-        for frame, mask in zip(series.frames, roi.masks)
+        frame[member].astype(np.float64).sum()
+        for frame, member in zip(series.frames, roi.masks)
     ])
     q = ML_MIN_PER_MM3_S * series.pixel_area_mm2 * sums
     return SampledSignal(t0_s=0.0, dt_s=series.dt_s, values=q, kind="flow")

@@ -211,6 +211,8 @@ class TestExtractOptions:
         ("--threshold-fraction", "0"), ("--threshold-fraction", "1.5"),
         ("--threshold-fraction", "nan"),
         ("--max-radius-px", "nan"), ("--max-radius-px", "-1"), ("--max-radius-px", "inf"),
+        ("--venc", "nan"), ("--venc", "inf"),
+        ("--snr-threshold", "nan"), ("--snr-threshold", "inf"), ("--snr-threshold", "-1"),
     ])
     def test_usage_error_names_option(self, tmp_path, capsys, option, value):
         frames = np.ones((3, 40, 40))
@@ -220,9 +222,24 @@ class TestExtractOptions:
         argv += [value] if value is not None else []
         if not option.startswith("--seed"):
             argv += ["--seed", "20,20"]
+        if option == "--snr-threshold":
+            argv += ["--qc", str(tmp_path / "qc.json")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert option.split("=")[0] in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "qc.json").exists()
+
+    @pytest.mark.parametrize("value", ["5", "0"])
+    def test_snr_threshold_without_qc_is_refused(self, tmp_path, capsys, value):
+        # The threshold only decides the QC sidecar's `excluded`, even at its default.
+        frames = np.ones((3, 40, 40))
+        frames[2, 39, 39] = np.nan
+        series = write_raw_series(tmp_path / "s.rtpc", frames)
+        argv = ["extract", "--series", str(series), "--seed", "20,20",
+                "--snr-threshold", value, "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--snr-threshold" in err and "--qc only" in err and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("option, value", [
@@ -279,6 +296,28 @@ class TestExtractOptions:
         assert rc == library.value.exit_code == 4
         assert capsys.readouterr().err == f"rtpc extract: error: {library.value}\n"
         assert f"seed {seed}" in str(library.value)
+
+
+class TestAnalyzeOptions:
+    """Out-of-range analyze options exit 2 with a message naming the option,
+    before any file is read: the input files here do not exist, which reading
+    would report with exit 3."""
+
+    @pytest.mark.parametrize("option, value", [
+        ("--delay-step-ms", "0"), ("--delay-step-ms", "-5"), ("--delay-step-ms", "nan"),
+        ("--delay-step-ms", "inf"),
+        ("--min-cycles", "0"), ("--min-cycles", "-1"),
+        ("--snr-threshold", "nan"), ("--snr-threshold", "inf"), ("--snr-threshold", "-1"),
+    ])
+    def test_usage_error_names_option(self, tmp_path, capsys, option, value):
+        out = tmp_path / "r.json"
+        argv = ["analyze", "--flow", str(tmp_path / "missing_flow.csv"),
+                "--resp", str(tmp_path / "missing_resp.csv"), option, value,
+                "--out", str(out), "--plots", str(tmp_path / "plots")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert option in err and "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "plots").exists()
 
 
 def full_frame_extract(series_path, mask_path=None, seed=None, background=True, unwrap=True):
@@ -537,7 +576,7 @@ class TestAnalyze:
         assert 5000.0 <= float(belt[1]) < float(belt[2]) <= 5060.0
         assert 0.0 <= float(flow[1]) < float(flow[2]) <= 60.0
 
-    def test_thread_cap_preserves_output(self, dataset, tmp_path, monkeypatch):
+    def test_multi_flow_records_in_input_order(self, dataset, tmp_path):
         flow = read_signal_csv(dataset / "flow.csv", "flow")
         for name, frac in [("A", 0.5), ("B", 0.3), ("C", 0.2)]:
             write_signal_csv(
@@ -545,19 +584,13 @@ class TestAnalyze:
                 tmp_path / f"{name}.csv",
             )
         flows = ",".join(str(tmp_path / f"{n}.csv") for n in ("A", "B", "C"))
-        out_serial, out_parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
-        monkeypatch.setenv("RTPC_THREADS", "1")
+        out = tmp_path / "report.json"
         assert main(["analyze", "--flow", flows, "--resp", str(dataset / "resp.csv"),
-                     "--out", str(out_serial)]) == 0
-        monkeypatch.setenv("RTPC_THREADS", "4")
-        assert main(["analyze", "--flow", flows, "--resp", str(dataset / "resp.csv"),
-                     "--out", str(out_parallel)]) == 0
-        a = json.loads(out_serial.read_text())
-        b = json.loads(out_parallel.read_text())
-        a.pop("generated_at", None)
-        b.pop("generated_at", None)
-        assert a == b
-        assert [rec["name"] for rec in a["arteries"]] == ["A", "B", "C", "CABF_extra"]
+                     "--out", str(out)]) == 0
+        report = read_report(out)
+        assert [rec.name for rec in report.arteries] == ["A", "B", "C", "CABF_extra"]
+        means = [rec.mean_flow_ml_min for rec in report.arteries]
+        assert means[:3] == pytest.approx([0.5 * means[3], 0.3 * means[3], 0.2 * means[3]], rel=1e-9)
 
     def test_repeated_flow_flags(self, dataset, tmp_path):
         flow = read_signal_csv(dataset / "flow.csv", "flow")

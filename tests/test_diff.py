@@ -142,6 +142,16 @@ class TestDelayScan:
         with pytest.raises(ValueError):
             delay_scan([], periodic_intervals(4.0, 4), "bogus")
 
+    @pytest.mark.parametrize("step_s", [0.0, -0.075, np.nan, np.inf])
+    def test_step_not_finite_or_positive(self, step_s):
+        with pytest.raises(ValueError, match="step_s"):
+            sweep_diffs(constant_cycle_set(), periodic_intervals(4.3, 13), step_s=step_s)
+
+    @pytest.mark.parametrize("min_cycles", [0, -1])
+    def test_min_cycles_below_one(self, min_cycles):
+        with pytest.raises(ValueError, match="min_cycles"):
+            sweep_diffs(constant_cycle_set(), periodic_intervals(4.3, 13), min_cycles=min_cycles)
+
     def test_deterministic(self):
         flow, resp, _ = signals(duration_s=120.0, seed=5)
         cycles = detect_cycles(flow)

@@ -18,8 +18,8 @@ from rtpc.extraction import (
     RoiSeries,
     compute_flow,
     correct_background,
-    crop_to_roi,
     quality_score,
+    roi_window,
     segment_roi,
     sum_flows,
     unalias,
@@ -49,12 +49,37 @@ def shifted(series, offset):
     )
 
 
+class TestRoiSeries:
+    def test_from_static_shares_the_mask(self):
+        member = disk_mask(9, 7, 3, 4, 2)
+        roi = RoiSeries.from_static(RoiMask(member), 4000)
+        assert roi.masks.shape == (4000, 9, 7) and len(roi) == 4000
+        assert roi.masks.strides[0] == 0  # one mask, not one per frame
+        assert np.array_equal(roi.union(), member)
+        assert roi.n_empty_frames() == 0
+
+    def test_read_only_and_counts(self):
+        masks = np.zeros((3, 4, 5), dtype=bool)
+        masks[0, 1, 1] = masks[2, 3, 4] = True
+        roi = RoiSeries(masks=masks)
+        with pytest.raises(ValueError):
+            roi.masks[1, 0, 0] = True
+        assert masks.flags.writeable  # the caller's array is left as it was
+        assert roi.n_empty_frames() == 1
+        assert np.array_equal(np.argwhere(roi.union()), [[1, 1], [3, 4]])
+
+    @pytest.mark.parametrize("shape", [(4, 5), (0, 4, 5), (3, 0, 5), (2, 3, 4, 5)])
+    def test_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="RoiSeries"):
+            RoiSeries(masks=np.ones(shape, dtype=bool))
+
+
 class TestSegmentRoi:
     def test_disk_recovered_every_frame(self):
         series = disk_series([5, 5, 5])
         truth = disk_mask(24, 24, 12, 12, 5)
         roi = segment_roi(series, seed=(12, 12))
-        assert all(np.array_equal(m.membership, truth) for m in roi.masks)
+        assert all(np.array_equal(m, truth) for m in roi.masks)
 
     def test_seed_in_background(self):
         series = disk_series([5, 5, 5])
@@ -84,7 +109,7 @@ class TestSegmentRoi:
         for mask, r in zip(roi.masks, radii):
             truth_count = int(disk_mask(24, 24, 12, 12, r).sum())
             ring = int(disk_mask(24, 24, 12, 12, r + 1).sum()) - int(disk_mask(24, 24, 12, 12, r - 1).sum())
-            assert abs(mask.n_members - truth_count) <= ring
+            assert abs(int(mask.sum()) - truth_count) <= ring
 
     def test_empty_frame_falls_back_to_previous(self):
         series = disk_series([5, 5, 5])
@@ -92,7 +117,7 @@ class TestSegmentRoi:
         frames[1] = 0.0
         gappy = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
         roi = segment_roi(gappy, seed=(12, 12))
-        assert roi.masks[1] == roi.masks[0]
+        assert np.array_equal(roi.masks[1], roi.masks[0])
 
     def test_leading_empty_frames_fall_forward(self):
         series = disk_series([5, 5, 5])
@@ -100,13 +125,13 @@ class TestSegmentRoi:
         frames[0] = 0.0
         gappy = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
         roi = segment_roi(gappy, seed=(12, 12))
-        assert roi.masks[0] == roi.masks[1]
+        assert np.array_equal(roi.masks[0], roi.masks[1])
 
     def test_deterministic(self):
         series = disk_series([4, 5, 6])
         a = segment_roi(series, seed=(12, 12))
         b = segment_roi(series, seed=(12, 12))
-        assert all(x == y for x, y in zip(a.masks, b.masks))
+        assert np.array_equal(a.masks, b.masks)
 
 
 class TestCorrectBackground:
@@ -266,9 +291,9 @@ class TestUnalias:
     def test_empty_and_single_pixel_frames_noop(self):
         frames = np.full((2, 2, 2), 500.0)
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=100.0, pixel_area_mm2=0.25)
-        empty = RoiMask(membership=np.zeros((2, 2), dtype=bool))
-        single = RoiMask(membership=np.array([[True, False], [False, False]]))
-        roi = RoiSeries(masks=(empty, single))
+        empty = np.zeros((2, 2), dtype=bool)
+        single = np.array([[True, False], [False, False]])
+        roi = RoiSeries(masks=np.stack([empty, single]))
         fixed = unalias(series, roi)
         assert np.array_equal(fixed.frames, series.frames)
 
@@ -302,9 +327,9 @@ class TestComputeFlow:
     def test_empty_roi_frame_yields_zero(self):
         frames = np.full((3, 2, 2), 100.0)
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        member = RoiMask(membership=np.ones((2, 2), dtype=bool))
-        empty = RoiMask(membership=np.zeros((2, 2), dtype=bool))
-        roi = RoiSeries(masks=(member, empty, member))
+        member = np.ones((2, 2), dtype=bool)
+        empty = np.zeros((2, 2), dtype=bool)
+        roi = RoiSeries(masks=np.stack([member, empty, member]))
         flow = compute_flow(series, roi)
         assert flow.values[1] == 0.0
         assert roi.n_empty_frames() == 1
@@ -320,8 +345,11 @@ class TestComputeFlow:
         roi = RoiSeries.from_static(RoiMask(membership=member), 6)
         vals = series.frames[:, member].astype(np.float64)
         assert any(v.sum() != math.fsum(v) for v in vals)
-        cropped, cropped_roi = crop_to_roi(series, roi)
+        window = roi_window(member)
+        cropped = VelocityMapSeries(frames=frames[(slice(None),) + window], dt_ms=75.0,
+                                    venc_mm_s=800.0, pixel_area_mm2=0.25)
         assert cropped.frames.shape[1:] == (16, 13)
+        cropped_roi = RoiSeries.from_static(RoiMask(membership=member[window]), 6)
         full = compute_flow(series, roi).values
         assert np.array_equal(compute_flow(cropped, cropped_roi).values, full)
 
