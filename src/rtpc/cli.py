@@ -15,6 +15,7 @@ import re
 import sys
 # ThreadPoolExecutor stays importable here: perfbench/tracing.py hooks cli.ThreadPoolExecutor.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .cycles import detect_cycles
-from .diff import PARAMETERS, extract_result, finalize_scan, sweep_diffs
+from .diff import MAX_SCAN_DELAYS, PARAMETERS, extract_result, finalize_scan, sweep_diffs
 from .errors import (
     EmptySegmentation,
     InsufficientCycles,
@@ -138,18 +139,21 @@ def _seeded_roi(args, height: int, width: int) -> tuple:
 
     segment_roi runs on a window around the seed that covers --max-radius-px
     and seed_component's first window. While the union ROI touches a window
-    edge that is not an image edge, the window is read again twice as wide,
-    so the ROI is the one whole frames give. Then the ROI's own window is
-    read. Errors name the seed in image coordinates.
+    edge that is not an image edge, or its roi_window does not fit inside
+    the window, the window is read again twice as wide. So the ROI is the
+    one whole frames give, and both are then cut to roi_window in memory:
+    the series is read once, plus once per doubling. Errors name the seed
+    in image coordinates.
     """
     sx, sy = args.seed
     half = max(COMPONENT_START_HALF_PX, math.floor(args.max_radius_px))
     while True:
         window = seed_window(sy, sx, half, height, width)
         local = (sx - window[1].start, sy - window[0].start)
+        series = read_velocity_series(args.series, venc_mm_s=args.venc, window=window)
         try:
             roi = segment_roi(
-                read_velocity_series(args.series, venc_mm_s=args.venc, window=window),
+                series,
                 seed=local,
                 velocity_threshold_fraction=args.threshold_fraction,
                 max_radius_px=args.max_radius_px,
@@ -157,23 +161,20 @@ def _seeded_roi(args, height: int, width: int) -> tuple:
         except (EmptySegmentation, SeedOutsideVessel) as exc:
             raise type(exc)(str(exc).replace(f"seed {local}", f"seed {args.seed}")) from None
         union = roi.union()
-        if not reaches_inner_edge(union, window, (height, width)):
+        image_union = np.zeros((height, width), dtype=bool)
+        image_union[window] = union
+        final = roi_window(image_union)
+        fits = all(cut.start <= into.start and into.stop <= cut.stop
+                   for cut, into in zip(window, final))
+        if fits and not reaches_inner_edge(union, window, (height, width)):
             break
         half *= 2
 
-    image_union = np.zeros((height, width), dtype=bool)
-    image_union[window] = union
-    final = roi_window(image_union)
-    # Every ROI pixel lies in both windows; copy their overlap across.
-    src, dst = [slice(None)], [slice(None)]
-    for cut, into in zip(window, final):
-        lo, hi = max(cut.start, into.start), min(cut.stop, into.stop)
-        src.append(slice(lo - cut.start, hi - cut.start))
-        dst.append(slice(lo - into.start, hi - into.start))
-    masks = np.zeros((len(roi), final[0].stop - final[0].start, final[1].stop - final[1].start), dtype=bool)
-    masks[tuple(dst)] = roi.masks[tuple(src)]
-    series = read_velocity_series(args.series, venc_mm_s=args.venc, window=final)
-    return series, RoiSeries(masks=masks)
+    cut = (slice(None),) + tuple(
+        slice(into.start - outer.start, into.stop - outer.start) for outer, into in zip(window, final)
+    )
+    roi = RoiSeries(masks=np.ascontiguousarray(roi.masks[cut]))
+    return replace(series, frames=series.frames[cut]), roi
 
 
 def cmd_extract(args, written: list) -> int:
@@ -307,6 +308,12 @@ def cmd_analyze(args, written: list) -> int:
         "quality": {"snr_threshold": args.snr_threshold},
     }
     intervals = detect_resp_intervals(resp)
+    if intervals.mean_period_s / step_s > MAX_SCAN_DELAYS:
+        return _usage_error(
+            "analyze",
+            f"--delay-step-ms {args.delay_step_ms!r} gives more than {MAX_SCAN_DELAYS} scan "
+            f"delays over the {intervals.mean_period_s:.3g} s mean breathing period",
+        )
 
     jobs = [(Path(p).stem, f) for p, f in zip(flow_paths, flows)]
     if len(flows) > 1:

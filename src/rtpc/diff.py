@@ -22,6 +22,9 @@ from .respiration import EX, IN, RespIntervals, _interval_index, label_cycles  #
 
 PARAMETERS = REPORT_PARAMETERS
 
+#: Most delays a scan grid may hold; a finer step is refused before the grid is built.
+MAX_SCAN_DELAYS = 100_000
+
 _PARAM_ATTR = {
     "mean_flow": "mean_flow_ml_min",
     "stroke_volume": "stroke_volume_ml",
@@ -77,6 +80,11 @@ def diff_ex_in(p_ex: CycleParams, p_in: CycleParams) -> dict:
 def _delay_grid(mean_period_s: float, step_s: float) -> np.ndarray:
     if not (np.isfinite(step_s) and step_s > 0):
         raise ValueError(f"step_s must be finite and positive, got {step_s}")
+    if mean_period_s / step_s > MAX_SCAN_DELAYS:
+        raise ValueError(
+            f"step_s {step_s} gives more than {MAX_SCAN_DELAYS} scan delays "
+            f"over a {mean_period_s:.3g} s period"
+        )
     n = int(np.ceil(mean_period_s / step_s))
     delays = step_s * np.arange(n + 1)
     return delays[delays < mean_period_s]

@@ -35,6 +35,9 @@ BAND_OUTER_PX = 6.0
 #: holds n_frames x STD_BLOCK_PIXELS float64 values.
 STD_BLOCK_PIXELS = 32
 
+#: ROI values unalias gathers into one float64 matrix at most (512 KiB).
+UNALIAS_BLOCK_VALUES = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class RoiSeries:
@@ -199,20 +202,53 @@ def correct_background(
 
 
 def _leave_one_out_medians(values: np.ndarray) -> np.ndarray:
-    """Median of the other elements, for each element. len(values) >= 2."""
-    n = values.size
-    order = np.argsort(values, kind="stable")
-    s = values[order]
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    c = n - 1
+    """Median of the other elements of each row, for each element.
+
+    values is 1-D or (rows, k), with k >= 2. The median of the other k - 1
+    elements is s[i] or s[i + 1] of the sorted row, for one or two middle
+    positions i, by whether the element's own rank is <= i. np.partition
+    gives those order statistics, and the rank test is v <= s[i]: the two
+    differ only where v == s[i] == s[i + 1], where both picks are equal.
+    """
+    c = values.shape[-1] - 1
+    mid = c // 2
     if c % 2 == 1:
-        mi = c // 2
-        return np.where(rank <= mi, s[mi + 1], s[mi])
-    lo, hi = c // 2 - 1, c // 2
-    lo_v = np.where(rank <= lo, s[lo + 1], s[lo])
-    hi_v = np.where(rank <= hi, s[hi + 1], s[hi])
-    return 0.5 * (lo_v + hi_v)
+        s = np.partition(values, (mid, mid + 1), axis=-1)
+        return _pick(values, s, mid)
+    s = np.partition(values, (mid - 1, mid, mid + 1), axis=-1)
+    return 0.5 * (_pick(values, s, mid - 1) + _pick(values, s, mid))
+
+
+def _pick(values: np.ndarray, s: np.ndarray, i: int) -> np.ndarray:
+    """s[i + 1] where an element's rank in its row is <= i, else s[i]."""
+    return np.where(values <= s[..., i, None], s[..., i + 1, None], s[..., i, None])
+
+
+def _member_groups(masks: np.ndarray, frames: slice):
+    """Blocks of frames of a chunk that have the same ROI member count k >= 2.
+
+    masks is (n_frames, pixels). Each block is (frame indices, member
+    indices), the latter (frames, k) with each frame's members in row-major
+    order, and holds at most UNALIAS_BLOCK_VALUES members, or one frame. A
+    static ROI (a stride-0 broadcast) has one member vector for all frames.
+    """
+    if masks.strides[0] == 0:
+        members = np.flatnonzero(masks[0])
+        if members.size < 2:
+            return
+        step = max(1, UNALIAS_BLOCK_VALUES // members.size)
+        for lo in range(frames.start, frames.stop, step):
+            t = np.arange(lo, min(lo + step, frames.stop))
+            yield t, np.broadcast_to(members, (t.size, members.size))
+        return
+    chunk = masks[frames]
+    counts = np.count_nonzero(chunk, axis=1)
+    for k in np.unique(counts[counts >= 2]).tolist():
+        sel = np.flatnonzero(counts == k)
+        step = max(1, UNALIAS_BLOCK_VALUES // k)
+        for lo in range(0, sel.size, step):
+            rows = sel[lo : lo + step]
+            yield frames.start + rows, np.nonzero(chunk[rows])[1].reshape(rows.size, k)
 
 
 def unalias(series: VelocityMapSeries, roi: RoiSeries) -> VelocityMapSeries:
@@ -225,6 +261,11 @@ def unalias(series: VelocityMapSeries, roi: RoiSeries) -> VelocityMapSeries:
     float32. Pixels wrapped so far that they land within venc of the
     median (true speed beyond median + venc) cannot be recovered this way.
 
+    Frames are taken one frame_chunks chunk at a time. A chunk's frames are
+    grouped by ROI member count k, and each group's members are gathered,
+    at most UNALIAS_BLOCK_VALUES at once, as (frames, k) float64 matrices,
+    whose rows give the medians at once.
+
     Valid while venc stays above about 0.6 x the systolic peak velocity.
     Below that, pixels that never wrapped are shifted too: a radius-6 px
     vessel at venc 600 mm/s had 13,519 pixels changed against 13,394
@@ -235,15 +276,18 @@ def unalias(series: VelocityMapSeries, roi: RoiSeries) -> VelocityMapSeries:
     venc = series.venc_mm_s
     two_venc = 2.0 * venc
     frames = series.frames.copy()
-    for t, member in enumerate(roi.masks):
-        if member.sum() < 2:
-            continue
-        vals = frames[t][member].astype(np.float64)
-        deltas = _leave_one_out_medians(vals) - vals
-        wrapped = np.abs(deltas) > venc
-        if wrapped.any():
-            vals[wrapped] += two_venc * np.round(deltas[wrapped] / two_venc)
-            frames[t][member] = vals
+    flat = frames.reshape(series.n_frames, -1)
+    masks = roi.masks.reshape(len(roi), -1)
+    for chunk in frame_chunks(series.n_frames, series.height, series.width):
+        for t, members in _member_groups(masks, chunk):
+            vals = flat[t[:, None], members].astype(np.float64)
+            deltas = _leave_one_out_medians(vals)
+            deltas -= vals
+            r, c = np.nonzero(np.abs(deltas) > venc)
+            if r.size:
+                flat[t[r], members[r, c]] = (
+                    vals[r, c] + two_venc * np.round(deltas[r, c] / two_venc)
+                )
     return VelocityMapSeries(
         frames=frames,
         dt_ms=series.dt_ms,

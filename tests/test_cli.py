@@ -12,6 +12,7 @@ import pytest
 
 import rtpc
 
+from rtpc import cli
 from rtpc.cli import main
 from rtpc.errors import EmptySegmentation, InsufficientStationaryTissue, SeedOutsideVessel
 from rtpc.extraction import (
@@ -19,6 +20,7 @@ from rtpc.extraction import (
     compute_flow,
     correct_background,
     quality_score,
+    roi_window,
     segment_roi,
     unalias,
 )
@@ -320,6 +322,21 @@ class TestAnalyzeOptions:
         assert not out.exists() and not (tmp_path / "plots").exists()
 
 
+class TestDelayGridBound:
+    """A --delay-step-ms so fine that the scan grid would exceed MAX_SCAN_DELAYS
+    exits 2 before the grid is built, with a message naming the option."""
+
+    @pytest.mark.parametrize("step_ms", ["1e-297", "1e-6"])
+    def test_usage_error_names_option(self, dataset, tmp_path, capsys, step_ms):
+        out = tmp_path / "r.json"
+        rc = main(["analyze", "--flow", str(dataset / "flow.csv"), "--resp", str(dataset / "resp.csv"),
+                   "--delay-step-ms", step_ms, "--out", str(out), "--plots", str(tmp_path / "plots")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--delay-step-ms" in err and "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "plots").exists()
+
+
 def full_frame_extract(series_path, mask_path=None, seed=None, background=True, unwrap=True):
     """The extraction chain on whole frames, with the QC payload `rtpc extract` writes."""
     series = read_velocity_series(series_path)
@@ -445,6 +462,40 @@ class TestExtractMatchesFullFrame:
         assert rc == library.value.exit_code == 4
         assert capsys.readouterr().err == f"rtpc extract: error: {library.value}\n"
         assert not out.exists()
+
+
+class TestSeededExtractReads:
+    """`extract --seed` reads the series once per seed window it segments on:
+    once, plus once per doubling, and cuts the ROI window from the last read."""
+
+    @pytest.mark.parametrize("name", ["centred", "wide"])
+    def test_one_read_per_window(self, crop_datasets, tmp_path, monkeypatch, name):
+        data, seed = crop_datasets[name]
+        sx, sy = (int(v) for v in seed.split(","))
+        whole = read_velocity_series(data / "series.rtpc")
+        need = roi_window(segment_roi(whole, seed=(sx, sy)).union())
+        windows = []
+        half = max(COMPONENT_START_HALF_PX, 12)  # 12: the --max-radius-px default
+        while True:
+            windows.append(seed_window(sy, sx, half, whole.height, whole.width))
+            if all(cut.start <= into.start and into.stop <= cut.stop
+                   for cut, into in zip(windows[-1], need)):
+                break
+            half *= 2
+        assert (len(windows) > 1) == (name == "wide")  # only the wide vessel doubles
+
+        calls = []
+        read = cli.read_velocity_series
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("window"))
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_velocity_series", spy)
+        rc = main(["extract", "--series", str(data / "series.rtpc"), "--seed", seed,
+                   "--out", str(tmp_path / "flow.csv")])
+        assert rc == 0
+        assert calls == windows
 
 
 def peak_rss_mb(argv, env) -> float:

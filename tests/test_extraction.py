@@ -1,9 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import images, signals
+
+from rtpc import extraction, io
 
 from rtpc.errors import (
     EmptySegmentation,
@@ -219,6 +224,40 @@ class TestCorrectBackground:
             correct_background(series, RoiSeries.from_static(full, 3))
 
 
+def oracle_leave_one_out_medians(values: np.ndarray) -> np.ndarray:
+    """Median of the other elements, for each element, from one stable argsort."""
+    n = values.size
+    order = np.argsort(values, kind="stable")
+    s = values[order]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    c = n - 1
+    if c % 2 == 1:
+        mi = c // 2
+        return np.where(rank <= mi, s[mi + 1], s[mi])
+    lo, hi = c // 2 - 1, c // 2
+    lo_v = np.where(rank <= lo, s[lo + 1], s[lo])
+    hi_v = np.where(rank <= hi, s[hi + 1], s[hi])
+    return 0.5 * (lo_v + hi_v)
+
+
+def oracle_unalias(series: VelocityMapSeries, roi: RoiSeries) -> np.ndarray:
+    """unalias as one loop over frames, one argsort per frame: the frames it gives."""
+    venc = series.venc_mm_s
+    two_venc = 2.0 * venc
+    frames = series.frames.copy()
+    for t, member in enumerate(roi.masks):
+        if member.sum() < 2:
+            continue
+        vals = frames[t][member].astype(np.float64)
+        deltas = oracle_leave_one_out_medians(vals) - vals
+        wrapped = np.abs(deltas) > venc
+        if wrapped.any():
+            vals[wrapped] += two_venc * np.round(deltas[wrapped] / two_venc)
+            frames[t][member] = vals
+    return frames
+
+
 class TestLeaveOneOutMedians:
     def test_matches_brute_force(self):
         from rtpc.extraction import _leave_one_out_medians
@@ -230,6 +269,84 @@ class TestLeaveOneOutMedians:
                 fast = _leave_one_out_medians(values)
                 brute = np.array([np.median(np.delete(values, i)) for i in range(n)])
                 assert np.array_equal(fast, brute)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 50])
+    def test_rows_match_brute_force(self, n):
+        from rtpc.extraction import _leave_one_out_medians
+
+        rng = np.random.default_rng(n)
+        rows = np.round(rng.normal(0, 10, (7, n)), 1)  # duplicates likely
+        rows[0] = rows[0, 0]  # one row of equal values
+        fast = _leave_one_out_medians(rows)
+        assert fast.shape == rows.shape
+        for row, got in zip(rows, fast):
+            brute = np.array([np.median(np.delete(row, i)) for i in range(n)])
+            assert np.array_equal(got, brute)
+
+
+@st.composite
+def unalias_cases(draw):
+    """A small series and ROI whose values sit on and around the unwrap limits.
+
+    Values come from a pool that holds 0, +-venc, +-2 venc and the float32
+    neighbours of +-venc, so leave-one-out deltas fall exactly on +-venc and
+    one ulp either side, and ties are common. The ROI is static or per
+    frame, with any member counts (0, 1, 2 and 3 are the usual draws).
+    """
+    venc = draw(st.sampled_from([0.75, 100.0, 400.0]))
+    v = np.float32(venc)
+    near = [np.nextafter(v, np.float32(np.inf)), np.nextafter(v, np.float32(0))]
+    pool = [0.0, float(v), 2.0 * float(v), 3.0 * float(v), *map(float, near),
+            0.5 * float(v), 1.25 * float(v)]
+    pool += [-x for x in pool]
+    n_frames = draw(st.integers(1, 9))
+    height, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pixels = height * width
+    values = draw(st.lists(st.sampled_from(pool) | st.floats(-5 * venc, 5 * venc, width=32),
+                           min_size=n_frames * pixels, max_size=n_frames * pixels))
+    frames = np.array(values, dtype=np.float32).reshape(n_frames, height, width)
+    member_sets = st.sets(st.integers(0, pixels - 1), max_size=pixels)
+    if draw(st.booleans()):
+        member = np.zeros(pixels, dtype=bool)
+        member[list(draw(member_sets))] = True
+        roi = RoiSeries.from_static(RoiMask(member.reshape(height, width)), n_frames)
+    else:
+        masks = np.zeros((n_frames, pixels), dtype=bool)
+        for t in range(n_frames):
+            masks[t, list(draw(member_sets))] = True
+        roi = RoiSeries(masks=masks.reshape(n_frames, height, width))
+    series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=venc, pixel_area_mm2=0.25)
+    chunk_frames = draw(st.sampled_from([1, 2, 3, None]))  # None: the default chunk
+    block_values = draw(st.sampled_from([1, 2, 5, extraction.UNALIAS_BLOCK_VALUES]))
+    return series, roi, chunk_frames, block_values
+
+
+class TestUnaliasMatchesPerFrameOracle:
+    """The chunked, grouped unalias gives the per-frame loop's frames bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=unalias_cases())
+    def test_bit_identical(self, case):
+        series, roi, chunk_frames, block_values = case
+        chunk_bytes = io.SERIES_CHUNK_BYTES if chunk_frames is None else (
+            chunk_frames * 4 * series.height * series.width)
+        with mock.patch.object(io, "SERIES_CHUNK_BYTES", chunk_bytes), \
+                mock.patch.object(extraction, "UNALIAS_BLOCK_VALUES", block_values):
+            fixed = unalias(series, roi)
+        expected = oracle_unalias(series, roi)
+        assert np.array_equal(fixed.frames.view(np.uint32), expected.view(np.uint32))
+
+    def test_synthgen_series_across_chunks(self):
+        aliased, mask, truth = images(duration_s=60.0, seed=5,
+                                      artifacts={"aliased_pixel_fraction": 0.3})
+        assert len(truth.wrapped_pixels) > 100
+        seeded = segment_roi(aliased, seed=(aliased.width // 2, aliased.height // 2))
+        assert np.unique(seeded.masks.sum(axis=(1, 2))).size > 1  # mixed member counts
+        for roi in (RoiSeries.from_static(mask, aliased.n_frames), seeded):
+            expected = oracle_unalias(aliased, roi)
+            with mock.patch.object(io, "SERIES_CHUNK_BYTES", 3 * 4 * aliased.height * aliased.width):
+                fixed = unalias(aliased, roi)
+            assert np.array_equal(fixed.frames.view(np.uint32), expected.view(np.uint32))
 
 
 class TestUnalias:
