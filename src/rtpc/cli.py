@@ -368,9 +368,9 @@ def cmd_simulate(args, written: list) -> int:
     manifest = {"config": config.to_dict(), **truth.to_dict()}
     truth_path = out_dir / "truth.json"
     written.append(truth_path)
-    truth_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    # No indent: indent makes json use its pure-Python encoder (8x slower on
+    # the wrapped-pixel triples).
+    truth_path.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 
@@ -388,7 +388,10 @@ def cmd_report(args, written: list) -> int:
                 )
             path = plot_dir / f"{_safe_name(record.name)}_{param}.svg"
             written.append(path)
-            _render_diff_svg(record.name, param, diff_record, path)
+            try:
+                _render_diff_svg(record.name, param, diff_record, path)
+            except ValueError as exc:  # a report read from a file may hold unplottable scans
+                raise ParseError(f"cannot plot {record.name!r}/{param}: {exc}") from exc
     return 0
 
 

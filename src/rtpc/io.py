@@ -25,7 +25,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -202,6 +204,28 @@ class SampledSignal:
 
 # -- report structures ------------------------------------------------------------
 
+_JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "true or false",
+                    int: "an integer"}
+
+
+def _field(value, kind: type, name: str):
+    """A report field's JSON value, checked to be of kind (bool is no int)."""
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise ParseError(f"report field {name} must be {_JSON_TYPE_NAMES[kind]}, got {reprlib.repr(value)}")
+
+
+def _number(value, name: str, optional: bool = False) -> float | None:
+    """A report field's JSON number as a finite float; null passes if optional."""
+    if value is None and optional:
+        return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:  # False for inf and nan
+            return float(value)
+    kind = "a finite number or null" if optional else "a finite number"
+    raise ParseError(f"report field {name} must be {kind}, got {reprlib.repr(value)}")
+
+
 @dataclass(frozen=True)
 class QcFlags:
     cardiac_snr: float | None
@@ -212,7 +236,9 @@ class QcFlags:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QcFlags":
-        return cls(cardiac_snr=d["cardiac_snr"], excluded=bool(d["excluded"]))
+        d = _field(d, dict, "qc")
+        return cls(cardiac_snr=_number(d["cardiac_snr"], "qc.cardiac_snr", optional=True),
+                   excluded=_field(d["excluded"], bool, "qc.excluded"))
 
 
 @dataclass(frozen=True)
@@ -247,14 +273,21 @@ class DiffRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiffRecord":
-        scan = d.get("scan")
+        d = _field(d, dict, "diff")
+        delays = diffs = None
+        if d.get("scan") is not None:
+            scan = _field(d["scan"], dict, "scan")
+            delays = tuple(_number(v, "scan.delays_s")
+                           for v in _field(scan["delays_s"], list, "scan.delays_s"))
+            diffs = tuple(_number(v, "scan.diff_pct", optional=True)
+                          for v in _field(scan["diff_pct"], list, "scan.diff_pct"))
         return cls(
-            at_zero_pct=d["at_zero_pct"],
-            max_pct=float(d["max_pct"]),
-            delay_s=float(d["delay_s"]),
-            delay_pct=float(d["delay_pct"]),
-            scan_delays_s=tuple(scan["delays_s"]) if scan else None,
-            scan_diff_pct=tuple(scan["diff_pct"]) if scan else None,
+            at_zero_pct=_number(d["at_zero_pct"], "at_zero_pct", optional=True),
+            max_pct=_number(d["max_pct"], "max_pct"),
+            delay_s=_number(d["delay_s"], "delay_s"),
+            delay_pct=_number(d["delay_pct"], "delay_pct"),
+            scan_delays_s=delays,
+            scan_diff_pct=diffs,
         )
 
 
@@ -281,14 +314,16 @@ class ArteryRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArteryRecord":
+        d = _field(d, dict, "arteries[]")
+        diff = _field(d["diff"], dict, "diff")
         return cls(
-            name=str(d["name"]),
-            mean_flow_ml_min=float(d["mean_flow_ml_min"]),
-            stroke_volume_ml=float(d["stroke_volume_ml"]),
-            cardiac_period_s=float(d["cardiac_period_s"]),
-            n_cycles=int(d["n_cycles"]),
+            name=_field(d["name"], str, "name"),
+            mean_flow_ml_min=_number(d["mean_flow_ml_min"], "mean_flow_ml_min"),
+            stroke_volume_ml=_number(d["stroke_volume_ml"], "stroke_volume_ml"),
+            cardiac_period_s=_number(d["cardiac_period_s"], "cardiac_period_s"),
+            n_cycles=_field(d["n_cycles"], int, "n_cycles"),
             qc=QcFlags.from_dict(d["qc"]),
-            diff={p: DiffRecord.from_dict(d["diff"][p]) for p in d["diff"]},
+            diff={p: DiffRecord.from_dict(diff[p]) for p in diff},
         )
 
 
@@ -335,17 +370,20 @@ class Report:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Report":
+        """Read a report's JSON tree; ParseError names a missing or mistyped field."""
+        d = _field(d, dict, "(the whole report)")
         try:
-            report = cls(
-                version=str(d["version"]),
-                config=dict(d["config"]),
-                resp_period_s=float(d["resp_period_s"]),
-                arteries=tuple(ArteryRecord.from_dict(a) for a in d["arteries"]),
-                generated_at=d.get("generated_at"),
+            generated_at = d.get("generated_at")
+            return cls(
+                version=_field(d["version"], str, "version"),
+                config=dict(_field(d["config"], dict, "config")),
+                resp_period_s=_number(d["resp_period_s"], "resp_period_s"),
+                arteries=tuple(ArteryRecord.from_dict(a)
+                               for a in _field(d["arteries"], list, "arteries")),
+                generated_at=None if generated_at is None else _field(generated_at, str, "generated_at"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed report: {exc}") from exc
-        return report
+        except KeyError as exc:
+            raise ParseError(f"malformed report: missing field {exc}") from exc
 
 
 # -- velocity series ------------------------------------------------------------
@@ -504,9 +542,12 @@ def read_signal_csv(path, kind: str) -> SampledSignal:
     if len(values) < 2:
         raise TooShort(f"{path}: need at least 2 samples, got {len(values)}")
     times = np.asarray(times)
-    diffs = np.diff(times)
+    with np.errstate(over="ignore"):  # a step beyond the float range is refused below
+        diffs = np.diff(times)
     if not (diffs > 0).all():
         raise NonMonotoneTime(f"{path}: time column is not strictly increasing")
+    if not np.isfinite(diffs).all():
+        raise NonUniformSampling(f"{path}: a time step exceeds the float range")
     dt = float(np.median(diffs))
     if np.abs(diffs - dt).max() > 1e-6 * dt:
         raise NonUniformSampling(
@@ -618,8 +659,8 @@ def read_report(path) -> Report:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or an int of > 4300 digits
+        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     report = Report.from_dict(d)
     report.validate()
     return report

@@ -7,6 +7,7 @@ two renders of the same data are byte-identical and diffable in tests.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 from .errors import IoFailure
@@ -23,6 +24,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list:
     if hi <= lo:
         return [lo]
     raw = (hi - lo) / target
+    if raw < sys.float_info.min:  # a subnormal span: 10**floor(log10(raw)) would underflow
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(s * mag for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw)
     first = math.ceil(lo / step) * step
@@ -30,6 +33,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list:
     t = first
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:  # a step below the float spacing at t would never end
+            break
         t += step
     return ticks
 
@@ -51,6 +56,8 @@ def render_line_chart(
 
     y entries that are None (or NaN) split the polyline into segments.
     marker, when given, is an (x, y) pair drawn as a highlighted point.
+    ValueError when the data cannot be drawn: no points, no finite y, or a
+    span beyond the float range.
     """
     xs = [float(v) for v in x]
     ys = [None if v is None or (isinstance(v, float) and math.isnan(v)) else float(v) for v in y]
@@ -69,6 +76,8 @@ def render_line_chart(
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
+        raise ValueError("the data's x or y span exceeds the float range")
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM

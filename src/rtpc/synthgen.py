@@ -305,6 +305,72 @@ class ImageBundle(NamedTuple):
 
 _TAPER = 4  # tail taper exponent; closes the pulse to the floor at u = 1
 
+#: Iteration cap of the incomplete gamma series and continued fraction. Both
+#: converge in under 130 terms wherever math.gamma(a) is finite (a < 171.6).
+_GAMMA_MAX_TERMS = 1000
+_GAMMA_EPS = 2.0**-53
+_GAMMA_TINY = 1e-300  # modified Lentz: stands in for a zero denominator
+
+
+def _regularized_lower_gamma(a: float, x: float) -> float:
+    """P(a, x) = gamma(a, x) / Gamma(a), the regularized lower incomplete gamma.
+
+    The power series for x < a + 1 and the continued fraction for Gamma(a, x)
+    (modified Lentz) above it, as in DLMF sections 8.7 and 8.9 and Numerical
+    Recipes section 6.2. Raises OverflowError where x**a or Gamma(a) leaves
+    the float range.
+    """
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        ap = a
+        for _ in range(_GAMMA_MAX_TERMS):
+            ap += 1.0
+            term *= x / ap
+            total += term
+            if term < total * _GAMMA_EPS:
+                break
+        return total * x**a * math.exp(-x) / math.gamma(a)
+    b = x + 1.0 - a
+    c = 1.0 / _GAMMA_TINY
+    d = 1.0 / b
+    h = d
+    for i in range(1, _GAMMA_MAX_TERMS):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _GAMMA_TINY:
+            d = _GAMMA_TINY
+        c = b + an / c
+        if abs(c) < _GAMMA_TINY:
+            c = _GAMMA_TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _GAMMA_EPS:
+            break
+    return 1.0 - h * x**a * math.exp(-x) / math.gamma(a)
+
+
+def _pulse_norm(shape: float, scale: float) -> float:
+    """Integral of u^(shape-1) exp(-u/scale) (1 - u^taper) over [0, 1].
+
+    Each term is scale^a Gamma(a) P(a, 1/scale). InvalidConfig when the
+    result is not a finite positive float, overflow included.
+    """
+    x = 1.0 / scale
+    try:
+        norm = scale**shape * math.gamma(shape) * _regularized_lower_gamma(shape, x)
+        norm -= (scale ** (shape + _TAPER) * math.gamma(shape + _TAPER)
+                 * _regularized_lower_gamma(shape + _TAPER, x))
+    except OverflowError:
+        norm = math.inf
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise InvalidConfig(
+            f"cardiac.waveform shape {shape!r} and scale {scale!r}: the pulse's "
+            "normalising integral under- or overflows the float range"
+        )
+    return norm
+
 
 def pulse_waveform(u, shape: float = 3.0, scale: float = 0.18, floor: float = 0.3):
     """Unit-mean cardiac pulse over cycle phase u in [0, 1).
@@ -313,13 +379,13 @@ def pulse_waveform(u, shape: float = 3.0, scale: float = 0.18, floor: float = 0.
     returns exactly to the diastolic floor at the end of the cycle, riding on
     that floor. The result integrates to 1 over the cycle, so a cycle scaled
     by S has true mean flow S, and the minimum sits at u = 0 (the boundary).
+    The normalising integral is a difference of two lower incomplete gamma
+    functions, each evaluated with math only: a power series below a + 1
+    and a continued fraction above it. Shapes and scales for which that
+    integral is not a finite positive float raise InvalidConfig.
     """
-    from scipy.special import gamma as gamma_fn, gammainc  # imported here: only simulation needs it
-
+    norm = _pulse_norm(float(shape), float(scale))
     u = np.asarray(u, dtype=np.float64)
-    # integral of u^(shape-1) exp(-u/scale) (1 - u^taper) over [0, 1]
-    norm = scale**shape * gamma_fn(shape) * gammainc(shape, 1.0 / scale)
-    norm -= scale ** (shape + _TAPER) * gamma_fn(shape + _TAPER) * gammainc(shape + _TAPER, 1.0 / scale)
     g = np.power(u, shape - 1.0, where=u > 0, out=np.zeros_like(u)) * np.exp(-u / scale)
     g = g * (1.0 - u**_TAPER)
     return (g / norm + floor) / (1.0 + floor)
@@ -495,11 +561,14 @@ def generate_velocity_series(config: SimConfig) -> ImageBundle:
         member_values += offset
     member32 = member_values.astype(np.float32)
     del member_values
-    wrapped = []
+    # Wrapped pixels as a frame index and a member index each, the member
+    # indices sorted per frame. Members are in row-major order, so frame by
+    # frame this is (t, y, x) order.
+    wrapped_frames = []
+    chosen_members = []
     fraction = config.artifacts.aliased_pixel_fraction
     if fraction > 0:
         two_venc = np.float32(2.0 * vessel.venc_mm_s)
-        member_ys, member_xs = np.nonzero(member)
         for t in range(member32.shape[0]):
             candidates = np.flatnonzero(member32[t] > vessel.venc_mm_s)
             n_wrap = int(round(fraction * candidates.size))
@@ -507,9 +576,15 @@ def generate_velocity_series(config: SimConfig) -> ImageBundle:
                 continue
             rng = np.random.default_rng([config.seed, 2, t])
             chosen = rng.choice(candidates, size=n_wrap, replace=False)
+            chosen.sort()
             member32[t, chosen] -= two_venc
-            wrapped.extend((t, int(y), int(x)) for y, x in zip(member_ys[chosen], member_xs[chosen]))
-    wrapped.sort()
+            wrapped_frames += [t] * n_wrap
+            chosen_members.append(chosen)
+    wrapped = ()
+    if chosen_members:
+        chosen = np.concatenate(chosen_members)
+        member_ys, member_xs = np.nonzero(member)
+        wrapped = tuple(zip(wrapped_frames, member_ys[chosen].tolist(), member_xs[chosen].tolist()))
 
     series = VesselSeries(
         member=member,
@@ -522,7 +597,7 @@ def generate_velocity_series(config: SimConfig) -> ImageBundle:
     truth = replace(
         truth,
         eddy_offset_mm_s=config.artifacts.eddy_offset_mm_s,
-        wrapped_pixels=tuple(wrapped),
+        wrapped_pixels=wrapped,
         nominal_peak_velocity_mm_s=float(nominal_peak),
     )
     return ImageBundle(series=series, mask=RoiMask(membership=member), truth=truth)

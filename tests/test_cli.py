@@ -110,6 +110,17 @@ class TestSimulate:
             cfg.write_text(json.dumps({**BASE_CONFIG, **bad}))
             assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 8
 
+    @pytest.mark.parametrize("waveform", [{"scale": 1e-200}, {"shape": 400.0}, {"scale": 1e100}])
+    def test_waveform_out_of_float_range_exit_8(self, tmp_path, capsys, waveform):
+        """A pulse whose normalisation leaves the float range is a config
+        error naming cardiac.waveform, not a non-finite signal or a traceback."""
+        cfg = write_config(tmp_path, {"cardiac": {"waveform": waveform}})
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out), "--with-images"]) == 8
+        err = capsys.readouterr().err
+        assert "cardiac.waveform" in err and "non-finite" not in err
+        assert list(out.iterdir()) == []
+
     def test_pure_default_config(self, tmp_path):
         cfg = tmp_path / "empty.json"
         cfg.write_text("{}")
@@ -756,13 +767,14 @@ sys.exit(rtpc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0)
 
 
 class TestWithoutScipy:
-    """extract, analyze and report run, and write the same bytes, when scipy
-    cannot be imported at all."""
+    """simulate --with-images, extract, analyze and report run, and write the
+    same bytes, truth.json included, when scipy cannot be imported at all."""
 
     @staticmethod
-    def commands(data, out):
+    def commands(config, data, out):
         series = str(data / "series.rtpc")
         return [
+            ["simulate", "--config", str(config), "--out-dir", str(out / "sim"), "--with-images"],
             ["extract", "--series", series, "--mask", str(data / "mask.pgm"),
              "--out", str(out / "mask_flow.csv"), "--qc", str(out / "mask_qc.json")],
             ["extract", "--series", series, "--seed", "16,16",
@@ -779,11 +791,12 @@ class TestWithoutScipy:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+        config = dataset.parent / "sim.json"
         with_scipy, without = tmp_path / "with", tmp_path / "without"
-        for argv in self.commands(dataset, with_scipy):
+        for argv in self.commands(config, dataset, with_scipy):
             with_scipy.mkdir(exist_ok=True)
             assert main(argv) == 0
-        for argv in self.commands(dataset, without):
+        for argv in self.commands(config, dataset, without):
             without.mkdir(exist_ok=True)
             proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUNNER, *argv], env=env,
                                   capture_output=True, text=True)
@@ -792,6 +805,7 @@ class TestWithoutScipy:
         files = sorted(p.relative_to(with_scipy) for p in with_scipy.rglob("*") if p.is_file())
         assert files == sorted(p.relative_to(without) for p in without.rglob("*") if p.is_file())
         assert len(files) > 10
+        assert {Path("sim/truth.json"), Path("sim/series.rtpc")} <= set(files)
         for name in files:
             a, b = (with_scipy / name).read_bytes(), (without / name).read_bytes()
             if name.suffix == ".json" and name.stem == "report":

@@ -1,5 +1,11 @@
+import contextlib
+import io
 import json
+import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -179,6 +185,14 @@ def extract_exit(path, venc=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["extract", "--series", str(path), "--seed", "0,0", "--out", str(Path(tmp) / "f.csv")]
         return main(argv + (["--venc", str(venc)] if venc is not None else []))
+
+
+def cli_exit(argv) -> int:
+    """rtpc's exit status for argv, run in-process with stderr captured.
+
+    A traceback would surface here as the exception itself."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
 
 
 def windows(height, width):
@@ -539,6 +553,62 @@ class TestReport:
             read_report(path)
 
 
+def report_tree():
+    return json.loads(json.dumps(minimal_report().to_dict()))
+
+
+def set_scan(tree, key, values):
+    tree["arteries"][0]["diff"]["mean_flow"]["scan"][key] = values
+    return tree
+
+
+class TestReportReaderEdges:
+    """Report files that used to end `rtpc report` in a traceback, a hang or
+    a silently truncated field: each exits 3 now, or plots."""
+
+    @pytest.mark.parametrize("text", [
+        "1" * 5000,  # json.loads raises ValueError, not JSONDecodeError
+        "[" * 100_000 + "]" * 100_000,  # RecursionError
+        json.dumps({**report_tree(), "resp_period_s": 10**400}),  # OverflowError in float()
+        json.dumps(report_tree()).replace('"n_cycles": 126', '"n_cycles": Infinity'),
+        json.dumps(report_tree()).replace('"n_cycles": 126', '"n_cycles": 126.5'),
+        json.dumps(set_scan(report_tree(), "delays_s", [None, 0.56])),  # TypeError in render
+        json.dumps(set_scan(report_tree(), "diff_pct", ["2.7", 4.3])),
+        json.dumps(set_scan(report_tree(), "diff_pct", [1e308, -1e308])),  # span overflows
+        json.dumps(set_scan(report_tree(), "diff_pct", [None, None])),  # nothing to plot
+        json.dumps(set_scan(set_scan(report_tree(), "delays_s", []), "diff_pct", [])),
+    ], ids=["5000-digit-int", "deep-nesting", "int-beyond-float", "infinite-int-field",
+            "fractional-int-field", "null-delay", "string-diff", "span-overflow", "all-null-diffs",
+            "empty-scan"])
+    def test_exit_3(self, tmp_path, text):
+        path = tmp_path / "r.json"
+        path.write_text(text)
+        assert cli_exit(["report", "--in", str(path), "--plots", str(tmp_path / "p")]) == 3
+        assert not list((tmp_path / "p").glob("*"))
+
+    def test_scan_narrower_than_float_spacing_plots(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(set_scan(report_tree(), "diff_pct", [4.3, math.nextafter(4.3, 5)])))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(rtpc_io.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(  # a subprocess, so that a hang ends at the timeout
+            [sys.executable, "-m", "rtpc", "report", "--in", str(path), "--plots", str(tmp_path / "p")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert len(list((tmp_path / "p").glob("*.svg"))) == 3
+
+
+class TestSignalCsvEdges:
+    def test_time_step_beyond_float_range(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("time_s,value\n-1e308,1\n1e308,2\n")
+        with pytest.raises(NonUniformSampling, match="float range"):
+            read_signal_csv(path, kind="flow")
+        path.write_text("time_s,value\n1e308,1\n-1e308,2\n")
+        with pytest.raises(NonMonotoneTime):
+            read_signal_csv(path, kind="flow")
+
+
 class TestSampledSignal:
     def test_invariants(self):
         with pytest.raises(TooShort):
@@ -554,3 +624,201 @@ class TestSampledSignal:
         s = SampledSignal(t0_s=1.0, dt_s=0.5, values=np.array([1.0, 2.0, 3.0]), kind="flow")
         assert np.allclose(s.times, [1.0, 1.5, 2.0])
         assert s.duration_s == pytest.approx(1.0)
+
+
+
+#: PGM header fields that are not plain decimals, and other near misses.
+ODD_PGM_FIELDS = ["P2", "P6", "p5", "P5P5", "-1", "0", "256", "65535", "1.5", "0x4", "+2",
+                  "٣", "1_0", "#", "9" * 5000]
+
+
+def pgm_field(valid: str):
+    return st.one_of(st.just(valid), st.just(valid), st.sampled_from(ODD_PGM_FIELDS),
+                     st.integers(-2, 300).map(str), st.text(max_size=3))
+
+
+PGM_SEPARATORS = st.sampled_from([" ", "\n", "\t", "\r\n", "\x0b", "  ", "\n# c\n", "#x\n", ""])
+
+
+class TestPgmMaskFuzz:
+    """read_mask on random headers and rasters: only RtpcError subclasses
+    escape, `rtpc extract --mask` exits with that error's code, and an
+    accepted mask has the expected shape and the raster's nonzero pixels."""
+
+    @staticmethod
+    def extract_mask_exit(tmp, mask_path, width, height) -> int:
+        series = Path(tmp) / "s.rtpc"
+        series.write_bytes(series_bytes(width, height, 2))
+        return cli_exit(["extract", "--series", str(series), "--mask", str(mask_path),
+                         "--out", str(Path(tmp) / "f.csv")])
+
+    def check(self, raw, width, height):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.pgm"
+            path.write_bytes(raw)
+            try:
+                mask = read_mask(path, width, height)
+            except RtpcError as exc:
+                assert self.extract_mask_exit(tmp, path, width, height) == exc.exit_code == 3
+                return None
+            assert mask.membership.shape == (height, width)
+            assert mask.membership.dtype == bool
+            return mask
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        magic=pgm_field("P5"),
+        seps=st.tuples(PGM_SEPARATORS, PGM_SEPARATORS, PGM_SEPARATORS, PGM_SEPARATORS),
+        last=st.sampled_from(["\n", " ", "", "\n\n", "#\n"]),
+        fields=st.data(),
+        extra=st.sampled_from([0, 0, 0, -3, -1, 1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_headers(self, dims, magic, seps, last, fields, extra, seed):
+        width, height = dims
+        w, h, maxval = (fields.draw(pgm_field(v), label=n) for n, v in
+                        (("width", str(width)), ("height", str(height)), ("maxval", "255")))
+        head = seps[0] + magic + seps[1] + w + seps[2] + h + seps[3] + maxval + last
+        raster = np.random.default_rng(seed).integers(0, 3, max(width * height + extra, 0))
+        raw = head.encode("utf-8") + raster.astype(np.uint8).tobytes()
+        mask = self.check(raw, width, height)
+        canonical = f"P5\n{width} {height}\n255\n"
+        if head == canonical and extra >= 0:
+            expected = raster[: width * height].reshape(height, width) > 0
+            assert mask is not None and np.array_equal(mask.membership, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 4), st.integers(1, 4)), raw=st.binary(max_size=40))
+    def test_random_bytes(self, dims, raw):
+        self.check(raw, *dims)
+
+
+#: Signal CSV fields: numbers the reader must take or refuse, and near misses.
+CSV_ODD_FIELDS = ["", " ", "nan", "inf", "-inf", "1e400", "-1e400", "1_0", "0x10", "٣",
+                  "1,5", "True", "1e-400", "+0", "-0", "1.7976931348623157e308"]
+
+
+class TestSignalCsvFuzz:
+    """read_signal_csv on random text: only RtpcError subclasses escape,
+    `rtpc analyze` exits with that error's code, and an accepted file gives
+    a signal with one finite value per data row and a finite positive dt."""
+
+    def check(self, raw: bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "flow.csv"
+            path.write_bytes(raw)
+            try:
+                signal = read_signal_csv(path, kind="flow")
+            except RtpcError as exc:
+                resp = Path(tmp) / "resp.csv"
+                write_signal_csv(SampledSignal(0.0, 0.075, np.sin(np.arange(400) / 20.0),
+                                               "respiration"), resp)
+                argv = ["analyze", "--flow", str(path), "--resp", str(resp),
+                        "--out", str(Path(tmp) / "r.json")]
+                assert cli_exit(argv) == exc.exit_code == 3
+                return None
+            assert np.isfinite(signal.values).all()
+            assert math.isfinite(signal.t0_s) and math.isfinite(signal.dt_s) and signal.dt_s > 0
+            # read_text's universal newlines: \r\n and a lone \r end a line too.
+            rows = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")[1:]
+            assert len(signal) == sum(1 for row in rows if row.strip())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t0=st.floats(allow_nan=False, allow_infinity=False),
+        dt=st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                     st.sampled_from([0.075, 1e-3, -0.075, 0.0])),
+        values=st.lists(st.one_of(st.floats(), st.sampled_from(CSV_ODD_FIELDS)), max_size=6),
+        header=st.sampled_from(["time_s,value", "time_s,value", "time_s;value", "t,v", ""]),
+        newline=st.sampled_from(["\n", "\r\n", "\r", "\n\n"]),
+        bad_time=st.one_of(st.none(), st.tuples(st.integers(0, 5), st.sampled_from(CSV_ODD_FIELDS))),
+        trailer=st.sampled_from(["", "\n", "\n\n", " \n", "\n0.1,2", ",", "\t"]),
+    )
+    def test_random_rows(self, t0, dt, values, header, newline, bad_time, trailer):
+        rows = [header]
+        for i, v in enumerate(values):
+            t = repr(t0 + i * dt)
+            if bad_time is not None and bad_time[0] == i:
+                t = bad_time[1]
+            rows.append(f"{t},{v if isinstance(v, str) else repr(v)}")
+        raw = (newline.join(rows) + trailer).encode("utf-8")
+        self.check(raw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.text(alphabet="0123456789.,e-+\n\r :nai_tmesvlu", max_size=60))
+    def test_random_text(self, text):
+        self.check(("time_s,value\n" + text).encode("utf-8"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw=st.binary(max_size=60))
+    def test_random_bytes(self, raw):
+        self.check(b"time_s,value\n" + raw)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**400), 10**400) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def json_paths(tree, prefix=()):
+    """Every key path into nested dicts and lists, the root included."""
+    yield prefix
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from json_paths(value, prefix + (key,))
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from json_paths(value, prefix + (i,))
+
+
+class TestReportFuzz:
+    """read_report on mutated reports and on random text: only RtpcError
+    subclasses escape, and `rtpc report` exits with that error's code; on an
+    accepted report it writes its plots or exits 3, never a traceback."""
+
+    def check(self, raw: bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.json"
+            path.write_bytes(raw)
+            argv = ["report", "--in", str(path), "--plots", str(Path(tmp) / "plots")]
+            try:
+                read_report(path)
+            except RtpcError as exc:
+                assert cli_exit(argv) == exc.exit_code == 3
+                return
+            assert cli_exit(argv) in (0, 3)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), action=st.sampled_from(["replace", "replace", "delete", "append"]))
+    def test_mutated_report(self, data, action):
+        tree = minimal_report().to_dict()
+        paths = list(json_paths(tree))
+        if action == "append":
+            lists = [p for p in paths if isinstance(self.at(tree, p), list)]
+            self.at(tree, data.draw(st.sampled_from(lists), label="list")).append(
+                data.draw(JSON_VALUES, label="value"))
+            self.check(json.dumps(tree).encode("utf-8"))
+            return
+        path = data.draw(st.sampled_from(paths), label="path")
+        if not path:
+            tree = data.draw(JSON_VALUES, label="value")
+        elif action == "delete":
+            del self.at(tree, path[:-1])[path[-1]]
+        else:
+            self.at(tree, path[:-1])[path[-1]] = data.draw(JSON_VALUES, label="value")
+        self.check(json.dumps(tree).encode("utf-8"))
+
+    @staticmethod
+    def at(tree, path):
+        for key in path:
+            tree = tree[key]
+        return tree
+
+    @settings(max_examples=150, deadline=None)
+    @given(cut=st.integers(0, 2000), raw=st.binary(max_size=20))
+    def test_truncated_and_random_bytes(self, cut, raw):
+        text = json.dumps(minimal_report().to_dict()).encode("utf-8")
+        self.check(text[:cut] + raw)

@@ -1,8 +1,12 @@
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import gamma as gamma_fn, gammainc
 
 from helpers import images, signals
 
@@ -12,6 +16,7 @@ from rtpc.io import MAGIC, read_signal_csv, write_signal_csv, write_velocity_ser
 from rtpc.respiration import detect_resp_intervals
 from rtpc.synthgen import (
     GroundTruth,
+    _pulse_norm,
     SimConfig,
     generate_signals,
     generate_velocity_series,
@@ -137,6 +142,52 @@ class TestPulseWaveform:
         u = np.linspace(0.0, 1.0, 10001)
         w = pulse_waveform(u)
         assert u[np.argmax(w)] < 0.5  # fast upstroke, slow decay
+
+
+def scipy_pulse_norm(shape: float, scale: float) -> float:
+    """The pulse normalisation in scipy.special's terms, the oracle."""
+    norm = scale**shape * gamma_fn(shape) * gammainc(shape, 1.0 / scale)
+    norm -= scale ** (shape + 4) * gamma_fn(shape + 4) * gammainc(shape + 4, 1.0 / scale)
+    return float(norm)
+
+
+#: Largest relative difference from scipy allowed. Measured: at most 2.9e-12
+#: over 1.2 M points of shape (1, 60], scale [1e-3, 1e2], largest where the
+#: two terms cancel (shape > 50, scale > 5). mpmath at 50 digits puts scipy's
+#: own error there at up to 1.7e-12 and the math-only form's at 1.2e-14.
+NORM_REL_BOUND = 4e-12
+
+
+class TestPulseNormMatchesScipy:
+    def test_default_waveform_within_one_ulp(self):
+        expected = scipy_pulse_norm(3.0, 0.18)
+        assert abs(_pulse_norm(3.0, 0.18) - expected) <= math.ulp(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.floats(1.0, 60.0, exclude_min=True),
+        scale=st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+    )
+    def test_relative_difference_bound(self, shape, scale):
+        with np.errstate(all="ignore"):
+            expected = scipy_pulse_norm(shape, scale)
+        assume(math.isfinite(expected) and expected > 0.0)
+        assert abs(_pulse_norm(shape, scale) - expected) <= NORM_REL_BOUND * expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.floats(1.0, 1e6, exclude_min=True),
+        scale=st.floats(0.0, 1e300, exclude_min=True),
+    )
+    def test_finite_positive_or_invalid_config(self, shape, scale):
+        """No OverflowError or other arithmetic error escapes, on any shape
+        and scale the config accepts."""
+        try:
+            norm = _pulse_norm(shape, scale)
+        except InvalidConfig as exc:
+            assert "cardiac.waveform" in str(exc)
+        else:
+            assert math.isfinite(norm) and norm > 0.0
 
 
 class TestGenerateSignals:
