@@ -15,7 +15,6 @@ import re
 import sys
 # ThreadPoolExecutor stays importable here: perfbench/tracing.py hooks cli.ThreadPoolExecutor.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,7 +47,6 @@ from .io import (
     Report,
     RoiMask,
     SampledSignal,
-    frame_chunks,
     read_mask,
     read_report,
     read_signal_csv,
@@ -135,15 +133,15 @@ def _render_diff_svg(artery_name: str, parameter: str, record, out_path) -> None
 # -- commands --------------------------------------------------------------------
 
 def _seeded_roi(args, height: int, width: int) -> tuple:
-    """The seed's ROI and the series, both cut to roi_window of the union ROI.
+    """The last seed window read of the series, and the seed's ROI in it.
 
     segment_roi runs on a window around the seed that covers --max-radius-px
     and seed_component's first window. While the union ROI touches a window
     edge that is not an image edge, or its roi_window does not fit inside
     the window, the window is read again twice as wide. So the ROI is the
-    one whole frames give, and both are then cut to roi_window in memory:
-    the series is read once, plus once per doubling. Errors name the seed
-    in image coordinates.
+    one whole frames give, and the window holds it with its background
+    band: the series is read once, plus once per doubling, and the chain
+    runs on the last read. Errors name the seed in image coordinates.
     """
     sx, sy = args.seed
     half = max(COMPONENT_START_HALF_PX, math.floor(args.max_radius_px))
@@ -163,18 +161,11 @@ def _seeded_roi(args, height: int, width: int) -> tuple:
         union = roi.union()
         image_union = np.zeros((height, width), dtype=bool)
         image_union[window] = union
-        final = roi_window(image_union)
         fits = all(cut.start <= into.start and into.stop <= cut.stop
-                   for cut, into in zip(window, final))
+                   for cut, into in zip(window, roi_window(image_union)))
         if fits and not reaches_inner_edge(union, window, (height, width)):
-            break
+            return series, roi
         half *= 2
-
-    cut = (slice(None),) + tuple(
-        slice(into.start - outer.start, into.stop - outer.start) for outer, into in zip(window, final)
-    )
-    roi = RoiSeries(masks=np.ascontiguousarray(roi.masks[cut]))
-    return replace(series, frames=series.frames[cut]), roi
 
 
 def cmd_extract(args, written: list) -> int:
@@ -230,19 +221,14 @@ def cmd_extract(args, written: list) -> int:
 
     background_offset = None
     n_band = None
+    # Both steps overwrite the one window array that was read.
     if not args.no_background_correction:
-        series, estimate = correct_background(series, roi)
+        series, estimate = correct_background(series, roi, out=series.frames)
         background_offset = estimate.offset_mm_s
         n_band = estimate.n_band_pixels
     n_unaliased = None
     if not args.no_unalias:
-        before = series
-        series = unalias(series, roi)
-        n_unaliased = sum(
-            int(np.count_nonzero(series.frames[chunk] != before.frames[chunk]))
-            for chunk in frame_chunks(series.n_frames, series.height, series.width)
-        )
-        del before
+        series, n_unaliased = unalias(series, roi, out=series.frames)
 
     flow = compute_flow(series, roi)
     out = Path(args.out)

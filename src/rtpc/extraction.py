@@ -111,7 +111,12 @@ def segment_roi(
         raise ValueError(f"max_radius_px must be finite and >= 0, got {max_radius_px!r}")
     yy, xx = np.mgrid[0 : series.height, 0 : series.width]
     neighborhood = (xx - sx) ** 2 + (yy - sy) ** 2 <= max_radius_px**2
-    reference = float(np.percentile(np.abs(series.frames[:, neighborhood]), 99.0))
+    # One contiguous gather, made absolute and partitioned in place (a
+    # percentile depends only on the multiset of values), and freed before
+    # the masks are grown.
+    near = np.take(series.frames.reshape(series.n_frames, -1), np.flatnonzero(neighborhood), axis=1)
+    reference = float(np.percentile(np.abs(near, out=near), 99.0, overwrite_input=True))
+    del near
     if reference <= 0.0:
         raise EmptySegmentation(f"no velocity signal within {max_radius_px} px of seed {seed}")
     threshold = velocity_threshold_fraction * reference
@@ -155,6 +160,7 @@ def correct_background(
     band_outer_px: float = BAND_OUTER_PX,
     variance_quantile: float = 0.25,
     min_band_pixels: int = 8,
+    out: np.ndarray | None = None,
 ) -> tuple[VelocityMapSeries, BackgroundEstimate]:
     """Subtract the stationary-tissue velocity offset (eddy-current bias).
 
@@ -162,11 +168,17 @@ def correct_background(
     union ROI; of those, the quietest variance_quantile by temporal standard
     deviation form the band. The offset is the median velocity over band
     pixels and frames, treated as static, and is subtracted from every pixel
-    of every frame, in float64 and rounded once to float32, a chunk of
-    frames at a time.
+    of every frame, in float64 and rounded once to float32.
+
+    The corrected frames go to out, a writable C-contiguous float32 array of
+    the series' shape, which may be series.frames itself; None writes them
+    to a new array. Every check runs before the first write, so an error
+    leaves out as it was.
     """
     if not (0 < band_inner_px <= band_outer_px):
         raise ValueError("need 0 < band_inner_px <= band_outer_px")
+    _check_roi(series, roi)
+    _check_out(series, out)
     union = roi.union()
     if not union.any():
         raise ValueError("ROI is empty in every frame")
@@ -188,10 +200,11 @@ def correct_background(
         raise InsufficientStationaryTissue(f"{n_band} quiet band pixels, need {min_band_pixels}")
     band = np.zeros_like(ring)
     band[rows[keep], cols[keep]] = True
-    offset = float(np.median(series.frames[:, rows[keep], cols[keep]].astype(np.float64)))
-    frames = np.empty_like(series.frames)
-    for chunk in frame_chunks(series.n_frames, series.height, series.width):
-        frames[chunk] = series.frames[chunk].astype(np.float64) - offset
+    flat = series.frames.reshape(series.n_frames, -1)
+    offset = _band_median(flat, rows[keep] * series.width + cols[keep])
+    frames = np.empty_like(series.frames) if out is None else out
+    # Buffered by numpy: float64 arithmetic with no full-size temporary.
+    np.subtract(series.frames, offset, out=frames, dtype=np.float64, casting="same_kind")
     corrected = VelocityMapSeries(
         frames=frames,
         dt_ms=series.dt_ms,
@@ -199,6 +212,51 @@ def correct_background(
         pixel_area_mm2=series.pixel_area_mm2,
     )
     return corrected, BackgroundEstimate(offset_mm_s=offset, band=band, n_band_pixels=n_band)
+
+
+def _band_median(flat: np.ndarray, pixels: np.ndarray) -> float:
+    """float(np.median(flat[:, pixels].astype(np.float64))), bit for bit.
+
+    flat is (frames, pixels). The values are gathered once as float32, in
+    the same frame-major order, and partitioned in place; the middle one, or
+    the float64 mean of the middle two, is np.median's. Only the sign of a
+    zero can tell them apart: where the middle is zero and the band holds a
+    -0.0, which zero np.median picks follows its float64 partition, so the
+    median is taken that way.
+    """
+    values = np.take(flat, pixels, axis=1).ravel()
+    half = values.size // 2
+    kth = (half,) if values.size % 2 else (half - 1, half)
+    values.partition(kth)
+    middle = [float(values[k]) for k in kth]
+    if 0.0 in middle and np.signbit(values[values == 0.0]).any():
+        del values
+        values = np.take(flat, pixels, axis=1).astype(np.float64)
+        return float(np.median(values, overwrite_input=True))
+    return middle[0] if len(middle) == 1 else (middle[0] + middle[1]) / 2.0
+
+
+def _check_roi(series: VelocityMapSeries, roi: RoiSeries) -> None:
+    if len(roi) != series.n_frames:
+        raise ValueError(f"ROI has {len(roi)} masks for {series.n_frames} frames")
+    if roi.masks.shape[1:] != (series.height, series.width):
+        raise ValueError("ROI dimensions do not match the series")
+
+
+def _check_out(series: VelocityMapSeries, out: np.ndarray | None) -> None:
+    """out, when given, must take the series' frames as they are stored."""
+    if out is None:
+        return
+    if not (
+        isinstance(out, np.ndarray)
+        and out.shape == series.frames.shape
+        and out.dtype == np.float32
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise ValueError(
+            f"out must be a writable C-contiguous float32 array of shape {series.frames.shape}"
+        )
 
 
 def _leave_one_out_medians(values: np.ndarray) -> np.ndarray:
@@ -251,7 +309,9 @@ def _member_groups(masks: np.ndarray, frames: slice):
             yield frames.start + rows, np.nonzero(chunk[rows])[1].reshape(rows.size, k)
 
 
-def unalias(series: VelocityMapSeries, roi: RoiSeries) -> VelocityMapSeries:
+def unalias(
+    series: VelocityMapSeries, roi: RoiSeries, out: np.ndarray | None = None
+) -> tuple[VelocityMapSeries, int]:
     """Unwrap ROI velocities that jumped by multiples of twice the limit.
 
     Per frame, each ROI pixel is compared with the median of the other ROI
@@ -260,6 +320,12 @@ def unalias(series: VelocityMapSeries, roi: RoiSeries) -> VelocityMapSeries:
     pixels untouched. The shift is added in float64 and rounded once to
     float32. Pixels wrapped so far that they land within venc of the
     median (true speed beyond median + venc) cannot be recovered this way.
+
+    Returns the unwrapped series and the number of ROI pixel-frames whose
+    float32 value the shift changed. The frames go to out, a writable
+    C-contiguous float32 array of the series' shape, which may be
+    series.frames itself; None writes them to a new array. Every check runs
+    before the first write, so an error leaves out as it was.
 
     Frames are taken one frame_chunks chunk at a time. A chunk's frames are
     grouped by ROI member count k, and each group's members are gathered,
@@ -271,13 +337,16 @@ def unalias(series: VelocityMapSeries, roi: RoiSeries) -> VelocityMapSeries:
     vessel at venc 600 mm/s had 13,519 pixels changed against 13,394
     wrapped. Nothing flags this.
     """
-    if len(roi) != series.n_frames:
-        raise ValueError(f"ROI has {len(roi)} masks for {series.n_frames} frames")
+    _check_roi(series, roi)
+    _check_out(series, out)
     venc = series.venc_mm_s
     two_venc = 2.0 * venc
-    frames = series.frames.copy()
+    frames = np.empty_like(series.frames) if out is None else out
+    if frames is not series.frames:
+        np.copyto(frames, series.frames)
     flat = frames.reshape(series.n_frames, -1)
     masks = roi.masks.reshape(len(roi), -1)
+    n_changed = 0
     for chunk in frame_chunks(series.n_frames, series.height, series.width):
         for t, members in _member_groups(masks, chunk):
             vals = flat[t[:, None], members].astype(np.float64)
@@ -285,15 +354,17 @@ def unalias(series: VelocityMapSeries, roi: RoiSeries) -> VelocityMapSeries:
             deltas -= vals
             r, c = np.nonzero(np.abs(deltas) > venc)
             if r.size:
-                flat[t[r], members[r, c]] = (
-                    vals[r, c] + two_venc * np.round(deltas[r, c] / two_venc)
-                )
-    return VelocityMapSeries(
+                before = vals[r, c]
+                shifted = (before + two_venc * np.round(deltas[r, c] / two_venc)).astype(np.float32)
+                flat[t[r], members[r, c]] = shifted
+                n_changed += int(np.count_nonzero(shifted != before))
+    unwrapped = VelocityMapSeries(
         frames=frames,
         dt_ms=series.dt_ms,
         venc_mm_s=series.venc_mm_s,
         pixel_area_mm2=series.pixel_area_mm2,
     )
+    return unwrapped, n_changed
 
 
 def compute_flow(series: VelocityMapSeries, roi: RoiSeries) -> SampledSignal:
@@ -307,10 +378,7 @@ def compute_flow(series: VelocityMapSeries, roi: RoiSeries) -> SampledSignal:
     float64 sum of the ROI values is not exact (values spanning more than
     about 2**20), flow can differ from its output in the last bit.
     """
-    if len(roi) != series.n_frames:
-        raise ValueError(f"ROI has {len(roi)} masks for {series.n_frames} frames")
-    if roi.masks.shape[1:] != (series.height, series.width):
-        raise ValueError("ROI dimensions do not match the series")
+    _check_roi(series, roi)
     sums = np.array([
         frame[member].astype(np.float64).sum()
         for frame, member in zip(series.frames, roi.masks)

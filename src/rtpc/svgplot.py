@@ -43,6 +43,13 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _escape(text: str) -> str:
+    """text as XML character data, as xml.sax.saxutils.escape gives it;
+    importing that module would add its urllib and ssl imports to every
+    command's start-up."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_line_chart(
     x,
     y,
@@ -57,7 +64,9 @@ def render_line_chart(
     y entries that are None (or NaN) split the polyline into segments.
     marker, when given, is an (x, y) pair drawn as a highlighted point.
     ValueError when the data cannot be drawn: no points, no finite y, or a
-    span beyond the float range.
+    span beyond the float range. title, x_label and y_label are plain text;
+    they are XML-escaped, so names holding markup characters (artery names
+    come from file stems and `analyze --name`) still give well-formed SVG.
     """
     xs = [float(v) for v in x]
     ys = [None if v is None or (isinstance(v, float) and math.isnan(v)) else float(v) for v in y]
@@ -96,7 +105,7 @@ def render_line_chart(
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
+            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
         )
     axis_color = "#444444"
     for tx in _nice_ticks(x_lo, x_hi):
@@ -154,13 +163,13 @@ def render_line_chart(
     if x_label:
         parts.append(
             f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{x_label}</text>'
+            f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>'
         )
     if y_label:
         cx, cy = 16, _MARGIN_TOP + plot_h / 2
         parts.append(
             f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12" transform="rotate(-90 {cx} {cy:.1f})">{y_label}</text>'
+            f'font-size="12" transform="rotate(-90 {cx} {cy:.1f})">{_escape(y_label)}</text>'
         )
     parts.append("</svg>")
     try:

@@ -135,7 +135,7 @@ def test_criterion_5_extraction_suite():
     # wrap/unwrap exact round trip
     clean, _, _ = images(duration_s=60.0, seed=5)
     aliased, _, truth_a = images(duration_s=60.0, seed=5, artifacts={"aliased_pixel_fraction": 0.1})
-    fixed = unalias(aliased, roi)
+    fixed, _ = unalias(aliased, roi)
     if not np.array_equal(fixed.frames, clean.frames):
         failures.append("wrap/unwrap round trip not exact")
     if not truth_a.wrapped_pixels:

@@ -30,7 +30,7 @@ from rtpc.extraction import (
     unalias,
 )
 from rtpc.io import RoiMask, SampledSignal, VelocityMapSeries
-from rtpc.numerics import distance_band
+from rtpc.numerics import distance_band, seed_component
 
 
 def disk_mask(h, w, cx, cy, radius):
@@ -138,6 +138,55 @@ class TestSegmentRoi:
         b = segment_roi(series, seed=(12, 12))
         assert np.array_equal(a.masks, b.masks)
 
+    @pytest.mark.parametrize("fraction, radius", [(0.5, 12.0), (0.3, 3.0), (1.0, 0.0)])
+    def test_masks_match_former_reference_line(self, fraction, radius):
+        """The reference speed from the contiguous in-place gather is the one
+        the former boolean-mask gather gave, so the masks are too."""
+        aliased, _, _ = images(duration_s=60.0, seed=5, artifacts={"aliased_pixel_fraction": 0.3})
+        rng = np.random.default_rng(8)
+        tied = disk_series([4, 5, 6, 5] * 5, h=20, w=20)
+        tied = VelocityMapSeries(  # few distinct values: ties, and negative speeds
+            frames=tied.frames + rng.choice([-40.0, 0.0, 25.0, 250.0], tied.frames.shape),
+            dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25,
+        )
+        for series in (aliased, tied):
+            seed = (series.width // 2, series.height // 2)
+            roi = segment_roi(series, seed=seed, velocity_threshold_fraction=fraction,
+                              max_radius_px=radius)
+            expected = former_segment_roi(series, seed, fraction, radius)
+            assert np.array_equal(roi.masks, expected)
+
+
+def former_segment_roi(series, seed, fraction, radius) -> np.ndarray:
+    """segment_roi's masks with its former reference line, which gathered the
+    neighbourhood by boolean mask and copied it in np.abs and np.percentile."""
+    sx, sy = seed
+    yy, xx = np.mgrid[0 : series.height, 0 : series.width]
+    neighborhood = (xx - sx) ** 2 + (yy - sy) ** 2 <= radius**2
+    reference = float(np.percentile(np.abs(series.frames[:, neighborhood]), 99.0))
+    masks = seed_component(series.frames, fraction * reference, sy, sx)
+    seeded = masks[:, sy, sx]
+    source = np.maximum.accumulate(np.where(seeded, np.arange(seeded.size), int(np.argmax(seeded))))
+    masks[~seeded] = masks[source[~seeded]]
+    return masks
+
+
+@st.composite
+def band_cases(draw):
+    """A small series around a one-pixel ROI, with values from a pool that
+    makes ties, negative values and zeros of both signs common; frame and
+    band counts of both parities."""
+    n_frames = draw(st.integers(1, 5))
+    height, width = draw(st.integers(5, 9)), draw(st.integers(5, 9))
+    pool = st.sampled_from([0.0, -0.0, 1.5, -1.5, 3.0, -7.25])
+    values = draw(st.lists(pool | st.floats(-20.0, 20.0, width=32),
+                           min_size=n_frames * height * width, max_size=n_frames * height * width))
+    frames = np.array(values, dtype=np.float32).reshape(n_frames, height, width)
+    member = np.zeros((height, width), dtype=bool)
+    member[draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))] = True
+    series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
+    return series, RoiSeries.from_static(RoiMask(member), n_frames), draw(st.sampled_from([0.25, 1.0]))
+
 
 class TestCorrectBackground:
     def test_constant_offset_invariance_spec_example(self):
@@ -222,6 +271,82 @@ class TestCorrectBackground:
                                    venc_mm_s=800.0, pixel_area_mm2=0.25)
         with pytest.raises(InsufficientStationaryTissue):
             correct_background(series, RoiSeries.from_static(full, 3))
+
+    def test_in_place_matches_default(self):
+        series, mask, _ = images(duration_s=60.0, seed=5,
+                                 artifacts={"eddy_offset_mm_s": 3.0, "noise_sd": 4.0})
+        roi = RoiSeries.from_static(mask, series.n_frames)
+        original = series.frames.copy()
+        corrected, estimate = correct_background(series, roi)
+        assert np.array_equal(series.frames.view(np.uint32), original.view(np.uint32))
+        target = VelocityMapSeries(frames=original.copy(), dt_ms=series.dt_ms,
+                                   venc_mm_s=series.venc_mm_s, pixel_area_mm2=series.pixel_area_mm2)
+        in_place, in_place_estimate = correct_background(target, roi, out=target.frames)
+        assert in_place.frames is target.frames
+        assert np.array_equal(in_place.frames.view(np.uint32), corrected.frames.view(np.uint32))
+        assert in_place_estimate.offset_mm_s == estimate.offset_mm_s != 0.0
+        assert np.array_equal(in_place_estimate.band, estimate.band)
+        assert in_place_estimate.n_band_pixels == estimate.n_band_pixels
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=band_cases())
+    def test_offset_is_float64_median_of_band(self, case):
+        series, roi, quantile = case
+        corrected, estimate = correct_background(series, roi, variance_quantile=quantile,
+                                                 min_band_pixels=1)
+        gather = series.frames[:, estimate.band]
+        offset = float(np.median(gather.astype(np.float64)))
+        assert np.float64(estimate.offset_mm_s).view(np.uint64) == np.float64(offset).view(np.uint64)
+        expected = (series.frames.astype(np.float64) - offset).astype(np.float32)
+        assert np.array_equal(corrected.frames.view(np.uint32), expected.view(np.uint32))
+        frames = series.frames.copy()
+        in_place, _ = correct_background(
+            VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25),
+            roi, variance_quantile=quantile, min_band_pixels=1, out=frames,
+        )
+        assert np.array_equal(frames.view(np.uint32), expected.view(np.uint32))
+
+    @pytest.mark.parametrize("zeros", [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]])
+    @pytest.mark.parametrize("n_frames", [3, 4])
+    def test_offset_sign_of_zero_median(self, zeros, n_frames):
+        """A zero median takes np.median's sign, with zeros of both signs tied."""
+        frames = np.full((n_frames, 12, 12), -1.0)
+        frames[:, 6:, :] = 1.0
+        frames[:, 5:7, :] = np.resize(zeros, (n_frames, 2, 12))
+        series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
+        member = np.zeros((12, 12), dtype=bool)
+        member[6, 6] = True
+        roi = RoiSeries.from_static(RoiMask(member), n_frames)
+        _, estimate = correct_background(series, roi, variance_quantile=1.0, min_band_pixels=1)
+        offset = float(np.median(series.frames[:, estimate.band].astype(np.float64)))
+        assert offset == 0.0
+        assert math.copysign(1.0, estimate.offset_mm_s) == math.copysign(1.0, offset)
+
+    def test_error_leaves_out_untouched(self):
+        rng = np.random.default_rng(3)
+        frames = rng.normal(0.0, 5.0, (6, 16, 16)).astype(np.float32)
+        series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
+        before = frames.copy()
+        small = RoiSeries.from_static(RoiMask(disk_mask(16, 16, 8, 8, 2)), 6)
+        everything = RoiSeries.from_static(RoiMask(np.ones((16, 16), dtype=bool)), 6)
+        with pytest.raises(InsufficientStationaryTissue, match="no pixels"):
+            correct_background(series, everything, out=frames)
+        with pytest.raises(InsufficientStationaryTissue, match="quiet band pixels"):
+            correct_background(series, small, min_band_pixels=10_000, out=frames)
+        with pytest.raises(ValueError, match="masks for"):
+            correct_background(series, RoiSeries.from_static(RoiMask(small.masks[0]), 5), out=frames)
+        assert np.array_equal(frames.view(np.uint32), before.view(np.uint32))
+
+    @pytest.mark.parametrize("step", ["correct_background", "unalias"])
+    def test_unusable_out_rejected(self, step):
+        series = disk_series([5, 5, 5])
+        roi = RoiSeries.from_static(RoiMask(disk_mask(24, 24, 12, 12, 5)), 3)
+        run = getattr(extraction, step)
+        for out in (np.zeros((3, 24, 24)), np.zeros((3, 24, 23), dtype=np.float32),
+                    np.zeros((3, 24, 48), dtype=np.float32)[:, :, ::2], series.frames[:, ::-1]):
+            with pytest.raises(ValueError, match="out must be"):
+                run(series, roi, out=out)
+        assert np.array_equal(series.frames, disk_series([5, 5, 5]).frames)
 
 
 def oracle_leave_one_out_medians(values: np.ndarray) -> np.ndarray:
@@ -332,7 +457,7 @@ class TestUnaliasMatchesPerFrameOracle:
             chunk_frames * 4 * series.height * series.width)
         with mock.patch.object(io, "SERIES_CHUNK_BYTES", chunk_bytes), \
                 mock.patch.object(extraction, "UNALIAS_BLOCK_VALUES", block_values):
-            fixed = unalias(series, roi)
+            fixed, _ = unalias(series, roi)
         expected = oracle_unalias(series, roi)
         assert np.array_equal(fixed.frames.view(np.uint32), expected.view(np.uint32))
 
@@ -345,8 +470,30 @@ class TestUnaliasMatchesPerFrameOracle:
         for roi in (RoiSeries.from_static(mask, aliased.n_frames), seeded):
             expected = oracle_unalias(aliased, roi)
             with mock.patch.object(io, "SERIES_CHUNK_BYTES", 3 * 4 * aliased.height * aliased.width):
-                fixed = unalias(aliased, roi)
+                fixed, _ = unalias(aliased, roi)
             assert np.array_equal(fixed.frames.view(np.uint32), expected.view(np.uint32))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=unalias_cases())
+    def test_in_place_and_count(self, case):
+        """out=None and out=series.frames give the oracle's bits, and the count
+        is the number of pixel-frames whose float32 value changed."""
+        series, roi, chunk_frames, block_values = case
+        original = series.frames.copy()
+        expected = oracle_unalias(series, roi)
+        target = VelocityMapSeries(frames=original.copy(), dt_ms=series.dt_ms,
+                                   venc_mm_s=series.venc_mm_s, pixel_area_mm2=series.pixel_area_mm2)
+        chunk_bytes = io.SERIES_CHUNK_BYTES if chunk_frames is None else (
+            chunk_frames * 4 * series.height * series.width)
+        with mock.patch.object(io, "SERIES_CHUNK_BYTES", chunk_bytes), \
+                mock.patch.object(extraction, "UNALIAS_BLOCK_VALUES", block_values):
+            fixed, n_changed = unalias(series, roi)
+            in_place, n_in_place = unalias(target, roi, out=target.frames)
+        assert np.array_equal(series.frames.view(np.uint32), original.view(np.uint32))
+        assert in_place.frames is target.frames
+        for frames in (fixed.frames, in_place.frames):
+            assert np.array_equal(frames.view(np.uint32), expected.view(np.uint32))
+        assert n_changed == n_in_place == int(np.count_nonzero(expected != original))
 
 
 class TestUnalias:
@@ -356,7 +503,7 @@ class TestUnalias:
         frames = values.reshape(1, 1, 6)
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
         roi = RoiSeries.from_static(RoiMask(membership=np.ones((1, 6), dtype=bool)), 1)
-        fixed = unalias(series, roi)
+        fixed, _ = unalias(series, roi)
         assert fixed.frames[0, 0, 5] == 900.0
         assert np.array_equal(fixed.frames[0, 0, :5], frames[0, 0, :5])
 
@@ -365,7 +512,7 @@ class TestUnalias:
         series = VelocityMapSeries(frames=values[None], dt_ms=75.0, venc_mm_s=800.0,
                                    pixel_area_mm2=0.25)
         roi = RoiSeries.from_static(RoiMask(membership=np.ones((1, 4), dtype=bool)), 1)
-        fixed = unalias(series, roi)
+        fixed, _ = unalias(series, roi)
         assert np.array_equal(fixed.frames, series.frames)
 
     def test_synthgen_wrapped_pixels_all_restored(self):
@@ -374,7 +521,7 @@ class TestUnalias:
                                    artifacts={"aliased_pixel_fraction": 0.1})
         assert len(truth.wrapped_pixels) > 100
         roi = RoiSeries.from_static(mask, aliased.n_frames)
-        fixed = unalias(aliased, roi)
+        fixed, _ = unalias(aliased, roi)
         assert np.array_equal(fixed.frames, clean.frames)
         flow_truth = signals(duration_s=60.0, seed=5).flow
         flow_fixed = compute_flow(fixed, roi)
@@ -402,7 +549,7 @@ class TestUnalias:
                                     venc_mm_s=series.venc_mm_s,
                                     pixel_area_mm2=series.pixel_area_mm2)
         roi = RoiSeries.from_static(mask, series.n_frames)
-        fixed = unalias(wrapped, roi)
+        fixed, _ = unalias(wrapped, roi)
         assert np.array_equal(fixed.frames, series.frames)
 
     def test_empty_and_single_pixel_frames_noop(self):
@@ -411,8 +558,19 @@ class TestUnalias:
         empty = np.zeros((2, 2), dtype=bool)
         single = np.array([[True, False], [False, False]])
         roi = RoiSeries(masks=np.stack([empty, single]))
-        fixed = unalias(series, roi)
+        fixed, _ = unalias(series, roi)
         assert np.array_equal(fixed.frames, series.frames)
+
+    def test_error_leaves_out_untouched(self):
+        series = disk_series([5, 5, 5], speed=900.0, venc=400.0)
+        frames = series.frames
+        before = frames.copy()
+        member = RoiMask(disk_mask(24, 24, 12, 12, 5))
+        for roi in (RoiSeries.from_static(member, 2),
+                    RoiSeries.from_static(RoiMask(member.membership[:, :20]), 3)):
+            with pytest.raises(ValueError, match="ROI"):
+                unalias(series, roi, out=frames)
+        assert np.array_equal(frames.view(np.uint32), before.view(np.uint32))
 
 
 class TestComputeFlow:
