@@ -22,7 +22,7 @@ from .errors import (
     TooShort,
 )
 from .io import QcFlags, RoiMask, SampledSignal, VelocityMapSeries, frame_chunks
-from .numerics import distance_band, seed_component, welch
+from .numerics import distance_band, gather_blocks, ranked_values, seed_component, welch
 
 #: 1 mm^3/s = 0.06 ml/min
 ML_MIN_PER_MM3_S = 0.06
@@ -35,7 +35,9 @@ BAND_OUTER_PX = 6.0
 #: holds n_frames x STD_BLOCK_PIXELS float64 values.
 STD_BLOCK_PIXELS = 32
 
-#: ROI values unalias gathers into one float64 matrix at most (512 KiB).
+#: Values a bounded gather over frames takes at once: the ROI values of one
+#: unalias float64 matrix (512 KiB), and the band values of one float32 block
+#: of the background median.
 UNALIAS_BLOCK_VALUES = 1 << 16
 
 
@@ -217,20 +219,19 @@ def correct_background(
 def _band_median(flat: np.ndarray, pixels: np.ndarray) -> float:
     """float(np.median(flat[:, pixels].astype(np.float64))), bit for bit.
 
-    flat is (frames, pixels). The values are gathered once as float32, in
-    the same frame-major order, and partitioned in place; the middle one, or
-    the float64 mean of the middle two, is np.median's. Only the sign of a
-    zero can tell them apart: where the middle is zero and the band holds a
-    -0.0, which zero np.median picks follows its float64 partition, so the
-    median is taken that way.
+    flat is (frames, pixels). numerics.ranked_values selects the middle
+    value, or the middle two, a block of at most UNALIAS_BLOCK_VALUES values
+    at a time, with no gather of the whole band; that value, or the float64
+    mean of the two, is np.median's. Only the sign of a zero can tell them apart: where the
+    middle is zero and the band holds a -0.0, which zero np.median picks
+    follows its float64 partition, so the median is taken that way.
     """
-    values = np.take(flat, pixels, axis=1).ravel()
-    half = values.size // 2
-    kth = (half,) if values.size % 2 else (half - 1, half)
-    values.partition(kth)
-    middle = [float(values[k]) for k in kth]
-    if 0.0 in middle and np.signbit(values[values == 0.0]).any():
-        del values
+    n_values = len(flat) * pixels.size
+    half = n_values // 2
+    kth = (half,) if n_values % 2 else (half - 1, half)
+    middle = [float(v) for v in ranked_values(flat, pixels, kth, UNALIAS_BLOCK_VALUES)]
+    blocks = gather_blocks(flat, pixels, UNALIAS_BLOCK_VALUES)
+    if 0.0 in middle and any(np.signbit(b[b == 0.0]).any() for b in blocks):
         values = np.take(flat, pixels, axis=1).astype(np.float64)
         return float(np.median(values, overwrite_input=True))
     return middle[0] if len(middle) == 1 else (middle[0] + middle[1]) / 2.0

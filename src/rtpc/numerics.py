@@ -1,9 +1,10 @@
-"""numpy forms of the scipy routines the analysis path uses.
+"""numpy forms of the scipy routines the analysis path uses, and other
+exact numpy forms that take less memory than the plain one.
 
-Each function reproduces one scipy routine bit for bit: the same operations
-in the same order, so every flow, cycle, breath and QC value is identical to
-what scipy computes. The tests compare each function with its scipy
-original for exact equality.
+Each function gives what one scipy or numpy routine gives, bit for bit (the
+scipy forms by the same operations in the same order), so every flow,
+cycle, breath and QC value is identical to what scipy computes. The tests
+compare each function with its original for exact equality.
 
 - natural_cubic_spline: scipy.interpolate.CubicSpline(x, y, bc_type="natural")
   evaluated at given points;
@@ -13,7 +14,9 @@ original for exact equality.
   half overlap and constant detrending;
 - seed_component: the component of scipy.ndimage.label (4-connected) that
   holds a seed pixel, frame by frame;
-- distance_band: distance_transform_edt(~mask) restricted to [inner, outer].
+- distance_band: distance_transform_edt(~mask) restricted to [inner, outer];
+- ranked_values: np.sort(frames[:, pixels], axis=None) at given ranks, with
+  -0.0 below +0.0 and no gather of all those values.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ _COMPONENT_CHUNK_FRAMES = 256
 #: Half-width of the first window seed_component fills around the seed.
 COMPONENT_START_HALF_PX = 16
 _BAND_PAIRS_PER_CHUNK = 1 << 20
+_HALF_KEYS = 1 << 16  # bins of each ranked_values pass: 16-bit patterns
 
 
 def natural_cubic_spline(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -243,18 +247,29 @@ def reaches_inner_edge(footprint: np.ndarray, window: tuple, shape: tuple) -> bo
 
 
 def _grow(above: np.ndarray, row: int, col: int) -> np.ndarray:
-    """Flood fill of each frame of `above` from (row, col), 4-connected."""
+    """Flood fill of each frame of `above` from (row, col), 4-connected.
+
+    After k growth steps a fill lies within k pixels of the seed along each
+    axis, so step k + 1 dilates only the box of half-width k + 1 around the
+    seed, clipped to the frame. Only frames that are still growing are
+    dilated: those whose seed pixel is set, until a step adds nothing to them.
+    """
     reach = np.zeros_like(above)
-    reach[:, row, col] = above[:, row, col]
-    frontier = reach.copy()
-    while frontier.any():
-        grown = np.zeros_like(frontier)
-        grown[:, 1:, :] |= frontier[:, :-1, :]
-        grown[:, :-1, :] |= frontier[:, 1:, :]
-        grown[:, :, 1:] |= frontier[:, :, :-1]
-        grown[:, :, :-1] |= frontier[:, :, 1:]
-        frontier = grown & above & ~reach
-        reach |= frontier
+    active = np.flatnonzero(above[:, row, col])
+    reach[active, row, col] = True
+    k = 0
+    while active.size:
+        k += 1
+        box = (active, slice(max(row - k, 0), row + k + 1), slice(max(col - k, 0), col + k + 1))
+        before = reach[box]
+        grown = before.copy()
+        grown[:, 1:, :] |= before[:, :-1, :]
+        grown[:, :-1, :] |= before[:, 1:, :]
+        grown[:, :, 1:] |= before[:, :, :-1]
+        grown[:, :, :-1] |= before[:, :, 1:]
+        grown &= above[box]
+        reach[box] = grown
+        active = active[(grown != before).any(axis=(1, 2))]
     return reach
 
 
@@ -296,3 +311,55 @@ def distance_band(mask: np.ndarray, inner: float, outer: float) -> np.ndarray:
     distance = np.sqrt(d2.astype(np.float64))
     band[cand_r, cand_c] = (distance >= inner) & (distance <= outer)
     return band
+
+
+def gather_blocks(flat: np.ndarray, pixels: np.ndarray, block_values: int):
+    """flat[:, pixels] as consecutive (frames, pixels) gathers of at most
+    block_values values, or one frame each. flat is (frames, pixels)."""
+    step = max(1, block_values // pixels.size)
+    for lo in range(0, len(flat), step):
+        yield np.take(flat[lo : lo + step], pixels, axis=1)
+
+
+def ranked_values(flat: np.ndarray, pixels: np.ndarray, ranks, block_values: int) -> list:
+    """The float32 values at ranks of np.sort(flat[:, pixels], axis=None).
+
+    flat is a float32 (frames, pixels) array without NaN; each rank is an
+    int in [0, frames x pixels). The values are selected by their
+    order-preserving uint32 key (_sort_keys), which puts -0.0 just below
+    +0.0 and otherwise orders them as np.sort does. Pass 1 counts the top 16
+    key bits; pass 2 counts the low 16 bits inside the bins that hold a
+    requested rank, which places it exactly. Each pass takes the values
+    gather_blocks(flat, pixels, block_values) at a time.
+    """
+    counts = np.zeros(_HALF_KEYS, dtype=np.int64)
+    for block in gather_blocks(flat, pixels, block_values):
+        keys = _sort_keys(block)
+        np.add.at(counts, np.right_shift(keys, 16, out=keys), 1)
+    below = np.cumsum(counts) - counts  # values in the key bins below each bin
+    highs = np.searchsorted(below, ranks, side="right") - 1
+    starts = below[highs].tolist()
+    del counts, below
+
+    lows = {high: np.zeros(_HALF_KEYS, dtype=np.int64) for high in highs.tolist()}
+    for block in gather_blocks(flat, pixels, block_values):
+        keys = _sort_keys(block)
+        for high, low_counts in lows.items():
+            np.add.at(low_counts, keys[keys >> 16 == high] & 0xFFFF, 1)
+
+    values = []
+    for rank, start, high in zip(ranks, starts, highs.tolist()):
+        low = int(np.searchsorted(np.cumsum(lows[high]), rank - start, side="right"))
+        key = high << 16 | low
+        bits = key ^ 0x80000000 if key >> 31 else ~key & 0xFFFFFFFF
+        values.append(np.uint32(bits).view(np.float32))
+    return values
+
+
+def _sort_keys(values: np.ndarray) -> np.ndarray:
+    """uint32 keys of float32 values in their order, with -0.0 below +0.0:
+    all bits inverted for a value with the sign bit set, else the sign bit set."""
+    keys = values.view(np.int32) >> 31  # -1 where the sign bit is set, else 0
+    keys |= np.int32(-(1 << 31))
+    keys ^= values.view(np.int32)
+    return keys.view(np.uint32)

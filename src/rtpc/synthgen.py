@@ -275,16 +275,34 @@ class VesselSeries:
     def width(self) -> int:
         return self.member.shape[1]
 
-    def _render(self, frames: slice) -> np.ndarray:
-        """Whole float32 frames for a slice of frame indices."""
+    def _render(self, frames: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """Whole float32 frames for a slice of frame indices.
+
+        out, when given, is a buffer of at least that many frames that holds
+        the background outside the vessel; its leading frames are written
+        and returned.
+        """
         values = self.member_values[frames]
-        out = np.full((values.shape[0], self.height, self.width), self.background)
+        if out is None:
+            out = np.full((values.shape[0], self.height, self.width), self.background)
+        out = out[: values.shape[0]]
         out[:, self.member] = values
         return out
 
     def chunks(self):
+        """Whole float32 frames, about SERIES_CHUNK_BYTES at a time.
+
+        Every chunk is rendered into the buffer of the first, the largest:
+        the background outside the vessel is the same in every frame, so
+        only the vessel pixels are written again. A chunk is valid until the
+        next one is requested.
+        """
+        buffer = None
         for frames in frame_chunks(self.n_frames, self.height, self.width):
-            yield self._render(frames)
+            chunk = self._render(frames, buffer)
+            if buffer is None:
+                buffer = chunk
+            yield chunk
 
     def to_series(self) -> VelocityMapSeries:
         return VelocityMapSeries(

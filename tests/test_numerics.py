@@ -1,8 +1,11 @@
-"""The numpy stand-ins in rtpc.numerics against their scipy originals.
+"""The numpy stand-ins in rtpc.numerics against their scipy originals, and
+its block-wise order statistics against np.sort.
 
 Every comparison is exact (np.array_equal): the stand-ins replace scipy on
 the analysis path, and the reports must stay bit for bit what scipy gave.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,17 +129,26 @@ class TestSeedComponent:
             assert np.array_equal(mask, label_component(np.abs(frame) >= 1.0, row, col))
 
     def test_long_component_and_chunk_boundary(self):
-        # A ring wider than any starting window, in more frames than a chunk.
+        # A ring wider than any starting window, in more frames than a chunk,
+        # interleaved with frames whose fill stops growing at other steps.
         height = width = 120
         yy, xx = np.mgrid[0:height, 0:width]
         radius = np.hypot(yy - 60, xx - 60)
         frames = np.where((radius > 40) & (radius < 44), 3.0, 0.0)
         frames = np.repeat(frames[None], 300, axis=0).astype(np.float32)
         frames[::7, 60, 17:23] = 0.0  # cut the ring in some frames
+        frames[3::11, 17:23, 60] = 0.0  # and elsewhere in others: arcs of two lengths
         row, col = 60, 102
+        frames[1::5, row, col] = 0.0  # seed below threshold: never grows
+        isolated = frames[2::5]
+        isolated[:, row - 1 : row + 2, col] = 0.0
+        isolated[:, row, col - 1 : col + 2] = 0.0
+        isolated[:, row, col] = 3.0  # a one-pixel component
         got = numerics.seed_component(frames, 1.0, row, col)
         for frame, mask in zip(frames, got):
             assert np.array_equal(mask, label_component(frame >= 1.0, row, col))
+        sizes = set(got.sum(axis=(1, 2)).tolist())
+        assert {0, 1} <= sizes and len(sizes) >= 5
 
 
 class TestDistanceBand:
@@ -159,3 +171,75 @@ class TestDistanceBand:
 
     def test_full_mask_has_no_band(self):
         assert not numerics.distance_band(np.ones((5, 7), dtype=bool), 1.0, 6.0).any()
+
+
+def float32_values():
+    """float32 values where ties, zeros of both signs, subnormals and the
+    ends of the float32 range are common."""
+    special = st.sampled_from([0.0, -0.0, 1e-45, -1e-45, 1.1e-38, -3e-39, 3.4e38, -3.4e38, 1.5, -1.5])
+    return special | st.floats(-20.0, 20.0, width=32) | st.floats(width=32, allow_nan=False)
+
+
+class TestRankedValues:
+    @staticmethod
+    def check(flat, pixels, ranks, block):
+        """ranked_values against np.sort of the whole gather. Zeros of both
+        signs sort as equals there; in ranked_values every value with the
+        sign bit set comes first, so -0.0 lies just below +0.0."""
+        gather = flat[:, pixels].ravel()
+        expected = np.sort(gather)
+        n_signed = int(np.count_nonzero(np.signbit(gather)))
+        got = numerics.ranked_values(flat, pixels, ranks, block)
+        assert len(got) == len(ranks)
+        for rank, value in zip(ranks, got):
+            assert isinstance(value, np.float32)
+            assert value == expected[rank]
+            assert bool(np.signbit(value)) == (rank < n_signed)
+            if value != 0.0:
+                assert value.view(np.uint32) == expected[rank].view(np.uint32)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_sort(self, data):
+        n_frames, width = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 8))
+        if data.draw(st.booleans()):
+            flat = np.full((n_frames, width), data.draw(float32_values()), dtype=np.float32)
+        else:
+            values = data.draw(st.lists(float32_values(), min_size=n_frames * width,
+                                        max_size=n_frames * width))
+            flat = np.array(values, dtype=np.float32).reshape(n_frames, width)
+        pixels = np.array(data.draw(st.lists(st.integers(0, width - 1), min_size=1,
+                                             max_size=width, unique=True)))
+        size = n_frames * pixels.size
+        ranks = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3))
+        # Blocks of one frame up to all frames, most not dividing the frame count.
+        block = data.draw(st.integers(1, size + pixels.size))
+        self.check(flat, pixels, ranks, block)
+
+    @pytest.mark.parametrize("block", [24, 100, 1200, 1 << 16])
+    def test_many_blocks_and_a_short_last_one(self, block):
+        rng = np.random.default_rng(8)
+        flat = rng.normal(3.0, 2.0, (500, 20)).astype(np.float32)
+        flat[:, 5] = 0.0
+        flat[::3, 6] = -0.0
+        flat[:, 7] = flat[0, 8]  # ties with one value of another pixel
+        flat[1::4, 9] = rng.choice([1e-45, -1e-45, 3.4e38, -3.4e38], size=125)
+        pixels = np.array([19, 5, 6, 7, 8, 9, 0, 13])
+        assert 500 % max(1, block // pixels.size)
+        self.check(flat, pixels, list(range(0, 4000, 37)) + [3999], block)
+
+    def test_traced_peak_does_not_grow_with_frames(self):
+        def traced_peak(n_frames):
+            flat = np.random.default_rng(2).standard_normal((n_frames, 1089), dtype=np.float32)
+            pixels = np.arange(0, 1089, 2)[:384]
+            tracemalloc.start()
+            try:
+                in_use = tracemalloc.get_traced_memory()[0]
+                numerics.ranked_values(flat, pixels, [n_frames * 192 - 1, n_frames * 192], 1 << 16)
+                peak = tracemalloc.get_traced_memory()[1] - in_use
+            finally:
+                tracemalloc.stop()
+            return peak
+
+        small, large = traced_peak(2000), traced_peak(8000)
+        assert large <= small + (64 << 10), (small, large)

@@ -10,6 +10,7 @@ from scipy.special import gamma as gamma_fn, gammainc
 
 from helpers import images, signals
 
+from rtpc import io
 from rtpc.errors import InvalidConfig
 from rtpc.extraction import RoiSeries, compute_flow
 from rtpc.io import MAGIC, read_signal_csv, write_signal_csv, write_velocity_series
@@ -321,8 +322,10 @@ class TestGenerateVelocitySeries:
         assert series.venc_mm_s == 1000.0
         assert series.pixel_area_mm2 == 0.25
 
+    @pytest.mark.parametrize("chunk_frames", [None, 7])
     @pytest.mark.parametrize("eddy", [0.0, 3.0])
-    def test_float32_render_and_write_match_float64_reference(self, eddy, tmp_path):
+    def test_float32_render_and_write_match_float64_reference(self, eddy, chunk_frames, tmp_path,
+                                                               monkeypatch):
         cfg = SimConfig.from_dict({
             "duration_s": 20.0,
             "artifacts": {"eddy_offset_mm_s": eddy, "aliased_pixel_fraction": 0.3, "noise_sd": 4.0},
@@ -352,6 +355,11 @@ class TestGenerateVelocitySeries:
         assert frames.tobytes() == expected.tobytes()
         assert np.array_equal(mask.membership, member)
 
+        if chunk_frames is not None:
+            # chunks() then reuses its render buffer across several chunks,
+            # the last one short.
+            monkeypatch.setattr(io, "SERIES_CHUNK_BYTES", chunk_frames * 4 * h * w)
+            assert len(flow) > 2 * chunk_frames and len(flow) % chunk_frames
         path = tmp_path / "series.rtpc"
         write_velocity_series(series, path)
         header = MAGIC + struct.pack("<III", w, h, len(flow))
