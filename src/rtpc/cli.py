@@ -9,20 +9,15 @@ outputs are removed when a command fails.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import re
 import sys
-# ThreadPoolExecutor stays importable here: perfbench/tracing.py hooks cli.ThreadPoolExecutor.
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .cycles import detect_cycles
-from .diff import MAX_SCAN_DELAYS, PARAMETERS, extract_result, finalize_scan, sweep_diffs
 from .errors import (
     EmptySegmentation,
     InsufficientCycles,
@@ -31,36 +26,49 @@ from .errors import (
     SeedOutsideVessel,
     TooShort,
 )
-from .extraction import (
-    RoiSeries,
-    compute_flow,
-    correct_background,
-    quality_score,
-    roi_window,
-    segment_roi,
-    sum_flows,
-    unalias,
-)
-from .io import (
-    ArteryRecord,
-    QcFlags,
-    Report,
-    RoiMask,
-    SampledSignal,
-    read_mask,
-    read_report,
-    read_signal_csv,
-    read_velocity_header,
-    read_velocity_series,
-    write_mask,
-    write_report,
-    write_signal_csv,
-    write_velocity_series,
-)
-from .numerics import COMPONENT_START_HALF_PX, reaches_inner_edge, seed_window
-from .respiration import detect_resp_intervals
+from .report import REPORT_PARAMETERS, ArteryRecord, QcFlags, Report, read_report, write_report
 from .svgplot import render_line_chart
-from .synthgen import SimConfig, generate_signals, generate_velocity_series
+
+#: What the commands call, by module. Each command binds the names of the
+#: modules it runs with _load, so it imports nothing else: `report` loads no
+#: numpy. perfbench/tracing.py wraps these names as attributes of this module.
+_CALLS = {
+    ".cycles": ("detect_cycles",),
+    ".diff": ("MAX_SCAN_DELAYS", "extract_result", "finalize_scan", "sweep_diffs"),
+    ".extraction": ("RoiSeries", "compute_flow", "correct_background", "quality_score",
+                    "roi_window", "segment_roi", "sum_flows", "unalias"),
+    ".io": ("RoiMask", "SampledSignal", "read_mask", "read_signal_csv", "read_velocity_header",
+            "read_velocity_series", "write_mask", "write_signal_csv", "write_velocity_series"),
+    ".numerics": ("COMPONENT_START_HALF_PX", "reaches_inner_edge", "seed_window"),
+    ".respiration": ("detect_resp_intervals",),
+    ".synthgen": ("SimConfig", "generate_signals", "generate_velocity_series"),
+    # No command calls it: perfbench/tracing.py replaces cli.ThreadPoolExecutor.
+    "concurrent.futures": ("ThreadPoolExecutor",),
+}
+_MODULE_OF = {name: module for module, names in _CALLS.items() for name in names}
+
+
+def _load(*modules: str) -> None:
+    """Import modules and bind here the names _CALLS lists for them.
+
+    A name that is already bound keeps its value, so a wrapper that a test or
+    the benchmark's tracer set before the first command stays in place.
+    """
+    scope = globals()
+    for module in modules:
+        loaded = importlib.import_module(module, __package__)
+        for name in _CALLS[module]:
+            scope.setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    """cli.<name> of a callee resolves before any command has bound it."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(module)
+    return globals()[name]
+
 
 USAGE_ERROR = 2
 
@@ -93,6 +101,9 @@ def analyze_flow_signal(
     snr_threshold: float = 5.0,
 ) -> ArteryRecord:
     """Full single-artery analysis: QC, cycles, and the three delay scans."""
+    import numpy as np
+
+    _load(".extraction", ".cycles", ".diff")
     try:
         qc = quality_score(flow, snr_threshold=snr_threshold)
     except TooShort:
@@ -104,7 +115,7 @@ def analyze_flow_signal(
     delays, diffs = sweep_diffs(cycles, intervals, step_s=step_s, min_cycles=min_cycles)
     diff_records = {
         param: extract_result(finalize_scan(param, delays, diffs[param], intervals.mean_period_s))
-        for param in PARAMETERS
+        for param in REPORT_PARAMETERS
     }
     mean_flow, stroke_volume, period = (float(np.mean(row[cycles.valid])) for row in cycles.params)
     return ArteryRecord(
@@ -143,6 +154,8 @@ def _seeded_roi(args, height: int, width: int) -> tuple:
     band: the series is read once, plus once per doubling, and the chain
     runs on the last read. Errors name the seed in image coordinates.
     """
+    import numpy as np
+
     sx, sy = args.seed
     half = max(COMPONENT_START_HALF_PX, math.floor(args.max_radius_px))
     while True:
@@ -169,6 +182,7 @@ def _seeded_roi(args, height: int, width: int) -> tuple:
 
 
 def cmd_extract(args, written: list) -> int:
+    _load(".io", ".extraction", ".numerics")
     header = read_velocity_header(args.series)
     height, width = header["height"], header["width"]
     if args.venc is not None and not (math.isfinite(args.venc) and args.venc > 0.0):
@@ -256,6 +270,7 @@ def cmd_extract(args, written: list) -> int:
 
 
 def cmd_analyze(args, written: list) -> int:
+    _load(".io", ".extraction", ".respiration", ".diff")
     flow_paths = [p for chunk in args.flow for p in chunk.split(",") if p]
     if not flow_paths:
         return _usage_error("analyze", "no flow files given")
@@ -326,7 +341,7 @@ def cmd_analyze(args, written: list) -> int:
         plot_dir = Path(args.plots)
         plot_dir.mkdir(parents=True, exist_ok=True)
         for record in report.arteries:
-            for param in PARAMETERS:
+            for param in REPORT_PARAMETERS:
                 path = plot_dir / f"{_safe_name(record.name)}_{param}.svg"
                 written.append(path)
                 _render_diff_svg(record.name, param, record.diff[param], path)
@@ -334,6 +349,7 @@ def cmd_analyze(args, written: list) -> int:
 
 
 def cmd_simulate(args, written: list) -> int:
+    _load(".io", ".synthgen")
     config = SimConfig.from_json(args.config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -365,7 +381,7 @@ def cmd_report(args, written: list) -> int:
     plot_dir = Path(args.plots)
     plot_dir.mkdir(parents=True, exist_ok=True)
     for record in report.arteries:
-        for param in PARAMETERS:
+        for param in REPORT_PARAMETERS:
             diff_record = record.diff[param]
             if diff_record.scan_delays_s is None:
                 raise ParseError(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cycles import CycleParams, cycle_arrays
 from .errors import InsufficientCycles, ZeroInspiratoryValue
-from .io import DiffRecord, REPORT_PARAMETERS
+from .report import DiffRecord, REPORT_PARAMETERS
 # label_cycles stays importable here: perfbench/tracing.py hooks diff.label_cycles.
 from .respiration import EX, IN, RespIntervals, _interval_index, label_cycles  # noqa: F401
 

@@ -21,8 +21,9 @@ from .errors import (
     SeedOutsideVessel,
     TooShort,
 )
-from .io import QcFlags, RoiMask, SampledSignal, VelocityMapSeries, frame_chunks
+from .io import RoiMask, SampledSignal, VelocityMapSeries, frame_chunks
 from .numerics import distance_band, gather_blocks, ranked_values, seed_component, welch
+from .report import QcFlags
 
 #: 1 mm^3/s = 0.06 ml/min
 ML_MIN_PER_MM3_S = 0.06

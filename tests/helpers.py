@@ -1,10 +1,15 @@
 """Shared test utilities: cached synthetic bundles and small constructors."""
 
 import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
+import rtpc
 from rtpc.cycles import CCFC, CycleBoundary, CycleParams
 from rtpc.respiration import RespIntervals
 from rtpc.synthgen import SimConfig, generate_signals, generate_velocity_series
@@ -62,3 +67,14 @@ def match_boundaries(detected: np.ndarray, truth: np.ndarray, tol_s: float):
     for tb in truth:
         errors.append(float(np.min(np.abs(detected - tb))))
     return np.asarray(errors)
+
+
+def run_fresh(script: str, *argv) -> tuple:
+    """Run `python -c script argv...` in a new interpreter that imports this
+    rtpc; return the JSON of its stdout's last line, and the whole stdout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(rtpc.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stdout

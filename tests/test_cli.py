@@ -33,7 +33,6 @@ from rtpc.io import (
     VelocityMapSeries,
     frame_chunks,
     read_mask,
-    read_report,
     read_signal_csv,
     read_velocity_series,
     write_mask,
@@ -41,7 +40,10 @@ from rtpc.io import (
     write_velocity_series,
 )
 from rtpc.numerics import COMPONENT_START_HALF_PX, seed_window
+from rtpc.report import read_report
 from rtpc.synthgen import SimConfig, generate_velocity_series
+
+from helpers import run_fresh
 
 
 BASE_CONFIG = {
@@ -770,7 +772,7 @@ class TestAnalyze:
 
 class TestReportCommand:
     def test_missing_scan_data_errors(self, tmp_path):
-        from rtpc.io import ArteryRecord, DiffRecord, QcFlags, Report, write_report
+        from rtpc.report import ArteryRecord, DiffRecord, QcFlags, Report, write_report
 
         diff = {p: DiffRecord(at_zero_pct=1.0, max_pct=2.0, delay_s=0.0, delay_pct=0.0)
                 for p in ("mean_flow", "stroke_volume", "cardiac_period")}
@@ -875,6 +877,96 @@ class TestWithoutScipy:
             if name.suffix == ".json" and name.stem == "report":
                 a, b = (re.sub(rb'"generated_at": "[^"]*"', b"", x) for x in (a, b))
             assert a == b, name
+
+
+#: Runs `rtpc.cli.main(argv[2:])` in a fresh interpreter with the top-level
+#: packages named in argv[1] (comma-separated) refused, and prints the exit
+#: code and every loaded module as the last line of stdout.
+FOOTPRINT_RUNNER = """
+import json
+import sys
+
+class Refuse:
+    def __init__(self, packages):
+        self.packages = packages
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in self.packages:
+            raise ModuleNotFoundError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, Refuse(set(filter(None, sys.argv[1].split(",")))))
+import rtpc
+import rtpc.cli
+try:
+    code = rtpc.cli.main(sys.argv[2:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def footprint(argv, refuse=()):
+    """(exit code, loaded module names, stdout) of one command in a fresh interpreter."""
+    result, stdout = run_fresh(FOOTPRINT_RUNNER, ",".join(refuse), *argv)
+    return result["code"], set(result["modules"]), stdout
+
+
+class TestImportFootprint:
+    """Each command imports only the modules it runs: the command-line shell
+    and `report` run with numpy refused, and no command loads another
+    command's modules or concurrent.futures."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], 0),
+        (["--help"], 0),
+        ([], 2),
+        (["analyze", "--flow", "flow.csv"], 2),
+    ], ids=["version", "help", "no-command", "missing-option"])
+    def test_shell_runs_without_numpy(self, argv, code):
+        got, modules, stdout = footprint(argv, refuse=("numpy",))
+        assert got == code
+        assert not {m for m in modules if m.partition(".")[0] == "numpy"}
+        if argv == ["--help"]:
+            assert "extract" in stdout and "report" in stdout
+
+    def test_report_without_numpy_same_svgs(self, dataset, tmp_path):
+        report, plots, replots = tmp_path / "report.json", tmp_path / "plots", tmp_path / "replots"
+        assert main(["analyze", "--flow", str(dataset / "flow.csv"), "--resp", str(dataset / "resp.csv"),
+                     "--out", str(report)]) == 0
+        assert main(["report", "--in", str(report), "--plots", str(plots)]) == 0
+        code, modules, _ = footprint(["report", "--in", report, "--plots", replots], refuse=("numpy",))
+        assert code == 0
+        assert "rtpc.io" not in modules
+        names = sorted(p.name for p in plots.iterdir())
+        assert len(names) == 3
+        assert names == sorted(p.name for p in replots.iterdir())
+        for name in names:
+            assert (plots / name).read_bytes() == (replots / name).read_bytes(), name
+
+    def test_commands_load_only_their_modules(self, dataset, tmp_path):
+        series, flow, resp = dataset / "series.rtpc", dataset / "flow.csv", dataset / "resp.csv"
+        report = tmp_path / "report.json"
+        not_run = {
+            "extract": {"rtpc.cycles", "rtpc.diff", "rtpc.respiration", "rtpc.synthgen", "rtpc.stats"},
+            "analyze": {"rtpc.synthgen", "rtpc.stats"},
+            "simulate": {"rtpc.extraction", "rtpc.cycles", "rtpc.diff", "rtpc.stats"},
+            "report": {"numpy", "rtpc.io"},
+        }
+        runs = [
+            ["extract", "--series", series, "--mask", dataset / "mask.pgm",
+             "--out", tmp_path / "mask.csv", "--qc", tmp_path / "mask_qc.json"],
+            ["extract", "--series", series, "--seed", "16,16", "--out", tmp_path / "seed.csv"],
+            ["analyze", "--flow", flow, "--resp", resp, "--out", report, "--plots", tmp_path / "p"],
+            ["simulate", "--config", dataset.parent / "sim.json", "--out-dir", tmp_path / "sim",
+             "--with-images"],
+            ["report", "--in", report, "--plots", tmp_path / "replots"],
+        ]
+        for argv in runs:
+            code, modules, _ = footprint(argv)
+            assert code == 0, argv
+            assert not modules & not_run[argv[0]], argv
+            assert "concurrent.futures" not in modules, argv
 
 
 class TestEntryPoint:

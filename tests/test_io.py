@@ -33,22 +33,17 @@ from rtpc.errors import (
 from rtpc.io import (
     HEADER_SIZE,
     MAGIC,
-    ArteryRecord,
-    DiffRecord,
-    QcFlags,
-    Report,
     RoiMask,
     SampledSignal,
     VelocityMapSeries,
     read_mask,
-    read_report,
     read_signal_csv,
     read_velocity_series,
     write_mask,
-    write_report,
     write_signal_csv,
     write_velocity_series,
 )
+from rtpc.report import ArteryRecord, DiffRecord, QcFlags, Report, read_report, write_report
 
 
 def random_series(rng, n=3, h=4, w=5, dt_ms=75.0, venc=800.0, area=0.25):
