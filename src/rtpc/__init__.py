@@ -15,13 +15,11 @@ __version__ = "0.1.0"
 #: Exported name -> the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys(
-        ("CCFC", "CycleBoundary", "CycleParams", "CycleTable", "cycle_params", "detect_cycles",
-         "resample"),
+        ("CycleTable", "detect_cycles", "resample"),
         "cycles",
     ),
     **dict.fromkeys(
-        ("DiffScanResult", "PARAMETERS", "average_params", "delay_scan", "diff_ex_in",
-         "extract_result"),
+        ("DiffScanResult", "PARAMETERS", "delay_scan", "extract_result"),
         "diff",
     ),
     **dict.fromkeys(
@@ -39,8 +37,7 @@ _EXPORTS = {
         "report",
     ),
     **dict.fromkeys(
-        ("EX", "IN", "UNLABELED", "RespIntervals", "detect_resp_intervals", "label_cycles",
-         "shift_intervals"),
+        ("EX", "IN", "UNLABELED", "RespIntervals", "detect_resp_intervals", "label_cycles"),
         "respiration",
     ),
     **dict.fromkeys(("spearman", "summarize", "wilcoxon_signed_rank"), "stats"),

@@ -5,16 +5,12 @@ upsampled grid; the dominant period from the autocorrelation steers minimum
 separation and the validity band. Each cycle carries the parameter triple
 (mean flow, stroke volume, cardiac period), with mean flow defined as
 60 * SV / period so the identity between the three is exact by construction.
-detect_cycles returns the cycles as a CycleTable of arrays; each cycle is
-also readable as a CCFC object.
+detect_cycles returns the cycles as a CycleTable of arrays.
 """
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
-from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,50 +18,8 @@ from .errors import DegenerateCycle, NoCyclesFound, TooShort
 from .io import SampledSignal
 from .numerics import local_maxima, natural_cubic_spline
 
-INVALID_PERIOD = "period_outside_validity_band"
 
-
-@dataclass(frozen=True)
-class CycleBoundary:
-    start_s: float
-    end_s: float
-
-    def __post_init__(self):
-        if not self.end_s > self.start_s:
-            raise DegenerateCycle(f"cycle boundary [{self.start_s}, {self.end_s}] has no extent")
-
-    @property
-    def period_s(self) -> float:
-        return self.end_s - self.start_s
-
-    @property
-    def midpoint_s(self) -> float:
-        return self.start_s + 0.5 * self.period_s
-
-
-@dataclass(frozen=True)
-class CycleParams:
-    mean_flow_ml_min: float
-    stroke_volume_ml: float
-    cardiac_period_s: float
-
-
-@dataclass(frozen=True, eq=False)
-class CCFC:
-    """One cardiac-cycle flow curve on the upsampled grid."""
-
-    boundary: CycleBoundary
-    samples: np.ndarray
-    params: CycleParams
-    valid: bool
-    invalid_reason: str | None = None
-
-    @property
-    def midpoint_s(self) -> float:
-        return self.boundary.midpoint_s
-
-
-class CycleTable(Sequence):
+class CycleTable:
     """The cycles between consecutive boundaries of one signal, as arrays.
 
     Cycle i spans samples bounds[i]..bounds[i + 1] of signal (both ends
@@ -77,11 +31,10 @@ class CycleTable(Sequence):
                                      volume (ml), cardiac period (s)
         valid                        period inside valid_period_s
 
-    The table is also a read-only sequence of CCFC: each one is built on
-    first access and cached, so the same index gives the same object. The
-    values equal cycle_params on each cycle bit for bit: a stroke volume is
-    one sum over the trapezoid terms of the whole signal, which are the
-    terms np.trapezoid forms for the cycle alone.
+    A stroke volume is one sum over the trapezoid terms of the whole signal,
+    which are the terms np.trapezoid forms for the cycle alone, so it equals
+    np.trapezoid over the cycle's samples bit for bit. The arrays are
+    read-only.
     """
 
     def __init__(self, signal: SampledSignal, bounds: np.ndarray, valid_period_s: tuple):
@@ -105,57 +58,11 @@ class CycleTable(Sequence):
         self.params = np.stack([60.0 * stroke_volume / period, stroke_volume, period])
         lo, hi = valid_period_s
         self.valid = (lo <= period) & (period <= hi)
-        for array in (self.bounds, times, self.midpoint_s, self.params, self.valid):
-            array.flags.writeable = False  # the cached CCFC views must stay true
-        self._views = [None] * period.size
+        for array in (bounds, self.start_s, self.end_s, self.midpoint_s, self.params, self.valid):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self._views)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"cycle index {index} out of range for {len(self)} cycles")
-        view = self._views[i]
-        if view is None:
-            view = self._views[i] = self._view(i)
-        return view
-
-    def _view(self, i: int) -> CCFC:
-        ok = bool(self.valid[i])
-        mean_flow, stroke_volume, period = self.params[:, i].tolist()
-        return CCFC(
-            boundary=CycleBoundary(start_s=float(self.start_s[i]), end_s=float(self.end_s[i])),
-            samples=self.signal.values[self.bounds[i] : self.bounds[i + 1] + 1].copy(),
-            params=CycleParams(
-                mean_flow_ml_min=mean_flow, stroke_volume_ml=stroke_volume, cardiac_period_s=period
-            ),
-            valid=ok,
-            invalid_reason=None if ok else INVALID_PERIOD,
-        )
-
-
-def cycle_arrays(cycles) -> tuple:
-    """(start_s, end_s, midpoint_s, params, valid) of a CycleTable, or read
-    from any sequence of CCFC in the same layout and with the same values."""
-    if isinstance(cycles, CycleTable):
-        return cycles.start_s, cycles.end_s, cycles.midpoint_s, cycles.params, cycles.valid
-    start = np.array([c.boundary.start_s for c in cycles], dtype=np.float64)
-    end = np.array([c.boundary.end_s for c in cycles], dtype=np.float64)
-    params = np.array(
-        [
-            [c.params.mean_flow_ml_min for c in cycles],
-            [c.params.stroke_volume_ml for c in cycles],
-            [c.params.cardiac_period_s for c in cycles],
-        ],
-        dtype=np.float64,
-    )
-    valid = np.array([c.valid for c in cycles], dtype=bool)
-    return start, end, start + 0.5 * (end - start), params, valid
+        return self.valid.size
 
 
 def resample(flow: SampledSignal, factor: int) -> SampledSignal:
@@ -269,28 +176,3 @@ def detect_cycles(
     if boundaries.size < 3:
         raise NoCyclesFound(f"only {boundaries.size} cycle boundaries found")
     return CycleTable(up, boundaries, (validity_band[0] * period, validity_band[1] * period))
-
-
-def cycle_params(flow: SampledSignal, boundary: CycleBoundary) -> CycleParams:
-    """Parameter triple of one cycle on the given (upsampled) signal grid.
-
-    stroke volume is the trapezoidal integral of Q/60 over the cycle (ml);
-    mean flow is 60 * SV / period, which makes mean * period == 60 * SV hold
-    exactly.
-    """
-    i0 = int(round((boundary.start_s - flow.t0_s) / flow.dt_s))
-    i1 = int(round((boundary.end_s - flow.t0_s) / flow.dt_s))
-    for i, t in ((i0, boundary.start_s), (i1, boundary.end_s)):
-        if abs(flow.t0_s + i * flow.dt_s - t) > 1e-6 * flow.dt_s:
-            raise ValueError(f"boundary time {t} is not on the signal grid (dt {flow.dt_s})")
-    if not (0 <= i0 and i1 < len(flow)):
-        raise ValueError(f"boundary [{boundary.start_s}, {boundary.end_s}] outside the signal span")
-    if i1 - i0 < 2:
-        raise DegenerateCycle(f"cycle spans {i1 - i0} samples, need >= 2")
-    period = boundary.period_s
-    stroke_volume = float(np.trapezoid(flow.values[i0 : i1 + 1], dx=flow.dt_s)) / 60.0
-    return CycleParams(
-        mean_flow_ml_min=60.0 * stroke_volume / period,
-        stroke_volume_ml=stroke_volume,
-        cardiac_period_s=period,
-    )

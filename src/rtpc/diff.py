@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import CycleParams, cycle_arrays
+from .cycles import CycleTable
 from .errors import InsufficientCycles, ZeroInspiratoryValue
 from .report import DiffRecord, REPORT_PARAMETERS
 # label_cycles stays importable here: perfbench/tracing.py hooks diff.label_cycles.
@@ -24,13 +24,6 @@ PARAMETERS = REPORT_PARAMETERS
 
 #: Most delays a scan grid may hold; a finer step is refused before the grid is built.
 MAX_SCAN_DELAYS = 100_000
-
-_PARAM_ATTR = {
-    "mean_flow": "mean_flow_ml_min",
-    "stroke_volume": "stroke_volume_ml",
-    "cardiac_period": "cardiac_period_s",
-}
-
 
 @dataclass(frozen=True, eq=False)
 class DiffScanResult:
@@ -45,36 +38,10 @@ class DiffScanResult:
     delay_pct: float
 
 
-def average_params(cycles: list, labels: list, phase: str, min_cycles: int = 3) -> CycleParams:
-    """Arithmetic mean of each parameter over valid cycles with the phase label."""
-    if phase not in (IN, EX):
-        raise ValueError(f"phase must be {IN!r} or {EX!r}, got {phase!r}")
-    if len(cycles) != len(labels):
-        raise ValueError(f"{len(cycles)} cycles vs {len(labels)} labels")
-    selected = [c.params for c, lab in zip(cycles, labels) if c.valid and lab == phase]
-    if len(selected) < min_cycles:
-        raise InsufficientCycles(
-            f"{len(selected)} valid {phase} cycles, need {min_cycles}"
-        )
-    return CycleParams(
-        mean_flow_ml_min=float(np.mean([p.mean_flow_ml_min for p in selected])),
-        stroke_volume_ml=float(np.mean([p.stroke_volume_ml for p in selected])),
-        cardiac_period_s=float(np.mean([p.cardiac_period_s for p in selected])),
-    )
-
-
 def _diff_pct(parameter: str, ex_value: float, in_value: float) -> float:
     if in_value == 0:
         raise ZeroInspiratoryValue(f"inspiratory {parameter} is zero")
     return 100.0 * (ex_value - in_value) / in_value
-
-
-def diff_ex_in(p_ex: CycleParams, p_in: CycleParams) -> dict:
-    """Percentage difference 100 * (EX - IN) / IN for each parameter."""
-    return {
-        param: _diff_pct(param, getattr(p_ex, attr), getattr(p_in, attr))
-        for param, attr in _PARAM_ATTR.items()
-    }
 
 
 def _delay_grid(mean_period_s: float, step_s: float) -> np.ndarray:
@@ -91,7 +58,7 @@ def _delay_grid(mean_period_s: float, step_s: float) -> np.ndarray:
 
 
 def sweep_diffs(
-    cycles,
+    cycles: CycleTable,
     intervals: RespIntervals,
     step_s: float = 0.075,
     min_cycles: int = 3,
@@ -100,16 +67,15 @@ def sweep_diffs(
 ) -> tuple:
     """Diff of each of the given parameters at every delay of the scan grid.
 
-    cycles is a CycleTable, whose arrays are used as they are, or any
-    sequence of CCFC, which is read into the same arrays once. At each delay
-    d a cycle takes the phase of the interval whose shifted half-open
-    [start, end) holds its midpoint, where the shifted boundaries are
-    base_bounds + (intervals.delay_s + d); midpoints outside the shifted span
-    are unlabelled. Every delay is labelled with one searchsorted; each phase
-    mean is a sum over a contiguous gather in cycle order divided by its
-    count, as np.mean computes it, so the results are bit-identical to
-    label_cycles(cycles, shift_intervals(intervals, d)) followed by
-    average_params and diff_ex_in at every delay.
+    The sweep reads the start_s, end_s, midpoint_s, params and valid arrays
+    of cycles. At each delay d a cycle takes the phase of the interval whose
+    shifted half-open [start, end) holds its midpoint, where the shifted
+    boundaries are intervals.base_bounds + d; midpoints outside the shifted
+    span are unlabelled. Every delay is labelled with one searchsorted; each
+    phase mean is a sum over a contiguous gather in cycle order divided by
+    its count, as np.mean computes it, so the sweep equals labelling and
+    averaging the cycles one by one at each delay bit for bit
+    (tests/oracles.py holds that per-cycle reference).
 
     Delays where either phase has fewer than min_cycles valid cycles are
     skipped and recorded as NaN; more than max_missing_fraction of the grid
@@ -124,8 +90,8 @@ def sweep_diffs(
     if unknown:
         raise ValueError(f"parameters must be among {PARAMETERS}, got {unknown}")
     delays = _delay_grid(intervals.mean_period_s, step_s)
-    start, end, midpoints, params, valid = cycle_arrays(cycles)
-    rows = params[[PARAMETERS.index(p) for p in parameters]]
+    midpoints, valid = cycles.midpoint_s, cycles.valid
+    rows = cycles.params[[PARAMETERS.index(p) for p in parameters]]
     bounds = np.asarray(intervals.base_bounds)
     # Index -1 (outside the span) picks the trailing False.
     is_ex = np.array([p == EX for p in intervals.phases] + [False])
@@ -134,7 +100,7 @@ def sweep_diffs(
     missing = 0
     covered = False
     for i, delay in enumerate(delays.tolist()):
-        idx = _interval_index(midpoints, bounds, intervals.delay_s + delay)
+        idx = _interval_index(midpoints, bounds, delay)
         covered = covered or bool((idx >= 0).any())
         ex = valid & is_ex[idx]
         in_ = valid & is_in[idx]
@@ -149,7 +115,7 @@ def sweep_diffs(
         raise InsufficientCycles(
             f"belt and flow do not overlap: breathing intervals span "
             f"{belt_start:.2f}-{belt_end:.2f} s, flow cycles span "
-            f"{start.min():.2f}-{end.max():.2f} s, and no cycle midpoint falls "
+            f"{cycles.start_s.min():.2f}-{cycles.end_s.max():.2f} s, and no cycle midpoint falls "
             f"inside the belt span at any scan delay"
         )
     if missing > max_missing_fraction * delays.size:
@@ -161,7 +127,7 @@ def sweep_diffs(
 
 
 def delay_scan(
-    cycles,
+    cycles: CycleTable,
     intervals: RespIntervals,
     parameter: str,
     step_s: float = 0.075,

@@ -3,17 +3,16 @@
 Belt polarity convention: rising amplitude is inhalation, so a trough-to-peak
 stretch is an inspiratory interval (IN) and peak-to-trough is expiratory
 (EX). Invert the belt signal upstream if a sensor uses the opposite
-convention. Intervals can be shifted by a nonnegative delay; a positive
-delay means the flow response lags the belt.
+convention. The delay scan (rtpc.diff) shifts the intervals by nonnegative
+delays; a positive delay means the flow response lags the belt.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import cycle_arrays
 from .errors import NoBreathsDetected, NonAlternating
 from .io import SampledSignal
 from .numerics import find_peaks
@@ -24,24 +23,16 @@ UNLABELED = "UNLABELED"
 
 
 @dataclass(frozen=True)
-class RespInterval:
-    start_s: float
-    end_s: float
-    phase: str
-
-
-@dataclass(frozen=True)
 class RespIntervals:
     """Abutting, strictly alternating IN/EX intervals.
 
-    Boundaries are stored undelayed plus an accumulated delay, so shifting
-    composes exactly: shift(shift(I, a), b) equals shift(I, a + b).
+    base_bounds are the boundaries as detected on the belt; the delay scan
+    labels cycles under base_bounds + d for each delay d of its grid.
     """
 
     phases: tuple
     base_bounds: tuple  # len(phases) + 1 boundary times, undelayed
     mean_period_s: float
-    delay_s: float = 0.0
 
     def __post_init__(self):
         if len(self.base_bounds) != len(self.phases) + 1:
@@ -71,23 +62,8 @@ class RespIntervals:
         return len(self.phases)
 
     @property
-    def starts(self) -> np.ndarray:
-        return np.asarray(self.base_bounds[:-1]) + self.delay_s
-
-    @property
-    def ends(self) -> np.ndarray:
-        return np.asarray(self.base_bounds[1:]) + self.delay_s
-
-    @property
-    def intervals(self) -> tuple:
-        return tuple(
-            RespInterval(start_s=s, end_s=e, phase=p)
-            for s, e, p in zip(self.starts, self.ends, self.phases)
-        )
-
-    @property
     def span(self) -> tuple:
-        return (self.base_bounds[0] + self.delay_s, self.base_bounds[-1] + self.delay_s)
+        return (self.base_bounds[0], self.base_bounds[-1])
 
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
@@ -163,19 +139,12 @@ def detect_resp_intervals(
     return RespIntervals(phases=phases, base_bounds=bounds, mean_period_s=mean_period)
 
 
-def shift_intervals(intervals: RespIntervals, delay_s: float) -> RespIntervals:
-    """Move every boundary later by delay_s; phases and mean period unchanged."""
-    if delay_s < 0:
-        raise ValueError(f"delay must be >= 0, got {delay_s}")
-    return replace(intervals, delay_s=intervals.delay_s + delay_s)
-
-
 def _interval_index(midpoints: np.ndarray, bounds: np.ndarray, delay_s: float) -> np.ndarray:
     """Index of the half-open interval [start, end) holding each midpoint.
 
-    bounds are the undelayed interval boundaries and delay_s the total shift;
-    the shifted boundaries are bounds + delay_s, the same float operation as
-    RespIntervals.starts and .span. Midpoints outside the shifted span get -1.
+    bounds are the undelayed interval boundaries and delay_s the shift; the
+    shifted boundaries are bounds + delay_s. Midpoints outside the shifted
+    span get -1.
     """
     shifted = bounds + delay_s
     idx = np.searchsorted(shifted[:-1], midpoints, side="right") - 1
@@ -188,8 +157,7 @@ def label_cycles(cycles, intervals: RespIntervals) -> list:
 
     A cycle gets the phase of the interval containing its temporal midpoint;
     intervals are half-open [start, end), and midpoints outside the covered
-    span are UNLABELED.
+    span are UNLABELED. cycles is a CycleTable; only its midpoint_s is read.
     """
-    midpoints = cycle_arrays(cycles)[2]
-    idx = _interval_index(midpoints, np.asarray(intervals.base_bounds), intervals.delay_s)
+    idx = _interval_index(cycles.midpoint_s, np.asarray(intervals.base_bounds), 0.0)
     return [intervals.phases[i] if i >= 0 else UNLABELED for i in idx.tolist()]

@@ -37,6 +37,13 @@ class SignedRankResult:
     method: str  # "exact" | "normal-approximation"
 
 
+def _require_finite(values: np.ndarray, name: str) -> None:
+    """ValueError naming the argument and its first NaN or infinite entry."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{name} holds a non-finite value ({values[bad[0]]}) at index {bad[0]}")
+
+
 def average_ranks(values) -> np.ndarray:
     """1-based ranks with ties assigned the average of their positions."""
     values = np.asarray(values, dtype=np.float64)
@@ -95,6 +102,8 @@ def spearman(x, y) -> CorrelationResult:
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
+    _require_finite(x, "x")
+    _require_finite(y, "y")
     n = x.size
     if n < 3:
         raise TooFewSamples(f"need n >= 3, got {n}")
@@ -141,6 +150,8 @@ def wilcoxon_signed_rank(x, y) -> SignedRankResult:
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
+    _require_finite(x, "x")
+    _require_finite(y, "y")
     if x.size == 0:
         raise TooFewSamples("empty samples")
     d = x - y
@@ -182,6 +193,7 @@ def summarize(values) -> dict:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise EmptyInput("cannot summarize an empty list")
+    _require_finite(values, "values")
     mean = float(values.mean())
     sd = float(values.std(ddof=1)) if values.size >= 2 else None
     return {"mean": mean, "sd": sd}

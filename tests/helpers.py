@@ -1,4 +1,4 @@
-"""Shared test utilities: cached synthetic bundles and small constructors."""
+"""Shared test utilities: cached synthetic bundles, boundary matching and fresh interpreters."""
 
 import json
 import os
@@ -10,8 +10,6 @@ from pathlib import Path
 import numpy as np
 
 import rtpc
-from rtpc.cycles import CCFC, CycleBoundary, CycleParams
-from rtpc.respiration import RespIntervals
 from rtpc.synthgen import SimConfig, generate_signals, generate_velocity_series
 
 
@@ -37,28 +35,6 @@ def signals(**overrides):
 
 def images(**overrides):
     return _images_cached(json.dumps(overrides, sort_keys=True))
-
-
-def make_cycle(start_s: float, end_s: float, mean_flow: float = 740.0, valid: bool = True) -> CCFC:
-    period = end_s - start_s
-    return CCFC(
-        boundary=CycleBoundary(start_s=start_s, end_s=end_s),
-        samples=np.full(3, mean_flow),
-        params=CycleParams(
-            mean_flow_ml_min=mean_flow,
-            stroke_volume_ml=mean_flow * period / 60.0,
-            cardiac_period_s=period,
-        ),
-        valid=valid,
-    )
-
-
-def periodic_intervals(period_s: float, n_breaths: int, start_s: float = 0.0) -> RespIntervals:
-    """Strictly periodic IN/EX train: IN then EX, each period_s/2 long."""
-    half = period_s / 2.0
-    bounds = tuple(start_s + half * i for i in range(2 * n_breaths + 1))
-    phases = tuple("IN" if i % 2 == 0 else "EX" for i in range(2 * n_breaths))
-    return RespIntervals(phases=phases, base_bounds=bounds, mean_period_s=period_s)
 
 
 def match_boundaries(detected: np.ndarray, truth: np.ndarray, tol_s: float):

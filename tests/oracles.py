@@ -1,0 +1,167 @@
+"""Per-cycle reference forms of the cycle, labelling and Diff arithmetic.
+
+rtpc keeps cycles as the arrays of a CycleTable and sweeps every delay at
+once. The objects and functions here compute the same numbers one cycle and
+one delay at a time, the plain way; the tests hold the package to them bit
+for bit. `as_table` turns a list of oracle cycles into the five arrays
+sweep_diffs and label_cycles read.
+"""
+
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
+
+import numpy as np
+
+from rtpc.errors import DegenerateCycle, InsufficientCycles, ZeroInspiratoryValue
+from rtpc.io import SampledSignal
+from rtpc.respiration import EX, IN, RespIntervals
+
+#: Report parameter name -> CycleParams field, in the order of a CycleTable's params rows.
+_PARAM_ATTR = {
+    "mean_flow": "mean_flow_ml_min",
+    "stroke_volume": "stroke_volume_ml",
+    "cardiac_period": "cardiac_period_s",
+}
+
+
+@dataclass(frozen=True)
+class CycleBoundary:
+    start_s: float
+    end_s: float
+
+    def __post_init__(self):
+        if not self.end_s > self.start_s:
+            raise DegenerateCycle(f"cycle boundary [{self.start_s}, {self.end_s}] has no extent")
+
+    @property
+    def period_s(self) -> float:
+        return self.end_s - self.start_s
+
+    @property
+    def midpoint_s(self) -> float:
+        return self.start_s + 0.5 * self.period_s
+
+
+@dataclass(frozen=True)
+class CycleParams:
+    mean_flow_ml_min: float
+    stroke_volume_ml: float
+    cardiac_period_s: float
+
+
+@dataclass(frozen=True, eq=False)
+class CCFC:
+    """One cardiac cycle: its boundary, parameters and validity."""
+
+    boundary: CycleBoundary
+    params: CycleParams
+    valid: bool
+
+    @property
+    def midpoint_s(self) -> float:
+        return self.boundary.midpoint_s
+
+
+def cycle_params(flow: SampledSignal, boundary: CycleBoundary) -> CycleParams:
+    """Parameter triple of one cycle on the given (upsampled) signal grid.
+
+    stroke volume is the trapezoidal integral of Q/60 over the cycle (ml);
+    mean flow is 60 * SV / period, which makes mean * period == 60 * SV hold
+    exactly.
+    """
+    i0 = int(round((boundary.start_s - flow.t0_s) / flow.dt_s))
+    i1 = int(round((boundary.end_s - flow.t0_s) / flow.dt_s))
+    for i, t in ((i0, boundary.start_s), (i1, boundary.end_s)):
+        if abs(flow.t0_s + i * flow.dt_s - t) > 1e-6 * flow.dt_s:
+            raise ValueError(f"boundary time {t} is not on the signal grid (dt {flow.dt_s})")
+    if not (0 <= i0 and i1 < len(flow)):
+        raise ValueError(f"boundary [{boundary.start_s}, {boundary.end_s}] outside the signal span")
+    if i1 - i0 < 2:
+        raise DegenerateCycle(f"cycle spans {i1 - i0} samples, need >= 2")
+    period = boundary.period_s
+    stroke_volume = float(np.trapezoid(flow.values[i0 : i1 + 1], dx=flow.dt_s)) / 60.0
+    return CycleParams(
+        mean_flow_ml_min=60.0 * stroke_volume / period,
+        stroke_volume_ml=stroke_volume,
+        cardiac_period_s=period,
+    )
+
+
+def cycles_of(table) -> list:
+    """Each cycle of a CycleTable as a CCFC, its parameters from cycle_params."""
+    cycles = []
+    for i in range(len(table)):
+        boundary = CycleBoundary(start_s=float(table.start_s[i]), end_s=float(table.end_s[i]))
+        cycles.append(CCFC(boundary=boundary, params=cycle_params(table.signal, boundary),
+                           valid=bool(table.valid[i])))
+    return cycles
+
+
+def make_cycle(start_s: float, end_s: float, mean_flow: float = 740.0, valid: bool = True) -> CCFC:
+    period = end_s - start_s
+    return CCFC(
+        boundary=CycleBoundary(start_s=start_s, end_s=end_s),
+        params=CycleParams(
+            mean_flow_ml_min=mean_flow,
+            stroke_volume_ml=mean_flow * period / 60.0,
+            cardiac_period_s=period,
+        ),
+        valid=valid,
+    )
+
+
+def as_table(cycles) -> SimpleNamespace:
+    """The start_s, end_s, midpoint_s, params (3 x n) and valid arrays of
+    oracle cycles, laid out as a CycleTable holds them."""
+    start = np.array([c.boundary.start_s for c in cycles], dtype=np.float64)
+    end = np.array([c.boundary.end_s for c in cycles], dtype=np.float64)
+    params = np.array([[getattr(c.params, attr) for c in cycles] for attr in _PARAM_ATTR.values()],
+                      dtype=np.float64)
+    valid = np.array([c.valid for c in cycles], dtype=bool)
+    return SimpleNamespace(start_s=start, end_s=end, midpoint_s=start + 0.5 * (end - start),
+                           params=params, valid=valid)
+
+
+def periodic_intervals(period_s: float, n_breaths: int, start_s: float = 0.0) -> RespIntervals:
+    """Strictly periodic IN/EX train: IN then EX, each period_s/2 long."""
+    half = period_s / 2.0
+    bounds = tuple(start_s + half * i for i in range(2 * n_breaths + 1))
+    phases = tuple("IN" if i % 2 == 0 else "EX" for i in range(2 * n_breaths))
+    return RespIntervals(phases=phases, base_bounds=bounds, mean_period_s=period_s)
+
+
+def shift_intervals(intervals: RespIntervals, delay_s: float) -> RespIntervals:
+    """Move every boundary later by delay_s; phases and mean period unchanged.
+
+    Each shifted boundary is base_bound + delay_s, the float operation the
+    delay scan performs at that delay.
+    """
+    if delay_s < 0:
+        raise ValueError(f"delay must be >= 0, got {delay_s}")
+    return replace(intervals, base_bounds=tuple(b + delay_s for b in intervals.base_bounds))
+
+
+def average_params(cycles: list, labels: list, phase: str, min_cycles: int = 3) -> CycleParams:
+    """Arithmetic mean of each parameter over valid cycles with the phase label."""
+    if phase not in (IN, EX):
+        raise ValueError(f"phase must be {IN!r} or {EX!r}, got {phase!r}")
+    if len(cycles) != len(labels):
+        raise ValueError(f"{len(cycles)} cycles vs {len(labels)} labels")
+    selected = [c.params for c, lab in zip(cycles, labels) if c.valid and lab == phase]
+    if len(selected) < min_cycles:
+        raise InsufficientCycles(
+            f"{len(selected)} valid {phase} cycles, need {min_cycles}"
+        )
+    return CycleParams(**{attr: float(np.mean([getattr(p, attr) for p in selected]))
+                          for attr in _PARAM_ATTR.values()})
+
+
+def diff_ex_in(p_ex: CycleParams, p_in: CycleParams) -> dict:
+    """Percentage difference 100 * (EX - IN) / IN for each parameter."""
+    diffs = {}
+    for param, attr in _PARAM_ATTR.items():
+        ex_value, in_value = getattr(p_ex, attr), getattr(p_in, attr)
+        if in_value == 0:
+            raise ZeroInspiratoryValue(f"inspiratory {param} is zero")
+        diffs[param] = 100.0 * (ex_value - in_value) / in_value
+    return diffs

@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import images, make_cycle, periodic_intervals, signals
+from helpers import images, signals
+from oracles import as_table, make_cycle, periodic_intervals
 
 from rtpc.cli import main
 from rtpc.cycles import detect_cycles
@@ -85,12 +86,11 @@ def test_criterion_4_identity_suite():
     for config in (dict(ANCHOR), dict(ANCHOR, artifacts={"noise_sd": 50.0}, seed=3)):
         flow, resp, _ = signals(**config)
         cycles = detect_cycles(flow)
-        for c in cycles:
-            lhs = c.params.mean_flow_ml_min * c.params.cardiac_period_s
-            rhs = 60.0 * c.params.stroke_volume_ml
-            if abs(lhs - rhs) > 1e-12 * abs(rhs):
-                failures.append(f"identity violated: {lhs} vs {rhs}")
-                break
+        mean_flow, stroke_volume, period = cycles.params
+        lhs, rhs = mean_flow * period, 60.0 * stroke_volume
+        violated = np.flatnonzero(np.abs(lhs - rhs) > 1e-12 * np.abs(rhs))
+        if violated.size:
+            failures.append(f"identity violated: {lhs[violated[0]]} vs {rhs[violated[0]]}")
         intervals = detect_resp_intervals(resp)
         labels = label_cycles(cycles, intervals)
         counts = {IN: 0, EX: 0, UNLABELED: 0}
@@ -104,7 +104,8 @@ def test_criterion_4_identity_suite():
                 failures.append(f"delay_pct {scan.delay_pct} outside [0, 100)")
 
     # constant flow: Diff identically zero at every delay
-    const_cycles = [make_cycle(0.47 + 0.94 * i, 0.47 + 0.94 * (i + 1), 600.0) for i in range(60)]
+    const_cycles = as_table(
+        [make_cycle(0.47 + 0.94 * i, 0.47 + 0.94 * (i + 1), 600.0) for i in range(60)])
     train = periodic_intervals(period_s=4.3, n_breaths=12)
     scan = delay_scan(const_cycles, train, "mean_flow")
     finite = scan.diff_pct[np.isfinite(scan.diff_pct)]

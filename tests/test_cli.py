@@ -1,8 +1,9 @@
+import importlib
+import inspect
 import json
 import os
 import re
 import struct
-import importlib
 import subprocess
 import sys
 import tracemalloc
@@ -168,7 +169,7 @@ class TestExtract:
         from rtpc.cycles import detect_cycles
 
         cycles = detect_cycles(extracted)
-        periods = [c.params.cardiac_period_s for c in cycles if c.valid]
+        periods = cycles.params[2][cycles.valid]
         assert np.mean(periods) == pytest.approx(0.94, abs=0.02)
 
     def test_no_background_correction_bias(self, dataset, tmp_path):
@@ -613,6 +614,17 @@ class TestAnalyze:
         report = read_report(out)
         assert report.resp_period_s == pytest.approx(4.3, abs=0.05)
         assert report.config["diff_definition"] == "ex-in-over-in"
+        # The config blocks restate the detectors' defaults: they must be the ones that ran.
+        from rtpc.cycles import detect_cycles
+        from rtpc.respiration import detect_resp_intervals
+
+        for block, function in (("cycles", detect_cycles), ("respiration", detect_resp_intervals)):
+            defaults = {
+                name: list(param.default) if isinstance(param.default, tuple) else param.default
+                for name, param in inspect.signature(function).parameters.items()
+                if param.default is not inspect.Parameter.empty
+            }
+            assert report.config[block] == defaults, block
         artery = report.arteries[0]
         assert artery.name == "flow"
         assert artery.mean_flow_ml_min == pytest.approx(740.0 * 1.05, rel=0.03)

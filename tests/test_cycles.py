@@ -5,15 +5,9 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from helpers import match_boundaries, signals
+from oracles import CycleBoundary, cycle_params, cycles_of
 
-from rtpc.cycles import (
-    CycleBoundary,
-    CycleTable,
-    _select_minima,
-    cycle_params,
-    detect_cycles,
-    resample,
-)
+from rtpc.cycles import CycleTable, _select_minima, detect_cycles, resample
 from rtpc.errors import DegenerateCycle, NoCyclesFound, TooShort
 from rtpc.io import SampledSignal
 from rtpc.synthgen import pulse_waveform
@@ -72,7 +66,7 @@ class TestDetectCycles:
         cycles = detect_cycles(flow)
         assert 124 <= len(cycles) <= 128  # 126 +/- 2
         assert len(cycles) == len(truth.cycles)
-        detected = np.array([c.boundary.start_s for c in cycles] + [cycles[-1].boundary.end_s])
+        detected = np.append(cycles.start_s, cycles.end_s[-1])
         errors = match_boundaries(detected, truth.boundaries(), tol_s=0.0375)
         assert errors.max() <= 0.0375  # half a raw sample
 
@@ -96,17 +90,15 @@ class TestDetectCycles:
         periods = [0.94] * 20 + [1.88] + [0.94] * 20
         flow, bounds = pulse_train(periods)
         cycles = detect_cycles(flow)
-        invalid = [c for c in cycles if not c.valid]
-        assert len(invalid) == 1
-        assert invalid[0].params.cardiac_period_s == pytest.approx(1.88, abs=0.075)
-        assert invalid[0].invalid_reason == "period_outside_validity_band"
-        assert all(c.valid for c in cycles if c is not invalid[0])
+        invalid = np.flatnonzero(~cycles.valid)
+        assert invalid.size == 1
+        assert cycles.params[2, invalid[0]] == pytest.approx(1.88, abs=0.075)
+        assert np.count_nonzero(cycles.valid) == len(cycles) - 1
 
     def test_partition_no_gaps(self):
         flow, _, _ = signals(duration_s=60.0, seed=5)
         cycles = detect_cycles(flow)
-        for a, b in zip(cycles[:-1], cycles[1:]):
-            assert a.boundary.end_s == b.boundary.start_s
+        assert np.array_equal(cycles.end_s[:-1], cycles.start_s[1:])
 
     def test_time_shift_equivariance(self):
         flow, _, _ = signals(duration_s=120.0, seed=5)
@@ -114,8 +106,8 @@ class TestDetectCycles:
         n = 1200
         a = SampledSignal(t0_s=0.0, dt_s=flow.dt_s, values=flow.values[:n], kind="flow")
         b = SampledSignal(t0_s=0.0, dt_s=flow.dt_s, values=flow.values[k : n + k], kind="flow")
-        bounds_a = np.array([c.boundary.start_s for c in detect_cycles(a)])
-        bounds_b = np.array([c.boundary.start_s for c in detect_cycles(b)])
+        bounds_a = detect_cycles(a).start_s
+        bounds_b = detect_cycles(b).start_s
         # interior boundaries of the shifted window match, offset by k samples
         expected = bounds_a - k * flow.dt_s
         core = expected[(expected > 2.0) & (expected < b.duration_s - 2.0)]
@@ -128,17 +120,18 @@ class TestDetectCycles:
         base_cycles = detect_cycles(flow)
         scaled_cycles = detect_cycles(scaled)
         assert len(base_cycles) == len(scaled_cycles)
-        for a, b in zip(base_cycles, scaled_cycles):
-            assert a.boundary == b.boundary
-            assert b.params.cardiac_period_s == a.params.cardiac_period_s
-            assert b.params.stroke_volume_ml == pytest.approx(3.0 * a.params.stroke_volume_ml, rel=1e-9)
-            assert b.params.mean_flow_ml_min == pytest.approx(3.0 * a.params.mean_flow_ml_min, rel=1e-9)
+        assert np.array_equal(scaled_cycles.start_s, base_cycles.start_s)
+        assert np.array_equal(scaled_cycles.end_s, base_cycles.end_s)
+        assert np.array_equal(scaled_cycles.params[2], base_cycles.params[2])
+        np.testing.assert_allclose(scaled_cycles.params[:2], 3.0 * base_cycles.params[:2],
+                                   rtol=1e-9, atol=0)
 
     def test_deterministic(self):
         flow, _, _ = signals(duration_s=60.0, seed=5)
         a = detect_cycles(flow)
         b = detect_cycles(flow)
-        assert [c.boundary for c in a] == [c.boundary for c in b]
+        assert np.array_equal(a.start_s, b.start_s)
+        assert np.array_equal(a.end_s, b.end_s)
 
 
 #: Flow signals the property tests draw from: seeds, durations and modulation.
@@ -151,23 +144,15 @@ PROPERTY_FLOWS = [
 
 
 class TestCycleTable:
-    def test_sequence_views_are_cached(self):
+    def test_arrays_are_read_only(self):
         flow, _, _ = signals(duration_s=60.0, seed=5)
         table = detect_cycles(flow)
         assert isinstance(table, CycleTable)
-        n = len(table)
-        assert table[0] is table[0] is table[-n]
-        assert table[-1] is table[n - 1]
-        assert table[1:4] == [table[1], table[2], table[3]]
-        assert list(table)[-1] is table[-1]
-        for bad in (n, -n - 1):
-            with pytest.raises(IndexError):
-                table[bad]
-        c = table[3]
-        assert c.samples.base is None  # a copy: writing it leaves the table alone
-        with pytest.raises(ValueError):
-            table.params[0, 3] = 0.0
-        assert np.array_equal(c.samples, table.signal.values[table.bounds[3] : table.bounds[4] + 1])
+        assert len(table) == table.valid.size == table.params.shape[1]
+        for array in (table.bounds, table.start_s, table.end_s, table.midpoint_s, table.params,
+                      table.valid):
+            with pytest.raises(ValueError):
+                array[0] = array[1]
 
     @settings(max_examples=20, deadline=None)
     @given(case=st.sampled_from(PROPERTY_FLOWS), factor=st.sampled_from([1, 8]))
@@ -175,14 +160,10 @@ class TestCycleTable:
         flow, _, _ = signals(**case)
         table = detect_cycles(flow, upsample_factor=factor)
         assert table.params.shape == (3, len(table))
-        for i, c in enumerate(table):
-            assert (c.boundary.start_s, c.boundary.end_s) == (table.start_s[i], table.end_s[i])
+        for i, c in enumerate(cycles_of(table)):
             assert c.midpoint_s == table.midpoint_s[i]
-            assert c.params == cycle_params(table.signal, c.boundary)
             assert [c.params.mean_flow_ml_min, c.params.stroke_volume_ml,
                     c.params.cardiac_period_s] == table.params[:, i].tolist()
-            assert c.valid == table.valid[i]
-            assert (c.invalid_reason is None) == c.valid
 
     def test_degenerate_and_out_of_span_boundaries_rejected(self):
         s = SampledSignal(t0_s=0.0, dt_s=0.075, values=np.arange(10.0), kind="flow")
@@ -243,10 +224,10 @@ class TestCycleParams:
 
     def test_identity_exact_on_detected_cycles(self):
         flow, _, _ = signals(duration_s=60.0, seed=5)
-        for c in detect_cycles(flow):
-            lhs = c.params.mean_flow_ml_min * c.params.cardiac_period_s
-            rhs = 60.0 * c.params.stroke_volume_ml
-            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+        mean_flow, stroke_volume, period = detect_cycles(flow).params
+        lhs = mean_flow * period
+        rhs = 60.0 * stroke_volume
+        assert (np.abs(lhs - rhs) <= 1e-12 * np.abs(rhs)).all()
 
     def test_degenerate_cycle(self):
         s = SampledSignal(t0_s=0.0, dt_s=0.075, values=np.arange(10.0), kind="flow")

@@ -5,16 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_cycle, periodic_intervals, signals
+from helpers import signals
+from oracles import (
+    CycleParams,
+    as_table,
+    average_params,
+    cycles_of,
+    diff_ex_in,
+    make_cycle,
+    periodic_intervals,
+    shift_intervals,
+)
 
 import rtpc.diff
-from rtpc.cycles import CycleParams, detect_cycles
+from rtpc.cycles import detect_cycles
 from rtpc.diff import (
     PARAMETERS,
     _delay_grid,
-    average_params,
     delay_scan,
-    diff_ex_in,
     extract_result,
     finalize_scan,
     sweep_diffs,
@@ -27,7 +35,6 @@ from rtpc.respiration import (
     RespIntervals,
     detect_resp_intervals,
     label_cycles,
-    shift_intervals,
 )
 
 
@@ -60,8 +67,9 @@ class TestAverageParams:
             duration_s=300.0,
             modulation={"mean_flow_pct": 10.0, "shape": "square"},
         )
-        cycles = detect_cycles(flow)
-        labels = label_cycles(cycles, detect_resp_intervals(resp))
+        table = detect_cycles(flow)
+        labels = label_cycles(table, detect_resp_intervals(resp))
+        cycles = cycles_of(table)
         p_ex = average_params(cycles, labels, EX)
         p_in = average_params(cycles, labels, IN)
         assert p_ex.mean_flow_ml_min / p_in.mean_flow_ml_min == pytest.approx(1.10, abs=0.01)
@@ -92,7 +100,7 @@ def constant_cycle_set(duration_s=60.0, period=0.94, mean=600.0):
     while start + period < duration_s:
         cycles.append(make_cycle(start, start + period, mean))
         start += period
-    return cycles
+    return as_table(cycles)
 
 
 class TestDelayScan:
@@ -140,7 +148,7 @@ class TestDelayScan:
 
     def test_unknown_parameter(self):
         with pytest.raises(ValueError):
-            delay_scan([], periodic_intervals(4.0, 4), "bogus")
+            delay_scan(as_table([]), periodic_intervals(4.0, 4), "bogus")
 
     @pytest.mark.parametrize("step_s", [0.0, -0.075, np.nan, np.inf])
     def test_step_not_finite_or_positive(self, step_s):
@@ -168,7 +176,7 @@ class TestSweepMissingDelays:
         # enough strands one phase below min_cycles
         intervals = periodic_intervals(period_s=4.0, n_breaths=3)
         cycles = [make_cycle(0.1 + 0.45 * i, 0.55 + 0.45 * i, 700.0 + i) for i in range(8)]
-        return cycles, intervals
+        return as_table(cycles), intervals
 
     def test_skipped_delays_recorded_as_nan(self):
         cycles, intervals = self.make_sparse_setup()
@@ -188,7 +196,7 @@ class TestSweepMissingDelays:
 def oracle_label_cycles(cycles, intervals):
     """The per-cycle labelling the package used to run: one scalar
     searchsorted per midpoint."""
-    starts = intervals.starts
+    starts = np.asarray(intervals.base_bounds[:-1])
     span_start, span_end = intervals.span
     labels = []
     for cycle in cycles:
@@ -213,7 +221,7 @@ def oracle_sweep(cycles, intervals, step_s, min_cycles, max_missing_fraction):
     for i, delay in enumerate(delays):
         shifted = shift_intervals(intervals, float(delay))
         labels = oracle_label_cycles(cycles, shifted)
-        assert label_cycles(cycles, shifted) == labels
+        assert label_cycles(as_table(cycles), shifted) == labels
         covered = covered or any(lab != UNLABELED for lab in labels)
         try:
             p_ex = average_params(cycles, labels, EX, min_cycles=min_cycles)
@@ -229,20 +237,23 @@ def oracle_sweep(cycles, intervals, step_s, min_cycles, max_missing_fraction):
 
 
 def assert_sweeps_identical(cycles, intervals, step_s=0.075, min_cycles=3,
-                            max_missing_fraction=0.2):
+                            max_missing_fraction=0.2, table=None):
+    """sweep_diffs on table (by default as_table(cycles)) against oracle_sweep
+    on the oracle cycles."""
     kwargs = dict(step_s=step_s, min_cycles=min_cycles, max_missing_fraction=max_missing_fraction)
+    table = as_table(cycles) if table is None else table
     try:
         want = oracle_sweep(cycles, intervals, **kwargs)
     except InsufficientCycles:
         with pytest.raises(InsufficientCycles):
-            sweep_diffs(cycles, intervals, **kwargs)
+            sweep_diffs(table, intervals, **kwargs)
         return None
     if cycles and not want[2]:
         # The oracle returns an all-NaN scan; the sweep names the missing overlap.
         with pytest.raises(InsufficientCycles, match="do not overlap"):
-            sweep_diffs(cycles, intervals, **kwargs)
+            sweep_diffs(table, intervals, **kwargs)
         return None
-    delays, diffs = sweep_diffs(cycles, intervals, **kwargs)
+    delays, diffs = sweep_diffs(table, intervals, **kwargs)
     assert np.array_equal(delays, want[0])
     assert list(diffs) == list(want[1])
     for param in PARAMETERS:
@@ -271,7 +282,7 @@ def sweep_cases(draw):
     step_s = draw(st.sampled_from([0.075, 0.25, 0.5]), label="step_s")
     # Midpoints on the shifted boundaries of some delays, beyond the span, and at random.
     grid = _delay_grid(period, step_s)
-    shifted = [b + (intervals.delay_s + float(d)) for d in grid[:3] for b in bounds]
+    shifted = [b + (pre_delay + float(d)) for d in grid[:3] for b in bounds]
     lo, hi = bounds[0] - 1.0, bounds[-1] + period + 1.0
     # A train under the first breath only leaves one phase short at some delays.
     train_end = draw(st.sampled_from([hi, bounds[0] + period]), label="train_end")
@@ -301,14 +312,14 @@ class TestSweepMatchesPerDelayOracle:
             assert_sweeps_identical(cycles, intervals, step_s, min_cycles, max_missing)
         except ZeroInspiratoryValue:
             with pytest.raises(ZeroInspiratoryValue):
-                sweep_diffs(cycles, intervals, step_s=step_s, min_cycles=min_cycles,
+                sweep_diffs(as_table(cycles), intervals, step_s=step_s, min_cycles=min_cycles,
                             max_missing_fraction=max_missing)
 
     def test_min_cycles_edge(self):
         # exactly min_cycles cycles per phase at zero delay: kept; one more needed: skipped
         intervals = periodic_intervals(period_s=4.0, n_breaths=3)
         cycles = [make_cycle(0.1 + 0.6 * i, 0.7 + 0.6 * i, 700.0 + i) for i in range(6)]
-        labels = label_cycles(cycles, intervals)
+        labels = label_cycles(as_table(cycles), intervals)
         assert labels.count(IN) == 3 and labels.count(EX) == 3
         kept = assert_sweeps_identical(cycles, intervals, step_s=0.5, min_cycles=3,
                                        max_missing_fraction=1.0)
@@ -320,34 +331,35 @@ class TestSweepMatchesPerDelayOracle:
     def test_midpoint_on_boundary_is_half_open(self):
         # dyadic times: every midpoint sits exactly on a shifted boundary
         intervals = shift_intervals(periodic_intervals(period_s=4.0, n_breaths=4), 0.25)
-        mids = [float(m) for m in intervals.starts] * 2 + [intervals.span[1]]
+        mids = list(intervals.base_bounds[:-1]) * 2 + [intervals.span[1]]
         cycles = [make_cycle(m - 0.5, m + 0.5, 600.0 + 10.0 * k) for k, m in enumerate(mids)]
         assert [c.midpoint_s for c in cycles] == mids
-        labels = label_cycles(cycles, intervals)
+        labels = label_cycles(as_table(cycles), intervals)
         assert labels[:8] == list(intervals.phases)  # [start, end): a start opens its interval
         assert labels[-1] == UNLABELED  # the span's end is outside
         assert_sweeps_identical(cycles, intervals, step_s=0.25, min_cycles=2)
 
     def test_detected_signal(self):
         flow, resp, _ = signals(duration_s=120.0, seed=5)
-        cycles = detect_cycles(flow)
+        table = detect_cycles(flow)
+        cycles = cycles_of(table)
         intervals = detect_resp_intervals(resp)
-        assert_sweeps_identical(cycles, intervals)
-        assert_sweeps_identical(cycles, shift_intervals(intervals, 0.6))
+        assert_sweeps_identical(cycles, intervals, table=table)
+        assert_sweeps_identical(cycles, shift_intervals(intervals, 0.6), table=table)
 
     def test_zero_inspiratory_stroke_volume(self):
         intervals = periodic_intervals(period_s=4.0, n_breaths=6)
         cycles = [make_cycle(0.05 + 0.5 * i, 0.55 + 0.5 * i, 700.0) for i in range(48)]
         cycles = [replace(c, params=replace(c.params, stroke_volume_ml=0.0)) for c in cycles]
         with pytest.raises(ZeroInspiratoryValue, match="inspiratory stroke_volume is zero"):
-            sweep_diffs(cycles, intervals)
+            sweep_diffs(as_table(cycles), intervals)
 
     def test_no_overlap_names_both_spans(self):
         intervals = shift_intervals(periodic_intervals(period_s=4.0, n_breaths=6), 5000.0)
         cycles = [make_cycle(0.05 + 0.5 * i, 0.55 + 0.5 * i, 700.0) for i in range(48)]
         for max_missing in (0.2, 1.0):
             with pytest.raises(InsufficientCycles) as exc:
-                sweep_diffs(cycles, intervals, max_missing_fraction=max_missing)
+                sweep_diffs(as_table(cycles), intervals, max_missing_fraction=max_missing)
             message = str(exc.value)
             assert "5000.00-5024.00 s" in message
             assert "0.05-24.05 s" in message
@@ -372,7 +384,7 @@ class TestSignedMaxCompleteness:
 class TestPhaseSwapProperty:
     def test_half_period_shift_swaps_labels(self):
         intervals = periodic_intervals(period_s=4.0, n_breaths=40)
-        cycles = [make_cycle(8.0 + 0.9 * i, 8.9 + 0.9 * i) for i in range(120)]
+        cycles = as_table([make_cycle(8.0 + 0.9 * i, 8.9 + 0.9 * i) for i in range(120)])
         half = intervals.mean_period_s / 2.0
         for d in (0.0, 0.6, 1.1):
             lab_a = label_cycles(cycles, shift_intervals(intervals, d))
@@ -400,7 +412,7 @@ class TestHalfPeriodShiftInvertsRatio:
         # At least every third cycle is valid, so every phase keeps cycles.
         cycles = [make_cycle(a, b, m, valid=ok or k % 3 == 0)
                   for k, (a, b, m, ok) in enumerate(zip(starts, ends, means, valid))]
-        delays, diffs = sweep_diffs(cycles, intervals, step_s=0.5, min_cycles=3,
+        delays, diffs = sweep_diffs(as_table(cycles), intervals, step_s=0.5, min_cycles=3,
                                     max_missing_fraction=1.0)
         half = int(round(intervals.mean_period_s / 2.0 / 0.5))
         assert delays[half] == intervals.mean_period_s / 2.0
@@ -432,7 +444,7 @@ class TestSweepOnCycleTable:
         table = detect_cycles(flow)
         intervals = shift_intervals(detect_resp_intervals(resp), pre_delay)
         delays, diffs = sweep_diffs(table, intervals, step_s=step_s, parameters=parameters)
-        want_delays, want = sweep_diffs(list(table), intervals, step_s=step_s)
+        want_delays, want = sweep_diffs(as_table(cycles_of(table)), intervals, step_s=step_s)
         assert np.array_equal(delays, want_delays)
         assert list(diffs) == list(parameters)
         for param in parameters:

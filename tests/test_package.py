@@ -1,7 +1,10 @@
 """`rtpc` exports its API on first access (PEP 562): every exported name is
-the object its defining module holds, and the set of names is fixed."""
+the object its defining module holds, and the set of names is fixed. The
+README's library example runs against that API."""
 
 import importlib
+import math
+from pathlib import Path
 
 import pytest
 
@@ -9,17 +12,15 @@ import rtpc
 
 #: The exported names, by defining module.
 EXPORTS = {
-    "cycles": ("CCFC", "CycleBoundary", "CycleParams", "CycleTable", "cycle_params",
-               "detect_cycles", "resample"),
-    "diff": ("DiffScanResult", "PARAMETERS", "average_params", "delay_scan", "diff_ex_in",
-             "extract_result"),
+    "cycles": ("CycleTable", "detect_cycles", "resample"),
+    "diff": ("DiffScanResult", "PARAMETERS", "delay_scan", "extract_result"),
     "extraction": ("BackgroundEstimate", "RoiSeries", "compute_flow", "correct_background",
                    "quality_score", "segment_roi", "sum_flows", "unalias"),
     "io": ("RoiMask", "SampledSignal", "VelocityMapSeries", "read_mask", "read_signal_csv",
            "read_velocity_series", "write_mask", "write_signal_csv", "write_velocity_series"),
     "report": ("ArteryRecord", "DiffRecord", "QcFlags", "Report", "read_report", "write_report"),
     "respiration": ("EX", "IN", "UNLABELED", "RespIntervals", "detect_resp_intervals",
-                    "label_cycles", "shift_intervals"),
+                    "label_cycles"),
     "stats": ("spearman", "summarize", "wilcoxon_signed_rank"),
     "synthgen": ("GroundTruth", "SimConfig", "generate_signals", "generate_velocity_series"),
 }
@@ -50,3 +51,14 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         rtpc.no_such_name  # noqa: B018
     assert not hasattr(rtpc, "no_such_name")
+
+
+def test_readme_library_snippet_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(snippet, namespace)
+    scan, cycles = namespace["scan"], namespace["cycles"]
+    assert all(math.isfinite(v) for v in (scan.max_diff_pct, scan.argmax_delay_s, scan.delay_pct))
+    assert len(cycles) == cycles.valid.size

@@ -251,3 +251,18 @@ class TestSummarize:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             summarize([])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_named(bad):
+    # A NaN never equals itself, so ranking one used to loop for ever.
+    cases = [
+        (lambda: spearman([1.0, 2.0, bad, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0]), "x", 2),
+        (lambda: spearman([1.0, 2.0, 3.0, 4.0, 5.0], [bad, 2.0, 3.0, 4.0, bad]), "y", 0),
+        (lambda: wilcoxon_signed_rank([1.0, 2.0, 3.0, bad], [0.0] * 4), "x", 3),
+        (lambda: wilcoxon_signed_rank([1.0, 2.0, 3.0, 4.0], [0.0, bad, 0.0, bad]), "y", 1),
+        (lambda: summarize([1.0, bad]), "values", 1),
+    ]
+    for call, name, index in cases:
+        with pytest.raises(ValueError, match=rf"^{name} holds a non-finite value .* at index {index}$"):
+            call()
