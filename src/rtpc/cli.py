@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from . import report as settings
 from .errors import (
     EmptySegmentation,
     InsufficientCycles,
@@ -35,11 +36,11 @@ from .svgplot import render_line_chart
 _CALLS = {
     ".cycles": ("detect_cycles",),
     ".diff": ("MAX_SCAN_DELAYS", "extract_result", "finalize_scan", "sweep_diffs"),
-    ".extraction": ("RoiSeries", "compute_flow", "correct_background", "quality_score",
-                    "roi_window", "segment_roi", "sum_flows", "unalias"),
+    ".extraction": ("COMPONENT_START_HALF_PX", "RoiSeries", "compute_flow", "correct_background",
+                    "quality_score", "roi_window", "seed_window", "segment_roi", "sum_flows",
+                    "unalias"),
     ".io": ("RoiMask", "SampledSignal", "read_mask", "read_signal_csv", "read_velocity_header",
             "read_velocity_series", "write_mask", "write_signal_csv", "write_velocity_series"),
-    ".numerics": ("COMPONENT_START_HALF_PX", "reaches_inner_edge", "seed_window"),
     ".respiration": ("detect_resp_intervals",),
     ".synthgen": ("SimConfig", "generate_signals", "generate_velocity_series"),
     # No command calls it: perfbench/tracing.py replaces cli.ThreadPoolExecutor.
@@ -92,14 +93,8 @@ def _usage_error(command: str, message: str) -> int:
     return USAGE_ERROR
 
 
-def analyze_flow_signal(
-    name: str,
-    flow: SampledSignal,
-    intervals,
-    step_s: float = 0.075,
-    min_cycles: int = 3,
-    snr_threshold: float = 5.0,
-) -> ArteryRecord:
+def analyze_flow_signal(name: str, flow: SampledSignal, intervals, step_s: float, min_cycles: int,
+                        snr_threshold: float) -> ArteryRecord:
     """Full single-artery analysis: QC, cycles, and the three delay scans."""
     import numpy as np
 
@@ -147,12 +142,13 @@ def _seeded_roi(args, height: int, width: int) -> tuple:
     """The last seed window read of the series, and the seed's ROI in it.
 
     segment_roi runs on a window around the seed that covers --max-radius-px
-    and seed_component's first window. While the union ROI touches a window
-    edge that is not an image edge, or its roi_window does not fit inside
-    the window, the window is read again twice as wide. So the ROI is the
-    one whole frames give, and the window holds it with its background
-    band: the series is read once, plus once per doubling, and the chain
-    runs on the last read. Errors name the seed in image coordinates.
+    and at least COMPONENT_START_HALF_PX on each side. While the union ROI's
+    roi_window does not fit inside the window, the window is read again twice
+    as wide. roi_window grows the ROI by at least one pixel, so a ROI that
+    fits touches no window edge that is not an image edge: it is the one
+    whole frames give, and the window holds it with its background band. The
+    series is read once, plus once per doubling; the chain runs on the last
+    read. Errors name the seed in image coordinates.
     """
     import numpy as np
 
@@ -163,26 +159,20 @@ def _seeded_roi(args, height: int, width: int) -> tuple:
         local = (sx - window[1].start, sy - window[0].start)
         series = read_velocity_series(args.series, venc_mm_s=args.venc, window=window)
         try:
-            roi = segment_roi(
-                series,
-                seed=local,
-                velocity_threshold_fraction=args.threshold_fraction,
-                max_radius_px=args.max_radius_px,
-            )
+            roi = segment_roi(series, seed=local, velocity_threshold_fraction=args.threshold_fraction,
+                              max_radius_px=args.max_radius_px)
         except (EmptySegmentation, SeedOutsideVessel) as exc:
             raise type(exc)(str(exc).replace(f"seed {local}", f"seed {args.seed}")) from None
-        union = roi.union()
         image_union = np.zeros((height, width), dtype=bool)
-        image_union[window] = union
-        fits = all(cut.start <= into.start and into.stop <= cut.stop
-                   for cut, into in zip(window, roi_window(image_union)))
-        if fits and not reaches_inner_edge(union, window, (height, width)):
+        image_union[window] = roi.union()
+        if all(cut.start <= into.start and into.stop <= cut.stop
+               for cut, into in zip(window, roi_window(image_union))):
             return series, roi
         half *= 2
 
 
 def cmd_extract(args, written: list) -> int:
-    _load(".io", ".extraction", ".numerics")
+    _load(".io", ".extraction")
     header = read_velocity_header(args.series)
     height, width = header["height"], header["width"]
     if args.venc is not None and not (math.isfinite(args.venc) and args.venc > 0.0):
@@ -191,7 +181,7 @@ def cmd_extract(args, written: list) -> int:
         # The threshold only sets the QC sidecar's `excluded`: refuse it without one.
         return _usage_error("extract", "--snr-threshold applies to --qc only")
     if args.snr_threshold is None:
-        args.snr_threshold = 5.0
+        args.snr_threshold = settings.SNR_THRESHOLD
     if not (math.isfinite(args.snr_threshold) and args.snr_threshold >= 0.0):
         return _usage_error(
             "extract", f"--snr-threshold must be finite and >= 0, got {args.snr_threshold!r}"
@@ -208,9 +198,9 @@ def cmd_extract(args, written: list) -> int:
                 return _usage_error("extract", f"{option} applies to --seed only, not to --mask")
     else:
         if args.threshold_fraction is None:
-            args.threshold_fraction = 0.5
+            args.threshold_fraction = settings.THRESHOLD_FRACTION
         if args.max_radius_px is None:
-            args.max_radius_px = 12.0
+            args.max_radius_px = settings.MAX_RADIUS_PX
         if not (0.0 < args.threshold_fraction <= 1.0):
             return _usage_error(
                 "extract", f"--threshold-fraction must be in (0, 1], got {args.threshold_fraction!r}"
@@ -274,6 +264,18 @@ def cmd_analyze(args, written: list) -> int:
     flow_paths = [p for chunk in args.flow for p in chunk.split(",") if p]
     if not flow_paths:
         return _usage_error("analyze", "no flow files given")
+    # The report tells records apart by name, and each record's SVGs are named after it.
+    names = [(Path(p).stem, p) for p in flow_paths]
+    if len(flow_paths) > 1:
+        names.append((args.name, "--name"))
+    source_of = {}
+    for name, source in names:
+        key = _safe_name(name)
+        if key in source_of:
+            return _usage_error(
+                "analyze", f"{source_of[key]} and {source} give the same record name {key!r}"
+            )
+        source_of[key] = source
     if not (math.isfinite(args.delay_step_ms) and args.delay_step_ms > 0.0):
         return _usage_error(
             "analyze", f"--delay-step-ms must be finite and > 0, got {args.delay_step_ms!r}"
@@ -296,15 +298,15 @@ def cmd_analyze(args, written: list) -> int:
         "delay_step_s": step_s,
         "min_cycles_per_phase": args.min_cycles,
         "cycles": {
-            "upsample_factor": 8,
-            "period_band_s": [0.4, 2.0],
-            "min_separation_fraction": 0.6,
-            "validity_band": [0.6, 1.5],
+            "upsample_factor": settings.UPSAMPLE_FACTOR,
+            "period_band_s": list(settings.PERIOD_BAND_S),
+            "min_separation_fraction": settings.MIN_SEPARATION_FRACTION,
+            "validity_band": list(settings.VALIDITY_BAND),
         },
         "respiration": {
-            "smooth_window_s": 0.5,
-            "min_separation_s": 1.5,
-            "prominence_fraction": 0.2,
+            "smooth_window_s": settings.SMOOTH_WINDOW_S,
+            "min_separation_s": settings.MIN_SEPARATION_S,
+            "prominence_fraction": settings.PROMINENCE_FRACTION,
         },
         "quality": {"snr_threshold": args.snr_threshold},
     }
@@ -418,12 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--no-unalias", action="store_true")
     pe.add_argument("--threshold-fraction", type=float,
                     help="segmentation threshold as a fraction of the local p99 speed "
-                         "(--seed only; default 0.5)")
+                         f"(--seed only; default {settings.THRESHOLD_FRACTION:g})")
     pe.add_argument("--max-radius-px", type=float,
-                    help="reference neighborhood radius around the seed (--seed only; default 12)")
+                    help="reference neighborhood radius around the seed "
+                         f"(--seed only; default {settings.MAX_RADIUS_PX:g})")
     pe.add_argument("--snr-threshold", type=float,
                     help="cardiac SNR below this flags the signal for exclusion "
-                         "(--qc only; default 5)")
+                         f"(--qc only; default {settings.SNR_THRESHOLD:g})")
     pe.add_argument("--out", required=True, help="output flow CSV")
     pe.add_argument("--qc", help="optional QC sidecar JSON")
     pe.set_defaults(func=cmd_extract)
@@ -432,14 +435,18 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--flow", action="append", required=True,
                     help="flow CSV path(s), comma-separated or repeated")
     pa.add_argument("--resp", required=True, help="respiration belt CSV")
-    pa.add_argument("--delay-step-ms", type=float, default=75.0)
+    pa.add_argument("--delay-step-ms", type=float, default=settings.DELAY_STEP_MS,
+                    help=f"delay scan grid step in ms (default {settings.DELAY_STEP_MS:g})")
     pa.add_argument("--invert-belt", action="store_true",
                     help="belt amplitude falls on inhalation")
-    pa.add_argument("--min-cycles", type=int, default=3)
+    pa.add_argument("--min-cycles", type=int, default=settings.MIN_CYCLES,
+                    help="fewest valid cycles each phase needs at a scan delay "
+                         f"(default {settings.MIN_CYCLES})")
     pa.add_argument("--name", default="CABF_extra",
                     help="record name for the summed signal (several --flow inputs)")
-    pa.add_argument("--snr-threshold", type=float, default=5.0,
-                    help="cardiac SNR below this flags a record for exclusion")
+    pa.add_argument("--snr-threshold", type=float, default=settings.SNR_THRESHOLD,
+                    help="cardiac SNR below this flags a record for exclusion "
+                         f"(default {settings.SNR_THRESHOLD:g})")
     pa.add_argument("--out", required=True, help="output report JSON")
     pa.add_argument("--plots", help="directory for Diff-vs-delay SVGs")
     pa.set_defaults(func=cmd_analyze)

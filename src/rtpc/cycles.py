@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DegenerateCycle, NoCyclesFound, TooShort
 from .io import SampledSignal
 from .numerics import local_maxima, natural_cubic_spline
+from .report import MIN_SEPARATION_FRACTION, PERIOD_BAND_S, UPSAMPLE_FACTOR, VALIDITY_BAND
 
 
 class CycleTable:
@@ -141,20 +142,14 @@ def _select_minima(values: np.ndarray, min_separation: int) -> np.ndarray:
     return np.asarray(accepted, dtype=np.intp)
 
 
-def detect_cycles(
-    flow: SampledSignal,
-    upsample_factor: int = 8,
-    period_band_s: tuple = (0.4, 2.0),
-    min_separation_fraction: float = 0.6,
-    validity_band: tuple = (0.6, 1.5),
-) -> CycleTable:
+def detect_cycles(flow: SampledSignal, upsample_factor: int = UPSAMPLE_FACTOR) -> CycleTable:
     """Segment a flow signal into cardiac-cycle flow curves.
 
     Steps: (1) estimate the dominant period T from the autocorrelation within
-    period_band_s; (2) on the upsampled signal, keep the deepest local minima
-    at least min_separation_fraction * T apart as boundaries; (3) flag cycles
-    whose period falls outside validity_band * T. Leading and trailing
-    partial cycles are discarded.
+    PERIOD_BAND_S; (2) on the upsampled signal, keep the deepest local minima
+    at least MIN_SEPARATION_FRACTION * T apart as boundaries; (3) flag cycles
+    whose period falls outside VALIDITY_BAND * T. Leading and trailing
+    partial cycles are discarded. The settings live in rtpc.report.
 
     Raises NoCyclesFound when the recording is shorter than three times the
     period band upper bound, shows no periodicity, or yields fewer than three
@@ -162,17 +157,17 @@ def detect_cycles(
     """
     if flow.kind != "flow":
         raise ValueError(f"expected a flow signal, got kind {flow.kind!r}")
-    if flow.duration_s < 3.0 * period_band_s[1]:
+    if flow.duration_s < 3.0 * PERIOD_BAND_S[1]:
         raise NoCyclesFound(
-            f"recording of {flow.duration_s:.3g} s is shorter than 3 x {period_band_s[1]} s"
+            f"recording of {flow.duration_s:.3g} s is shorter than 3 x {PERIOD_BAND_S[1]} s"
         )
     up = resample(flow, upsample_factor)
     # Period estimation runs on the upsampled grid too: at ~12 raw samples per
     # cycle, a half-integer true period aligns worse with itself than with its
     # double, and the raw-grid autocorrelation peaks at the wrong multiple.
-    period = _dominant_period(up.values, up.dt_s, period_band_s)
-    min_sep = max(1, int(np.ceil(min_separation_fraction * period / up.dt_s)))
+    period = _dominant_period(up.values, up.dt_s, PERIOD_BAND_S)
+    min_sep = max(1, int(np.ceil(MIN_SEPARATION_FRACTION * period / up.dt_s)))
     boundaries = _select_minima(up.values, min_sep)
     if boundaries.size < 3:
         raise NoCyclesFound(f"only {boundaries.size} cycle boundaries found")
-    return CycleTable(up, boundaries, (validity_band[0] * period, validity_band[1] * period))
+    return CycleTable(up, boundaries, (VALIDITY_BAND[0] * period, VALIDITY_BAND[1] * period))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cycles import CycleTable
 from .errors import InsufficientCycles, ZeroInspiratoryValue
-from .report import DiffRecord, REPORT_PARAMETERS
+from .report import DELAY_STEP_S, MIN_CYCLES, REPORT_PARAMETERS, DiffRecord
 # label_cycles stays importable here: perfbench/tracing.py hooks diff.label_cycles.
 from .respiration import EX, IN, RespIntervals, _interval_index, label_cycles  # noqa: F401
 
@@ -60,8 +60,8 @@ def _delay_grid(mean_period_s: float, step_s: float) -> np.ndarray:
 def sweep_diffs(
     cycles: CycleTable,
     intervals: RespIntervals,
-    step_s: float = 0.075,
-    min_cycles: int = 3,
+    step_s: float = DELAY_STEP_S,
+    min_cycles: int = MIN_CYCLES,
     max_missing_fraction: float = 0.2,
     parameters: tuple = PARAMETERS,
 ) -> tuple:
@@ -130,8 +130,8 @@ def delay_scan(
     cycles: CycleTable,
     intervals: RespIntervals,
     parameter: str,
-    step_s: float = 0.075,
-    min_cycles: int = 3,
+    step_s: float = DELAY_STEP_S,
+    min_cycles: int = MIN_CYCLES,
 ) -> DiffScanResult:
     """Scan Diff(parameter) over delays in [0, mean breathing period).
 
@@ -169,19 +169,13 @@ def finalize_scan(
     )
 
 
-def extract_result(scan: DiffScanResult, keep_scan: bool = True) -> DiffRecord:
-    """Report record for one scanned parameter."""
-    scan_delays = scan_values = None
-    if keep_scan:
-        scan_delays = tuple(float(d) for d in scan.delays_s)
-        scan_values = tuple(
-            float(v) if np.isfinite(v) else None for v in scan.diff_pct
-        )
+def extract_result(scan: DiffScanResult) -> DiffRecord:
+    """Report record for one scanned parameter, with its whole scan."""
     return DiffRecord(
         at_zero_pct=scan.diff_at_zero_pct,
         max_pct=scan.max_diff_pct,
         delay_s=scan.argmax_delay_s,
         delay_pct=scan.delay_pct,
-        scan_delays_s=scan_delays,
-        scan_diff_pct=scan_values,
+        scan_delays_s=tuple(float(d) for d in scan.delays_s),
+        scan_diff_pct=tuple(float(v) if np.isfinite(v) else None for v in scan.diff_pct),
     )

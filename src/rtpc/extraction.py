@@ -23,14 +23,18 @@ from .errors import (
 )
 from .io import RoiMask, SampledSignal, VelocityMapSeries, frame_chunks
 from .numerics import distance_band, gather_blocks, ranked_values, seed_component, welch
-from .report import QcFlags
+from .report import MAX_RADIUS_PX, SNR_THRESHOLD, THRESHOLD_FRACTION, QcFlags
 
 #: 1 mm^3/s = 0.06 ml/min
 ML_MIN_PER_MM3_S = 0.06
 
-#: Default outer edge (pixels) of correct_background's stationary-tissue band;
-#: roi_window grows the ROI box by its ceiling, so the band lies in the window.
+#: Distances (px) from the union ROI of correct_background's stationary-tissue
+#: band; roi_window grows the ROI box by ceil(BAND_OUTER_PX), so the band lies in it.
+BAND_INNER_PX = 2.0
 BAND_OUTER_PX = 6.0
+
+#: Least half-width of the first window `extract --seed` reads around the seed.
+COMPONENT_START_HALF_PX = 16
 
 #: Ring pixels whose temporal std correct_background takes at once; a block
 #: holds n_frames x STD_BLOCK_PIXELS float64 values.
@@ -84,8 +88,8 @@ class BackgroundEstimate:
 def segment_roi(
     series: VelocityMapSeries,
     seed: tuple,
-    velocity_threshold_fraction: float = 0.5,
-    max_radius_px: float = 12.0,
+    velocity_threshold_fraction: float = THRESHOLD_FRACTION,
+    max_radius_px: float = MAX_RADIUS_PX,
 ) -> RoiSeries:
     """Grow a per-frame ROI from a seed pixel by velocity thresholding.
 
@@ -156,18 +160,25 @@ def roi_window(union: np.ndarray) -> tuple[slice, slice]:
     )
 
 
+def seed_window(seed_row: int, seed_col: int, half: int, height: int, width: int) -> tuple:
+    """(rows, cols) slices of the square of half-width half around the seed,
+    clipped to the image."""
+    return (
+        slice(max(seed_row - half, 0), min(seed_row + half + 1, height)),
+        slice(max(seed_col - half, 0), min(seed_col + half + 1, width)),
+    )
+
+
 def correct_background(
     series: VelocityMapSeries,
     roi: RoiSeries,
-    band_inner_px: float = 2.0,
-    band_outer_px: float = BAND_OUTER_PX,
     variance_quantile: float = 0.25,
     min_band_pixels: int = 8,
     out: np.ndarray | None = None,
 ) -> tuple[VelocityMapSeries, BackgroundEstimate]:
     """Subtract the stationary-tissue velocity offset (eddy-current bias).
 
-    Candidate pixels lie at distance [band_inner_px, band_outer_px] from the
+    Candidate pixels lie at distance [BAND_INNER_PX, BAND_OUTER_PX] from the
     union ROI; of those, the quietest variance_quantile by temporal standard
     deviation form the band. The offset is the median velocity over band
     pixels and frames, treated as static, and is subtracted from every pixel
@@ -178,14 +189,12 @@ def correct_background(
     to a new array. Every check runs before the first write, so an error
     leaves out as it was.
     """
-    if not (0 < band_inner_px <= band_outer_px):
-        raise ValueError("need 0 < band_inner_px <= band_outer_px")
     _check_roi(series, roi)
     _check_out(series, out)
     union = roi.union()
     if not union.any():
         raise ValueError("ROI is empty in every frame")
-    ring = distance_band(union, band_inner_px, band_outer_px)
+    ring = distance_band(union, BAND_INNER_PX, BAND_OUTER_PX)
     if not ring.any():
         raise InsufficientStationaryTissue("no pixels in the distance band around the ROI")
     rows, cols = np.nonzero(ring)
@@ -412,7 +421,7 @@ def sum_flows(signals: list) -> SampledSignal:
     return SampledSignal(t0_s=first.t0_s, dt_s=first.dt_s, values=total, kind="flow")
 
 
-def quality_score(flow: SampledSignal, snr_threshold: float = 5.0) -> QcFlags:
+def quality_score(flow: SampledSignal, snr_threshold: float = SNR_THRESHOLD) -> QcFlags:
     """Spectral cardiac SNR gate.
 
     cardiac_snr is the peak Welch-periodogram power in 0.7-2.0 Hz over the

@@ -26,8 +26,6 @@ import math
 import numpy as np
 
 _COMPONENT_CHUNK_FRAMES = 256
-#: Half-width of the first window seed_component fills around the seed.
-COMPONENT_START_HALF_PX = 16
 _BAND_PAIRS_PER_CHUNK = 1 << 20
 _HALF_KEYS = 1 << 16  # bins of each ranked_values pass: 16-bit patterns
 
@@ -203,47 +201,14 @@ def seed_component(frames: np.ndarray, threshold: float, seed_row: int, seed_col
     """Per frame, the 4-connected component of |frame| >= threshold holding the seed.
 
     Frames where the seed is below threshold get an empty mask. Frames are
-    filled a chunk at a time, by repeated 4-neighbour growth inside a window
-    around the seed; a chunk whose component reaches an inner window edge is
-    filled again on a window twice as wide, so the result equals
-    ndimage.label's component exactly.
+    filled a chunk at a time by repeated 4-neighbour growth from the seed,
+    which equals ndimage.label's component exactly.
     """
-    n, height, width = frames.shape
-    out = np.zeros((n, height, width), dtype=bool)
-    for lo in range(0, n, _COMPONENT_CHUNK_FRAMES):
+    out = np.empty(frames.shape, dtype=bool)
+    for lo in range(0, len(frames), _COMPONENT_CHUNK_FRAMES):
         chunk = frames[lo : lo + _COMPONENT_CHUNK_FRAMES]
-        half = COMPONENT_START_HALF_PX
-        while True:
-            window = seed_window(seed_row, seed_col, half, height, width)
-            above = np.abs(chunk[(slice(None),) + window]) >= threshold
-            reach = _grow(above, seed_row - window[0].start, seed_col - window[1].start)
-            if not reaches_inner_edge(reach.any(axis=0), window, (height, width)):
-                break
-            half *= 2
-        out[(slice(lo, lo + len(chunk)),) + window] = reach
+        out[lo : lo + len(chunk)] = _grow(np.abs(chunk) >= threshold, seed_row, seed_col)
     return out
-
-
-def seed_window(seed_row: int, seed_col: int, half: int, height: int, width: int) -> tuple:
-    """(rows, cols) slices of the square of half-width half around the seed,
-    clipped to the image."""
-    return (
-        slice(max(seed_row - half, 0), min(seed_row + half + 1, height)),
-        slice(max(seed_col - half, 0), min(seed_col + half + 1, width)),
-    )
-
-
-def reaches_inner_edge(footprint: np.ndarray, window: tuple, shape: tuple) -> bool:
-    """Whether a footprint cut to window touches a window edge that is not an
-    image edge, where a 4-connected component could continue outside."""
-    rows, cols = window
-    height, width = shape
-    return bool(
-        (rows.start > 0 and footprint[0].any())
-        or (rows.stop < height and footprint[-1].any())
-        or (cols.start > 0 and footprint[:, 0].any())
-        or (cols.stop < width and footprint[:, -1].any())
-    )
 
 
 def _grow(above: np.ndarray, row: int, col: int) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Report records and the report JSON: what `analyze` writes and `report` reads.
 
 This module imports no numpy, so `rtpc report` runs without it. Readers are
-strict: a missing or mistyped field raises ParseError naming it.
+strict: a missing or mistyped field raises ParseError naming it. It also
+states each fixed analysis setting once: the detectors, the command line's
+defaults and help texts, and the report's `config` block read them here.
 """
 
 from __future__ import annotations
@@ -17,6 +19,35 @@ from .errors import IoFailure, ParseError
 
 #: Canonical cycle parameter names, in report order.
 REPORT_PARAMETERS = ("mean_flow", "stroke_volume", "cardiac_period")
+
+
+# -- analysis settings ------------------------------------------------------------
+
+#: detect_cycles: spline upsampling factor; search band (s) of the dominant period
+#: T; least boundary spacing and valid cycle periods, as fractions of T.
+UPSAMPLE_FACTOR = 8
+PERIOD_BAND_S = (0.4, 2.0)
+MIN_SEPARATION_FRACTION = 0.6
+VALIDITY_BAND = (0.6, 1.5)
+
+#: detect_resp_intervals: box-smoothing window (s); least spacing of belt
+#: extrema (s); prominence floor, as a fraction of the smoothed belt's range.
+SMOOTH_WINDOW_S = 0.5
+MIN_SEPARATION_S = 1.5
+PROMINENCE_FRACTION = 0.2
+
+#: The delay scan's grid step, and the fewest valid cycles each phase needs at a delay.
+DELAY_STEP_MS = 75.0
+DELAY_STEP_S = DELAY_STEP_MS / 1000.0
+MIN_CYCLES = 3
+
+#: A cardiac SNR below this flags a flow signal for exclusion.
+SNR_THRESHOLD = 5.0
+
+#: Seeded segmentation: threshold as a fraction of the reference speed, and
+#: the radius (px) around the seed the reference speed is taken in.
+THRESHOLD_FRACTION = 0.5
+MAX_RADIUS_PX = 12.0
 
 
 # -- report structures ------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import NoBreathsDetected, NonAlternating
 from .io import SampledSignal
 from .numerics import find_peaks
+from .report import MIN_SEPARATION_S, PROMINENCE_FRACTION, SMOOTH_WINDOW_S
 
 IN = "IN"
 EX = "EX"
@@ -76,35 +77,31 @@ def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
     return sums / counts
 
 
-def detect_resp_intervals(
-    resp: SampledSignal,
-    smooth_window_s: float = 0.5,
-    min_separation_s: float = 1.5,
-    prominence_fraction: float = 0.2,
-) -> RespIntervals:
+def detect_resp_intervals(resp: SampledSignal) -> RespIntervals:
     """Extract alternating IN/EX intervals from a belt signal.
 
-    The signal is box-smoothed over smooth_window_s, then troughs and peaks
-    are detected with a minimum separation and a prominence floor of
-    prominence_fraction times the smoothed signal range. Runs of same-type
-    extrema are collapsed to the most extreme one. The mean breathing period
-    is the mean trough-to-trough duration, which needs at least two troughs.
+    The signal is box-smoothed over SMOOTH_WINDOW_S, then troughs and peaks
+    are detected at least MIN_SEPARATION_S apart, with a prominence floor of
+    PROMINENCE_FRACTION times the smoothed signal range (settings from
+    rtpc.report). Runs of same-type extrema are collapsed to the most extreme
+    one. The mean breathing period is the mean trough-to-trough duration,
+    which needs at least two troughs.
     """
     if resp.kind != "respiration":
         raise ValueError(f"expected a respiration signal, got kind {resp.kind!r}")
-    if resp.duration_s < 2.0 * min_separation_s:
+    if resp.duration_s < 2.0 * MIN_SEPARATION_S:
         raise NoBreathsDetected(
-            f"recording of {resp.duration_s:.3g} s is shorter than 2 x {min_separation_s} s"
+            f"recording of {resp.duration_s:.3g} s is shorter than 2 x {MIN_SEPARATION_S} s"
         )
-    window = max(1, int(round(smooth_window_s / resp.dt_s)))
+    window = max(1, int(round(SMOOTH_WINDOW_S / resp.dt_s)))
     if window % 2 == 0:
         window += 1
     smoothed = _moving_average(resp.values, window)
     signal_range = float(smoothed.max() - smoothed.min())
     if signal_range <= 0:
         raise NoBreathsDetected("belt signal is constant")
-    prominence = prominence_fraction * signal_range
-    distance = max(1, int(np.ceil(min_separation_s / resp.dt_s)))
+    prominence = PROMINENCE_FRACTION * signal_range
+    distance = max(1, int(np.ceil(MIN_SEPARATION_S / resp.dt_s)))
     peak_idx = find_peaks(smoothed, distance, prominence)
     trough_idx = find_peaks(-smoothed, distance, prominence)
 

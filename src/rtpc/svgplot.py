@@ -80,9 +80,9 @@ def render_line_chart(
     if marker is not None:
         y_lo, y_hi = min(y_lo, marker[1]), max(y_hi, marker[1])
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = x_lo + max(1.0, math.ulp(x_lo))
     if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+        y_lo, y_hi = y_lo - max(1.0, math.ulp(y_lo)), y_hi + max(1.0, math.ulp(y_hi))
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):

@@ -1,5 +1,4 @@
 import importlib
-import inspect
 import json
 import os
 import re
@@ -16,14 +15,17 @@ import pytest
 import rtpc
 
 from rtpc import cli, io
+from rtpc import report as settings
 from rtpc.cli import main
 from rtpc.errors import EmptySegmentation, InsufficientStationaryTissue, SeedOutsideVessel
 from rtpc.extraction import (
+    COMPONENT_START_HALF_PX,
     RoiSeries,
     compute_flow,
     correct_background,
     quality_score,
     roi_window,
+    seed_window,
     segment_roi,
     unalias,
 )
@@ -40,7 +42,6 @@ from rtpc.io import (
     write_signal_csv,
     write_velocity_series,
 )
-from rtpc.numerics import COMPONENT_START_HALF_PX, seed_window
 from rtpc.report import read_report
 from rtpc.synthgen import SimConfig, generate_velocity_series
 
@@ -353,14 +354,15 @@ class TestDelayGridBound:
         assert not out.exists() and not (tmp_path / "plots").exists()
 
 
-def full_frame_extract(series_path, mask_path=None, seed=None, background=True, unwrap=True):
+def full_frame_extract(series_path, mask_path=None, seed=None, background=True, unwrap=True,
+                       max_radius_px=settings.MAX_RADIUS_PX):
     """The extraction chain on whole frames, with the QC payload `rtpc extract` writes."""
     series = read_velocity_series(series_path)
     if mask_path is not None:
         mask = read_mask(mask_path, series.width, series.height)
         roi = RoiSeries.from_static(mask, series.n_frames)
     else:
-        roi = segment_roi(series, seed=seed)
+        roi = segment_roi(series, seed=seed, max_radius_px=max_radius_px)
     offset = n_band = n_unaliased = None
     if background:
         series, estimate = correct_background(series, roi)
@@ -431,19 +433,30 @@ def crop_datasets(tmp_path_factory):
     }
 
 
+CHAIN_FLAGS = [(), ("--no-background-correction",), ("--no-unalias",),
+               ("--no-background-correction", "--no-unalias")]
+
+
 class TestExtractMatchesFullFrame:
     """`rtpc extract` works on a window around the ROI; its outputs must be
     those of the chain run on whole frames."""
 
-    @pytest.mark.parametrize("flags", [
-        (), ("--no-background-correction",), ("--no-unalias",),
-        ("--no-background-correction", "--no-unalias"),
+    @pytest.mark.parametrize("name, source, flags, radius", [
+        pytest.param(name, source, flags, None, id=f"{name}-{source}-flags{i}")
+        for name in ("centred", "edge", "wide", "ragged")
+        for source in ("mask", "seed")
+        for i, flags in enumerate(CHAIN_FLAGS)
+    ] + [
+        # --max-radius-px 30: a first read of 61x61 around the wide vessel,
+        # wider than the default 33x33, and the whole 32x32 centred image.
+        pytest.param(name, "seed", (), 30.0, id=f"{name}-seed-radius30")
+        for name in ("centred", "wide")
     ])
-    @pytest.mark.parametrize("source", ["mask", "seed"])
-    @pytest.mark.parametrize("name", ["centred", "edge", "wide", "ragged"])
-    def test_same_csv_and_qc(self, crop_datasets, tmp_path, name, source, flags):
+    def test_same_csv_and_qc(self, crop_datasets, tmp_path, name, source, flags, radius):
         data, seed = crop_datasets[name]
         roi_args = ["--mask", str(data / "mask.pgm")] if source == "mask" else ["--seed", seed]
+        if radius is not None:
+            roi_args += ["--max-radius-px", str(radius)]
         out, qc = tmp_path / "flow.csv", tmp_path / "qc.json"
         rc = main(["extract", "--series", str(data / "series.rtpc"), *roi_args, *flags,
                    "--out", str(out), "--qc", str(qc)])
@@ -454,6 +467,7 @@ class TestExtractMatchesFullFrame:
             seed=tuple(int(v) for v in seed.split(",")),
             background="--no-background-correction" not in flags,
             unwrap="--no-unalias" not in flags,
+            max_radius_px=settings.MAX_RADIUS_PX if radius is None else radius,
         )
         expected = tmp_path / "expected.csv"
         write_signal_csv(flow, expected)
@@ -614,22 +628,63 @@ class TestAnalyze:
         report = read_report(out)
         assert report.resp_period_s == pytest.approx(4.3, abs=0.05)
         assert report.config["diff_definition"] == "ex-in-over-in"
-        # The config blocks restate the detectors' defaults: they must be the ones that ran.
-        from rtpc.cycles import detect_cycles
-        from rtpc.respiration import detect_resp_intervals
-
-        for block, function in (("cycles", detect_cycles), ("respiration", detect_resp_intervals)):
-            defaults = {
-                name: list(param.default) if isinstance(param.default, tuple) else param.default
-                for name, param in inspect.signature(function).parameters.items()
-                if param.default is not inspect.Parameter.empty
-            }
-            assert report.config[block] == defaults, block
+        # The config blocks record the settings the detectors read, and
+        # today's values are pinned: changing a setting is a report change.
+        assert report.config["cycles"] == {
+            "upsample_factor": settings.UPSAMPLE_FACTOR,
+            "period_band_s": list(settings.PERIOD_BAND_S),
+            "min_separation_fraction": settings.MIN_SEPARATION_FRACTION,
+            "validity_band": list(settings.VALIDITY_BAND),
+        } == {
+            "upsample_factor": 8,
+            "period_band_s": [0.4, 2.0],
+            "min_separation_fraction": 0.6,
+            "validity_band": [0.6, 1.5],
+        }
+        assert report.config["respiration"] == {
+            "smooth_window_s": settings.SMOOTH_WINDOW_S,
+            "min_separation_s": settings.MIN_SEPARATION_S,
+            "prominence_fraction": settings.PROMINENCE_FRACTION,
+        } == {"smooth_window_s": 0.5, "min_separation_s": 1.5, "prominence_fraction": 0.2}
+        assert report.config["delay_step_s"] == settings.DELAY_STEP_S == 0.075
+        assert report.config["min_cycles_per_phase"] == settings.MIN_CYCLES == 3
+        assert report.config["quality"] == {"snr_threshold": settings.SNR_THRESHOLD} == {
+            "snr_threshold": 5.0
+        }
         artery = report.arteries[0]
         assert artery.name == "flow"
         assert artery.mean_flow_ml_min == pytest.approx(740.0 * 1.05, rel=0.03)
         assert artery.n_cycles > 50
         assert artery.diff["mean_flow"].max_pct == pytest.approx(10.0, abs=2.0)
+
+    def test_help_names_the_defaults(self, capsys):
+        for command, defaults in (("extract", ("0.5", "12", "5")), ("analyze", ("75", "3", "5"))):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            text = " ".join(capsys.readouterr().out.split())
+            for value in defaults:
+                assert f"default {value})" in text, (command, value)
+
+    @pytest.mark.parametrize("flows, extra, clash", [
+        (["a/flow.csv", "b/flow.csv"], [], ("a/flow.csv", "b/flow.csv")),
+        (["a/flow.csv", "a/flow.csv"], [], ("a/flow.csv", "a/flow.csv")),
+        (["a/ICA_L.csv", "b/flow.csv"], ["--name", "ICA_L"], ("a/ICA_L.csv", "--name")),
+    ], ids=["same-stem", "same-path", "name-equals-stem"])
+    def test_colliding_record_names_refused(self, tmp_path, capsys, flows, extra, clash):
+        # No input file exists: exit 2, not 3, shows that the names are checked first.
+        out = tmp_path / "r.json"
+        argv = ["analyze", "--resp", str(tmp_path / "resp.csv"), *extra,
+                "--out", str(out), "--plots", str(tmp_path / "plots")]
+        for flow in flows:
+            argv += ["--flow", str(tmp_path / flow)]
+        assert main(argv) == 2
+        first, second = (c if c.startswith("--") else str(tmp_path / c) for c in clash)
+        name = Path(clash[0]).stem
+        assert capsys.readouterr().err == (
+            f"rtpc analyze: {first} and {second} give the same record name {name!r}\n"
+        )
+        assert not out.exists() and not (tmp_path / "plots").exists()
 
     def test_four_artery_sum_named_cabf(self, dataset, tmp_path):
         flow = read_signal_csv(dataset / "flow.csv", "flow")

@@ -1,5 +1,7 @@
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from rtpc.svgplot import render_line_chart
 
 
@@ -9,3 +11,11 @@ def test_text_with_markup_characters_is_escaped(tmp_path):
     render_line_chart([0, 1], [1, 2], path, title=title, x_label=x_label, y_label=y_label)
     texts = [el.text for el in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
     assert title in texts and x_label in texts and y_label in texts
+
+
+@pytest.mark.parametrize("value", [0.0, 2.0**53, -(2.0**60)])
+def test_one_value_spans_widen(tmp_path, value):
+    # From 2**53 on, value + 1.0 == value: the span must widen by more than 1.
+    path = tmp_path / "chart.svg"
+    render_line_chart([value, value], [value, value], path, marker=(value, value))
+    ET.parse(path)
