@@ -88,6 +88,19 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
+def _name_clash(names) -> str | None:
+    """The first two (name, source) pairs whose names _safe_name maps to one
+    key, as a message; None if there are none. The report tells records apart
+    by name, and each record's SVGs are named after it."""
+    source_of = {}
+    for name, source in names:
+        key = _safe_name(name)
+        if key in source_of:
+            return f"{source_of[key]} and {source} give the same record name {key!r}"
+        source_of[key] = source
+    return None
+
+
 def _usage_error(command: str, message: str) -> int:
     print(f"rtpc {command}: {message}", file=sys.stderr)
     return USAGE_ERROR
@@ -173,6 +186,8 @@ def _seeded_roi(args, height: int, width: int) -> tuple:
 
 def cmd_extract(args, written: list) -> int:
     _load(".io", ".extraction")
+    if args.qc is not None and Path(args.qc).resolve() == Path(args.out).resolve():
+        return _usage_error("extract", f"--qc and --out name the same file {args.out}")
     header = read_velocity_header(args.series)
     height, width = header["height"], header["width"]
     if args.venc is not None and not (math.isfinite(args.venc) and args.venc > 0.0):
@@ -196,6 +211,12 @@ def cmd_extract(args, written: list) -> int:
                               ("--max-radius-px", args.max_radius_px)):
             if value is not None:
                 return _usage_error("extract", f"{option} applies to --seed only, not to --mask")
+        membership = read_mask(args.mask, width, height).membership
+        if not membership.any():
+            raise EmptySegmentation(f"mask {args.mask} has no member pixel")
+        window = roi_window(membership)
+        series = read_velocity_series(args.series, venc_mm_s=args.venc, window=window)
+        roi = RoiSeries.from_static(RoiMask(membership[window]), series.n_frames)
     else:
         if args.threshold_fraction is None:
             args.threshold_fraction = settings.THRESHOLD_FRACTION
@@ -209,31 +230,19 @@ def cmd_extract(args, written: list) -> int:
             return _usage_error(
                 "extract", f"--max-radius-px must be finite and >= 0, got {args.max_radius_px!r}"
             )
-    if args.mask is not None:
-        membership = read_mask(args.mask, width, height).membership
-        if not membership.any():
-            raise EmptySegmentation(f"mask {args.mask} has no member pixel")
-        window = roi_window(membership)
-        series = read_velocity_series(args.series, venc_mm_s=args.venc, window=window)
-        roi = RoiSeries.from_static(RoiMask(membership[window]), series.n_frames)
-    elif not (0 <= args.seed[0] < width and 0 <= args.seed[1] < height):
-        return _usage_error(
-            "extract", f"--seed {args.seed[0]},{args.seed[1]} lies outside the {width}x{height} image"
-        )
-    else:
+        if not (0 <= args.seed[0] < width and 0 <= args.seed[1] < height):
+            return _usage_error(
+                "extract", f"--seed {args.seed[0]},{args.seed[1]} lies outside the {width}x{height} image"
+            )
         series, roi = _seeded_roi(args, height, width)
 
-    background_offset = None
-    n_band = None
     # Both steps overwrite the one window array that was read.
+    background_offset = n_band = n_unaliased = None
     if not args.no_background_correction:
-        series, estimate = correct_background(series, roi, out=series.frames)
-        background_offset = estimate.offset_mm_s
-        n_band = estimate.n_band_pixels
-    n_unaliased = None
+        estimate = correct_background(series, roi)
+        background_offset, n_band = estimate.offset_mm_s, estimate.n_band_pixels
     if not args.no_unalias:
-        series, n_unaliased = unalias(series, roi, out=series.frames)
-
+        n_unaliased = unalias(series, roi)
     flow = compute_flow(series, roi)
     out = Path(args.out)
     written.append(out)
@@ -264,18 +273,11 @@ def cmd_analyze(args, written: list) -> int:
     flow_paths = [p for chunk in args.flow for p in chunk.split(",") if p]
     if not flow_paths:
         return _usage_error("analyze", "no flow files given")
-    # The report tells records apart by name, and each record's SVGs are named after it.
     names = [(Path(p).stem, p) for p in flow_paths]
     if len(flow_paths) > 1:
         names.append((args.name, "--name"))
-    source_of = {}
-    for name, source in names:
-        key = _safe_name(name)
-        if key in source_of:
-            return _usage_error(
-                "analyze", f"{source_of[key]} and {source} give the same record name {key!r}"
-            )
-        source_of[key] = source
+    if (clash := _name_clash(names)) is not None:
+        return _usage_error("analyze", clash)
     if not (math.isfinite(args.delay_step_ms) and args.delay_step_ms > 0.0):
         return _usage_error(
             "analyze", f"--delay-step-ms must be finite and > 0, got {args.delay_step_ms!r}"
@@ -380,6 +382,9 @@ def cmd_simulate(args, written: list) -> int:
 
 def cmd_report(args, written: list) -> int:
     report = read_report(args.in_path)
+    named = [(r.name, f"artery {i} ({r.name!r})") for i, r in enumerate(report.arteries)]
+    if (clash := _name_clash(named)) is not None:
+        raise ParseError(f"{args.in_path}: {clash}")
     plot_dir = Path(args.plots)
     plot_dir.mkdir(parents=True, exist_ok=True)
     for record in report.arteries:

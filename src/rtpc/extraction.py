@@ -18,6 +18,7 @@ from .errors import (
     EmptySegmentation,
     GridMismatch,
     InsufficientStationaryTissue,
+    NonFiniteVelocity,
     SeedOutsideVessel,
     TooShort,
 )
@@ -174,8 +175,7 @@ def correct_background(
     roi: RoiSeries,
     variance_quantile: float = 0.25,
     min_band_pixels: int = 8,
-    out: np.ndarray | None = None,
-) -> tuple[VelocityMapSeries, BackgroundEstimate]:
+) -> BackgroundEstimate:
     """Subtract the stationary-tissue velocity offset (eddy-current bias).
 
     Candidate pixels lie at distance [BAND_INNER_PX, BAND_OUTER_PX] from the
@@ -184,13 +184,13 @@ def correct_background(
     pixels and frames, treated as static, and is subtracted from every pixel
     of every frame, in float64 and rounded once to float32.
 
-    The corrected frames go to out, a writable C-contiguous float32 array of
-    the series' shape, which may be series.frames itself; None writes them
-    to a new array. Every check runs before the first write, so an error
-    leaves out as it was.
+    The corrected values overwrite series.frames, which must be writable;
+    the estimate is returned. Every check runs before the first write, so an
+    error leaves the frames as they were, apart from one: a corrected value
+    beyond the float32 range raises NonFiniteVelocity once every frame is
+    written, and the frames then hold +-inf where the value overflowed.
     """
-    _check_roi(series, roi)
-    _check_out(series, out)
+    _check_in_place(series, roi)
     union = roi.union()
     if not union.any():
         raise ValueError("ROI is empty in every frame")
@@ -214,16 +214,18 @@ def correct_background(
     band[rows[keep], cols[keep]] = True
     flat = series.frames.reshape(series.n_frames, -1)
     offset = _band_median(flat, rows[keep] * series.width + cols[keep])
-    frames = np.empty_like(series.frames) if out is None else out
-    # Buffered by numpy: float64 arithmetic with no full-size temporary.
-    np.subtract(series.frames, offset, out=frames, dtype=np.float64, casting="same_kind")
-    corrected = VelocityMapSeries(
-        frames=frames,
-        dt_ms=series.dt_ms,
-        venc_mm_s=series.venc_mm_s,
-        pixel_area_mm2=series.pixel_area_mm2,
-    )
-    return corrected, BackgroundEstimate(offset_mm_s=offset, band=band, n_band_pixels=n_band)
+    # Buffered by numpy: float64 arithmetic with no full-size temporary. The
+    # overflow flag is read once the whole array is written.
+    try:
+        with np.errstate(over="raise"):
+            np.subtract(series.frames, offset, out=series.frames, dtype=np.float64,
+                        casting="same_kind")
+    except FloatingPointError:
+        raise NonFiniteVelocity(
+            f"background correction: subtracting the offset {offset!r} mm/s takes a velocity "
+            "beyond the float32 range"
+        ) from None
+    return BackgroundEstimate(offset_mm_s=offset, band=band, n_band_pixels=n_band)
 
 
 def _band_median(flat: np.ndarray, pixels: np.ndarray) -> float:
@@ -254,20 +256,11 @@ def _check_roi(series: VelocityMapSeries, roi: RoiSeries) -> None:
         raise ValueError("ROI dimensions do not match the series")
 
 
-def _check_out(series: VelocityMapSeries, out: np.ndarray | None) -> None:
-    """out, when given, must take the series' frames as they are stored."""
-    if out is None:
-        return
-    if not (
-        isinstance(out, np.ndarray)
-        and out.shape == series.frames.shape
-        and out.dtype == np.float32
-        and out.flags.c_contiguous
-        and out.flags.writeable
-    ):
-        raise ValueError(
-            f"out must be a writable C-contiguous float32 array of shape {series.frames.shape}"
-        )
+def _check_in_place(series: VelocityMapSeries, roi: RoiSeries) -> None:
+    """The checks of a step that overwrites series.frames."""
+    _check_roi(series, roi)
+    if not series.frames.flags.writeable:
+        raise ValueError("the series' frames are read-only, and this step overwrites them")
 
 
 def _leave_one_out_medians(values: np.ndarray) -> np.ndarray:
@@ -320,9 +313,7 @@ def _member_groups(masks: np.ndarray, frames: slice):
             yield frames.start + rows, np.nonzero(chunk[rows])[1].reshape(rows.size, k)
 
 
-def unalias(
-    series: VelocityMapSeries, roi: RoiSeries, out: np.ndarray | None = None
-) -> tuple[VelocityMapSeries, int]:
+def unalias(series: VelocityMapSeries, roi: RoiSeries) -> int:
     """Unwrap ROI velocities that jumped by multiples of twice the limit.
 
     Per frame, each ROI pixel is compared with the median of the other ROI
@@ -332,11 +323,12 @@ def unalias(
     float32. Pixels wrapped so far that they land within venc of the
     median (true speed beyond median + venc) cannot be recovered this way.
 
-    Returns the unwrapped series and the number of ROI pixel-frames whose
-    float32 value the shift changed. The frames go to out, a writable
-    C-contiguous float32 array of the series' shape, which may be
-    series.frames itself; None writes them to a new array. Every check runs
-    before the first write, so an error leaves out as it was.
+    The unwrapped values overwrite series.frames, which must be writable;
+    the number of ROI pixel-frames whose float32 value the shift changed is
+    returned. Every check runs before the first write, so an error leaves
+    the frames as they were, apart from one: a shifted value beyond the
+    float32 range raises NonFiniteVelocity, and the frames then hold the
+    groups unwrapped before it, the rest as given.
 
     Frames are taken one frame_chunks chunk at a time. A chunk's frames are
     grouped by ROI member count k, and each group's members are gathered,
@@ -348,14 +340,10 @@ def unalias(
     vessel at venc 600 mm/s had 13,519 pixels changed against 13,394
     wrapped. Nothing flags this.
     """
-    _check_roi(series, roi)
-    _check_out(series, out)
+    _check_in_place(series, roi)
     venc = series.venc_mm_s
     two_venc = 2.0 * venc
-    frames = np.empty_like(series.frames) if out is None else out
-    if frames is not series.frames:
-        np.copyto(frames, series.frames)
-    flat = frames.reshape(series.n_frames, -1)
+    flat = series.frames.reshape(series.n_frames, -1)
     masks = roi.masks.reshape(len(roi), -1)
     n_changed = 0
     for chunk in frame_chunks(series.n_frames, series.height, series.width):
@@ -366,16 +354,16 @@ def unalias(
             r, c = np.nonzero(np.abs(deltas) > venc)
             if r.size:
                 before = vals[r, c]
-                shifted = (before + two_venc * np.round(deltas[r, c] / two_venc)).astype(np.float32)
+                try:
+                    with np.errstate(over="raise"):
+                        shifted = (before + two_venc * np.round(deltas[r, c] / two_venc)).astype(np.float32)
+                except FloatingPointError:
+                    raise NonFiniteVelocity(
+                        "unaliasing: a shift by a multiple of 2 x venc takes a velocity beyond the float32 range"
+                    ) from None
                 flat[t[r], members[r, c]] = shifted
                 n_changed += int(np.count_nonzero(shifted != before))
-    unwrapped = VelocityMapSeries(
-        frames=frames,
-        dt_ms=series.dt_ms,
-        venc_mm_s=series.venc_mm_s,
-        pixel_area_mm2=series.pixel_area_mm2,
-    )
-    return unwrapped, n_changed
+    return n_changed
 
 
 def compute_flow(series: VelocityMapSeries, roi: RoiSeries) -> SampledSignal:
@@ -385,9 +373,6 @@ def compute_flow(series: VelocityMapSeries, roi: RoiSeries) -> SampledSignal:
     an empty ROI yield Q = 0 (count them via RoiSeries.n_empty_frames for QC).
     Each frame sums only its ROI pixels, in row-major order, so the pixels
     around the ROI, and cropping them away, cannot change a flow value.
-    Earlier code summed whole frames with zeros outside the ROI; where the
-    float64 sum of the ROI values is not exact (values spanning more than
-    about 2**20), flow can differ from its output in the last bit.
     """
     _check_roi(series, roi)
     sums = np.array([

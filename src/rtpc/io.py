@@ -14,10 +14,11 @@ Velocity series layout (little-endian throughout):
                  row-major within a frame, frame-major overall
 
 Series are read and written a chunk of whole frames at a time, about
-SERIES_CHUNK_BYTES each. The reader keeps only a window of each frame, so
-reading holds the windowed series plus one chunk; it still checks every
-chunk of the file for non-finite values, inside the window or not. A full
-read is the same reader with the whole frame as its window.
+SERIES_CHUNK_BYTES each. The reader reads each chunk into one buffer and
+keeps only a window of each frame, so reading holds the windowed series
+plus one chunk; it still checks every chunk of the file for non-finite
+values, inside the window or not. A full read is the same read loop, with
+the whole frame as its window.
 """
 
 from __future__ import annotations
@@ -267,13 +268,11 @@ def read_velocity_series(path, venc_mm_s: float | None = None, window=None) -> V
             for cut, extent in ((rows, height), (cols, width)):
                 if cut.step is not None or not (0 <= cut.start < cut.stop <= extent):
                     raise ValueError(f"window {window} does not fit a {width}x{height} frame")
-            whole = rows.stop - rows.start == height and cols.stop - cols.start == width
             frames = np.empty((n_frames, rows.stop - rows.start, cols.stop - cols.start), dtype="<f4")
-            if not whole:  # the first chunk is the largest
-                first = next(frame_chunks(n_frames, height, width))
-                buffer = np.empty((first.stop, height, width), dtype="<f4")
+            first = next(frame_chunks(n_frames, height, width))  # the largest chunk
+            buffer = np.empty((first.stop, height, width), dtype="<f4")
             for chunk in frame_chunks(n_frames, height, width):
-                block = frames[chunk] if whole else buffer[: chunk.stop - chunk.start]
+                block = buffer[: chunk.stop - chunk.start]
                 if fh.readinto(memoryview(block).cast("B")) != block.nbytes:
                     raise TruncatedFile(f"{path}: file shrank while being read")
                 # min and max propagate NaN and reach +-inf, with no temporary.
@@ -281,8 +280,7 @@ def read_velocity_series(path, venc_mm_s: float | None = None, window=None) -> V
                     raise NonFiniteVelocity(
                         f"{path}: non-finite velocity in frames {chunk.start}-{chunk.stop - 1}"
                     )
-                if not whole:
-                    frames[chunk] = block[:, rows, cols]
+                frames[chunk] = block[:, rows, cols]
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     venc = header["venc_mm_s"] if venc_mm_s is None else venc_mm_s

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import rtpc
+from rtpc.io import VelocityMapSeries
 from rtpc.synthgen import SimConfig, generate_signals, generate_velocity_series
 
 
@@ -25,7 +26,9 @@ def _signals_cached(key: str):
 @lru_cache(maxsize=8)
 def _images_cached(key: str):
     bundle = generate_velocity_series(SimConfig.from_dict(json.loads(key)))
-    return bundle._replace(series=bundle.series.to_series())
+    series = bundle.series.to_series()
+    series.frames.flags.writeable = False
+    return bundle._replace(series=series)
 
 
 def signals(**overrides):
@@ -34,7 +37,16 @@ def signals(**overrides):
 
 
 def images(**overrides):
-    return _images_cached(json.dumps(overrides, sort_keys=True))
+    """generate_velocity_series with caching across tests. Each call gets its
+    own copy of the series, since extraction steps overwrite the frames."""
+    bundle = _images_cached(json.dumps(overrides, sort_keys=True))
+    return bundle._replace(series=copy_series(bundle.series))
+
+
+def copy_series(series: VelocityMapSeries) -> VelocityMapSeries:
+    """The series with a writable copy of its frames."""
+    return VelocityMapSeries(frames=series.frames.copy(), dt_ms=series.dt_ms,
+                             venc_mm_s=series.venc_mm_s, pixel_area_mm2=series.pixel_area_mm2)
 
 
 def match_boundaries(detected: np.ndarray, truth: np.ndarray, tol_s: float):

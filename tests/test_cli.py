@@ -291,6 +291,36 @@ class TestExtractOptions:
             assert capsys.readouterr().err == f"rtpc extract: error: mask {mask} has no member pixel\n"
             assert not (tmp_path / "x.csv").exists()
 
+    def test_qc_naming_the_out_file_is_refused(self, tmp_path, capsys, monkeypatch):
+        # The series does not exist: exit 2, not 3, shows the check runs before it is read.
+        monkeypatch.chdir(tmp_path)
+        argv = ["extract", "--series", "missing.rtpc", "--seed", "1,1", "--out", "o.csv",
+                "--qc", str(tmp_path / "o.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "rtpc extract: --qc and --out name the same file o.csv\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_background_overflow_names_the_step(self, tmp_path, capsys):
+        """The series is finite, but a corrected vessel velocity leaves the
+        float32 range: exit 3 with a message naming the step and the offset,
+        and nothing else on stderr."""
+        yy, xx = np.mgrid[0:32, 0:32]
+        disk = (xx - 16) ** 2 + (yy - 16) ** 2 <= 36
+        frames = np.full((100, 32, 32), -3.0e38)
+        frames[:, disk] = 3.0e38
+        series = write_raw_series(tmp_path / "s.rtpc", frames)
+        write_mask(RoiMask(disk), tmp_path / "m.pgm")
+        out = tmp_path / "x.csv"
+        argv = ["extract", "--series", str(series), "--mask", str(tmp_path / "m.pgm"), "--out", str(out)]
+        assert main(argv) == 3
+        offset = float(np.float32(-3.0e38))
+        assert capsys.readouterr().err == (
+            f"rtpc extract: error: background correction: subtracting the offset {offset!r} mm/s "
+            "takes a velocity beyond the float32 range\n"
+        )
+        assert not out.exists()
+        assert main(argv + ["--no-background-correction"]) == 0
+
     def test_nan_payload_still_exit_3(self, tmp_path):
         frames = np.ones((3, 40, 40))
         frames[2, 39, 39] = np.nan
@@ -365,11 +395,11 @@ def full_frame_extract(series_path, mask_path=None, seed=None, background=True, 
         roi = segment_roi(series, seed=seed, max_radius_px=max_radius_px)
     offset = n_band = n_unaliased = None
     if background:
-        series, estimate = correct_background(series, roi)
+        estimate = correct_background(series, roi)
         offset, n_band = estimate.offset_mm_s, estimate.n_band_pixels
     if unwrap:
-        before = series.frames
-        series, _ = unalias(series, roi)
+        before = series.frames.copy()
+        unalias(series, roi)
         n_unaliased = int(np.count_nonzero(series.frames != before))
     flow = compute_flow(series, roi)
     qc = quality_score(flow)
@@ -852,6 +882,28 @@ class TestReportCommand:
         write_report(report, path)
         rc = main(["report", "--in", str(path), "--plots", str(tmp_path / "plots")])
         assert rc == 3
+
+    def test_clashing_record_names_refused(self, tmp_path, capsys):
+        """Records whose SVG names would clash exit 3 with a message naming
+        both, before any SVG is written."""
+        from rtpc.report import ArteryRecord, DiffRecord, QcFlags, Report, write_report
+
+        diff = {p: DiffRecord(at_zero_pct=1.0, max_pct=2.0, delay_s=0.5, delay_pct=12.5,
+                              scan_delays_s=(0.0, 0.5), scan_diff_pct=(1.0, 2.0))
+                for p in settings.REPORT_PARAMETERS}
+        path, plots = tmp_path / "r.json", tmp_path / "plots"
+        for names, clash in ((("flow", "flow", "x y", "x_y"), "artery 0 ('flow') and artery 1 ('flow') "
+                              "give the same record name 'flow'"),
+                             (("flow", "x y", "x_y"), "artery 1 ('x y') and artery 2 ('x_y') "
+                              "give the same record name 'x_y'")):
+            write_report(Report(version="x", config={}, resp_period_s=4.0, arteries=tuple(
+                ArteryRecord(name=name, mean_flow_ml_min=1.0, stroke_volume_ml=1.0,
+                             cardiac_period_s=1.0, n_cycles=1,
+                             qc=QcFlags(cardiac_snr=None, excluded=False), diff=diff)
+                for name in names)), path)
+            assert main(["report", "--in", str(path), "--plots", str(plots)]) == 3
+            assert capsys.readouterr().err == f"rtpc report: error: {path}: {clash}\n"
+            assert not plots.exists()
 
 
 class TestNonUtf8Input:

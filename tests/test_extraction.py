@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import images, signals
+from helpers import copy_series, images, signals
 
 from rtpc import extraction, io
 
@@ -15,6 +15,7 @@ from rtpc.errors import (
     EmptySegmentation,
     GridMismatch,
     InsufficientStationaryTissue,
+    NonFiniteVelocity,
     SeedOutsideVessel,
     TooShort,
 )
@@ -53,6 +54,13 @@ def shifted(series, offset):
         venc_mm_s=series.venc_mm_s,
         pixel_area_mm2=series.pixel_area_mm2,
     )
+
+
+def corrected_flow(series, roi):
+    """compute_flow after correct_background, on a copy of series."""
+    series = copy_series(series)
+    correct_background(series, roi)
+    return compute_flow(series, roi)
 
 
 class TestRoiSeries:
@@ -193,8 +201,8 @@ class TestCorrectBackground:
     def test_constant_offset_invariance_spec_example(self):
         series, mask, _ = images(duration_s=60.0, seed=5)
         roi = RoiSeries.from_static(mask, series.n_frames)
-        base_flow = compute_flow(correct_background(series, roi)[0], roi)
-        plus_flow = compute_flow(correct_background(shifted(series, 5.0), roi)[0], roi)
+        base_flow = corrected_flow(series, roi)
+        plus_flow = corrected_flow(shifted(series, 5.0), roi)
         # float32 storage granularity bounds the drift at 1e-6 ml/min per ROI pixel
         drift = np.abs(plus_flow.values - base_flow.values).max()
         assert drift <= 1e-6 * mask.n_members
@@ -202,24 +210,24 @@ class TestCorrectBackground:
     def test_constant_offset_invariance_general(self):
         series, mask, _ = images(duration_s=60.0, seed=5)
         roi = RoiSeries.from_static(mask, series.n_frames)
-        base_flow = compute_flow(correct_background(series, roi)[0], roi)
+        base_flow = corrected_flow(series, roi)
         rng = np.random.default_rng(7)
         for c in rng.uniform(-20.0, 20.0, 3):
-            flow_c = compute_flow(correct_background(shifted(series, float(c)), roi)[0], roi)
+            flow_c = corrected_flow(shifted(series, float(c)), roi)
             drift = np.abs(flow_c.values - base_flow.values).max()
             assert drift <= 1e-6 * mask.n_members
 
     def test_zero_background_unbiased(self):
         series, mask, _ = images(duration_s=60.0, seed=5)
         roi = RoiSeries.from_static(mask, series.n_frames)
-        _, estimate = correct_background(series, roi)
+        estimate = correct_background(series, roi)
         assert estimate.offset_mm_s == 0.0
 
     def test_synthetic_eddy_recovered(self):
         series, mask, _ = images(duration_s=60.0, seed=5,
                                  artifacts={"eddy_offset_mm_s": 3.0})
         roi = RoiSeries.from_static(mask, series.n_frames)
-        _, estimate = correct_background(series, roi)
+        estimate = correct_background(series, roi)
         assert estimate.offset_mm_s == pytest.approx(3.0, abs=0.1)
 
     def test_eddy_recovered_under_pixel_noise(self):
@@ -232,13 +240,13 @@ class TestCorrectBackground:
             pixel_area_mm2=series.pixel_area_mm2,
         )
         roi = RoiSeries.from_static(mask, noisy.n_frames)
-        _, estimate = correct_background(noisy, roi)
+        estimate = correct_background(noisy, roi)
         assert estimate.offset_mm_s == pytest.approx(3.0, abs=0.1)
 
     def test_band_disjoint_from_roi(self):
         series, mask, _ = images(duration_s=60.0, seed=5)
         roi = RoiSeries.from_static(mask, series.n_frames)
-        _, estimate = correct_background(series, roi)
+        estimate = correct_background(series, roi)
         assert not (estimate.band & roi.union()).any()
         assert estimate.n_band_pixels >= 8
 
@@ -250,11 +258,12 @@ class TestCorrectBackground:
         frames = rng.normal(2.0, 5.0, (300, 40, 40)) * rng.uniform(0.2, 3.0, (40, 40))
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
         roi = RoiSeries.from_static(RoiMask(disk_mask(40, 40, 20, 20, radius)), series.n_frames)
-        corrected, estimate = correct_background(series, roi)
+        original = series.frames.copy()
+        estimate = correct_background(series, roi)
         # The whole-ring computation the function used to run.
         ring = distance_band(roi.union(), 2.0, BAND_OUTER_PX)
         assert ring.sum() > STD_BLOCK_PIXELS and ring.sum() % STD_BLOCK_PIXELS
-        ring_values = series.frames[:, ring].astype(np.float64)
+        ring_values = original[:, ring].astype(np.float64)
         stds = ring_values.std(axis=0)
         keep = stds <= np.quantile(stds, 0.25)
         band = np.zeros_like(ring)
@@ -263,7 +272,7 @@ class TestCorrectBackground:
         assert estimate.offset_mm_s == offset
         assert np.array_equal(estimate.band, band)
         assert estimate.n_band_pixels == int(keep.sum())
-        assert np.array_equal(corrected.frames, (series.frames.astype(np.float64) - offset).astype(np.float32))
+        assert np.array_equal(series.frames, (original.astype(np.float64) - offset).astype(np.float32))
 
     def test_insufficient_band(self):
         # ROI fills almost the whole image; nothing left for the band
@@ -278,34 +287,25 @@ class TestCorrectBackground:
                                  artifacts={"eddy_offset_mm_s": 3.0, "noise_sd": 4.0})
         roi = RoiSeries.from_static(mask, series.n_frames)
         original = series.frames.copy()
-        corrected, estimate = correct_background(series, roi)
-        assert np.array_equal(series.frames.view(np.uint32), original.view(np.uint32))
-        target = VelocityMapSeries(frames=original.copy(), dt_ms=series.dt_ms,
-                                   venc_mm_s=series.venc_mm_s, pixel_area_mm2=series.pixel_area_mm2)
-        in_place, in_place_estimate = correct_background(target, roi, out=target.frames)
-        assert in_place.frames is target.frames
-        assert np.array_equal(in_place.frames.view(np.uint32), corrected.frames.view(np.uint32))
-        assert in_place_estimate.offset_mm_s == estimate.offset_mm_s != 0.0
-        assert np.array_equal(in_place_estimate.band, estimate.band)
-        assert in_place_estimate.n_band_pixels == estimate.n_band_pixels
+        frames = series.frames
+        estimate = correct_background(series, roi)
+        assert series.frames is frames
+        offset = float(np.median(original[:, estimate.band].astype(np.float64)))
+        assert estimate.offset_mm_s == offset != 0.0
+        assert estimate.n_band_pixels == int(estimate.band.sum())
+        expected = (original.astype(np.float64) - offset).astype(np.float32)
+        assert np.array_equal(frames.view(np.uint32), expected.view(np.uint32))
 
     @settings(max_examples=300, deadline=None)
     @given(case=band_cases())
     def test_offset_is_float64_median_of_band(self, case):
         series, roi, quantile = case
-        corrected, estimate = correct_background(series, roi, variance_quantile=quantile,
-                                                 min_band_pixels=1)
-        gather = series.frames[:, estimate.band]
-        offset = float(np.median(gather.astype(np.float64)))
+        original = series.frames.copy()
+        estimate = correct_background(series, roi, variance_quantile=quantile, min_band_pixels=1)
+        offset = float(np.median(original[:, estimate.band].astype(np.float64)))
         assert np.float64(estimate.offset_mm_s).view(np.uint64) == np.float64(offset).view(np.uint64)
-        expected = (series.frames.astype(np.float64) - offset).astype(np.float32)
-        assert np.array_equal(corrected.frames.view(np.uint32), expected.view(np.uint32))
-        frames = series.frames.copy()
-        in_place, _ = correct_background(
-            VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25),
-            roi, variance_quantile=quantile, min_band_pixels=1, out=frames,
-        )
-        assert np.array_equal(frames.view(np.uint32), expected.view(np.uint32))
+        expected = (original.astype(np.float64) - offset).astype(np.float32)
+        assert np.array_equal(series.frames.view(np.uint32), expected.view(np.uint32))
 
     @pytest.mark.parametrize("zeros", [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]])
     @pytest.mark.parametrize("n_frames", [3, 4])
@@ -318,8 +318,9 @@ class TestCorrectBackground:
         member = np.zeros((12, 12), dtype=bool)
         member[6, 6] = True
         roi = RoiSeries.from_static(RoiMask(member), n_frames)
-        _, estimate = correct_background(series, roi, variance_quantile=1.0, min_band_pixels=1)
-        offset = float(np.median(series.frames[:, estimate.band].astype(np.float64)))
+        original = series.frames.copy()
+        estimate = correct_background(series, roi, variance_quantile=1.0, min_band_pixels=1)
+        offset = float(np.median(original[:, estimate.band].astype(np.float64)))
         assert offset == 0.0
         assert math.copysign(1.0, estimate.offset_mm_s) == math.copysign(1.0, offset)
 
@@ -331,23 +332,33 @@ class TestCorrectBackground:
         small = RoiSeries.from_static(RoiMask(disk_mask(16, 16, 8, 8, 2)), 6)
         everything = RoiSeries.from_static(RoiMask(np.ones((16, 16), dtype=bool)), 6)
         with pytest.raises(InsufficientStationaryTissue, match="no pixels"):
-            correct_background(series, everything, out=frames)
+            correct_background(series, everything)
         with pytest.raises(InsufficientStationaryTissue, match="quiet band pixels"):
-            correct_background(series, small, min_band_pixels=10_000, out=frames)
+            correct_background(series, small, min_band_pixels=10_000)
         with pytest.raises(ValueError, match="masks for"):
-            correct_background(series, RoiSeries.from_static(RoiMask(small.masks[0]), 5), out=frames)
-        assert np.array_equal(frames.view(np.uint32), before.view(np.uint32))
+            correct_background(series, RoiSeries.from_static(RoiMask(small.masks[0]), 5))
+        assert np.array_equal(series.frames.view(np.uint32), before.view(np.uint32))
 
     @pytest.mark.parametrize("step", ["correct_background", "unalias"])
-    def test_unusable_out_rejected(self, step):
-        series = disk_series([5, 5, 5])
+    def test_read_only_frames_rejected(self, step):
+        """A step that would change the frames refuses read-only ones before
+        it writes: the frames are a read-only view of an array that stays as
+        it was."""
+        base = disk_series([5, 5, 5], speed=900.0, venc=400.0).frames
+        base[:, 12, 12] = -700.0  # one wrapped pixel per frame
+        base += 3.0  # a background offset
+        before = base.copy()
+        view = base.view()
+        view.flags.writeable = False
+        series = VelocityMapSeries(frames=view, dt_ms=75.0, venc_mm_s=400.0, pixel_area_mm2=0.25)
+        assert series.frames.base is base
         roi = RoiSeries.from_static(RoiMask(disk_mask(24, 24, 12, 12, 5)), 3)
-        run = getattr(extraction, step)
-        for out in (np.zeros((3, 24, 24)), np.zeros((3, 24, 23), dtype=np.float32),
-                    np.zeros((3, 24, 48), dtype=np.float32)[:, :, ::2], series.frames[:, ::-1]):
-            with pytest.raises(ValueError, match="out must be"):
-                run(series, roi, out=out)
-        assert np.array_equal(series.frames, disk_series([5, 5, 5]).frames)
+        with pytest.raises(ValueError, match="the series' frames are read-only"):
+            getattr(extraction, step)(series, roi)
+        assert np.array_equal(base.view(np.uint32), before.view(np.uint32))
+        writable = copy_series(series)
+        getattr(extraction, step)(writable, roi)
+        assert not np.array_equal(writable.frames, before)  # the step does write
 
     def test_traced_peak_does_not_grow_with_the_band(self):
         """The band median is taken a block of frames at a time. Traced beyond
@@ -366,7 +377,7 @@ class TestCorrectBackground:
             tracemalloc.start()
             try:
                 in_use = tracemalloc.get_traced_memory()[0]
-                _, estimate = correct_background(series, roi, variance_quantile=1.0, out=frames)
+                estimate = correct_background(series, roi, variance_quantile=1.0)
                 peak = tracemalloc.get_traced_memory()[1] - in_use
             finally:
                 tracemalloc.stop()
@@ -481,13 +492,13 @@ class TestUnaliasMatchesPerFrameOracle:
     @given(case=unalias_cases())
     def test_bit_identical(self, case):
         series, roi, chunk_frames, block_values = case
+        expected = oracle_unalias(series, roi)
         chunk_bytes = io.SERIES_CHUNK_BYTES if chunk_frames is None else (
             chunk_frames * 4 * series.height * series.width)
         with mock.patch.object(io, "SERIES_CHUNK_BYTES", chunk_bytes), \
                 mock.patch.object(extraction, "UNALIAS_BLOCK_VALUES", block_values):
-            fixed, _ = unalias(series, roi)
-        expected = oracle_unalias(series, roi)
-        assert np.array_equal(fixed.frames.view(np.uint32), expected.view(np.uint32))
+            unalias(series, roi)
+        assert np.array_equal(series.frames.view(np.uint32), expected.view(np.uint32))
 
     def test_synthgen_series_across_chunks(self):
         aliased, mask, truth = images(duration_s=60.0, seed=5,
@@ -497,31 +508,28 @@ class TestUnaliasMatchesPerFrameOracle:
         assert np.unique(seeded.masks.sum(axis=(1, 2))).size > 1  # mixed member counts
         for roi in (RoiSeries.from_static(mask, aliased.n_frames), seeded):
             expected = oracle_unalias(aliased, roi)
+            fixed = copy_series(aliased)
             with mock.patch.object(io, "SERIES_CHUNK_BYTES", 3 * 4 * aliased.height * aliased.width):
-                fixed, _ = unalias(aliased, roi)
+                unalias(fixed, roi)
             assert np.array_equal(fixed.frames.view(np.uint32), expected.view(np.uint32))
 
     @settings(max_examples=200, deadline=None)
     @given(case=unalias_cases())
     def test_in_place_and_count(self, case):
-        """out=None and out=series.frames give the oracle's bits, and the count
-        is the number of pixel-frames whose float32 value changed."""
+        """The frames are overwritten with the oracle's bits, and the count is
+        the number of pixel-frames whose float32 value changed."""
         series, roi, chunk_frames, block_values = case
         original = series.frames.copy()
+        frames = series.frames
         expected = oracle_unalias(series, roi)
-        target = VelocityMapSeries(frames=original.copy(), dt_ms=series.dt_ms,
-                                   venc_mm_s=series.venc_mm_s, pixel_area_mm2=series.pixel_area_mm2)
         chunk_bytes = io.SERIES_CHUNK_BYTES if chunk_frames is None else (
             chunk_frames * 4 * series.height * series.width)
         with mock.patch.object(io, "SERIES_CHUNK_BYTES", chunk_bytes), \
                 mock.patch.object(extraction, "UNALIAS_BLOCK_VALUES", block_values):
-            fixed, n_changed = unalias(series, roi)
-            in_place, n_in_place = unalias(target, roi, out=target.frames)
-        assert np.array_equal(series.frames.view(np.uint32), original.view(np.uint32))
-        assert in_place.frames is target.frames
-        for frames in (fixed.frames, in_place.frames):
-            assert np.array_equal(frames.view(np.uint32), expected.view(np.uint32))
-        assert n_changed == n_in_place == int(np.count_nonzero(expected != original))
+            n_changed = unalias(series, roi)
+        assert series.frames is frames
+        assert np.array_equal(frames.view(np.uint32), expected.view(np.uint32))
+        assert n_changed == int(np.count_nonzero(expected != original))
 
 
 class TestUnalias:
@@ -531,17 +539,17 @@ class TestUnalias:
         frames = values.reshape(1, 1, 6)
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
         roi = RoiSeries.from_static(RoiMask(membership=np.ones((1, 6), dtype=bool)), 1)
-        fixed, _ = unalias(series, roi)
-        assert fixed.frames[0, 0, 5] == 900.0
-        assert np.array_equal(fixed.frames[0, 0, :5], frames[0, 0, :5])
+        unalias(series, roi)
+        assert series.frames[0, 0, 5] == 900.0
+        assert np.array_equal(series.frames[0, 0, :5], frames[0, 0, :5])
 
     def test_within_venc_untouched(self):
         values = np.array([[700.0, 750.0, 800.0, 820.0]])
         series = VelocityMapSeries(frames=values[None], dt_ms=75.0, venc_mm_s=800.0,
                                    pixel_area_mm2=0.25)
         roi = RoiSeries.from_static(RoiMask(membership=np.ones((1, 4), dtype=bool)), 1)
-        fixed, _ = unalias(series, roi)
-        assert np.array_equal(fixed.frames, series.frames)
+        assert unalias(series, roi) == 0
+        assert np.array_equal(series.frames, values[None])
 
     def test_synthgen_wrapped_pixels_all_restored(self):
         clean, mask, _ = images(duration_s=60.0, seed=5)
@@ -549,10 +557,10 @@ class TestUnalias:
                                    artifacts={"aliased_pixel_fraction": 0.1})
         assert len(truth.wrapped_pixels) > 100
         roi = RoiSeries.from_static(mask, aliased.n_frames)
-        fixed, _ = unalias(aliased, roi)
-        assert np.array_equal(fixed.frames, clean.frames)
+        unalias(aliased, roi)
+        assert np.array_equal(aliased.frames, clean.frames)
         flow_truth = signals(duration_s=60.0, seed=5).flow
-        flow_fixed = compute_flow(fixed, roi)
+        flow_fixed = compute_flow(aliased, roi)
         rel = np.abs(flow_fixed.values - flow_truth.values) / np.abs(flow_truth.values)
         assert rel.max() < 0.005
 
@@ -577,8 +585,8 @@ class TestUnalias:
                                     venc_mm_s=series.venc_mm_s,
                                     pixel_area_mm2=series.pixel_area_mm2)
         roi = RoiSeries.from_static(mask, series.n_frames)
-        fixed, _ = unalias(wrapped, roi)
-        assert np.array_equal(fixed.frames, series.frames)
+        unalias(wrapped, roi)
+        assert np.array_equal(wrapped.frames, series.frames)
 
     def test_empty_and_single_pixel_frames_noop(self):
         frames = np.full((2, 2, 2), 500.0)
@@ -586,8 +594,20 @@ class TestUnalias:
         empty = np.zeros((2, 2), dtype=bool)
         single = np.array([[True, False], [False, False]])
         roi = RoiSeries(masks=np.stack([empty, single]))
-        fixed, _ = unalias(series, roi)
-        assert np.array_equal(fixed.frames, series.frames)
+        assert unalias(series, roi) == 0
+        assert np.array_equal(series.frames, frames)
+
+    def test_shift_beyond_float32_names_the_step(self):
+        """A shifted value beyond the float32 range raises NonFiniteVelocity
+        naming the step, with no RuntimeWarning, and its group is not written."""
+        frames = np.full((1, 1, 6), 3.4e38, dtype=np.float32)
+        frames[0, 0, 2] = 3.28e38
+        series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=1e37, pixel_area_mm2=0.25)
+        before = series.frames.copy()
+        roi = RoiSeries.from_static(RoiMask(membership=np.ones((1, 6), dtype=bool)), 1)
+        with pytest.raises(NonFiniteVelocity, match=r"^unaliasing: .* beyond the float32 range$"):
+            unalias(series, roi)
+        assert np.array_equal(series.frames.view(np.uint32), before.view(np.uint32))
 
     def test_error_leaves_out_untouched(self):
         series = disk_series([5, 5, 5], speed=900.0, venc=400.0)
@@ -597,7 +617,7 @@ class TestUnalias:
         for roi in (RoiSeries.from_static(member, 2),
                     RoiSeries.from_static(RoiMask(member.membership[:, :20]), 3)):
             with pytest.raises(ValueError, match="ROI"):
-                unalias(series, roi, out=frames)
+                unalias(series, roi)
         assert np.array_equal(frames.view(np.uint32), before.view(np.uint32))
 
 
