@@ -28,7 +28,7 @@ _EXPORTS = {
         "extraction",
     ),
     **dict.fromkeys(
-        ("RoiMask", "SampledSignal", "VelocityMapSeries", "read_mask", "read_signal_csv",
+        ("SampledSignal", "VelocityMapSeries", "read_mask", "read_signal_csv",
          "read_velocity_series", "write_mask", "write_signal_csv", "write_velocity_series"),
         "io",
     ),

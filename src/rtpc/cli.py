@@ -39,7 +39,7 @@ _CALLS = {
     ".extraction": ("COMPONENT_START_HALF_PX", "RoiSeries", "compute_flow", "correct_background",
                     "quality_score", "roi_window", "seed_window", "segment_roi", "sum_flows",
                     "unalias"),
-    ".io": ("RoiMask", "SampledSignal", "read_mask", "read_signal_csv", "read_velocity_header",
+    ".io": ("SampledSignal", "read_mask", "read_signal_csv", "read_velocity_header",
             "read_velocity_series", "write_mask", "write_signal_csv", "write_velocity_series"),
     ".respiration": ("detect_resp_intervals",),
     ".synthgen": ("SimConfig", "generate_signals", "generate_velocity_series"),
@@ -98,6 +98,21 @@ def _name_clash(names) -> str | None:
         if key in source_of:
             return f"{source_of[key]} and {source} give the same record name {key!r}"
         source_of[key] = source
+    return None
+
+
+def _path_clash(outputs, inputs) -> str | None:
+    """The first output option that names the file of an input option or of
+    an earlier output, once resolved, as a message; None if there is none.
+    Options are (option, path) pairs; a path of None is left out."""
+    named = {Path(path).resolve(): (option, path) for option, path in inputs if path is not None}
+    for option, path in outputs:
+        if path is None:
+            continue
+        key = Path(path).resolve()
+        if key in named:
+            return f"{option} and {named[key][0]} name the same file {named[key][1]}"
+        named[key] = (option, path)
     return None
 
 
@@ -186,8 +201,10 @@ def _seeded_roi(args, height: int, width: int) -> tuple:
 
 def cmd_extract(args, written: list) -> int:
     _load(".io", ".extraction")
-    if args.qc is not None and Path(args.qc).resolve() == Path(args.out).resolve():
-        return _usage_error("extract", f"--qc and --out name the same file {args.out}")
+    clash = _path_clash([("--out", args.out), ("--qc", args.qc)],
+                        [("--series", args.series), ("--mask", args.mask)])
+    if clash is not None:
+        return _usage_error("extract", clash)
     header = read_velocity_header(args.series)
     height, width = header["height"], header["width"]
     if args.venc is not None and not (math.isfinite(args.venc) and args.venc > 0.0):
@@ -211,12 +228,12 @@ def cmd_extract(args, written: list) -> int:
                               ("--max-radius-px", args.max_radius_px)):
             if value is not None:
                 return _usage_error("extract", f"{option} applies to --seed only, not to --mask")
-        membership = read_mask(args.mask, width, height).membership
-        if not membership.any():
+        mask = read_mask(args.mask, width, height)
+        if not mask.any():
             raise EmptySegmentation(f"mask {args.mask} has no member pixel")
-        window = roi_window(membership)
+        window = roi_window(mask)
         series = read_velocity_series(args.series, venc_mm_s=args.venc, window=window)
-        roi = RoiSeries.from_static(RoiMask(membership[window]), series.n_frames)
+        roi = RoiSeries.from_static(mask[window], series.n_frames)
     else:
         if args.threshold_fraction is None:
             args.threshold_fraction = settings.THRESHOLD_FRACTION
@@ -277,6 +294,10 @@ def cmd_analyze(args, written: list) -> int:
     if len(flow_paths) > 1:
         names.append((args.name, "--name"))
     if (clash := _name_clash(names)) is not None:
+        return _usage_error("analyze", clash)
+    clash = _path_clash([("--out", args.out)],
+                        [*[("--flow", p) for p in flow_paths], ("--resp", args.resp)])
+    if clash is not None:
         return _usage_error("analyze", clash)
     if not (math.isfinite(args.delay_step_ms) and args.delay_step_ms > 0.0):
         return _usage_error(

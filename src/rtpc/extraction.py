@@ -22,29 +22,28 @@ from .errors import (
     SeedOutsideVessel,
     TooShort,
 )
-from .io import RoiMask, SampledSignal, VelocityMapSeries, frame_chunks
+from .io import SampledSignal, VelocityMapSeries, frame_chunks
 from .numerics import distance_band, gather_blocks, ranked_values, seed_component, welch
 from .report import MAX_RADIUS_PX, SNR_THRESHOLD, THRESHOLD_FRACTION, QcFlags
 
 #: 1 mm^3/s = 0.06 ml/min
 ML_MIN_PER_MM3_S = 0.06
 
-#: Distances (px) from the union ROI of correct_background's stationary-tissue
-#: band; roi_window grows the ROI box by ceil(BAND_OUTER_PX), so the band lies in it.
+#: The settings of correct_background's stationary-tissue band (see there);
+#: roi_window grows the ROI box by ceil(BAND_OUTER_PX), so the band lies in it.
 BAND_INNER_PX = 2.0
 BAND_OUTER_PX = 6.0
+BAND_QUANTILE = 0.25
+MIN_BAND_PIXELS = 8
 
 #: Least half-width of the first window `extract --seed` reads around the seed.
 COMPONENT_START_HALF_PX = 16
 
-#: Ring pixels whose temporal std correct_background takes at once; a block
-#: holds n_frames x STD_BLOCK_PIXELS float64 values.
-STD_BLOCK_PIXELS = 32
-
-#: Values a bounded gather over frames takes at once: the ROI values of one
-#: unalias float64 matrix (512 KiB), and the band values of one float32 block
+#: Values a bounded gather over frames takes at once: about the ring values of
+#: one float64 std block of correct_background, and at most the ROI values of
+#: one unalias float64 matrix (512 KiB) or the band values of one float32 block
 #: of the background median.
-UNALIAS_BLOCK_VALUES = 1 << 16
+BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +66,10 @@ class RoiSeries:
         return len(self.masks)
 
     @classmethod
-    def from_static(cls, mask: RoiMask, n_frames: int) -> "RoiSeries":
-        return cls(masks=np.broadcast_to(mask.membership, (n_frames, *mask.membership.shape)))
+    def from_static(cls, mask: np.ndarray, n_frames: int) -> "RoiSeries":
+        """One (height, width) mask for all frames: a stride-0 broadcast of it, made C-contiguous."""
+        mask = np.ascontiguousarray(mask, dtype=bool)
+        return cls(masks=np.broadcast_to(mask, (n_frames, *mask.shape)))
 
     def union(self) -> np.ndarray:
         return self.masks.any(axis=0)
@@ -170,19 +171,15 @@ def seed_window(seed_row: int, seed_col: int, half: int, height: int, width: int
     )
 
 
-def correct_background(
-    series: VelocityMapSeries,
-    roi: RoiSeries,
-    variance_quantile: float = 0.25,
-    min_band_pixels: int = 8,
-) -> BackgroundEstimate:
+def correct_background(series: VelocityMapSeries, roi: RoiSeries) -> BackgroundEstimate:
     """Subtract the stationary-tissue velocity offset (eddy-current bias).
 
-    Candidate pixels lie at distance [BAND_INNER_PX, BAND_OUTER_PX] from the
-    union ROI; of those, the quietest variance_quantile by temporal standard
-    deviation form the band. The offset is the median velocity over band
-    pixels and frames, treated as static, and is subtracted from every pixel
-    of every frame, in float64 and rounded once to float32.
+    Candidate pixels, the ring, lie at distance [BAND_INNER_PX,
+    BAND_OUTER_PX] from the union ROI; those whose temporal standard
+    deviation is at most its BAND_QUANTILE quantile over the ring form the
+    band, which needs MIN_BAND_PIXELS. The offset is the median velocity over
+    band pixels and frames, treated as static, and is subtracted from every
+    pixel of every frame, in float64 and rounded once to float32.
 
     The corrected values overwrite series.frames, which must be writable;
     the estimate is returned. Every check runs before the first write, so an
@@ -198,18 +195,18 @@ def correct_background(
     if not ring.any():
         raise InsufficientStationaryTissue("no pixels in the distance band around the ROI")
     rows, cols = np.nonzero(ring)
-    # The gather lays each pixel's frames out as one contiguous column, which
-    # numpy reduces on its own: a pixel's std does not depend on its block.
+    n_blocks = max(1, rows.size // max(1, BLOCK_VALUES // series.n_frames))
+    # Blocks of about BLOCK_VALUES values. The gather lays each pixel's frames
+    # out as one contiguous column, which numpy reduces on its own: a pixel's
+    # std does not depend on its block.
     stds = np.concatenate([
-        series.frames[:, rows[b : b + STD_BLOCK_PIXELS], cols[b : b + STD_BLOCK_PIXELS]]
-        .astype(np.float64)
-        .std(axis=0)
-        for b in range(0, rows.size, STD_BLOCK_PIXELS)
+        series.frames[:, r, c].astype(np.float64).std(axis=0)
+        for r, c in zip(np.array_split(rows, n_blocks), np.array_split(cols, n_blocks))
     ])
-    keep = stds <= np.quantile(stds, variance_quantile)
+    keep = stds <= np.quantile(stds, BAND_QUANTILE)
     n_band = int(keep.sum())
-    if n_band < min_band_pixels:
-        raise InsufficientStationaryTissue(f"{n_band} quiet band pixels, need {min_band_pixels}")
+    if n_band < MIN_BAND_PIXELS:
+        raise InsufficientStationaryTissue(f"{n_band} quiet band pixels, need {MIN_BAND_PIXELS}")
     band = np.zeros_like(ring)
     band[rows[keep], cols[keep]] = True
     flat = series.frames.reshape(series.n_frames, -1)
@@ -232,17 +229,17 @@ def _band_median(flat: np.ndarray, pixels: np.ndarray) -> float:
     """float(np.median(flat[:, pixels].astype(np.float64))), bit for bit.
 
     flat is (frames, pixels). numerics.ranked_values selects the middle
-    value, or the middle two, a block of at most UNALIAS_BLOCK_VALUES values
-    at a time, with no gather of the whole band; that value, or the float64
-    mean of the two, is np.median's. Only the sign of a zero can tell them apart: where the
-    middle is zero and the band holds a -0.0, which zero np.median picks
-    follows its float64 partition, so the median is taken that way.
+    value, or the middle two, a block of at most BLOCK_VALUES values at a
+    time, with no gather of the whole band; that value, or the float64 mean
+    of the two, is np.median's. Only the sign of a zero can tell them apart:
+    where the middle is zero and the band holds a -0.0, which zero np.median
+    picks follows its float64 partition, so the median is taken that way.
     """
     n_values = len(flat) * pixels.size
     half = n_values // 2
     kth = (half,) if n_values % 2 else (half - 1, half)
-    middle = [float(v) for v in ranked_values(flat, pixels, kth, UNALIAS_BLOCK_VALUES)]
-    blocks = gather_blocks(flat, pixels, UNALIAS_BLOCK_VALUES)
+    middle = [float(v) for v in ranked_values(flat, pixels, kth, BLOCK_VALUES)]
+    blocks = gather_blocks(flat, pixels, BLOCK_VALUES)
     if 0.0 in middle and any(np.signbit(b[b == 0.0]).any() for b in blocks):
         values = np.take(flat, pixels, axis=1).astype(np.float64)
         return float(np.median(values, overwrite_input=True))
@@ -291,14 +288,14 @@ def _member_groups(masks: np.ndarray, frames: slice):
 
     masks is (n_frames, pixels). Each block is (frame indices, member
     indices), the latter (frames, k) with each frame's members in row-major
-    order, and holds at most UNALIAS_BLOCK_VALUES members, or one frame. A
-    static ROI (a stride-0 broadcast) has one member vector for all frames.
+    order, and holds at most BLOCK_VALUES members, or one frame. A static
+    ROI (a stride-0 broadcast) has one member vector for all frames.
     """
     if masks.strides[0] == 0:
         members = np.flatnonzero(masks[0])
         if members.size < 2:
             return
-        step = max(1, UNALIAS_BLOCK_VALUES // members.size)
+        step = max(1, BLOCK_VALUES // members.size)
         for lo in range(frames.start, frames.stop, step):
             t = np.arange(lo, min(lo + step, frames.stop))
             yield t, np.broadcast_to(members, (t.size, members.size))
@@ -307,7 +304,7 @@ def _member_groups(masks: np.ndarray, frames: slice):
     counts = np.count_nonzero(chunk, axis=1)
     for k in np.unique(counts[counts >= 2]).tolist():
         sel = np.flatnonzero(counts == k)
-        step = max(1, UNALIAS_BLOCK_VALUES // k)
+        step = max(1, BLOCK_VALUES // k)
         for lo in range(0, sel.size, step):
             rows = sel[lo : lo + step]
             yield frames.start + rows, np.nonzero(chunk[rows])[1].reshape(rows.size, k)
@@ -332,8 +329,8 @@ def unalias(series: VelocityMapSeries, roi: RoiSeries) -> int:
 
     Frames are taken one frame_chunks chunk at a time. A chunk's frames are
     grouped by ROI member count k, and each group's members are gathered,
-    at most UNALIAS_BLOCK_VALUES at once, as (frames, k) float64 matrices,
-    whose rows give the medians at once.
+    at most BLOCK_VALUES at once, as (frames, k) float64 matrices, whose
+    rows give the medians at once.
 
     Valid while venc stays above about 0.6 x the systolic peak velocity.
     Below that, pixels that never wrapped are shifted too: a radius-6 px

@@ -121,36 +121,6 @@ class VelocityMapSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class RoiMask:
-    """Boolean pixel membership, shape (height, width)."""
-
-    membership: np.ndarray
-
-    def __post_init__(self):
-        mask = np.ascontiguousarray(np.asarray(self.membership, dtype=bool))
-        if mask.ndim != 2 or min(mask.shape) < 1:
-            raise DimensionMismatch(f"mask must be a non-empty 2-D array, got shape {mask.shape}")
-        object.__setattr__(self, "membership", mask)
-
-    @property
-    def height(self) -> int:
-        return self.membership.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.membership.shape[1]
-
-    @property
-    def n_members(self) -> int:
-        return int(self.membership.sum())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RoiMask):
-            return NotImplemented
-        return bool(np.array_equal(self.membership, other.membership))
-
-
-@dataclass(frozen=True, eq=False)
 class SampledSignal:
     """Uniformly sampled time series (flow in ml/min or belt amplitude)."""
 
@@ -401,8 +371,8 @@ def _pgm_tokens(data: bytes):
         yield data[start:pos].decode("ascii", errors="replace"), pos
 
 
-def read_mask(path, expected_width: int, expected_height: int) -> RoiMask:
-    """Read a binary PGM (P5, maxval <= 255); any nonzero pixel is a member."""
+def read_mask(path, expected_width: int, expected_height: int) -> np.ndarray:
+    """Read a binary PGM (P5, maxval <= 255) as a bool array; nonzero pixels are members."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -428,14 +398,16 @@ def read_mask(path, expected_width: int, expected_height: int) -> RoiMask:
     raster = data[end + 1 : end + 1 + width * height]
     if len(raster) != width * height:
         raise NotPgm(f"{path}: raster has {len(raster)} bytes, expected {width * height}")
-    membership = np.frombuffer(raster, dtype=np.uint8).reshape(height, width) > 0
-    return RoiMask(membership=membership)
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width) > 0
 
 
-def write_mask(mask: RoiMask, path) -> None:
-    """Write a mask as binary PGM: members 255, the rest 0."""
-    header = f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii")
-    raster = np.where(mask.membership, 255, 0).astype(np.uint8).tobytes()
+def write_mask(mask: np.ndarray, path) -> None:
+    """Write a (height, width) mask as binary PGM: true pixels 255, the rest 0."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2 or min(mask.shape) < 1:
+        raise ValueError(f"mask must be a non-empty 2-D array, got shape {mask.shape}")
+    header = f"P5\n{mask.shape[1]} {mask.shape[0]}\n255\n".encode("ascii")
+    raster = np.where(mask, 255, 0).astype(np.uint8).tobytes()
     try:
         Path(path).write_bytes(header + raster)
     except OSError as exc:

@@ -26,7 +26,6 @@ import math
 import numpy as np
 
 _COMPONENT_CHUNK_FRAMES = 256
-_BAND_PAIRS_PER_CHUNK = 1 << 20
 _HALF_KEYS = 1 << 16  # bins of each ranked_values pass: 16-bit patterns
 
 
@@ -241,41 +240,22 @@ def _grow(above: np.ndarray, row: int, col: int) -> np.ndarray:
 def distance_band(mask: np.ndarray, inner: float, outer: float) -> np.ndarray:
     """Pixels whose distance_transform_edt(~mask) lies in [inner, outer].
 
-    The distance is sqrt of the smallest integer squared distance to a mask
-    pixel, as the exact transform gives it. Only pixels within floor(outer)
-    of the mask's bounding box can fall in the band, and only mask pixels
-    with a 4-neighbour outside the mask can be nearest, so the pairwise
-    distances are taken between those two sets, a bounded number at a time.
-    mask must have at least one pixel; inner > 0.
+    Straight from the definition: a pixel's distance is sqrt of its smallest
+    dy**2 + dx**2 to a mask pixel, over |dy|, |dx| <= floor(outer). A
+    nearest mask pixel outside that square lies more than outer away, and
+    then so does the nearest one inside it, if any: either way the pixel is
+    out of the band. mask must have at least one pixel.
     """
     height, width = mask.shape
     reach = math.floor(outer)
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    r0, r1 = max(int(rows[0]) - reach, 0), min(int(rows[-1]) + reach + 1, height)
-    c0, c1 = max(int(cols[0]) - reach, 0), min(int(cols[-1]) + reach + 1, width)
-
-    padded = np.pad(mask, 1, constant_values=True)
-    interior = (
-        padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
-    )
-    edge_r, edge_c = np.nonzero(mask & ~interior)
-    cand_r, cand_c = np.nonzero(~mask[r0:r1, c0:c1])
-    cand_r += r0
-    cand_c += c0
-    band = np.zeros_like(mask)
-    if not cand_r.size:
-        return band
-
-    d2 = np.empty(cand_r.size, dtype=np.int64)
-    step = max(1, _BAND_PAIRS_PER_CHUNK // edge_r.size)
-    for lo in range(0, cand_r.size, step):
-        dr = cand_r[lo : lo + step, None] - edge_r
-        dc = cand_c[lo : lo + step, None] - edge_c
-        d2[lo : lo + step] = (dr * dr + dc * dc).min(axis=1)
-    distance = np.sqrt(d2.astype(np.float64))
-    band[cand_r, cand_c] = (distance >= inner) & (distance <= outer)
-    return band
+    padded = np.pad(mask, reach)
+    d2 = np.full(mask.shape, np.inf)
+    for dy in range(-reach, reach + 1):
+        for dx in range(-reach, reach + 1):
+            near = padded[reach + dy : reach + dy + height, reach + dx : reach + dx + width]
+            np.minimum(d2, np.where(near, float(dy * dy + dx * dx), np.inf), out=d2)
+    distance = np.sqrt(d2)
+    return (distance >= inner) & (distance <= outer)
 
 
 def gather_blocks(flat: np.ndarray, pixels: np.ndarray, block_values: int):

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidConfig
-from .io import RoiMask, SampledSignal, VelocityMapSeries, frame_chunks
+from .io import SampledSignal, VelocityMapSeries, frame_chunks
 
 BELT_WAVEFORMS = ("sine", "rounded-square")
 MODULATION_SHAPES = ("square", "sine")
@@ -315,7 +315,7 @@ class VesselSeries:
 
 class ImageBundle(NamedTuple):
     series: VesselSeries
-    mask: RoiMask
+    mask: np.ndarray  # bool (height, width): the vessel
     truth: GroundTruth
 
 
@@ -618,4 +618,4 @@ def generate_velocity_series(config: SimConfig) -> ImageBundle:
         wrapped_pixels=wrapped,
         nominal_peak_velocity_mm_s=float(nominal_peak),
     )
-    return ImageBundle(series=series, mask=RoiMask(membership=member), truth=truth)
+    return ImageBundle(series=series, mask=member, truth=truth)

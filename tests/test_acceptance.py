@@ -133,7 +133,7 @@ def test_criterion_5_extraction_suite():
         )
         correct_background(shifted, roi)
         drift = np.abs(compute_flow(shifted, roi).values - base.values).max()
-        if drift > 1e-6 * mask.n_members:
+        if drift > 1e-6 * mask.sum():
             failures.append(f"offset invariance drift {drift:.2e} at c={c}")
 
     # wrap/unwrap exact round trip

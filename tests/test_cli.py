@@ -31,7 +31,6 @@ from rtpc.extraction import (
 )
 from rtpc.io import (
     MAGIC,
-    RoiMask,
     SampledSignal,
     VelocityMapSeries,
     frame_chunks,
@@ -271,7 +270,7 @@ class TestExtractOptions:
         series = write_raw_series(tmp_path / "s.rtpc", frames)
         member = np.zeros((40, 40), dtype=bool)
         member[18:22, 18:22] = True
-        write_mask(RoiMask(member), tmp_path / "m.pgm")
+        write_mask(member, tmp_path / "m.pgm")
         argv = ["extract", "--series", str(series), "--mask", str(tmp_path / "m.pgm"),
                 option, value, "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 2
@@ -283,7 +282,7 @@ class TestExtractOptions:
         frames = np.random.default_rng(0).normal(0.0, 5.0, (100, 20, 20))
         series = write_raw_series(tmp_path / "s.rtpc", frames)
         mask = tmp_path / "empty.pgm"
-        write_mask(RoiMask(np.zeros((20, 20), dtype=bool)), mask)
+        write_mask(np.zeros((20, 20), dtype=bool), mask)
         for extra in ([], ["--no-background-correction", "--no-unalias"]):
             rc = main(["extract", "--series", str(series), "--mask", str(mask), *extra,
                        "--out", str(tmp_path / "x.csv")])
@@ -309,7 +308,7 @@ class TestExtractOptions:
         frames = np.full((100, 32, 32), -3.0e38)
         frames[:, disk] = 3.0e38
         series = write_raw_series(tmp_path / "s.rtpc", frames)
-        write_mask(RoiMask(disk), tmp_path / "m.pgm")
+        write_mask(disk, tmp_path / "m.pgm")
         out = tmp_path / "x.csv"
         argv = ["extract", "--series", str(series), "--mask", str(tmp_path / "m.pgm"), "--out", str(out)]
         assert main(argv) == 3
@@ -367,6 +366,35 @@ class TestAnalyzeOptions:
         err = capsys.readouterr().err
         assert option in err and "Traceback" not in err
         assert not out.exists() and not (tmp_path / "plots").exists()
+
+
+class TestOutputNamesAnInput:
+    """An output option that names an input file, as a resolved path, exits 2
+    before any file is read, and the input keeps its bytes."""
+
+    @pytest.fixture()
+    def data(self, tmp_path):
+        cfg = write_config(tmp_path, {"duration_s": 20.0})
+        out = tmp_path / "d"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out), "--with-images"]) == 0
+        return out
+
+    @pytest.mark.parametrize("command, option, target, other", [
+        ("extract", "--out", "series.rtpc", "--series"),
+        ("extract", "--out", "mask.pgm", "--mask"),
+        ("analyze", "--out", "resp.csv", "--resp"),
+    ])
+    def test_refused_and_input_kept(self, data, capsys, monkeypatch, command, option, target, other):
+        monkeypatch.chdir(data)
+        before = (data / target).read_bytes()
+        if command == "extract":
+            argv = ["extract", "--series", "series.rtpc", "--mask", str(data / "mask.pgm")]
+        else:
+            argv = ["analyze", "--flow", "flow.csv", "--resp", str(data / "resp.csv")]
+        given = dict(zip(argv[1::2], argv[2::2]))[other]
+        assert main([*argv, option, f"./{target}"]) == 2
+        assert capsys.readouterr().err == f"rtpc {command}: {option} and {other} name the same file {given}\n"
+        assert (data / target).read_bytes() == before
 
 
 class TestDelayGridBound:
@@ -457,7 +485,7 @@ def crop_datasets(tmp_path_factory):
 
     return {
         "centred": (write_images(root / "centred", series, mask), "16,16"),
-        "edge": (write_images(root / "edge", edge, RoiMask(mask.membership[cut])), "4,4"),
+        "edge": (write_images(root / "edge", edge, mask[cut]), "4,4"),
         "wide": (write_images(root / "wide", wide, wide_mask), "64,64"),
         "ragged": (write_images(root / "ragged", ragged, ragged_mask), "32,32"),
     }
@@ -512,9 +540,9 @@ class TestExtractMatchesFullFrame:
         )
         member = np.zeros((6, 6), dtype=bool)
         member[:5, :5] = True  # every other pixel lies within 2 px of the mask
-        data = write_images(tmp_path / "tiny", series, RoiMask(member))
+        data = write_images(tmp_path / "tiny", series, member)
         with pytest.raises(InsufficientStationaryTissue) as library:
-            correct_background(series, RoiSeries.from_static(RoiMask(member), series.n_frames))
+            correct_background(series, RoiSeries.from_static(member, series.n_frames))
         capsys.readouterr()
         out = tmp_path / "flow.csv"
         rc = main(["extract", "--series", str(data / "series.rtpc"),

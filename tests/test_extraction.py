@@ -21,7 +21,6 @@ from rtpc.errors import (
 )
 from rtpc.extraction import (
     BAND_OUTER_PX,
-    STD_BLOCK_PIXELS,
     RoiSeries,
     compute_flow,
     correct_background,
@@ -31,7 +30,7 @@ from rtpc.extraction import (
     sum_flows,
     unalias,
 )
-from rtpc.io import RoiMask, SampledSignal, VelocityMapSeries
+from rtpc.io import SampledSignal, VelocityMapSeries
 from rtpc.numerics import distance_band, seed_component
 
 
@@ -66,11 +65,27 @@ def corrected_flow(series, roi):
 class TestRoiSeries:
     def test_from_static_shares_the_mask(self):
         member = disk_mask(9, 7, 3, 4, 2)
-        roi = RoiSeries.from_static(RoiMask(member), 4000)
+        roi = RoiSeries.from_static(member, 4000)
         assert roi.masks.shape == (4000, 9, 7) and len(roi) == 4000
         assert roi.masks.strides[0] == 0  # one mask, not one per frame
         assert np.array_equal(roi.union(), member)
         assert roi.n_empty_frames() == 0
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4), (0, 4), (3, 0), ()])
+    def test_from_static_refuses_a_mask_that_is_not_2d(self, shape):
+        with pytest.raises(ValueError, match="RoiSeries"):
+            RoiSeries.from_static(np.ones(shape, dtype=bool), 3)
+
+    def test_from_static_of_a_slice_flattens_as_a_view(self):
+        """A mask cut from a larger one is copied once, so the per-frame
+        masks flatten to a stride-0 view, the form unalias reads as one
+        member vector for all frames."""
+        member = disk_mask(24, 24, 12, 12, 5)[2:20, 3:21]
+        assert not member.flags.c_contiguous
+        roi = RoiSeries.from_static(member, 50)
+        flat = roi.masks.reshape(len(roi), -1)
+        assert flat.strides[0] == 0 and np.shares_memory(flat, roi.masks)
+        assert np.array_equal(roi.union(), member)
 
     def test_read_only_and_counts(self):
         masks = np.zeros((3, 4, 5), dtype=bool)
@@ -182,19 +197,16 @@ def former_segment_roi(series, seed, fraction, radius) -> np.ndarray:
 
 @st.composite
 def band_cases(draw):
-    """A small series around a one-pixel ROI, with values from a pool that
-    makes ties, negative values and zeros of both signs common; frame and
-    band counts of both parities."""
-    n_frames = draw(st.integers(1, 5))
-    height, width = draw(st.integers(5, 9)), draw(st.integers(5, 9))
+    """Small (frames, pixels) values from a pool that makes ties, negative
+    values and zeros of both signs common, and any non-empty subset of the
+    pixels as the band; frame and band counts of both parities."""
+    n_frames, n_pixels = draw(st.integers(1, 5)), draw(st.integers(1, 40))
     pool = st.sampled_from([0.0, -0.0, 1.5, -1.5, 3.0, -7.25])
     values = draw(st.lists(pool | st.floats(-20.0, 20.0, width=32),
-                           min_size=n_frames * height * width, max_size=n_frames * height * width))
-    frames = np.array(values, dtype=np.float32).reshape(n_frames, height, width)
-    member = np.zeros((height, width), dtype=bool)
-    member[draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))] = True
-    series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-    return series, RoiSeries.from_static(RoiMask(member), n_frames), draw(st.sampled_from([0.25, 1.0]))
+                           min_size=n_frames * n_pixels, max_size=n_frames * n_pixels))
+    flat = np.array(values, dtype=np.float32).reshape(n_frames, n_pixels)
+    pixels = draw(st.lists(st.integers(0, n_pixels - 1), min_size=1, max_size=n_pixels, unique=True))
+    return flat, np.array(pixels)
 
 
 class TestCorrectBackground:
@@ -205,7 +217,7 @@ class TestCorrectBackground:
         plus_flow = corrected_flow(shifted(series, 5.0), roi)
         # float32 storage granularity bounds the drift at 1e-6 ml/min per ROI pixel
         drift = np.abs(plus_flow.values - base_flow.values).max()
-        assert drift <= 1e-6 * mask.n_members
+        assert drift <= 1e-6 * mask.sum()
 
     def test_constant_offset_invariance_general(self):
         series, mask, _ = images(duration_s=60.0, seed=5)
@@ -215,7 +227,7 @@ class TestCorrectBackground:
         for c in rng.uniform(-20.0, 20.0, 3):
             flow_c = corrected_flow(shifted(series, float(c)), roi)
             drift = np.abs(flow_c.values - base_flow.values).max()
-            assert drift <= 1e-6 * mask.n_members
+            assert drift <= 1e-6 * mask.sum()
 
     def test_zero_background_unbiased(self):
         series, mask, _ = images(duration_s=60.0, seed=5)
@@ -252,17 +264,17 @@ class TestCorrectBackground:
 
     @pytest.mark.parametrize("radius", [3.0, 6.0])
     def test_blockwise_std_matches_whole_ring(self, radius):
-        # The ring of a radius-6 disk holds more pixels than one std block,
-        # and not a whole number of blocks.
+        # Std blocks of 24 ring pixels or a few more: the ring holds several.
         rng = np.random.default_rng(4)
         frames = rng.normal(2.0, 5.0, (300, 40, 40)) * rng.uniform(0.2, 3.0, (40, 40))
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        roi = RoiSeries.from_static(RoiMask(disk_mask(40, 40, 20, 20, radius)), series.n_frames)
+        roi = RoiSeries.from_static(disk_mask(40, 40, 20, 20, radius), series.n_frames)
         original = series.frames.copy()
-        estimate = correct_background(series, roi)
+        with mock.patch.object(extraction, "BLOCK_VALUES", 300 * 24):
+            estimate = correct_background(series, roi)
         # The whole-ring computation the function used to run.
         ring = distance_band(roi.union(), 2.0, BAND_OUTER_PX)
-        assert ring.sum() > STD_BLOCK_PIXELS and ring.sum() % STD_BLOCK_PIXELS
+        assert ring.sum() >= 4 * 24
         ring_values = original[:, ring].astype(np.float64)
         stds = ring_values.std(axis=0)
         keep = stds <= np.quantile(stds, 0.25)
@@ -274,9 +286,28 @@ class TestCorrectBackground:
         assert estimate.n_band_pixels == int(keep.sum())
         assert np.array_equal(series.frames, (original.astype(np.float64) - offset).astype(np.float32))
 
+    def test_ring_pixel_stds_are_the_whole_rings(self):
+        """A 65-pixel ring at 4000 frames: each pixel's std is the whole-ring
+        float64 std bit for bit, whatever block it falls in (blocks of 32
+        pixels left the last one a block of its own). numpy sums a
+        C-contiguous (frames, k >= 2) block row by row, unlike one column on
+        its own, so this holds only while each pixel's frames are contiguous."""
+        rng = np.random.default_rng(12)
+        frames = rng.normal(2.0, 5.0, (4000, 8, 13)).astype(np.float32)
+        series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
+        member = np.zeros((8, 13), dtype=bool)
+        member[1, 6] = True
+        ring = distance_band(member, 2.0, BAND_OUTER_PX)
+        assert ring.sum() == 2 * 32 + 1
+        expected = frames[:, ring].astype(np.float64).std(axis=0)
+        with mock.patch.object(np, "quantile", wraps=np.quantile) as quantile:
+            correct_background(series, RoiSeries.from_static(member, 4000))
+        stds = quantile.call_args.args[0]
+        assert np.array_equal(stds.view(np.uint64), expected.view(np.uint64))
+
     def test_insufficient_band(self):
         # ROI fills almost the whole image; nothing left for the band
-        full = RoiMask(membership=np.ones((8, 8), dtype=bool))
+        full = np.ones((8, 8), dtype=bool)
         series = VelocityMapSeries(frames=np.ones((3, 8, 8)), dt_ms=75.0,
                                    venc_mm_s=800.0, pixel_area_mm2=0.25)
         with pytest.raises(InsufficientStationaryTissue):
@@ -299,13 +330,10 @@ class TestCorrectBackground:
     @settings(max_examples=300, deadline=None)
     @given(case=band_cases())
     def test_offset_is_float64_median_of_band(self, case):
-        series, roi, quantile = case
-        original = series.frames.copy()
-        estimate = correct_background(series, roi, variance_quantile=quantile, min_band_pixels=1)
-        offset = float(np.median(original[:, estimate.band].astype(np.float64)))
-        assert np.float64(estimate.offset_mm_s).view(np.uint64) == np.float64(offset).view(np.uint64)
-        expected = (original.astype(np.float64) - offset).astype(np.float32)
-        assert np.array_equal(series.frames.view(np.uint32), expected.view(np.uint32))
+        flat, pixels = case
+        median = extraction._band_median(flat, pixels)
+        expected = float(np.median(flat[:, pixels].astype(np.float64)))
+        assert np.float64(median).view(np.uint64) == np.float64(expected).view(np.uint64)
 
     @pytest.mark.parametrize("zeros", [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]])
     @pytest.mark.parametrize("n_frames", [3, 4])
@@ -317,9 +345,9 @@ class TestCorrectBackground:
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
         member = np.zeros((12, 12), dtype=bool)
         member[6, 6] = True
-        roi = RoiSeries.from_static(RoiMask(member), n_frames)
+        roi = RoiSeries.from_static(member, n_frames)
         original = series.frames.copy()
-        estimate = correct_background(series, roi, variance_quantile=1.0, min_band_pixels=1)
+        estimate = correct_background(series, roi)
         offset = float(np.median(original[:, estimate.band].astype(np.float64)))
         assert offset == 0.0
         assert math.copysign(1.0, estimate.offset_mm_s) == math.copysign(1.0, offset)
@@ -329,14 +357,17 @@ class TestCorrectBackground:
         frames = rng.normal(0.0, 5.0, (6, 16, 16)).astype(np.float32)
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
         before = frames.copy()
-        small = RoiSeries.from_static(RoiMask(disk_mask(16, 16, 8, 8, 2)), 6)
-        everything = RoiSeries.from_static(RoiMask(np.ones((16, 16), dtype=bool)), 6)
+        small = RoiSeries.from_static(disk_mask(16, 16, 8, 8, 2), 6)
+        everything = RoiSeries.from_static(np.ones((16, 16), dtype=bool), 6)
+        # A 2-column strip beside the ROI: a 16-pixel ring, of which 4 are quiet.
+        strip = np.ones((16, 16), dtype=bool)
+        strip[:, 14:] = False
         with pytest.raises(InsufficientStationaryTissue, match="no pixels"):
             correct_background(series, everything)
-        with pytest.raises(InsufficientStationaryTissue, match="quiet band pixels"):
-            correct_background(series, small, min_band_pixels=10_000)
+        with pytest.raises(InsufficientStationaryTissue, match="4 quiet band pixels, need 8"):
+            correct_background(series, RoiSeries.from_static(strip, 6))
         with pytest.raises(ValueError, match="masks for"):
-            correct_background(series, RoiSeries.from_static(RoiMask(small.masks[0]), 5))
+            correct_background(series, RoiSeries.from_static(small.masks[0], 5))
         assert np.array_equal(series.frames.view(np.uint32), before.view(np.uint32))
 
     @pytest.mark.parametrize("step", ["correct_background", "unalias"])
@@ -352,7 +383,7 @@ class TestCorrectBackground:
         view.flags.writeable = False
         series = VelocityMapSeries(frames=view, dt_ms=75.0, venc_mm_s=400.0, pixel_area_mm2=0.25)
         assert series.frames.base is base
-        roi = RoiSeries.from_static(RoiMask(disk_mask(24, 24, 12, 12, 5)), 3)
+        roi = RoiSeries.from_static(disk_mask(24, 24, 12, 12, 5), 3)
         with pytest.raises(ValueError, match="the series' frames are read-only"):
             getattr(extraction, step)(series, roi)
         assert np.array_equal(base.view(np.uint32), before.view(np.uint32))
@@ -361,31 +392,30 @@ class TestCorrectBackground:
         assert not np.array_equal(writable.frames, before)  # the step does write
 
     def test_traced_peak_does_not_grow_with_the_band(self):
-        """The band median is taken a block of frames at a time. Traced beyond
-        what is in use when it is called, correct_background's peak grows from
-        2000 to 8000 frames of one 33x33 window by no more than its std
-        blocks (n_frames x STD_BLOCK_PIXELS float64 values, twice over while
-        a std is taken: 3.1 MB). Measured: 1.6 MB; a gather of the 384-pixel
-        band, as the median took before, grew it by 8.1 MB."""
+        """The ring stds and the band median are taken a bounded block at a
+        time. Traced beyond what is in use when it is called,
+        correct_background's peak on one 33x33 window does not grow from 2000
+        to 8000 frames. Measured: 2.68 and 1.45 MB; std blocks of 32 ring
+        pixels over all frames read 2.68 and 4.11 MB."""
 
         def traced_peak(n_frames):
             rng = np.random.default_rng(6)
             frames = rng.standard_normal((n_frames, 33, 33), dtype=np.float32)
             frames += 15.0
             series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=400.0, pixel_area_mm2=0.25)
-            roi = RoiSeries.from_static(RoiMask(disk_mask(33, 33, 16, 16, 10)), n_frames)
+            roi = RoiSeries.from_static(disk_mask(33, 33, 16, 16, 10), n_frames)
             tracemalloc.start()
             try:
                 in_use = tracemalloc.get_traced_memory()[0]
-                estimate = correct_background(series, roi, variance_quantile=1.0)
+                estimate = correct_background(series, roi)
                 peak = tracemalloc.get_traced_memory()[1] - in_use
             finally:
                 tracemalloc.stop()
-            assert estimate.n_band_pixels == 384
+            assert estimate.n_band_pixels == 96
             return peak
 
         small, large = traced_peak(2000), traced_peak(8000)
-        assert large - small <= 2 * (8000 - 2000) * STD_BLOCK_PIXELS * 8, (small, large)
+        assert large <= small + (64 << 10), (small, large)
 
 
 def oracle_leave_one_out_medians(values: np.ndarray) -> np.ndarray:
@@ -473,7 +503,7 @@ def unalias_cases(draw):
     if draw(st.booleans()):
         member = np.zeros(pixels, dtype=bool)
         member[list(draw(member_sets))] = True
-        roi = RoiSeries.from_static(RoiMask(member.reshape(height, width)), n_frames)
+        roi = RoiSeries.from_static(member.reshape(height, width), n_frames)
     else:
         masks = np.zeros((n_frames, pixels), dtype=bool)
         for t in range(n_frames):
@@ -481,7 +511,7 @@ def unalias_cases(draw):
         roi = RoiSeries(masks=masks.reshape(n_frames, height, width))
     series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=venc, pixel_area_mm2=0.25)
     chunk_frames = draw(st.sampled_from([1, 2, 3, None]))  # None: the default chunk
-    block_values = draw(st.sampled_from([1, 2, 5, extraction.UNALIAS_BLOCK_VALUES]))
+    block_values = draw(st.sampled_from([1, 2, 5, extraction.BLOCK_VALUES]))
     return series, roi, chunk_frames, block_values
 
 
@@ -496,7 +526,7 @@ class TestUnaliasMatchesPerFrameOracle:
         chunk_bytes = io.SERIES_CHUNK_BYTES if chunk_frames is None else (
             chunk_frames * 4 * series.height * series.width)
         with mock.patch.object(io, "SERIES_CHUNK_BYTES", chunk_bytes), \
-                mock.patch.object(extraction, "UNALIAS_BLOCK_VALUES", block_values):
+                mock.patch.object(extraction, "BLOCK_VALUES", block_values):
             unalias(series, roi)
         assert np.array_equal(series.frames.view(np.uint32), expected.view(np.uint32))
 
@@ -525,7 +555,7 @@ class TestUnaliasMatchesPerFrameOracle:
         chunk_bytes = io.SERIES_CHUNK_BYTES if chunk_frames is None else (
             chunk_frames * 4 * series.height * series.width)
         with mock.patch.object(io, "SERIES_CHUNK_BYTES", chunk_bytes), \
-                mock.patch.object(extraction, "UNALIAS_BLOCK_VALUES", block_values):
+                mock.patch.object(extraction, "BLOCK_VALUES", block_values):
             n_changed = unalias(series, roi)
         assert series.frames is frames
         assert np.array_equal(frames.view(np.uint32), expected.view(np.uint32))
@@ -538,7 +568,7 @@ class TestUnalias:
         values = np.array([830.0, 840.0, 850.0, 860.0, 870.0, -700.0])
         frames = values.reshape(1, 1, 6)
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        roi = RoiSeries.from_static(RoiMask(membership=np.ones((1, 6), dtype=bool)), 1)
+        roi = RoiSeries.from_static(np.ones((1, 6), dtype=bool), 1)
         unalias(series, roi)
         assert series.frames[0, 0, 5] == 900.0
         assert np.array_equal(series.frames[0, 0, :5], frames[0, 0, :5])
@@ -547,7 +577,7 @@ class TestUnalias:
         values = np.array([[700.0, 750.0, 800.0, 820.0]])
         series = VelocityMapSeries(frames=values[None], dt_ms=75.0, venc_mm_s=800.0,
                                    pixel_area_mm2=0.25)
-        roi = RoiSeries.from_static(RoiMask(membership=np.ones((1, 4), dtype=bool)), 1)
+        roi = RoiSeries.from_static(np.ones((1, 4), dtype=bool), 1)
         assert unalias(series, roi) == 0
         assert np.array_equal(series.frames, values[None])
 
@@ -573,7 +603,7 @@ class TestUnalias:
         two_venc = np.float32(2.0 * series.venc_mm_s)
         n_wrapped = 0
         for t in range(series.n_frames):
-            over_y, over_x = np.nonzero(mask.membership & (frames[t] > series.venc_mm_s))
+            over_y, over_x = np.nonzero(mask & (frames[t] > series.venc_mm_s))
             if over_y.size == 0:
                 continue
             k = max(1, int(rng.integers(1, over_y.size + 1)))
@@ -604,7 +634,7 @@ class TestUnalias:
         frames[0, 0, 2] = 3.28e38
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=1e37, pixel_area_mm2=0.25)
         before = series.frames.copy()
-        roi = RoiSeries.from_static(RoiMask(membership=np.ones((1, 6), dtype=bool)), 1)
+        roi = RoiSeries.from_static(np.ones((1, 6), dtype=bool), 1)
         with pytest.raises(NonFiniteVelocity, match=r"^unaliasing: .* beyond the float32 range$"):
             unalias(series, roi)
         assert np.array_equal(series.frames.view(np.uint32), before.view(np.uint32))
@@ -613,9 +643,9 @@ class TestUnalias:
         series = disk_series([5, 5, 5], speed=900.0, venc=400.0)
         frames = series.frames
         before = frames.copy()
-        member = RoiMask(disk_mask(24, 24, 12, 12, 5))
+        member = disk_mask(24, 24, 12, 12, 5)
         for roi in (RoiSeries.from_static(member, 2),
-                    RoiSeries.from_static(RoiMask(member.membership[:, :20]), 3)):
+                    RoiSeries.from_static(member[:, :20], 3)):
             with pytest.raises(ValueError, match="ROI"):
                 unalias(series, roi)
         assert np.array_equal(frames.view(np.uint32), before.view(np.uint32))
@@ -625,12 +655,12 @@ class TestComputeFlow:
     def test_unit_arithmetic(self):
         frames = np.array([[[100.0, 200.0]]])
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        roi = RoiSeries.from_static(RoiMask(membership=np.ones((1, 2), dtype=bool)), 1)
+        roi = RoiSeries.from_static(np.ones((1, 2), dtype=bool), 1)
         with pytest.raises(TooShort):
             compute_flow(series, roi)  # one frame cannot form a signal
         frames = np.tile(frames, (2, 1, 1))
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        roi = RoiSeries.from_static(RoiMask(membership=np.ones((1, 2), dtype=bool)), 2)
+        roi = RoiSeries.from_static(np.ones((1, 2), dtype=bool), 2)
         flow = compute_flow(series, roi)
         assert flow.values == pytest.approx([4.5, 4.5])
         assert flow.dt_s == pytest.approx(0.075)
@@ -639,7 +669,7 @@ class TestComputeFlow:
     def test_all_zero(self):
         series = VelocityMapSeries(frames=np.zeros((4, 3, 3)), dt_ms=75.0, venc_mm_s=800.0,
                                    pixel_area_mm2=0.25)
-        roi = RoiSeries.from_static(RoiMask(membership=np.ones((3, 3), dtype=bool)), 4)
+        roi = RoiSeries.from_static(np.ones((3, 3), dtype=bool), 4)
         assert np.all(compute_flow(series, roi).values == 0.0)
 
     def test_synthgen_mean_flow_anchor(self):
@@ -665,14 +695,14 @@ class TestComputeFlow:
         member[10:14, 2:7] = True
         frames[:, member] = rng.choice([700.0, -650.0, 3e-9, -7e-10], size=(6, int(member.sum())))
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        roi = RoiSeries.from_static(RoiMask(membership=member), 6)
+        roi = RoiSeries.from_static(member, 6)
         vals = series.frames[:, member].astype(np.float64)
         assert any(v.sum() != math.fsum(v) for v in vals)
         window = roi_window(member)
         cropped = VelocityMapSeries(frames=frames[(slice(None),) + window], dt_ms=75.0,
                                     venc_mm_s=800.0, pixel_area_mm2=0.25)
         assert cropped.frames.shape[1:] == (16, 13)
-        cropped_roi = RoiSeries.from_static(RoiMask(membership=member[window]), 6)
+        cropped_roi = RoiSeries.from_static(member[window], 6)
         full = compute_flow(series, roi).values
         assert np.array_equal(compute_flow(cropped, cropped_roi).values, full)
 
@@ -687,10 +717,10 @@ class TestComputeFlow:
     def test_dimension_mismatch_rejected(self):
         series = VelocityMapSeries(frames=np.zeros((3, 4, 4)), dt_ms=75.0,
                                    venc_mm_s=800.0, pixel_area_mm2=0.25)
-        wrong_count = RoiSeries.from_static(RoiMask(membership=np.ones((4, 4), dtype=bool)), 2)
+        wrong_count = RoiSeries.from_static(np.ones((4, 4), dtype=bool), 2)
         with pytest.raises(ValueError):
             compute_flow(series, wrong_count)
-        wrong_shape = RoiSeries.from_static(RoiMask(membership=np.ones((5, 5), dtype=bool)), 3)
+        wrong_shape = RoiSeries.from_static(np.ones((5, 5), dtype=bool), 3)
         with pytest.raises(ValueError):
             compute_flow(series, wrong_shape)
 

@@ -33,7 +33,6 @@ from rtpc.errors import (
 from rtpc.io import (
     HEADER_SIZE,
     MAGIC,
-    RoiMask,
     SampledSignal,
     VelocityMapSeries,
     read_mask,
@@ -297,7 +296,7 @@ class TestVelocitySeriesFuzz:
                 read_velocity_series(path, window=(rows, cols))
             mask = np.zeros((height, width), dtype=bool)
             mask[rows.start, cols.start] = True
-            write_mask(RoiMask(mask), Path(tmp) / "m.pgm")
+            write_mask(mask, Path(tmp) / "m.pgm")
             assert main(["extract", "--series", str(path), "--mask", str(Path(tmp) / "m.pgm"),
                          "--out", str(Path(tmp) / "f.csv")]) == 3
             assert extract_exit(path) == 3
@@ -397,8 +396,8 @@ class TestPgmMask:
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(raster))
         mask = read_mask(path, 4, 4)
-        assert mask.n_members == 1
-        assert mask.membership[1, 1]
+        assert mask.sum() == 1
+        assert mask[1, 1]
 
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "m.pgm"
@@ -410,7 +409,7 @@ class TestPgmMask:
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(16))
         mask = read_mask(path, 4, 4)
-        assert mask.n_members == 0
+        assert mask.sum() == 0
 
     def test_not_p5(self, tmp_path):
         path = tmp_path / "m.pgm"
@@ -434,14 +433,21 @@ class TestPgmMask:
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([0, 255, 0, 0]))
         mask = read_mask(path, 2, 2)
-        assert mask.n_members == 1
+        assert mask.sum() == 1
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
-        mask = RoiMask(membership=rng.random((6, 9)) > 0.5)
+        mask = rng.random((6, 9)) > 0.5
         path = tmp_path / "m.pgm"
         write_mask(mask, path)
-        assert read_mask(path, 9, 6) == mask
+        assert np.array_equal(read_mask(path, 9, 6), mask)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4), (0, 4), ()])
+    def test_write_refuses_a_mask_that_is_not_2d(self, tmp_path, shape):
+        path = tmp_path / "m.pgm"
+        with pytest.raises(ValueError, match="2-D"):
+            write_mask(np.ones(shape, dtype=bool), path)
+        assert not path.exists()
 
 
 def minimal_report(resp_period=4.3, delay_s=0.56):
@@ -656,8 +662,8 @@ class TestPgmMaskFuzz:
             except RtpcError as exc:
                 assert self.extract_mask_exit(tmp, path, width, height) == exc.exit_code == 3
                 return None
-            assert mask.membership.shape == (height, width)
-            assert mask.membership.dtype == bool
+            assert mask.shape == (height, width)
+            assert mask.dtype == bool
             return mask
 
     @settings(max_examples=300, deadline=None)
@@ -681,7 +687,7 @@ class TestPgmMaskFuzz:
         canonical = f"P5\n{width} {height}\n255\n"
         if head == canonical and extra >= 0:
             expected = raster[: width * height].reshape(height, width) > 0
-            assert mask is not None and np.array_equal(mask.membership, expected)
+            assert mask is not None and np.array_equal(mask, expected)
 
     @settings(max_examples=150, deadline=None)
     @given(dims=st.tuples(st.integers(1, 4), st.integers(1, 4)), raw=st.binary(max_size=40))
