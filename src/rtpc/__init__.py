@@ -23,8 +23,8 @@ _EXPORTS = {
         "diff",
     ),
     **dict.fromkeys(
-        ("BackgroundEstimate", "RoiSeries", "compute_flow", "correct_background", "quality_score",
-         "segment_roi", "sum_flows", "unalias"),
+        ("BackgroundEstimate", "compute_flow", "correct_background", "quality_score", "segment_roi",
+         "sum_flows", "unalias"),
         "extraction",
     ),
     **dict.fromkeys(

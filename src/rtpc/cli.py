@@ -36,9 +36,8 @@ from .svgplot import render_line_chart
 _CALLS = {
     ".cycles": ("detect_cycles",),
     ".diff": ("MAX_SCAN_DELAYS", "extract_result", "finalize_scan", "sweep_diffs"),
-    ".extraction": ("COMPONENT_START_HALF_PX", "RoiSeries", "compute_flow", "correct_background",
-                    "quality_score", "roi_window", "seed_window", "segment_roi", "sum_flows",
-                    "unalias"),
+    ".extraction": ("COMPONENT_START_HALF_PX", "compute_flow", "correct_background", "quality_score",
+                    "roi_window", "seed_window", "segment_roi", "sum_flows", "unalias"),
     ".io": ("SampledSignal", "read_mask", "read_signal_csv", "read_velocity_header",
             "read_velocity_series", "write_mask", "write_signal_csv", "write_velocity_series"),
     ".respiration": ("detect_resp_intervals",),
@@ -192,7 +191,7 @@ def _seeded_roi(args, height: int, width: int) -> tuple:
         except (EmptySegmentation, SeedOutsideVessel) as exc:
             raise type(exc)(str(exc).replace(f"seed {local}", f"seed {args.seed}")) from None
         image_union = np.zeros((height, width), dtype=bool)
-        image_union[window] = roi.union()
+        image_union[window] = roi.any(axis=0)
         if all(cut.start <= into.start and into.stop <= cut.stop
                for cut, into in zip(window, roi_window(image_union))):
             return series, roi
@@ -200,6 +199,8 @@ def _seeded_roi(args, height: int, width: int) -> tuple:
 
 
 def cmd_extract(args, written: list) -> int:
+    import numpy as np
+
     _load(".io", ".extraction")
     clash = _path_clash([("--out", args.out), ("--qc", args.qc)],
                         [("--series", args.series), ("--mask", args.mask)])
@@ -233,7 +234,7 @@ def cmd_extract(args, written: list) -> int:
             raise EmptySegmentation(f"mask {args.mask} has no member pixel")
         window = roi_window(mask)
         series = read_velocity_series(args.series, venc_mm_s=args.venc, window=window)
-        roi = RoiSeries.from_static(mask[window], series.n_frames)
+        roi = mask[window]
     else:
         if args.threshold_fraction is None:
             args.threshold_fraction = settings.THRESHOLD_FRACTION
@@ -274,7 +275,8 @@ def cmd_extract(args, written: list) -> int:
         payload = {
             "cardiac_snr": snr,
             "excluded": excluded,
-            "empty_roi_frames": roi.n_empty_frames(),
+            "empty_roi_frames": int(np.count_nonzero(
+                ~np.broadcast_to(roi, series.frames.shape).any(axis=(1, 2)))),
             "background_offset_mm_s": background_offset,
             "n_band_pixels": n_band,
             "n_unaliased_pixels": n_unaliased,

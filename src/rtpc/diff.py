@@ -16,7 +16,7 @@ import numpy as np
 
 from .cycles import CycleTable
 from .errors import InsufficientCycles, ZeroInspiratoryValue
-from .report import DELAY_STEP_S, MIN_CYCLES, REPORT_PARAMETERS, DiffRecord
+from .report import DELAY_STEP_S, MAX_MISSING_FRACTION, MIN_CYCLES, REPORT_PARAMETERS, DiffRecord
 # label_cycles stays importable here: perfbench/tracing.py hooks diff.label_cycles.
 from .respiration import EX, IN, RespIntervals, _interval_index, label_cycles  # noqa: F401
 
@@ -62,7 +62,6 @@ def sweep_diffs(
     intervals: RespIntervals,
     step_s: float = DELAY_STEP_S,
     min_cycles: int = MIN_CYCLES,
-    max_missing_fraction: float = 0.2,
     parameters: tuple = PARAMETERS,
 ) -> tuple:
     """Diff of each of the given parameters at every delay of the scan grid.
@@ -78,7 +77,7 @@ def sweep_diffs(
     (tests/oracles.py holds that per-cycle reference).
 
     Delays where either phase has fewer than min_cycles valid cycles are
-    skipped and recorded as NaN; more than max_missing_fraction of the grid
+    skipped and recorded as NaN; more than MAX_MISSING_FRACTION of the grid
     missing is an error, and so is a belt whose intervals hold no cycle
     midpoint at any delay.
 
@@ -118,10 +117,10 @@ def sweep_diffs(
             f"{cycles.start_s.min():.2f}-{cycles.end_s.max():.2f} s, and no cycle midpoint falls "
             f"inside the belt span at any scan delay"
         )
-    if missing > max_missing_fraction * delays.size:
+    if missing > MAX_MISSING_FRACTION * delays.size:
         raise InsufficientCycles(
             f"{missing} of {delays.size} scan delays lack phase coverage "
-            f"(> {max_missing_fraction:.0%} of the grid)"
+            f"(> {MAX_MISSING_FRACTION:.0%} of the grid)"
         )
     return delays, diffs
 

@@ -1,10 +1,14 @@
 """Velocity-map series to calibrated flow signal.
 
-The chain is: grow a per-frame ROI from a seed (or take externally edited
-masks), estimate and subtract the stationary-tissue velocity offset, unwrap
+The chain is: grow a per-frame ROI from a seed (or take an externally edited
+mask), estimate and subtract the stationary-tissue velocity offset, unwrap
 velocities that exceeded the encoding limit, integrate to ml/min, and sum
 arteries. A spectral quality gate flags signals without a usable cardiac
 component.
+
+A ROI is a bool array: one (height, width) mask for every frame, as read_mask
+gives it, or one mask per frame, (n_frames, height, width), as segment_roi
+gives it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .errors import (
     SeedOutsideVessel,
     TooShort,
 )
-from .io import SampledSignal, VelocityMapSeries, frame_chunks
+from .io import SampledSignal, VelocityMapSeries
 from .numerics import distance_band, gather_blocks, ranked_values, seed_component, welch
 from .report import MAX_RADIUS_PX, SNR_THRESHOLD, THRESHOLD_FRACTION, QcFlags
 
@@ -46,38 +50,6 @@ COMPONENT_START_HALF_PX = 16
 BLOCK_VALUES = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
-class RoiSeries:
-    """One ROI mask per frame: a read-only bool array (n_frames, height, width)."""
-
-    masks: np.ndarray
-
-    def __post_init__(self):
-        masks = np.asarray(self.masks, dtype=bool)
-        if masks.ndim != 3 or min(masks.shape) < 1:
-            raise ValueError(
-                f"RoiSeries needs a non-empty (frames, height, width) array, got {masks.shape}"
-            )
-        masks = masks.view()
-        masks.flags.writeable = False
-        object.__setattr__(self, "masks", masks)
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    @classmethod
-    def from_static(cls, mask: np.ndarray, n_frames: int) -> "RoiSeries":
-        """One (height, width) mask for all frames: a stride-0 broadcast of it, made C-contiguous."""
-        mask = np.ascontiguousarray(mask, dtype=bool)
-        return cls(masks=np.broadcast_to(mask, (n_frames, *mask.shape)))
-
-    def union(self) -> np.ndarray:
-        return self.masks.any(axis=0)
-
-    def n_empty_frames(self) -> int:
-        return int(np.count_nonzero(~self.masks.any(axis=(1, 2))))
-
-
 @dataclass(frozen=True)
 class BackgroundEstimate:
     """Static velocity offset estimated from quiet tissue around the ROI."""
@@ -92,7 +64,7 @@ def segment_roi(
     seed: tuple,
     velocity_threshold_fraction: float = THRESHOLD_FRACTION,
     max_radius_px: float = MAX_RADIUS_PX,
-) -> RoiSeries:
+) -> np.ndarray:
     """Grow a per-frame ROI from a seed pixel by velocity thresholding.
 
     The threshold is velocity_threshold_fraction times the 99th percentile of
@@ -100,7 +72,7 @@ def segment_roi(
     frame the ROI is the 4-connected component of above-threshold pixels that
     contains the seed. Frames where the seed falls below threshold inherit
     the previous frame's mask (leading empty frames inherit the first
-    non-empty one).
+    non-empty one). Returns the bool (n_frames, height, width) masks.
 
     Parameters
     ----------
@@ -141,7 +113,7 @@ def segment_roi(
     source = np.maximum.accumulate(np.where(seeded, frame_idx, int(np.argmax(seeded))))
     empty = ~seeded
     masks[empty] = masks[source[empty]]
-    return RoiSeries(masks=masks)
+    return masks
 
 
 def roi_window(union: np.ndarray) -> tuple[slice, slice]:
@@ -171,7 +143,7 @@ def seed_window(seed_row: int, seed_col: int, half: int, height: int, width: int
     )
 
 
-def correct_background(series: VelocityMapSeries, roi: RoiSeries) -> BackgroundEstimate:
+def correct_background(series: VelocityMapSeries, roi: np.ndarray) -> BackgroundEstimate:
     """Subtract the stationary-tissue velocity offset (eddy-current bias).
 
     Candidate pixels, the ring, lie at distance [BAND_INNER_PX,
@@ -187,8 +159,7 @@ def correct_background(series: VelocityMapSeries, roi: RoiSeries) -> BackgroundE
     beyond the float32 range raises NonFiniteVelocity once every frame is
     written, and the frames then hold +-inf where the value overflowed.
     """
-    _check_in_place(series, roi)
-    union = roi.union()
+    union = _check_in_place(series, roi).any(axis=0)
     if not union.any():
         raise ValueError("ROI is empty in every frame")
     ring = distance_band(union, BAND_INNER_PX, BAND_OUTER_PX)
@@ -246,18 +217,35 @@ def _band_median(flat: np.ndarray, pixels: np.ndarray) -> float:
     return middle[0] if len(middle) == 1 else (middle[0] + middle[1]) / 2.0
 
 
-def _check_roi(series: VelocityMapSeries, roi: RoiSeries) -> None:
-    if len(roi) != series.n_frames:
-        raise ValueError(f"ROI has {len(roi)} masks for {series.n_frames} frames")
-    if roi.masks.shape[1:] != (series.height, series.width):
-        raise ValueError("ROI dimensions do not match the series")
+def _check_roi(series: VelocityMapSeries, roi: np.ndarray) -> np.ndarray:
+    """The ROI as a bool (n_frames, height, width) array, or ValueError.
+
+    roi is read as membership (nonzero is True), so a 0/255 mask is never an
+    index array. A (height, width) mask becomes a stride-0 broadcast of a
+    C-contiguous copy, one mask for every frame, which flattens to
+    (n_frames, pixels) as a view. The series is never empty, so an empty
+    dimension fails the frame count or the frame shape.
+    """
+    masks = np.asarray(roi, dtype=bool)
+    if masks.ndim == 2:
+        masks = np.broadcast_to(np.ascontiguousarray(masks), (series.n_frames, *masks.shape))
+    if masks.ndim != 3:
+        problem = "is neither (height, width) nor (frames, height, width)"
+    elif len(masks) != series.n_frames:
+        problem = f"has {len(masks)} masks for {series.n_frames} frames"
+    elif masks.shape[1:] != (series.height, series.width):
+        problem = "does not match the frames' dimensions"
+    else:
+        return masks
+    raise ValueError(f"ROI of shape {np.shape(roi)} {problem} (series shape {series.frames.shape})")
 
 
-def _check_in_place(series: VelocityMapSeries, roi: RoiSeries) -> None:
-    """The checks of a step that overwrites series.frames."""
-    _check_roi(series, roi)
+def _check_in_place(series: VelocityMapSeries, roi: np.ndarray) -> np.ndarray:
+    """The checks of a step that overwrites series.frames; the ROI as _check_roi gives it."""
+    masks = _check_roi(series, roi)
     if not series.frames.flags.writeable:
         raise ValueError("the series' frames are read-only, and this step overwrites them")
+    return masks
 
 
 def _leave_one_out_medians(values: np.ndarray) -> np.ndarray:
@@ -283,34 +271,34 @@ def _pick(values: np.ndarray, s: np.ndarray, i: int) -> np.ndarray:
     return np.where(values <= s[..., i, None], s[..., i + 1, None], s[..., i, None])
 
 
-def _member_groups(masks: np.ndarray, frames: slice):
-    """Blocks of frames of a chunk that have the same ROI member count k >= 2.
+def _member_groups(masks: np.ndarray):
+    """Blocks of frames that have the same ROI member count k >= 2.
 
     masks is (n_frames, pixels). Each block is (frame indices, member
     indices), the latter (frames, k) with each frame's members in row-major
     order, and holds at most BLOCK_VALUES members, or one frame. A static
     ROI (a stride-0 broadcast) has one member vector for all frames.
     """
+    n_frames = len(masks)
     if masks.strides[0] == 0:
         members = np.flatnonzero(masks[0])
         if members.size < 2:
             return
         step = max(1, BLOCK_VALUES // members.size)
-        for lo in range(frames.start, frames.stop, step):
-            t = np.arange(lo, min(lo + step, frames.stop))
+        for lo in range(0, n_frames, step):
+            t = np.arange(lo, min(lo + step, n_frames))
             yield t, np.broadcast_to(members, (t.size, members.size))
         return
-    chunk = masks[frames]
-    counts = np.count_nonzero(chunk, axis=1)
+    counts = np.count_nonzero(masks, axis=1)
     for k in np.unique(counts[counts >= 2]).tolist():
         sel = np.flatnonzero(counts == k)
         step = max(1, BLOCK_VALUES // k)
         for lo in range(0, sel.size, step):
             rows = sel[lo : lo + step]
-            yield frames.start + rows, np.nonzero(chunk[rows])[1].reshape(rows.size, k)
+            yield rows, np.nonzero(masks[rows])[1].reshape(rows.size, k)
 
 
-def unalias(series: VelocityMapSeries, roi: RoiSeries) -> int:
+def unalias(series: VelocityMapSeries, roi: np.ndarray) -> int:
     """Unwrap ROI velocities that jumped by multiples of twice the limit.
 
     Per frame, each ROI pixel is compared with the median of the other ROI
@@ -327,54 +315,51 @@ def unalias(series: VelocityMapSeries, roi: RoiSeries) -> int:
     float32 range raises NonFiniteVelocity, and the frames then hold the
     groups unwrapped before it, the rest as given.
 
-    Frames are taken one frame_chunks chunk at a time. A chunk's frames are
-    grouped by ROI member count k, and each group's members are gathered,
-    at most BLOCK_VALUES at once, as (frames, k) float64 matrices, whose
-    rows give the medians at once.
+    Frames are grouped by ROI member count k, and each group's members are
+    gathered, at most BLOCK_VALUES at once, as (frames, k) float64
+    matrices, whose rows give the medians at once.
 
     Valid while venc stays above about 0.6 x the systolic peak velocity.
     Below that, pixels that never wrapped are shifted too: a radius-6 px
     vessel at venc 600 mm/s had 13,519 pixels changed against 13,394
     wrapped. Nothing flags this.
     """
-    _check_in_place(series, roi)
+    masks = _check_in_place(series, roi).reshape(series.n_frames, -1)
     venc = series.venc_mm_s
     two_venc = 2.0 * venc
     flat = series.frames.reshape(series.n_frames, -1)
-    masks = roi.masks.reshape(len(roi), -1)
     n_changed = 0
-    for chunk in frame_chunks(series.n_frames, series.height, series.width):
-        for t, members in _member_groups(masks, chunk):
-            vals = flat[t[:, None], members].astype(np.float64)
-            deltas = _leave_one_out_medians(vals)
-            deltas -= vals
-            r, c = np.nonzero(np.abs(deltas) > venc)
-            if r.size:
-                before = vals[r, c]
-                try:
-                    with np.errstate(over="raise"):
-                        shifted = (before + two_venc * np.round(deltas[r, c] / two_venc)).astype(np.float32)
-                except FloatingPointError:
-                    raise NonFiniteVelocity(
-                        "unaliasing: a shift by a multiple of 2 x venc takes a velocity beyond the float32 range"
-                    ) from None
-                flat[t[r], members[r, c]] = shifted
-                n_changed += int(np.count_nonzero(shifted != before))
+    for t, members in _member_groups(masks):
+        vals = flat[t[:, None], members].astype(np.float64)
+        deltas = _leave_one_out_medians(vals)
+        deltas -= vals
+        r, c = np.nonzero(np.abs(deltas) > venc)
+        if r.size:
+            before = vals[r, c]
+            try:
+                with np.errstate(over="raise"):
+                    shifted = (before + two_venc * np.round(deltas[r, c] / two_venc)).astype(np.float32)
+            except FloatingPointError:
+                raise NonFiniteVelocity(
+                    "unaliasing: a shift by a multiple of 2 x venc takes a velocity beyond the float32 range"
+                ) from None
+            flat[t[r], members[r, c]] = shifted
+            n_changed += int(np.count_nonzero(shifted != before))
     return n_changed
 
 
-def compute_flow(series: VelocityMapSeries, roi: RoiSeries) -> SampledSignal:
+def compute_flow(series: VelocityMapSeries, roi: np.ndarray) -> SampledSignal:
     """Integrate ROI velocities to a flow-rate signal in ml/min.
 
     Q(t) = 0.06 * pixel_area_mm2 * sum of ROI velocities (mm/s). Frames with
-    an empty ROI yield Q = 0 (count them via RoiSeries.n_empty_frames for QC).
-    Each frame sums only its ROI pixels, in row-major order, so the pixels
-    around the ROI, and cropping them away, cannot change a flow value.
+    an empty ROI yield Q = 0. Each frame sums only its ROI pixels, in
+    row-major order, with numpy's 1-D sum, so the pixels around the ROI, and
+    cropping them away, cannot change a flow value.
     """
-    _check_roi(series, roi)
+    masks = _check_roi(series, roi)
     sums = np.array([
         frame[member].astype(np.float64).sum()
-        for frame, member in zip(series.frames, roi.masks)
+        for frame, member in zip(series.frames, masks)
     ])
     q = ML_MIN_PER_MM3_S * series.pixel_area_mm2 * sums
     return SampledSignal(t0_s=0.0, dt_s=series.dt_s, values=q, kind="flow")

@@ -41,6 +41,9 @@ DELAY_STEP_MS = 75.0
 DELAY_STEP_S = DELAY_STEP_MS / 1000.0
 MIN_CYCLES = 3
 
+#: The largest share of the scan grid's delays that may be skipped for lack of cycles.
+MAX_MISSING_FRACTION = 0.2
+
 #: A cardiac SNR below this flags a flow signal for exclusion.
 SNR_THRESHOLD = 5.0
 

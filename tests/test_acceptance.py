@@ -18,7 +18,7 @@ from oracles import as_table, make_cycle, periodic_intervals
 from rtpc.cli import main
 from rtpc.cycles import detect_cycles
 from rtpc.diff import delay_scan
-from rtpc.extraction import RoiSeries, compute_flow, correct_background, unalias
+from rtpc.extraction import compute_flow, correct_background, unalias
 from rtpc.io import VelocityMapSeries
 from rtpc.respiration import EX, IN, UNLABELED, detect_resp_intervals, label_cycles
 from rtpc.stats import spearman, wilcoxon_signed_rank
@@ -121,25 +121,24 @@ def test_criterion_5_extraction_suite():
 
     # constant-offset invariance
     series, mask, _ = images(duration_s=60.0, seed=5)
-    roi = RoiSeries.from_static(mask, series.n_frames)
     corrected = copy_series(series)
-    correct_background(corrected, roi)
-    base = compute_flow(corrected, roi)
+    correct_background(corrected, mask)
+    base = compute_flow(corrected, mask)
     for c in (5.0, -7.3, 11.17):
         shifted = VelocityMapSeries(
             frames=series.frames.astype(np.float64) + c,
             dt_ms=series.dt_ms, venc_mm_s=series.venc_mm_s,
             pixel_area_mm2=series.pixel_area_mm2,
         )
-        correct_background(shifted, roi)
-        drift = np.abs(compute_flow(shifted, roi).values - base.values).max()
+        correct_background(shifted, mask)
+        drift = np.abs(compute_flow(shifted, mask).values - base.values).max()
         if drift > 1e-6 * mask.sum():
             failures.append(f"offset invariance drift {drift:.2e} at c={c}")
 
     # wrap/unwrap exact round trip
     clean, _, _ = images(duration_s=60.0, seed=5)
     aliased, _, truth_a = images(duration_s=60.0, seed=5, artifacts={"aliased_pixel_fraction": 0.1})
-    unalias(aliased, roi)
+    unalias(aliased, mask)
     if not np.array_equal(aliased.frames, clean.frames):
         failures.append("wrap/unwrap round trip not exact")
     if not truth_a.wrapped_pixels:
@@ -147,13 +146,13 @@ def test_criterion_5_extraction_suite():
 
     # eddy offset estimate within +/- 0.1
     eddy_series, _, _ = images(duration_s=60.0, seed=5, artifacts={"eddy_offset_mm_s": 3.0})
-    estimate = correct_background(eddy_series, roi)
+    estimate = correct_background(eddy_series, mask)
     if abs(estimate.offset_mm_s - 3.0) > 0.1:
         failures.append(f"eddy estimate {estimate.offset_mm_s}")
 
     # artifact-free flow reconstruction within 0.5%
     flow_truth = signals(duration_s=60.0, seed=5).flow
-    recovered = compute_flow(series, roi)
+    recovered = compute_flow(series, mask)
     rel = np.abs(recovered.values - flow_truth.values) / np.abs(flow_truth.values)
     if rel.max() > 0.005:
         failures.append(f"reconstruction error {rel.max():.2e}")

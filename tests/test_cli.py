@@ -20,7 +20,6 @@ from rtpc.cli import main
 from rtpc.errors import EmptySegmentation, InsufficientStationaryTissue, SeedOutsideVessel
 from rtpc.extraction import (
     COMPONENT_START_HALF_PX,
-    RoiSeries,
     compute_flow,
     correct_background,
     quality_score,
@@ -418,7 +417,7 @@ def full_frame_extract(series_path, mask_path=None, seed=None, background=True, 
     series = read_velocity_series(series_path)
     if mask_path is not None:
         mask = read_mask(mask_path, series.width, series.height)
-        roi = RoiSeries.from_static(mask, series.n_frames)
+        roi = mask
     else:
         roi = segment_roi(series, seed=seed, max_radius_px=max_radius_px)
     offset = n_band = n_unaliased = None
@@ -434,7 +433,7 @@ def full_frame_extract(series_path, mask_path=None, seed=None, background=True, 
     return flow, {
         "cardiac_snr": qc.cardiac_snr,
         "excluded": qc.excluded,
-        "empty_roi_frames": roi.n_empty_frames(),
+        "empty_roi_frames": sum(not m.any() for m in np.broadcast_to(roi, series.frames.shape)),
         "background_offset_mm_s": offset,
         "n_band_pixels": n_band,
         "n_unaliased_pixels": n_unaliased,
@@ -471,7 +470,7 @@ def crop_datasets(tmp_path_factory):
         "vessel": {"radius_px": 24.0, "grid": {"width": 128, "height": 128}, "venc_mm_s": 60.0},
     }))
     assert wide_truth.wrapped_pixels
-    union = segment_roi(wide.to_series(), seed=(64, 64)).union()
+    union = segment_roi(wide.to_series(), seed=(64, 64)).any(axis=0)
     first = seed_window(64, 64, COMPONENT_START_HALF_PX, 128, 128)
     assert union.sum() > union[first].sum()  # the seed window must widen
 
@@ -542,7 +541,7 @@ class TestExtractMatchesFullFrame:
         member[:5, :5] = True  # every other pixel lies within 2 px of the mask
         data = write_images(tmp_path / "tiny", series, member)
         with pytest.raises(InsufficientStationaryTissue) as library:
-            correct_background(series, RoiSeries.from_static(member, series.n_frames))
+            correct_background(series, member)
         capsys.readouterr()
         out = tmp_path / "flow.csv"
         rc = main(["extract", "--series", str(data / "series.rtpc"),
@@ -561,7 +560,7 @@ class TestSeededExtractReads:
         data, seed = crop_datasets[name]
         sx, sy = (int(v) for v in seed.split(","))
         whole = read_velocity_series(data / "series.rtpc")
-        need = roi_window(segment_roi(whole, seed=(sx, sy)).union())
+        need = roi_window(segment_roi(whole, seed=(sx, sy)).any(axis=0))
         windows = []
         half = max(COMPONENT_START_HALF_PX, 12)  # 12: the --max-radius-px default
         while True:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,11 @@ from rtpc.respiration import (
     detect_resp_intervals,
     label_cycles,
 )
+
+
+def max_missing(fraction):
+    """Patch the share of scan delays sweep_diffs may skip."""
+    return mock.patch.object(rtpc.diff, "MAX_MISSING_FRACTION", fraction)
 
 
 def params(mean=740.0, sv=11.6, period=0.94):
@@ -180,8 +186,8 @@ class TestSweepMissingDelays:
 
     def test_skipped_delays_recorded_as_nan(self):
         cycles, intervals = self.make_sparse_setup()
-        delays, diffs = sweep_diffs(cycles, intervals, step_s=0.25, min_cycles=3,
-                                    max_missing_fraction=1.0)
+        with max_missing(1.0):
+            delays, diffs = sweep_diffs(cycles, intervals, step_s=0.25, min_cycles=3)
         missing = np.isnan(diffs["mean_flow"])
         assert missing.any()
         assert np.isfinite(diffs["mean_flow"]).any()
@@ -189,8 +195,7 @@ class TestSweepMissingDelays:
     def test_too_many_missing_raises(self):
         cycles, intervals = self.make_sparse_setup()
         with pytest.raises(InsufficientCycles):
-            sweep_diffs(cycles, intervals, step_s=0.25, min_cycles=3,
-                        max_missing_fraction=0.2)
+            sweep_diffs(cycles, intervals, step_s=0.25, min_cycles=3)
 
 
 def oracle_label_cycles(cycles, intervals):
@@ -240,20 +245,22 @@ def assert_sweeps_identical(cycles, intervals, step_s=0.075, min_cycles=3,
                             max_missing_fraction=0.2, table=None):
     """sweep_diffs on table (by default as_table(cycles)) against oracle_sweep
     on the oracle cycles."""
-    kwargs = dict(step_s=step_s, min_cycles=min_cycles, max_missing_fraction=max_missing_fraction)
+    kwargs = dict(step_s=step_s, min_cycles=min_cycles)
     table = as_table(cycles) if table is None else table
     try:
-        want = oracle_sweep(cycles, intervals, **kwargs)
+        want = oracle_sweep(cycles, intervals, max_missing_fraction=max_missing_fraction, **kwargs)
     except InsufficientCycles:
-        with pytest.raises(InsufficientCycles):
+        with pytest.raises(InsufficientCycles), max_missing(max_missing_fraction):
             sweep_diffs(table, intervals, **kwargs)
         return None
     if cycles and not want[2]:
         # The oracle returns an all-NaN scan; the sweep names the missing overlap.
-        with pytest.raises(InsufficientCycles, match="do not overlap"):
+        with pytest.raises(InsufficientCycles, match="do not overlap"), \
+                max_missing(max_missing_fraction):
             sweep_diffs(table, intervals, **kwargs)
         return None
-    delays, diffs = sweep_diffs(table, intervals, **kwargs)
+    with max_missing(max_missing_fraction):
+        delays, diffs = sweep_diffs(table, intervals, **kwargs)
     assert np.array_equal(delays, want[0])
     assert list(diffs) == list(want[1])
     for param in PARAMETERS:
@@ -299,21 +306,20 @@ def sweep_cases(draw):
         valid = draw(st.sampled_from([True, True, True, False]), label="valid")
         cycles.append(make_cycle(mid - half, mid + half, mean, valid=valid))
     min_cycles = draw(st.integers(1, 5), label="min_cycles")
-    max_missing = draw(st.sampled_from([0.2, 0.5, 1.0, 1.0]), label="max_missing")
-    return cycles, intervals, step_s, min_cycles, max_missing
+    missing_fraction = draw(st.sampled_from([0.2, 0.5, 1.0, 1.0]), label="max_missing")
+    return cycles, intervals, step_s, min_cycles, missing_fraction
 
 
 class TestSweepMatchesPerDelayOracle:
     @settings(max_examples=300, deadline=None)
     @given(case=sweep_cases())
     def test_bit_identical(self, case):
-        cycles, intervals, step_s, min_cycles, max_missing = case
+        cycles, intervals, step_s, min_cycles, missing_fraction = case
         try:
-            assert_sweeps_identical(cycles, intervals, step_s, min_cycles, max_missing)
+            assert_sweeps_identical(cycles, intervals, step_s, min_cycles, missing_fraction)
         except ZeroInspiratoryValue:
-            with pytest.raises(ZeroInspiratoryValue):
-                sweep_diffs(as_table(cycles), intervals, step_s=step_s, min_cycles=min_cycles,
-                            max_missing_fraction=max_missing)
+            with pytest.raises(ZeroInspiratoryValue), max_missing(missing_fraction):
+                sweep_diffs(as_table(cycles), intervals, step_s=step_s, min_cycles=min_cycles)
 
     def test_min_cycles_edge(self):
         # exactly min_cycles cycles per phase at zero delay: kept; one more needed: skipped
@@ -357,9 +363,9 @@ class TestSweepMatchesPerDelayOracle:
     def test_no_overlap_names_both_spans(self):
         intervals = shift_intervals(periodic_intervals(period_s=4.0, n_breaths=6), 5000.0)
         cycles = [make_cycle(0.05 + 0.5 * i, 0.55 + 0.5 * i, 700.0) for i in range(48)]
-        for max_missing in (0.2, 1.0):
-            with pytest.raises(InsufficientCycles) as exc:
-                sweep_diffs(as_table(cycles), intervals, max_missing_fraction=max_missing)
+        for fraction in (0.2, 1.0):
+            with pytest.raises(InsufficientCycles) as exc, max_missing(fraction):
+                sweep_diffs(as_table(cycles), intervals)
             message = str(exc.value)
             assert "5000.00-5024.00 s" in message
             assert "0.05-24.05 s" in message
@@ -412,8 +418,8 @@ class TestHalfPeriodShiftInvertsRatio:
         # At least every third cycle is valid, so every phase keeps cycles.
         cycles = [make_cycle(a, b, m, valid=ok or k % 3 == 0)
                   for k, (a, b, m, ok) in enumerate(zip(starts, ends, means, valid))]
-        delays, diffs = sweep_diffs(as_table(cycles), intervals, step_s=0.5, min_cycles=3,
-                                    max_missing_fraction=1.0)
+        with max_missing(1.0):
+            delays, diffs = sweep_diffs(as_table(cycles), intervals, step_s=0.5, min_cycles=3)
         half = int(round(intervals.mean_period_s / 2.0 / 0.5))
         assert delays[half] == intervals.mean_period_s / 2.0
         checked = 0

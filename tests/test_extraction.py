@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import copy_series, images, signals
 
-from rtpc import extraction, io
+from rtpc import extraction
 
 from rtpc.errors import (
     EmptySegmentation,
@@ -21,7 +21,6 @@ from rtpc.errors import (
 )
 from rtpc.extraction import (
     BAND_OUTER_PX,
-    RoiSeries,
     compute_flow,
     correct_background,
     quality_score,
@@ -63,44 +62,71 @@ def corrected_flow(series, roi):
 
 
 class TestRoiSeries:
-    def test_from_static_shares_the_mask(self):
-        member = disk_mask(9, 7, 3, 4, 2)
-        roi = RoiSeries.from_static(member, 4000)
-        assert roi.masks.shape == (4000, 9, 7) and len(roi) == 4000
-        assert roi.masks.strides[0] == 0  # one mask, not one per frame
-        assert np.array_equal(roi.union(), member)
-        assert roi.n_empty_frames() == 0
+    """The ROI each step takes: a (height, width) mask for every frame, or a
+    (n_frames, height, width) series of masks, read as membership."""
 
-    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4), (0, 4), (3, 0), ()])
-    def test_from_static_refuses_a_mask_that_is_not_2d(self, shape):
-        with pytest.raises(ValueError, match="RoiSeries"):
-            RoiSeries.from_static(np.ones(shape, dtype=bool), 3)
+    def test_static_mask_matches_its_stack(self):
+        """A mask, its explicit per-frame stack, their 0/255 uint8 forms and a
+        strided view of it give the same offset, band, unaliased frames,
+        changed count and flow, bit for bit."""
+        series, mask, truth = images(duration_s=60.0, seed=5, artifacts={
+            "aliased_pixel_fraction": 0.3, "eddy_offset_mm_s": 3.0, "noise_sd": 4.0})
+        assert truth.wrapped_pixels
+        stack = np.broadcast_to(mask, series.frames.shape).copy()
+        padded = np.zeros((series.height + 4, series.width + 4), dtype=bool)
+        padded[2:-2, 2:-2] = mask
+        forms = [stack, mask.astype(np.uint8) * 255, stack.astype(np.uint8) * 255,
+                 padded[2:-2, 2:-2]]
 
-    def test_from_static_of_a_slice_flattens_as_a_view(self):
-        """A mask cut from a larger one is copied once, so the per-frame
-        masks flatten to a stride-0 view, the form unalias reads as one
-        member vector for all frames."""
-        member = disk_mask(24, 24, 12, 12, 5)[2:20, 3:21]
-        assert not member.flags.c_contiguous
-        roi = RoiSeries.from_static(member, 50)
-        flat = roi.masks.reshape(len(roi), -1)
-        assert flat.strides[0] == 0 and np.shares_memory(flat, roi.masks)
-        assert np.array_equal(roi.union(), member)
+        def chain(roi):
+            fixed = copy_series(series)
+            estimate = correct_background(fixed, roi)
+            n_changed = unalias(fixed, roi)
+            return estimate, n_changed, fixed.frames, compute_flow(fixed, roi).values
 
-    def test_read_only_and_counts(self):
-        masks = np.zeros((3, 4, 5), dtype=bool)
-        masks[0, 1, 1] = masks[2, 3, 4] = True
-        roi = RoiSeries(masks=masks)
-        with pytest.raises(ValueError):
-            roi.masks[1, 0, 0] = True
-        assert masks.flags.writeable  # the caller's array is left as it was
-        assert roi.n_empty_frames() == 1
-        assert np.array_equal(np.argwhere(roi.union()), [[1, 1], [3, 4]])
+        estimate, n_changed, frames, flow = chain(mask)
+        assert n_changed > 0
+        for roi in forms:
+            got = chain(roi)
+            assert np.float64(got[0].offset_mm_s).view(np.uint64) == np.float64(
+                estimate.offset_mm_s).view(np.uint64)
+            assert np.array_equal(got[0].band, estimate.band)
+            assert got[0].n_band_pixels == estimate.n_band_pixels
+            assert got[1] == n_changed
+            assert np.array_equal(got[2].view(np.uint32), frames.view(np.uint32))
+            assert np.array_equal(got[3].view(np.uint64), flow.view(np.uint64))
 
-    @pytest.mark.parametrize("shape", [(4, 5), (0, 4, 5), (3, 0, 5), (2, 3, 4, 5)])
+    def test_static_mask_is_one_stride0_view(self):
+        """A mask, even one cut from a larger one, is copied once and read as
+        one mask for all frames, a view that flattens to (n_frames, pixels)
+        with stride 0; a per-frame stack is taken as it is."""
+        series = disk_series([5] * 50, h=18, w=18)
+        cut = disk_mask(24, 24, 12, 12, 5)[3:21, 3:21]
+        assert not cut.flags.c_contiguous
+        for member in (disk_mask(18, 18, 9, 9, 5), cut):
+            masks = extraction._check_roi(series, member)
+            assert masks.shape == (50, 18, 18) and masks.strides[0] == 0
+            flat = masks.reshape(50, -1)
+            assert flat.strides[0] == 0 and np.shares_memory(flat, masks)
+            assert np.array_equal(masks[49], member)
+        stack = np.broadcast_to(member, (50, 18, 18)).copy()
+        assert extraction._check_roi(series, stack) is stack
+
+    @pytest.mark.parametrize("shape", [(4, 5), (0, 4, 5), (3, 0, 5), (2, 3, 4, 5), (5,), (2, 3, 4),
+                                       (0, 4), (3, 0), (), (2, 4, 6), (3, 4, 5), (4, 4, 6)])
     def test_shape_rejected(self, shape):
-        with pytest.raises(ValueError, match="RoiSeries"):
-            RoiSeries(masks=np.ones(shape, dtype=bool))
+        """A ROI of the wrong rank, frame count or frame shape, or with an
+        empty dimension, is refused naming both shapes before any frame is
+        written."""
+        rng = np.random.default_rng(2)
+        series = VelocityMapSeries(frames=rng.normal(0.0, 500.0, (3, 4, 6)), dt_ms=75.0,
+                                   venc_mm_s=100.0, pixel_area_mm2=0.25)
+        before = series.frames.copy()
+        for step in (correct_background, unalias, compute_flow):
+            with pytest.raises(ValueError, match=r"^ROI of shape .*\(3, 4, 6\)") as exc:
+                step(series, np.ones(shape, dtype=bool))
+            assert f"ROI of shape {shape} " in str(exc.value)
+        assert np.array_equal(series.frames.view(np.uint32), before.view(np.uint32))
 
 
 class TestSegmentRoi:
@@ -108,7 +134,7 @@ class TestSegmentRoi:
         series = disk_series([5, 5, 5])
         truth = disk_mask(24, 24, 12, 12, 5)
         roi = segment_roi(series, seed=(12, 12))
-        assert all(np.array_equal(m, truth) for m in roi.masks)
+        assert all(np.array_equal(m, truth) for m in roi)
 
     def test_seed_in_background(self):
         series = disk_series([5, 5, 5])
@@ -135,7 +161,7 @@ class TestSegmentRoi:
         radii = [4, 5, 6, 5, 4, 5, 6]
         series = disk_series(radii)
         roi = segment_roi(series, seed=(12, 12))
-        for mask, r in zip(roi.masks, radii):
+        for mask, r in zip(roi, radii):
             truth_count = int(disk_mask(24, 24, 12, 12, r).sum())
             ring = int(disk_mask(24, 24, 12, 12, r + 1).sum()) - int(disk_mask(24, 24, 12, 12, r - 1).sum())
             assert abs(int(mask.sum()) - truth_count) <= ring
@@ -146,7 +172,7 @@ class TestSegmentRoi:
         frames[1] = 0.0
         gappy = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
         roi = segment_roi(gappy, seed=(12, 12))
-        assert np.array_equal(roi.masks[1], roi.masks[0])
+        assert np.array_equal(roi[1], roi[0])
 
     def test_leading_empty_frames_fall_forward(self):
         series = disk_series([5, 5, 5])
@@ -154,13 +180,13 @@ class TestSegmentRoi:
         frames[0] = 0.0
         gappy = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
         roi = segment_roi(gappy, seed=(12, 12))
-        assert np.array_equal(roi.masks[0], roi.masks[1])
+        assert np.array_equal(roi[0], roi[1])
 
     def test_deterministic(self):
         series = disk_series([4, 5, 6])
         a = segment_roi(series, seed=(12, 12))
         b = segment_roi(series, seed=(12, 12))
-        assert np.array_equal(a.masks, b.masks)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("fraction, radius", [(0.5, 12.0), (0.3, 3.0), (1.0, 0.0)])
     def test_masks_match_former_reference_line(self, fraction, radius):
@@ -178,7 +204,7 @@ class TestSegmentRoi:
             roi = segment_roi(series, seed=seed, velocity_threshold_fraction=fraction,
                               max_radius_px=radius)
             expected = former_segment_roi(series, seed, fraction, radius)
-            assert np.array_equal(roi.masks, expected)
+            assert np.array_equal(roi, expected)
 
 
 def former_segment_roi(series, seed, fraction, radius) -> np.ndarray:
@@ -212,7 +238,7 @@ def band_cases(draw):
 class TestCorrectBackground:
     def test_constant_offset_invariance_spec_example(self):
         series, mask, _ = images(duration_s=60.0, seed=5)
-        roi = RoiSeries.from_static(mask, series.n_frames)
+        roi = mask
         base_flow = corrected_flow(series, roi)
         plus_flow = corrected_flow(shifted(series, 5.0), roi)
         # float32 storage granularity bounds the drift at 1e-6 ml/min per ROI pixel
@@ -221,7 +247,7 @@ class TestCorrectBackground:
 
     def test_constant_offset_invariance_general(self):
         series, mask, _ = images(duration_s=60.0, seed=5)
-        roi = RoiSeries.from_static(mask, series.n_frames)
+        roi = mask
         base_flow = corrected_flow(series, roi)
         rng = np.random.default_rng(7)
         for c in rng.uniform(-20.0, 20.0, 3):
@@ -231,14 +257,14 @@ class TestCorrectBackground:
 
     def test_zero_background_unbiased(self):
         series, mask, _ = images(duration_s=60.0, seed=5)
-        roi = RoiSeries.from_static(mask, series.n_frames)
+        roi = mask
         estimate = correct_background(series, roi)
         assert estimate.offset_mm_s == 0.0
 
     def test_synthetic_eddy_recovered(self):
         series, mask, _ = images(duration_s=60.0, seed=5,
                                  artifacts={"eddy_offset_mm_s": 3.0})
-        roi = RoiSeries.from_static(mask, series.n_frames)
+        roi = mask
         estimate = correct_background(series, roi)
         assert estimate.offset_mm_s == pytest.approx(3.0, abs=0.1)
 
@@ -251,15 +277,15 @@ class TestCorrectBackground:
             dt_ms=series.dt_ms, venc_mm_s=series.venc_mm_s,
             pixel_area_mm2=series.pixel_area_mm2,
         )
-        roi = RoiSeries.from_static(mask, noisy.n_frames)
+        roi = mask
         estimate = correct_background(noisy, roi)
         assert estimate.offset_mm_s == pytest.approx(3.0, abs=0.1)
 
     def test_band_disjoint_from_roi(self):
         series, mask, _ = images(duration_s=60.0, seed=5)
-        roi = RoiSeries.from_static(mask, series.n_frames)
+        roi = mask
         estimate = correct_background(series, roi)
-        assert not (estimate.band & roi.union()).any()
+        assert not (estimate.band & mask).any()
         assert estimate.n_band_pixels >= 8
 
     @pytest.mark.parametrize("radius", [3.0, 6.0])
@@ -268,12 +294,12 @@ class TestCorrectBackground:
         rng = np.random.default_rng(4)
         frames = rng.normal(2.0, 5.0, (300, 40, 40)) * rng.uniform(0.2, 3.0, (40, 40))
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        roi = RoiSeries.from_static(disk_mask(40, 40, 20, 20, radius), series.n_frames)
+        roi = disk_mask(40, 40, 20, 20, radius)
         original = series.frames.copy()
         with mock.patch.object(extraction, "BLOCK_VALUES", 300 * 24):
             estimate = correct_background(series, roi)
         # The whole-ring computation the function used to run.
-        ring = distance_band(roi.union(), 2.0, BAND_OUTER_PX)
+        ring = distance_band(roi, 2.0, BAND_OUTER_PX)
         assert ring.sum() >= 4 * 24
         ring_values = original[:, ring].astype(np.float64)
         stds = ring_values.std(axis=0)
@@ -301,7 +327,7 @@ class TestCorrectBackground:
         assert ring.sum() == 2 * 32 + 1
         expected = frames[:, ring].astype(np.float64).std(axis=0)
         with mock.patch.object(np, "quantile", wraps=np.quantile) as quantile:
-            correct_background(series, RoiSeries.from_static(member, 4000))
+            correct_background(series, member)
         stds = quantile.call_args.args[0]
         assert np.array_equal(stds.view(np.uint64), expected.view(np.uint64))
 
@@ -311,12 +337,12 @@ class TestCorrectBackground:
         series = VelocityMapSeries(frames=np.ones((3, 8, 8)), dt_ms=75.0,
                                    venc_mm_s=800.0, pixel_area_mm2=0.25)
         with pytest.raises(InsufficientStationaryTissue):
-            correct_background(series, RoiSeries.from_static(full, 3))
+            correct_background(series, full)
 
     def test_in_place_matches_default(self):
         series, mask, _ = images(duration_s=60.0, seed=5,
                                  artifacts={"eddy_offset_mm_s": 3.0, "noise_sd": 4.0})
-        roi = RoiSeries.from_static(mask, series.n_frames)
+        roi = mask
         original = series.frames.copy()
         frames = series.frames
         estimate = correct_background(series, roi)
@@ -345,7 +371,7 @@ class TestCorrectBackground:
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
         member = np.zeros((12, 12), dtype=bool)
         member[6, 6] = True
-        roi = RoiSeries.from_static(member, n_frames)
+        roi = member
         original = series.frames.copy()
         estimate = correct_background(series, roi)
         offset = float(np.median(original[:, estimate.band].astype(np.float64)))
@@ -357,17 +383,17 @@ class TestCorrectBackground:
         frames = rng.normal(0.0, 5.0, (6, 16, 16)).astype(np.float32)
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
         before = frames.copy()
-        small = RoiSeries.from_static(disk_mask(16, 16, 8, 8, 2), 6)
-        everything = RoiSeries.from_static(np.ones((16, 16), dtype=bool), 6)
+        small = disk_mask(16, 16, 8, 8, 2)
+        everything = np.ones((16, 16), dtype=bool)
         # A 2-column strip beside the ROI: a 16-pixel ring, of which 4 are quiet.
         strip = np.ones((16, 16), dtype=bool)
         strip[:, 14:] = False
         with pytest.raises(InsufficientStationaryTissue, match="no pixels"):
             correct_background(series, everything)
         with pytest.raises(InsufficientStationaryTissue, match="4 quiet band pixels, need 8"):
-            correct_background(series, RoiSeries.from_static(strip, 6))
+            correct_background(series, strip)
         with pytest.raises(ValueError, match="masks for"):
-            correct_background(series, RoiSeries.from_static(small.masks[0], 5))
+            correct_background(series, np.broadcast_to(small, (5, 16, 16)))
         assert np.array_equal(series.frames.view(np.uint32), before.view(np.uint32))
 
     @pytest.mark.parametrize("step", ["correct_background", "unalias"])
@@ -383,7 +409,7 @@ class TestCorrectBackground:
         view.flags.writeable = False
         series = VelocityMapSeries(frames=view, dt_ms=75.0, venc_mm_s=400.0, pixel_area_mm2=0.25)
         assert series.frames.base is base
-        roi = RoiSeries.from_static(disk_mask(24, 24, 12, 12, 5), 3)
+        roi = disk_mask(24, 24, 12, 12, 5)
         with pytest.raises(ValueError, match="the series' frames are read-only"):
             getattr(extraction, step)(series, roi)
         assert np.array_equal(base.view(np.uint32), before.view(np.uint32))
@@ -403,7 +429,7 @@ class TestCorrectBackground:
             frames = rng.standard_normal((n_frames, 33, 33), dtype=np.float32)
             frames += 15.0
             series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=400.0, pixel_area_mm2=0.25)
-            roi = RoiSeries.from_static(disk_mask(33, 33, 16, 16, 10), n_frames)
+            roi = disk_mask(33, 33, 16, 16, 10)
             tracemalloc.start()
             try:
                 in_use = tracemalloc.get_traced_memory()[0]
@@ -435,12 +461,12 @@ def oracle_leave_one_out_medians(values: np.ndarray) -> np.ndarray:
     return 0.5 * (lo_v + hi_v)
 
 
-def oracle_unalias(series: VelocityMapSeries, roi: RoiSeries) -> np.ndarray:
+def oracle_unalias(series: VelocityMapSeries, roi: np.ndarray) -> np.ndarray:
     """unalias as one loop over frames, one argsort per frame: the frames it gives."""
     venc = series.venc_mm_s
     two_venc = 2.0 * venc
     frames = series.frames.copy()
-    for t, member in enumerate(roi.masks):
+    for t, member in enumerate(np.broadcast_to(roi, frames.shape)):
         if member.sum() < 2:
             continue
         vals = frames[t][member].astype(np.float64)
@@ -503,30 +529,26 @@ def unalias_cases(draw):
     if draw(st.booleans()):
         member = np.zeros(pixels, dtype=bool)
         member[list(draw(member_sets))] = True
-        roi = RoiSeries.from_static(member.reshape(height, width), n_frames)
+        roi = member.reshape(height, width)
     else:
         masks = np.zeros((n_frames, pixels), dtype=bool)
         for t in range(n_frames):
             masks[t, list(draw(member_sets))] = True
-        roi = RoiSeries(masks=masks.reshape(n_frames, height, width))
+        roi = masks.reshape(n_frames, height, width)
     series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=venc, pixel_area_mm2=0.25)
-    chunk_frames = draw(st.sampled_from([1, 2, 3, None]))  # None: the default chunk
     block_values = draw(st.sampled_from([1, 2, 5, extraction.BLOCK_VALUES]))
-    return series, roi, chunk_frames, block_values
+    return series, roi, block_values
 
 
 class TestUnaliasMatchesPerFrameOracle:
-    """The chunked, grouped unalias gives the per-frame loop's frames bit for bit."""
+    """The grouped, blockwise unalias gives the per-frame loop's frames bit for bit."""
 
     @settings(max_examples=400, deadline=None)
     @given(case=unalias_cases())
     def test_bit_identical(self, case):
-        series, roi, chunk_frames, block_values = case
+        series, roi, block_values = case
         expected = oracle_unalias(series, roi)
-        chunk_bytes = io.SERIES_CHUNK_BYTES if chunk_frames is None else (
-            chunk_frames * 4 * series.height * series.width)
-        with mock.patch.object(io, "SERIES_CHUNK_BYTES", chunk_bytes), \
-                mock.patch.object(extraction, "BLOCK_VALUES", block_values):
+        with mock.patch.object(extraction, "BLOCK_VALUES", block_values):
             unalias(series, roi)
         assert np.array_equal(series.frames.view(np.uint32), expected.view(np.uint32))
 
@@ -535,11 +557,12 @@ class TestUnaliasMatchesPerFrameOracle:
                                       artifacts={"aliased_pixel_fraction": 0.3})
         assert len(truth.wrapped_pixels) > 100
         seeded = segment_roi(aliased, seed=(aliased.width // 2, aliased.height // 2))
-        assert np.unique(seeded.masks.sum(axis=(1, 2))).size > 1  # mixed member counts
-        for roi in (RoiSeries.from_static(mask, aliased.n_frames), seeded):
+        assert np.unique(seeded.sum(axis=(1, 2))).size > 1  # mixed member counts
+        for roi in (mask, seeded):
             expected = oracle_unalias(aliased, roi)
             fixed = copy_series(aliased)
-            with mock.patch.object(io, "SERIES_CHUNK_BYTES", 3 * 4 * aliased.height * aliased.width):
+            # Blocks of about 3 frames.
+            with mock.patch.object(extraction, "BLOCK_VALUES", 3 * int(mask.sum())):
                 unalias(fixed, roi)
             assert np.array_equal(fixed.frames.view(np.uint32), expected.view(np.uint32))
 
@@ -548,14 +571,11 @@ class TestUnaliasMatchesPerFrameOracle:
     def test_in_place_and_count(self, case):
         """The frames are overwritten with the oracle's bits, and the count is
         the number of pixel-frames whose float32 value changed."""
-        series, roi, chunk_frames, block_values = case
+        series, roi, block_values = case
         original = series.frames.copy()
         frames = series.frames
         expected = oracle_unalias(series, roi)
-        chunk_bytes = io.SERIES_CHUNK_BYTES if chunk_frames is None else (
-            chunk_frames * 4 * series.height * series.width)
-        with mock.patch.object(io, "SERIES_CHUNK_BYTES", chunk_bytes), \
-                mock.patch.object(extraction, "BLOCK_VALUES", block_values):
+        with mock.patch.object(extraction, "BLOCK_VALUES", block_values):
             n_changed = unalias(series, roi)
         assert series.frames is frames
         assert np.array_equal(frames.view(np.uint32), expected.view(np.uint32))
@@ -568,7 +588,7 @@ class TestUnalias:
         values = np.array([830.0, 840.0, 850.0, 860.0, 870.0, -700.0])
         frames = values.reshape(1, 1, 6)
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        roi = RoiSeries.from_static(np.ones((1, 6), dtype=bool), 1)
+        roi = np.ones((1, 6), dtype=bool)
         unalias(series, roi)
         assert series.frames[0, 0, 5] == 900.0
         assert np.array_equal(series.frames[0, 0, :5], frames[0, 0, :5])
@@ -577,7 +597,7 @@ class TestUnalias:
         values = np.array([[700.0, 750.0, 800.0, 820.0]])
         series = VelocityMapSeries(frames=values[None], dt_ms=75.0, venc_mm_s=800.0,
                                    pixel_area_mm2=0.25)
-        roi = RoiSeries.from_static(np.ones((1, 4), dtype=bool), 1)
+        roi = np.ones((1, 4), dtype=bool)
         assert unalias(series, roi) == 0
         assert np.array_equal(series.frames, values[None])
 
@@ -586,7 +606,7 @@ class TestUnalias:
         aliased, _, truth = images(duration_s=60.0, seed=5,
                                    artifacts={"aliased_pixel_fraction": 0.1})
         assert len(truth.wrapped_pixels) > 100
-        roi = RoiSeries.from_static(mask, aliased.n_frames)
+        roi = mask
         unalias(aliased, roi)
         assert np.array_equal(aliased.frames, clean.frames)
         flow_truth = signals(duration_s=60.0, seed=5).flow
@@ -614,7 +634,7 @@ class TestUnalias:
         wrapped = VelocityMapSeries(frames=frames, dt_ms=series.dt_ms,
                                     venc_mm_s=series.venc_mm_s,
                                     pixel_area_mm2=series.pixel_area_mm2)
-        roi = RoiSeries.from_static(mask, series.n_frames)
+        roi = mask
         unalias(wrapped, roi)
         assert np.array_equal(wrapped.frames, series.frames)
 
@@ -623,7 +643,7 @@ class TestUnalias:
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=100.0, pixel_area_mm2=0.25)
         empty = np.zeros((2, 2), dtype=bool)
         single = np.array([[True, False], [False, False]])
-        roi = RoiSeries(masks=np.stack([empty, single]))
+        roi = np.stack([empty, single])
         assert unalias(series, roi) == 0
         assert np.array_equal(series.frames, frames)
 
@@ -634,7 +654,7 @@ class TestUnalias:
         frames[0, 0, 2] = 3.28e38
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=1e37, pixel_area_mm2=0.25)
         before = series.frames.copy()
-        roi = RoiSeries.from_static(np.ones((1, 6), dtype=bool), 1)
+        roi = np.ones((1, 6), dtype=bool)
         with pytest.raises(NonFiniteVelocity, match=r"^unaliasing: .* beyond the float32 range$"):
             unalias(series, roi)
         assert np.array_equal(series.frames.view(np.uint32), before.view(np.uint32))
@@ -644,8 +664,8 @@ class TestUnalias:
         frames = series.frames
         before = frames.copy()
         member = disk_mask(24, 24, 12, 12, 5)
-        for roi in (RoiSeries.from_static(member, 2),
-                    RoiSeries.from_static(member[:, :20], 3)):
+        for roi in (np.broadcast_to(member, (2, 24, 24)),
+                    member[:, :20]):
             with pytest.raises(ValueError, match="ROI"):
                 unalias(series, roi)
         assert np.array_equal(frames.view(np.uint32), before.view(np.uint32))
@@ -655,12 +675,12 @@ class TestComputeFlow:
     def test_unit_arithmetic(self):
         frames = np.array([[[100.0, 200.0]]])
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        roi = RoiSeries.from_static(np.ones((1, 2), dtype=bool), 1)
+        roi = np.ones((1, 2), dtype=bool)
         with pytest.raises(TooShort):
             compute_flow(series, roi)  # one frame cannot form a signal
         frames = np.tile(frames, (2, 1, 1))
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        roi = RoiSeries.from_static(np.ones((1, 2), dtype=bool), 2)
+        roi = np.ones((1, 2), dtype=bool)
         flow = compute_flow(series, roi)
         assert flow.values == pytest.approx([4.5, 4.5])
         assert flow.dt_s == pytest.approx(0.075)
@@ -669,12 +689,12 @@ class TestComputeFlow:
     def test_all_zero(self):
         series = VelocityMapSeries(frames=np.zeros((4, 3, 3)), dt_ms=75.0, venc_mm_s=800.0,
                                    pixel_area_mm2=0.25)
-        roi = RoiSeries.from_static(np.ones((3, 3), dtype=bool), 4)
+        roi = np.ones((3, 3), dtype=bool)
         assert np.all(compute_flow(series, roi).values == 0.0)
 
     def test_synthgen_mean_flow_anchor(self):
         series, mask, _ = images(duration_s=60.0, seed=5)
-        flow = compute_flow(series, RoiSeries.from_static(mask, series.n_frames))
+        flow = compute_flow(series, mask)
         assert flow.values.mean() == pytest.approx(740.0, rel=0.01)
 
     def test_empty_roi_frame_yields_zero(self):
@@ -682,10 +702,8 @@ class TestComputeFlow:
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
         member = np.ones((2, 2), dtype=bool)
         empty = np.zeros((2, 2), dtype=bool)
-        roi = RoiSeries(masks=np.stack([member, empty, member]))
-        flow = compute_flow(series, roi)
+        flow = compute_flow(series, np.stack([member, empty, member]))
         assert flow.values[1] == 0.0
-        assert roi.n_empty_frames() == 1
 
     def test_crop_exact_for_wide_value_range(self):
         # ROI values spanning ~2**40, so the float64 frame sums are inexact
@@ -695,20 +713,20 @@ class TestComputeFlow:
         member[10:14, 2:7] = True
         frames[:, member] = rng.choice([700.0, -650.0, 3e-9, -7e-10], size=(6, int(member.sum())))
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        roi = RoiSeries.from_static(member, 6)
+        roi = member
         vals = series.frames[:, member].astype(np.float64)
         assert any(v.sum() != math.fsum(v) for v in vals)
         window = roi_window(member)
         cropped = VelocityMapSeries(frames=frames[(slice(None),) + window], dt_ms=75.0,
                                     venc_mm_s=800.0, pixel_area_mm2=0.25)
         assert cropped.frames.shape[1:] == (16, 13)
-        cropped_roi = RoiSeries.from_static(member[window], 6)
+        cropped_roi = member[window]
         full = compute_flow(series, roi).values
         assert np.array_equal(compute_flow(cropped, cropped_roi).values, full)
 
     def test_linearity(self):
         series, mask, _ = images(duration_s=60.0, seed=5)
-        roi = RoiSeries.from_static(mask, series.n_frames)
+        roi = mask
         base = compute_flow(series, roi)
         scaled = VelocityMapSeries(frames=series.frames * 2.0, dt_ms=series.dt_ms,
                                    venc_mm_s=series.venc_mm_s, pixel_area_mm2=series.pixel_area_mm2)
@@ -717,10 +735,10 @@ class TestComputeFlow:
     def test_dimension_mismatch_rejected(self):
         series = VelocityMapSeries(frames=np.zeros((3, 4, 4)), dt_ms=75.0,
                                    venc_mm_s=800.0, pixel_area_mm2=0.25)
-        wrong_count = RoiSeries.from_static(np.ones((4, 4), dtype=bool), 2)
+        wrong_count = np.ones((2, 4, 4), dtype=bool)
         with pytest.raises(ValueError):
             compute_flow(series, wrong_count)
-        wrong_shape = RoiSeries.from_static(np.ones((5, 5), dtype=bool), 3)
+        wrong_shape = np.ones((5, 5), dtype=bool)
         with pytest.raises(ValueError):
             compute_flow(series, wrong_shape)
 

@@ -14,8 +14,8 @@ import rtpc
 EXPORTS = {
     "cycles": ("CycleTable", "detect_cycles", "resample"),
     "diff": ("DiffScanResult", "PARAMETERS", "delay_scan", "extract_result"),
-    "extraction": ("BackgroundEstimate", "RoiSeries", "compute_flow", "correct_background",
-                   "quality_score", "segment_roi", "sum_flows", "unalias"),
+    "extraction": ("BackgroundEstimate", "compute_flow", "correct_background", "quality_score",
+                   "segment_roi", "sum_flows", "unalias"),
     "io": ("SampledSignal", "VelocityMapSeries", "read_mask", "read_signal_csv",
            "read_velocity_series", "write_mask", "write_signal_csv", "write_velocity_series"),
     "report": ("ArteryRecord", "DiffRecord", "QcFlags", "Report", "read_report", "write_report"),

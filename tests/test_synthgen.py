@@ -12,7 +12,7 @@ from helpers import images, signals
 
 from rtpc import io
 from rtpc.errors import InvalidConfig
-from rtpc.extraction import RoiSeries, compute_flow
+from rtpc.extraction import compute_flow
 from rtpc.io import MAGIC, read_signal_csv, write_signal_csv, write_velocity_series
 from rtpc.respiration import detect_resp_intervals
 from rtpc.synthgen import (
@@ -272,15 +272,14 @@ class TestGenerateVelocitySeries:
     def test_flow_conservation(self):
         flow = signals(duration_s=60.0, seed=5).flow
         series, mask, _ = images(duration_s=60.0, seed=5)
-        recovered = compute_flow(series, RoiSeries.from_static(mask, series.n_frames))
+        recovered = compute_flow(series, mask)
         rel = np.abs(recovered.values - flow.values) / np.abs(flow.values)
         assert rel.max() <= 1e-5  # frozen discretization tolerance (float32 storage)
 
     def test_eddy_bias_linearity(self):
         clean, mask, _ = images(duration_s=60.0, seed=5)
         eddy, _, truth = images(duration_s=60.0, seed=5, artifacts={"eddy_offset_mm_s": 3.0})
-        roi = RoiSeries.from_static(mask, clean.n_frames)
-        bias = compute_flow(eddy, roi).values - compute_flow(clean, roi).values
+        bias = compute_flow(eddy, mask).values - compute_flow(clean, mask).values
         expected = 0.06 * 0.25 * 3.0 * mask.sum()
         assert bias == pytest.approx(expected, rel=1e-4)
         assert truth.eddy_offset_mm_s == 3.0
