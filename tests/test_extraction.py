@@ -96,21 +96,31 @@ class TestRoiSeries:
             assert np.array_equal(got[2].view(np.uint32), frames.view(np.uint32))
             assert np.array_equal(got[3].view(np.uint64), flow.view(np.uint64))
 
-    def test_static_mask_is_one_stride0_view(self):
-        """A mask, even one cut from a larger one, is copied once and read as
-        one mask for all frames, a view that flattens to (n_frames, pixels)
-        with stride 0; a per-frame stack is taken as it is."""
-        series = disk_series([5] * 50, h=18, w=18)
-        cut = disk_mask(24, 24, 12, 12, 5)[3:21, 3:21]
-        assert not cut.flags.c_contiguous
-        for member in (disk_mask(18, 18, 9, 9, 5), cut):
-            masks = extraction._check_roi(series, member)
-            assert masks.shape == (50, 18, 18) and masks.strides[0] == 0
-            flat = masks.reshape(50, -1)
-            assert flat.strides[0] == 0 and np.shares_memory(flat, masks)
-            assert np.array_equal(masks[49], member)
-        stack = np.broadcast_to(member, (50, 18, 18)).copy()
+    def test_from_static_shares_the_mask(self):
+        """A (height, width) mask is read as one mask for all frames: a
+        stride-0 view of one copy. A per-frame stack is taken as it is."""
+        series = disk_series([5] * 4000, h=9, w=7)
+        member = disk_mask(9, 7, 3, 4, 2)
+        masks = extraction._check_roi(series, member)
+        assert masks.shape == (4000, 9, 7)
+        assert masks.strides[0] == 0  # one mask, not one per frame
+        assert np.array_equal(masks.any(axis=0), member)
+        assert masks.reshape(4000, -1).any(axis=1).all()
+        stack = np.broadcast_to(member, (4000, 9, 7)).copy()
         assert extraction._check_roi(series, stack) is stack
+
+    def test_from_static_of_a_slice_flattens_as_a_view(self):
+        """A mask cut from a larger one is copied once, so the per-frame
+        masks flatten to a stride-0 view, the form unalias reads as one
+        member vector for all frames."""
+        series = disk_series([5] * 50, h=18, w=18)
+        member = disk_mask(24, 24, 12, 12, 5)[2:20, 3:21]
+        assert not member.flags.c_contiguous
+        masks = extraction._check_roi(series, member)
+        flat = masks.reshape(len(masks), -1)
+        assert flat.strides[0] == 0 and np.shares_memory(flat, masks)
+        assert np.array_equal(masks.any(axis=0), member)
+        assert np.array_equal(masks[49], member)
 
     @pytest.mark.parametrize("shape", [(4, 5), (0, 4, 5), (3, 0, 5), (2, 3, 4, 5), (5,), (2, 3, 4),
                                        (0, 4), (3, 0), (), (2, 4, 6), (3, 4, 5), (4, 4, 6)])
