@@ -142,13 +142,14 @@ def _select_minima(values: np.ndarray, min_separation: int) -> np.ndarray:
     return np.asarray(accepted, dtype=np.intp)
 
 
-def detect_cycles(flow: SampledSignal, upsample_factor: int = UPSAMPLE_FACTOR) -> CycleTable:
+def detect_cycles(flow: SampledSignal) -> CycleTable:
     """Segment a flow signal into cardiac-cycle flow curves.
 
     Steps: (1) estimate the dominant period T from the autocorrelation within
-    PERIOD_BAND_S; (2) on the upsampled signal, keep the deepest local minima
-    at least MIN_SEPARATION_FRACTION * T apart as boundaries; (3) flag cycles
-    whose period falls outside VALIDITY_BAND * T. Leading and trailing
+    PERIOD_BAND_S, on the signal upsampled UPSAMPLE_FACTOR times; (2) on
+    that signal, keep the deepest local minima at least
+    MIN_SEPARATION_FRACTION * T apart as boundaries; (3) flag cycles whose
+    period falls outside VALIDITY_BAND * T. Leading and trailing
     partial cycles are discarded. The settings live in rtpc.report.
 
     Raises NoCyclesFound when the recording is shorter than three times the
@@ -161,7 +162,7 @@ def detect_cycles(flow: SampledSignal, upsample_factor: int = UPSAMPLE_FACTOR) -
         raise NoCyclesFound(
             f"recording of {flow.duration_s:.3g} s is shorter than 3 x {PERIOD_BAND_S[1]} s"
         )
-    up = resample(flow, upsample_factor)
+    up = resample(flow, UPSAMPLE_FACTOR)
     # Period estimation runs on the upsampled grid too: at ~12 raw samples per
     # cycle, a half-integer true period aligns worse with itself than with its
     # double, and the raw-grid autocorrelation peaks at the wrong multiple.

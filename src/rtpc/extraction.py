@@ -28,7 +28,16 @@ from .errors import (
 )
 from .io import SampledSignal, VelocityMapSeries
 from .numerics import distance_band, gather_blocks, ranked_values, seed_component, welch
-from .report import MAX_RADIUS_PX, SNR_THRESHOLD, THRESHOLD_FRACTION, QcFlags
+from .report import (
+    CARDIAC_BAND_HZ,
+    MAX_RADIUS_PX,
+    MIN_QC_SAMPLES,
+    NOISE_BAND_HZ,
+    SNR_THRESHOLD,
+    THRESHOLD_FRACTION,
+    WELCH_SEGMENT,
+    QcFlags,
+)
 
 #: 1 mm^3/s = 0.06 ml/min
 ML_MIN_PER_MM3_S = 0.06
@@ -44,9 +53,10 @@ MIN_BAND_PIXELS = 8
 COMPONENT_START_HALF_PX = 16
 
 #: Values a bounded gather over frames takes at once: about the ring values of
-#: one float64 std block of correct_background, and at most the ROI values of
-#: one unalias float64 matrix (512 KiB) or the band values of one float32 block
-#: of the background median.
+#: one float64 std block of correct_background, and at most the band values of
+#: one float32 block of the background median. unalias gathers at most
+#: BLOCK_VALUES // 8 ROI values at once, since each of its (frames, k) blocks
+#: costs about eight float64 arrays of its size (512 KiB in all).
 BLOCK_VALUES = 1 << 16
 
 
@@ -276,15 +286,16 @@ def _member_groups(masks: np.ndarray):
 
     masks is (n_frames, pixels). Each block is (frame indices, member
     indices), the latter (frames, k) with each frame's members in row-major
-    order, and holds at most BLOCK_VALUES members, or one frame. A static
-    ROI (a stride-0 broadcast) has one member vector for all frames.
+    order, and holds at most BLOCK_VALUES // 8 members, or one frame. A
+    static ROI (a stride-0 broadcast) has one member vector for all frames.
     """
     n_frames = len(masks)
+    block = BLOCK_VALUES // 8
     if masks.strides[0] == 0:
         members = np.flatnonzero(masks[0])
         if members.size < 2:
             return
-        step = max(1, BLOCK_VALUES // members.size)
+        step = max(1, block // members.size)
         for lo in range(0, n_frames, step):
             t = np.arange(lo, min(lo + step, n_frames))
             yield t, np.broadcast_to(members, (t.size, members.size))
@@ -292,7 +303,7 @@ def _member_groups(masks: np.ndarray):
     counts = np.count_nonzero(masks, axis=1)
     for k in np.unique(counts[counts >= 2]).tolist():
         sel = np.flatnonzero(counts == k)
-        step = max(1, BLOCK_VALUES // k)
+        step = max(1, block // k)
         for lo in range(0, sel.size, step):
             rows = sel[lo : lo + step]
             yield rows, np.nonzero(masks[rows])[1].reshape(rows.size, k)
@@ -316,7 +327,7 @@ def unalias(series: VelocityMapSeries, roi: np.ndarray) -> int:
     groups unwrapped before it, the rest as given.
 
     Frames are grouped by ROI member count k, and each group's members are
-    gathered, at most BLOCK_VALUES at once, as (frames, k) float64
+    gathered, at most BLOCK_VALUES // 8 at once, as (frames, k) float64
     matrices, whose rows give the medians at once.
 
     Valid while venc stays above about 0.6 x the systolic peak velocity.
@@ -391,16 +402,18 @@ def sum_flows(signals: list) -> SampledSignal:
 def quality_score(flow: SampledSignal, snr_threshold: float = SNR_THRESHOLD) -> QcFlags:
     """Spectral cardiac SNR gate.
 
-    cardiac_snr is the peak Welch-periodogram power in 0.7-2.0 Hz over the
-    median power in 2.5-6.0 Hz; signals below snr_threshold are flagged for
-    exclusion. The ratio is capped at 1e15 so it stays JSON-representable.
+    cardiac_snr is the peak Welch-periodogram power in CARDIAC_BAND_HZ
+    (0.7-2.0 Hz) over the median power in NOISE_BAND_HZ (2.5-6.0 Hz);
+    signals below snr_threshold are flagged for exclusion. The ratio is
+    capped at 1e15 so it stays JSON-representable. The settings live in
+    rtpc.report.
     """
-    if len(flow) < 64:
-        raise TooShort(f"quality gate needs >= 64 samples, got {len(flow)}")
+    if len(flow) < MIN_QC_SAMPLES:
+        raise TooShort(f"quality gate needs >= {MIN_QC_SAMPLES} samples, got {len(flow)}")
     fs = 1.0 / flow.dt_s
-    freqs, power = welch(flow.values, fs, min(256, len(flow)))
-    cardiac = (freqs >= 0.7) & (freqs <= 2.0)
-    noise = (freqs >= 2.5) & (freqs <= 6.0)
+    freqs, power = welch(flow.values, fs, min(WELCH_SEGMENT, len(flow)))
+    cardiac = (freqs >= CARDIAC_BAND_HZ[0]) & (freqs <= CARDIAC_BAND_HZ[1])
+    noise = (freqs >= NOISE_BAND_HZ[0]) & (freqs <= NOISE_BAND_HZ[1])
     if not cardiac.any() or not noise.any():
         raise TooShort(f"sampling rate {fs:.3g} Hz cannot resolve the scoring bands")
     peak = float(power[cardiac].max())

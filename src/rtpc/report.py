@@ -36,6 +36,10 @@ SMOOTH_WINDOW_S = 0.5
 MIN_SEPARATION_S = 1.5
 PROMINENCE_FRACTION = 0.2
 
+#: RespIntervals: each breathing interval lasts strictly inside this band, as
+#: multiples of the mean breathing period.
+INTERVAL_DURATION_BAND = (0.3, 3.0)
+
 #: The delay scan's grid step, and the fewest valid cycles each phase needs at a delay.
 DELAY_STEP_MS = 75.0
 DELAY_STEP_S = DELAY_STEP_MS / 1000.0
@@ -46,6 +50,14 @@ MAX_MISSING_FRACTION = 0.2
 
 #: A cardiac SNR below this flags a flow signal for exclusion.
 SNR_THRESHOLD = 5.0
+
+#: quality_score: the cardiac SNR is the peak Welch power in the cardiac band
+#: (Hz) over the median power in the noise band (Hz), with Welch segments of at
+#: most WELCH_SEGMENT samples, on a flow of at least MIN_QC_SAMPLES samples.
+CARDIAC_BAND_HZ = (0.7, 2.0)
+NOISE_BAND_HZ = (2.5, 6.0)
+WELCH_SEGMENT = 256
+MIN_QC_SAMPLES = 64
 
 #: Seeded segmentation: threshold as a fraction of the reference speed, and
 #: the radius (px) around the seed the reference speed is taken in.

@@ -16,7 +16,12 @@ import numpy as np
 from .errors import NoBreathsDetected, NonAlternating
 from .io import SampledSignal
 from .numerics import find_peaks
-from .report import MIN_SEPARATION_S, PROMINENCE_FRACTION, SMOOTH_WINDOW_S
+from .report import (
+    INTERVAL_DURATION_BAND,
+    MIN_SEPARATION_S,
+    PROMINENCE_FRACTION,
+    SMOOTH_WINDOW_S,
+)
 
 IN = "IN"
 EX = "EX"
@@ -51,9 +56,10 @@ class RespIntervals:
         if not self.mean_period_s > 0:
             raise NoBreathsDetected(f"mean period must be positive, got {self.mean_period_s}")
         durations = np.diff(bounds)
-        if (durations <= 0.3 * self.mean_period_s).any() or (durations >= 3.0 * self.mean_period_s).any():
+        lo, hi = (f * self.mean_period_s for f in INTERVAL_DURATION_BAND)
+        if (durations <= lo).any() or (durations >= hi).any():
             raise NonAlternating(
-                "interval durations outside (0.3, 3.0) x mean period "
+                f"interval durations outside {INTERVAL_DURATION_BAND} x mean period "
                 f"{self.mean_period_s:.3g} s: {durations.min():.3g}..{durations.max():.3g} s"
             )
         object.__setattr__(self, "phases", tuple(self.phases))

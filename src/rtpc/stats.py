@@ -6,6 +6,10 @@ targets are tiny, where the usual approximations are untrustworthy. Ties get
 average ranks throughout. The exact null distributions are counted on
 doubled ranks, which are integers, so "at least as extreme as observed" is
 an exact integer comparison.
+
+Above those sizes Spearman's p-value comes from the t approximation, whose
+Student-t tail is computed here with the math module alone, and Wilcoxon's
+from the normal approximation: the package needs numpy only.
 """
 
 from __future__ import annotations
@@ -89,6 +93,62 @@ def _rank_product_counts(a, b) -> np.ndarray:
     return layer[(1 << n) - 1]
 
 
+#: Term cap of the incomplete beta's continued fraction, which took at most
+#: 155 terms on a sweep of df from 1 to 10^8 and |t| from 1e-12 to 1e7.
+_BETA_MAX_TERMS = 1000
+_BETA_EPS = 2.0**-53
+_BETA_TINY = 1e-300  # modified Lentz: stands in for a zero denominator
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """I_x(a, b) * a * B(a, b) / (x^a (1 - x)^b), the continued fraction of
+    DLMF 8.17.22 by modified Lentz; fast for x < (a + 1) / (a + b + 2)."""
+    f = c = 1.0
+    d = 0.0
+    for j in range(1, _BETA_MAX_TERMS):
+        m = j // 2
+        if j % 2:
+            coeff = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        else:
+            coeff = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        d = 1.0 + coeff * d
+        if abs(d) < _BETA_TINY:
+            d = _BETA_TINY
+        c = 1.0 + coeff / c
+        if abs(c) < _BETA_TINY:
+            c = _BETA_TINY
+        d = 1.0 / d
+        delta = c * d
+        f *= delta
+        if j % 2 and abs(delta - 1.0) < _BETA_EPS:
+            break
+    return 1.0 / f
+
+
+def _t_two_sided(t: float, df: float) -> float:
+    """P(|T| >= |t|) for Student's t with df degrees of freedom.
+
+    That is I_x(df/2, 1/2), the regularized incomplete beta at
+    x = df / (df + t^2), and where x lies beyond the continued fraction's
+    fast region, 1 - I_(1-x)(1/2, df/2). It stays within 2e-10 relative of
+    scipy's 2 * stdtr(df, -|t|) for df from 2 to 10^4 (measured); the
+    cancelling lgamma terms of the prefactor lose more as df grows. A tail
+    below the float range gives 0.0.
+    """
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    a, b = 0.5 * df, 0.5
+    x = df / (df + t2)
+    y = t2 / (df + t2)  # 1 - x, without the cancellation
+    # log(x^a y^b / B(a, b)); log y by log1p too, as y underflows for tiny t.
+    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                 - a * math.log1p(t2 / df) - b * math.log1p(df / t2))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_front) * _beta_fraction(a, b, x) / a
+    return 1.0 - math.exp(log_front) * _beta_fraction(b, a, y) / b
+
+
 def spearman(x, y) -> CorrelationResult:
     """Spearman rank correlation with a two-sided p-value.
 
@@ -96,7 +156,8 @@ def spearman(x, y) -> CorrelationResult:
     the p-value is exact: the fraction of all n! orderings of y whose |rho|
     reaches the observed one; with doubled ranks a and b, |rho| of an ordering
     p grows with |S - n(n+1)^2| for S = sum a[i] * b[p[i]]. Larger samples
-    use the t approximation with n - 2 degrees of freedom.
+    use the t approximation with n - 2 degrees of freedom, whose two-sided
+    tail is _t_two_sided.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -129,11 +190,8 @@ def spearman(x, y) -> CorrelationResult:
     if abs(rho) >= 1.0:
         p = math.ulp(0.0)
     else:
-        from scipy.special import stdtr  # imported here: the exact path needs no scipy
-
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = 2.0 * float(stdtr(n - 2, -abs(t)))
-        p = min(1.0, max(p, math.ulp(0.0)))
+        p = min(1.0, max(_t_two_sided(t, n - 2), math.ulp(0.0)))
     return CorrelationResult(rho=rho, p_value=p, n=n, method="t-approximation")
 
 

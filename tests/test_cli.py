@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import rtpc
 
@@ -41,6 +42,7 @@ from rtpc.io import (
     write_velocity_series,
 )
 from rtpc.report import read_report
+from rtpc.stats import spearman
 from rtpc.synthgen import SimConfig, generate_velocity_series
 
 from helpers import run_fresh
@@ -959,8 +961,8 @@ class TestNonUtf8Input:
         assert "Traceback" not in err
 
 
-#: Runs `rtpc.cli.main(argv)` with every scipy import refused.
-NO_SCIPY_RUNNER = """
+#: Makes every later scipy import in the interpreter fail.
+REFUSE_SCIPY = """
 import sys
 
 class RefuseScipy:
@@ -970,6 +972,10 @@ class RefuseScipy:
         return None
 
 sys.meta_path.insert(0, RefuseScipy())
+"""
+
+#: Runs `rtpc.cli.main(argv)` with every scipy import refused.
+NO_SCIPY_RUNNER = REFUSE_SCIPY + """
 import rtpc.cli
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 if loaded:
@@ -980,7 +986,13 @@ sys.exit(rtpc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0)
 
 class TestWithoutScipy:
     """simulate --with-images, extract, analyze and report run, and write the
-    same bytes, truth.json included, when scipy cannot be imported at all."""
+    same bytes, truth.json included, when scipy cannot be imported at all;
+    so does Spearman's t approximation."""
+
+    @staticmethod
+    def env():
+        return {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(rtpc.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
 
     @staticmethod
     def commands(config, data, out):
@@ -997,8 +1009,7 @@ class TestWithoutScipy:
         ]
 
     def test_same_outputs(self, dataset, tmp_path):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(rtpc.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+        env = self.env()
         proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUNNER], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -1023,6 +1034,27 @@ class TestWithoutScipy:
             if name.suffix == ".json" and name.stem == "report":
                 a, b = (re.sub(rb'"generated_at": "[^"]*"', b"", x) for x in (a, b))
             assert a == b, name
+
+    def test_spearman_t_approximation(self):
+        """spearman on n = 25 runs with every scipy import refused, and its p
+        equals scipy's spearmanr within 1e-9."""
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=25)
+        y = x + rng.normal(scale=0.8, size=25)
+        code = REFUSE_SCIPY + """
+import json
+from rtpc.stats import spearman
+r = spearman(*json.loads(sys.argv[1]))
+print(json.dumps([r.rho, r.p_value, r.method]))
+"""
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps([x.tolist(), y.tolist()])],
+                              env=self.env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        rho, p, method = json.loads(proc.stdout)
+        ref = scipy.stats.spearmanr(x, y)
+        assert method == "t-approximation"
+        assert rho == spearman(x, y).rho
+        assert p == pytest.approx(ref.pvalue, rel=1e-9)
 
 
 #: Runs `rtpc.cli.main(argv[2:])` in a fresh interpreter with the top-level

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,7 +160,8 @@ class TestCycleTable:
     @given(case=st.sampled_from(PROPERTY_FLOWS), factor=st.sampled_from([1, 8]))
     def test_arrays_equal_cycle_params_on_each_view(self, case, factor):
         flow, _, _ = signals(**case)
-        table = detect_cycles(flow, upsample_factor=factor)
+        with mock.patch("rtpc.cycles.UPSAMPLE_FACTOR", factor):
+            table = detect_cycles(flow)
         assert table.params.shape == (3, len(table))
         for i, c in enumerate(cycles_of(table)):
             assert c.midpoint_s == table.midpoint_s[i]

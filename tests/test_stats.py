@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import stdtr
 
 from rtpc.errors import AllZeroDifferences, EmptyInput, TooFewSamples, ZeroVariance
-from rtpc.stats import spearman, summarize, wilcoxon_signed_rank
+from rtpc.stats import _t_two_sided, spearman, summarize, wilcoxon_signed_rank
 
 
 # -- independent brute-force oracles (plain Python, no shared code paths) ---------
@@ -165,6 +168,38 @@ class TestSpearman:
             spearman([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
         with pytest.raises(ValueError):
             spearman([1, 2, 3], [1, 2])
+
+
+class TestStudentTail:
+    """The two-sided Student-t tail behind Spearman's t approximation."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(df=st.integers(1, 10**4),
+           t=st.floats(-1e6, 1e6, allow_nan=False) | st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
+    def test_matches_scipy(self, df, t):
+        # At df = 1, scipy's stdtr is off by up to 3e-9 for |t| near 1e-8, so
+        # the Cauchy tail's closed form is the oracle there.
+        if df == 1 and t != 0.0:
+            expected = 2.0 / math.pi * math.atan(1.0 / abs(t))
+        else:
+            expected = 2.0 * float(stdtr(df, -abs(t)))
+        assume(expected >= 1e-300)
+        assert _t_two_sided(t, df) == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 23, 10**4])
+    def test_one_at_zero(self, df):
+        assert _t_two_sided(0.0, df) == 1.0
+        assert _t_two_sided(-0.0, df) == 1.0
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-160, 1e-8, 1e-6, 0.3, 1.0, 2.5, 40.0, 1e3, 1e6])
+    def test_closed_forms(self, t):
+        """p = 1 - (2/pi) atan|t| at df = 1 and 1 - |t| / sqrt(2 + t^2) at df = 2,
+        each written without its cancellation."""
+        root = math.sqrt(2.0 + t * t)
+        for sign in (1.0, -1.0):
+            assert _t_two_sided(sign * t, 1) == pytest.approx(2.0 / math.pi * math.atan(1.0 / t),
+                                                              rel=1e-12)
+            assert _t_two_sided(sign * t, 2) == pytest.approx(2.0 / (root * (root + t)), rel=1e-12)
 
 
 class TestWilcoxon:
