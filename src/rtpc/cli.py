@@ -14,7 +14,6 @@ import json
 import math
 import re
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
@@ -28,11 +27,11 @@ from .errors import (
     TooShort,
 )
 from .report import REPORT_PARAMETERS, ArteryRecord, QcFlags, Report, read_report, write_report
-from .svgplot import render_line_chart
 
 #: What the commands call, by module. Each command binds the names of the
 #: modules it runs with _load, so it imports nothing else: `report` loads no
-#: numpy. perfbench/tracing.py wraps these names as attributes of this module.
+#: numpy, and only a command that draws loads svgplot. perfbench/tracing.py
+#: wraps these names as attributes of this module.
 _CALLS = {
     ".cycles": ("detect_cycles",),
     ".diff": ("MAX_SCAN_DELAYS", "extract_result", "finalize_scan", "sweep_diffs"),
@@ -41,6 +40,7 @@ _CALLS = {
     ".io": ("SampledSignal", "read_mask", "read_signal_csv", "read_velocity_header",
             "read_velocity_series", "write_mask", "write_signal_csv", "write_velocity_series"),
     ".respiration": ("detect_resp_intervals",),
+    ".svgplot": ("render_line_chart",),
     ".synthgen": ("SimConfig", "generate_signals", "generate_velocity_series"),
     # No command calls it: perfbench/tracing.py replaces cli.ThreadPoolExecutor.
     "concurrent.futures": ("ThreadPoolExecutor",),
@@ -288,6 +288,8 @@ def cmd_extract(args, written: list) -> int:
 
 
 def cmd_analyze(args, written: list) -> int:
+    from datetime import datetime, timezone
+
     _load(".io", ".extraction", ".respiration", ".diff")
     flow_paths = [p for chunk in args.flow for p in chunk.split(",") if p]
     if not flow_paths:
@@ -365,6 +367,7 @@ def cmd_analyze(args, written: list) -> int:
     write_report(report, out)
 
     if args.plots is not None:
+        _load(".svgplot")
         plot_dir = Path(args.plots)
         plot_dir.mkdir(parents=True, exist_ok=True)
         for record in report.arteries:
@@ -404,6 +407,7 @@ def cmd_simulate(args, written: list) -> int:
 
 
 def cmd_report(args, written: list) -> int:
+    _load(".svgplot")
     report = read_report(args.in_path)
     named = [(r.name, f"artery {i} ({r.name!r})") for i, r in enumerate(report.arteries)]
     if (clash := _name_clash(named)) is not None:

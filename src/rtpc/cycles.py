@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateCycle, NoCyclesFound, TooShort
 from .io import SampledSignal
-from .numerics import local_maxima, natural_cubic_spline
+from .numerics import local_maxima, spline_grid, spline_values
 from .report import MIN_SEPARATION_FRACTION, PERIOD_BAND_S, UPSAMPLE_FACTOR, VALIDITY_BAND
 
 
@@ -66,11 +66,35 @@ class CycleTable:
         return self.valid.size
 
 
+#: The spline grid resample built last, as ((t0_s, dt_s, n, factor), grid).
+#: The records of one analyze share a sampling grid, and so do the subjects
+#: of a cohort, so each grid is factorised once. The grid is a function of
+#: its key alone and its arrays are read-only, so every caller in the
+#: process may share it; key and grid are swapped in as one tuple.
+_last_grid: tuple = (None, None)
+
+
+def _spline_grid(t0_s: float, dt_s: float, n: int, factor: int):
+    """numerics.spline_grid from the samples of (t0_s, dt_s, n) to the
+    dt_s / factor grid that resample evaluates, through a one-entry cache."""
+    global _last_grid
+    key = (t0_s, dt_s, n, factor)
+    cached_key, grid = _last_grid
+    if cached_key != key:
+        t = t0_s + np.arange(n) * dt_s
+        tt = np.minimum(t0_s + np.arange((n - 1) * factor + 1) * (dt_s / factor), t[-1])
+        grid = spline_grid(t, tt)
+        _last_grid = (key, grid)
+    return grid
+
+
 def resample(flow: SampledSignal, factor: int) -> SampledSignal:
     """Natural cubic-spline upsampling onto a dt/factor grid.
 
     Original sample instants reproduce the original values (interpolation).
-    factor 1 returns the input unchanged.
+    factor 1 returns the input unchanged. The values are
+    numerics.natural_cubic_spline's, bit for bit; the part of it that
+    depends only on the grid is kept for the next signal on the same grid.
     """
     if int(factor) != factor or factor < 1:
         raise ValueError(f"factor must be an integer >= 1, got {factor!r}")
@@ -79,12 +103,9 @@ def resample(flow: SampledSignal, factor: int) -> SampledSignal:
         raise TooShort(f"resampling needs >= 4 samples, got {len(flow)}")
     if factor == 1:
         return flow
-    t = flow.times
-    new_dt = flow.dt_s / factor
-    n_out = (len(flow) - 1) * factor + 1
-    tt = np.minimum(flow.t0_s + np.arange(n_out) * new_dt, t[-1])
-    values = natural_cubic_spline(t, flow.values, tt)
-    return SampledSignal(t0_s=flow.t0_s, dt_s=new_dt, values=values, kind=flow.kind)
+    grid = _spline_grid(flow.t0_s, flow.dt_s, len(flow), factor)
+    values = spline_values(grid, flow.values)
+    return SampledSignal(t0_s=flow.t0_s, dt_s=flow.dt_s / factor, values=values, kind=flow.kind)
 
 
 def _dominant_period(values: np.ndarray, dt_s: float, band: tuple) -> float:
@@ -92,20 +113,21 @@ def _dominant_period(values: np.ndarray, dt_s: float, band: tuple) -> float:
 
     Uses the biased FFT autocorrelation (decays with lag, so the fundamental
     wins over its multiples on equal footing) with parabolic refinement of
-    the winning peak.
+    the winning peak. The transform is zero-padded to the power of two at or
+    above n + the largest lag read, hi + 1, so no lag read wraps around.
     """
     x = values - values.mean()
     if not (x != 0).any():
         raise NoCyclesFound("constant signal has no cardiac periodicity")
     n = x.size
-    nfft = 1 << int(np.ceil(np.log2(2 * n)))
+    lo = max(1, int(np.ceil(band[0] / dt_s)))
+    hi = min(n - 2, int(np.floor(band[1] / dt_s)))
+    nfft = 1 << (n + hi).bit_length()
     spec = np.fft.rfft(x, nfft)
-    acorr = np.fft.irfft(spec * np.conj(spec), nfft)[:n] / n
+    acorr = np.fft.irfft(spec * np.conj(spec), nfft)[: hi + 2] / n
     if acorr[0] <= 0:
         raise NoCyclesFound("degenerate autocorrelation")
     acorr = acorr / acorr[0]
-    lo = max(1, int(np.ceil(band[0] / dt_s)))
-    hi = min(n - 2, int(np.floor(band[1] / dt_s)))
     if hi <= lo:
         raise NoCyclesFound(f"period band {band} unreachable at dt {dt_s}")
     segment = acorr[lo : hi + 1]

@@ -27,7 +27,16 @@ from .errors import (
     TooShort,
 )
 from .io import SampledSignal, VelocityMapSeries
-from .numerics import distance_band, gather_blocks, ranked_values, seed_component, welch
+from .numerics import (
+    distance_band,
+    distinct,
+    gather_blocks,
+    median,
+    quantile,
+    ranked_values,
+    seed_component,
+    welch,
+)
 from .report import (
     CARDIAC_BAND_HZ,
     MAX_RADIUS_PX,
@@ -104,9 +113,11 @@ def segment_roi(
     neighborhood = (xx - sx) ** 2 + (yy - sy) ** 2 <= max_radius_px**2
     # One contiguous gather, made absolute and partitioned in place (a
     # percentile depends only on the multiset of values), and freed before
-    # the masks are grown.
+    # the masks are grown. np.percentile(near, 99.0) is its quantile at
+    # 99.0 / 100 == 0.99.
     near = np.take(series.frames.reshape(series.n_frames, -1), np.flatnonzero(neighborhood), axis=1)
-    reference = float(np.percentile(np.abs(near, out=near), 99.0, overwrite_input=True))
+    np.abs(near, out=near)
+    reference = float(quantile(near.reshape(-1), 0.99, overwrite_input=True))
     del near
     if reference <= 0.0:
         raise EmptySegmentation(f"no velocity signal within {max_radius_px} px of seed {seed}")
@@ -184,7 +195,7 @@ def correct_background(series: VelocityMapSeries, roi: np.ndarray) -> Background
         series.frames[:, r, c].astype(np.float64).std(axis=0)
         for r, c in zip(np.array_split(rows, n_blocks), np.array_split(cols, n_blocks))
     ])
-    keep = stds <= np.quantile(stds, BAND_QUANTILE)
+    keep = stds <= quantile(stds, BAND_QUANTILE)
     n_band = int(keep.sum())
     if n_band < MIN_BAND_PIXELS:
         raise InsufficientStationaryTissue(f"{n_band} quiet band pixels, need {MIN_BAND_PIXELS}")
@@ -301,7 +312,7 @@ def _member_groups(masks: np.ndarray):
             yield t, np.broadcast_to(members, (t.size, members.size))
         return
     counts = np.count_nonzero(masks, axis=1)
-    for k in np.unique(counts[counts >= 2]).tolist():
+    for k in distinct(counts[counts >= 2])[0].tolist():
         sel = np.flatnonzero(counts == k)
         step = max(1, block // k)
         for lo in range(0, sel.size, step):
@@ -417,7 +428,7 @@ def quality_score(flow: SampledSignal, snr_threshold: float = SNR_THRESHOLD) -> 
     if not cardiac.any() or not noise.any():
         raise TooShort(f"sampling rate {fs:.3g} Hz cannot resolve the scoring bands")
     peak = float(power[cardiac].max())
-    noise_floor = float(np.median(power[noise]))
+    noise_floor = float(median(power[noise], overwrite_input=True))
     if peak <= 0.0:
         snr = 0.0
     elif noise_floor <= peak * 1e-15:

@@ -44,6 +44,7 @@ from .errors import (
     TooShort,
     TruncatedFile,
 )
+from .numerics import median
 
 MAGIC = b"RTPC1"
 HEADER_SIZE = len(MAGIC) + 12 + 12  # magic + three u32 + three f32
@@ -326,7 +327,7 @@ def read_signal_csv(path, kind: str) -> SampledSignal:
         raise NonMonotoneTime(f"{path}: time column is not strictly increasing")
     if not np.isfinite(diffs).all():
         raise NonUniformSampling(f"{path}: a time step exceeds the float range")
-    dt = float(np.median(diffs))
+    dt = float(median(diffs))
     if np.abs(diffs - dt).max() > 1e-6 * dt:
         raise NonUniformSampling(
             f"{path}: spacing varies by {np.abs(diffs - dt).max():.3g} s around median {dt:.9g} s"

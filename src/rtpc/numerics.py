@@ -7,7 +7,11 @@ cycle, breath and QC value is identical to what scipy computes. The tests
 compare each function with its original for exact equality.
 
 - natural_cubic_spline: scipy.interpolate.CubicSpline(x, y, bc_type="natural")
-  evaluated at given points;
+  evaluated at given points, in two parts: spline_grid, which depends only on
+  the abscissae and the evaluation points (dgtsv's elimination factors and
+  modified diagonal, each point's PPoly interval and its offset h, h**2,
+  h**3 into it), and spline_values, which finishes it for one y (the
+  right-hand side, the substitutions and the evaluation);
 - local_maxima: the peaks of scipy.signal.find_peaks(x);
 - find_peaks: scipy.signal.find_peaks(x, distance=, prominence=);
 - welch: scipy.signal.welch with a periodic Hann window, nperseg samples,
@@ -16,12 +20,17 @@ compare each function with its original for exact equality.
   holds a seed pixel, frame by frame;
 - distance_band: distance_transform_edt(~mask) restricted to [inner, outer];
 - ranked_values: np.sort(frames[:, pixels], axis=None) at given ranks, with
-  -0.0 below +0.0 and no gather of all those values.
+  -0.0 below +0.0 and no gather of all those values;
+- median, quantile, distinct: np.median, np.quantile (and so np.percentile)
+  and np.unique(return_counts=True) of a 1-D array, by numpy's own steps.
+  np.median, np.quantile and a plain np.unique load numpy.ma (13-19 ms) on
+  first use; these do not.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -37,12 +46,27 @@ def natural_cubic_spline(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.nda
     power-sum evaluation. dgtsv's row interchange is never taken for
     near-uniform x (the pivot stays above 3.5 dx against dx below it), so it
     is left out; x needs n >= 4 strictly increasing points.
+
+    It is spline_values(spline_grid(x, xi), y): a caller that interpolates
+    many y on one grid builds the grid once.
     """
+    return spline_values(spline_grid(x, xi), y)
+
+
+#: The part of natural_cubic_spline(x, y, xi) that depends on x and xi alone,
+#: as spline_grid builds it for spline_values. Read-only arrays: dx, the steps
+#: of x; k, the PPoly interval of each point of xi; h, h2, h3, each point's
+#: offset into its interval, squared and cubed. Tuples of floats: fact,
+#: dgtsv's elimination factors; diag, the diagonal elimination leaves; du, the
+#: super-diagonal.
+SplineGrid = namedtuple("SplineGrid", "dx fact diag du k h h2 h3")
+
+
+def spline_grid(x: np.ndarray, xi: np.ndarray) -> SplineGrid:
+    """The x- and xi-only part of natural_cubic_spline (see there)."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     n = x.size
     dx = np.diff(x)
-    slope = np.diff(y) / dx
 
     # The banded system as CubicSpline builds it for bc_type="natural".
     d = np.empty(n)
@@ -55,25 +79,50 @@ def natural_cubic_spline(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.nda
     dl = np.empty(n - 1)
     dl[:-1] = dx[1:]
     dl[-1] = dx[-1]
-    b = np.empty(n)
+
+    # dgtsv's forward elimination, no interchange, on the matrix alone.
+    d, du, dl = d.tolist(), du.tolist(), dl.tolist()
+    fact = []
+    for i in range(n - 1):
+        fact.append(dl[i] / d[i])
+        d[i + 1] = d[i + 1] - fact[i] * du[i]
+
+    # PPoly: the interval closed on the right at the last breakpoint.
+    xi = np.asarray(xi, dtype=np.float64)
+    k = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, n - 2)
+    h = xi - x[k]
+    h2 = h * h
+    h3 = h2 * h
+    for array in (dx, k, h, h2, h3):
+        array.flags.writeable = False
+    return SplineGrid(dx, tuple(fact), tuple(d), tuple(du), k, h, h2, h3)
+
+
+def spline_values(grid: SplineGrid, y: np.ndarray) -> np.ndarray:
+    """The y part of natural_cubic_spline (see there) on a spline_grid."""
+    y = np.asarray(y, dtype=np.float64)
+    dx = grid.dx
+    slope = np.diff(y) / dx
+    b = np.empty(y.size)
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     # Second derivative 0 at both ends, kept in scipy's expressions so a
     # zero right-hand side keeps scipy's sign.
     b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
     b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
 
-    # dgtsv, no interchange: forward elimination, then back substitution
-    # (the eliminated sub-diagonal stays in the last term as 0.0 * b[i + 2]).
-    d, du, dl, b = d.tolist(), du.tolist(), dl.tolist(), b.tolist()
-    for i in range(n - 1):
-        fact = dl[i] / d[i]
-        d[i + 1] = d[i + 1] - fact * du[i]
-        b[i + 1] = b[i + 1] - fact * b[i]
-    b[n - 1] = b[n - 1] / d[n - 1]
-    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - 0.0 * b[i + 2]) / d[i]
-    s = np.array(b)
+    # dgtsv's forward substitution, then back substitution (the eliminated
+    # sub-diagonal stays in the last term as 0.0 * s[i + 2]).
+    b = b.tolist()
+    prev = b[0]
+    b[1:] = [prev := b_i - f * prev for b_i, f in zip(b[1:], grid.fact)]
+    d, du = grid.diag, grid.du
+    after = b[-1] / d[-1]
+    cur = (b[-2] - du[-1] * after) / d[-2]
+    s = [after, cur]
+    for b_i, du_i, d_i in zip(b[-3::-1], du[-2::-1], d[-3::-1]):
+        after, cur = cur, (b_i - du_i * cur - 0.0 * after) / d_i
+        s.append(cur)
+    s = np.array(s[::-1])
 
     # CubicHermiteSpline coefficients, highest power first.
     t = (s[:-1] + s[1:] - 2 * slope) / dx
@@ -82,15 +131,13 @@ def natural_cubic_spline(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.nda
     c2 = s[:-1]
     c3 = y[:-1]
 
-    # PPoly: the interval closed on the right at the last breakpoint.
-    xi = np.asarray(xi, dtype=np.float64)
-    k = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, n - 2)
-    h = xi - x[k]
-    h2 = h * h
+    # PPoly's power-sum evaluation, term by term in its order.
+    k = grid.k
     out = 0.0 + c3[k]
-    out = out + c2[k] * h
-    out = out + c1[k] * h2
-    return out + c0[k] * (h2 * h)
+    out += c2[k] * grid.h
+    out += c1[k] * grid.h2
+    out += c0[k] * grid.h3
+    return out
 
 
 def local_maxima(x: np.ndarray) -> np.ndarray:
@@ -98,9 +145,12 @@ def local_maxima(x: np.ndarray) -> np.ndarray:
 
     A peak is a run of equal samples with a smaller neighbour on each side;
     its index is the middle of the run (the left one of two middles). The
-    first and last samples are never peaks.
+    first and last samples are never peaks. Without equal neighbours every
+    run is one sample, so a peak is a sample above both neighbours.
     """
     x = np.asarray(x, dtype=np.float64)
+    if not (x[1:] == x[:-1]).any():
+        return np.flatnonzero((x[:-2] < x[1:-1]) & (x[2:] < x[1:-1])) + 1
     starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
     ends = np.concatenate((starts[1:], [x.size])) - 1
     inner = (starts > 0) & (ends < x.size - 1)
@@ -308,3 +358,58 @@ def _sort_keys(values: np.ndarray) -> np.ndarray:
     keys |= np.int32(-(1 << 31))
     keys ^= values.view(np.int32)
     return keys.view(np.uint32)
+
+
+def median(values: np.ndarray, overwrite_input: bool = False):
+    """np.median(values) of a 1-D float64 array, bit for bit, NaN included.
+
+    The same steps as numpy's: the same np.partition call, then the mean of
+    the middle one or two values. np.median itself loads numpy.ma (13-19 ms)
+    for its NaN check; this reads the last partitioned value instead. values
+    must not be empty; with overwrite_input it is partitioned in place.
+    """
+    part = values if overwrite_input else values.copy()
+    n = part.size
+    middle = n // 2
+    part.partition([middle - 1, middle, -1] if n % 2 == 0 else [middle, -1])
+    if math.isnan(part[-1]):
+        return part[-1]
+    return part[middle - 1 + n % 2 : middle + 1].mean()
+
+
+def quantile(values: np.ndarray, q: float, overwrite_input: bool = False):
+    """np.quantile(values, q) of a non-empty 1-D float array for a float q in
+    [0, 1], with numpy's default "linear" method, bit for bit, NaN included.
+
+    The same steps as numpy's: virtual index (n - 1) * q, its neighbours (both
+    -1 at or above n - 1), one np.partition at those, 0 and -1, and numpy's
+    two-sided lerp in the array's dtype. np.quantile itself loads numpy.ma
+    (through np.unique) to sort those indices. np.percentile(values, p) is
+    quantile(values, p / 100). With overwrite_input, values is partitioned in
+    place.
+    """
+    part = values if overwrite_input else values.copy()
+    virtual = (part.size - 1) * q
+    if virtual >= part.size - 1:
+        below = above = -1
+    else:
+        below = math.floor(virtual)
+        above = below + 1
+    part.partition(sorted({0, -1, below, above}))
+    if math.isnan(part[-1]):
+        return part[-1]
+    t = virtual - below
+    a, b = part[below], part[above]
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
+def distinct(values: np.ndarray) -> tuple:
+    """np.unique(values, return_counts=True) of a 1-D array without NaN: the
+    sorted distinct values and how often each occurs."""
+    ordered = np.sort(values)
+    first = np.empty(ordered.size, dtype=bool)  # the first of each run of equal values
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return ordered[starts], np.diff(np.append(starts, ordered.size))

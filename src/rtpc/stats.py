@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZeroDifferences, EmptyInput, TooFewSamples, ZeroVariance
+from .numerics import distinct
 
 EXACT_SPEARMAN_MAX_N = 10
 EXACT_WILCOXON_MAX_N = 20
@@ -236,7 +237,7 @@ def wilcoxon_signed_rank(x, y) -> SignedRankResult:
 
     mean = 0.25 * n * (n + 1)
     variance = n * (n + 1) * (2 * n + 1)
-    _, tie_counts = np.unique(ranks, return_counts=True)
+    _, tie_counts = distinct(ranks)
     variance -= 0.5 * float((tie_counts**3 - tie_counts).sum())
     se = math.sqrt(variance / 24.0)
     z = (w - mean + 0.5) / se  # w <= mean, continuity correction toward the mean

@@ -413,21 +413,6 @@ def _resp_fraction(t, period_s: float):
     return np.mod(np.asarray(t, dtype=np.float64) / period_s, 1.0)
 
 
-def is_expiratory(t, period_s: float):
-    """True while the belt falls (peak-to-trough half of the breath)."""
-    frac = _resp_fraction(t, period_s)
-    return (frac > 0.25) & (frac < 0.75)
-
-
-def modulation_waveform(t, period_s: float, shape: str):
-    """One-sided modulation in [0, 1]: 1 at mid-expiration, 0 at mid-inspiration."""
-    if shape == "square":
-        return is_expiratory(t, period_s).astype(np.float64)
-    if shape == "sine":
-        return 0.5 * (1.0 - np.cos(2.0 * np.pi * _resp_fraction(t, period_s)))
-    raise InvalidConfig(f"modulation shape must be one of {MODULATION_SHAPES}, got {shape!r}")
-
-
 def belt_waveform(t, period_s: float, kind: str):
     """Belt amplitude: rising during inhalation, trough at frac 0.75, peak at 0.25."""
     phase = 2.0 * np.pi * _resp_fraction(t, period_s)
@@ -470,12 +455,26 @@ def generate_signals(config: SimConfig) -> SignalBundle:
     base_mean = config.cardiac.base_mean_flow_ml_min
 
     def cycle_of(start: float) -> tuple:
-        """(period, scale, is_ex) for the cycle starting at start."""
+        """(period, scale, is_ex) for the cycle starting at start.
+
+        The breath fraction at t_eval - delay decides: the cycle is
+        expiratory while the belt falls, fraction in (0.25, 0.75), and the
+        modulation m in [0, 1] is 1 at mid-expiration, 0 at mid-inspiration:
+        square, 1 while expiratory, or 0.5 (1 - cos(2 pi fraction)). One
+        Python float per cycle, as numpy gives it on an array: % is np.mod's
+        floor-mod for floats, signed zero included, and the sine takes
+        numpy's cos.
+        """
         t_eval = start + 0.5 * base_period
-        m = float(modulation_waveform(t_eval - mod.sensor_delay_s, resp_period, mod.shape))
+        frac = (t_eval - mod.sensor_delay_s) / resp_period % 1.0
+        ex = 0.25 < frac < 0.75
+        if mod.shape == "square":
+            m = float(ex)
+        else:
+            m = float(0.5 * (1.0 - np.cos(2.0 * np.pi * frac)))
         period = base_period * (1.0 + mod.period_pct / 100.0 * m)
         scale = base_mean * (1.0 + mod.mean_flow_pct / 100.0 * m)
-        return period, scale, bool(is_expiratory(t_eval - mod.sensor_delay_s, resp_period))
+        return period, scale, ex
 
     starts = [-0.5 * base_period]  # recording starts mid-cycle
     periods = []

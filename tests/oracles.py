@@ -5,6 +5,11 @@ once. The objects and functions here compute the same numbers one cycle and
 one delay at a time, the plain way; the tests hold the package to them bit
 for bit. `as_table` turns a list of oracle cycles into the five arrays
 sweep_diffs and label_cycles read.
+
+Two more plain forms: `dominant_period_2n` takes the autocorrelation from an
+FFT zero-padded to twice the signal, and `simulated_flow` evaluates the
+simulator's breathing modulation with the array forms `is_expiratory` and
+`modulation_waveform`.
 """
 
 from dataclasses import dataclass, replace
@@ -12,9 +17,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from rtpc.errors import DegenerateCycle, InsufficientCycles, ZeroInspiratoryValue
+from rtpc.errors import DegenerateCycle, InsufficientCycles, NoCyclesFound, ZeroInspiratoryValue
 from rtpc.io import SampledSignal
 from rtpc.respiration import EX, IN, RespIntervals
+from rtpc.synthgen import pulse_waveform
 
 #: Report parameter name -> CycleParams field, in the order of a CycleTable's params rows.
 _PARAM_ATTR = {
@@ -165,3 +171,76 @@ def diff_ex_in(p_ex: CycleParams, p_in: CycleParams) -> dict:
             raise ZeroInspiratoryValue(f"inspiratory {param} is zero")
         diffs[param] = 100.0 * (ex_value - in_value) / in_value
     return diffs
+
+
+def dominant_period_2n(values: np.ndarray, dt_s: float, band: tuple) -> float:
+    """cycles._dominant_period with the FFT zero-padded to the power of two
+    at or above 2n, so no lag of the whole signal wraps around."""
+    x = values - values.mean()
+    if not (x != 0).any():
+        raise NoCyclesFound("constant signal has no cardiac periodicity")
+    n = x.size
+    nfft = 1 << int(np.ceil(np.log2(2 * n)))
+    spec = np.fft.rfft(x, nfft)
+    acorr = np.fft.irfft(spec * np.conj(spec), nfft)[:n] / n
+    if acorr[0] <= 0:
+        raise NoCyclesFound("degenerate autocorrelation")
+    acorr = acorr / acorr[0]
+    lo = max(1, int(np.ceil(band[0] / dt_s)))
+    hi = min(n - 2, int(np.floor(band[1] / dt_s)))
+    if hi <= lo:
+        raise NoCyclesFound(f"period band {band} unreachable at dt {dt_s}")
+    segment = acorr[lo : hi + 1]
+    local_max = (segment >= acorr[lo - 1 : hi]) & (segment >= acorr[lo + 1 : hi + 2])
+    peaks = np.flatnonzero(local_max)
+    if peaks.size == 0:
+        raise NoCyclesFound(f"no autocorrelation peak within {band} s")
+    best = peaks[int(np.argmax(segment[peaks]))] + lo
+    y0, y1, y2 = acorr[best - 1], acorr[best], acorr[best + 1]
+    denom = y0 - 2 * y1 + y2
+    shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
+    shift = float(np.clip(shift, -0.5, 0.5))
+    return float(np.clip((best + shift) * dt_s, band[0], band[1]))
+
+
+def is_expiratory(t, period_s: float):
+    """True while the belt falls (peak-to-trough half of the breath)."""
+    frac = np.mod(np.asarray(t, dtype=np.float64) / period_s, 1.0)
+    return (frac > 0.25) & (frac < 0.75)
+
+
+def modulation_waveform(t, period_s: float, shape: str):
+    """One-sided modulation in [0, 1]: 1 at mid-expiration, 0 at mid-inspiration."""
+    if shape == "square":
+        return is_expiratory(t, period_s).astype(np.float64)
+    frac = np.mod(np.asarray(t, dtype=np.float64) / period_s, 1.0)
+    return 0.5 * (1.0 - np.cos(2.0 * np.pi * frac))
+
+
+def simulated_flow(config) -> tuple:
+    """generate_signals' noise-free flow values and its cycles as (start,
+    end, phase, scale, period) tuples, the lead-in and the unfinished last
+    cycle included, with each cycle's modulation taken from
+    modulation_waveform and is_expiratory on a 0-d array."""
+    dt = config.dt_ms / 1000.0
+    n = int(round(config.duration_s / dt))
+    t_last = (n - 1) * dt
+    mod, cardiac = config.modulation, config.cardiac
+    resp_period, base_period = config.respiration.period_s, cardiac.base_period_s
+    starts, periods, scales, phases = [-0.5 * base_period], [], [], []
+    while True:
+        t = starts[-1] + 0.5 * base_period - mod.sensor_delay_s
+        m = float(modulation_waveform(t, resp_period, mod.shape))
+        periods.append(base_period * (1.0 + mod.period_pct / 100.0 * m))
+        scales.append(cardiac.base_mean_flow_ml_min * (1.0 + mod.mean_flow_pct / 100.0 * m))
+        phases.append("EX" if bool(is_expiratory(t, resp_period)) else "IN")
+        if starts[-1] + periods[-1] > t_last:
+            break
+        starts.append(starts[-1] + periods[-1])
+    bounds = np.asarray(starts + [starts[-1] + periods[-1]])
+    t_samples = np.arange(n) * dt
+    cell = np.clip(np.searchsorted(bounds, t_samples, side="right") - 1, 0, len(periods) - 1)
+    u = (t_samples - bounds[cell]) / np.asarray(periods)[cell]
+    wf = cardiac.waveform
+    values = np.asarray(scales)[cell] * pulse_waveform(u, shape=wf.shape, scale=wf.scale, floor=wf.floor)
+    return values, list(zip(bounds[:-1].tolist(), bounds[1:].tolist(), phases, scales, periods))

@@ -1146,6 +1146,31 @@ class TestImportFootprint:
             assert not modules & not_run[argv[0]], argv
             assert "concurrent.futures" not in modules, argv
 
+    def test_load_only_what_each_run_needs(self, dataset, tmp_path):
+        """No command loads numpy.ma, and only a command that draws loads
+        svgplot. datetime, which numpy loads anyway, stays out of the
+        numpy-free runs."""
+        series, flow, resp = dataset / "series.rtpc", dataset / "flow.csv", dataset / "resp.csv"
+        report = tmp_path / "report.json"
+        runs = [
+            (["--version"], set()),
+            (["extract", "--series", series, "--mask", dataset / "mask.pgm",
+              "--out", tmp_path / "mask.csv", "--qc", tmp_path / "mask_qc.json"], set()),
+            (["extract", "--series", series, "--seed", "16,16", "--out", tmp_path / "seed.csv",
+              "--qc", tmp_path / "seed_qc.json"], set()),
+            (["analyze", "--flow", flow, "--resp", resp, "--out", report], set()),
+            (["analyze", "--flow", f"{flow},{tmp_path / 'mask.csv'}", "--resp", resp,
+              "--out", tmp_path / "sum.json", "--plots", tmp_path / "p"], {"rtpc.svgplot"}),
+            (["report", "--in", report, "--plots", tmp_path / "replots"], {"rtpc.svgplot"}),
+        ]
+        for argv, loads in runs:
+            code, modules, _ = footprint(argv)
+            assert code == 0, argv
+            assert "numpy.ma" not in modules, argv
+            assert modules & {"rtpc.svgplot"} == loads, argv
+            if "numpy" not in modules:
+                assert "datetime" not in modules, argv
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from helpers import match_boundaries, signals
-from oracles import CycleBoundary, cycle_params, cycles_of
+from oracles import CycleBoundary, cycle_params, cycles_of, dominant_period_2n
 
+from rtpc import cycles
 from rtpc.cycles import CycleTable, _select_minima, detect_cycles, resample
 from rtpc.errors import DegenerateCycle, NoCyclesFound, TooShort
 from rtpc.io import SampledSignal
-from rtpc.synthgen import pulse_waveform
+from rtpc.numerics import natural_cubic_spline
+from rtpc.synthgen import SimConfig, generate_signals, pulse_waveform
 
 
 class TestResample:
@@ -47,6 +49,90 @@ class TestResample:
         s = SampledSignal(t0_s=0.0, dt_s=0.075, values=np.arange(10.0), kind="flow")
         with pytest.raises(ValueError):
             resample(s, 0)
+
+
+class TestGridCache:
+    """resample keeps the spline's grid part for the last (t0_s, dt_s, n,
+    factor) it saw, and gives natural_cubic_spline's values bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_cached_grid_matches_spline(self, data):
+        grids = [
+            (data.draw(st.floats(-100.0, 100.0).filter(lambda t0: t0 != 0.0)),
+             data.draw(st.sampled_from([0.075, 0.01, 1 / 3]) | st.floats(1e-3, 2.0)),
+             data.draw(st.integers(4, 120)),
+             data.draw(st.integers(1, 8)))
+            for _ in range(2)
+        ]
+        # a, b, a, a: each switch evicts the other grid; the repeat is a hit
+        # with new values.
+        for t0, dt, n, factor in (grids[0], grids[1], grids[0], grids[0]):
+            values = data.draw(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False),
+                                        min_size=n, max_size=n))
+            flow = SampledSignal(t0_s=t0, dt_s=dt, values=np.asarray(values), kind="flow")
+            up = resample(flow, factor)
+            if factor == 1:
+                assert up is flow
+                continue
+            assert cycles._last_grid[0] == (flow.t0_s, flow.dt_s, n, factor)
+            t = flow.times
+            tt = np.minimum(t0 + np.arange((n - 1) * factor + 1) * (dt / factor), t[-1])
+            expected = natural_cubic_spline(t, flow.values, tt)
+            assert np.array_equal(up.values.view(np.uint64), expected.view(np.uint64))
+            assert up.t0_s == flow.t0_s and up.dt_s == flow.dt_s / factor
+
+    def test_cached_arrays_are_read_only(self):
+        rng = np.random.default_rng(4)
+        flow = SampledSignal(t0_s=1.5, dt_s=0.075, values=rng.normal(0, 100, 50), kind="flow")
+        first = resample(flow, 8)
+        grid = cycles._last_grid[1]
+        for name in ("dx", "k", "h", "h2", "h3"):
+            array = getattr(grid, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[0] = 0
+        for name in ("fact", "diag", "du"):
+            assert isinstance(getattr(grid, name), tuple), name
+        again = resample(flow, 8)
+        assert cycles._last_grid[1] is grid
+        assert np.array_equal(first.values, again.values)
+
+
+class TestShortAutocorrelation:
+    """_dominant_period pads its FFT only to n + the largest lag it reads:
+    the cycles are those of a 2n-padded FFT, the same boundaries and the
+    same validity, from clean to noisy, modulated or not. At 153 s and 306 s
+    the upsampled signal lies within the largest lag below a power of two,
+    so one padding too short wraps the lags read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        noise_sd=st.sampled_from([0.0, 200.0, 600.0]) | st.floats(0.0, 600.0),
+        mean_flow_pct=st.floats(0.0, 10.0),
+        period_pct=st.sampled_from([0.0]) | st.floats(0.0, 10.0),
+        base_period_s=st.floats(0.5, 1.2),
+        duration_s=st.sampled_from([600.0, 153.0, 306.0]) | st.floats(30.0, 600.0),
+        seed=st.integers(0, 1000),
+    )
+    def test_cycles_match_2n_padding(self, noise_sd, mean_flow_pct, period_pct, base_period_s,
+                                     duration_s, seed):
+        flow = generate_signals(SimConfig.from_dict({
+            "duration_s": duration_s,
+            "cardiac": {"base_period_s": base_period_s},
+            "modulation": {"mean_flow_pct": mean_flow_pct, "period_pct": period_pct},
+            "artifacts": {"noise_sd": noise_sd},
+            "seed": seed,
+        })).flow
+        outcomes = []
+        for dominant_period in (cycles._dominant_period, dominant_period_2n):
+            with mock.patch.object(cycles, "_dominant_period", dominant_period):
+                try:
+                    table = detect_cycles(flow)
+                    outcomes.append((table.bounds.tolist(), table.valid.tolist()))
+                except NoCyclesFound as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 def pulse_train(periods, scales=None, dt=0.075, lead=0.4):

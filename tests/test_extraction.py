@@ -336,7 +336,7 @@ class TestCorrectBackground:
         ring = distance_band(member, 2.0, BAND_OUTER_PX)
         assert ring.sum() == 2 * 32 + 1
         expected = frames[:, ring].astype(np.float64).std(axis=0)
-        with mock.patch.object(np, "quantile", wraps=np.quantile) as quantile:
+        with mock.patch.object(extraction, "quantile", wraps=extraction.quantile) as quantile:
             correct_background(series, member)
         stds = quantile.call_args.args[0]
         assert np.array_equal(stds.view(np.uint64), expected.view(np.uint64))
@@ -706,7 +706,7 @@ class TestUnalias:
             assert n_changed > 0.04 * roi.sum()
             return peak
 
-        traced_peak(50)  # the first np.unique imports numpy.ma
+        traced_peak(50)  # a first call, so one-time costs fall outside the peaks
         small, large = traced_peak(2000), traced_peak(8000)
         assert large <= small + (128 << 10), (small, large)
         assert large < 1 << 20, large

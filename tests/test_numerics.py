@@ -5,6 +5,7 @@ Every comparison is exact (np.array_equal): the stand-ins replace scipy on
 the analysis path, and the reports must stay bit for bit what scipy gave.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,8 @@ from scipy import ndimage
 from scipy.interpolate import CubicSpline
 from scipy.signal import find_peaks as scipy_find_peaks
 from scipy.signal import welch as scipy_welch
+
+from helpers import run_fresh
 
 from rtpc import numerics
 from rtpc.cycles import resample
@@ -40,6 +43,16 @@ class TestLocalMaxima:
         for signal in (x, -x):
             expected, _ = scipy_find_peaks(signal)
             assert np.array_equal(numerics.local_maxima(signal), expected)
+
+    @settings(max_examples=400, deadline=None)
+    @given(x=st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=60).map(np.asarray))
+    def test_matches_find_peaks_without_plateaus(self, x):
+        x = x.astype(np.float64)
+        for signal in (x, -x):
+            expected, _ = scipy_find_peaks(signal)
+            got = numerics.local_maxima(signal)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("x", [
         [0, 1, 1, 0],            # even plateau: the left middle
@@ -243,3 +256,81 @@ class TestRankedValues:
 
         small, large = traced_peak(2000), traced_peak(8000)
         assert large <= small + (64 << 10), (small, large)
+
+
+def same_bits(got, expected) -> bool:
+    """Equal value, dtype and bits, so -0.0 differs from +0.0 and NaN equals NaN."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    return got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def order_samples(draw, dtype):
+    """1-D arrays of odd and even sizes from 1 up, where ties, zeros of both
+    signs and, now and then, a NaN are common."""
+    width = 32 if dtype == np.float32 else 64
+    special = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])
+    value = special | st.floats(-1e3, 1e3, width=width) | st.floats(width=width, allow_nan=False)
+    values = draw(st.lists(value, min_size=1, max_size=40))
+    if draw(st.integers(0, 9)) == 0:
+        values[draw(st.integers(0, len(values) - 1))] = math.nan
+    return np.array(values, dtype=dtype)
+
+
+class TestOrderStatistics:
+    """median, quantile and distinct against np.median, np.quantile,
+    np.percentile and np.unique, bit for bit, and none loads numpy.ma."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(values=order_samples(np.float64), overwrite=st.booleans())
+    def test_median(self, values, overwrite):
+        given_values = values.copy()
+        with np.errstate(all="ignore"):  # inf - inf and the like, on both sides
+            expected = np.median(values)
+            got = numerics.median(given_values, overwrite_input=overwrite)
+        assert same_bits(got, expected)
+        if not overwrite:
+            assert same_bits(given_values, values)
+
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data())
+    def test_quantile(self, data):
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        values = data.draw(order_samples(dtype))
+        q = data.draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.99, 1.0]) | st.floats(0.0, 1.0))
+        with np.errstate(all="ignore"):
+            expected = np.quantile(values, q)
+            assert same_bits(numerics.quantile(values.copy(), q), expected)
+            assert same_bits(numerics.quantile(values.copy(), q, overwrite_input=True), expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=order_samples(np.float32), p=st.sampled_from([99.0, 25.0, 50.0, 100.0, 0.0]))
+    def test_percentile_is_quantile_over_100(self, values, p):
+        with np.errstate(all="ignore"):
+            expected = np.percentile(values.copy(), p, overwrite_input=True)
+            got = numerics.quantile(values.copy(), p / 100, overwrite_input=True)
+        assert same_bits(got, expected)
+        assert 99.0 / 100 == 0.99  # the form segment_roi writes
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.integers(-3, 3), max_size=40) | st.lists(
+        st.sampled_from([0.5, 1.5, 2.0, -0.0, 0.0, 7.25]), max_size=40))
+    def test_distinct(self, values):
+        values = np.array(values, dtype=np.float64 if any(isinstance(v, float) for v in values)
+                          else np.intp)
+        got_values, got_counts = numerics.distinct(values)
+        expected_values, expected_counts = np.unique(values, return_counts=True)
+        assert np.array_equal(got_values, expected_values)
+        assert same_bits(got_counts, expected_counts)
+
+    def test_no_numpy_ma(self):
+        script = """
+import json, sys
+import numpy as np
+from rtpc import numerics
+x = np.array([3.0, -0.0, 1.0, 2.0])
+numerics.median(x), numerics.quantile(x, 0.25), numerics.distinct(x)
+print(json.dumps("numpy.ma" in sys.modules))
+"""
+        loaded, _ = run_fresh(script)
+        assert loaded is False

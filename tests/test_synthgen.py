@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn, gammainc
 
 from helpers import images, signals
+from oracles import simulated_flow
 
 from rtpc import io
 from rtpc.errors import InvalidConfig
@@ -254,6 +255,35 @@ class TestGenerateSignals:
         mf = np.array([c.mean_flow_ml_min for c in truth.cycles])
         assert mf.min() >= 740.0 - 1e-9
         assert mf.max() <= 814.0 + 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_scalar_modulation_matches_waveforms(self, data):
+        """Each cycle's modulation, evaluated on one Python float, gives the
+        flow and truth that modulation_waveform and is_expiratory give on a
+        0-d array, bit for bit: quarter-breath delays put cycle midpoints on
+        the EX/IN edges, and negative times exercise the floor-mod."""
+        resp_period = data.draw(st.sampled_from([4.3, 4.0, 3.0]) | st.floats(1.0, 8.0))
+        delay = data.draw(st.integers(0, 12).map(lambda q: q * resp_period / 4)
+                          | st.floats(0.0, 10.0))
+        cfg = SimConfig.from_dict({
+            "duration_s": max(6.0, 2.0 * resp_period) + data.draw(st.floats(0.0, 60.0)),
+            "dt_ms": data.draw(st.sampled_from([75.0, 50.0, 20.0]) | st.floats(5.0, 100.0)),
+            "cardiac": {"base_period_s": data.draw(st.sampled_from([1.0, 0.5]) | st.floats(0.3, 2.0))},
+            "respiration": {"period_s": resp_period},
+            "modulation": {
+                "mean_flow_pct": data.draw(st.floats(-49.9, 49.9)),
+                "period_pct": data.draw(st.sampled_from([0.0, 5.0]) | st.floats(-49.9, 49.9)),
+                "shape": data.draw(st.sampled_from(["square", "sine"])),
+                "sensor_delay_s": delay,
+            },
+        })
+        flow, _, truth = generate_signals(cfg)
+        values, cycles = simulated_flow(cfg)
+        assert np.array_equal(flow.values.view(np.uint64), values.view(np.uint64))
+        got = [(c.start_s, c.end_s, c.phase, c.mean_flow_ml_min, c.cardiac_period_s)
+               for c in truth.cycles]
+        assert got == cycles[1 : len(got) + 1]
 
     def test_rounded_square_belt(self):
         flow, resp, _ = signals(duration_s=60.0, respiration={"period_s": 4.3, "belt_waveform": "rounded-square"})
