@@ -14,10 +14,7 @@ __version__ = "0.1.0"
 
 #: Exported name -> the submodule that defines it.
 _EXPORTS = {
-    **dict.fromkeys(
-        ("CycleTable", "detect_cycles", "resample"),
-        "cycles",
-    ),
+    **dict.fromkeys(("CycleTable", "detect_cycles"), "cycles"),
     **dict.fromkeys(
         ("DiffScanResult", "PARAMETERS", "delay_scan", "extract_result"),
         "diff",
@@ -36,11 +33,8 @@ _EXPORTS = {
         ("ArteryRecord", "DiffRecord", "QcFlags", "Report", "read_report", "write_report"),
         "report",
     ),
-    **dict.fromkeys(
-        ("EX", "IN", "UNLABELED", "RespIntervals", "detect_resp_intervals", "label_cycles"),
-        "respiration",
-    ),
-    **dict.fromkeys(("spearman", "summarize", "wilcoxon_signed_rank"), "stats"),
+    **dict.fromkeys(("EX", "IN", "RespIntervals", "detect_resp_intervals"), "respiration"),
+    **dict.fromkeys(("spearman", "wilcoxon_signed_rank"), "stats"),
     **dict.fromkeys(
         ("GroundTruth", "SimConfig", "generate_signals", "generate_velocity_series"), "synthgen"
     ),

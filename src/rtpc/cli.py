@@ -151,16 +151,37 @@ def analyze_flow_signal(name: str, flow: SampledSignal, intervals, step_s: float
     )
 
 
-def _render_diff_svg(artery_name: str, parameter: str, record, out_path) -> None:
-    render_line_chart(
-        x=record.scan_delays_s,
-        y=record.scan_diff_pct,
-        path=out_path,
-        title=f"{artery_name}: {parameter} Diff vs delay",
-        x_label="delay (s)",
-        y_label="Diff Ex-In (%)",
-        marker=(record.delay_s, record.max_pct),
-    )
+def _write_plots(arteries, plots: str, written: list) -> None:
+    """One Diff-vs-delay SVG per record and parameter, in the directory plots.
+
+    A record without its scan, or a scan render_line_chart cannot draw (a
+    report read from a file may hold one), raises ParseError.
+    """
+    _load(".svgplot")
+    plot_dir = Path(plots)
+    plot_dir.mkdir(parents=True, exist_ok=True)
+    for record in arteries:
+        for param in REPORT_PARAMETERS:
+            diff_record = record.diff[param]
+            if diff_record.scan_delays_s is None:
+                raise ParseError(
+                    f"report has no scan data for {record.name!r}/{param}; "
+                    "regenerate it with `rtpc analyze`"
+                )
+            path = plot_dir / f"{_safe_name(record.name)}_{param}.svg"
+            written.append(path)
+            try:
+                render_line_chart(
+                    x=diff_record.scan_delays_s,
+                    y=diff_record.scan_diff_pct,
+                    path=path,
+                    title=f"{record.name}: {param} Diff vs delay",
+                    x_label="delay (s)",
+                    y_label="Diff Ex-In (%)",
+                    marker=(diff_record.delay_s, diff_record.max_pct),
+                )
+            except ValueError as exc:
+                raise ParseError(f"cannot plot {record.name!r}/{param}: {exc}") from exc
 
 
 # -- commands --------------------------------------------------------------------
@@ -367,14 +388,7 @@ def cmd_analyze(args, written: list) -> int:
     write_report(report, out)
 
     if args.plots is not None:
-        _load(".svgplot")
-        plot_dir = Path(args.plots)
-        plot_dir.mkdir(parents=True, exist_ok=True)
-        for record in report.arteries:
-            for param in REPORT_PARAMETERS:
-                path = plot_dir / f"{_safe_name(record.name)}_{param}.svg"
-                written.append(path)
-                _render_diff_svg(record.name, param, record.diff[param], path)
+        _write_plots(report.arteries, args.plots, written)
     return 0
 
 
@@ -407,27 +421,11 @@ def cmd_simulate(args, written: list) -> int:
 
 
 def cmd_report(args, written: list) -> int:
-    _load(".svgplot")
     report = read_report(args.in_path)
     named = [(r.name, f"artery {i} ({r.name!r})") for i, r in enumerate(report.arteries)]
     if (clash := _name_clash(named)) is not None:
         raise ParseError(f"{args.in_path}: {clash}")
-    plot_dir = Path(args.plots)
-    plot_dir.mkdir(parents=True, exist_ok=True)
-    for record in report.arteries:
-        for param in REPORT_PARAMETERS:
-            diff_record = record.diff[param]
-            if diff_record.scan_delays_s is None:
-                raise ParseError(
-                    f"report has no scan data for {record.name!r}/{param}; "
-                    "regenerate it with `rtpc analyze`"
-                )
-            path = plot_dir / f"{_safe_name(record.name)}_{param}.svg"
-            written.append(path)
-            try:
-                _render_diff_svg(record.name, param, diff_record, path)
-            except ValueError as exc:  # a report read from a file may hold unplottable scans
-                raise ParseError(f"cannot plot {record.name!r}/{param}: {exc}") from exc
+    _write_plots(report.arteries, args.plots, written)
     return 0
 
 

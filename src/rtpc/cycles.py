@@ -11,6 +11,7 @@ detect_cycles returns the cycles as a CycleTable of arrays.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +47,6 @@ class CycleTable:
             raise ValueError(f"boundaries {bounds[0]}..{bounds[-1]} outside the signal span")
         if (np.diff(bounds) < 2).any():
             raise DegenerateCycle("a cycle spans fewer than 2 samples")
-        self.signal = signal
         self.bounds = bounds
         times = signal.t0_s + bounds * signal.dt_s
         self.start_s, self.end_s = times[:-1], times[1:]
@@ -66,46 +66,34 @@ class CycleTable:
         return self.valid.size
 
 
-#: The spline grid resample built last, as ((t0_s, dt_s, n, factor), grid).
-#: The records of one analyze share a sampling grid, and so do the subjects
-#: of a cohort, so each grid is factorised once. The grid is a function of
-#: its key alone and its arrays are read-only, so every caller in the
-#: process may share it; key and grid are swapped in as one tuple.
-_last_grid: tuple = (None, None)
-
-
-def _spline_grid(t0_s: float, dt_s: float, n: int, factor: int):
+@lru_cache(maxsize=1)
+def _spline_grid(t0_s: float, dt_s: float, n: int):
     """numerics.spline_grid from the samples of (t0_s, dt_s, n) to the
-    dt_s / factor grid that resample evaluates, through a one-entry cache."""
-    global _last_grid
-    key = (t0_s, dt_s, n, factor)
-    cached_key, grid = _last_grid
-    if cached_key != key:
-        t = t0_s + np.arange(n) * dt_s
-        tt = np.minimum(t0_s + np.arange((n - 1) * factor + 1) * (dt_s / factor), t[-1])
-        grid = spline_grid(t, tt)
-        _last_grid = (key, grid)
-    return grid
+    dt_s / UPSAMPLE_FACTOR grid that resample evaluates.
+
+    The records of one analyze share a sampling grid, and so do the subjects
+    of a cohort, so the last grid is kept and each is factorised once. Its
+    arrays are read-only, so every caller in the process may share it.
+    """
+    t = t0_s + np.arange(n) * dt_s
+    step = dt_s / UPSAMPLE_FACTOR
+    tt = np.minimum(t0_s + np.arange((n - 1) * UPSAMPLE_FACTOR + 1) * step, t[-1])
+    return spline_grid(t, tt)
 
 
-def resample(flow: SampledSignal, factor: int) -> SampledSignal:
-    """Natural cubic-spline upsampling onto a dt/factor grid.
+def resample(flow: SampledSignal) -> SampledSignal:
+    """Natural cubic-spline upsampling onto a dt / UPSAMPLE_FACTOR grid.
 
     Original sample instants reproduce the original values (interpolation).
-    factor 1 returns the input unchanged. The values are
-    numerics.natural_cubic_spline's, bit for bit; the part of it that
-    depends only on the grid is kept for the next signal on the same grid.
+    The values are numerics.natural_cubic_spline's, bit for bit; the part of
+    it that depends only on the grid is kept for the next signal on the same
+    grid.
     """
-    if int(factor) != factor or factor < 1:
-        raise ValueError(f"factor must be an integer >= 1, got {factor!r}")
-    factor = int(factor)
     if len(flow) < 4:
         raise TooShort(f"resampling needs >= 4 samples, got {len(flow)}")
-    if factor == 1:
-        return flow
-    grid = _spline_grid(flow.t0_s, flow.dt_s, len(flow), factor)
-    values = spline_values(grid, flow.values)
-    return SampledSignal(t0_s=flow.t0_s, dt_s=flow.dt_s / factor, values=values, kind=flow.kind)
+    values = spline_values(_spline_grid(flow.t0_s, flow.dt_s, len(flow)), flow.values)
+    return SampledSignal(t0_s=flow.t0_s, dt_s=flow.dt_s / UPSAMPLE_FACTOR, values=values,
+                         kind=flow.kind)
 
 
 def _dominant_period(values: np.ndarray, dt_s: float, band: tuple) -> float:
@@ -184,7 +172,7 @@ def detect_cycles(flow: SampledSignal) -> CycleTable:
         raise NoCyclesFound(
             f"recording of {flow.duration_s:.3g} s is shorter than 3 x {PERIOD_BAND_S[1]} s"
         )
-    up = resample(flow, UPSAMPLE_FACTOR)
+    up = resample(flow)
     # Period estimation runs on the upsampled grid too: at ~12 raw samples per
     # cycle, a half-integer true period aligns worse with itself than with its
     # double, and the raw-grid autocorrelation peaks at the wrong multiple.

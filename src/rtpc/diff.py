@@ -125,23 +125,16 @@ def sweep_diffs(
     return delays, diffs
 
 
-def delay_scan(
-    cycles: CycleTable,
-    intervals: RespIntervals,
-    parameter: str,
-    step_s: float = DELAY_STEP_S,
-    min_cycles: int = MIN_CYCLES,
-) -> DiffScanResult:
+def delay_scan(cycles: CycleTable, intervals: RespIntervals, parameter: str) -> DiffScanResult:
     """Scan Diff(parameter) over delays in [0, mean breathing period).
 
-    Only parameter is swept (see sweep_diffs for the labelling and the
-    skipped delays). The reported delay is the argmax of the signed Diff; exact ties go to the
+    Only parameter is swept, at the DELAY_STEP_S grid with MIN_CYCLES (see
+    sweep_diffs for the labelling and the skipped delays). The
+    reported delay is the argmax of the signed Diff; exact ties go to the
     smallest delay. delay_pct expresses it as a percentage of the mean
     breathing period and always falls in [0, 100).
     """
-    delays, diffs = sweep_diffs(
-        cycles, intervals, step_s=step_s, min_cycles=min_cycles, parameters=(parameter,)
-    )
+    delays, diffs = sweep_diffs(cycles, intervals, parameters=(parameter,))
     return finalize_scan(parameter, delays, diffs[parameter], intervals.mean_period_s)
 
 

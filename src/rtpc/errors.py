@@ -149,11 +149,6 @@ class AllZeroDifferences(RtpcError):
     exit_code = 7
 
 
-class EmptyInput(RtpcError):
-    """Empty value list."""
-    exit_code = 7
-
-
 # -- simulation ----------------------------------------------------------------
 
 class InvalidConfig(RtpcError):

@@ -225,7 +225,9 @@ def _band_median(flat: np.ndarray, pixels: np.ndarray) -> float:
     time, with no gather of the whole band; that value, or the float64 mean
     of the two, is np.median's. Only the sign of a zero can tell them apart:
     where the middle is zero and the band holds a -0.0, which zero np.median
-    picks follows its float64 partition, so the median is taken that way.
+    picks follows its float64 partition, so the median is taken that way,
+    by numerics.median, which makes np.median's partition call without
+    loading numpy.ma.
     """
     n_values = len(flat) * pixels.size
     half = n_values // 2
@@ -234,7 +236,7 @@ def _band_median(flat: np.ndarray, pixels: np.ndarray) -> float:
     blocks = gather_blocks(flat, pixels, BLOCK_VALUES)
     if 0.0 in middle and any(np.signbit(b[b == 0.0]).any() for b in blocks):
         values = np.take(flat, pixels, axis=1).astype(np.float64)
-        return float(np.median(values, overwrite_input=True))
+        return float(median(values.reshape(-1), overwrite_input=True))
     return middle[0] if len(middle) == 1 else (middle[0] + middle[1]) / 2.0
 
 

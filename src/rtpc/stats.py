@@ -1,5 +1,4 @@
-"""Nonparametric statistics: Spearman rank correlation, Wilcoxon signed-rank,
-and mean +/- SD summaries.
+"""Nonparametric statistics: Spearman rank correlation and Wilcoxon signed-rank.
 
 Both tests use exact small-sample p-values because the cohorts this package
 targets are tiny, where the usual approximations are untrustworthy. Ties get
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroDifferences, EmptyInput, TooFewSamples, ZeroVariance
+from .errors import AllZeroDifferences, TooFewSamples, ZeroVariance
 from .numerics import distinct
 
 EXACT_SPEARMAN_MAX_N = 10
@@ -245,14 +244,3 @@ def wilcoxon_signed_rank(x, y) -> SignedRankResult:
     return SignedRankResult(
         w_statistic=w, p_value=p, n_nonzero=n, method="normal-approximation"
     )
-
-
-def summarize(values) -> dict:
-    """Mean and sample standard deviation (None when n < 2)."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise EmptyInput("cannot summarize an empty list")
-    _require_finite(values, "values")
-    mean = float(values.mean())
-    sd = float(values.std(ddof=1)) if values.size >= 2 else None
-    return {"mean": mean, "sd": sd}

@@ -50,19 +50,11 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_line_chart(
-    x,
-    y,
-    path,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    marker: tuple | None = None,
-) -> None:
+def render_line_chart(x, y, path, title: str, x_label: str, y_label: str, marker: tuple) -> None:
     """Render one polyline chart to an SVG file.
 
     y entries that are None (or NaN) split the polyline into segments.
-    marker, when given, is an (x, y) pair drawn as a highlighted point.
+    marker is an (x, y) pair drawn as a highlighted point.
     ValueError when the data cannot be drawn: no points, no finite y, or a
     span beyond the float range. title, x_label and y_label are plain text;
     they are XML-escaped, so names holding markup characters (artery names
@@ -76,9 +68,7 @@ def render_line_chart(
     if not finite:
         raise ValueError("no finite y values to plot")
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(finite), max(finite)
-    if marker is not None:
-        y_lo, y_hi = min(y_lo, marker[1]), max(y_hi, marker[1])
+    y_lo, y_hi = min(*finite, marker[1]), max(*finite, marker[1])
     if x_hi == x_lo:
         x_hi = x_lo + max(1.0, math.ulp(x_lo))
     if y_hi == y_lo:
@@ -102,11 +92,10 @@ def render_line_chart(
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
-        )
+    parts.append(
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
+    )
     axis_color = "#444444"
     for tx in _nice_ticks(x_lo, x_hi):
         parts.append(
@@ -153,25 +142,18 @@ def render_line_chart(
         if vy is not None and not segments:
             parts.append(f'<circle cx="{px(vx):.2f}" cy="{py(vy):.2f}" r="2" fill="#1f6fb2"/>')
 
-    if marker is not None:
-        mx, my = marker
-        parts.append(f'<circle cx="{px(mx):.2f}" cy="{py(my):.2f}" r="4" fill="#c23b22"/>')
-        parts.append(
-            f'<text x="{px(mx) + 6:.2f}" y="{py(my) - 6:.2f}" font-family="sans-serif" '
-            f'font-size="11" fill="#c23b22">max {_fmt(my)}% at {_fmt(mx)} s</text>'
-        )
-    if x_label:
-        parts.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>'
-        )
-    if y_label:
-        cx, cy = 16, _MARGIN_TOP + plot_h / 2
-        parts.append(
-            f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12" transform="rotate(-90 {cx} {cy:.1f})">{_escape(y_label)}</text>'
-        )
-    parts.append("</svg>")
+    mx, my = marker
+    cx, cy = 16, _MARGIN_TOP + plot_h / 2
+    parts += [
+        f'<circle cx="{px(mx):.2f}" cy="{py(my):.2f}" r="4" fill="#c23b22"/>',
+        f'<text x="{px(mx) + 6:.2f}" y="{py(my) - 6:.2f}" font-family="sans-serif" '
+        f'font-size="11" fill="#c23b22">max {_fmt(my)}% at {_fmt(mx)} s</text>',
+        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>',
+        f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="12" transform="rotate(-90 {cx} {cy:.1f})">{_escape(y_label)}</text>',
+        "</svg>",
+    ]
     try:
         Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
     except OSError as exc:

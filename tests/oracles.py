@@ -93,12 +93,13 @@ def cycle_params(flow: SampledSignal, boundary: CycleBoundary) -> CycleParams:
     )
 
 
-def cycles_of(table) -> list:
-    """Each cycle of a CycleTable as a CCFC, its parameters from cycle_params."""
+def cycles_of(table, signal) -> list:
+    """Each cycle of a CycleTable as a CCFC, its parameters from cycle_params
+    on signal, the upsampled signal the table was built on."""
     cycles = []
     for i in range(len(table)):
         boundary = CycleBoundary(start_s=float(table.start_s[i]), end_s=float(table.end_s[i]))
-        cycles.append(CCFC(boundary=boundary, params=cycle_params(table.signal, boundary),
+        cycles.append(CCFC(boundary=boundary, params=cycle_params(signal, boundary),
                            valid=bool(table.valid[i])))
     return cycles
 

@@ -14,18 +14,16 @@ from rtpc.cycles import CycleTable, _select_minima, detect_cycles, resample
 from rtpc.errors import DegenerateCycle, NoCyclesFound, TooShort
 from rtpc.io import SampledSignal
 from rtpc.numerics import natural_cubic_spline
+from rtpc.report import UPSAMPLE_FACTOR
 from rtpc.synthgen import SimConfig, generate_signals, pulse_waveform
 
 
 class TestResample:
-    def test_factor_one_identity(self):
-        s = SampledSignal(t0_s=0.0, dt_s=0.075, values=np.arange(10.0), kind="flow")
-        assert resample(s, 1) is s
-
     def test_reproduces_original_samples(self):
         rng = np.random.default_rng(3)
         s = SampledSignal(t0_s=0.3, dt_s=0.075, values=rng.normal(0, 100, 80), kind="flow")
-        up = resample(s, 8)
+        up = resample(s)
+        assert UPSAMPLE_FACTOR == 8
         assert up.dt_s == pytest.approx(0.075 / 8)
         assert len(up) == (len(s) - 1) * 8 + 1
         assert np.abs(up.values[::8] - s.values).max() <= 1e-9
@@ -36,24 +34,19 @@ class TestResample:
         dt = 0.075
         t = np.arange(401) * dt  # 30 s
         s = SampledSignal(t0_s=0.0, dt_s=dt, values=np.sin(2 * np.pi * freq * t), kind="flow")
-        up = resample(s, 8)
+        up = resample(s)
         err = np.abs(up.values - np.sin(2 * np.pi * freq * up.times))
         assert err.max() < 0.01
 
     def test_too_short(self):
         s = SampledSignal(t0_s=0.0, dt_s=0.075, values=np.arange(3.0), kind="flow")
         with pytest.raises(TooShort):
-            resample(s, 2)
-
-    def test_bad_factor(self):
-        s = SampledSignal(t0_s=0.0, dt_s=0.075, values=np.arange(10.0), kind="flow")
-        with pytest.raises(ValueError):
-            resample(s, 0)
+            resample(s)
 
 
 class TestGridCache:
-    """resample keeps the spline's grid part for the last (t0_s, dt_s, n,
-    factor) it saw, and gives natural_cubic_spline's values bit for bit."""
+    """resample keeps the spline's grid part for the last (t0_s, dt_s, n) it
+    saw, and gives natural_cubic_spline's values bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -61,22 +54,23 @@ class TestGridCache:
         grids = [
             (data.draw(st.floats(-100.0, 100.0).filter(lambda t0: t0 != 0.0)),
              data.draw(st.sampled_from([0.075, 0.01, 1 / 3]) | st.floats(1e-3, 2.0)),
-             data.draw(st.integers(4, 120)),
-             data.draw(st.integers(1, 8)))
+             data.draw(st.integers(4, 120)))
             for _ in range(2)
         ]
-        # a, b, a, a: each switch evicts the other grid; the repeat is a hit
-        # with new values.
-        for t0, dt, n, factor in (grids[0], grids[1], grids[0], grids[0]):
+        cycles._spline_grid.cache_clear()
+        # a, b, a, a: each switch evicts the other grid (unless b equals a);
+        # the repeat is a hit with new values.
+        same = grids[1] == grids[0]
+        hits = [False, same, same, True]
+        for (t0, dt, n), hit in zip((grids[0], grids[1], grids[0], grids[0]), hits):
             values = data.draw(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False),
                                         min_size=n, max_size=n))
             flow = SampledSignal(t0_s=t0, dt_s=dt, values=np.asarray(values), kind="flow")
-            up = resample(flow, factor)
-            if factor == 1:
-                assert up is flow
-                continue
-            assert cycles._last_grid[0] == (flow.t0_s, flow.dt_s, n, factor)
+            before = cycles._spline_grid.cache_info().hits
+            up = resample(flow)
+            assert cycles._spline_grid.cache_info().hits == before + hit
             t = flow.times
+            factor = UPSAMPLE_FACTOR
             tt = np.minimum(t0 + np.arange((n - 1) * factor + 1) * (dt / factor), t[-1])
             expected = natural_cubic_spline(t, flow.values, tt)
             assert np.array_equal(up.values.view(np.uint64), expected.view(np.uint64))
@@ -85,8 +79,8 @@ class TestGridCache:
     def test_cached_arrays_are_read_only(self):
         rng = np.random.default_rng(4)
         flow = SampledSignal(t0_s=1.5, dt_s=0.075, values=rng.normal(0, 100, 50), kind="flow")
-        first = resample(flow, 8)
-        grid = cycles._last_grid[1]
+        first = resample(flow)
+        grid = cycles._spline_grid(flow.t0_s, flow.dt_s, len(flow))
         for name in ("dx", "k", "h", "h2", "h3"):
             array = getattr(grid, name)
             assert not array.flags.writeable, name
@@ -94,8 +88,8 @@ class TestGridCache:
                 array[0] = 0
         for name in ("fact", "diag", "du"):
             assert isinstance(getattr(grid, name), tuple), name
-        again = resample(flow, 8)
-        assert cycles._last_grid[1] is grid
+        again = resample(flow)
+        assert cycles._spline_grid(flow.t0_s, flow.dt_s, len(flow)) is grid
         assert np.array_equal(first.values, again.values)
 
 
@@ -243,13 +237,12 @@ class TestCycleTable:
                 array[0] = array[1]
 
     @settings(max_examples=20, deadline=None)
-    @given(case=st.sampled_from(PROPERTY_FLOWS), factor=st.sampled_from([1, 8]))
-    def test_arrays_equal_cycle_params_on_each_view(self, case, factor):
+    @given(case=st.sampled_from(PROPERTY_FLOWS))
+    def test_arrays_equal_cycle_params_on_each_view(self, case):
         flow, _, _ = signals(**case)
-        with mock.patch("rtpc.cycles.UPSAMPLE_FACTOR", factor):
-            table = detect_cycles(flow)
+        table = detect_cycles(flow)
         assert table.params.shape == (3, len(table))
-        for i, c in enumerate(cycles_of(table)):
+        for i, c in enumerate(cycles_of(table, resample(flow))):
             assert c.midpoint_s == table.midpoint_s[i]
             assert [c.params.mean_flow_ml_min, c.params.stroke_volume_ml,
                     c.params.cardiac_period_s] == table.params[:, i].tolist()
@@ -367,7 +360,7 @@ class TestSelectMinima:
 
     def test_matches_oracle_on_flow_signal(self):
         flow, _, _ = signals(duration_s=60.0, seed=5)
-        up = resample(flow, 8)
+        up = resample(flow)
         for min_separation in (1, 7, 60, 500):
             assert np.array_equal(
                 _select_minima(up.values, min_separation),

@@ -19,7 +19,7 @@ from oracles import (
 )
 
 import rtpc.diff
-from rtpc.cycles import detect_cycles
+from rtpc.cycles import detect_cycles, resample
 from rtpc.diff import (
     PARAMETERS,
     _delay_grid,
@@ -75,7 +75,7 @@ class TestAverageParams:
         )
         table = detect_cycles(flow)
         labels = label_cycles(table, detect_resp_intervals(resp))
-        cycles = cycles_of(table)
+        cycles = cycles_of(table, resample(flow))
         p_ex = average_params(cycles, labels, EX)
         p_in = average_params(cycles, labels, IN)
         assert p_ex.mean_flow_ml_min / p_in.mean_flow_ml_min == pytest.approx(1.10, abs=0.01)
@@ -146,7 +146,7 @@ class TestDelayScan:
     def test_grid_covers_one_period(self):
         cycles = constant_cycle_set()
         intervals = periodic_intervals(period_s=4.3, n_breaths=13)
-        scan = delay_scan(cycles, intervals, "mean_flow", step_s=0.075)
+        scan = delay_scan(cycles, intervals, "mean_flow")
         assert scan.delays_s[0] == 0.0
         assert scan.delays_s[-1] < intervals.mean_period_s
         assert len(scan.delays_s) == 58
@@ -348,7 +348,7 @@ class TestSweepMatchesPerDelayOracle:
     def test_detected_signal(self):
         flow, resp, _ = signals(duration_s=120.0, seed=5)
         table = detect_cycles(flow)
-        cycles = cycles_of(table)
+        cycles = cycles_of(table, resample(flow))
         intervals = detect_resp_intervals(resp)
         assert_sweeps_identical(cycles, intervals, table=table)
         assert_sweeps_identical(cycles, shift_intervals(intervals, 0.6), table=table)
@@ -450,7 +450,8 @@ class TestSweepOnCycleTable:
         table = detect_cycles(flow)
         intervals = shift_intervals(detect_resp_intervals(resp), pre_delay)
         delays, diffs = sweep_diffs(table, intervals, step_s=step_s, parameters=parameters)
-        want_delays, want = sweep_diffs(as_table(cycles_of(table)), intervals, step_s=step_s)
+        listed = as_table(cycles_of(table, resample(flow)))
+        want_delays, want = sweep_diffs(listed, intervals, step_s=step_s)
         assert np.array_equal(delays, want_delays)
         assert list(diffs) == list(parameters)
         for param in parameters:

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import copy_series, images, signals
+from helpers import copy_series, images, run_fresh, signals
 
 from rtpc import extraction
 
@@ -31,6 +32,21 @@ from rtpc.extraction import (
 )
 from rtpc.io import SampledSignal, VelocityMapSeries
 from rtpc.numerics import distance_band, seed_component
+
+
+#: Zeros of each sign pattern on the rows either side of the band median.
+SIGNED_ZEROS = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]]
+SIGNED_ZERO_ROI = np.zeros((12, 12), dtype=bool)
+SIGNED_ZERO_ROI[6, 6] = True
+
+
+def signed_zero_series(zeros, n_frames) -> VelocityMapSeries:
+    """A 12x12 series whose band median is a zero, with zeros of both signs
+    tied at the middle: rows 5 and 6 hold zeros, those above -1, those below 1."""
+    frames = np.full((n_frames, 12, 12), -1.0)
+    frames[:, 6:, :] = 1.0
+    frames[:, 5:7, :] = np.resize(zeros, (n_frames, 2, 12))
+    return VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
 
 
 def disk_mask(h, w, cx, cy, radius):
@@ -371,22 +387,51 @@ class TestCorrectBackground:
         expected = float(np.median(flat[:, pixels].astype(np.float64)))
         assert np.float64(median).view(np.uint64) == np.float64(expected).view(np.uint64)
 
-    @pytest.mark.parametrize("zeros", [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]])
+    @pytest.mark.parametrize("zeros", SIGNED_ZEROS)
     @pytest.mark.parametrize("n_frames", [3, 4])
     def test_offset_sign_of_zero_median(self, zeros, n_frames):
         """A zero median takes np.median's sign, with zeros of both signs tied."""
-        frames = np.full((n_frames, 12, 12), -1.0)
-        frames[:, 6:, :] = 1.0
-        frames[:, 5:7, :] = np.resize(zeros, (n_frames, 2, 12))
-        series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        member = np.zeros((12, 12), dtype=bool)
-        member[6, 6] = True
-        roi = member
+        series = signed_zero_series(zeros, n_frames)
         original = series.frames.copy()
-        estimate = correct_background(series, roi)
+        estimate = correct_background(series, SIGNED_ZERO_ROI)
         offset = float(np.median(original[:, estimate.band].astype(np.float64)))
         assert offset == 0.0
         assert math.copysign(1.0, estimate.offset_mm_s) == math.copysign(1.0, offset)
+
+    def test_signed_zero_median_loads_no_numpy_ma(self):
+        """The signed-zero cases above, in a fresh interpreter that refuses
+        numpy.ma: each offset is np.median's zero, sign included."""
+        cases = [(zeros, n_frames) for zeros in SIGNED_ZEROS for n_frames in (3, 4)]
+        script = """
+import json, sys
+
+class RefuseNumpyMa:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[:2] == ["numpy", "ma"]:
+            raise ModuleNotFoundError(f"{name} is refused")
+        return None
+
+sys.meta_path.insert(0, RefuseNumpyMa())
+import numpy as np
+from rtpc.extraction import correct_background
+from rtpc.io import VelocityMapSeries
+roi = np.zeros((12, 12), dtype=bool)
+roi[6, 6] = True
+offsets = []
+for frames in json.loads(sys.argv[1]):
+    series = VelocityMapSeries(frames=np.array(frames), dt_ms=75.0, venc_mm_s=800.0,
+                               pixel_area_mm2=0.25)
+    offsets.append(correct_background(series, roi).offset_mm_s)
+print(json.dumps(offsets))
+"""
+        frames = [signed_zero_series(zeros, n).frames.tolist() for zeros, n in cases]
+        offsets, _ = run_fresh(script, json.dumps(frames))
+        for (zeros, n_frames), offset in zip(cases, offsets, strict=True):
+            series = signed_zero_series(zeros, n_frames)
+            band = correct_background(copy_series(series), SIGNED_ZERO_ROI).band
+            expected = float(np.median(series.frames[:, band].astype(np.float64)))
+            assert offset == expected == 0.0
+            assert math.copysign(1.0, offset) == math.copysign(1.0, expected), (zeros, n_frames)
 
     def test_error_leaves_out_untouched(self):
         rng = np.random.default_rng(3)

@@ -22,6 +22,7 @@ from helpers import run_fresh
 from rtpc import numerics
 from rtpc.cycles import resample
 from rtpc.io import SampledSignal
+from rtpc.report import UPSAMPLE_FACTOR
 
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -98,8 +99,8 @@ class TestNaturalCubicSpline:
         tt = np.minimum(t0 + np.arange((len(flow) - 1) * factor + 1) * (dt / factor), t[-1])
         expected = CubicSpline(t, flow.values, bc_type="natural")(tt)
         assert np.array_equal(numerics.natural_cubic_spline(t, flow.values, tt), expected)
-        if factor > 1:
-            assert np.array_equal(resample(flow, factor).values, expected)
+        if factor == UPSAMPLE_FACTOR:
+            assert np.array_equal(resample(flow).values, expected)
 
 
 class TestWelch:

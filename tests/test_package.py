@@ -12,16 +12,15 @@ import rtpc
 
 #: The exported names, by defining module.
 EXPORTS = {
-    "cycles": ("CycleTable", "detect_cycles", "resample"),
+    "cycles": ("CycleTable", "detect_cycles"),
     "diff": ("DiffScanResult", "PARAMETERS", "delay_scan", "extract_result"),
     "extraction": ("BackgroundEstimate", "compute_flow", "correct_background", "quality_score",
                    "segment_roi", "sum_flows", "unalias"),
     "io": ("SampledSignal", "VelocityMapSeries", "read_mask", "read_signal_csv",
            "read_velocity_series", "write_mask", "write_signal_csv", "write_velocity_series"),
     "report": ("ArteryRecord", "DiffRecord", "QcFlags", "Report", "read_report", "write_report"),
-    "respiration": ("EX", "IN", "UNLABELED", "RespIntervals", "detect_resp_intervals",
-                    "label_cycles"),
-    "stats": ("spearman", "summarize", "wilcoxon_signed_rank"),
+    "respiration": ("EX", "IN", "RespIntervals", "detect_resp_intervals"),
+    "stats": ("spearman", "wilcoxon_signed_rank"),
     "synthgen": ("GroundTruth", "SimConfig", "generate_signals", "generate_velocity_series"),
 }
 

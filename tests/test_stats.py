@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import stdtr
 
-from rtpc.errors import AllZeroDifferences, EmptyInput, TooFewSamples, ZeroVariance
-from rtpc.stats import _t_two_sided, spearman, summarize, wilcoxon_signed_rank
+from rtpc.errors import AllZeroDifferences, TooFewSamples, ZeroVariance
+from rtpc.stats import _t_two_sided, spearman, wilcoxon_signed_rank
 
 
 # -- independent brute-force oracles (plain Python, no shared code paths) ---------
@@ -268,26 +268,6 @@ class TestWilcoxon:
             wilcoxon_signed_rank([1.0], [1.0, 2.0])
 
 
-class TestSummarize:
-    def test_single_value(self):
-        s = summarize([740.0])
-        assert s["mean"] == 740.0
-        assert s["sd"] is None
-
-    def test_two_values(self):
-        s = summarize([1.0, 3.0])
-        assert s["mean"] == pytest.approx(2.0)
-        assert s["sd"] == pytest.approx(math.sqrt(2.0))
-
-    def test_constant(self):
-        s = summarize([5.0] * 10)
-        assert s["sd"] == 0.0
-
-    def test_empty(self):
-        with pytest.raises(EmptyInput):
-            summarize([])
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_input_named(bad):
     # A NaN never equals itself, so ranking one used to loop for ever.
@@ -296,7 +276,6 @@ def test_non_finite_input_named(bad):
         (lambda: spearman([1.0, 2.0, 3.0, 4.0, 5.0], [bad, 2.0, 3.0, 4.0, bad]), "y", 0),
         (lambda: wilcoxon_signed_rank([1.0, 2.0, 3.0, bad], [0.0] * 4), "x", 3),
         (lambda: wilcoxon_signed_rank([1.0, 2.0, 3.0, 4.0], [0.0, bad, 0.0, bad]), "y", 1),
-        (lambda: summarize([1.0, bad]), "values", 1),
     ]
     for call, name, index in cases:
         with pytest.raises(ValueError, match=rf"^{name} holds a non-finite value .* at index {index}$"):
