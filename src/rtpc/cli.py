@@ -345,6 +345,7 @@ def cmd_analyze(args, written: list) -> int:
         "invert_belt": bool(args.invert_belt),
         "delay_step_s": step_s,
         "min_cycles_per_phase": args.min_cycles,
+        "max_missing_fraction": settings.MAX_MISSING_FRACTION,
         "cycles": {
             "upsample_factor": settings.UPSAMPLE_FACTOR,
             "period_band_s": list(settings.PERIOD_BAND_S),
@@ -355,8 +356,15 @@ def cmd_analyze(args, written: list) -> int:
             "smooth_window_s": settings.SMOOTH_WINDOW_S,
             "min_separation_s": settings.MIN_SEPARATION_S,
             "prominence_fraction": settings.PROMINENCE_FRACTION,
+            "interval_duration_band": list(settings.INTERVAL_DURATION_BAND),
         },
-        "quality": {"snr_threshold": args.snr_threshold},
+        "quality": {
+            "snr_threshold": args.snr_threshold,
+            "cardiac_band_hz": list(settings.CARDIAC_BAND_HZ),
+            "noise_band_hz": list(settings.NOISE_BAND_HZ),
+            "welch_segment": settings.WELCH_SEGMENT,
+            "min_qc_samples": settings.MIN_QC_SAMPLES,
+        },
     }
     intervals = detect_resp_intervals(resp)
     if intervals.mean_period_s / step_s > MAX_SCAN_DELAYS:

@@ -62,9 +62,8 @@ def sweep_diffs(
     intervals: RespIntervals,
     step_s: float = DELAY_STEP_S,
     min_cycles: int = MIN_CYCLES,
-    parameters: tuple = PARAMETERS,
 ) -> tuple:
-    """Diff of each of the given parameters at every delay of the scan grid.
+    """Diff of each of the three PARAMETERS at every delay of the scan grid.
 
     The sweep reads the start_s, end_s, midpoint_s, params and valid arrays
     of cycles. At each delay d a cycle takes the phase of the interval whose
@@ -81,21 +80,17 @@ def sweep_diffs(
     missing is an error, and so is a belt whose intervals hold no cycle
     midpoint at any delay.
 
-    Returns (delays_s, {parameter: diff array}), in the order of parameters.
+    Returns (delays_s, {parameter: diff array}), in the order of PARAMETERS.
     """
     if min_cycles < 1:
         raise ValueError(f"min_cycles must be >= 1, got {min_cycles}")
-    unknown = [p for p in parameters if p not in PARAMETERS]
-    if unknown:
-        raise ValueError(f"parameters must be among {PARAMETERS}, got {unknown}")
     delays = _delay_grid(intervals.mean_period_s, step_s)
-    midpoints, valid = cycles.midpoint_s, cycles.valid
-    rows = cycles.params[[PARAMETERS.index(p) for p in parameters]]
+    midpoints, valid, rows = cycles.midpoint_s, cycles.valid, cycles.params
     bounds = np.asarray(intervals.base_bounds)
     # Index -1 (outside the span) picks the trailing False.
     is_ex = np.array([p == EX for p in intervals.phases] + [False])
     is_in = np.array([p == IN for p in intervals.phases] + [False])
-    diffs = {p: np.full(delays.size, np.nan) for p in parameters}
+    diffs = {p: np.full(delays.size, np.nan) for p in PARAMETERS}
     missing = 0
     covered = False
     for i, delay in enumerate(delays.tolist()):
@@ -107,7 +102,7 @@ def sweep_diffs(
         if n_ex < min_cycles or n_in < min_cycles:
             missing += 1
             continue
-        for param, ex_row, in_row in zip(parameters, rows[:, ex], rows[:, in_]):
+        for param, ex_row, in_row in zip(PARAMETERS, rows[:, ex], rows[:, in_]):
             diffs[param][i] = _diff_pct(param, float(ex_row.sum() / n_ex), float(in_row.sum() / n_in))
     if midpoints.size and not covered:
         belt_start, belt_end = intervals.span
@@ -125,16 +120,32 @@ def sweep_diffs(
     return delays, diffs
 
 
+#: (cycles, intervals, their sweep_diffs result, read-only) of delay_scan's last pair.
+_last_sweep = None
+
+
 def delay_scan(cycles: CycleTable, intervals: RespIntervals, parameter: str) -> DiffScanResult:
     """Scan Diff(parameter) over delays in [0, mean breathing period).
 
-    Only parameter is swept, at the DELAY_STEP_S grid with MIN_CYCLES (see
-    sweep_diffs for the labelling and the skipped delays). The
-    reported delay is the argmax of the signed Diff; exact ties go to the
-    smallest delay. delay_pct expresses it as a percentage of the mean
-    breathing period and always falls in [0, 100).
+    parameter's row is read from one sweep_diffs of all three PARAMETERS at
+    the DELAY_STEP_S grid with MIN_CYCLES (see sweep_diffs for the labelling
+    and the skipped delays). The last sweep is kept, so the three scans of
+    one cycles/intervals pair (the same two objects) share it; a zero
+    inspiratory mean of any parameter at a scanned delay therefore raises
+    ZeroInspiratoryValue for each. The reported delay is the argmax of the
+    signed Diff; exact ties go to the smallest delay. delay_pct expresses it
+    as a percentage of the mean breathing period and always falls in [0, 100).
     """
-    delays, diffs = sweep_diffs(cycles, intervals, parameters=(parameter,))
+    global _last_sweep
+    if parameter not in PARAMETERS:
+        raise ValueError(f"parameter must be one of {PARAMETERS}, got {parameter!r}")
+    last = _last_sweep
+    if last is None or last[0] is not cycles or last[1] is not intervals:
+        delays, diffs = sweep_diffs(cycles, intervals)
+        for array in (delays, *diffs.values()):
+            array.flags.writeable = False
+        last = _last_sweep = (cycles, intervals, (delays, diffs))
+    delays, diffs = last[2]
     return finalize_scan(parameter, delays, diffs[parameter], intervals.mean_period_s)
 
 

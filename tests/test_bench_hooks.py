@@ -18,7 +18,9 @@ import pytest
 import rtpc.diff as diff
 import rtpc.respiration as respiration
 from rtpc.cli import main
+from rtpc.cycles import detect_cycles
 
+import helpers
 from helpers import run_fresh
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -46,6 +48,21 @@ def test_install_wraps_and_uninstall_restores():
     assert originals[("rtpc.diff", "label_cycles")] is respiration.label_cycles
     assert originals[("rtpc.cli", "sweep_diffs")] is diff.sweep_diffs
     assert originals[("rtpc.cli", "ThreadPoolExecutor")] is ThreadPoolExecutor
+
+
+def test_three_scans_of_one_pair_count_one_sweep():
+    flow, resp, _ = helpers.signals(duration_s=120.0, seed=5)
+    cycles, intervals = detect_cycles(flow), respiration.detect_resp_intervals(resp)
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer)
+    try:
+        for param in diff.PARAMETERS:
+            diff.delay_scan(cycles, intervals, param)
+    finally:
+        tracing.uninstall(saved)
+    assert tracer.counts["diff.sweeps"] == 1
+    assert [s[0] for s in tracer.spans].count("diff.sweep_diffs") == 1
 
 
 @pytest.fixture(scope="module")

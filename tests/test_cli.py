@@ -41,7 +41,7 @@ from rtpc.io import (
     write_signal_csv,
     write_velocity_series,
 )
-from rtpc.report import read_report
+from rtpc.report import Report, read_report
 from rtpc.stats import spearman
 from rtpc.synthgen import SimConfig, generate_velocity_series
 
@@ -704,12 +704,26 @@ class TestAnalyze:
             "smooth_window_s": settings.SMOOTH_WINDOW_S,
             "min_separation_s": settings.MIN_SEPARATION_S,
             "prominence_fraction": settings.PROMINENCE_FRACTION,
-        } == {"smooth_window_s": 0.5, "min_separation_s": 1.5, "prominence_fraction": 0.2}
+            "interval_duration_band": list(settings.INTERVAL_DURATION_BAND),
+        } == {"smooth_window_s": 0.5, "min_separation_s": 1.5, "prominence_fraction": 0.2,
+              "interval_duration_band": [0.3, 3.0]}
         assert report.config["delay_step_s"] == settings.DELAY_STEP_S == 0.075
         assert report.config["min_cycles_per_phase"] == settings.MIN_CYCLES == 3
-        assert report.config["quality"] == {"snr_threshold": settings.SNR_THRESHOLD} == {
-            "snr_threshold": 5.0
-        }
+        assert report.config["max_missing_fraction"] == settings.MAX_MISSING_FRACTION == 0.2
+        assert report.config["quality"] == {
+            "snr_threshold": settings.SNR_THRESHOLD,
+            "cardiac_band_hz": list(settings.CARDIAC_BAND_HZ),
+            "noise_band_hz": list(settings.NOISE_BAND_HZ),
+            "welch_segment": settings.WELCH_SEGMENT,
+            "min_qc_samples": settings.MIN_QC_SAMPLES,
+        } == {"snr_threshold": 5.0, "cardiac_band_hz": [0.7, 2.0], "noise_band_hz": [2.5, 6.0],
+              "welch_segment": 256, "min_qc_samples": 64}
+        # A report written before these keys were recorded still reads.
+        tree = json.loads(out.read_text())
+        del tree["config"]["max_missing_fraction"]
+        del tree["config"]["respiration"]["interval_duration_band"]
+        tree["config"]["quality"] = {"snr_threshold": 5.0}
+        assert Report.from_dict(tree).arteries == report.arteries
         artery = report.arteries[0]
         assert artery.name == "flow"
         assert artery.mean_flow_ml_min == pytest.approx(740.0 * 1.05, rel=0.03)

@@ -443,32 +443,69 @@ class TestSweepOnCycleTable:
                                    modulation={"mean_flow_pct": 10.0, "shape": "square"})]),
         pre_delay=st.sampled_from([0.0, 0.6, 1.3]),
         step_s=st.sampled_from([0.075, 0.25]),
-        parameters=st.sampled_from([PARAMETERS, ("stroke_volume",), ("cardiac_period", "mean_flow")]),
     )
-    def test_table_sweep_equals_list_sweep(self, case, pre_delay, step_s, parameters):
+    def test_table_sweep_equals_list_sweep(self, case, pre_delay, step_s):
         flow, resp, _ = signals(**case)
         table = detect_cycles(flow)
         intervals = shift_intervals(detect_resp_intervals(resp), pre_delay)
-        delays, diffs = sweep_diffs(table, intervals, step_s=step_s, parameters=parameters)
+        delays, diffs = sweep_diffs(table, intervals, step_s=step_s)
         listed = as_table(cycles_of(table, resample(flow)))
         want_delays, want = sweep_diffs(listed, intervals, step_s=step_s)
         assert np.array_equal(delays, want_delays)
-        assert list(diffs) == list(parameters)
-        for param in parameters:
+        assert list(diffs) == list(PARAMETERS)
+        for param in PARAMETERS:
             assert np.array_equal(diffs[param], want[param], equal_nan=True), param
 
-    def test_delay_scan_sweeps_only_its_parameter(self, monkeypatch):
-        flow, resp, _ = signals(duration_s=120.0, seed=5)
-        table = detect_cycles(flow)
-        intervals = detect_resp_intervals(resp)
-        _, full = sweep_diffs(table, intervals)
+
+def pair(**config):
+    """A fresh cycle table and breathing intervals of a seeded simulation."""
+    flow, resp, _ = signals(**config)
+    return detect_cycles(flow), detect_resp_intervals(resp)
+
+
+class TestDelayScanSharesOneSweep:
+    @pytest.mark.parametrize("config", [
+        dict(duration_s=120.0, seed=5),
+        dict(duration_s=90.0, seed=8, modulation={"mean_flow_pct": 10.0, "shape": "square"}),
+        dict(duration_s=300.0, modulation={"period_pct": 8.0, "shape": "square",
+                                           "sensor_delay_s": 2.15}),
+    ])
+    def test_scan_is_finalized_sweep_row(self, config):
+        table, intervals = pair(**config)
+        delays, diffs = sweep_diffs(table, intervals)
+        for param in PARAMETERS:
+            want = finalize_scan(param, delays, diffs[param], intervals.mean_period_s)
+            got = delay_scan(table, intervals, param)
+            assert np.array_equal(got.delays_s, want.delays_s)
+            assert np.array_equal(got.diff_pct, want.diff_pct, equal_nan=True)
+            for name in ("parameter", "diff_at_zero_pct", "max_diff_pct", "argmax_delay_s",
+                         "delay_pct"):
+                assert getattr(got, name) == getattr(want, name), (param, name)
+
+    def test_one_sweep_per_pair(self, monkeypatch):
+        a = pair(duration_s=120.0, seed=5)
+        b = pair(duration_s=90.0, seed=8)
         swept = []
         monkeypatch.setattr(rtpc.diff, "sweep_diffs",
-                            lambda *a, **k: swept.append(k["parameters"]) or sweep_diffs(*a, **k))
-        for param in PARAMETERS:
-            scan = delay_scan(table, intervals, param)
+                            lambda *args, **kw: swept.append(args) or sweep_diffs(*args, **kw))
+        scans = [delay_scan(*a, param) for param in PARAMETERS]
+        assert len(swept) == 1
+        for which in (b, a):
+            delay_scan(*which, "mean_flow")
+        assert [id(args[0]) for args in swept] == [id(a[0]), id(b[0]), id(a[0])]
+        _, full = sweep_diffs(*a)
+        for param, scan in zip(PARAMETERS, scans):
             assert np.array_equal(scan.diff_pct, full[param], equal_nan=True)
-        assert swept == [(p,) for p in PARAMETERS]
+            assert not scan.diff_pct.flags.writeable
+
+    def test_zero_inspiratory_flow_refuses_every_parameter(self):
+        # Zero flow gives zero stroke volume too, so each scan of the pair
+        # meets a zero inspiratory mean in the shared sweep.
+        intervals = periodic_intervals(period_s=4.0, n_breaths=6)
+        table = as_table([make_cycle(0.05 + 0.5 * i, 0.55 + 0.5 * i, 0.0) for i in range(48)])
+        for param in PARAMETERS:
+            with pytest.raises(ZeroInspiratoryValue, match="inspiratory mean_flow is zero"):
+                delay_scan(table, intervals, param)
 
 
 class TestExtractResult:
