@@ -107,6 +107,9 @@ class SimConfig:
     seed: int = 0
 
     def validate(self):
+        """Refuse a config that cannot be simulated. However it was built, its
+        fields first go through the loader from_dict uses, which checks types."""
+        _load_fields(type(self), self.to_dict(), prefix="")
         if self.dt_ms <= 0:
             raise InvalidConfig(f"dt_ms must be positive, got {self.dt_ms}")
         if self.cardiac.base_period_s <= 0 or self.respiration.period_s <= 0:
@@ -137,7 +140,7 @@ class SimConfig:
             raise InvalidConfig("aliased_pixel_fraction must lie in [0, 1]")
         if self.vessel.venc_mm_s <= 0 or self.vessel.pixel_area_mm2 <= 0:
             raise InvalidConfig("vessel venc_mm_s and pixel_area_mm2 must be positive")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if self.seed < 0:
             raise InvalidConfig(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
@@ -197,46 +200,43 @@ def _load_fields(cls, d: dict, prefix: str):
 
 # -- ground truth -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrueCycle:
-    start_s: float
-    end_s: float
-    phase: str  # "EX" | "IN", from the modulation at the cycle midpoint
-    mean_flow_ml_min: float
-    stroke_volume_ml: float
-    cardiac_period_s: float
+#: A truth manifest cycle's keys, in the order of GroundTruth.to_dict's columns.
+_CYCLE_KEYS = ("start_s", "end_s", "phase", "mean_flow_ml_min", "stroke_volume_ml",
+               "cardiac_period_s")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Per-cycle truth, consistent with the emitted signals by construction."""
+    """Per-cycle truth, consistent with the emitted signals by construction.
 
-    cycles: tuple
+    The fully recorded cycles as read-only arrays in CycleTable's layout, in
+    time order: start_s, end_s, phase ("EX" or "IN", the breathing phase of
+    the cycle's modulation) and a 3 x n params of true mean flow (ml/min),
+    stroke volume (ml) and cardiac period (s). wrapped_pixels stays a tuple
+    of (frame, y, x) triples: the manifest needs each as a list, and turning
+    an (n, 3) array back into lists would make to_dict twenty times slower.
+    """
+
+    start_s: np.ndarray
+    end_s: np.ndarray
+    phase: np.ndarray
+    params: np.ndarray
     sensor_delay_s: float
     resp_period_s: float
     eddy_offset_mm_s: float = 0.0
-    wrapped_pixels: tuple = ()  # (frame, y, x) triples
+    wrapped_pixels: tuple = ()
     nominal_peak_velocity_mm_s: float | None = None
 
-    def boundaries(self) -> np.ndarray:
-        if not self.cycles:
-            return np.empty(0)
-        return np.asarray([c.start_s for c in self.cycles] + [self.cycles[-1].end_s])
+    def __post_init__(self):
+        for array in (self.start_s, self.end_s, self.phase, self.params):
+            array.flags.writeable = False
 
     def to_dict(self) -> dict:
-        # Not asdict alone: it deep-copies each wrapped-pixel int (0.2 s for 40k).
-        return {**asdict(replace(self, wrapped_pixels=())), "wrapped_pixels": self.wrapped_pixels}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroundTruth":
-        return cls(
-            cycles=tuple(TrueCycle(**c) for c in d["cycles"]),
-            sensor_delay_s=float(d["sensor_delay_s"]),
-            resp_period_s=float(d["resp_period_s"]),
-            eddy_offset_mm_s=float(d["eddy_offset_mm_s"]),
-            wrapped_pixels=tuple(tuple(p) for p in d["wrapped_pixels"]),
-            nominal_peak_velocity_mm_s=d.get("nominal_peak_velocity_mm_s"),
-        )
+        """The truth manifest: one JSON object per cycle, then the scalar fields."""
+        rows = zip(self.start_s.tolist(), self.end_s.tolist(), self.phase.tolist(),
+                   *self.params.tolist())
+        scalars = {f.name: getattr(self, f.name) for f in fields(self)[4:]}  # after the arrays
+        return {"cycles": [dict(zip(_CYCLE_KEYS, row)) for row in rows], **scalars}
 
 
 class SignalBundle(NamedTuple):
@@ -390,8 +390,8 @@ def _pulse_norm(shape: float, scale: float) -> float:
     return norm
 
 
-def pulse_waveform(u, shape: float = 3.0, scale: float = 0.18, floor: float = 0.3):
-    """Unit-mean cardiac pulse over cycle phase u in [0, 1).
+def pulse_waveform(u, waveform: WaveformConfig):
+    """Unit-mean cardiac pulse over cycle phase u in [0, 1), shaped by waveform.
 
     A gamma pulse (fast upstroke, slow decay), tapered by (1 - u^4) so it
     returns exactly to the diastolic floor at the end of the cycle, riding on
@@ -402,6 +402,7 @@ def pulse_waveform(u, shape: float = 3.0, scale: float = 0.18, floor: float = 0.
     and a continued fraction above it. Shapes and scales for which that
     integral is not a finite positive float raise InvalidConfig.
     """
+    shape, scale, floor = waveform.shape, waveform.scale, waveform.floor
     norm = _pulse_norm(float(shape), float(scale))
     u = np.asarray(u, dtype=np.float64)
     g = np.power(u, shape - 1.0, where=u > 0, out=np.zeros_like(u)) * np.exp(-u / scale)
@@ -441,6 +442,9 @@ def generate_signals(config: SimConfig) -> SignalBundle:
     recording starts half a base period into a cycle, so the first boundary
     is an interior minimum. Gaussian noise of noise_sd (ml/min) is added to
     the flow samples only.
+
+    The truth is sliced from the recurrence's own arrays, with the true mean
+    flow the scale and the stroke volume scale * period / 60 per element.
     """
     config.validate()
     dt = config.dt_ms / 1000.0
@@ -491,35 +495,24 @@ def generate_signals(config: SimConfig) -> SignalBundle:
         starts.append(nxt)
     bounds = np.asarray(starts + [starts[-1] + periods[-1]])
 
+    periods, scales = np.asarray(periods), np.asarray(scales)
     t_samples = np.arange(n) * dt
     cell = np.clip(np.searchsorted(bounds, t_samples, side="right") - 1, 0, len(periods) - 1)
-    u = (t_samples - bounds[cell]) / np.asarray(periods)[cell]
-    wf = config.cardiac.waveform
-    flow_values = np.asarray(scales)[cell] * pulse_waveform(
-        u, shape=wf.shape, scale=wf.scale, floor=wf.floor
-    )
+    u = (t_samples - bounds[cell]) / periods[cell]
+    flow_values = scales[cell] * pulse_waveform(u, config.cardiac.waveform)
     if config.artifacts.noise_sd > 0:
         rng = np.random.default_rng([config.seed, 0])
         flow_values = flow_values + rng.normal(0.0, config.artifacts.noise_sd, n)
 
     belt = belt_waveform(t_samples, resp_period, config.respiration.belt_waveform)
 
-    cycles = []
-    for k in range(1, len(periods)):  # skip the lead-in; keep fully recorded cycles
-        if bounds[k + 1] > t_last:
-            break
-        cycles.append(
-            TrueCycle(
-                start_s=float(bounds[k]),
-                end_s=float(bounds[k + 1]),
-                phase=phases[k],
-                mean_flow_ml_min=scales[k],
-                stroke_volume_ml=scales[k] * periods[k] / 60.0,
-                cardiac_period_s=periods[k],
-            )
-        )
+    # Fully recorded cycles only: not the lead-in, nor the last, which ends after t_last.
+    kept_scales, kept_periods = scales[1:-1], periods[1:-1]
     truth = GroundTruth(
-        cycles=tuple(cycles),
+        start_s=bounds[1:-2],
+        end_s=bounds[2:-1],
+        phase=np.asarray(phases[1:-1], dtype="<U2"),
+        params=np.stack([kept_scales, kept_scales * kept_periods / 60.0, kept_periods]),
         sensor_delay_s=mod.sensor_delay_s,
         resp_period_s=resp_period,
     )

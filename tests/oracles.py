@@ -242,6 +242,5 @@ def simulated_flow(config) -> tuple:
     t_samples = np.arange(n) * dt
     cell = np.clip(np.searchsorted(bounds, t_samples, side="right") - 1, 0, len(periods) - 1)
     u = (t_samples - bounds[cell]) / np.asarray(periods)[cell]
-    wf = cardiac.waveform
-    values = np.asarray(scales)[cell] * pulse_waveform(u, shape=wf.shape, scale=wf.scale, floor=wf.floor)
+    values = np.asarray(scales)[cell] * pulse_waveform(u, cardiac.waveform)
     return values, list(zip(bounds[:-1].tolist(), bounds[1:].tolist(), phases, scales, periods))

@@ -15,7 +15,7 @@ from rtpc.errors import DegenerateCycle, NoCyclesFound, TooShort
 from rtpc.io import SampledSignal
 from rtpc.numerics import natural_cubic_spline
 from rtpc.report import UPSAMPLE_FACTOR
-from rtpc.synthgen import SimConfig, generate_signals, pulse_waveform
+from rtpc.synthgen import SimConfig, WaveformConfig, generate_signals, pulse_waveform
 
 
 class TestResample:
@@ -139,7 +139,8 @@ def pulse_train(periods, scales=None, dt=0.075, lead=0.4):
     cell = np.clip(np.searchsorted(bounds, t, side="right") - 1, 0, len(periods) - 1)
     u = (t - bounds[cell]) / periods[cell]
     scale = np.ones(len(periods)) * 600.0 if scales is None else np.asarray(scales)
-    return SampledSignal(t0_s=0.0, dt_s=dt, values=scale[cell] * pulse_waveform(u), kind="flow"), bounds
+    values = scale[cell] * pulse_waveform(u, WaveformConfig())
+    return SampledSignal(t0_s=0.0, dt_s=dt, values=values, kind="flow"), bounds
 
 
 class TestDetectCycles:
@@ -147,9 +148,9 @@ class TestDetectCycles:
         flow, _, truth = signals(duration_s=120.0, seed=5)
         cycles = detect_cycles(flow)
         assert 124 <= len(cycles) <= 128  # 126 +/- 2
-        assert len(cycles) == len(truth.cycles)
+        assert len(cycles) == truth.start_s.size
         detected = np.append(cycles.start_s, cycles.end_s[-1])
-        errors = match_boundaries(detected, truth.boundaries(), tol_s=0.0375)
+        errors = match_boundaries(detected, np.append(truth.start_s, truth.end_s[-1]), tol_s=0.0375)
         assert errors.max() <= 0.0375  # half a raw sample
 
     def test_constant_signal(self):

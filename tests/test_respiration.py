@@ -148,8 +148,8 @@ class TestLabelCycles:
 
         cycles = detect_cycles(flow)
         labels = label_cycles(cycles, detect_resp_intervals(resp))
-        true_mids = np.array([0.5 * (c.start_s + c.end_s) for c in truth.cycles])
-        true_phase = [c.phase for c in truth.cycles]
+        true_mids = 0.5 * (truth.start_s + truth.end_s)
+        true_phase = truth.phase.tolist()
         matched = agree = 0
         for mid, lab in zip(cycles.midpoint_s.tolist(), labels):
             if lab == UNLABELED:

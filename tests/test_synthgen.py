@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import math
 import struct
@@ -17,13 +19,22 @@ from rtpc.extraction import compute_flow
 from rtpc.io import MAGIC, read_signal_csv, write_signal_csv, write_velocity_series
 from rtpc.respiration import detect_resp_intervals
 from rtpc.synthgen import (
-    GroundTruth,
     _pulse_norm,
     SimConfig,
+    WaveformConfig,
     generate_signals,
     generate_velocity_series,
     pulse_waveform,
 )
+
+
+def with_field(config, key: str, value):
+    """config with the field at a dotted key set to value, built by
+    dataclasses.replace alone, so nothing but validate() checks it."""
+    name, _, rest = key.partition(".")
+    if rest:
+        value = with_field(getattr(config, name), rest, value)
+    return dataclasses.replace(config, **{name: value})
 
 
 class TestSimConfig:
@@ -116,6 +127,28 @@ class TestSimConfig:
             with pytest.raises(InvalidConfig, match=f"config key '{key}' must be"):
                 SimConfig.from_dict(bad)
 
+    @pytest.mark.parametrize("key, value", [
+        ("cardiac.base_period_s", math.nan),  # generate_signals would never return
+        ("modulation.sensor_delay_s", math.nan),  # every cycle IN, the modulation lost
+        ("artifacts.noise_sd", math.nan),  # the noise silently skipped
+        ("duration_s", math.inf),
+        ("dt_ms", math.nan),
+        ("cardiac.base_mean_flow_ml_min", math.inf),
+        ("cardiac.waveform.floor", -math.inf),
+        ("vessel.venc_mm_s", math.inf),
+        ("seed", 1.0),
+        ("seed", True),
+        ("vessel.grid.width", 32.0),
+        ("cardiac", None),
+    ])
+    def test_direct_config_checked_like_from_dict(self, key, value):
+        """A config built without from_dict is refused by validate() with the
+        key named as from_dict names it."""
+        with pytest.raises(InvalidConfig, match=f"config key '{key}' must be"):
+            with_field(SimConfig(), key, value).validate()
+        default = functools.reduce(getattr, key.split("."), SimConfig())
+        with_field(SimConfig(), key, default).validate()
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "sim.json"
         path.write_text(json.dumps({"duration_s": 60.0, "seed": 3}))
@@ -132,17 +165,17 @@ class TestSimConfig:
 class TestPulseWaveform:
     def test_unit_mean(self):
         u = np.linspace(0.0, 1.0, 200001)
-        assert np.trapezoid(pulse_waveform(u), u) == pytest.approx(1.0, abs=1e-6)
+        assert np.trapezoid(pulse_waveform(u, WaveformConfig()), u) == pytest.approx(1.0, abs=1e-6)
 
     def test_minimum_at_boundary(self):
         u = np.linspace(0.0, 1.0, 10001)
-        w = pulse_waveform(u)
+        w = pulse_waveform(u, WaveformConfig())
         assert np.argmin(w) == 0
         assert w[-1] == pytest.approx(w[0], rel=1e-12)  # tapered back to the floor
 
     def test_systolic_asymmetry(self):
         u = np.linspace(0.0, 1.0, 10001)
-        w = pulse_waveform(u)
+        w = pulse_waveform(u, WaveformConfig())
         assert u[np.argmax(w)] < 0.5  # fast upstroke, slow decay
 
 
@@ -209,14 +242,11 @@ class TestGenerateSignals:
 
     def test_zero_modulation_cycles_identical(self):
         _, _, truth = signals(duration_s=60.0, seed=5)
-        arr = np.array([[c.mean_flow_ml_min, c.stroke_volume_ml, c.cardiac_period_s]
-                        for c in truth.cycles])
-        assert np.ptp(arr, axis=0).max() <= 1e-9
+        assert (truth.params == truth.params[:, :1]).all()
 
     def test_square_modulation_exact_ratio(self):
         _, _, truth = signals(duration_s=300.0, modulation={"mean_flow_pct": 10.0, "shape": "square"})
-        mf = np.array([c.mean_flow_ml_min for c in truth.cycles])
-        phase = np.array([c.phase for c in truth.cycles])
+        mf, phase = truth.params[0], truth.phase
         ratio = mf[phase == "EX"].mean() / mf[phase == "IN"].mean()
         assert ratio == pytest.approx(1.10, abs=1e-12)
 
@@ -225,18 +255,18 @@ class TestGenerateSignals:
         assert flow.values.mean() == pytest.approx(740.0, rel=0.01)
         intervals = detect_resp_intervals(resp)
         assert intervals.mean_period_s == pytest.approx(4.3, abs=0.05)
-        periods = [c.cardiac_period_s for c in truth.cycles]
-        assert np.mean(periods) == pytest.approx(0.94, abs=1e-9)
+        assert np.mean(truth.params[2]) == pytest.approx(0.94, abs=1e-9)
 
     def test_truth_consistency(self):
         _, _, truth = signals(duration_s=60.0, seed=5)
-        for c in truth.cycles:
-            assert c.end_s > c.start_s
-            assert c.stroke_volume_ml == pytest.approx(
-                c.mean_flow_ml_min * c.cardiac_period_s / 60.0, rel=1e-12
-            )
-        bounds = truth.boundaries()
+        mean_flow, stroke_volume, period = truth.params
+        assert (truth.end_s > truth.start_s).all()
+        assert (stroke_volume == mean_flow * period / 60.0).all()
+        assert np.array_equal(truth.end_s[:-1], truth.start_s[1:])
+        bounds = np.append(truth.start_s, truth.end_s[-1])
         assert (np.diff(bounds) > 0).all()
+        for array in (truth.start_s, truth.end_s, truth.phase, truth.params):
+            assert not array.flags.writeable
 
     def test_sensor_delay_shifts_modulation_not_belt(self):
         a = signals(duration_s=60.0, modulation={"mean_flow_pct": 10.0, "shape": "square"})
@@ -245,14 +275,9 @@ class TestGenerateSignals:
         assert np.array_equal(a.resp.values, delayed.resp.values)  # belt undelayed
         assert not np.array_equal(a.flow.values, delayed.flow.values)
 
-    def test_truth_manifest_round_trip(self):
-        _, _, truth = signals(duration_s=60.0, seed=5)
-        again = GroundTruth.from_dict(json.loads(json.dumps(truth.to_dict())))
-        assert again == truth
-
     def test_sine_modulation_runs(self):
         flow, _, truth = signals(duration_s=60.0, modulation={"mean_flow_pct": 10.0, "shape": "sine"})
-        mf = np.array([c.mean_flow_ml_min for c in truth.cycles])
+        mf = truth.params[0]
         assert mf.min() >= 740.0 - 1e-9
         assert mf.max() <= 814.0 + 1e-9
 
@@ -281,9 +306,19 @@ class TestGenerateSignals:
         flow, _, truth = generate_signals(cfg)
         values, cycles = simulated_flow(cfg)
         assert np.array_equal(flow.values.view(np.uint64), values.view(np.uint64))
-        got = [(c.start_s, c.end_s, c.phase, c.mean_flow_ml_min, c.cardiac_period_s)
-               for c in truth.cycles]
+        mean_flow, _, period = truth.params.tolist()
+        got = list(zip(truth.start_s.tolist(), truth.end_s.tolist(), truth.phase.tolist(),
+                       mean_flow, period))
         assert got == cycles[1 : len(got) + 1]
+        assert len(got) == len(cycles) - 2  # all but the lead-in and the unfinished last
+        # The manifest's cycles, each stroke volume by per-cycle Python
+        # arithmetic; json.dumps writes each float's repr, so bit for bit.
+        expected = [
+            {"start_s": start, "end_s": end, "phase": phase, "mean_flow_ml_min": scale,
+             "stroke_volume_ml": scale * cycle_period / 60.0, "cardiac_period_s": cycle_period}
+            for start, end, phase, scale, cycle_period in cycles[1:-1]
+        ]
+        assert json.dumps(truth.to_dict()["cycles"]) == json.dumps(expected)
 
     def test_rounded_square_belt(self):
         flow, resp, _ = signals(duration_s=60.0, respiration={"period_s": 4.3, "belt_waveform": "rounded-square"})
@@ -407,7 +442,7 @@ class TestPipelineClosure:
             duration_s=300.0, modulation={"mean_flow_pct": 10.0, "shape": "square"}
         )
         cycles = detect_cycles(flow)
-        assert len(cycles) == len(truth.cycles)
+        assert len(cycles) == truth.start_s.size
         intervals = detect_resp_intervals(resp)
         scan = delay_scan(cycles, intervals, "mean_flow")
         assert abs(scan.max_diff_pct - 10.0) <= 1.5
