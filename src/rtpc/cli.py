@@ -190,13 +190,15 @@ def _seeded_roi(args, height: int, width: int) -> tuple:
     """The last seed window read of the series, and the seed's ROI in it.
 
     segment_roi runs on a window around the seed that covers --max-radius-px
-    and at least COMPONENT_START_HALF_PX on each side. While the union ROI's
-    roi_window does not fit inside the window, the window is read again twice
-    as wide. roi_window grows the ROI by at least one pixel, so a ROI that
-    fits touches no window edge that is not an image edge: it is the one
-    whole frames give, and the window holds it with its background band. The
-    series is read once, plus once per doubling; the chain runs on the last
-    read. Errors name the seed in image coordinates.
+    and at least COMPONENT_START_HALF_PX on each side. Its ROI is one mask,
+    the union of the seed's per-frame components, and the chain runs on it
+    as on a --mask. While the ROI's roi_window does not fit inside the
+    window, the window is read again twice as wide. roi_window grows the ROI
+    by at least one pixel, so a ROI that fits touches no window edge that is
+    not an image edge: it is the one whole frames give, and the window holds
+    it with its background band. The series is read once, plus once per
+    doubling; the chain runs on the last read. Errors name the seed in image
+    coordinates.
     """
     import numpy as np
 
@@ -211,10 +213,10 @@ def _seeded_roi(args, height: int, width: int) -> tuple:
                               max_radius_px=args.max_radius_px)
         except (EmptySegmentation, SeedOutsideVessel) as exc:
             raise type(exc)(str(exc).replace(f"seed {local}", f"seed {args.seed}")) from None
-        image_union = np.zeros((height, width), dtype=bool)
-        image_union[window] = roi.any(axis=0)
+        image_roi = np.zeros((height, width), dtype=bool)
+        image_roi[window] = roi
         if all(cut.start <= into.start and into.stop <= cut.stop
-               for cut, into in zip(window, roi_window(image_union))):
+               for cut, into in zip(window, roi_window(image_roi))):
             return series, roi
         half *= 2
 
@@ -293,11 +295,12 @@ def cmd_extract(args, written: list) -> int:
             snr, excluded = qc.cardiac_snr, qc.excluded
         except TooShort:
             snr, excluded = None, None
+        n_roi = int(np.count_nonzero(roi))
         payload = {
             "cardiac_snr": snr,
             "excluded": excluded,
-            "empty_roi_frames": int(np.count_nonzero(
-                ~np.broadcast_to(roi, series.frames.shape).any(axis=(1, 2)))),
+            "empty_roi_frames": 0 if n_roi else series.n_frames,
+            "n_roi_pixels": n_roi,
             "background_offset_mm_s": background_offset,
             "n_band_pixels": n_band,
             "n_unaliased_pixels": n_unaliased,

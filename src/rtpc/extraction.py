@@ -1,14 +1,13 @@
 """Velocity-map series to calibrated flow signal.
 
-The chain is: grow a per-frame ROI from a seed (or take an externally edited
-mask), estimate and subtract the stationary-tissue velocity offset, unwrap
+The chain is: grow a ROI from a seed (or take an externally edited mask),
+estimate and subtract the stationary-tissue velocity offset, unwrap
 velocities that exceeded the encoding limit, integrate to ml/min, and sum
 arteries. A spectral quality gate flags signals without a usable cardiac
 component.
 
-A ROI is a bool array: one (height, width) mask for every frame, as read_mask
-gives it, or one mask per frame, (n_frames, height, width), as segment_roi
-gives it.
+A ROI is one bool (height, width) mask, applied to every frame, as read_mask
+and segment_roi give it.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .errors import (
 from .io import SampledSignal, VelocityMapSeries
 from .numerics import (
     distance_band,
-    distinct,
     gather_blocks,
     median,
     quantile,
@@ -63,9 +61,10 @@ COMPONENT_START_HALF_PX = 16
 
 #: Values a bounded gather over frames takes at once: about the ring values of
 #: one float64 std block of correct_background, and at most the band values of
-#: one float32 block of the background median. unalias gathers at most
-#: BLOCK_VALUES // 8 ROI values at once, since each of its (frames, k) blocks
-#: costs about eight float64 arrays of its size (512 KiB in all).
+#: one float32 block of the background median. unalias and compute_flow gather
+#: at most BLOCK_VALUES // 8 ROI values at once, since each of unalias's
+#: (frames, k) blocks costs about eight float64 arrays of its size (512 KiB in
+#: all).
 BLOCK_VALUES = 1 << 16
 
 
@@ -74,7 +73,7 @@ class BackgroundEstimate:
     """Static velocity offset estimated from quiet tissue around the ROI."""
 
     offset_mm_s: float
-    band: np.ndarray  # bool (height, width), disjoint from the union ROI
+    band: np.ndarray  # bool (height, width), disjoint from the ROI
     n_band_pixels: int
 
 
@@ -84,14 +83,15 @@ def segment_roi(
     velocity_threshold_fraction: float = THRESHOLD_FRACTION,
     max_radius_px: float = MAX_RADIUS_PX,
 ) -> np.ndarray:
-    """Grow a per-frame ROI from a seed pixel by velocity thresholding.
+    """Grow a static ROI from a seed pixel by velocity thresholding.
 
     The threshold is velocity_threshold_fraction times the 99th percentile of
-    |velocity| within max_radius_px of the seed, pooled over all frames. Per
-    frame the ROI is the 4-connected component of above-threshold pixels that
-    contains the seed. Frames where the seed falls below threshold inherit
-    the previous frame's mask (leading empty frames inherit the first
-    non-empty one). Returns the bool (n_frames, height, width) masks.
+    |velocity| within max_radius_px of the seed, pooled over all frames. The
+    ROI is the union over frames of each frame's 4-connected component of
+    above-threshold pixels that contains the seed; a frame where the seed
+    falls below threshold adds nothing. Returns one bool (height, width)
+    mask, so every frame's flow sums the same pixels and the flow gain does
+    not change from frame to frame.
 
     Parameters
     ----------
@@ -113,7 +113,7 @@ def segment_roi(
     neighborhood = (xx - sx) ** 2 + (yy - sy) ** 2 <= max_radius_px**2
     # One contiguous gather, made absolute and partitioned in place (a
     # percentile depends only on the multiset of values), and freed before
-    # the masks are grown. np.percentile(near, 99.0) is its quantile at
+    # the ROI is grown. np.percentile(near, 99.0) is its quantile at
     # 99.0 / 100 == 0.99.
     near = np.take(series.frames.reshape(series.n_frames, -1), np.flatnonzero(neighborhood), axis=1)
     np.abs(near, out=near)
@@ -123,32 +123,24 @@ def segment_roi(
         raise EmptySegmentation(f"no velocity signal within {max_radius_px} px of seed {seed}")
     threshold = velocity_threshold_fraction * reference
 
-    masks = seed_component(series.frames, threshold, sy, sx)
-    seeded = masks[:, sy, sx]
-    if not seeded.any():
+    roi = seed_component(series.frames, threshold, sy, sx)
+    if not roi[sy, sx]:
         raise SeedOutsideVessel(f"seed {seed} below threshold {threshold:.3g} mm/s in every frame")
-
-    # Empty frames fall back to the previous seeded frame's mask, leading
-    # ones to the first seeded frame's.
-    frame_idx = np.arange(seeded.size)
-    source = np.maximum.accumulate(np.where(seeded, frame_idx, int(np.argmax(seeded))))
-    empty = ~seeded
-    masks[empty] = masks[source[empty]]
-    return masks
+    return roi
 
 
-def roi_window(union: np.ndarray) -> tuple[slice, slice]:
-    """The (rows, cols) window the chain reads around a union ROI.
+def roi_window(roi: np.ndarray) -> tuple[slice, slice]:
+    """The (rows, cols) window the chain reads around a ROI.
 
     It is the ROI's bounding box grown by ceil(BAND_OUTER_PX) and clipped to
     the image; an empty ROI gives the whole image.
     """
-    height, width = union.shape
-    if not union.any():
+    height, width = roi.shape
+    if not roi.any():
         return slice(0, height), slice(0, width)
     margin_px = math.ceil(BAND_OUTER_PX)
-    rows = np.flatnonzero(union.any(axis=1))
-    cols = np.flatnonzero(union.any(axis=0))
+    rows = np.flatnonzero(roi.any(axis=1))
+    cols = np.flatnonzero(roi.any(axis=0))
     return (
         slice(max(int(rows[0]) - margin_px, 0), min(int(rows[-1]) + margin_px + 1, height)),
         slice(max(int(cols[0]) - margin_px, 0), min(int(cols[-1]) + margin_px + 1, width)),
@@ -168,7 +160,7 @@ def correct_background(series: VelocityMapSeries, roi: np.ndarray) -> Background
     """Subtract the stationary-tissue velocity offset (eddy-current bias).
 
     Candidate pixels, the ring, lie at distance [BAND_INNER_PX,
-    BAND_OUTER_PX] from the union ROI; those whose temporal standard
+    BAND_OUTER_PX] from the ROI; those whose temporal standard
     deviation is at most its BAND_QUANTILE quantile over the ring form the
     band, which needs MIN_BAND_PIXELS. The offset is the median velocity over
     band pixels and frames, treated as static, and is subtracted from every
@@ -180,10 +172,10 @@ def correct_background(series: VelocityMapSeries, roi: np.ndarray) -> Background
     beyond the float32 range raises NonFiniteVelocity once every frame is
     written, and the frames then hold +-inf where the value overflowed.
     """
-    union = _check_in_place(series, roi).any(axis=0)
-    if not union.any():
-        raise ValueError("ROI is empty in every frame")
-    ring = distance_band(union, BAND_INNER_PX, BAND_OUTER_PX)
+    mask = _check_in_place(series, roi)
+    if not mask.any():
+        raise ValueError("ROI is empty")
+    ring = distance_band(mask, BAND_INNER_PX, BAND_OUTER_PX)
     if not ring.any():
         raise InsufficientStationaryTissue("no pixels in the distance band around the ROI")
     rows, cols = np.nonzero(ring)
@@ -241,34 +233,24 @@ def _band_median(flat: np.ndarray, pixels: np.ndarray) -> float:
 
 
 def _check_roi(series: VelocityMapSeries, roi: np.ndarray) -> np.ndarray:
-    """The ROI as a bool (n_frames, height, width) array, or ValueError.
+    """The ROI as one bool (height, width) mask, or ValueError naming both shapes.
 
     roi is read as membership (nonzero is True), so a 0/255 mask is never an
-    index array. A (height, width) mask becomes a stride-0 broadcast of a
-    C-contiguous copy, one mask for every frame, which flattens to
-    (n_frames, pixels) as a view. The series is never empty, so an empty
-    dimension fails the frame count or the frame shape.
+    index array.
     """
-    masks = np.asarray(roi, dtype=bool)
-    if masks.ndim == 2:
-        masks = np.broadcast_to(np.ascontiguousarray(masks), (series.n_frames, *masks.shape))
-    if masks.ndim != 3:
-        problem = "is neither (height, width) nor (frames, height, width)"
-    elif len(masks) != series.n_frames:
-        problem = f"has {len(masks)} masks for {series.n_frames} frames"
-    elif masks.shape[1:] != (series.height, series.width):
-        problem = "does not match the frames' dimensions"
-    else:
-        return masks
-    raise ValueError(f"ROI of shape {np.shape(roi)} {problem} (series shape {series.frames.shape})")
+    mask = np.asarray(roi, dtype=bool)
+    if mask.shape != (series.height, series.width):
+        raise ValueError(f"ROI of shape {np.shape(roi)} is not the frames' (height, width) "
+                         f"(series shape {series.frames.shape})")
+    return mask
 
 
 def _check_in_place(series: VelocityMapSeries, roi: np.ndarray) -> np.ndarray:
     """The checks of a step that overwrites series.frames; the ROI as _check_roi gives it."""
-    masks = _check_roi(series, roi)
+    mask = _check_roi(series, roi)
     if not series.frames.flags.writeable:
         raise ValueError("the series' frames are read-only, and this step overwrites them")
-    return masks
+    return mask
 
 
 def _leave_one_out_medians(values: np.ndarray) -> np.ndarray:
@@ -294,34 +276,6 @@ def _pick(values: np.ndarray, s: np.ndarray, i: int) -> np.ndarray:
     return np.where(values <= s[..., i, None], s[..., i + 1, None], s[..., i, None])
 
 
-def _member_groups(masks: np.ndarray):
-    """Blocks of frames that have the same ROI member count k >= 2.
-
-    masks is (n_frames, pixels). Each block is (frame indices, member
-    indices), the latter (frames, k) with each frame's members in row-major
-    order, and holds at most BLOCK_VALUES // 8 members, or one frame. A
-    static ROI (a stride-0 broadcast) has one member vector for all frames.
-    """
-    n_frames = len(masks)
-    block = BLOCK_VALUES // 8
-    if masks.strides[0] == 0:
-        members = np.flatnonzero(masks[0])
-        if members.size < 2:
-            return
-        step = max(1, block // members.size)
-        for lo in range(0, n_frames, step):
-            t = np.arange(lo, min(lo + step, n_frames))
-            yield t, np.broadcast_to(members, (t.size, members.size))
-        return
-    counts = np.count_nonzero(masks, axis=1)
-    for k in distinct(counts[counts >= 2])[0].tolist():
-        sel = np.flatnonzero(counts == k)
-        step = max(1, block // k)
-        for lo in range(0, sel.size, step):
-            rows = sel[lo : lo + step]
-            yield rows, np.nonzero(masks[rows])[1].reshape(rows.size, k)
-
-
 def unalias(series: VelocityMapSeries, roi: np.ndarray) -> int:
     """Unwrap ROI velocities that jumped by multiples of twice the limit.
 
@@ -337,24 +291,26 @@ def unalias(series: VelocityMapSeries, roi: np.ndarray) -> int:
     returned. Every check runs before the first write, so an error leaves
     the frames as they were, apart from one: a shifted value beyond the
     float32 range raises NonFiniteVelocity, and the frames then hold the
-    groups unwrapped before it, the rest as given.
+    blocks unwrapped before it, the rest as given.
 
-    Frames are grouped by ROI member count k, and each group's members are
-    gathered, at most BLOCK_VALUES // 8 at once, as (frames, k) float64
-    matrices, whose rows give the medians at once.
+    The ROI's members are gathered as (frames, k) float64 matrices of at
+    most BLOCK_VALUES // 8 values, whose rows give the medians at once.
 
     Valid while venc stays above about 0.6 x the systolic peak velocity.
     Below that, pixels that never wrapped are shifted too: a radius-6 px
     vessel at venc 600 mm/s had 13,519 pixels changed against 13,394
     wrapped. Nothing flags this.
     """
-    masks = _check_in_place(series, roi).reshape(series.n_frames, -1)
+    members = np.flatnonzero(_check_in_place(series, roi))
+    if members.size < 2:
+        return 0
     venc = series.venc_mm_s
     two_venc = 2.0 * venc
     flat = series.frames.reshape(series.n_frames, -1)
     n_changed = 0
-    for t, members in _member_groups(masks):
-        vals = flat[t[:, None], members].astype(np.float64)
+    lo = 0
+    for block in gather_blocks(flat, members, BLOCK_VALUES // 8):
+        vals = block.astype(np.float64)
         deltas = _leave_one_out_medians(vals)
         deltas -= vals
         r, c = np.nonzero(np.abs(deltas) > venc)
@@ -367,24 +323,26 @@ def unalias(series: VelocityMapSeries, roi: np.ndarray) -> int:
                 raise NonFiniteVelocity(
                     "unaliasing: a shift by a multiple of 2 x venc takes a velocity beyond the float32 range"
                 ) from None
-            flat[t[r], members[r, c]] = shifted
+            flat[lo + r, members[c]] = shifted
             n_changed += int(np.count_nonzero(shifted != before))
+        lo += len(block)
     return n_changed
 
 
 def compute_flow(series: VelocityMapSeries, roi: np.ndarray) -> SampledSignal:
     """Integrate ROI velocities to a flow-rate signal in ml/min.
 
-    Q(t) = 0.06 * pixel_area_mm2 * sum of ROI velocities (mm/s). Frames with
-    an empty ROI yield Q = 0. Each frame sums only its ROI pixels, in
-    row-major order, with numpy's 1-D sum, so the pixels around the ROI, and
-    cropping them away, cannot change a flow value.
+    Q(t) = 0.06 * pixel_area_mm2 * sum of ROI velocities (mm/s); an empty ROI
+    yields Q = 0. Each frame's ROI pixels are summed in row-major order, as
+    one row of a C-contiguous (frames, k) float64 gather of at most
+    BLOCK_VALUES // 8 values, which numpy sums as it sums the 1-D frame[roi],
+    so the pixels around the ROI, and cropping them away, cannot change a
+    flow value.
     """
-    masks = _check_roi(series, roi)
-    sums = np.array([
-        frame[member].astype(np.float64).sum()
-        for frame, member in zip(series.frames, masks)
-    ])
+    members = np.flatnonzero(_check_roi(series, roi))
+    flat = series.frames.reshape(series.n_frames, -1)
+    blocks = gather_blocks(flat, members, BLOCK_VALUES // 8)
+    sums = np.concatenate([block.astype(np.float64).sum(axis=1) for block in blocks])
     q = ML_MIN_PER_MM3_S * series.pixel_area_mm2 * sums
     return SampledSignal(t0_s=0.0, dt_s=series.dt_s, values=q, kind="flow")
 

@@ -16,8 +16,8 @@ compare each function with its original for exact equality.
 - find_peaks: scipy.signal.find_peaks(x, distance=, prominence=);
 - welch: scipy.signal.welch with a periodic Hann window, nperseg samples,
   half overlap and constant detrending;
-- seed_component: the component of scipy.ndimage.label (4-connected) that
-  holds a seed pixel, frame by frame;
+- seed_component: the union over frames of the component of
+  scipy.ndimage.label (4-connected) that holds a seed pixel;
 - distance_band: distance_transform_edt(~mask) restricted to [inner, outer];
 - ranked_values: np.sort(frames[:, pixels], axis=None) at given ranks, with
   -0.0 below +0.0 and no gather of all those values;
@@ -247,17 +247,19 @@ def welch(x: np.ndarray, fs: float, nperseg: int) -> tuple[np.ndarray, np.ndarra
 
 
 def seed_component(frames: np.ndarray, threshold: float, seed_row: int, seed_col: int) -> np.ndarray:
-    """Per frame, the 4-connected component of |frame| >= threshold holding the seed.
+    """The union over frames of each frame's 4-connected component of
+    |frame| >= threshold that holds the seed, as one (height, width) mask.
 
-    Frames where the seed is below threshold get an empty mask. Frames are
-    filled a chunk at a time by repeated 4-neighbour growth from the seed,
-    which equals ndimage.label's component exactly.
+    A frame where the seed is below threshold adds nothing. Frames are grown
+    a chunk at a time by repeated 4-neighbour growth from the seed, which
+    equals ndimage.label's component exactly, and each chunk is ORed into the
+    union, so no per-frame masks are held beyond one chunk's.
     """
-    out = np.empty(frames.shape, dtype=bool)
+    union = np.zeros(frames.shape[1:], dtype=bool)
     for lo in range(0, len(frames), _COMPONENT_CHUNK_FRAMES):
         chunk = frames[lo : lo + _COMPONENT_CHUNK_FRAMES]
-        out[lo : lo + len(chunk)] = _grow(np.abs(chunk) >= threshold, seed_row, seed_col)
-    return out
+        union |= _grow(np.abs(chunk) >= threshold, seed_row, seed_col).any(axis=0)
+    return union
 
 
 def _grow(above: np.ndarray, row: int, col: int) -> np.ndarray:
@@ -311,7 +313,7 @@ def distance_band(mask: np.ndarray, inner: float, outer: float) -> np.ndarray:
 def gather_blocks(flat: np.ndarray, pixels: np.ndarray, block_values: int):
     """flat[:, pixels] as consecutive (frames, pixels) gathers of at most
     block_values values, or one frame each. flat is (frames, pixels)."""
-    step = max(1, block_values // pixels.size)
+    step = max(1, block_values // max(pixels.size, 1))
     for lo in range(0, len(flat), step):
         yield np.take(flat[lo : lo + step], pixels, axis=1)
 

@@ -155,6 +155,7 @@ class TestExtract:
         assert payload["background_offset_mm_s"] == pytest.approx(3.0, abs=0.1)
         assert payload["excluded"] is False
         assert payload["empty_roi_frames"] == 0
+        assert payload["n_roi_pixels"] == read_mask(dataset / "mask.pgm", 32, 32).sum()
         assert payload["n_unaliased_pixels"] > 0
 
     def test_seed_extraction(self, dataset, tmp_path):
@@ -436,6 +437,7 @@ def full_frame_extract(series_path, mask_path=None, seed=None, background=True, 
         "cardiac_snr": qc.cardiac_snr,
         "excluded": qc.excluded,
         "empty_roi_frames": sum(not m.any() for m in np.broadcast_to(roi, series.frames.shape)),
+        "n_roi_pixels": int(np.count_nonzero(roi)),
         "background_offset_mm_s": offset,
         "n_band_pixels": n_band,
         "n_unaliased_pixels": n_unaliased,
@@ -472,9 +474,9 @@ def crop_datasets(tmp_path_factory):
         "vessel": {"radius_px": 24.0, "grid": {"width": 128, "height": 128}, "venc_mm_s": 60.0},
     }))
     assert wide_truth.wrapped_pixels
-    union = segment_roi(wide.to_series(), seed=(64, 64)).any(axis=0)
+    roi = segment_roi(wide.to_series(), seed=(64, 64))
     first = seed_window(64, 64, COMPONENT_START_HALF_PX, 128, 128)
-    assert union.sum() > union[first].sum()  # the seed window must widen
+    assert roi.sum() > roi[first].sum()  # the seed window must widen
 
     ragged, ragged_mask, ragged_truth = generate_velocity_series(SimConfig.from_dict({
         "duration_s": 30.0, "artifacts": artifacts, "seed": 12,
@@ -553,6 +555,42 @@ class TestExtractMatchesFullFrame:
         assert not out.exists()
 
 
+class TestSeededExtractMatchesMask:
+    """`extract --seed` runs the --mask chain on one static ROI, the union of
+    the seed's per-frame components, so every frame sums the same lumen
+    pixels: its flow is a constant multiple of the --mask flow, and analyze
+    finds the mask flow's Diffs at the mask flow's delays. A ROI segmented
+    frame by frame read 1.5 % to 91 % of the mask flow here, by frame."""
+
+    def test_constant_gain_and_same_diffs(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "duration_s": 45.0, "vessel": {"venc_mm_s": 1000.0},
+            "artifacts": {"aliased_pixel_fraction": 0.5, "eddy_offset_mm_s": 3.0},
+        })
+        data = tmp_path / "data"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(data), "--with-images"]) == 0
+        n_wrapped = len(json.loads((data / "truth.json").read_text())["wrapped_pixels"])
+        assert n_wrapped > 0
+        flows, qcs, reports = {}, {}, {}
+        for source, roi_args in (("mask", ["--mask", str(data / "mask.pgm")]), ("seed", ["--seed", "16,16"])):
+            out, qc, report = (tmp_path / f"{source}{suffix}" for suffix in (".csv", ".json", "_report.json"))
+            assert main(["extract", "--series", str(data / "series.rtpc"), *roi_args,
+                         "--out", str(out), "--qc", str(qc)]) == 0
+            assert main(["analyze", "--flow", str(out), "--resp", str(data / "resp.csv"),
+                         "--out", str(report)]) == 0
+            flows[source] = read_signal_csv(out, "flow").values
+            qcs[source] = json.loads(qc.read_text())
+            reports[source] = read_report(report).arteries[0].diff
+        ratio = flows["seed"] / flows["mask"]
+        assert 0.5 < ratio.min() and ratio.max() - ratio.min() < 1e-5 * ratio.min(), (ratio.min(), ratio.max())
+        for param in settings.REPORT_PARAMETERS:
+            seeded, masked = reports["seed"][param], reports["mask"][param]
+            assert seeded.max_pct == pytest.approx(masked.max_pct, abs=1e-3), param
+            assert seeded.delay_s == masked.delay_s, param
+        assert qcs["seed"]["n_unaliased_pixels"] == qcs["mask"]["n_unaliased_pixels"] == n_wrapped
+        assert 0 < qcs["seed"]["n_roi_pixels"] < qcs["mask"]["n_roi_pixels"]
+
+
 class TestSeededExtractReads:
     """`extract --seed` reads the series once per seed window it segments on:
     once, plus once per doubling, and runs the chain on the last read."""
@@ -562,7 +600,7 @@ class TestSeededExtractReads:
         data, seed = crop_datasets[name]
         sx, sy = (int(v) for v in seed.split(","))
         whole = read_velocity_series(data / "series.rtpc")
-        need = roi_window(segment_roi(whole, seed=(sx, sy)).any(axis=0))
+        need = roi_window(segment_roi(whole, seed=(sx, sy)))
         windows = []
         half = max(COMPONENT_START_HALF_PX, 12)  # 12: the --max-radius-px default
         while True:

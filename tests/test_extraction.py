@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -78,21 +79,20 @@ def corrected_flow(series, roi):
 
 
 class TestRoiSeries:
-    """The ROI each step takes: a (height, width) mask for every frame, or a
-    (n_frames, height, width) series of masks, read as membership."""
+    """The ROI each step takes: one (height, width) mask for every frame, read
+    as membership. A per-frame (n_frames, height, width) stack is refused."""
 
     def test_static_mask_matches_its_stack(self):
-        """A mask, its explicit per-frame stack, their 0/255 uint8 forms and a
-        strided view of it give the same offset, band, unaliased frames,
-        changed count and flow, bit for bit."""
+        """A mask, its 0/255 uint8 form and a strided view of it give the same
+        offset, band, unaliased frames, changed count and flow, bit for bit;
+        its explicit per-frame stack is refused before any frame is written."""
         series, mask, truth = images(duration_s=60.0, seed=5, artifacts={
             "aliased_pixel_fraction": 0.3, "eddy_offset_mm_s": 3.0, "noise_sd": 4.0})
         assert truth.wrapped_pixels
         stack = np.broadcast_to(mask, series.frames.shape).copy()
         padded = np.zeros((series.height + 4, series.width + 4), dtype=bool)
         padded[2:-2, 2:-2] = mask
-        forms = [stack, mask.astype(np.uint8) * 255, stack.astype(np.uint8) * 255,
-                 padded[2:-2, 2:-2]]
+        forms = [mask.astype(np.uint8) * 255, padded[2:-2, 2:-2]]
 
         def chain(roi):
             fixed = copy_series(series)
@@ -111,32 +111,37 @@ class TestRoiSeries:
             assert got[1] == n_changed
             assert np.array_equal(got[2].view(np.uint32), frames.view(np.uint32))
             assert np.array_equal(got[3].view(np.uint64), flow.view(np.uint64))
+        before = series.frames.copy()
+        for roi in (stack, stack.astype(np.uint8) * 255):
+            for step in (correct_background, unalias, compute_flow):
+                with pytest.raises(ValueError, match=rf"^ROI of shape {re.escape(str(stack.shape))} "):
+                    step(series, roi)
+        assert np.array_equal(series.frames.view(np.uint32), before.view(np.uint32))
 
     def test_from_static_shares_the_mask(self):
-        """A (height, width) mask is read as one mask for all frames: a
-        stride-0 view of one copy. A per-frame stack is taken as it is."""
+        """A (height, width) mask is one mask for all frames, however many:
+        the ROI is read as that one bool mask, never as one per frame."""
         series = disk_series([5] * 4000, h=9, w=7)
         member = disk_mask(9, 7, 3, 4, 2)
-        masks = extraction._check_roi(series, member)
-        assert masks.shape == (4000, 9, 7)
-        assert masks.strides[0] == 0  # one mask, not one per frame
-        assert np.array_equal(masks.any(axis=0), member)
-        assert masks.reshape(4000, -1).any(axis=1).all()
-        stack = np.broadcast_to(member, (4000, 9, 7)).copy()
-        assert extraction._check_roi(series, stack) is stack
+        mask = extraction._check_roi(series, member)
+        assert mask.shape == (9, 7) and mask.dtype == bool
+        assert np.array_equal(mask, member)
 
     def test_from_static_of_a_slice_flattens_as_a_view(self):
-        """A mask cut from a larger one is copied once, so the per-frame
-        masks flatten to a stride-0 view, the form unalias reads as one
-        member vector for all frames."""
-        series = disk_series([5] * 50, h=18, w=18)
-        member = disk_mask(24, 24, 12, 12, 5)[2:20, 3:21]
+        """A mask cut from a larger one, not C-contiguous, gives the flow and
+        unaliased frames of its contiguous copy, bit for bit."""
+        series = disk_series([4, 5, 6] * 20, h=18, w=18, speed=900.0, venc=400.0)
+        series.frames[::7, 9, 9] -= 800.0  # wrapped in some frames
+        member = disk_mask(24, 24, 12, 12, 5)[3:21, 3:21]
         assert not member.flags.c_contiguous
-        masks = extraction._check_roi(series, member)
-        flat = masks.reshape(len(masks), -1)
-        assert flat.strides[0] == 0 and np.shares_memory(flat, masks)
-        assert np.array_equal(masks.any(axis=0), member)
-        assert np.array_equal(masks[49], member)
+        results = []
+        for roi in (member, member.copy()):
+            fixed = copy_series(series)
+            results.append((unalias(fixed, roi), fixed.frames, compute_flow(fixed, roi).values))
+        (n_slice, frames_slice, flow_slice), (n_copy, frames_copy, flow_copy) = results
+        assert n_slice == n_copy > 0
+        assert np.array_equal(frames_slice.view(np.uint64), frames_copy.view(np.uint64))
+        assert np.array_equal(flow_slice.view(np.uint64), flow_copy.view(np.uint64))
 
     @pytest.mark.parametrize("shape", [(4, 5), (0, 4, 5), (3, 0, 5), (2, 3, 4, 5), (5,), (2, 3, 4),
                                        (0, 4), (3, 0), (), (2, 4, 6), (3, 4, 5), (4, 4, 6)])
@@ -160,7 +165,7 @@ class TestSegmentRoi:
         series = disk_series([5, 5, 5])
         truth = disk_mask(24, 24, 12, 12, 5)
         roi = segment_roi(series, seed=(12, 12))
-        assert all(np.array_equal(m, truth) for m in roi)
+        assert roi.shape == truth.shape and np.array_equal(roi, truth)
 
     def test_seed_in_background(self):
         series = disk_series([5, 5, 5])
@@ -184,29 +189,23 @@ class TestSegmentRoi:
             segment_roi(disk_series([5]), seed=(12, 12), max_radius_px=radius)
 
     def test_oscillating_radius_tracks_truth(self):
+        """A vessel whose lumen changes from frame to frame gives one ROI, the
+        union of its frames' lumens: the widest one."""
         radii = [4, 5, 6, 5, 4, 5, 6]
         series = disk_series(radii)
         roi = segment_roi(series, seed=(12, 12))
-        for mask, r in zip(roi, radii):
-            truth_count = int(disk_mask(24, 24, 12, 12, r).sum())
-            ring = int(disk_mask(24, 24, 12, 12, r + 1).sum()) - int(disk_mask(24, 24, 12, 12, r - 1).sum())
-            assert abs(int(mask.sum()) - truth_count) <= ring
+        assert np.array_equal(roi, disk_mask(24, 24, 12, 12, max(radii)))
 
-    def test_empty_frame_falls_back_to_previous(self):
-        series = disk_series([5, 5, 5])
-        frames = series.frames.copy()
-        frames[1] = 0.0
-        gappy = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        roi = segment_roi(gappy, seed=(12, 12))
-        assert np.array_equal(roi[1], roi[0])
-
-    def test_leading_empty_frames_fall_forward(self):
-        series = disk_series([5, 5, 5])
-        frames = series.frames.copy()
-        frames[0] = 0.0
-        gappy = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        roi = segment_roi(gappy, seed=(12, 12))
-        assert np.array_equal(roi[0], roi[1])
+    def test_empty_frames_add_nothing(self):
+        """Frames where the seed is below threshold, leading or not, leave the
+        ROI as the other frames give it."""
+        series = disk_series([5, 4, 5, 6])
+        for empty in ([1], [0], [0, 3]):
+            frames = series.frames.copy()
+            frames[empty] = 0.0
+            gappy = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
+            kept = [r for t, r in enumerate([5, 4, 5, 6]) if t not in empty]
+            assert np.array_equal(segment_roi(gappy, seed=(12, 12)), disk_mask(24, 24, 12, 12, max(kept)))
 
     def test_deterministic(self):
         series = disk_series([4, 5, 6])
@@ -234,17 +233,13 @@ class TestSegmentRoi:
 
 
 def former_segment_roi(series, seed, fraction, radius) -> np.ndarray:
-    """segment_roi's masks with its former reference line, which gathered the
+    """segment_roi's ROI with its former reference line, which gathered the
     neighbourhood by boolean mask and copied it in np.abs and np.percentile."""
     sx, sy = seed
     yy, xx = np.mgrid[0 : series.height, 0 : series.width]
     neighborhood = (xx - sx) ** 2 + (yy - sy) ** 2 <= radius**2
     reference = float(np.percentile(np.abs(series.frames[:, neighborhood]), 99.0))
-    masks = seed_component(series.frames, fraction * reference, sy, sx)
-    seeded = masks[:, sy, sx]
-    source = np.maximum.accumulate(np.where(seeded, np.arange(seeded.size), int(np.argmax(seeded))))
-    masks[~seeded] = masks[source[~seeded]]
-    return masks
+    return seed_component(series.frames, fraction * reference, sy, sx)
 
 
 @st.composite
@@ -447,7 +442,7 @@ print(json.dumps(offsets))
             correct_background(series, everything)
         with pytest.raises(InsufficientStationaryTissue, match="4 quiet band pixels, need 8"):
             correct_background(series, strip)
-        with pytest.raises(ValueError, match="masks for"):
+        with pytest.raises(ValueError, match=r"^ROI of shape \(5, 16, 16\) "):
             correct_background(series, np.broadcast_to(small, (5, 16, 16)))
         assert np.array_equal(series.frames.view(np.uint32), before.view(np.uint32))
 
@@ -521,9 +516,10 @@ def oracle_unalias(series: VelocityMapSeries, roi: np.ndarray) -> np.ndarray:
     venc = series.venc_mm_s
     two_venc = 2.0 * venc
     frames = series.frames.copy()
-    for t, member in enumerate(np.broadcast_to(roi, frames.shape)):
-        if member.sum() < 2:
-            continue
+    member = np.asarray(roi, dtype=bool)
+    if member.sum() < 2:
+        return frames
+    for t in range(len(frames)):
         vals = frames[t][member].astype(np.float64)
         deltas = oracle_leave_one_out_medians(vals) - vals
         wrapped = np.abs(deltas) > venc
@@ -565,8 +561,8 @@ def unalias_cases(draw):
 
     Values come from a pool that holds 0, +-venc, +-2 venc and the float32
     neighbours of +-venc, so leave-one-out deltas fall exactly on +-venc and
-    one ulp either side, and ties are common. The ROI is static or per
-    frame, with any member counts (0, 1, 2 and 3 are the usual draws).
+    one ulp either side, and ties are common. The ROI is one mask for all
+    frames, with any member count (0, 1, 2 and 3 are the usual draws).
     """
     venc = draw(st.sampled_from([0.75, 100.0, 400.0]))
     v = np.float32(venc)
@@ -580,16 +576,9 @@ def unalias_cases(draw):
     values = draw(st.lists(st.sampled_from(pool) | st.floats(-5 * venc, 5 * venc, width=32),
                            min_size=n_frames * pixels, max_size=n_frames * pixels))
     frames = np.array(values, dtype=np.float32).reshape(n_frames, height, width)
-    member_sets = st.sets(st.integers(0, pixels - 1), max_size=pixels)
-    if draw(st.booleans()):
-        member = np.zeros(pixels, dtype=bool)
-        member[list(draw(member_sets))] = True
-        roi = member.reshape(height, width)
-    else:
-        masks = np.zeros((n_frames, pixels), dtype=bool)
-        for t in range(n_frames):
-            masks[t, list(draw(member_sets))] = True
-        roi = masks.reshape(n_frames, height, width)
+    member = np.zeros(pixels, dtype=bool)
+    member[list(draw(st.sets(st.integers(0, pixels - 1), max_size=pixels)))] = True
+    roi = member.reshape(height, width)
     series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=venc, pixel_area_mm2=0.25)
     # unalias blocks hold BLOCK_VALUES // 8 members: 1, 2 and 5 here, or all.
     block_values = draw(st.sampled_from([8, 16, 40, extraction.BLOCK_VALUES]))
@@ -597,7 +586,7 @@ def unalias_cases(draw):
 
 
 class TestUnaliasMatchesPerFrameOracle:
-    """The grouped, blockwise unalias gives the per-frame loop's frames bit for bit."""
+    """The blockwise unalias gives the per-frame loop's frames bit for bit."""
 
     @settings(max_examples=400, deadline=None)
     @given(case=unalias_cases())
@@ -613,7 +602,7 @@ class TestUnaliasMatchesPerFrameOracle:
                                       artifacts={"aliased_pixel_fraction": 0.3})
         assert len(truth.wrapped_pixels) > 100
         seeded = segment_roi(aliased, seed=(aliased.width // 2, aliased.height // 2))
-        assert np.unique(seeded.sum(axis=(1, 2))).size > 1  # mixed member counts
+        assert 1 < seeded.sum() < mask.sum()
         for roi in (mask, seeded):
             expected = oracle_unalias(aliased, roi)
             fixed = copy_series(aliased)
@@ -696,12 +685,14 @@ class TestUnalias:
 
     def test_empty_and_single_pixel_frames_noop(self):
         frames = np.full((2, 2, 2), 500.0)
-        series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=100.0, pixel_area_mm2=0.25)
+        frames[1, 0, 0] = -500.0
+        series = VelocityMapSeries(frames=frames.copy(), dt_ms=75.0, venc_mm_s=100.0,
+                                   pixel_area_mm2=0.25)
         empty = np.zeros((2, 2), dtype=bool)
         single = np.array([[True, False], [False, False]])
-        roi = np.stack([empty, single])
-        assert unalias(series, roi) == 0
-        assert np.array_equal(series.frames, frames)
+        for roi in (empty, single):
+            assert unalias(series, roi) == 0
+            assert np.array_equal(series.frames, frames)
 
     def test_shift_beyond_float32_names_the_step(self):
         """A shifted value beyond the float32 range raises NonFiniteVelocity
@@ -727,19 +718,19 @@ class TestUnalias:
         assert np.array_equal(frames.view(np.uint32), before.view(np.uint32))
 
     def test_traced_peak_does_not_grow_with_the_frames(self):
-        """The per-frame ROI's members are gathered a bounded block at a time,
-        and each block's working set is bounded too. Traced beyond what is in
-        use when it is called, unalias's peak on one 33x33 window with disks of
-        radius 8 to 10 does not grow from 2000 to 8000 frames, and stays below
-        1 MiB. Measured: 0.60 and 0.66 MiB; blocks of BLOCK_VALUES members
-        read 3.80 and 3.86 MiB."""
+        """The ROI's members are gathered a bounded block at a time, and each
+        block's working set is bounded too. Traced beyond what is in use when
+        it is called, unalias's peak on one 33x33 window with a disk of
+        radius 10 does not grow from 2000 to 8000 frames, and stays below
+        1 MiB. Measured: 0.48 and 0.48 MiB."""
 
         def traced_peak(n_frames):
             rng = np.random.default_rng(6)
             frames = rng.standard_normal((n_frames, 33, 33), dtype=np.float32)
             frames += 300.0
-            roi = np.stack([disk_mask(33, 33, 16, 16, 8 + t % 3) for t in range(n_frames)])
-            frames[roi & (rng.random(frames.shape, dtype=np.float32) < 0.05)] -= 800.0  # wrapped at venc 400
+            roi = disk_mask(33, 33, 16, 16, 10)
+            wrapped = roi & (rng.random(frames.shape, dtype=np.float32) < 0.05)
+            frames[wrapped] -= 800.0  # wrapped at venc 400
             series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=400.0, pixel_area_mm2=0.25)
             tracemalloc.start()
             try:
@@ -748,7 +739,7 @@ class TestUnalias:
                 peak = tracemalloc.get_traced_memory()[1] - in_use
             finally:
                 tracemalloc.stop()
-            assert n_changed > 0.04 * roi.sum()
+            assert n_changed == np.count_nonzero(wrapped)
             return peak
 
         traced_peak(50)  # a first call, so one-time costs fall outside the peaks
@@ -786,10 +777,8 @@ class TestComputeFlow:
     def test_empty_roi_frame_yields_zero(self):
         frames = np.full((3, 2, 2), 100.0)
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        member = np.ones((2, 2), dtype=bool)
-        empty = np.zeros((2, 2), dtype=bool)
-        flow = compute_flow(series, np.stack([member, empty, member]))
-        assert flow.values[1] == 0.0
+        flow = compute_flow(series, np.zeros((2, 2), dtype=bool))
+        assert np.array_equal(flow.values, np.zeros(3))
 
     def test_crop_exact_for_wide_value_range(self):
         # ROI values spanning ~2**40, so the float64 frame sums are inexact

@@ -139,8 +139,10 @@ class TestSeedComponent:
         frames *= rng.choice([-1.0, 1.0], size=frames.shape).astype(np.float32)
         row, col = data.draw(st.integers(0, height - 1)), data.draw(st.integers(0, width - 1))
         got = numerics.seed_component(frames, 1.0, row, col)
-        for frame, mask in zip(frames, got):
-            assert np.array_equal(mask, label_component(np.abs(frame) >= 1.0, row, col))
+        expected = np.zeros((height, width), dtype=bool)
+        for frame in frames:
+            expected |= label_component(np.abs(frame) >= 1.0, row, col)
+        assert got.shape == (height, width) and np.array_equal(got, expected)
 
     def test_long_component_and_chunk_boundary(self):
         # A ring wider than any starting window, in more frames than a chunk,
@@ -158,11 +160,15 @@ class TestSeedComponent:
         isolated[:, row - 1 : row + 2, col] = 0.0
         isolated[:, row, col - 1 : col + 2] = 0.0
         isolated[:, row, col] = 3.0  # a one-pixel component
-        got = numerics.seed_component(frames, 1.0, row, col)
-        for frame, mask in zip(frames, got):
-            assert np.array_equal(mask, label_component(frame >= 1.0, row, col))
-        sizes = set(got.sum(axis=(1, 2)).tolist())
+        components = [label_component(frame >= 1.0, row, col) for frame in frames]
+        sizes = {int(c.sum()) for c in components}
         assert {0, 1} <= sizes and len(sizes) >= 5
+        # The union is the OR of the frames' components: of one cut ring, of a
+        # frame below threshold and a one-pixel one, of a ring cut elsewhere,
+        # and of all frames, over two chunks.
+        for part in (slice(0, 1), slice(1, 3), slice(3, 4), slice(0, 300)):
+            expected = np.logical_or.reduce(components[part])
+            assert np.array_equal(numerics.seed_component(frames[part], 1.0, row, col), expected), part
 
 
 class TestDistanceBand:
