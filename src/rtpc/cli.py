@@ -299,7 +299,8 @@ def cmd_extract(args, written: list) -> int:
         payload = {
             "cardiac_snr": snr,
             "excluded": excluded,
-            "empty_roi_frames": 0 if n_roi else series.n_frames,
+            # An empty --mask exits 4 and a seeded ROI holds its seed, so no frame is empty.
+            "empty_roi_frames": 0,
             "n_roi_pixels": n_roi,
             "background_offset_mm_s": background_offset,
             "n_band_pixels": n_band,

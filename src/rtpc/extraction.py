@@ -31,7 +31,6 @@ from .numerics import (
     gather_blocks,
     median,
     quantile,
-    ranked_values,
     seed_component,
     welch,
 )
@@ -60,8 +59,7 @@ MIN_BAND_PIXELS = 8
 COMPONENT_START_HALF_PX = 16
 
 #: Values a bounded gather over frames takes at once: about the ring values of
-#: one float64 std block of correct_background, and at most the band values of
-#: one float32 block of the background median. unalias and compute_flow gather
+#: one float64 std block of correct_background. unalias and compute_flow gather
 #: at most BLOCK_VALUES // 8 ROI values at once, since each of unalias's
 #: (frames, k) blocks costs about eight float64 arrays of its size (512 KiB in
 #: all).
@@ -212,24 +210,20 @@ def correct_background(series: VelocityMapSeries, roi: np.ndarray) -> Background
 def _band_median(flat: np.ndarray, pixels: np.ndarray) -> float:
     """float(np.median(flat[:, pixels].astype(np.float64))), bit for bit.
 
-    flat is (frames, pixels). numerics.ranked_values selects the middle
-    value, or the middle two, a block of at most BLOCK_VALUES values at a
-    time, with no gather of the whole band; that value, or the float64 mean
-    of the two, is np.median's. Only the sign of a zero can tell them apart:
-    where the middle is zero and the band holds a -0.0, which zero np.median
-    picks follows its float64 partition, so the median is taken that way,
-    by numerics.median, which makes np.median's partition call without
-    loading numpy.ma.
+    flat is a float32 (frames, pixels) array. numerics.median takes the
+    median of one float32 gather of the band, its middle averaged in float64,
+    which is np.median's value. Only the sign of a zero median can differ,
+    and only where the band holds a -0.0: which zero np.median picks follows
+    its float64 partition, so the median is then taken again that way, from
+    a fresh gather, as the partition has reordered the first.
     """
-    n_values = len(flat) * pixels.size
-    half = n_values // 2
-    kth = (half,) if n_values % 2 else (half - 1, half)
-    middle = [float(v) for v in ranked_values(flat, pixels, kth, BLOCK_VALUES)]
-    blocks = gather_blocks(flat, pixels, BLOCK_VALUES)
-    if 0.0 in middle and any(np.signbit(b[b == 0.0]).any() for b in blocks):
+    values = np.take(flat, pixels, axis=1)
+    offset = float(median(values.reshape(-1), overwrite_input=True))
+    if offset == 0.0 and (values.view(np.uint32) == 0x80000000).any():  # the bits of -0.0
+        del values
         values = np.take(flat, pixels, axis=1).astype(np.float64)
-        return float(median(values.reshape(-1), overwrite_input=True))
-    return middle[0] if len(middle) == 1 else (middle[0] + middle[1]) / 2.0
+        offset = float(median(values.reshape(-1), overwrite_input=True))
+    return offset
 
 
 def _check_roi(series: VelocityMapSeries, roi: np.ndarray) -> np.ndarray:

@@ -373,7 +373,9 @@ def _pgm_tokens(data: bytes):
 
 
 def read_mask(path, expected_width: int, expected_height: int) -> np.ndarray:
-    """Read a binary PGM (P5, maxval <= 255) as a bool array; nonzero pixels are members."""
+    """Read a binary PGM (P5, maxval <= 255) as a bool array; nonzero pixels are members.
+
+    The raster must fill the rest of the file, with no byte missing or left over."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -396,7 +398,7 @@ def read_mask(path, expected_width: int, expected_height: int) -> np.ndarray:
         raise DimensionMismatch(
             f"{path}: mask is {width}x{height}, expected {expected_width}x{expected_height}"
         )
-    raster = data[end + 1 : end + 1 + width * height]
+    raster = data[end + 1 :]
     if len(raster) != width * height:
         raise NotPgm(f"{path}: raster has {len(raster)} bytes, expected {width * height}")
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width) > 0

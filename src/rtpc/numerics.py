@@ -19,8 +19,6 @@ compare each function with its original for exact equality.
 - seed_component: the union over frames of the component of
   scipy.ndimage.label (4-connected) that holds a seed pixel;
 - distance_band: distance_transform_edt(~mask) restricted to [inner, outer];
-- ranked_values: np.sort(frames[:, pixels], axis=None) at given ranks, with
-  -0.0 below +0.0 and no gather of all those values;
 - median, quantile, distinct: np.median, np.quantile (and so np.percentile)
   and np.unique(return_counts=True) of a 1-D array, by numpy's own steps.
   np.median, np.quantile and a plain np.unique load numpy.ma (13-19 ms) on
@@ -35,7 +33,6 @@ from collections import namedtuple
 import numpy as np
 
 _COMPONENT_CHUNK_FRAMES = 256
-_HALF_KEYS = 1 << 16  # bins of each ranked_values pass: 16-bit patterns
 
 
 def natural_cubic_spline(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -318,57 +315,20 @@ def gather_blocks(flat: np.ndarray, pixels: np.ndarray, block_values: int):
         yield np.take(flat[lo : lo + step], pixels, axis=1)
 
 
-def ranked_values(flat: np.ndarray, pixels: np.ndarray, ranks, block_values: int) -> list:
-    """The float32 values at ranks of np.sort(flat[:, pixels], axis=None).
-
-    flat is a float32 (frames, pixels) array without NaN; each rank is an
-    int in [0, frames x pixels). The values are selected by their
-    order-preserving uint32 key (_sort_keys), which puts -0.0 just below
-    +0.0 and otherwise orders them as np.sort does. Pass 1 counts the top 16
-    key bits; pass 2 counts the low 16 bits inside the bins that hold a
-    requested rank, which places it exactly. Each pass takes the values
-    gather_blocks(flat, pixels, block_values) at a time.
-    """
-    counts = np.zeros(_HALF_KEYS, dtype=np.int64)
-    for block in gather_blocks(flat, pixels, block_values):
-        keys = _sort_keys(block)
-        np.add.at(counts, np.right_shift(keys, 16, out=keys), 1)
-    below = np.cumsum(counts) - counts  # values in the key bins below each bin
-    highs = np.searchsorted(below, ranks, side="right") - 1
-    starts = below[highs].tolist()
-    del counts, below
-
-    lows = {high: np.zeros(_HALF_KEYS, dtype=np.int64) for high in highs.tolist()}
-    for block in gather_blocks(flat, pixels, block_values):
-        keys = _sort_keys(block)
-        for high, low_counts in lows.items():
-            np.add.at(low_counts, keys[keys >> 16 == high] & 0xFFFF, 1)
-
-    values = []
-    for rank, start, high in zip(ranks, starts, highs.tolist()):
-        low = int(np.searchsorted(np.cumsum(lows[high]), rank - start, side="right"))
-        key = high << 16 | low
-        bits = key ^ 0x80000000 if key >> 31 else ~key & 0xFFFFFFFF
-        values.append(np.uint32(bits).view(np.float32))
-    return values
-
-
-def _sort_keys(values: np.ndarray) -> np.ndarray:
-    """uint32 keys of float32 values in their order, with -0.0 below +0.0:
-    all bits inverted for a value with the sign bit set, else the sign bit set."""
-    keys = values.view(np.int32) >> 31  # -1 where the sign bit is set, else 0
-    keys |= np.int32(-(1 << 31))
-    keys ^= values.view(np.int32)
-    return keys.view(np.uint32)
-
-
 def median(values: np.ndarray, overwrite_input: bool = False):
     """np.median(values) of a 1-D float64 array, bit for bit, NaN included.
 
-    The same steps as numpy's: the same np.partition call, then the mean of
-    the middle one or two values. np.median itself loads numpy.ma (13-19 ms)
-    for its NaN check; this reads the last partitioned value instead. values
-    must not be empty; with overwrite_input it is partitioned in place.
+    The same steps as numpy's: the same np.partition call, then the float64
+    mean of the middle one or two values. np.median itself loads numpy.ma
+    (13-19 ms) for its NaN check; this reads the last partitioned value
+    instead. values must not be empty; with overwrite_input it is
+    partitioned in place.
+
+    A float32 array without NaN is partitioned as it is, and its middle
+    averaged in float64: that is np.median(values.astype(np.float64)) bit for
+    bit, apart from the sign of a zero median. float32 values convert to
+    float64 exactly and order alike, but a float32 partition may pick the
+    other of two tied zeros.
     """
     part = values if overwrite_input else values.copy()
     n = part.size
@@ -376,7 +336,7 @@ def median(values: np.ndarray, overwrite_input: bool = False):
     part.partition([middle - 1, middle, -1] if n % 2 == 0 else [middle, -1])
     if math.isnan(part[-1]):
         return part[-1]
-    return part[middle - 1 + n % 2 : middle + 1].mean()
+    return part[middle - 1 + n % 2 : middle + 1].mean(dtype=np.float64)
 
 
 def quantile(values: np.ndarray, q: float, overwrite_input: bool = False):

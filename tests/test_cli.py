@@ -642,9 +642,9 @@ class TestExtractAllocations:
     """extract allocates the ROI window it reads once: background correction
     and unaliasing overwrite it in place. Traced in process, the command's
     allocation peak stays below 1.6 windows plus one read chunk. Measured on
-    this dataset: 1.01 (--mask) and 1.01 (--seed) windows plus a chunk. A
-    band median taken on one gather of the band read 1.01 and 1.05, and code
-    that copied the window in correct_background or unalias 2.61 and 2.23."""
+    this dataset: 1.007 (--mask) and 1.004 (--seed) windows plus a chunk, and
+    code that copied the window in correct_background or unalias 2.61 and
+    2.23."""
 
     WINDOWS_ALLOWED = 1.6
 

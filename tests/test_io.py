@@ -429,6 +429,12 @@ class TestPgmMask:
         with pytest.raises(NotPgm):
             read_mask(path, 4, 4)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n4 4\n255\n" + bytes(16 + 20))
+        with pytest.raises(NotPgm, match="raster has 36 bytes, expected 16"):
+            read_mask(path, 4, 4)
+
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([0, 255, 0, 0]))
@@ -685,9 +691,10 @@ class TestPgmMaskFuzz:
         raw = head.encode("utf-8") + raster.astype(np.uint8).tobytes()
         mask = self.check(raw, width, height)
         canonical = f"P5\n{width} {height}\n255\n"
-        if head == canonical and extra >= 0:
-            expected = raster[: width * height].reshape(height, width) > 0
-            assert mask is not None and np.array_equal(mask, expected)
+        if head == canonical:
+            assert (mask is None) == (extra != 0)  # short or trailing rasters are refused
+            if extra == 0:
+                assert np.array_equal(mask, raster.reshape(height, width) > 0)
 
     @settings(max_examples=150, deadline=None)
     @given(dims=st.tuples(st.integers(1, 4), st.integers(1, 4)), raw=st.binary(max_size=40))

@@ -6,7 +6,6 @@ the analysis path, and the reports must stay bit for bit what scipy gave.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,71 +199,6 @@ def float32_values():
     return special | st.floats(-20.0, 20.0, width=32) | st.floats(width=32, allow_nan=False)
 
 
-class TestRankedValues:
-    @staticmethod
-    def check(flat, pixels, ranks, block):
-        """ranked_values against np.sort of the whole gather. Zeros of both
-        signs sort as equals there; in ranked_values every value with the
-        sign bit set comes first, so -0.0 lies just below +0.0."""
-        gather = flat[:, pixels].ravel()
-        expected = np.sort(gather)
-        n_signed = int(np.count_nonzero(np.signbit(gather)))
-        got = numerics.ranked_values(flat, pixels, ranks, block)
-        assert len(got) == len(ranks)
-        for rank, value in zip(ranks, got):
-            assert isinstance(value, np.float32)
-            assert value == expected[rank]
-            assert bool(np.signbit(value)) == (rank < n_signed)
-            if value != 0.0:
-                assert value.view(np.uint32) == expected[rank].view(np.uint32)
-
-    @settings(max_examples=400, deadline=None)
-    @given(data=st.data())
-    def test_matches_sort(self, data):
-        n_frames, width = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 8))
-        if data.draw(st.booleans()):
-            flat = np.full((n_frames, width), data.draw(float32_values()), dtype=np.float32)
-        else:
-            values = data.draw(st.lists(float32_values(), min_size=n_frames * width,
-                                        max_size=n_frames * width))
-            flat = np.array(values, dtype=np.float32).reshape(n_frames, width)
-        pixels = np.array(data.draw(st.lists(st.integers(0, width - 1), min_size=1,
-                                             max_size=width, unique=True)))
-        size = n_frames * pixels.size
-        ranks = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3))
-        # Blocks of one frame up to all frames, most not dividing the frame count.
-        block = data.draw(st.integers(1, size + pixels.size))
-        self.check(flat, pixels, ranks, block)
-
-    @pytest.mark.parametrize("block", [24, 100, 1200, 1 << 16])
-    def test_many_blocks_and_a_short_last_one(self, block):
-        rng = np.random.default_rng(8)
-        flat = rng.normal(3.0, 2.0, (500, 20)).astype(np.float32)
-        flat[:, 5] = 0.0
-        flat[::3, 6] = -0.0
-        flat[:, 7] = flat[0, 8]  # ties with one value of another pixel
-        flat[1::4, 9] = rng.choice([1e-45, -1e-45, 3.4e38, -3.4e38], size=125)
-        pixels = np.array([19, 5, 6, 7, 8, 9, 0, 13])
-        assert 500 % max(1, block // pixels.size)
-        self.check(flat, pixels, list(range(0, 4000, 37)) + [3999], block)
-
-    def test_traced_peak_does_not_grow_with_frames(self):
-        def traced_peak(n_frames):
-            flat = np.random.default_rng(2).standard_normal((n_frames, 1089), dtype=np.float32)
-            pixels = np.arange(0, 1089, 2)[:384]
-            tracemalloc.start()
-            try:
-                in_use = tracemalloc.get_traced_memory()[0]
-                numerics.ranked_values(flat, pixels, [n_frames * 192 - 1, n_frames * 192], 1 << 16)
-                peak = tracemalloc.get_traced_memory()[1] - in_use
-            finally:
-                tracemalloc.stop()
-            return peak
-
-        small, large = traced_peak(2000), traced_peak(8000)
-        assert large <= small + (64 << 10), (small, large)
-
-
 def same_bits(got, expected) -> bool:
     """Equal value, dtype and bits, so -0.0 differs from +0.0 and NaN equals NaN."""
     got, expected = np.asarray(got), np.asarray(expected)
@@ -296,6 +230,24 @@ class TestOrderStatistics:
             expected = np.median(values)
             got = numerics.median(given_values, overwrite_input=overwrite)
         assert same_bits(got, expected)
+        if not overwrite:
+            assert same_bits(given_values, values)
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=st.lists(float32_values(), min_size=1, max_size=60), overwrite=st.booleans())
+    def test_median_of_float32(self, values, overwrite):
+        """A float32 median is np.median of the float64 values, bit for bit,
+        but for the sign of a zero median, which follows the float32 partition."""
+        values = np.array(values, dtype=np.float32)
+        given_values = values.copy()
+        with np.errstate(all="ignore"):  # inf - inf, on both sides
+            expected = np.median(values.astype(np.float64))
+            got = numerics.median(given_values, overwrite_input=overwrite)
+        assert got.dtype == np.float64
+        if expected == 0.0:
+            assert got == expected
+        else:
+            assert same_bits(got, expected)
         if not overwrite:
             assert same_bits(given_values, values)
 
