@@ -15,10 +15,7 @@ __version__ = "0.1.0"
 #: Exported name -> the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys(("CycleTable", "detect_cycles"), "cycles"),
-    **dict.fromkeys(
-        ("DiffScanResult", "PARAMETERS", "delay_scan", "extract_result"),
-        "diff",
-    ),
+    **dict.fromkeys(("PARAMETERS", "delay_scan", "scan_artery"), "diff"),
     **dict.fromkeys(
         ("BackgroundEstimate", "compute_flow", "correct_background", "quality_score", "segment_roi",
          "sum_flows", "unalias"),

@@ -34,7 +34,8 @@ from .report import REPORT_PARAMETERS, ArteryRecord, QcFlags, Report, read_repor
 #: wraps these names as attributes of this module.
 _CALLS = {
     ".cycles": ("detect_cycles",),
-    ".diff": ("MAX_SCAN_DELAYS", "extract_result", "finalize_scan", "sweep_diffs"),
+    # No command calls sweep_diffs: perfbench/tracing.py wraps cli.sweep_diffs.
+    ".diff": ("MAX_SCAN_DELAYS", "scan_artery", "sweep_diffs"),
     ".extraction": ("COMPONENT_START_HALF_PX", "compute_flow", "correct_background", "quality_score",
                     "roi_window", "seed_window", "segment_roi", "sum_flows", "unalias"),
     ".io": ("SampledSignal", "read_mask", "read_signal_csv", "read_velocity_header",
@@ -134,11 +135,7 @@ def analyze_flow_signal(name: str, flow: SampledSignal, intervals, step_s: float
     n_valid = int(np.count_nonzero(cycles.valid))
     if not n_valid:
         raise InsufficientCycles(f"{name}: no valid cardiac cycles")
-    delays, diffs = sweep_diffs(cycles, intervals, step_s=step_s, min_cycles=min_cycles)
-    diff_records = {
-        param: extract_result(finalize_scan(param, delays, diffs[param], intervals.mean_period_s))
-        for param in REPORT_PARAMETERS
-    }
+    diff_records = scan_artery(cycles, intervals, step_s=step_s, min_cycles=min_cycles)
     mean_flow, stroke_volume, period = (float(np.mean(row[cycles.valid])) for row in cycles.params)
     return ArteryRecord(
         name=name,
@@ -163,7 +160,7 @@ def _write_plots(arteries, plots: str, written: list) -> None:
     for record in arteries:
         for param in REPORT_PARAMETERS:
             diff_record = record.diff[param]
-            if diff_record.scan_delays_s is None:
+            if diff_record.delays_s is None:
                 raise ParseError(
                     f"report has no scan data for {record.name!r}/{param}; "
                     "regenerate it with `rtpc analyze`"
@@ -172,13 +169,13 @@ def _write_plots(arteries, plots: str, written: list) -> None:
             written.append(path)
             try:
                 render_line_chart(
-                    x=diff_record.scan_delays_s,
-                    y=diff_record.scan_diff_pct,
+                    x=diff_record.delays_s,
+                    y=diff_record.diff_pct,
                     path=path,
                     title=f"{record.name}: {param} Diff vs delay",
                     x_label="delay (s)",
                     y_label="Diff Ex-In (%)",
-                    marker=(diff_record.delay_s, diff_record.max_pct),
+                    marker=(diff_record.argmax_delay_s, diff_record.max_diff_pct),
                 )
             except ValueError as exc:
                 raise ParseError(f"cannot plot {record.name!r}/{param}: {exc}") from exc

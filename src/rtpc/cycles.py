@@ -85,9 +85,9 @@ def resample(flow: SampledSignal) -> SampledSignal:
     """Natural cubic-spline upsampling onto a dt / UPSAMPLE_FACTOR grid.
 
     Original sample instants reproduce the original values (interpolation).
-    The values are numerics.natural_cubic_spline's, bit for bit; the part of
-    it that depends only on the grid is kept for the next signal on the same
-    grid.
+    The values are scipy's CubicSpline(bc_type="natural") values, bit for
+    bit (numerics.spline_values on a numerics.spline_grid); the grid part is
+    kept for the next signal on the same grid.
     """
     if len(flow) < 4:
         raise TooShort(f"resampling needs >= 4 samples, got {len(flow)}")

@@ -10,7 +10,7 @@ that are negative at zero delay still surface as positive maxima.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -24,18 +24,6 @@ PARAMETERS = REPORT_PARAMETERS
 
 #: Most delays a scan grid may hold; a finer step is refused before the grid is built.
 MAX_SCAN_DELAYS = 100_000
-
-@dataclass(frozen=True, eq=False)
-class DiffScanResult:
-    """Diff as a function of delay for one parameter, plus its extraction."""
-
-    parameter: str
-    delays_s: np.ndarray
-    diff_pct: np.ndarray  # NaN marks delays skipped for lack of cycles
-    diff_at_zero_pct: float | None
-    max_diff_pct: float
-    argmax_delay_s: float
-    delay_pct: float
 
 
 def _diff_pct(parameter: str, ex_value: float, in_value: float) -> float:
@@ -120,65 +108,63 @@ def sweep_diffs(
     return delays, diffs
 
 
-#: (cycles, intervals, their sweep_diffs result, read-only) of delay_scan's last pair.
-_last_sweep = None
+def scan_artery(
+    cycles: CycleTable,
+    intervals: RespIntervals,
+    step_s: float = DELAY_STEP_S,
+    min_cycles: int = MIN_CYCLES,
+) -> dict[str, DiffRecord]:
+    """The DiffRecord of each of the three PARAMETERS, from one sweep_diffs.
 
-
-def delay_scan(cycles: CycleTable, intervals: RespIntervals, parameter: str) -> DiffScanResult:
-    """Scan Diff(parameter) over delays in [0, mean breathing period).
-
-    parameter's row is read from one sweep_diffs of all three PARAMETERS at
-    the DELAY_STEP_S grid with MIN_CYCLES (see sweep_diffs for the labelling
-    and the skipped delays). The last sweep is kept, so the three scans of
-    one cycles/intervals pair (the same two objects) share it; a zero
-    inspiratory mean of any parameter at a scanned delay therefore raises
-    ZeroInspiratoryValue for each. The reported delay is the argmax of the
-    signed Diff; exact ties go to the smallest delay. delay_pct expresses it
-    as a percentage of the mean breathing period and always falls in [0, 100).
+    Each record holds the signed maximum of its parameter's Diff over the
+    scan and the delay it falls at; exact ties go to the smallest delay.
+    delay_pct expresses that delay as a percentage of the mean breathing
+    period and always falls in [0, 100). The record keeps the whole scan, with
+    None for a skipped delay (see sweep_diffs for the labelling and the
+    skipped delays). Returns {parameter: DiffRecord}, in the order of
+    PARAMETERS.
     """
-    global _last_sweep
-    if parameter not in PARAMETERS:
-        raise ValueError(f"parameter must be one of {PARAMETERS}, got {parameter!r}")
-    last = _last_sweep
-    if last is None or last[0] is not cycles or last[1] is not intervals:
-        delays, diffs = sweep_diffs(cycles, intervals)
-        for array in (delays, *diffs.values()):
-            array.flags.writeable = False
-        last = _last_sweep = (cycles, intervals, (delays, diffs))
-    delays, diffs = last[2]
-    return finalize_scan(parameter, delays, diffs[parameter], intervals.mean_period_s)
+    delays, diffs = sweep_diffs(cycles, intervals, step_s=step_s, min_cycles=min_cycles)
+    delays_s = tuple(delays.tolist())
+    return {p: _record(p, delays_s, diffs[p], intervals.mean_period_s) for p in PARAMETERS}
 
 
-def finalize_scan(
-    parameter: str, delays: np.ndarray, values: np.ndarray, mean_period_s: float
-) -> DiffScanResult:
-    """Extract (max, argmax delay, delay%) from one scanned parameter."""
+def _record(parameter: str, delays_s: tuple, values: np.ndarray, mean_period_s: float) -> DiffRecord:
+    """parameter's DiffRecord from its Diff at each delay of delays_s (NaN if skipped)."""
     if not np.isfinite(values).any():
         raise InsufficientCycles(f"no usable delay for {parameter}")
     best = int(np.nanargmax(values))  # first occurrence wins ties
-    at_zero = float(values[0]) if delays[0] == 0.0 and np.isfinite(values[0]) else None
-    argmax_delay = float(delays[best])
+    argmax_delay = delays_s[best]
     delay_pct = 100.0 * argmax_delay / mean_period_s
     if not (0.0 <= delay_pct < 100.0):
         raise InsufficientCycles(f"delay {argmax_delay} outside one breathing period")
-    return DiffScanResult(
-        parameter=parameter,
-        delays_s=delays,
-        diff_pct=values,
-        diff_at_zero_pct=at_zero,
+    diff_pct = tuple(v if math.isfinite(v) else None for v in values.tolist())
+    return DiffRecord(
+        diff_at_zero_pct=diff_pct[0],  # the grid starts at delay 0
         max_diff_pct=float(values[best]),
         argmax_delay_s=argmax_delay,
         delay_pct=delay_pct,
+        delays_s=delays_s,
+        diff_pct=diff_pct,
     )
 
 
-def extract_result(scan: DiffScanResult) -> DiffRecord:
-    """Report record for one scanned parameter, with its whole scan."""
-    return DiffRecord(
-        at_zero_pct=scan.diff_at_zero_pct,
-        max_pct=scan.max_diff_pct,
-        delay_s=scan.argmax_delay_s,
-        delay_pct=scan.delay_pct,
-        scan_delays_s=tuple(float(d) for d in scan.delays_s),
-        scan_diff_pct=tuple(float(v) if np.isfinite(v) else None for v in scan.diff_pct),
-    )
+#: (cycles, intervals, their scan_artery records) of delay_scan's last pair.
+_last_scan = None
+
+
+def delay_scan(cycles: CycleTable, intervals: RespIntervals, parameter: str) -> DiffRecord:
+    """parameter's record of scan_artery(cycles, intervals), at DELAY_STEP_S and MIN_CYCLES.
+
+    The records of the last pair are kept, so the three scans of one
+    cycles/intervals pair (the same two objects) share one sweep; a zero
+    inspiratory mean of any parameter at a scanned delay therefore raises
+    ZeroInspiratoryValue for each.
+    """
+    global _last_scan
+    if parameter not in PARAMETERS:
+        raise ValueError(f"parameter must be one of {PARAMETERS}, got {parameter!r}")
+    last = _last_scan
+    if last is None or last[0] is not cycles or last[1] is not intervals:
+        last = _last_scan = (cycles, intervals, scan_artery(cycles, intervals))
+    return last[2][parameter]

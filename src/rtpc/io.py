@@ -237,7 +237,8 @@ def read_velocity_series(path, venc_mm_s: float | None = None, window=None) -> V
                 raise TruncatedFile(f"{path}: {size} bytes, {size - expected} trailing beyond header promise")
             rows, cols = window or (slice(0, height), slice(0, width))
             for cut, extent in ((rows, height), (cols, width)):
-                if cut.step is not None or not (0 <= cut.start < cut.stop <= extent):
+                if (cut.step is not None or cut.start is None or cut.stop is None
+                        or not 0 <= cut.start < cut.stop <= extent):
                     raise ValueError(f"window {window} does not fit a {width}x{height} frame")
             frames = np.empty((n_frames, rows.stop - rows.start, cols.stop - cols.start), dtype="<f4")
             first = next(frame_chunks(n_frames, height, width))  # the largest chunk

@@ -6,12 +6,14 @@ scipy forms by the same operations in the same order), so every flow,
 cycle, breath and QC value is identical to what scipy computes. The tests
 compare each function with its original for exact equality.
 
-- natural_cubic_spline: scipy.interpolate.CubicSpline(x, y, bc_type="natural")
-  evaluated at given points, in two parts: spline_grid, which depends only on
-  the abscissae and the evaluation points (dgtsv's elimination factors and
-  modified diagonal, each point's PPoly interval and its offset h, h**2,
-  h**3 into it), and spline_values, which finishes it for one y (the
-  right-hand side, the substitutions and the evaluation);
+- spline_values(spline_grid(x, xi), y):
+  scipy.interpolate.CubicSpline(x, y, bc_type="natural")(xi), in two parts:
+  spline_grid, which depends only on the abscissae and the evaluation points
+  (dgtsv's elimination factors and modified diagonal, each point's PPoly
+  interval and its offset h, h**2, h**3 into it), and spline_values, which
+  finishes it for one y (the right-hand side, the substitutions and the
+  evaluation), so a caller that interpolates many y on one grid builds the
+  grid once;
 - local_maxima: the peaks of scipy.signal.find_peaks(x);
 - find_peaks: scipy.signal.find_peaks(x, distance=, prominence=);
 - welch: scipy.signal.welch with a periodic Hann window, nperseg samples,
@@ -35,32 +37,25 @@ import numpy as np
 _COMPONENT_CHUNK_FRAMES = 256
 
 
-def natural_cubic_spline(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Natural cubic spline through (x, y), evaluated at xi within [x0, x-1].
+#: The part of the natural cubic spline through (x, y) at xi that depends on x
+#: and xi alone, as spline_grid builds it for spline_values. Read-only arrays:
+#: dx, the steps of x; k, the PPoly interval of each point of xi; h, h2, h3,
+#: each point's offset into its interval, squared and cubed. Tuples of floats:
+#: fact, dgtsv's elimination factors; diag, the diagonal elimination leaves;
+#: du, the super-diagonal.
+SplineGrid = namedtuple("SplineGrid", "dx fact diag du k h h2 h3")
+
+
+def spline_grid(x: np.ndarray, xi: np.ndarray) -> SplineGrid:
+    """The x- and xi-only part of the natural cubic spline through (x, y),
+    evaluated at xi within [x0, x-1].
 
     Follows CubicSpline: the banded slope system, solved in the order of
     LAPACK's dgtsv, then CubicHermiteSpline's coefficients and PPoly's
     power-sum evaluation. dgtsv's row interchange is never taken for
     near-uniform x (the pivot stays above 3.5 dx against dx below it), so it
     is left out; x needs n >= 4 strictly increasing points.
-
-    It is spline_values(spline_grid(x, xi), y): a caller that interpolates
-    many y on one grid builds the grid once.
     """
-    return spline_values(spline_grid(x, xi), y)
-
-
-#: The part of natural_cubic_spline(x, y, xi) that depends on x and xi alone,
-#: as spline_grid builds it for spline_values. Read-only arrays: dx, the steps
-#: of x; k, the PPoly interval of each point of xi; h, h2, h3, each point's
-#: offset into its interval, squared and cubed. Tuples of floats: fact,
-#: dgtsv's elimination factors; diag, the diagonal elimination leaves; du, the
-#: super-diagonal.
-SplineGrid = namedtuple("SplineGrid", "dx fact diag du k h h2 h3")
-
-
-def spline_grid(x: np.ndarray, xi: np.ndarray) -> SplineGrid:
-    """The x- and xi-only part of natural_cubic_spline (see there)."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     dx = np.diff(x)
@@ -96,7 +91,7 @@ def spline_grid(x: np.ndarray, xi: np.ndarray) -> SplineGrid:
 
 
 def spline_values(grid: SplineGrid, y: np.ndarray) -> np.ndarray:
-    """The y part of natural_cubic_spline (see there) on a spline_grid."""
+    """The natural cubic spline through y on a spline_grid (see there)."""
     y = np.asarray(y, dtype=np.float64)
     dx = grid.dx
     slope = np.diff(y) / dx

@@ -106,32 +106,29 @@ class QcFlags:
 
 @dataclass(frozen=True)
 class DiffRecord:
-    """Expiration-vs-inspiration difference summary for one parameter.
+    """Diff Ex-In of one parameter at its best delay, with the scan it came from.
 
-    scan_delays_s / scan_diff_pct optionally keep the full delay sweep so a
-    report file alone can regenerate the Diff-vs-delay plot. Skipped delays
-    are stored as None.
+    delays_s / diff_pct keep the whole delay scan, so a report file alone can
+    redraw the Diff-vs-delay plot; a skipped delay's Diff is None. A record
+    read from a report without its scan holds None for both.
     """
 
-    at_zero_pct: float | None
-    max_pct: float
-    delay_s: float
+    diff_at_zero_pct: float | None
+    max_diff_pct: float
+    argmax_delay_s: float
     delay_pct: float
-    scan_delays_s: tuple[float, ...] | None = None
-    scan_diff_pct: tuple[float | None, ...] | None = None
+    delays_s: tuple[float, ...] | None = None
+    diff_pct: tuple[float | None, ...] | None = None
 
     def to_dict(self) -> dict:
         d = {
-            "at_zero_pct": self.at_zero_pct,
-            "max_pct": self.max_pct,
-            "delay_s": self.delay_s,
+            "at_zero_pct": self.diff_at_zero_pct,
+            "max_pct": self.max_diff_pct,
+            "delay_s": self.argmax_delay_s,
             "delay_pct": self.delay_pct,
         }
-        if self.scan_delays_s is not None:
-            d["scan"] = {
-                "delays_s": list(self.scan_delays_s),
-                "diff_pct": list(self.scan_diff_pct),
-            }
+        if self.delays_s is not None:
+            d["scan"] = {"delays_s": list(self.delays_s), "diff_pct": list(self.diff_pct)}
         return d
 
     @classmethod
@@ -145,12 +142,12 @@ class DiffRecord:
             diffs = tuple(_number(v, "scan.diff_pct", optional=True)
                           for v in _field(scan["diff_pct"], list, "scan.diff_pct"))
         return cls(
-            at_zero_pct=_number(d["at_zero_pct"], "at_zero_pct", optional=True),
-            max_pct=_number(d["max_pct"], "max_pct"),
-            delay_s=_number(d["delay_s"], "delay_s"),
+            diff_at_zero_pct=_number(d["at_zero_pct"], "at_zero_pct", optional=True),
+            max_diff_pct=_number(d["max_pct"], "max_pct"),
+            argmax_delay_s=_number(d["delay_s"], "delay_s"),
             delay_pct=_number(d["delay_pct"], "delay_pct"),
-            scan_delays_s=delays,
-            scan_diff_pct=diffs,
+            delays_s=delays,
+            diff_pct=diffs,
         )
 
 
@@ -211,13 +208,16 @@ class Report:
                 )
             for param in REPORT_PARAMETERS:
                 rec = artery.diff[param]
-                expected_pct = 100.0 * rec.delay_s / self.resp_period_s
+                expected_pct = 100.0 * rec.argmax_delay_s / self.resp_period_s
                 if abs(rec.delay_pct - expected_pct) > 1e-6 * max(1.0, abs(expected_pct)):
                     raise ParseError(
                         f"delay_pct inconsistent for {artery.name!r}/{param}: "
-                        f"{rec.delay_pct} vs 100*{rec.delay_s}/{self.resp_period_s}"
+                        f"{rec.delay_pct} vs 100*{rec.argmax_delay_s}/{self.resp_period_s}"
                     )
-                if rec.scan_delays_s is not None and len(rec.scan_delays_s) != len(rec.scan_diff_pct):
+                if (rec.delays_s is None) != (rec.diff_pct is None):
+                    raise ParseError(f"scan of {artery.name!r}/{param} has only one of "
+                                     "delays_s and diff_pct")
+                if rec.delays_s is not None and len(rec.delays_s) != len(rec.diff_pct):
                     raise ParseError(f"scan arrays of {artery.name!r}/{param} differ in length")
 
     def to_dict(self) -> dict:

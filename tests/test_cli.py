@@ -585,8 +585,8 @@ class TestSeededExtractMatchesMask:
         assert 0.5 < ratio.min() and ratio.max() - ratio.min() < 1e-5 * ratio.min(), (ratio.min(), ratio.max())
         for param in settings.REPORT_PARAMETERS:
             seeded, masked = reports["seed"][param], reports["mask"][param]
-            assert seeded.max_pct == pytest.approx(masked.max_pct, abs=1e-3), param
-            assert seeded.delay_s == masked.delay_s, param
+            assert seeded.max_diff_pct == pytest.approx(masked.max_diff_pct, abs=1e-3), param
+            assert seeded.argmax_delay_s == masked.argmax_delay_s, param
         assert qcs["seed"]["n_unaliased_pixels"] == qcs["mask"]["n_unaliased_pixels"] == n_wrapped
         assert 0 < qcs["seed"]["n_roi_pixels"] < qcs["mask"]["n_roi_pixels"]
 
@@ -766,7 +766,7 @@ class TestAnalyze:
         assert artery.name == "flow"
         assert artery.mean_flow_ml_min == pytest.approx(740.0 * 1.05, rel=0.03)
         assert artery.n_cycles > 50
-        assert artery.diff["mean_flow"].max_pct == pytest.approx(10.0, abs=2.0)
+        assert artery.diff["mean_flow"].max_diff_pct == pytest.approx(10.0, abs=2.0)
 
     def test_help_names_the_defaults(self, capsys):
         for command, defaults in (("extract", ("0.5", "12", "5")), ("analyze", ("75", "3", "5"))):
@@ -934,8 +934,8 @@ class TestAnalyze:
         main(["analyze", "--flow", str(dataset / "flow.csv"), "--resp", str(inverted),
               "--invert-belt", "--out", str(out_b)])
         a, b = read_report(out_a), read_report(out_b)
-        assert a.arteries[0].diff["mean_flow"].max_pct == pytest.approx(
-            b.arteries[0].diff["mean_flow"].max_pct, abs=1e-9
+        assert a.arteries[0].diff["mean_flow"].max_diff_pct == pytest.approx(
+            b.arteries[0].diff["mean_flow"].max_diff_pct, abs=1e-9
         )
 
     def test_partial_output_removed_on_failure(self, dataset, tmp_path):
@@ -952,7 +952,8 @@ class TestReportCommand:
     def test_missing_scan_data_errors(self, tmp_path):
         from rtpc.report import ArteryRecord, DiffRecord, QcFlags, Report, write_report
 
-        diff = {p: DiffRecord(at_zero_pct=1.0, max_pct=2.0, delay_s=0.0, delay_pct=0.0)
+        diff = {p: DiffRecord(diff_at_zero_pct=1.0, max_diff_pct=2.0, argmax_delay_s=0.0,
+                              delay_pct=0.0)
                 for p in ("mean_flow", "stroke_volume", "cardiac_period")}
         report = Report(version="x", config={}, resp_period_s=4.3, arteries=(
             ArteryRecord(name="a", mean_flow_ml_min=1.0, stroke_volume_ml=1.0,
@@ -969,8 +970,8 @@ class TestReportCommand:
         both, before any SVG is written."""
         from rtpc.report import ArteryRecord, DiffRecord, QcFlags, Report, write_report
 
-        diff = {p: DiffRecord(at_zero_pct=1.0, max_pct=2.0, delay_s=0.5, delay_pct=12.5,
-                              scan_delays_s=(0.0, 0.5), scan_diff_pct=(1.0, 2.0))
+        diff = {p: DiffRecord(diff_at_zero_pct=1.0, max_diff_pct=2.0, argmax_delay_s=0.5,
+                              delay_pct=12.5, delays_s=(0.0, 0.5), diff_pct=(1.0, 2.0))
                 for p in settings.REPORT_PARAMETERS}
         path, plots = tmp_path / "r.json", tmp_path / "plots"
         for names, clash in ((("flow", "flow", "x y", "x_y"), "artery 0 ('flow') and artery 1 ('flow') "

@@ -13,7 +13,7 @@ from rtpc import cycles
 from rtpc.cycles import CycleTable, _select_minima, detect_cycles, resample
 from rtpc.errors import DegenerateCycle, NoCyclesFound, TooShort
 from rtpc.io import SampledSignal
-from rtpc.numerics import natural_cubic_spline
+from rtpc.numerics import spline_grid, spline_values
 from rtpc.report import UPSAMPLE_FACTOR
 from rtpc.synthgen import SimConfig, WaveformConfig, generate_signals, pulse_waveform
 
@@ -46,7 +46,7 @@ class TestResample:
 
 class TestGridCache:
     """resample keeps the spline's grid part for the last (t0_s, dt_s, n) it
-    saw, and gives natural_cubic_spline's values bit for bit."""
+    saw, and gives the values of a spline_grid built afresh bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -72,7 +72,7 @@ class TestGridCache:
             t = flow.times
             factor = UPSAMPLE_FACTOR
             tt = np.minimum(t0 + np.arange((n - 1) * factor + 1) * (dt / factor), t[-1])
-            expected = natural_cubic_spline(t, flow.values, tt)
+            expected = spline_values(spline_grid(t, tt), flow.values)
             assert np.array_equal(up.values.view(np.uint64), expected.view(np.uint64))
             assert up.t0_s == flow.t0_s and up.dt_s == flow.dt_s / factor
 

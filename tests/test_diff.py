@@ -23,9 +23,9 @@ from rtpc.cycles import detect_cycles, resample
 from rtpc.diff import (
     PARAMETERS,
     _delay_grid,
+    _record,
     delay_scan,
-    extract_result,
-    finalize_scan,
+    scan_artery,
     sweep_diffs,
 )
 from rtpc.errors import InsufficientCycles, ZeroInspiratoryValue
@@ -137,8 +137,8 @@ class TestDelayScan:
         cycles = constant_cycle_set()
         intervals = periodic_intervals(period_s=4.3, n_breaths=13)
         scan = delay_scan(cycles, intervals, "mean_flow")
-        finite = scan.diff_pct[np.isfinite(scan.diff_pct)]
-        assert np.all(finite == 0.0)
+        finite = [v for v in scan.diff_pct if v is not None]
+        assert finite and all(v == 0.0 for v in finite)
         assert scan.max_diff_pct == 0.0
         assert scan.argmax_delay_s == 0.0  # earliest tie wins
         assert scan.diff_at_zero_pct == 0.0
@@ -172,7 +172,7 @@ class TestDelayScan:
         intervals = detect_resp_intervals(resp)
         a = delay_scan(cycles, intervals, "stroke_volume")
         b = delay_scan(cycles, intervals, "stroke_volume")
-        assert np.array_equal(a.diff_pct, b.diff_pct)
+        assert a.diff_pct == b.diff_pct
         assert a.argmax_delay_s == b.argmax_delay_s
 
 
@@ -473,14 +473,15 @@ class TestDelayScanSharesOneSweep:
     def test_scan_is_finalized_sweep_row(self, config):
         table, intervals = pair(**config)
         delays, diffs = sweep_diffs(table, intervals)
+        records = scan_artery(table, intervals)
+        assert list(records) == list(PARAMETERS)
         for param in PARAMETERS:
-            want = finalize_scan(param, delays, diffs[param], intervals.mean_period_s)
             got = delay_scan(table, intervals, param)
-            assert np.array_equal(got.delays_s, want.delays_s)
-            assert np.array_equal(got.diff_pct, want.diff_pct, equal_nan=True)
-            for name in ("parameter", "diff_at_zero_pct", "max_diff_pct", "argmax_delay_s",
-                         "delay_pct"):
-                assert getattr(got, name) == getattr(want, name), (param, name)
+            assert got == records[param], param
+            assert got.delays_s == tuple(delays.tolist())
+            assert np.array_equal(np.asarray(got.diff_pct, dtype=float), diffs[param],
+                                  equal_nan=True), param
+            assert got.max_diff_pct == np.nanmax(diffs[param])
 
     def test_one_sweep_per_pair(self, monkeypatch):
         a = pair(duration_s=120.0, seed=5)
@@ -495,8 +496,9 @@ class TestDelayScanSharesOneSweep:
         assert [id(args[0]) for args in swept] == [id(a[0]), id(b[0]), id(a[0])]
         _, full = sweep_diffs(*a)
         for param, scan in zip(PARAMETERS, scans):
-            assert np.array_equal(scan.diff_pct, full[param], equal_nan=True)
-            assert not scan.diff_pct.flags.writeable
+            assert np.array_equal(np.asarray(scan.diff_pct, dtype=float), full[param],
+                                  equal_nan=True)
+            assert isinstance(scan.delays_s, tuple) and isinstance(scan.diff_pct, tuple)
 
     def test_zero_inspiratory_flow_refuses_every_parameter(self):
         # Zero flow gives zero stroke volume too, so each scan of the pair
@@ -509,47 +511,29 @@ class TestDelayScanSharesOneSweep:
 
 
 class TestExtractResult:
+    """_record: one parameter's maximum, its delay and the delay's share of the period."""
+
     def test_reference_record(self):
-        scan = finalize_scan(
-            "mean_flow",
-            delays=np.array([0.0, 0.56]),
-            values=np.array([2.7, 4.3]),
-            mean_period_s=4.3,
-        )
-        record = extract_result(scan)
-        assert record.at_zero_pct == pytest.approx(2.7)
-        assert record.max_pct == pytest.approx(4.3)
-        assert record.delay_s == pytest.approx(0.56)
+        record = _record("mean_flow", (0.0, 0.56), np.array([2.7, 4.3]), mean_period_s=4.3)
+        assert record.diff_at_zero_pct == pytest.approx(2.7)
+        assert record.max_diff_pct == pytest.approx(4.3)
+        assert record.argmax_delay_s == pytest.approx(0.56)
         assert record.delay_pct == pytest.approx(100.0 * 0.56 / 4.3)
         assert round(record.delay_pct, 1) == 13.0
 
     def test_flat_scan_max_equals_at_zero(self):
-        scan = finalize_scan(
-            "mean_flow",
-            delays=np.arange(0.0, 4.0, 0.5),
-            values=np.full(8, 1.5),
-            mean_period_s=4.3,
-        )
-        assert scan.max_diff_pct == scan.diff_at_zero_pct
-        assert scan.argmax_delay_s == 0.0
+        record = _record("mean_flow", tuple(np.arange(0.0, 4.0, 0.5).tolist()), np.full(8, 1.5),
+                         mean_period_s=4.3)
+        assert record.max_diff_pct == record.diff_at_zero_pct
+        assert record.argmax_delay_s == 0.0
 
     def test_delay_pct_consistency(self):
-        scan = finalize_scan(
-            "stroke_volume",
-            delays=np.array([0.0, 1.0, 2.0]),
-            values=np.array([0.1, 5.0, 1.0]),
-            mean_period_s=4.0,
-        )
-        record = extract_result(scan)
-        assert abs(record.delay_pct - 100.0 * record.delay_s / 4.0) <= 1e-9
-        assert record.scan_delays_s == (0.0, 1.0, 2.0)
+        record = _record("stroke_volume", (0.0, 1.0, 2.0), np.array([0.1, 5.0, 1.0]),
+                         mean_period_s=4.0)
+        assert abs(record.delay_pct - 100.0 * record.argmax_delay_s / 4.0) <= 1e-9
+        assert record.delays_s == (0.0, 1.0, 2.0)
 
     def test_nan_scan_values_become_none(self):
-        scan = finalize_scan(
-            "mean_flow",
-            delays=np.array([0.0, 1.0, 2.0]),
-            values=np.array([0.5, np.nan, 2.0]),
-            mean_period_s=4.0,
-        )
-        record = extract_result(scan)
-        assert record.scan_diff_pct == (0.5, None, 2.0)
+        record = _record("mean_flow", (0.0, 1.0, 2.0), np.array([0.5, np.nan, 2.0]),
+                         mean_period_s=4.0)
+        assert record.diff_pct == (0.5, None, 2.0)

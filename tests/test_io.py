@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,22 @@ class TestVelocitySeriesFuzz:
             assert (cut.dt_ms, cut.venc_mm_s, cut.pixel_area_mm2) == (
                 series.dt_ms, series.venc_mm_s, series.pixel_area_mm2)
 
+    @pytest.mark.parametrize("window", [
+        (slice(None), slice(0, 4)),
+        (slice(0, 3), slice(None, 2)),
+        (slice(1, None), slice(0, 4)),
+        (slice(0, 3), slice(0, 5)),
+        (slice(-1, 2), slice(0, 4)),
+        (slice(2, 2), slice(0, 4)),
+        (slice(0, 3, 1), slice(0, 4)),
+    ], ids=["rows_open", "cols_open_start", "rows_open_stop", "cols_past_edge", "rows_negative",
+            "rows_empty", "rows_step"])
+    def test_window_must_fit(self, tmp_path, window):
+        path = tmp_path / "s.rtpc"
+        path.write_bytes(series_bytes(4, 3, 2))
+        with pytest.raises(ValueError, match="does not fit a 4x3 frame"):
+            read_velocity_series(path, window=window)
+
     @settings(max_examples=20, deadline=None)
     @given(
         dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)),
@@ -459,12 +476,12 @@ class TestPgmMask:
 def minimal_report(resp_period=4.3, delay_s=0.56):
     diff = {
         param: DiffRecord(
-            at_zero_pct=2.7,
-            max_pct=4.3,
-            delay_s=delay_s,
+            diff_at_zero_pct=2.7,
+            max_diff_pct=4.3,
+            argmax_delay_s=delay_s,
             delay_pct=100.0 * delay_s / resp_period,
-            scan_delays_s=(0.0, delay_s),
-            scan_diff_pct=(2.7, 4.3),
+            delays_s=(0.0, delay_s),
+            diff_pct=(2.7, 4.3),
         )
         for param in ("mean_flow", "stroke_volume", "cardiac_period")
     }
@@ -508,7 +525,8 @@ class TestReport:
     def test_delay_pct_consistency_checked(self, tmp_path):
         report = minimal_report()
         bad_diff = dict(report.arteries[0].diff)
-        bad_diff["mean_flow"] = DiffRecord(at_zero_pct=2.7, max_pct=4.3, delay_s=0.56, delay_pct=99.0)
+        bad_diff["mean_flow"] = DiffRecord(diff_at_zero_pct=2.7, max_diff_pct=4.3,
+                                           argmax_delay_s=0.56, delay_pct=99.0)
         bad = Report(
             version=report.version,
             config=report.config,
@@ -520,6 +538,16 @@ class TestReport:
         )
         with pytest.raises(ParseError):
             write_report(bad, tmp_path / "bad.json")
+
+    @pytest.mark.parametrize("dropped", ["delays_s", "diff_pct"])
+    def test_half_a_scan_rejected(self, tmp_path, dropped):
+        report = minimal_report()
+        artery = report.arteries[0]
+        diff = {**artery.diff, "stroke_volume": replace(artery.diff["stroke_volume"], **{dropped: None})}
+        path = tmp_path / "bad.json"
+        with pytest.raises(ParseError, match="'ICA_L'/stroke_volume"):
+            write_report(replace(report, arteries=(replace(artery, diff=diff),)), path)
+        assert not path.exists()
 
     def test_missing_parameter_rejected(self, tmp_path):
         report = minimal_report()
@@ -548,7 +576,7 @@ class TestReport:
         write_report(report, path)
         r = read_report(path)
         assert r.resp_period_s == report.resp_period_s
-        assert r.arteries[0].diff["mean_flow"].delay_s == 0.5600000042
+        assert r.arteries[0].diff["mean_flow"].argmax_delay_s == 0.5600000042
 
     def test_malformed_report_files(self, tmp_path):
         path = tmp_path / "r.json"

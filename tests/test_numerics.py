@@ -97,7 +97,8 @@ class TestNaturalCubicSpline:
         t = flow.times
         tt = np.minimum(t0 + np.arange((len(flow) - 1) * factor + 1) * (dt / factor), t[-1])
         expected = CubicSpline(t, flow.values, bc_type="natural")(tt)
-        assert np.array_equal(numerics.natural_cubic_spline(t, flow.values, tt), expected)
+        assert np.array_equal(numerics.spline_values(numerics.spline_grid(t, tt), flow.values),
+                              expected)
         if factor == UPSAMPLE_FACTOR:
             assert np.array_equal(resample(flow).values, expected)
 

@@ -13,7 +13,7 @@ import rtpc
 #: The exported names, by defining module.
 EXPORTS = {
     "cycles": ("CycleTable", "detect_cycles"),
-    "diff": ("DiffScanResult", "PARAMETERS", "delay_scan", "extract_result"),
+    "diff": ("PARAMETERS", "delay_scan", "scan_artery"),
     "extraction": ("BackgroundEstimate", "compute_flow", "correct_background", "quality_score",
                    "segment_roi", "sum_flows", "unalias"),
     "io": ("SampledSignal", "VelocityMapSeries", "read_mask", "read_signal_csv",
