@@ -2,8 +2,10 @@
 
 Exit codes are stable per error family (see errors module): 0 success,
 2 usage, 3 file format / I-O, 4 extraction, 5 event detection, 6 phase
-analysis, 7 statistics, 8 invalid simulation config. Partially written
-outputs are removed when a command fails.
+analysis, 7 statistics, 8 invalid simulation config. main returns each
+code, usage errors, --help and --version included. Option ranges are checked
+as the command line is parsed. Partially written outputs are removed when a
+command fails.
 """
 
 from __future__ import annotations
@@ -72,6 +74,24 @@ def __getattr__(name: str):
 
 
 USAGE_ERROR = 2
+
+
+def _in_range(kind: type, rule: str, accept):
+    """An argparse type: kind(text), refused unless accept(value). Text that
+    kind cannot read gets argparse's own "invalid <kind> value" message."""
+    def parse(text: str):
+        value = kind(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_POSITIVE = _in_range(float, "finite and > 0", lambda v: math.isfinite(v) and v > 0.0)
+_NON_NEGATIVE = _in_range(float, "finite and >= 0", lambda v: math.isfinite(v) and v >= 0.0)
+_FRACTION = _in_range(float, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
+_AT_LEAST_ONE = _in_range(int, ">= 1", lambda v: v >= 1)
 
 
 def _seed_type(text: str) -> tuple:
@@ -151,8 +171,8 @@ def analyze_flow_signal(name: str, flow: SampledSignal, intervals, step_s: float
 def _write_plots(arteries, plots: str, written: list) -> None:
     """One Diff-vs-delay SVG per record and parameter, in the directory plots.
 
-    A record without its scan, or a scan render_line_chart cannot draw (a
-    report read from a file may hold one), raises ParseError.
+    A scan render_line_chart cannot draw (a report read from a file may hold
+    one) raises ParseError.
     """
     _load(".svgplot")
     plot_dir = Path(plots)
@@ -160,11 +180,6 @@ def _write_plots(arteries, plots: str, written: list) -> None:
     for record in arteries:
         for param in REPORT_PARAMETERS:
             diff_record = record.diff[param]
-            if diff_record.delays_s is None:
-                raise ParseError(
-                    f"report has no scan data for {record.name!r}/{param}; "
-                    "regenerate it with `rtpc analyze`"
-                )
             path = plot_dir / f"{_safe_name(record.name)}_{param}.svg"
             written.append(path)
             try:
@@ -228,17 +243,11 @@ def cmd_extract(args, written: list) -> int:
         return _usage_error("extract", clash)
     header = read_velocity_header(args.series)
     height, width = header["height"], header["width"]
-    if args.venc is not None and not (math.isfinite(args.venc) and args.venc > 0.0):
-        return _usage_error("extract", f"--venc must be finite and > 0, got {args.venc!r}")
     if args.snr_threshold is not None and args.qc is None:
         # The threshold only sets the QC sidecar's `excluded`: refuse it without one.
         return _usage_error("extract", "--snr-threshold applies to --qc only")
     if args.snr_threshold is None:
         args.snr_threshold = settings.SNR_THRESHOLD
-    if not (math.isfinite(args.snr_threshold) and args.snr_threshold >= 0.0):
-        return _usage_error(
-            "extract", f"--snr-threshold must be finite and >= 0, got {args.snr_threshold!r}"
-        )
     if header["venc_mm_s"] == 0.0 and args.venc is None:
         return _usage_error(
             "extract", "series header has venc 0 (unknown); --venc MM_S is required"
@@ -260,14 +269,6 @@ def cmd_extract(args, written: list) -> int:
             args.threshold_fraction = settings.THRESHOLD_FRACTION
         if args.max_radius_px is None:
             args.max_radius_px = settings.MAX_RADIUS_PX
-        if not (0.0 < args.threshold_fraction <= 1.0):
-            return _usage_error(
-                "extract", f"--threshold-fraction must be in (0, 1], got {args.threshold_fraction!r}"
-            )
-        if not (math.isfinite(args.max_radius_px) and args.max_radius_px >= 0.0):
-            return _usage_error(
-                "extract", f"--max-radius-px must be finite and >= 0, got {args.max_radius_px!r}"
-            )
         if not (0 <= args.seed[0] < width and 0 <= args.seed[1] < height):
             return _usage_error(
                 "extract", f"--seed {args.seed[0]},{args.seed[1]} lies outside the {width}x{height} image"
@@ -325,48 +326,12 @@ def cmd_analyze(args, written: list) -> int:
                         [*[("--flow", p) for p in flow_paths], ("--resp", args.resp)])
     if clash is not None:
         return _usage_error("analyze", clash)
-    if not (math.isfinite(args.delay_step_ms) and args.delay_step_ms > 0.0):
-        return _usage_error(
-            "analyze", f"--delay-step-ms must be finite and > 0, got {args.delay_step_ms!r}"
-        )
-    if args.min_cycles < 1:
-        return _usage_error("analyze", f"--min-cycles must be >= 1, got {args.min_cycles}")
-    if not (math.isfinite(args.snr_threshold) and args.snr_threshold >= 0.0):
-        return _usage_error(
-            "analyze", f"--snr-threshold must be finite and >= 0, got {args.snr_threshold!r}"
-        )
     flows = [read_signal_csv(p, kind="flow") for p in flow_paths]
     resp = read_signal_csv(args.resp, kind="respiration")
     if args.invert_belt:
         resp = SampledSignal(t0_s=resp.t0_s, dt_s=resp.dt_s, values=-resp.values, kind="respiration")
 
     step_s = args.delay_step_ms / 1000.0
-    config = {
-        "diff_definition": "ex-in-over-in",
-        "invert_belt": bool(args.invert_belt),
-        "delay_step_s": step_s,
-        "min_cycles_per_phase": args.min_cycles,
-        "max_missing_fraction": settings.MAX_MISSING_FRACTION,
-        "cycles": {
-            "upsample_factor": settings.UPSAMPLE_FACTOR,
-            "period_band_s": list(settings.PERIOD_BAND_S),
-            "min_separation_fraction": settings.MIN_SEPARATION_FRACTION,
-            "validity_band": list(settings.VALIDITY_BAND),
-        },
-        "respiration": {
-            "smooth_window_s": settings.SMOOTH_WINDOW_S,
-            "min_separation_s": settings.MIN_SEPARATION_S,
-            "prominence_fraction": settings.PROMINENCE_FRACTION,
-            "interval_duration_band": list(settings.INTERVAL_DURATION_BAND),
-        },
-        "quality": {
-            "snr_threshold": args.snr_threshold,
-            "cardiac_band_hz": list(settings.CARDIAC_BAND_HZ),
-            "noise_band_hz": list(settings.NOISE_BAND_HZ),
-            "welch_segment": settings.WELCH_SEGMENT,
-            "min_qc_samples": settings.MIN_QC_SAMPLES,
-        },
-    }
     intervals = detect_resp_intervals(resp)
     if intervals.mean_period_s / step_s > MAX_SCAN_DELAYS:
         return _usage_error(
@@ -387,7 +352,7 @@ def cmd_analyze(args, written: list) -> int:
 
     report = Report(
         version=__version__,
-        config=config,
+        config=settings.analysis_config(args.invert_belt, step_s, args.min_cycles, args.snr_threshold),
         resp_period_s=intervals.mean_period_s,
         arteries=tuple(records),
         generated_at=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
@@ -453,17 +418,17 @@ def build_parser() -> argparse.ArgumentParser:
     roi = pe.add_mutually_exclusive_group(required=True)
     roi.add_argument("--mask", help="static ROI mask (binary PGM)")
     roi.add_argument("--seed", type=_seed_type, metavar="X,Y", help="segmentation seed pixel")
-    pe.add_argument("--venc", type=float, metavar="MM_S",
+    pe.add_argument("--venc", type=_POSITIVE, metavar="MM_S",
                     help="encoding limit override (required when the header venc is 0)")
     pe.add_argument("--no-background-correction", action="store_true")
     pe.add_argument("--no-unalias", action="store_true")
-    pe.add_argument("--threshold-fraction", type=float,
+    pe.add_argument("--threshold-fraction", type=_FRACTION,
                     help="segmentation threshold as a fraction of the local p99 speed "
                          f"(--seed only; default {settings.THRESHOLD_FRACTION:g})")
-    pe.add_argument("--max-radius-px", type=float,
+    pe.add_argument("--max-radius-px", type=_NON_NEGATIVE,
                     help="reference neighborhood radius around the seed "
                          f"(--seed only; default {settings.MAX_RADIUS_PX:g})")
-    pe.add_argument("--snr-threshold", type=float,
+    pe.add_argument("--snr-threshold", type=_NON_NEGATIVE,
                     help="cardiac SNR below this flags the signal for exclusion "
                          f"(--qc only; default {settings.SNR_THRESHOLD:g})")
     pe.add_argument("--out", required=True, help="output flow CSV")
@@ -474,16 +439,16 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--flow", action="append", required=True,
                     help="flow CSV path(s), comma-separated or repeated")
     pa.add_argument("--resp", required=True, help="respiration belt CSV")
-    pa.add_argument("--delay-step-ms", type=float, default=settings.DELAY_STEP_MS,
+    pa.add_argument("--delay-step-ms", type=_POSITIVE, default=settings.DELAY_STEP_MS,
                     help=f"delay scan grid step in ms (default {settings.DELAY_STEP_MS:g})")
     pa.add_argument("--invert-belt", action="store_true",
                     help="belt amplitude falls on inhalation")
-    pa.add_argument("--min-cycles", type=int, default=settings.MIN_CYCLES,
+    pa.add_argument("--min-cycles", type=_AT_LEAST_ONE, default=settings.MIN_CYCLES,
                     help="fewest valid cycles each phase needs at a scan delay "
                          f"(default {settings.MIN_CYCLES})")
     pa.add_argument("--name", default="CABF_extra",
                     help="record name for the summed signal (several --flow inputs)")
-    pa.add_argument("--snr-threshold", type=float, default=settings.SNR_THRESHOLD,
+    pa.add_argument("--snr-threshold", type=_NON_NEGATIVE, default=settings.SNR_THRESHOLD,
                     help="cardiac SNR below this flags a record for exclusion "
                          f"(default {settings.SNR_THRESHOLD:g})")
     pa.add_argument("--out", required=True, help="output report JSON")
@@ -505,8 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error, --help or --version
+        return exc.code
     written: list = []
     try:
         return args.func(args, written)

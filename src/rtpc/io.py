@@ -24,6 +24,7 @@ the whole frame as its window.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -216,10 +217,11 @@ def read_velocity_header(path) -> dict:
 def read_velocity_series(path, venc_mm_s: float | None = None, window=None) -> VelocityMapSeries:
     """Parse a velocity-series file, bit-exact, keeping the pixels in window.
 
-    window is a (rows, cols) pair of slices with explicit bounds inside the
-    frame; None keeps whole frames. The payload is read one chunk of frames
-    at a time, and every chunk is checked for non-finite values, so a bad
-    value anywhere in the file is rejected whatever the window.
+    window is a (rows, cols) pair of step-less slices with explicit integer
+    bounds inside the frame (any other raises ValueError); None keeps whole
+    frames. The payload is read one chunk of frames at a time, and every
+    chunk is checked for non-finite values, so a bad value anywhere in the
+    file is rejected whatever the window.
 
     venc_mm_s, when given, replaces the header value before validation; this
     is how files recorded with an unknown encoding limit (header venc 0) are
@@ -237,8 +239,12 @@ def read_velocity_series(path, venc_mm_s: float | None = None, window=None) -> V
                 raise TruncatedFile(f"{path}: {size} bytes, {size - expected} trailing beyond header promise")
             rows, cols = window or (slice(0, height), slice(0, width))
             for cut, extent in ((rows, height), (cols, width)):
-                if (cut.step is not None or cut.start is None or cut.stop is None
-                        or not 0 <= cut.start < cut.stop <= extent):
+                try:  # operator.index takes numpy integers and refuses None and floats
+                    fits = (cut.step is None
+                            and 0 <= operator.index(cut.start) < operator.index(cut.stop) <= extent)
+                except TypeError:
+                    fits = False
+                if not fits:
                     raise ValueError(f"window {window} does not fit a {width}x{height} frame")
             frames = np.empty((n_frames, rows.stop - rows.start, cols.stop - cols.start), dtype="<f4")
             first = next(frame_chunks(n_frames, height, width))  # the largest chunk

@@ -1,9 +1,10 @@
 """Report records and the report JSON: what `analyze` writes and `report` reads.
 
 This module imports no numpy, so `rtpc report` runs without it. Readers are
-strict: a missing or mistyped field raises ParseError naming it. It also
-states each fixed analysis setting once: the detectors, the command line's
-defaults and help texts, and the report's `config` block read them here.
+strict: a missing or mistyped field raises ParseError naming it, and so does
+a summary that disagrees with its scan. It also states each fixed analysis
+setting once: the detectors, the command line's defaults and help texts, and
+analysis_config, which builds the report's `config` block, read them here.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import IoFailure, ParseError
@@ -65,6 +66,38 @@ THRESHOLD_FRACTION = 0.5
 MAX_RADIUS_PX = 12.0
 
 
+def analysis_config(invert_belt: bool, delay_step_s: float, min_cycles: int,
+                    snr_threshold: float) -> dict:
+    """The report's `config` block: analyze's settings, and every constant
+    above that decides its numbers."""
+    return {
+        "diff_definition": "ex-in-over-in",
+        "invert_belt": bool(invert_belt),
+        "delay_step_s": delay_step_s,
+        "min_cycles_per_phase": min_cycles,
+        "max_missing_fraction": MAX_MISSING_FRACTION,
+        "cycles": {
+            "upsample_factor": UPSAMPLE_FACTOR,
+            "period_band_s": list(PERIOD_BAND_S),
+            "min_separation_fraction": MIN_SEPARATION_FRACTION,
+            "validity_band": list(VALIDITY_BAND),
+        },
+        "respiration": {
+            "smooth_window_s": SMOOTH_WINDOW_S,
+            "min_separation_s": MIN_SEPARATION_S,
+            "prominence_fraction": PROMINENCE_FRACTION,
+            "interval_duration_band": list(INTERVAL_DURATION_BAND),
+        },
+        "quality": {
+            "snr_threshold": snr_threshold,
+            "cardiac_band_hz": list(CARDIAC_BAND_HZ),
+            "noise_band_hz": list(NOISE_BAND_HZ),
+            "welch_segment": WELCH_SEGMENT,
+            "min_qc_samples": MIN_QC_SAMPLES,
+        },
+    }
+
+
 # -- report structures ------------------------------------------------------------
 
 _JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "true or false",
@@ -109,45 +142,40 @@ class DiffRecord:
     """Diff Ex-In of one parameter at its best delay, with the scan it came from.
 
     delays_s / diff_pct keep the whole delay scan, so a report file alone can
-    redraw the Diff-vs-delay plot; a skipped delay's Diff is None. A record
-    read from a report without its scan holds None for both.
+    redraw the Diff-vs-delay plot; a skipped delay's Diff is None. The scan
+    starts at delay 0, and Report.validate refuses a record whose other fields
+    are not what its scan gives.
     """
 
     diff_at_zero_pct: float | None
     max_diff_pct: float
     argmax_delay_s: float
     delay_pct: float
-    delays_s: tuple[float, ...] | None = None
-    diff_pct: tuple[float | None, ...] | None = None
+    delays_s: tuple[float, ...]
+    diff_pct: tuple[float | None, ...]
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "at_zero_pct": self.diff_at_zero_pct,
             "max_pct": self.max_diff_pct,
             "delay_s": self.argmax_delay_s,
             "delay_pct": self.delay_pct,
+            "scan": {"delays_s": list(self.delays_s), "diff_pct": list(self.diff_pct)},
         }
-        if self.delays_s is not None:
-            d["scan"] = {"delays_s": list(self.delays_s), "diff_pct": list(self.diff_pct)}
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiffRecord":
         d = _field(d, dict, "diff")
-        delays = diffs = None
-        if d.get("scan") is not None:
-            scan = _field(d["scan"], dict, "scan")
-            delays = tuple(_number(v, "scan.delays_s")
-                           for v in _field(scan["delays_s"], list, "scan.delays_s"))
-            diffs = tuple(_number(v, "scan.diff_pct", optional=True)
-                          for v in _field(scan["diff_pct"], list, "scan.diff_pct"))
+        scan = _field(d["scan"], dict, "scan")
         return cls(
             diff_at_zero_pct=_number(d["at_zero_pct"], "at_zero_pct", optional=True),
             max_diff_pct=_number(d["max_pct"], "max_pct"),
             argmax_delay_s=_number(d["delay_s"], "delay_s"),
             delay_pct=_number(d["delay_pct"], "delay_pct"),
-            delays_s=delays,
-            diff_pct=diffs,
+            delays_s=tuple(_number(v, "scan.delays_s")
+                           for v in _field(scan["delays_s"], list, "scan.delays_s")),
+            diff_pct=tuple(_number(v, "scan.diff_pct", optional=True)
+                           for v in _field(scan["diff_pct"], list, "scan.diff_pct")),
         )
 
 
@@ -159,7 +187,7 @@ class ArteryRecord:
     cardiac_period_s: float
     n_cycles: int
     qc: QcFlags
-    diff: dict = field(default_factory=dict)  # parameter name -> DiffRecord
+    diff: dict  # parameter name -> DiffRecord
 
     def to_dict(self) -> dict:
         return {
@@ -185,6 +213,29 @@ class ArteryRecord:
             qc=QcFlags.from_dict(d["qc"]),
             diff={p: DiffRecord.from_dict(diff[p]) for p in diff},
         )
+
+
+def _check_scan(record: DiffRecord, where: str) -> None:
+    """Raise ParseError, naming where and the field, unless record's scan
+    starts at delay 0 and its summary fields are what the scan gives."""
+    if len(record.delays_s) != len(record.diff_pct):
+        raise ParseError(f"scan arrays of {where} differ in length")
+    if not record.delays_s or record.delays_s[0] != 0.0:
+        raise ParseError(f"scan.delays_s of {where} must start at 0, got "
+                         f"{reprlib.repr(list(record.delays_s))}")
+    if record.diff_at_zero_pct != record.diff_pct[0]:
+        raise ParseError(f"at_zero_pct of {where} is {record.diff_at_zero_pct!r}, but its scan "
+                         f"gives {record.diff_pct[0]!r} at delay 0")
+    scanned = [(v, d) for d, v in zip(record.delays_s, record.diff_pct) if v is not None]
+    if not scanned:
+        raise ParseError(f"scan.diff_pct of {where} holds no Diff")
+    best, at = max(scanned, key=lambda pair: pair[0])  # the first of equal maxima
+    if record.max_diff_pct != best:
+        raise ParseError(f"max_pct of {where} is {record.max_diff_pct!r}, but its scan's "
+                         f"largest Diff is {best!r}")
+    if record.argmax_delay_s != at:
+        raise ParseError(f"delay_s of {where} is {record.argmax_delay_s!r}, but its scan's "
+                         f"largest Diff is at {at!r} s")
 
 
 @dataclass(frozen=True)
@@ -214,11 +265,7 @@ class Report:
                         f"delay_pct inconsistent for {artery.name!r}/{param}: "
                         f"{rec.delay_pct} vs 100*{rec.argmax_delay_s}/{self.resp_period_s}"
                     )
-                if (rec.delays_s is None) != (rec.diff_pct is None):
-                    raise ParseError(f"scan of {artery.name!r}/{param} has only one of "
-                                     "delays_s and diff_pct")
-                if rec.delays_s is not None and len(rec.delays_s) != len(rec.diff_pct):
-                    raise ParseError(f"scan arrays of {artery.name!r}/{param} differ in length")
+                _check_scan(rec, f"{artery.name!r}/{param}")
 
     def to_dict(self) -> dict:
         d = {

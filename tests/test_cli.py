@@ -206,11 +206,9 @@ class TestExtract:
         assert not (tmp_path / "x.csv").exists()
 
     def test_mask_and_seed_mutually_exclusive(self, dataset, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["extract", "--series", str(dataset / "series.rtpc"),
-                  "--mask", str(dataset / "mask.pgm"), "--seed", "16,16",
-                  "--out", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
+        assert main(["extract", "--series", str(dataset / "series.rtpc"),
+                     "--mask", str(dataset / "mask.pgm"), "--seed", "16,16",
+                     "--out", str(tmp_path / "x.csv")]) == 2
 
 
 def write_raw_series(path, frames, venc=800.0):
@@ -222,16 +220,16 @@ def write_raw_series(path, frames, venc=800.0):
 
 
 class TestExtractOptions:
-    """Out-of-range extract options exit 2 with a message naming the option.
-    They are checked before the payload is read: the payload here holds a NaN,
-    which reading would report with exit 3."""
+    """Out-of-range and unreadable extract options exit 2 with a message naming
+    the option. They are checked before the payload is read: the payload here
+    holds a NaN, which reading would report with exit 3."""
 
     @pytest.mark.parametrize("option, value", [
         ("--seed", "500,500"), ("--seed", "40,0"), ("--seed", "0,40"), ("--seed=-1,3", None),
         ("--threshold-fraction", "0"), ("--threshold-fraction", "1.5"),
         ("--threshold-fraction", "nan"),
         ("--max-radius-px", "nan"), ("--max-radius-px", "-1"), ("--max-radius-px", "inf"),
-        ("--venc", "nan"), ("--venc", "inf"),
+        ("--venc", "nan"), ("--venc", "inf"), ("--venc", "fast"),
         ("--snr-threshold", "nan"), ("--snr-threshold", "inf"), ("--snr-threshold", "-1"),
     ])
     def test_usage_error_names_option(self, tmp_path, capsys, option, value):
@@ -349,14 +347,15 @@ class TestExtractOptions:
 
 
 class TestAnalyzeOptions:
-    """Out-of-range analyze options exit 2 with a message naming the option,
-    before any file is read: the input files here do not exist, which reading
-    would report with exit 3."""
+    """Out-of-range and unreadable analyze options exit 2 with a message naming
+    the option, before any file is read: the input files here do not exist,
+    which reading would report with exit 3."""
 
     @pytest.mark.parametrize("option, value", [
         ("--delay-step-ms", "0"), ("--delay-step-ms", "-5"), ("--delay-step-ms", "nan"),
         ("--delay-step-ms", "inf"),
-        ("--min-cycles", "0"), ("--min-cycles", "-1"),
+        ("--delay-step-ms", "fast"),
+        ("--min-cycles", "0"), ("--min-cycles", "-1"), ("--min-cycles", "abc"), ("--min-cycles", "1.5"),
         ("--snr-threshold", "nan"), ("--snr-threshold", "inf"), ("--snr-threshold", "-1"),
     ])
     def test_usage_error_names_option(self, tmp_path, capsys, option, value):
@@ -770,9 +769,7 @@ class TestAnalyze:
 
     def test_help_names_the_defaults(self, capsys):
         for command, defaults in (("extract", ("0.5", "12", "5")), ("analyze", ("75", "3", "5"))):
-            with pytest.raises(SystemExit) as exc:
-                main([command, "--help"])
-            assert exc.value.code == 0
+            assert main([command, "--help"]) == 0
             text = " ".join(capsys.readouterr().out.split())
             for value in defaults:
                 assert f"default {value})" in text, (command, value)
@@ -844,9 +841,8 @@ class TestAnalyze:
         assert importlib.import_module("checks").check_svgs_identical(plots, replots) == []
 
     def test_missing_resp_is_usage_error(self, dataset, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--flow", str(dataset / "flow.csv"), "--out", str(tmp_path / "r.json")])
-        assert exc.value.code == 2
+        assert main(["analyze", "--flow", str(dataset / "flow.csv"),
+                     "--out", str(tmp_path / "r.json")]) == 2
 
     def test_short_flow_exit_code(self, dataset, tmp_path):
         short = tmp_path / "short.csv"
@@ -949,21 +945,26 @@ class TestAnalyze:
 
 
 class TestReportCommand:
-    def test_missing_scan_data_errors(self, tmp_path):
-        from rtpc.report import ArteryRecord, DiffRecord, QcFlags, Report, write_report
+    def test_missing_scan_data_errors(self, tmp_path, capsys):
+        """A report without one record's scan exits 3 when it is read, before
+        any SVG is written."""
+        from rtpc.report import ArteryRecord, DiffRecord, QcFlags, Report
 
-        diff = {p: DiffRecord(diff_at_zero_pct=1.0, max_diff_pct=2.0, argmax_delay_s=0.0,
-                              delay_pct=0.0)
-                for p in ("mean_flow", "stroke_volume", "cardiac_period")}
-        report = Report(version="x", config={}, resp_period_s=4.3, arteries=(
+        diff = {p: DiffRecord(diff_at_zero_pct=1.0, max_diff_pct=2.0, argmax_delay_s=0.5,
+                              delay_pct=12.5, delays_s=(0.0, 0.5), diff_pct=(1.0, 2.0))
+                for p in settings.REPORT_PARAMETERS}
+        tree = Report(version="x", config={}, resp_period_s=4.0, arteries=(
             ArteryRecord(name="a", mean_flow_ml_min=1.0, stroke_volume_ml=1.0,
                          cardiac_period_s=1.0, n_cycles=1,
                          qc=QcFlags(cardiac_snr=None, excluded=False), diff=diff),
-        ))
+        )).to_dict()
+        del tree["arteries"][0]["diff"]["stroke_volume"]["scan"]
         path = tmp_path / "r.json"
-        write_report(report, path)
+        path.write_text(json.dumps(tree))
         rc = main(["report", "--in", str(path), "--plots", str(tmp_path / "plots")])
         assert rc == 3
+        assert capsys.readouterr().err == "rtpc report: error: malformed report: missing field 'scan'\n"
+        assert not (tmp_path / "plots").exists()
 
     def test_clashing_record_names_refused(self, tmp_path, capsys):
         """Records whose SVG names would clash exit 3 with a message naming
@@ -1129,10 +1130,7 @@ class Refuse:
 sys.meta_path.insert(0, Refuse(set(filter(None, sys.argv[1].split(",")))))
 import rtpc
 import rtpc.cli
-try:
-    code = rtpc.cli.main(sys.argv[2:])
-except SystemExit as exc:
-    code = exc.code
+code = rtpc.cli.main(sys.argv[2:])
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
@@ -1233,7 +1231,6 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "extract" in proc.stdout and "analyze" in proc.stdout
 
-    def test_version_flag(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["--version"])
-        assert exc.value.code == 0
+    def test_version_flag(self, capsys):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == f"rtpc {rtpc.__version__}\n"

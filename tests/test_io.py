@@ -6,8 +6,8 @@ import os
 import struct
 import subprocess
 import sys
+import re
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -257,13 +257,22 @@ class TestVelocitySeriesFuzz:
         (slice(-1, 2), slice(0, 4)),
         (slice(2, 2), slice(0, 4)),
         (slice(0, 3, 1), slice(0, 4)),
+        (slice(0.0, 3), slice(0, 4)),
+        (slice(0, 2.5), slice(0, 4)),
+        (slice(0, 3), slice(np.float64(0), 4)),
     ], ids=["rows_open", "cols_open_start", "rows_open_stop", "cols_past_edge", "rows_negative",
-            "rows_empty", "rows_step"])
+            "rows_empty", "rows_step", "rows_float_start", "rows_float_stop", "cols_numpy_float"])
     def test_window_must_fit(self, tmp_path, window):
         path = tmp_path / "s.rtpc"
         path.write_bytes(series_bytes(4, 3, 2))
         with pytest.raises(ValueError, match="does not fit a 4x3 frame"):
             read_velocity_series(path, window=window)
+
+    def test_numpy_integer_window_reads(self, tmp_path):
+        path = tmp_path / "s.rtpc"
+        path.write_bytes(series_bytes(4, 3, 2))
+        cut = read_velocity_series(path, window=(slice(np.int64(1), np.uint8(3)), slice(np.int32(0), 2)))
+        assert cut.frames.tobytes() == read_velocity_series(path).frames[:, 1:3, 0:2].tobytes()
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -526,7 +535,8 @@ class TestReport:
         report = minimal_report()
         bad_diff = dict(report.arteries[0].diff)
         bad_diff["mean_flow"] = DiffRecord(diff_at_zero_pct=2.7, max_diff_pct=4.3,
-                                           argmax_delay_s=0.56, delay_pct=99.0)
+                                           argmax_delay_s=0.56, delay_pct=99.0,
+                                           delays_s=(0.0, 0.56), diff_pct=(2.7, 4.3))
         bad = Report(
             version=report.version,
             config=report.config,
@@ -541,13 +551,43 @@ class TestReport:
 
     @pytest.mark.parametrize("dropped", ["delays_s", "diff_pct"])
     def test_half_a_scan_rejected(self, tmp_path, dropped):
-        report = minimal_report()
-        artery = report.arteries[0]
-        diff = {**artery.diff, "stroke_volume": replace(artery.diff["stroke_volume"], **{dropped: None})}
+        tree = report_tree()
+        del tree["arteries"][0]["diff"]["stroke_volume"]["scan"][dropped]
         path = tmp_path / "bad.json"
-        with pytest.raises(ParseError, match="'ICA_L'/stroke_volume"):
-            write_report(replace(report, arteries=(replace(artery, diff=diff),)), path)
-        assert not path.exists()
+        path.write_text(json.dumps(tree))
+        with pytest.raises(ParseError, match=f"missing field '{dropped}'"):
+            read_report(path)
+
+    @pytest.mark.parametrize("summary, field", [
+        ({"max_pct": 99.0, "delay_s": 0.225, "at_zero_pct": -5.0}, "at_zero_pct"),
+        ({"at_zero_pct": 4.3}, "at_zero_pct"),
+        ({"at_zero_pct": None}, "at_zero_pct"),
+        ({"max_pct": 99.0}, "max_pct"),
+        ({"max_pct": 2.7}, "max_pct"),
+        ({"delay_s": 0.0}, "delay_s"),
+    ], ids=["edited-probe", "at-zero-is-max", "at-zero-null", "max-above-scan", "max-below-scan",
+            "delay-off-argmax"])
+    def test_summary_that_contradicts_its_scan_rejected(self, tmp_path, summary, field):
+        """The reader and the writer both refuse a record whose summary
+        disagrees with its own scan, naming the artery, parameter and field."""
+        tree = set_summary(report_tree(), **summary)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(tree))
+        where = f"{field} of 'ICA_L'/mean_flow"
+        with pytest.raises(ParseError, match=re.escape(where)):
+            read_report(path)
+        with pytest.raises(ParseError, match=re.escape(where)):
+            write_report(Report.from_dict(tree), tmp_path / "out.json")
+        assert not (tmp_path / "out.json").exists()
+        assert cli_exit(["report", "--in", str(path), "--plots", str(tmp_path / "p")]) == 3
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("delays", [[0.075, 0.56], [-0.0375, 0.56]], ids=["late", "negative"])
+    def test_scan_not_starting_at_zero_rejected(self, tmp_path, delays):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(set_scan(report_tree(), "delays_s", delays)))
+        with pytest.raises(ParseError, match=re.escape("scan.delays_s of 'ICA_L'/mean_flow must start at 0")):
+            read_report(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
         report = minimal_report()
@@ -597,6 +637,15 @@ def set_scan(tree, key, values):
     return tree
 
 
+def set_summary(tree, **fields):
+    """tree with the mean_flow record's summary fields set, and its delay_pct
+    kept consistent with delay_s."""
+    record = tree["arteries"][0]["diff"]["mean_flow"]
+    record.update(fields)
+    record["delay_pct"] = 100.0 * record["delay_s"] / tree["resp_period_s"]
+    return tree
+
+
 class TestReportReaderEdges:
     """Report files that used to end `rtpc report` in a traceback, a hang or
     a silently truncated field: each exits 3 now, or plots."""
@@ -609,8 +658,10 @@ class TestReportReaderEdges:
         json.dumps(report_tree()).replace('"n_cycles": 126', '"n_cycles": 126.5'),
         json.dumps(set_scan(report_tree(), "delays_s", [None, 0.56])),  # TypeError in render
         json.dumps(set_scan(report_tree(), "diff_pct", ["2.7", 4.3])),
-        json.dumps(set_scan(report_tree(), "diff_pct", [1e308, -1e308])),  # span overflows
-        json.dumps(set_scan(report_tree(), "diff_pct", [None, None])),  # nothing to plot
+        json.dumps(set_summary(set_scan(report_tree(), "diff_pct", [1e308, -1e308]),
+                               at_zero_pct=1e308, max_pct=1e308, delay_s=0.0)),  # span overflows
+        json.dumps(set_summary(set_scan(report_tree(), "diff_pct", [None, None]),
+                               at_zero_pct=None)),  # nothing to plot
         json.dumps(set_scan(set_scan(report_tree(), "delays_s", []), "diff_pct", [])),
     ], ids=["5000-digit-int", "deep-nesting", "int-beyond-float", "infinite-int-field",
             "fractional-int-field", "null-delay", "string-diff", "span-overflow", "all-null-diffs",
@@ -623,7 +674,9 @@ class TestReportReaderEdges:
 
     def test_scan_narrower_than_float_spacing_plots(self, tmp_path):
         path = tmp_path / "r.json"
-        path.write_text(json.dumps(set_scan(report_tree(), "diff_pct", [4.3, math.nextafter(4.3, 5)])))
+        top = math.nextafter(4.3, 5)
+        path.write_text(json.dumps(set_summary(set_scan(report_tree(), "diff_pct", [4.3, top]),
+                                               at_zero_pct=4.3, max_pct=top)))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(Path(rtpc_io.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(  # a subprocess, so that a hang ends at the timeout
