@@ -17,8 +17,8 @@ _EXPORTS = {
     **dict.fromkeys(("CycleTable", "detect_cycles"), "cycles"),
     **dict.fromkeys(("PARAMETERS", "delay_scan", "scan_artery"), "diff"),
     **dict.fromkeys(
-        ("BackgroundEstimate", "compute_flow", "correct_background", "quality_score", "segment_roi",
-         "sum_flows", "unalias"),
+        ("BackgroundEstimate", "compute_flow", "correct_background", "quality_score", "roi_values",
+         "segment_roi", "sum_flows", "unalias"),
         "extraction",
     ),
     **dict.fromkeys(

@@ -39,7 +39,7 @@ _CALLS = {
     # No command calls sweep_diffs: perfbench/tracing.py wraps cli.sweep_diffs.
     ".diff": ("MAX_SCAN_DELAYS", "scan_artery", "sweep_diffs"),
     ".extraction": ("COMPONENT_START_HALF_PX", "compute_flow", "correct_background", "quality_score",
-                    "roi_window", "seed_window", "segment_roi", "sum_flows", "unalias"),
+                    "roi_values", "roi_window", "seed_window", "segment_roi", "sum_flows", "unalias"),
     ".io": ("SampledSignal", "read_mask", "read_signal_csv", "read_velocity_header",
             "read_velocity_series", "write_mask", "write_signal_csv", "write_velocity_series"),
     ".respiration": ("detect_resp_intervals",),
@@ -275,14 +275,16 @@ def cmd_extract(args, written: list) -> int:
             )
         series, roi = _seeded_roi(args, height, width)
 
-    # Both steps overwrite the one window array that was read.
+    # The window is only read: the chain after the estimate works on one
+    # (frames, ROI pixels) matrix.
     background_offset = n_band = n_unaliased = None
     if not args.no_background_correction:
         estimate = correct_background(series, roi)
         background_offset, n_band = estimate.offset_mm_s, estimate.n_band_pixels
+    values = roi_values(series, roi, background_offset)
     if not args.no_unalias:
-        n_unaliased = unalias(series, roi)
-    flow = compute_flow(series, roi)
+        n_unaliased = unalias(values, series.venc_mm_s)
+    flow = compute_flow(values, series.pixel_area_mm2, series.dt_s)
     out = Path(args.out)
     written.append(out)
     write_signal_csv(flow, out)
@@ -384,6 +386,7 @@ def cmd_simulate(args, written: list) -> int:
         written.extend([series_path, mask_path])
         write_velocity_series(series, series_path)
         write_mask(mask, mask_path)
+        del series, mask  # the manifest does not need them
 
     manifest = {"config": config.to_dict(), **truth.to_dict()}
     truth_path = out_dir / "truth.json"

@@ -1,13 +1,15 @@
 """Velocity-map series to calibrated flow signal.
 
 The chain is: grow a ROI from a seed (or take an externally edited mask),
-estimate and subtract the stationary-tissue velocity offset, unwrap
-velocities that exceeded the encoding limit, integrate to ml/min, and sum
-arteries. A spectral quality gate flags signals without a usable cardiac
-component.
+estimate the stationary-tissue velocity offset, take the ROI's velocities
+with that offset subtracted, unwrap those that exceeded the encoding limit,
+integrate them to ml/min, and sum arteries. A spectral quality gate flags
+signals without a usable cardiac component.
 
 A ROI is one bool (height, width) mask, applied to every frame, as read_mask
-and segment_roi give it.
+and segment_roi give it. roi_values takes its members once, as a float32
+(frames, ROI pixels) matrix in row-major member order; unalias and
+compute_flow work on that matrix. No step writes to a series' frames.
 """
 
 from __future__ import annotations
@@ -26,14 +28,7 @@ from .errors import (
     TooShort,
 )
 from .io import SampledSignal, VelocityMapSeries
-from .numerics import (
-    distance_band,
-    gather_blocks,
-    median,
-    quantile,
-    seed_component,
-    welch,
-)
+from .numerics import distance_band, median, quantile, seed_component, welch
 from .report import (
     CARDIAC_BAND_HZ,
     MAX_RADIUS_PX,
@@ -59,10 +54,10 @@ MIN_BAND_PIXELS = 8
 COMPONENT_START_HALF_PX = 16
 
 #: Values a bounded gather over frames takes at once: about the ring values of
-#: one float64 std block of correct_background. unalias and compute_flow gather
-#: at most BLOCK_VALUES // 8 ROI values at once, since each of unalias's
-#: (frames, k) blocks costs about eight float64 arrays of its size (512 KiB in
-#: all).
+#: one float64 std block of correct_background. unalias and compute_flow take
+#: the ROI matrix in row blocks of at most BLOCK_VALUES // 8 values, since
+#: each of unalias's (frames, k) blocks costs about eight float64 arrays of
+#: its size (512 KiB in all).
 BLOCK_VALUES = 1 << 16
 
 
@@ -155,22 +150,15 @@ def seed_window(seed_row: int, seed_col: int, half: int, height: int, width: int
 
 
 def correct_background(series: VelocityMapSeries, roi: np.ndarray) -> BackgroundEstimate:
-    """Subtract the stationary-tissue velocity offset (eddy-current bias).
+    """Estimate the stationary-tissue velocity offset (eddy-current bias).
 
     Candidate pixels, the ring, lie at distance [BAND_INNER_PX,
     BAND_OUTER_PX] from the ROI; those whose temporal standard
     deviation is at most its BAND_QUANTILE quantile over the ring form the
     band, which needs MIN_BAND_PIXELS. The offset is the median velocity over
-    band pixels and frames, treated as static, and is subtracted from every
-    pixel of every frame, in float64 and rounded once to float32.
-
-    The corrected values overwrite series.frames, which must be writable;
-    the estimate is returned. Every check runs before the first write, so an
-    error leaves the frames as they were, apart from one: a corrected value
-    beyond the float32 range raises NonFiniteVelocity once every frame is
-    written, and the frames then hold +-inf where the value overflowed.
+    band pixels and frames, treated as static; roi_values subtracts it.
     """
-    mask = _check_in_place(series, roi)
+    mask = _check_roi(series, roi)
     if not mask.any():
         raise ValueError("ROI is empty")
     ring = distance_band(mask, BAND_INNER_PX, BAND_OUTER_PX)
@@ -193,18 +181,31 @@ def correct_background(series: VelocityMapSeries, roi: np.ndarray) -> Background
     band[rows[keep], cols[keep]] = True
     flat = series.frames.reshape(series.n_frames, -1)
     offset = _band_median(flat, rows[keep] * series.width + cols[keep])
-    # Buffered by numpy: float64 arithmetic with no full-size temporary. The
-    # overflow flag is read once the whole array is written.
-    try:
-        with np.errstate(over="raise"):
-            np.subtract(series.frames, offset, out=series.frames, dtype=np.float64,
-                        casting="same_kind")
-    except FloatingPointError:
-        raise NonFiniteVelocity(
-            f"background correction: subtracting the offset {offset!r} mm/s takes a velocity "
-            "beyond the float32 range"
-        ) from None
     return BackgroundEstimate(offset_mm_s=offset, band=band, n_band_pixels=n_band)
+
+
+def roi_values(series: VelocityMapSeries, roi: np.ndarray,
+               offset_mm_s: float | None = None) -> np.ndarray:
+    """The ROI's velocities as a new float32 (frames, ROI pixels) matrix.
+
+    Each row holds one frame's ROI members in row-major order. An offset,
+    when given, is subtracted in float64 and rounded once to float32; a
+    value it takes beyond the float32 range raises NonFiniteVelocity. The
+    offset is used as given, so a -0.0 offset turns a -0.0 velocity into
+    +0.0, as IEEE subtraction does.
+    """
+    members = np.flatnonzero(_check_roi(series, roi))
+    values = np.take(series.frames.reshape(series.n_frames, -1), members, axis=1)
+    if offset_mm_s is not None:
+        try:
+            with np.errstate(over="raise"):
+                np.subtract(values, offset_mm_s, out=values, dtype=np.float64, casting="same_kind")
+        except FloatingPointError:
+            raise NonFiniteVelocity(
+                f"background correction: subtracting the offset {offset_mm_s!r} mm/s takes a velocity "
+                "beyond the float32 range"
+            ) from None
+    return values
 
 
 def _band_median(flat: np.ndarray, pixels: np.ndarray) -> float:
@@ -239,14 +240,6 @@ def _check_roi(series: VelocityMapSeries, roi: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _check_in_place(series: VelocityMapSeries, roi: np.ndarray) -> np.ndarray:
-    """The checks of a step that overwrites series.frames; the ROI as _check_roi gives it."""
-    mask = _check_roi(series, roi)
-    if not series.frames.flags.writeable:
-        raise ValueError("the series' frames are read-only, and this step overwrites them")
-    return mask
-
-
 def _leave_one_out_medians(values: np.ndarray) -> np.ndarray:
     """Median of the other elements of each row, for each element.
 
@@ -270,44 +263,44 @@ def _pick(values: np.ndarray, s: np.ndarray, i: int) -> np.ndarray:
     return np.where(values <= s[..., i, None], s[..., i + 1, None], s[..., i, None])
 
 
-def unalias(series: VelocityMapSeries, roi: np.ndarray) -> int:
+def _row_blocks(values: np.ndarray):
+    """(first row, block) of consecutive row blocks of the (frames, k) matrix,
+    each of at most BLOCK_VALUES // 8 values, or one row."""
+    step = max(1, (BLOCK_VALUES // 8) // max(values.shape[1], 1))
+    for lo in range(0, len(values), step):
+        yield lo, values[lo : lo + step]
+
+
+def unalias(values: np.ndarray, venc_mm_s: float) -> int:
     """Unwrap ROI velocities that jumped by multiples of twice the limit.
 
-    Per frame, each ROI pixel is compared with the median of the other ROI
-    pixels; if it deviates by more than venc it is shifted by the multiple of
-    2*venc that brings it closest to that median. One pass only, non-ROI
-    pixels untouched. The shift is added in float64 and rounded once to
-    float32. Pixels wrapped so far that they land within venc of the
-    median (true speed beyond median + venc) cannot be recovered this way.
+    values is roi_values' float32 (frames, ROI pixels) matrix, unwrapped in
+    place. Per frame, each ROI pixel is compared with the median of the
+    other ROI pixels; if it deviates by more than venc it is shifted by the
+    multiple of 2*venc that brings it closest to that median. One pass only.
+    The shift is added in float64 and rounded once to float32; a shifted
+    value beyond the float32 range raises NonFiniteVelocity. Pixels wrapped
+    so far that they land within venc of the median (true speed beyond
+    median + venc) cannot be recovered this way. Returns the number of
+    pixel-frames whose float32 value the shift changed.
 
-    The unwrapped values overwrite series.frames, which must be writable;
-    the number of ROI pixel-frames whose float32 value the shift changed is
-    returned. Every check runs before the first write, so an error leaves
-    the frames as they were, apart from one: a shifted value beyond the
-    float32 range raises NonFiniteVelocity, and the frames then hold the
-    blocks unwrapped before it, the rest as given.
-
-    The ROI's members are gathered as (frames, k) float64 matrices of at
-    most BLOCK_VALUES // 8 values, whose rows give the medians at once.
+    Rows are taken as float64 blocks of at most BLOCK_VALUES // 8 values,
+    whose rows give the medians at once.
 
     Valid while venc stays above about 0.6 x the systolic peak velocity.
     Below that, pixels that never wrapped are shifted too: a radius-6 px
     vessel at venc 600 mm/s had 13,519 pixels changed against 13,394
     wrapped. Nothing flags this.
     """
-    members = np.flatnonzero(_check_in_place(series, roi))
-    if members.size < 2:
+    if values.shape[1] < 2:
         return 0
-    venc = series.venc_mm_s
-    two_venc = 2.0 * venc
-    flat = series.frames.reshape(series.n_frames, -1)
+    two_venc = 2.0 * venc_mm_s
     n_changed = 0
-    lo = 0
-    for block in gather_blocks(flat, members, BLOCK_VALUES // 8):
+    for lo, block in _row_blocks(values):
         vals = block.astype(np.float64)
         deltas = _leave_one_out_medians(vals)
         deltas -= vals
-        r, c = np.nonzero(np.abs(deltas) > venc)
+        r, c = np.nonzero(np.abs(deltas) > venc_mm_s)
         if r.size:
             before = vals[r, c]
             try:
@@ -317,28 +310,23 @@ def unalias(series: VelocityMapSeries, roi: np.ndarray) -> int:
                 raise NonFiniteVelocity(
                     "unaliasing: a shift by a multiple of 2 x venc takes a velocity beyond the float32 range"
                 ) from None
-            flat[lo + r, members[c]] = shifted
+            values[lo + r, c] = shifted
             n_changed += int(np.count_nonzero(shifted != before))
-        lo += len(block)
     return n_changed
 
 
-def compute_flow(series: VelocityMapSeries, roi: np.ndarray) -> SampledSignal:
+def compute_flow(values: np.ndarray, pixel_area_mm2: float, dt_s: float) -> SampledSignal:
     """Integrate ROI velocities to a flow-rate signal in ml/min.
 
-    Q(t) = 0.06 * pixel_area_mm2 * sum of ROI velocities (mm/s); an empty ROI
-    yields Q = 0. Each frame's ROI pixels are summed in row-major order, as
-    one row of a C-contiguous (frames, k) float64 gather of at most
-    BLOCK_VALUES // 8 values, which numpy sums as it sums the 1-D frame[roi],
-    so the pixels around the ROI, and cropping them away, cannot change a
-    flow value.
+    values is roi_values' (frames, ROI pixels) matrix, in mm/s. Q(t) = 0.06 *
+    pixel_area_mm2 * the sum of row t; an empty ROI yields Q = 0. Rows are
+    summed as C-contiguous float64 blocks of at most BLOCK_VALUES // 8
+    values, which numpy sums row by row as it sums the 1-D frame[roi], so
+    no row's sum depends on its block or on the pixels around the ROI.
     """
-    members = np.flatnonzero(_check_roi(series, roi))
-    flat = series.frames.reshape(series.n_frames, -1)
-    blocks = gather_blocks(flat, members, BLOCK_VALUES // 8)
-    sums = np.concatenate([block.astype(np.float64).sum(axis=1) for block in blocks])
-    q = ML_MIN_PER_MM3_S * series.pixel_area_mm2 * sums
-    return SampledSignal(t0_s=0.0, dt_s=series.dt_s, values=q, kind="flow")
+    sums = np.concatenate([block.astype(np.float64).sum(axis=1) for _lo, block in _row_blocks(values)])
+    q = ML_MIN_PER_MM3_S * pixel_area_mm2 * sums
+    return SampledSignal(t0_s=0.0, dt_s=dt_s, values=q, kind="flow")
 
 
 def sum_flows(signals: list) -> SampledSignal:

@@ -302,14 +302,6 @@ def distance_band(mask: np.ndarray, inner: float, outer: float) -> np.ndarray:
     return (distance >= inner) & (distance <= outer)
 
 
-def gather_blocks(flat: np.ndarray, pixels: np.ndarray, block_values: int):
-    """flat[:, pixels] as consecutive (frames, pixels) gathers of at most
-    block_values values, or one frame each. flat is (frames, pixels)."""
-    step = max(1, block_values // max(pixels.size, 1))
-    for lo in range(0, len(flat), step):
-        yield np.take(flat[lo : lo + step], pixels, axis=1)
-
-
 def median(values: np.ndarray, overwrite_input: bool = False):
     """np.median(values) of a 1-D float64 array, bit for bit, NaN included.
 

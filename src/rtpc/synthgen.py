@@ -253,7 +253,7 @@ class VesselSeries:
     series is stored as that float32 value plus, per frame, the float32
     velocities of the vessel pixels in row-major order. chunks() renders whole
     frames a chunk at a time (what write_velocity_series consumes);
-    to_series() renders them all at once.
+    to_series() renders the same chunks into one array of all frames.
     """
 
     member: np.ndarray  # bool (height, width)
@@ -275,38 +275,40 @@ class VesselSeries:
     def width(self) -> int:
         return self.member.shape[1]
 
-    def _render(self, frames: slice, out: np.ndarray | None = None) -> np.ndarray:
-        """Whole float32 frames for a slice of frame indices.
+    def _render(self, frames: np.ndarray | None):
+        """Render the frames a frame_chunks chunk at a time and yield each chunk.
 
-        out, when given, is a buffer of at least that many frames that holds
-        the background outside the vessel; its leading frames are written
-        and returned.
+        A chunk is rendered into its frames of `frames`, a (n_frames, height,
+        width) array that holds the background outside the vessel, or, when
+        frames is None, into one buffer the size of the first chunk, the
+        largest: the background is the same in every frame, so only the
+        vessel pixels are written again. They are written through one flat
+        index of the first chunk's vessel pixels, frame by frame; a shorter
+        chunk takes its prefix.
         """
-        values = self.member_values[frames]
-        if out is None:
-            out = np.full((values.shape[0], self.height, self.width), self.background)
-        out = out[: values.shape[0]]
-        out[:, self.member] = values
-        return out
+        index = None
+        for chunk in frame_chunks(self.n_frames, self.height, self.width):
+            values = self.member_values[chunk]
+            if index is None:
+                starts = np.arange(len(values))[:, None] * (self.height * self.width)
+                index = (starts + np.flatnonzero(self.member)).reshape(-1)
+                if frames is None:
+                    buffer = np.full((len(values), self.height, self.width), self.background)
+            out = buffer[: len(values)] if frames is None else frames[chunk]
+            out.reshape(-1)[index[: values.size]] = values.reshape(-1)
+            yield out
 
     def chunks(self):
-        """Whole float32 frames, about SERIES_CHUNK_BYTES at a time.
-
-        Every chunk is rendered into the buffer of the first, the largest:
-        the background outside the vessel is the same in every frame, so
-        only the vessel pixels are written again. A chunk is valid until the
-        next one is requested.
-        """
-        buffer = None
-        for frames in frame_chunks(self.n_frames, self.height, self.width):
-            chunk = self._render(frames, buffer)
-            if buffer is None:
-                buffer = chunk
-            yield chunk
+        """Whole float32 frames, about SERIES_CHUNK_BYTES at a time, each
+        valid until the next one is requested."""
+        return self._render(None)
 
     def to_series(self) -> VelocityMapSeries:
+        frames = np.full((self.n_frames, self.height, self.width), self.background)
+        for _chunk in self._render(frames):
+            pass
         return VelocityMapSeries(
-            frames=self._render(slice(None)),
+            frames=frames,
             dt_ms=self.dt_ms,
             venc_mm_s=self.venc_mm_s,
             pixel_area_mm2=self.pixel_area_mm2,
@@ -559,37 +561,39 @@ def generate_velocity_series(config: SimConfig) -> ImageBundle:
 
     # ml/min -> mm^3/s -> required velocity sum (mm/s) over member pixels.
     target_sums = flow.values / (0.06 * vessel.pixel_area_mm2)
-    member_values = np.outer(target_sums / profile_sum, profile[member])
+    scales, weights = target_sums / profile_sum, profile[member]
     nominal_peak = (
         config.cardiac.base_mean_flow_ml_min / (0.06 * vessel.pixel_area_mm2) / profile_sum
     )
-    # Offset added in float64, then one rounding to float32 per pixel.
+    # The float64 profile product a chunk of frames at a time; the offset is
+    # added in float64, then one rounding to float32 per pixel.
     offset = config.artifacts.eddy_offset_mm_s
-    background = np.float32(0.0)
-    if offset != 0.0:
-        background = np.float32(offset)
-        member_values += offset
-    member32 = member_values.astype(np.float32)
-    del member_values
+    background = np.float32(offset) if offset != 0.0 else np.float32(0.0)
+    fraction = config.artifacts.aliased_pixel_fraction
+    member32 = np.empty((len(scales), weights.size), dtype=np.float32)
+    n_above = np.zeros(len(scales), dtype=np.intp)  # each frame's members above venc
+    for frames in frame_chunks(len(scales), height, width):
+        block = np.outer(scales[frames], weights)
+        if offset != 0.0:
+            block += offset
+        member32[frames] = block
+        if fraction > 0:
+            n_above[frames] = np.count_nonzero(member32[frames] > vessel.venc_mm_s, axis=1)
     # Wrapped pixels as a frame index and a member index each, the member
     # indices sorted per frame. Members are in row-major order, so frame by
-    # frame this is (t, y, x) order.
+    # frame this is (t, y, x) order. Only frames that wrap draw.
+    n_wraps = np.rint(fraction * n_above).astype(np.intp)
     wrapped_frames = []
     chosen_members = []
-    fraction = config.artifacts.aliased_pixel_fraction
-    if fraction > 0:
-        two_venc = np.float32(2.0 * vessel.venc_mm_s)
-        for t in range(member32.shape[0]):
-            candidates = np.flatnonzero(member32[t] > vessel.venc_mm_s)
-            n_wrap = int(round(fraction * candidates.size))
-            if n_wrap == 0:
-                continue
-            rng = np.random.default_rng([config.seed, 2, t])
-            chosen = rng.choice(candidates, size=n_wrap, replace=False)
-            chosen.sort()
-            member32[t, chosen] -= two_venc
-            wrapped_frames += [t] * n_wrap
-            chosen_members.append(chosen)
+    two_venc = np.float32(2.0 * vessel.venc_mm_s)
+    for t in np.flatnonzero(n_wraps).tolist():
+        candidates = np.flatnonzero(member32[t] > vessel.venc_mm_s)
+        rng = np.random.default_rng([config.seed, 2, t])
+        chosen = rng.choice(candidates, size=int(n_wraps[t]), replace=False)
+        chosen.sort()
+        member32[t, chosen] -= two_venc
+        wrapped_frames += [t] * chosen.size
+        chosen_members.append(chosen)
     wrapped = ()
     if chosen_members:
         chosen = np.concatenate(chosen_members)

@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 import rtpc
-from rtpc.io import VelocityMapSeries
 from rtpc.synthgen import SimConfig, generate_signals, generate_velocity_series
 
 
@@ -37,16 +36,9 @@ def signals(**overrides):
 
 
 def images(**overrides):
-    """generate_velocity_series with caching across tests. Each call gets its
-    own copy of the series, since extraction steps overwrite the frames."""
-    bundle = _images_cached(json.dumps(overrides, sort_keys=True))
-    return bundle._replace(series=copy_series(bundle.series))
-
-
-def copy_series(series: VelocityMapSeries) -> VelocityMapSeries:
-    """The series with a writable copy of its frames."""
-    return VelocityMapSeries(frames=series.frames.copy(), dt_ms=series.dt_ms,
-                             venc_mm_s=series.venc_mm_s, pixel_area_mm2=series.pixel_area_mm2)
+    """generate_velocity_series with caching across tests. Every call shares
+    one series, whose frames are read-only: no extraction step writes them."""
+    return _images_cached(json.dumps(overrides, sort_keys=True))
 
 
 def match_boundaries(detected: np.ndarray, truth: np.ndarray, tol_s: float):

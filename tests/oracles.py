@@ -6,10 +6,11 @@ one delay at a time, the plain way; the tests hold the package to them bit
 for bit. `as_table` turns a list of oracle cycles into the five arrays
 sweep_diffs and label_cycles read.
 
-Two more plain forms: `dominant_period_2n` takes the autocorrelation from an
-FFT zero-padded to twice the signal, and `simulated_flow` evaluates the
+Three more plain forms: `dominant_period_2n` takes the autocorrelation from an
+FFT zero-padded to twice the signal, `simulated_flow` evaluates the
 simulator's breathing modulation with the array forms `is_expiratory` and
-`modulation_waveform`.
+`modulation_waveform`, and `wrapped_member_values` draws the simulator's
+wrapped pixels one frame at a time.
 """
 
 from dataclasses import dataclass, replace
@@ -244,3 +245,26 @@ def simulated_flow(config) -> tuple:
     u = (t_samples - bounds[cell]) / np.asarray(periods)[cell]
     values = np.asarray(scales)[cell] * pulse_waveform(u, cardiac.waveform)
     return values, list(zip(bounds[:-1].tolist(), bounds[1:].tolist(), phases, scales, periods))
+
+
+def wrapped_member_values(member_values, member, venc_mm_s: float, fraction: float, seed: int) -> tuple:
+    """The simulator's wrap draw, frame by frame: the wrapped copy of a
+    series' float32 (frames, members) values, and its (frame, y, x) wrapped
+    pixels. Every frame rounds fraction x its count of members above venc to
+    the number it wraps, and draws them from default_rng([seed, 2, frame])."""
+    values = member_values.copy()
+    member_ys, member_xs = np.nonzero(member)
+    wrapped = []
+    if fraction > 0:
+        two_venc = np.float32(2.0 * venc_mm_s)
+        for t in range(values.shape[0]):
+            candidates = np.flatnonzero(values[t] > venc_mm_s)
+            n_wrap = int(round(fraction * candidates.size))
+            if n_wrap == 0:
+                continue
+            rng = np.random.default_rng([seed, 2, t])
+            chosen = rng.choice(candidates, size=n_wrap, replace=False)
+            chosen.sort()
+            values[t, chosen] -= two_venc
+            wrapped += [(t, int(member_ys[c]), int(member_xs[c])) for c in chosen]
+    return values, tuple(wrapped)

@@ -12,13 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import copy_series, images, signals
+from helpers import images, signals
 from oracles import as_table, make_cycle, periodic_intervals
 
 from rtpc.cli import main
 from rtpc.cycles import detect_cycles
 from rtpc.diff import delay_scan
-from rtpc.extraction import compute_flow, correct_background, unalias
+from rtpc.extraction import compute_flow, correct_background, roi_values, unalias
 from rtpc.io import VelocityMapSeries
 from rtpc.respiration import EX, IN, UNLABELED, detect_resp_intervals, label_cycles
 from rtpc.stats import spearman, wilcoxon_signed_rank
@@ -118,27 +118,29 @@ def test_criterion_4_identity_suite():
 def test_criterion_5_extraction_suite():
     failures = []
 
+    def flow(series, offset=None):
+        return compute_flow(roi_values(series, mask, offset), series.pixel_area_mm2, series.dt_s)
+
     # constant-offset invariance
     series, mask, _ = images(duration_s=60.0, seed=5)
-    corrected = copy_series(series)
-    correct_background(corrected, mask)
-    base = compute_flow(corrected, mask)
+    base = flow(series, correct_background(series, mask).offset_mm_s)
     for c in (5.0, -7.3, 11.17):
         shifted = VelocityMapSeries(
             frames=series.frames.astype(np.float64) + c,
             dt_ms=series.dt_ms, venc_mm_s=series.venc_mm_s,
             pixel_area_mm2=series.pixel_area_mm2,
         )
-        correct_background(shifted, mask)
-        drift = np.abs(compute_flow(shifted, mask).values - base.values).max()
+        drift = np.abs(flow(shifted, correct_background(shifted, mask).offset_mm_s).values
+                       - base.values).max()
         if drift > 1e-6 * mask.sum():
             failures.append(f"offset invariance drift {drift:.2e} at c={c}")
 
     # wrap/unwrap exact round trip
     clean, _, _ = images(duration_s=60.0, seed=5)
     aliased, _, truth_a = images(duration_s=60.0, seed=5, artifacts={"aliased_pixel_fraction": 0.1})
-    unalias(aliased, mask)
-    if not np.array_equal(aliased.frames, clean.frames):
+    unwrapped = roi_values(aliased, mask)
+    unalias(unwrapped, aliased.venc_mm_s)
+    if not np.array_equal(unwrapped, roi_values(clean, mask)):
         failures.append("wrap/unwrap round trip not exact")
     if not truth_a.wrapped_pixels:
         failures.append("no wrapped pixels injected")
@@ -151,7 +153,7 @@ def test_criterion_5_extraction_suite():
 
     # artifact-free flow reconstruction within 0.5%
     flow_truth = signals(duration_s=60.0, seed=5).flow
-    recovered = compute_flow(series, mask)
+    recovered = flow(series)
     rel = np.abs(recovered.values - flow_truth.values) / np.abs(flow_truth.values)
     if rel.max() > 0.005:
         failures.append(f"reconstruction error {rel.max():.2e}")

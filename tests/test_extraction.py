@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import copy_series, images, run_fresh, signals
+from helpers import images, run_fresh, signals
 
 from rtpc import extraction
 
@@ -26,6 +26,7 @@ from rtpc.extraction import (
     compute_flow,
     correct_background,
     quality_score,
+    roi_values,
     roi_window,
     segment_roi,
     sum_flows,
@@ -71,21 +72,37 @@ def shifted(series, offset):
     )
 
 
+def flow_of(series, values):
+    """compute_flow of a ROI matrix taken from series."""
+    return compute_flow(values, series.pixel_area_mm2, series.dt_s)
+
+
 def corrected_flow(series, roi):
-    """compute_flow after correct_background, on a copy of series."""
-    series = copy_series(series)
-    correct_background(series, roi)
-    return compute_flow(series, roi)
+    """The flow of the ROI's background-corrected values."""
+    estimate = correct_background(series, roi)
+    return flow_of(series, roi_values(series, roi, estimate.offset_mm_s))
+
+
+def roi_flow(series, roi):
+    """The flow of the ROI's values as stored."""
+    return flow_of(series, roi_values(series, roi))
+
+
+def unaliased(series, roi):
+    """The ROI matrix of series, unaliased, and unalias's count."""
+    values = roi_values(series, roi)
+    return values, unalias(values, series.venc_mm_s)
 
 
 class TestRoiSeries:
-    """The ROI each step takes: one (height, width) mask for every frame, read
-    as membership. A per-frame (n_frames, height, width) stack is refused."""
+    """The ROI correct_background and roi_values take: one (height, width)
+    mask for every frame, read as membership. A per-frame (n_frames, height,
+    width) stack is refused."""
 
     def test_static_mask_matches_its_stack(self):
         """A mask, its 0/255 uint8 form and a strided view of it give the same
-        offset, band, unaliased frames, changed count and flow, bit for bit;
-        its explicit per-frame stack is refused before any frame is written."""
+        offset, band, unaliased ROI values, changed count and flow, bit for
+        bit; its explicit per-frame stack is refused."""
         series, mask, truth = images(duration_s=60.0, seed=5, artifacts={
             "aliased_pixel_fraction": 0.3, "eddy_offset_mm_s": 3.0, "noise_sd": 4.0})
         assert truth.wrapped_pixels
@@ -95,12 +112,12 @@ class TestRoiSeries:
         forms = [mask.astype(np.uint8) * 255, padded[2:-2, 2:-2]]
 
         def chain(roi):
-            fixed = copy_series(series)
-            estimate = correct_background(fixed, roi)
-            n_changed = unalias(fixed, roi)
-            return estimate, n_changed, fixed.frames, compute_flow(fixed, roi).values
+            estimate = correct_background(series, roi)
+            values = roi_values(series, roi, estimate.offset_mm_s)
+            n_changed = unalias(values, series.venc_mm_s)
+            return estimate, n_changed, values, flow_of(series, values).values
 
-        estimate, n_changed, frames, flow = chain(mask)
+        estimate, n_changed, values, flow = chain(mask)
         assert n_changed > 0
         for roi in forms:
             got = chain(roi)
@@ -109,14 +126,12 @@ class TestRoiSeries:
             assert np.array_equal(got[0].band, estimate.band)
             assert got[0].n_band_pixels == estimate.n_band_pixels
             assert got[1] == n_changed
-            assert np.array_equal(got[2].view(np.uint32), frames.view(np.uint32))
+            assert np.array_equal(got[2].view(np.uint32), values.view(np.uint32))
             assert np.array_equal(got[3].view(np.uint64), flow.view(np.uint64))
-        before = series.frames.copy()
         for roi in (stack, stack.astype(np.uint8) * 255):
-            for step in (correct_background, unalias, compute_flow):
+            for step in (correct_background, roi_values):
                 with pytest.raises(ValueError, match=rf"^ROI of shape {re.escape(str(stack.shape))} "):
                     step(series, roi)
-        assert np.array_equal(series.frames.view(np.uint32), before.view(np.uint32))
 
     def test_from_static_shares_the_mask(self):
         """A (height, width) mask is one mask for all frames, however many:
@@ -129,35 +144,32 @@ class TestRoiSeries:
 
     def test_from_static_of_a_slice_flattens_as_a_view(self):
         """A mask cut from a larger one, not C-contiguous, gives the flow and
-        unaliased frames of its contiguous copy, bit for bit."""
+        unaliased ROI values of its contiguous copy, bit for bit."""
         series = disk_series([4, 5, 6] * 20, h=18, w=18, speed=900.0, venc=400.0)
         series.frames[::7, 9, 9] -= 800.0  # wrapped in some frames
         member = disk_mask(24, 24, 12, 12, 5)[3:21, 3:21]
         assert not member.flags.c_contiguous
         results = []
         for roi in (member, member.copy()):
-            fixed = copy_series(series)
-            results.append((unalias(fixed, roi), fixed.frames, compute_flow(fixed, roi).values))
-        (n_slice, frames_slice, flow_slice), (n_copy, frames_copy, flow_copy) = results
+            values, n_changed = unaliased(series, roi)
+            results.append((n_changed, values, flow_of(series, values).values))
+        (n_slice, values_slice, flow_slice), (n_copy, values_copy, flow_copy) = results
         assert n_slice == n_copy > 0
-        assert np.array_equal(frames_slice.view(np.uint64), frames_copy.view(np.uint64))
+        assert np.array_equal(values_slice.view(np.uint32), values_copy.view(np.uint32))
         assert np.array_equal(flow_slice.view(np.uint64), flow_copy.view(np.uint64))
 
     @pytest.mark.parametrize("shape", [(4, 5), (0, 4, 5), (3, 0, 5), (2, 3, 4, 5), (5,), (2, 3, 4),
                                        (0, 4), (3, 0), (), (2, 4, 6), (3, 4, 5), (4, 4, 6)])
     def test_shape_rejected(self, shape):
         """A ROI of the wrong rank, frame count or frame shape, or with an
-        empty dimension, is refused naming both shapes before any frame is
-        written."""
+        empty dimension, is refused naming both shapes."""
         rng = np.random.default_rng(2)
         series = VelocityMapSeries(frames=rng.normal(0.0, 500.0, (3, 4, 6)), dt_ms=75.0,
                                    venc_mm_s=100.0, pixel_area_mm2=0.25)
-        before = series.frames.copy()
-        for step in (correct_background, unalias, compute_flow):
+        for step in (correct_background, roi_values):
             with pytest.raises(ValueError, match=r"^ROI of shape .*\(3, 4, 6\)") as exc:
                 step(series, np.ones(shape, dtype=bool))
             assert f"ROI of shape {shape} " in str(exc.value)
-        assert np.array_equal(series.frames.view(np.uint32), before.view(np.uint32))
 
 
 class TestSegmentRoi:
@@ -331,7 +343,7 @@ class TestCorrectBackground:
         assert estimate.offset_mm_s == offset
         assert np.array_equal(estimate.band, band)
         assert estimate.n_band_pixels == int(keep.sum())
-        assert np.array_equal(series.frames, (original.astype(np.float64) - offset).astype(np.float32))
+        assert np.array_equal(series.frames, original)
 
     def test_ring_pixel_stds_are_the_whole_rings(self):
         """A 65-pixel ring at 4000 frames: each pixel's std is the whole-ring
@@ -360,19 +372,25 @@ class TestCorrectBackground:
         with pytest.raises(InsufficientStationaryTissue):
             correct_background(series, full)
 
-    def test_in_place_matches_default(self):
+    def test_estimate_writes_nothing_and_roi_values_subtract(self):
+        """correct_background only estimates; roi_values subtracts the offset
+        from the ROI's members in float64 and rounds once to float32, in
+        row-major member order."""
         series, mask, _ = images(duration_s=60.0, seed=5,
                                  artifacts={"eddy_offset_mm_s": 3.0, "noise_sd": 4.0})
-        roi = mask
         original = series.frames.copy()
-        frames = series.frames
-        estimate = correct_background(series, roi)
-        assert series.frames is frames
+        estimate = correct_background(series, mask)
+        assert np.array_equal(series.frames.view(np.uint32), original.view(np.uint32))
         offset = float(np.median(original[:, estimate.band].astype(np.float64)))
         assert estimate.offset_mm_s == offset != 0.0
         assert estimate.n_band_pixels == int(estimate.band.sum())
-        expected = (original.astype(np.float64) - offset).astype(np.float32)
-        assert np.array_equal(frames.view(np.uint32), expected.view(np.uint32))
+        values = roi_values(series, mask, estimate.offset_mm_s)
+        expected = (original[:, mask].astype(np.float64) - offset).astype(np.float32)
+        assert values.dtype == np.float32 and values.flags.c_contiguous
+        assert np.array_equal(values.view(np.uint32), expected.view(np.uint32))
+        plain = roi_values(series, mask)
+        assert np.array_equal(plain.view(np.uint32), original[:, mask].view(np.uint32))
+        assert np.array_equal(series.frames.view(np.uint32), original.view(np.uint32))
 
     @settings(max_examples=300, deadline=None)
     @given(case=band_cases())
@@ -423,7 +441,7 @@ print(json.dumps(offsets))
         offsets, _ = run_fresh(script, json.dumps(frames))
         for (zeros, n_frames), offset in zip(cases, offsets, strict=True):
             series = signed_zero_series(zeros, n_frames)
-            band = correct_background(copy_series(series), SIGNED_ZERO_ROI).band
+            band = correct_background(series, SIGNED_ZERO_ROI).band
             expected = float(np.median(series.frames[:, band].astype(np.float64)))
             assert offset == expected == 0.0
             assert math.copysign(1.0, offset) == math.copysign(1.0, expected), (zeros, n_frames)
@@ -445,27 +463,6 @@ print(json.dumps(offsets))
         with pytest.raises(ValueError, match=r"^ROI of shape \(5, 16, 16\) "):
             correct_background(series, np.broadcast_to(small, (5, 16, 16)))
         assert np.array_equal(series.frames.view(np.uint32), before.view(np.uint32))
-
-    @pytest.mark.parametrize("step", ["correct_background", "unalias"])
-    def test_read_only_frames_rejected(self, step):
-        """A step that would change the frames refuses read-only ones before
-        it writes: the frames are a read-only view of an array that stays as
-        it was."""
-        base = disk_series([5, 5, 5], speed=900.0, venc=400.0).frames
-        base[:, 12, 12] = -700.0  # one wrapped pixel per frame
-        base += 3.0  # a background offset
-        before = base.copy()
-        view = base.view()
-        view.flags.writeable = False
-        series = VelocityMapSeries(frames=view, dt_ms=75.0, venc_mm_s=400.0, pixel_area_mm2=0.25)
-        assert series.frames.base is base
-        roi = disk_mask(24, 24, 12, 12, 5)
-        with pytest.raises(ValueError, match="the series' frames are read-only"):
-            getattr(extraction, step)(series, roi)
-        assert np.array_equal(base.view(np.uint32), before.view(np.uint32))
-        writable = copy_series(series)
-        getattr(extraction, step)(writable, roi)
-        assert not np.array_equal(writable.frames, before)  # the step does write
 
     def test_traced_peak_does_not_grow_with_the_band(self):
         """The ring stds are taken a bounded block at a time, and the band
@@ -495,6 +492,64 @@ print(json.dumps(offsets))
         assert large <= small + 4 * 96 * 6000 + (64 << 10), (small, large)
 
 
+class TestChainReadsOnly:
+    """No step writes a series' frames: correct_background estimates,
+    roi_values takes the ROI's values into a new matrix, and unalias and
+    compute_flow work on that matrix."""
+
+    def test_read_only_frames_give_the_writable_flow(self):
+        base = disk_series([5, 5, 5] * 10, speed=900.0, venc=400.0).frames
+        base[:, 12, 12] = -700.0  # one wrapped pixel per frame
+        base += 3.0  # a background offset
+        before = base.copy()
+        view = base.view()
+        view.flags.writeable = False
+        read_only = VelocityMapSeries(frames=view, dt_ms=75.0, venc_mm_s=400.0, pixel_area_mm2=0.25)
+        assert read_only.frames.base is base and not read_only.frames.flags.writeable
+        writable = VelocityMapSeries(frames=base.copy(), dt_ms=75.0, venc_mm_s=400.0,
+                                     pixel_area_mm2=0.25)
+        roi = disk_mask(24, 24, 12, 12, 5)
+
+        def chain(series):
+            estimate = correct_background(series, roi)
+            values = roi_values(series, roi, estimate.offset_mm_s)
+            n_changed = unalias(values, series.venc_mm_s)
+            return estimate.offset_mm_s, n_changed, flow_of(series, values).values
+
+        offset, n_changed, flow = chain(read_only)
+        assert (offset, n_changed) == chain(writable)[:2] == (3.0, 30)
+        assert np.array_equal(flow.view(np.uint64), chain(writable)[2].view(np.uint64))
+        assert np.array_equal(base.view(np.uint32), before.view(np.uint32))
+
+    def test_offset_taken_as_given_signed_zero_included(self):
+        """roi_values subtracts the offset it is given, as the whole-window
+        subtraction did: -0.0 - -0.0 is +0.0, so a -0.0 offset turns a -0.0
+        velocity into +0.0, where a +0.0 offset, or none, keeps it -0.0."""
+        series = signed_zero_series([-0.0, -0.0], 4)
+        roi = np.zeros((12, 12), dtype=bool)
+        roi[6, 5:8] = True
+        for offset, sign in ((-0.0, 1.0), (0.0, -1.0), (None, -1.0)):
+            values = roi_values(series, roi, offset)
+            window = series.frames if offset is None else (
+                series.frames.astype(np.float64) - offset).astype(np.float32)
+            assert np.array_equal(values.view(np.uint32), window[:, roi].view(np.uint32))
+            assert values.size == 12 and all(math.copysign(1.0, v) == sign for v in values.flat)
+
+    def test_overflow_names_background_correction(self):
+        """A ROI value the subtraction takes beyond float32 raises naming the
+        step; a value outside the ROI is never subtracted."""
+        frames = np.zeros((3, 12, 12), dtype=np.float32)
+        frames[1, 0, 0] = np.finfo(np.float32).max
+        series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
+        roi = np.zeros((12, 12), dtype=bool)
+        roi[6, 6] = True
+        assert np.array_equal(roi_values(series, roi, -1e33), np.full((3, 1), np.float32(1e33)))
+        roi[0, 0] = True
+        message = r"^background correction: subtracting the offset -1e\+33 mm/s takes a velocity beyond"
+        with pytest.raises(NonFiniteVelocity, match=message):
+            roi_values(series, roi, -1e33)
+
+
 def oracle_leave_one_out_medians(values: np.ndarray) -> np.ndarray:
     """Median of the other elements, for each element, from one stable argsort."""
     n = values.size
@@ -512,22 +567,20 @@ def oracle_leave_one_out_medians(values: np.ndarray) -> np.ndarray:
     return 0.5 * (lo_v + hi_v)
 
 
-def oracle_unalias(series: VelocityMapSeries, roi: np.ndarray) -> np.ndarray:
-    """unalias as one loop over frames, one argsort per frame: the frames it gives."""
-    venc = series.venc_mm_s
+def oracle_unalias(values: np.ndarray, venc: float) -> np.ndarray:
+    """unalias as one loop over frames, one argsort per frame: the ROI matrix it gives."""
     two_venc = 2.0 * venc
-    frames = series.frames.copy()
-    member = np.asarray(roi, dtype=bool)
-    if member.sum() < 2:
-        return frames
-    for t in range(len(frames)):
-        vals = frames[t][member].astype(np.float64)
+    out = values.copy()
+    if out.shape[1] < 2:
+        return out
+    for t in range(len(out)):
+        vals = out[t].astype(np.float64)
         deltas = oracle_leave_one_out_medians(vals) - vals
         wrapped = np.abs(deltas) > venc
         if wrapped.any():
             vals[wrapped] += two_venc * np.round(deltas[wrapped] / two_venc)
-            frames[t][member] = vals
-    return frames
+            out[t] = vals
+    return out
 
 
 class TestLeaveOneOutMedians:
@@ -587,16 +640,17 @@ def unalias_cases(draw):
 
 
 class TestUnaliasMatchesPerFrameOracle:
-    """The blockwise unalias gives the per-frame loop's frames bit for bit."""
+    """The blockwise unalias gives the per-frame loop's ROI matrix bit for bit."""
 
     @settings(max_examples=400, deadline=None)
     @given(case=unalias_cases())
     def test_bit_identical(self, case):
         series, roi, block_values = case
-        expected = oracle_unalias(series, roi)
+        values = roi_values(series, roi)
+        expected = oracle_unalias(values, series.venc_mm_s)
         with mock.patch.object(extraction, "BLOCK_VALUES", block_values):
-            unalias(series, roi)
-        assert np.array_equal(series.frames.view(np.uint32), expected.view(np.uint32))
+            unalias(values, series.venc_mm_s)
+        assert np.array_equal(values.view(np.uint32), expected.view(np.uint32))
 
     def test_synthgen_series_across_chunks(self):
         aliased, mask, truth = images(duration_s=60.0, seed=5,
@@ -605,58 +659,53 @@ class TestUnaliasMatchesPerFrameOracle:
         seeded = segment_roi(aliased, seed=(aliased.width // 2, aliased.height // 2))
         assert 1 < seeded.sum() < mask.sum()
         for roi in (mask, seeded):
-            expected = oracle_unalias(aliased, roi)
-            fixed = copy_series(aliased)
+            values = roi_values(aliased, roi)
+            expected = oracle_unalias(values, aliased.venc_mm_s)
             # Blocks of about 3 frames, of BLOCK_VALUES // 8 members each.
             with mock.patch.object(extraction, "BLOCK_VALUES", 8 * 3 * int(mask.sum())):
-                unalias(fixed, roi)
-            assert np.array_equal(fixed.frames.view(np.uint32), expected.view(np.uint32))
+                unalias(values, aliased.venc_mm_s)
+            assert np.array_equal(values.view(np.uint32), expected.view(np.uint32))
 
     @settings(max_examples=200, deadline=None)
     @given(case=unalias_cases())
     def test_in_place_and_count(self, case):
-        """The frames are overwritten with the oracle's bits, and the count is
-        the number of pixel-frames whose float32 value changed."""
+        """The ROI matrix is overwritten with the oracle's bits, and the count
+        is the number of pixel-frames whose float32 value changed."""
         series, roi, block_values = case
-        original = series.frames.copy()
-        frames = series.frames
-        expected = oracle_unalias(series, roi)
+        values = roi_values(series, roi)
+        original = values.copy()
+        expected = oracle_unalias(values, series.venc_mm_s)
         with mock.patch.object(extraction, "BLOCK_VALUES", block_values):
-            n_changed = unalias(series, roi)
-        assert series.frames is frames
-        assert np.array_equal(frames.view(np.uint32), expected.view(np.uint32))
+            n_changed = unalias(values, series.venc_mm_s)
+        assert np.array_equal(values.view(np.uint32), expected.view(np.uint32))
         assert n_changed == int(np.count_nonzero(expected != original))
 
 
 class TestUnalias:
     def test_wrap_arithmetic_example(self):
         # one wrapped pixel at -700 among neighbors around 850, venc 800
-        values = np.array([830.0, 840.0, 850.0, 860.0, 870.0, -700.0])
-        frames = values.reshape(1, 1, 6)
-        series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        roi = np.ones((1, 6), dtype=bool)
-        unalias(series, roi)
-        assert series.frames[0, 0, 5] == 900.0
-        assert np.array_equal(series.frames[0, 0, :5], frames[0, 0, :5])
+        values = np.float32([[830.0, 840.0, 850.0, 860.0, 870.0, -700.0]])
+        before = values.copy()
+        assert unalias(values, 800.0) == 1
+        assert values[0, 5] == 900.0
+        assert np.array_equal(values[0, :5], before[0, :5])
 
     def test_within_venc_untouched(self):
-        values = np.array([[700.0, 750.0, 800.0, 820.0]])
-        series = VelocityMapSeries(frames=values[None], dt_ms=75.0, venc_mm_s=800.0,
-                                   pixel_area_mm2=0.25)
-        roi = np.ones((1, 4), dtype=bool)
-        assert unalias(series, roi) == 0
-        assert np.array_equal(series.frames, values[None])
+        values = np.float32([[700.0, 750.0, 800.0, 820.0]])
+        before = values.copy()
+        assert unalias(values, 800.0) == 0
+        assert np.array_equal(values, before)
 
     def test_synthgen_wrapped_pixels_all_restored(self):
         clean, mask, _ = images(duration_s=60.0, seed=5)
         aliased, _, truth = images(duration_s=60.0, seed=5,
                                    artifacts={"aliased_pixel_fraction": 0.1})
         assert len(truth.wrapped_pixels) > 100
-        roi = mask
-        unalias(aliased, roi)
-        assert np.array_equal(aliased.frames, clean.frames)
+        values, n_changed = unaliased(aliased, mask)
+        assert n_changed == len(truth.wrapped_pixels)
+        assert np.array_equal(values, clean.frames[:, mask])
         flow_truth = signals(duration_s=60.0, seed=5).flow
-        flow_fixed = compute_flow(aliased, roi)
+        flow_fixed = flow_of(aliased, values)
         rel = np.abs(flow_fixed.values - flow_truth.values) / np.abs(flow_truth.values)
         assert rel.max() < 0.005
 
@@ -680,32 +729,32 @@ class TestUnalias:
         wrapped = VelocityMapSeries(frames=frames, dt_ms=series.dt_ms,
                                     venc_mm_s=series.venc_mm_s,
                                     pixel_area_mm2=series.pixel_area_mm2)
-        roi = mask
-        unalias(wrapped, roi)
-        assert np.array_equal(wrapped.frames, series.frames)
+        values, _ = unaliased(wrapped, mask)
+        assert np.array_equal(values, series.frames[:, mask])
 
     def test_empty_and_single_pixel_frames_noop(self):
         frames = np.full((2, 2, 2), 500.0)
         frames[1, 0, 0] = -500.0
-        series = VelocityMapSeries(frames=frames.copy(), dt_ms=75.0, venc_mm_s=100.0,
+        series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=100.0,
                                    pixel_area_mm2=0.25)
         empty = np.zeros((2, 2), dtype=bool)
         single = np.array([[True, False], [False, False]])
         for roi in (empty, single):
-            assert unalias(series, roi) == 0
-            assert np.array_equal(series.frames, frames)
+            values, n_changed = unaliased(series, roi)
+            assert n_changed == 0
+            assert np.array_equal(values, frames[:, roi])
 
     def test_shift_beyond_float32_names_the_step(self):
         """A shifted value beyond the float32 range raises NonFiniteVelocity
-        naming the step, with no RuntimeWarning, and its group is not written."""
+        naming the step, with no RuntimeWarning, and its block is not written."""
         frames = np.full((1, 1, 6), 3.4e38, dtype=np.float32)
         frames[0, 0, 2] = 3.28e38
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=1e37, pixel_area_mm2=0.25)
-        before = series.frames.copy()
-        roi = np.ones((1, 6), dtype=bool)
+        values = roi_values(series, np.ones((1, 6), dtype=bool))
+        before = values.copy()
         with pytest.raises(NonFiniteVelocity, match=r"^unaliasing: .* beyond the float32 range$"):
-            unalias(series, roi)
-        assert np.array_equal(series.frames.view(np.uint32), before.view(np.uint32))
+            unalias(values, series.venc_mm_s)
+        assert np.array_equal(values.view(np.uint32), before.view(np.uint32))
 
     def test_error_leaves_out_untouched(self):
         series = disk_series([5, 5, 5], speed=900.0, venc=400.0)
@@ -715,15 +764,15 @@ class TestUnalias:
         for roi in (np.broadcast_to(member, (2, 24, 24)),
                     member[:, :20]):
             with pytest.raises(ValueError, match="ROI"):
-                unalias(series, roi)
+                roi_values(series, roi)
         assert np.array_equal(frames.view(np.uint32), before.view(np.uint32))
 
     def test_traced_peak_does_not_grow_with_the_frames(self):
-        """The ROI's members are gathered a bounded block at a time, and each
+        """The ROI matrix is unwrapped a bounded block at a time, and each
         block's working set is bounded too. Traced beyond what is in use when
-        it is called, unalias's peak on one 33x33 window with a disk of
-        radius 10 does not grow from 2000 to 8000 frames, and stays below
-        1 MiB. Measured: 0.48 and 0.48 MiB."""
+        it is called, unalias's peak on the ROI matrix of a disk of radius 10
+        does not grow from 2000 to 8000 frames, and stays below 1 MiB.
+        Measured: 0.48 and 0.48 MiB."""
 
         def traced_peak(n_frames):
             rng = np.random.default_rng(6)
@@ -733,10 +782,11 @@ class TestUnalias:
             wrapped = roi & (rng.random(frames.shape, dtype=np.float32) < 0.05)
             frames[wrapped] -= 800.0  # wrapped at venc 400
             series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=400.0, pixel_area_mm2=0.25)
+            values = roi_values(series, roi)
             tracemalloc.start()
             try:
                 in_use = tracemalloc.get_traced_memory()[0]
-                n_changed = unalias(series, roi)
+                n_changed = unalias(values, series.venc_mm_s)
                 peak = tracemalloc.get_traced_memory()[1] - in_use
             finally:
                 tracemalloc.stop()
@@ -751,35 +801,31 @@ class TestUnalias:
 
 class TestComputeFlow:
     def test_unit_arithmetic(self):
-        frames = np.array([[[100.0, 200.0]]])
-        series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        roi = np.ones((1, 2), dtype=bool)
+        values = np.float32([[100.0, 200.0]])
         with pytest.raises(TooShort):
-            compute_flow(series, roi)  # one frame cannot form a signal
-        frames = np.tile(frames, (2, 1, 1))
-        series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        roi = np.ones((1, 2), dtype=bool)
-        flow = compute_flow(series, roi)
+            compute_flow(values, 0.25, 0.075)  # one frame cannot form a signal
+        flow = compute_flow(np.tile(values, (2, 1)), 0.25, 0.075)
         assert flow.values == pytest.approx([4.5, 4.5])
-        assert flow.dt_s == pytest.approx(0.075)
+        assert flow.dt_s == 0.075
         assert flow.kind == "flow"
 
     def test_all_zero(self):
         series = VelocityMapSeries(frames=np.zeros((4, 3, 3)), dt_ms=75.0, venc_mm_s=800.0,
                                    pixel_area_mm2=0.25)
         roi = np.ones((3, 3), dtype=bool)
-        assert np.all(compute_flow(series, roi).values == 0.0)
+        assert np.all(roi_flow(series, roi).values == 0.0)
 
     def test_synthgen_mean_flow_anchor(self):
         series, mask, _ = images(duration_s=60.0, seed=5)
-        flow = compute_flow(series, mask)
+        flow = roi_flow(series, mask)
         assert flow.values.mean() == pytest.approx(740.0, rel=0.01)
 
     def test_empty_roi_frame_yields_zero(self):
         frames = np.full((3, 2, 2), 100.0)
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        flow = compute_flow(series, np.zeros((2, 2), dtype=bool))
-        assert np.array_equal(flow.values, np.zeros(3))
+        values = roi_values(series, np.zeros((2, 2), dtype=bool))
+        assert values.shape == (3, 0)
+        assert np.array_equal(flow_of(series, values).values, np.zeros(3))
 
     def test_crop_exact_for_wide_value_range(self):
         # ROI values spanning ~2**40, so the float64 frame sums are inexact
@@ -789,34 +835,32 @@ class TestComputeFlow:
         member[10:14, 2:7] = True
         frames[:, member] = rng.choice([700.0, -650.0, 3e-9, -7e-10], size=(6, int(member.sum())))
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
-        roi = member
         vals = series.frames[:, member].astype(np.float64)
         assert any(v.sum() != math.fsum(v) for v in vals)
         window = roi_window(member)
         cropped = VelocityMapSeries(frames=frames[(slice(None),) + window], dt_ms=75.0,
                                     venc_mm_s=800.0, pixel_area_mm2=0.25)
         assert cropped.frames.shape[1:] == (16, 13)
-        cropped_roi = member[window]
-        full = compute_flow(series, roi).values
-        assert np.array_equal(compute_flow(cropped, cropped_roi).values, full)
+        full = roi_flow(series, member).values
+        assert np.array_equal(roi_flow(cropped, member[window]).values, full)
+        assert np.array_equal(full, 0.06 * 0.25 * np.array([v.sum() for v in vals]))
 
     def test_linearity(self):
         series, mask, _ = images(duration_s=60.0, seed=5)
-        roi = mask
-        base = compute_flow(series, roi)
+        base = roi_flow(series, mask)
         scaled = VelocityMapSeries(frames=series.frames * 2.0, dt_ms=series.dt_ms,
                                    venc_mm_s=series.venc_mm_s, pixel_area_mm2=series.pixel_area_mm2)
-        assert compute_flow(scaled, roi).values == pytest.approx(2.0 * base.values, rel=1e-6)
+        assert roi_flow(scaled, mask).values == pytest.approx(2.0 * base.values, rel=1e-6)
 
     def test_dimension_mismatch_rejected(self):
         series = VelocityMapSeries(frames=np.zeros((3, 4, 4)), dt_ms=75.0,
                                    venc_mm_s=800.0, pixel_area_mm2=0.25)
         wrong_count = np.ones((2, 4, 4), dtype=bool)
         with pytest.raises(ValueError):
-            compute_flow(series, wrong_count)
+            roi_values(series, wrong_count)
         wrong_shape = np.ones((5, 5), dtype=bool)
         with pytest.raises(ValueError):
-            compute_flow(series, wrong_shape)
+            roi_values(series, wrong_shape)
 
 
 class TestSumFlows:

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn, gammainc
 
 from helpers import images, signals
-from oracles import simulated_flow
+from oracles import simulated_flow, wrapped_member_values
 
 from rtpc import io
 from rtpc.errors import InvalidConfig
-from rtpc.extraction import compute_flow
+from rtpc.extraction import compute_flow, roi_values
 from rtpc.io import MAGIC, read_signal_csv, write_signal_csv, write_velocity_series
 from rtpc.respiration import detect_resp_intervals
 from rtpc.synthgen import (
@@ -26,6 +26,10 @@ from rtpc.synthgen import (
     generate_velocity_series,
     pulse_waveform,
 )
+
+
+def roi_flow(series, roi):
+    return compute_flow(roi_values(series, roi), series.pixel_area_mm2, series.dt_s)
 
 
 def with_field(config, key: str, value):
@@ -337,14 +341,14 @@ class TestGenerateVelocitySeries:
     def test_flow_conservation(self):
         flow = signals(duration_s=60.0, seed=5).flow
         series, mask, _ = images(duration_s=60.0, seed=5)
-        recovered = compute_flow(series, mask)
+        recovered = roi_flow(series, mask)
         rel = np.abs(recovered.values - flow.values) / np.abs(flow.values)
         assert rel.max() <= 1e-5  # frozen discretization tolerance (float32 storage)
 
     def test_eddy_bias_linearity(self):
         clean, mask, _ = images(duration_s=60.0, seed=5)
         eddy, _, truth = images(duration_s=60.0, seed=5, artifacts={"eddy_offset_mm_s": 3.0})
-        bias = compute_flow(eddy, mask).values - compute_flow(clean, mask).values
+        bias = roi_flow(eddy, mask).values - roi_flow(clean, mask).values
         expected = 0.06 * 0.25 * 3.0 * mask.sum()
         assert bias == pytest.approx(expected, rel=1e-4)
         assert truth.eddy_offset_mm_s == 3.0
@@ -386,7 +390,32 @@ class TestGenerateVelocitySeries:
         assert series.venc_mm_s == 1000.0
         assert series.pixel_area_mm2 == 0.25
 
-    @pytest.mark.parametrize("chunk_frames", [None, 7])
+    @pytest.mark.parametrize("fraction, venc, grid, wraps", [
+        (0.0, 1000.0, 32, False),
+        (0.3, 1000.0, 32, True),
+        (1.0, 1000.0, 32, True),
+        (0.5, 1e5, 32, False),  # no pixel exceeds venc
+        (0.5, 1000.0, 64, True),  # 800 frames: chunks of 256, the last of 32
+    ], ids=["fraction0", "fraction0.3", "fraction1", "venc-above-all", "short-last-chunk"])
+    def test_wrap_draw_matches_per_frame_oracle(self, fraction, venc, grid, wraps):
+        """The member values and wrapped pixels are those of the per-frame draw
+        on the unwrapped values, bit for bit. Where pixels wrap, some frames
+        wrap none, so the frames that skip the draw are covered too."""
+        config = {"duration_s": 60.0, "seed": 4, "artifacts": {"noise_sd": 4.0},
+                  "vessel": {"venc_mm_s": venc, "grid": {"width": grid, "height": grid}}}
+        clean = generate_velocity_series(SimConfig.from_dict(config)).series
+        config["artifacts"]["aliased_pixel_fraction"] = fraction
+        series, mask, truth = generate_velocity_series(SimConfig.from_dict(config))
+        if grid == 64:
+            chunks = list(io.frame_chunks(series.n_frames, grid, grid))
+            assert len(chunks) > 1 and chunks[-1].stop - chunks[-1].start < chunks[0].stop
+        values, wrapped = wrapped_member_values(clean.member_values, mask, venc, fraction, seed=4)
+        assert series.member_values.tobytes() == values.tobytes()
+        assert truth.wrapped_pixels == wrapped
+        n_frames_wrapped = len({t for t, _y, _x in wrapped})
+        assert (0 < n_frames_wrapped < series.n_frames) if wraps else n_frames_wrapped == 0
+
+    @pytest.mark.parametrize("chunk_frames", [None, 7, 1])
     @pytest.mark.parametrize("eddy", [0.0, 3.0])
     def test_float32_render_and_write_match_float64_reference(self, eddy, chunk_frames, tmp_path,
                                                                monkeypatch):
@@ -421,9 +450,11 @@ class TestGenerateVelocitySeries:
 
         if chunk_frames is not None:
             # chunks() then reuses its render buffer across several chunks,
-            # the last one short.
+            # the last one short unless a chunk is one frame; to_series renders
+            # through the same chunks.
             monkeypatch.setattr(io, "SERIES_CHUNK_BYTES", chunk_frames * 4 * h * w)
-            assert len(flow) > 2 * chunk_frames and len(flow) % chunk_frames
+            assert len(flow) > 2 * chunk_frames and (chunk_frames == 1 or len(flow) % chunk_frames)
+            assert series.to_series().frames.tobytes() == expected.tobytes()
         path = tmp_path / "series.rtpc"
         write_velocity_series(series, path)
         header = MAGIC + struct.pack("<III", w, h, len(flow))
