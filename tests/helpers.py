@@ -49,12 +49,16 @@ def match_boundaries(detected: np.ndarray, truth: np.ndarray, tol_s: float):
     return np.asarray(errors)
 
 
+def fresh_env() -> dict:
+    """The environment of a new interpreter that imports this rtpc."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(rtpc.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+
+
 def run_fresh(script: str, *argv) -> tuple:
     """Run `python -c script argv...` in a new interpreter that imports this
     rtpc; return the JSON of its stdout's last line, and the whole stdout."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(rtpc.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)], env=fresh_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1]), proc.stdout

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import os
@@ -46,7 +47,7 @@ from rtpc.report import Report, read_report
 from rtpc.stats import spearman
 from rtpc.synthgen import SimConfig, generate_velocity_series
 
-from helpers import run_fresh
+from helpers import fresh_env, run_fresh
 
 
 BASE_CONFIG = {
@@ -750,8 +751,7 @@ class TestMemoryBound:
 
     @pytest.mark.parametrize("command", ["simulate", "extract_mask", "extract_seed"])
     def test_growth_from_n_to_4n_frames(self, tmp_path, command):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(rtpc.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+        env = fresh_env()
         peaks = []
         for duration in (self.N_SECONDS, 4 * self.N_SECONDS):
             data = tmp_path / f"d{duration:g}"
@@ -1094,56 +1094,58 @@ sys.exit(rtpc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0)
 """
 
 
+def round_trip_commands(config, data, out):
+    """simulate --with-images, extract --mask and --seed with --qc, analyze
+    --plots and report --plots, writing under out; data is a simulated set."""
+    series = str(data / "series.rtpc")
+    return [
+        ["simulate", "--config", str(config), "--out-dir", str(out / "sim"), "--with-images"],
+        ["extract", "--series", series, "--mask", str(data / "mask.pgm"),
+         "--out", str(out / "mask_flow.csv"), "--qc", str(out / "mask_qc.json")],
+        ["extract", "--series", series, "--seed", "16,16",
+         "--out", str(out / "seed_flow.csv"), "--qc", str(out / "seed_qc.json")],
+        ["analyze", "--flow", str(out / "mask_flow.csv"), "--resp", str(data / "resp.csv"),
+         "--out", str(out / "report.json"), "--plots", str(out / "plots")],
+        ["report", "--in", str(out / "report.json"), "--plots", str(out / "replots")],
+    ]
+
+
+def assert_same_outputs(a_dir, b_dir):
+    """round_trip_commands wrote the same files under both directories, byte
+    for byte apart from each report's generated_at."""
+    files = sorted(p.relative_to(a_dir) for p in a_dir.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(b_dir) for p in b_dir.rglob("*") if p.is_file())
+    assert len(files) > 10
+    assert {Path("sim/truth.json"), Path("sim/series.rtpc")} <= set(files)
+    for name in files:
+        a, b = (a_dir / name).read_bytes(), (b_dir / name).read_bytes()
+        if name.suffix == ".json" and name.stem == "report":
+            a, b = (re.sub(rb'"generated_at": "[^"]*"', b"", x) for x in (a, b))
+        assert a == b, name
+
+
 class TestWithoutScipy:
     """simulate --with-images, extract, analyze and report run, and write the
     same bytes, truth.json included, when scipy cannot be imported at all;
     so does Spearman's t approximation."""
 
-    @staticmethod
-    def env():
-        return {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(rtpc.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
-
-    @staticmethod
-    def commands(config, data, out):
-        series = str(data / "series.rtpc")
-        return [
-            ["simulate", "--config", str(config), "--out-dir", str(out / "sim"), "--with-images"],
-            ["extract", "--series", series, "--mask", str(data / "mask.pgm"),
-             "--out", str(out / "mask_flow.csv"), "--qc", str(out / "mask_qc.json")],
-            ["extract", "--series", series, "--seed", "16,16",
-             "--out", str(out / "seed_flow.csv"), "--qc", str(out / "seed_qc.json")],
-            ["analyze", "--flow", str(out / "mask_flow.csv"), "--resp", str(data / "resp.csv"),
-             "--out", str(out / "report.json"), "--plots", str(out / "plots")],
-            ["report", "--in", str(out / "report.json"), "--plots", str(out / "replots")],
-        ]
-
     def test_same_outputs(self, dataset, tmp_path):
-        env = self.env()
+        env = fresh_env()
         proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUNNER], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
         config = dataset.parent / "sim.json"
         with_scipy, without = tmp_path / "with", tmp_path / "without"
-        for argv in self.commands(config, dataset, with_scipy):
+        for argv in round_trip_commands(config, dataset, with_scipy):
             with_scipy.mkdir(exist_ok=True)
             assert main(argv) == 0
-        for argv in self.commands(config, dataset, without):
+        for argv in round_trip_commands(config, dataset, without):
             without.mkdir(exist_ok=True)
             proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUNNER, *argv], env=env,
                                   capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
-
-        files = sorted(p.relative_to(with_scipy) for p in with_scipy.rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(without) for p in without.rglob("*") if p.is_file())
-        assert len(files) > 10
-        assert {Path("sim/truth.json"), Path("sim/series.rtpc")} <= set(files)
-        for name in files:
-            a, b = (with_scipy / name).read_bytes(), (without / name).read_bytes()
-            if name.suffix == ".json" and name.stem == "report":
-                a, b = (re.sub(rb'"generated_at": "[^"]*"', b"", x) for x in (a, b))
-            assert a == b, name
+        assert_same_outputs(with_scipy, without)
 
     def test_spearman_t_approximation(self):
         """spearman on n = 25 runs with every scipy import refused, and its p
@@ -1158,7 +1160,7 @@ r = spearman(*json.loads(sys.argv[1]))
 print(json.dumps([r.rho, r.p_value, r.method]))
 """
         proc = subprocess.run([sys.executable, "-c", code, json.dumps([x.tolist(), y.tolist()])],
-                              env=self.env(), capture_output=True, text=True)
+                              env=fresh_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         rho, p, method = json.loads(proc.stdout)
         ref = scipy.stats.spearmanr(x, y)
@@ -1279,6 +1281,29 @@ class TestImportFootprint:
                 assert "datetime" not in modules, argv
 
 
+#: Starts rtpc in a fresh interpreter through the entry named in argv[1]:
+#: "-m rtpc" or "-m rtpc.cli" runs that module as `python -m` does, and
+#: "module:function" calls that function as a console script does. An atexit
+#: hook prints, as the last line of stdout, whether any object was frozen.
+ENTRY_RUNNER = """
+import atexit, gc, importlib, runpy, sys
+atexit.register(lambda: print(f"frozen at exit: {gc.get_freeze_count() > 0}"))
+entry = sys.argv.pop(1)
+if entry.startswith("-m "):
+    runpy.run_module(entry[3:], run_name="__main__", alter_sys=True)
+else:
+    module, _, function = entry.partition(":")
+    sys.exit(getattr(importlib.import_module(module), function)())
+"""
+
+
+def console_script_target() -> str:
+    """The `rtpc` console script's target, as pyproject.toml declares it."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    return tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["rtpc"]
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -1290,3 +1315,58 @@ class TestEntryPoint:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out == f"rtpc {rtpc.__version__}\n"
+
+    def test_process_writes_what_main_writes(self, dataset, tmp_path):
+        config = dataset.parent / "sim.json"
+        in_process, process = tmp_path / "main", tmp_path / "process"
+        for argv in round_trip_commands(config, dataset, in_process):
+            in_process.mkdir(exist_ok=True)
+            assert main(argv) == 0
+        for argv in round_trip_commands(config, dataset, process):
+            process.mkdir(exist_ok=True)
+            proc = subprocess.run([sys.executable, "-m", "rtpc", *argv], env=fresh_env(),
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        assert_same_outputs(in_process, process)
+
+    def test_main_keeps_collection(self, dataset, tmp_path):
+        """main called in process freezes nothing and leaves the collector
+        on, whether the command succeeds or fails."""
+        state = gc.get_freeze_count(), gc.isenabled()
+        assert main(["--version"]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == state
+        assert main(["analyze", "--flow", str(dataset / "flow.csv"), "--resp",
+                     str(dataset / "resp.csv"), "--out", str(tmp_path / "ok.json")]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == state
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time_s,value\n0.0,one\n")
+        assert main(["analyze", "--flow", str(bad), "--resp", str(dataset / "resp.csv"),
+                     "--out", str(tmp_path / "bad.json")]) == 3
+        assert (gc.get_freeze_count(), gc.isenabled()) == state
+
+    @pytest.mark.parametrize("entry", ["-m rtpc", "-m rtpc.cli", "console script"])
+    @pytest.mark.parametrize("case", ["version", "help", "usage", "malformed flow"])
+    def test_process_entry_freezes_before_exit(self, entry, case, tmp_path, capsys):
+        """Each way of starting rtpc as a process ends with its objects frozen,
+        and exits, prints and cleans up as main does in process."""
+        if entry == "console script":
+            entry = console_script_target()
+        flow, resp, out = tmp_path / "flow.csv", tmp_path / "resp.csv", tmp_path / "r.json"
+        flow.write_text("time_s,value\n0.0,one\n")
+        resp.write_text("time_s,value\n" + "".join(f"{i * 0.075},{i % 7}\n" for i in range(200)))
+        argv, code = {
+            "version": (["--version"], 0),
+            "help": (["analyze", "--help"], 0),
+            "usage": (["analyze", "--flow", str(flow)], 2),
+            "malformed flow": (["analyze", "--flow", str(flow), "--resp", str(resp),
+                                "--out", str(out)], 3),
+        }[case]
+        assert main(argv) == code
+        expected = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-c", ENTRY_RUNNER, entry, *argv],
+                              env=fresh_env(), capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (code, expected.err)
+        assert proc.stdout == expected.out + "frozen at exit: True\n"
+        assert not out.exists()
+        if case == "version":
+            assert expected.out == f"rtpc {rtpc.__version__}\n"

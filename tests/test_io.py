@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import struct
 import subprocess
 import sys
@@ -44,6 +43,8 @@ from rtpc.io import (
     write_velocity_series,
 )
 from rtpc.report import ArteryRecord, DiffRecord, QcFlags, Report, read_report, write_report
+
+from helpers import fresh_env
 
 
 def random_series(rng, n=3, h=4, w=5, dt_ms=75.0, venc=800.0, area=0.25):
@@ -677,11 +678,9 @@ class TestReportReaderEdges:
         top = math.nextafter(4.3, 5)
         path.write_text(json.dumps(set_summary(set_scan(report_tree(), "diff_pct", [4.3, top]),
                                                at_zero_pct=4.3, max_pct=top)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(rtpc_io.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(  # a subprocess, so that a hang ends at the timeout
             [sys.executable, "-m", "rtpc", "report", "--in", str(path), "--plots", str(tmp_path / "p")],
-            env=env, capture_output=True, text=True, timeout=60)
+            env=fresh_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert len(list((tmp_path / "p").glob("*.svg"))) == 3
 
