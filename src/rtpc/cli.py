@@ -29,7 +29,15 @@ from .errors import (
     SeedOutsideVessel,
     TooShort,
 )
-from .report import REPORT_PARAMETERS, ArteryRecord, QcFlags, Report, read_report, write_report
+from .report import (
+    REPORT_PARAMETERS,
+    ArteryRecord,
+    QcFlags,
+    Report,
+    read_report,
+    unlink_if_regular,
+    write_report,
+)
 
 #: What the commands call, by module. Each command binds the names of the
 #: modules it runs with _load, so it imports nothing else: `report` loads no
@@ -309,6 +317,7 @@ def cmd_extract(args, written: list) -> int:
         }
         qc_path = Path(args.qc)
         written.append(qc_path)
+        unlink_if_regular(qc_path)
         qc_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
@@ -394,6 +403,7 @@ def cmd_simulate(args, written: list) -> int:
     written.append(truth_path)
     # No indent: indent makes json use its pure-Python encoder (8x slower on
     # the wrapped-pixel triples).
+    unlink_if_regular(truth_path)
     truth_path.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 

@@ -15,7 +15,6 @@ compute_flow work on that matrix. No step writes to a series' frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .errors import (
     SeedOutsideVessel,
     TooShort,
 )
-from .io import SampledSignal, VelocityMapSeries
+from .io import Frozen, SampledSignal, VelocityMapSeries
 from .numerics import distance_band, median, quantile, seed_component, welch
 from .report import (
     CARDIAC_BAND_HZ,
@@ -61,13 +60,20 @@ COMPONENT_START_HALF_PX = 16
 BLOCK_VALUES = 1 << 16
 
 
-@dataclass(frozen=True)
-class BackgroundEstimate:
-    """Static velocity offset estimated from quiet tissue around the ROI."""
+class BackgroundEstimate(Frozen):
+    """Static velocity offset estimated from quiet tissue around the ROI;
+    band is a bool (height, width) mask, disjoint from the ROI."""
 
-    offset_mm_s: float
-    band: np.ndarray  # bool (height, width), disjoint from the ROI
-    n_band_pixels: int
+    __slots__ = ("offset_mm_s", "band", "n_band_pixels")
+
+    def __init__(self, offset_mm_s: float, band: np.ndarray, n_band_pixels: int):
+        self._fill(locals())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BackgroundEstimate):
+            return NotImplemented
+        return (self.offset_mm_s == other.offset_mm_s and self.n_band_pixels == other.n_band_pixels
+                and bool(np.array_equal(self.band, other.band)))
 
 
 def segment_roi(

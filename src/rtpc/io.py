@@ -27,7 +27,6 @@ import math
 import operator
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +45,7 @@ from .errors import (
     TruncatedFile,
 )
 from .numerics import median
+from .report import unlink_if_regular
 
 MAGIC = b"RTPC1"
 HEADER_SIZE = len(MAGIC) + 12 + 12  # magic + three u32 + three f32
@@ -59,8 +59,33 @@ CSV_HEADER = "time_s,value"
 
 # -- domain types ---------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class VelocityMapSeries:
+class Frozen:
+    """Base of the read-only classes: __init__ takes the __slots__ in order
+    and sets each once, through _fill, and assigning or deleting an attribute
+    after raises AttributeError. The repr names every slot as a keyword
+    argument; copy and pickle rebuild through __init__. Instances compare by
+    identity unless the class defines __eq__."""
+
+    __slots__ = ()
+
+    def _fill(self, values: dict) -> None:
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class VelocityMapSeries(Frozen):
     """Time-ordered per-pixel velocity frames with acquisition metadata.
 
     frames has shape (n_frames, height, width), float32, mm/s. Scalars are
@@ -68,13 +93,10 @@ class VelocityMapSeries:
     match what the on-disk format can hold.
     """
 
-    frames: np.ndarray
-    dt_ms: float
-    venc_mm_s: float
-    pixel_area_mm2: float
+    __slots__ = ("frames", "dt_ms", "venc_mm_s", "pixel_area_mm2")
 
-    def __post_init__(self):
-        frames = np.ascontiguousarray(np.asarray(self.frames, dtype=np.float32))
+    def __init__(self, frames: np.ndarray, dt_ms: float, venc_mm_s: float, pixel_area_mm2: float):
+        frames = np.ascontiguousarray(np.asarray(frames, dtype=np.float32))
         if frames.ndim != 3 or min(frames.shape) < 1:
             raise InvalidHeader(
                 f"frames must be a non-empty (n_frames, height, width) array, got shape {frames.shape}"
@@ -82,12 +104,14 @@ class VelocityMapSeries:
         # min and max propagate NaN and reach +-inf, with no full-size temporary.
         if not (np.isfinite(frames.min()) and np.isfinite(frames.max())):
             raise NonFiniteVelocity("velocity frames contain non-finite values")
-        object.__setattr__(self, "frames", frames)
-        for name in ("dt_ms", "venc_mm_s", "pixel_area_mm2"):
-            value = float(np.float32(getattr(self, name)))
+        values = {"frames": frames}
+        for name, given in (("dt_ms", dt_ms), ("venc_mm_s", venc_mm_s),
+                            ("pixel_area_mm2", pixel_area_mm2)):
+            value = float(np.float32(given))
             if not math.isfinite(value) or value <= 0.0:
-                raise InvalidHeader(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
+                raise InvalidHeader(f"{name} must be positive and finite, got {given!r}")
+            values[name] = value
+        self._fill(values)
 
     @property
     def n_frames(self) -> int:
@@ -122,30 +146,25 @@ class VelocityMapSeries:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class SampledSignal:
+class SampledSignal(Frozen):
     """Uniformly sampled time series (flow in ml/min or belt amplitude)."""
 
-    t0_s: float
-    dt_s: float
-    values: np.ndarray
-    kind: str
+    __slots__ = ("t0_s", "dt_s", "values", "kind")
 
-    def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+    def __init__(self, t0_s: float, dt_s: float, values: np.ndarray, kind: str):
+        values = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
         if values.ndim != 1:
             raise ParseError(f"signal values must be 1-D, got shape {values.shape}")
         if values.size < 2:
             raise TooShort(f"signal needs at least 2 samples, got {values.size}")
         if not np.isfinite(values).all():
             raise ParseError("signal contains non-finite values")
-        if not (math.isfinite(self.dt_s) and self.dt_s > 0):
-            raise NonMonotoneTime(f"dt_s must be positive, got {self.dt_s!r}")
-        if self.kind not in SIGNAL_KINDS:
-            raise ValueError(f"kind must be one of {SIGNAL_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "t0_s", float(self.t0_s))
-        object.__setattr__(self, "dt_s", float(self.dt_s))
+        if not (math.isfinite(dt_s) and dt_s > 0):
+            raise NonMonotoneTime(f"dt_s must be positive, got {dt_s!r}")
+        if kind not in SIGNAL_KINDS:
+            raise ValueError(f"kind must be one of {SIGNAL_KINDS}, got {kind!r}")
+        t0_s, dt_s = float(t0_s), float(dt_s)
+        self._fill(locals())
 
     def __len__(self) -> int:
         return self.values.size
@@ -276,6 +295,7 @@ def write_velocity_series(series, path) -> None:
     """
     header = MAGIC + struct.pack("<III", series.width, series.height, series.n_frames)
     header += struct.pack("<fff", series.dt_ms, series.venc_mm_s, series.pixel_area_mm2)
+    unlink_if_regular(path)
     try:
         with open(path, "wb") as fh:
             fh.write(header)
@@ -353,6 +373,7 @@ def write_signal_csv(signal: SampledSignal, path) -> None:
     for i, v in enumerate(signal.values):
         t = signal.t0_s + i * signal.dt_s
         rows.append(f"{float(t)!r},{v:.10g}")
+    unlink_if_regular(path)
     try:
         Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
     except OSError as exc:
@@ -418,6 +439,7 @@ def write_mask(mask: np.ndarray, path) -> None:
         raise ValueError(f"mask must be a non-empty 2-D array, got shape {mask.shape}")
     header = f"P5\n{mask.shape[1]} {mask.shape[0]}\n255\n".encode("ascii")
     raster = np.where(mask, 255, 0).astype(np.uint8).tobytes()
+    unlink_if_regular(path)
     try:
         Path(path).write_bytes(header + raster)
     except OSError as exc:

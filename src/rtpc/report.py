@@ -5,15 +5,18 @@ strict: a missing or mistyped field raises ParseError naming it, and so does
 a summary that disagrees with its scan. It also states each fixed analysis
 setting once: the detectors, the command line's defaults and help texts, and
 analysis_config, which builds the report's `config` block, read them here.
+Every writer of an output file calls unlink_if_regular first.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import reprlib
+import stat
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import IoFailure, ParseError
@@ -122,10 +125,11 @@ def _number(value, name: str, optional: bool = False) -> float | None:
     raise ParseError(f"report field {name} must be {kind}, got {reprlib.repr(value)}")
 
 
-@dataclass(frozen=True)
-class QcFlags:
-    cardiac_snr: float | None
-    excluded: bool
+class QcFlags(namedtuple("QcFlags", "cardiac_snr excluded")):
+    """A flow's quality verdict: its cardiac SNR (None for a flow too short to
+    score) and whether that SNR excludes it."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"cardiac_snr": self.cardiac_snr, "excluded": self.excluded}
@@ -137,22 +141,18 @@ class QcFlags:
                    excluded=_field(d["excluded"], bool, "qc.excluded"))
 
 
-@dataclass(frozen=True)
-class DiffRecord:
+class DiffRecord(namedtuple(
+        "DiffRecord", "diff_at_zero_pct max_diff_pct argmax_delay_s delay_pct delays_s diff_pct")):
     """Diff Ex-In of one parameter at its best delay, with the scan it came from.
 
-    delays_s / diff_pct keep the whole delay scan, so a report file alone can
-    redraw the Diff-vs-delay plot; a skipped delay's Diff is None. The scan
-    starts at delay 0, and Report.validate refuses a record whose other fields
-    are not what its scan gives.
+    delays_s / diff_pct keep the whole delay scan as tuples of floats, so a
+    report file alone can redraw the Diff-vs-delay plot; a skipped delay's
+    Diff, like diff_at_zero_pct, may be None. The scan starts at delay 0, and
+    Report.validate refuses a record whose other fields are not what its scan
+    gives.
     """
 
-    diff_at_zero_pct: float | None
-    max_diff_pct: float
-    argmax_delay_s: float
-    delay_pct: float
-    delays_s: tuple[float, ...]
-    diff_pct: tuple[float | None, ...]
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -179,15 +179,11 @@ class DiffRecord:
         )
 
 
-@dataclass(frozen=True)
-class ArteryRecord:
-    name: str
-    mean_flow_ml_min: float
-    stroke_volume_ml: float
-    cardiac_period_s: float
-    n_cycles: int
-    qc: QcFlags
-    diff: dict  # parameter name -> DiffRecord
+class ArteryRecord(namedtuple("ArteryRecord", "name mean_flow_ml_min stroke_volume_ml "
+                                             "cardiac_period_s n_cycles qc diff")):
+    """One artery's cycle summary, its QcFlags, and diff: parameter name -> DiffRecord."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -238,15 +234,12 @@ def _check_scan(record: DiffRecord, where: str) -> None:
                          f"largest Diff is at {at!r} s")
 
 
-@dataclass(frozen=True)
-class Report:
-    """Per-artery cycle summaries plus the three Diff-vs-delay records each."""
+class Report(namedtuple("Report", "version config resp_period_s arteries generated_at",
+                        defaults=(None,))):
+    """Per-artery cycle summaries plus the three Diff-vs-delay records each:
+    arteries is a tuple of ArteryRecord, generated_at a string or None."""
 
-    version: str
-    config: dict
-    resp_period_s: float
-    arteries: tuple[ArteryRecord, ...]
-    generated_at: str | None = None
+    __slots__ = ()
 
     def validate(self):
         if not (math.isfinite(self.resp_period_s) and self.resp_period_s > 0):
@@ -296,16 +289,30 @@ class Report:
             raise ParseError(f"malformed report: missing field {exc}") from exc
 
 
+# -- output files -----------------------------------------------------------------
+
+def unlink_if_regular(path) -> None:
+    """Remove path if it is a regular file, so that the writer which opens it
+    next writes a new file. Truncating a file whose last contents are still
+    being written back can block for hundreds of ms; unlinking it does not.
+    A symlink, FIFO or device is left alone and written through, and a path
+    that cannot be removed is left for the writer to report on."""
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except (OSError, ValueError):  # ValueError: a path with a NUL byte
+        pass
+
+
 # -- report JSON ------------------------------------------------------------------
 
 def write_report(report: Report, path) -> None:
     """Validate and emit the report JSON (sorted keys, stable formatting)."""
     report.validate()
     try:
-        Path(path).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n",
-            encoding="utf-8",
-        )
+        text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        unlink_if_regular(path)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
     except ValueError as exc:

@@ -9,12 +9,10 @@ delays; a positive delay means the flow response lags the belt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoBreathsDetected, NonAlternating
-from .io import SampledSignal
+from .io import Frozen, SampledSignal
 from .numerics import find_peaks
 from .report import (
     INTERVAL_DURATION_BAND,
@@ -28,45 +26,52 @@ EX = "EX"
 UNLABELED = "UNLABELED"
 
 
-@dataclass(frozen=True)
-class RespIntervals:
+class RespIntervals(Frozen):
     """Abutting, strictly alternating IN/EX intervals.
 
-    base_bounds are the boundaries as detected on the belt; the delay scan
-    labels cycles under base_bounds + d for each delay d of its grid.
+    base_bounds are the len(phases) + 1 boundaries as detected on the belt;
+    the delay scan labels cycles under base_bounds + d for each delay d of
+    its grid.
     """
 
-    phases: tuple
-    base_bounds: tuple  # len(phases) + 1 boundary times, undelayed
-    mean_period_s: float
+    __slots__ = ("phases", "base_bounds", "mean_period_s")
 
-    def __post_init__(self):
-        if len(self.base_bounds) != len(self.phases) + 1:
+    def __init__(self, phases: tuple, base_bounds: tuple, mean_period_s: float):
+        if len(base_bounds) != len(phases) + 1:
             raise ValueError("need exactly one more boundary than phases")
-        if len(self.phases) < 1:
+        if len(phases) < 1:
             raise NoBreathsDetected("no breathing intervals")
-        bounds = np.asarray(self.base_bounds, dtype=np.float64)
+        bounds = np.asarray(base_bounds, dtype=np.float64)
         if not (np.diff(bounds) > 0).all():
             raise ValueError("interval boundaries must be strictly increasing")
-        for a, b in zip(self.phases[:-1], self.phases[1:]):
+        for a, b in zip(phases[:-1], phases[1:]):
             if a == b or {a, b} != {IN, EX}:
                 raise NonAlternating(f"phases do not alternate: {a!r} followed by {b!r}")
-        if self.phases[0] not in (IN, EX):
-            raise NonAlternating(f"unknown phase {self.phases[0]!r}")
-        if not self.mean_period_s > 0:
-            raise NoBreathsDetected(f"mean period must be positive, got {self.mean_period_s}")
+        if phases[0] not in (IN, EX):
+            raise NonAlternating(f"unknown phase {phases[0]!r}")
+        if not mean_period_s > 0:
+            raise NoBreathsDetected(f"mean period must be positive, got {mean_period_s}")
         durations = np.diff(bounds)
-        lo, hi = (f * self.mean_period_s for f in INTERVAL_DURATION_BAND)
+        lo, hi = (f * mean_period_s for f in INTERVAL_DURATION_BAND)
         if (durations <= lo).any() or (durations >= hi).any():
             raise NonAlternating(
                 f"interval durations outside {INTERVAL_DURATION_BAND} x mean period "
-                f"{self.mean_period_s:.3g} s: {durations.min():.3g}..{durations.max():.3g} s"
+                f"{mean_period_s:.3g} s: {durations.min():.3g}..{durations.max():.3g} s"
             )
-        object.__setattr__(self, "phases", tuple(self.phases))
-        object.__setattr__(self, "base_bounds", tuple(float(b) for b in self.base_bounds))
+        phases, base_bounds = tuple(phases), tuple(float(b) for b in base_bounds)
+        self._fill(locals())
 
     def __len__(self) -> int:
         return len(self.phases)
+
+    def _key(self) -> tuple:
+        return self.phases, self.base_bounds, self.mean_period_s
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, RespIntervals) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def span(self) -> tuple:

@@ -14,7 +14,7 @@ from the normal approximation: the package needs numpy only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -25,20 +25,11 @@ EXACT_SPEARMAN_MAX_N = 10
 EXACT_WILCOXON_MAX_N = 20
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    rho: float
-    p_value: float
-    n: int
-    method: str  # "exact-permutation" | "t-approximation"
+#: method is "exact-permutation" or "t-approximation".
+CorrelationResult = namedtuple("CorrelationResult", "rho p_value n method")
 
-
-@dataclass(frozen=True)
-class SignedRankResult:
-    w_statistic: float
-    p_value: float
-    n_nonzero: int
-    method: str  # "exact" | "normal-approximation"
+#: method is "exact" or "normal-approximation".
+SignedRankResult = namedtuple("SignedRankResult", "w_statistic p_value n_nonzero method")
 
 
 def _require_finite(values: np.ndarray, name: str) -> None:

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from .errors import IoFailure
+from .report import unlink_if_regular
 
 _WIDTH = 640
 _HEIGHT = 400
@@ -154,6 +155,7 @@ def render_line_chart(x, y, path, title: str, x_label: str, y_label: str, marker
         f'font-size="12" transform="rotate(-90 {cx} {cy:.1f})">{_escape(y_label)}</text>',
         "</svg>",
     ]
+    unlink_if_regular(path)
     try:
         Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
     except OSError as exc:

@@ -28,13 +28,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import InvalidConfig
-from .io import SampledSignal, VelocityMapSeries, frame_chunks
+from .io import Frozen, SampledSignal, VelocityMapSeries, frame_chunks
 
 BELT_WAVEFORMS = ("sine", "rounded-square")
 MODULATION_SHAPES = ("square", "sine")
@@ -46,65 +45,29 @@ VESSEL_MARGIN_PX = 7
 
 # -- configuration ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WaveformConfig:
-    shape: float = 3.0
-    scale: float = 0.18
-    floor: float = 0.3
+def _config(name: str, **defaults):
+    """A config record: a named tuple of these fields, each defaulting to its
+    value, whose type is the one the field takes."""
+    return namedtuple(name, defaults, defaults=tuple(defaults.values()))
 
 
-@dataclass(frozen=True)
-class CardiacConfig:
-    base_period_s: float = 0.94
-    base_mean_flow_ml_min: float = 740.0
-    waveform: WaveformConfig = field(default_factory=WaveformConfig)
+WaveformConfig = _config("WaveformConfig", shape=3.0, scale=0.18, floor=0.3)
+CardiacConfig = _config("CardiacConfig", base_period_s=0.94, base_mean_flow_ml_min=740.0,
+                        waveform=WaveformConfig())
+RespirationConfig = _config("RespirationConfig", period_s=4.3, belt_waveform="sine")
+ModulationConfig = _config("ModulationConfig", mean_flow_pct=0.0, period_pct=0.0, shape="square",
+                           sensor_delay_s=0.0)
+ArtifactConfig = _config("ArtifactConfig", eddy_offset_mm_s=0.0, aliased_pixel_fraction=0.0,
+                         noise_sd=0.0)
+GridConfig = _config("GridConfig", width=32, height=32)
+VesselConfig = _config("VesselConfig", radius_px=6.0, grid=GridConfig(), venc_mm_s=1000.0,
+                       pixel_area_mm2=0.25)
 
 
-@dataclass(frozen=True)
-class RespirationConfig:
-    period_s: float = 4.3
-    belt_waveform: str = "sine"
-
-
-@dataclass(frozen=True)
-class ModulationConfig:
-    mean_flow_pct: float = 0.0
-    period_pct: float = 0.0
-    shape: str = "square"
-    sensor_delay_s: float = 0.0
-
-
-@dataclass(frozen=True)
-class ArtifactConfig:
-    eddy_offset_mm_s: float = 0.0
-    aliased_pixel_fraction: float = 0.0
-    noise_sd: float = 0.0
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    width: int = 32
-    height: int = 32
-
-
-@dataclass(frozen=True)
-class VesselConfig:
-    radius_px: float = 6.0
-    grid: GridConfig = field(default_factory=GridConfig)
-    venc_mm_s: float = 1000.0
-    pixel_area_mm2: float = 0.25
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    duration_s: float = 60.0
-    dt_ms: float = 75.0
-    cardiac: CardiacConfig = field(default_factory=CardiacConfig)
-    respiration: RespirationConfig = field(default_factory=RespirationConfig)
-    modulation: ModulationConfig = field(default_factory=ModulationConfig)
-    artifacts: ArtifactConfig = field(default_factory=ArtifactConfig)
-    vessel: VesselConfig = field(default_factory=VesselConfig)
-    seed: int = 0
+class SimConfig(_config("SimConfig", duration_s=60.0, dt_ms=75.0, cardiac=CardiacConfig(),
+                        respiration=RespirationConfig(), modulation=ModulationConfig(),
+                        artifacts=ArtifactConfig(), vessel=VesselConfig(), seed=0)):
+    __slots__ = ()
 
     def validate(self):
         """Refuse a config that cannot be simulated. However it was built, its
@@ -144,7 +107,7 @@ class SimConfig:
             raise InvalidConfig(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _as_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
@@ -174,17 +137,21 @@ _SCALARS = {
 }
 
 
+def _as_dict(config) -> dict:
+    """A config's fields as a dict, nested configs as dicts in turn."""
+    return {key: _as_dict(value) if hasattr(value, "_asdict") else value
+            for key, value in config._asdict().items()}
+
+
 def _load_fields(cls, d: dict, prefix: str):
     """cls's defaults with the keys of d laid over them, type-checked by field."""
-    defaults = cls()
-    names = {f.name for f in fields(cls)}
     values = {}
     for key, value in d.items():
         here = prefix + key
-        if key not in names:
+        if key not in cls._fields:
             raise InvalidConfig(f"unknown config key {here!r}")
-        default = getattr(defaults, key)
-        if is_dataclass(default):
+        default = cls._field_defaults[key]
+        if isinstance(default, tuple):  # a nested config
             if not isinstance(value, dict):
                 raise InvalidConfig(f"config key {here!r} must be an object")
             values[key] = _load_fields(type(default), value, here + ".")
@@ -195,7 +162,7 @@ def _load_fields(cls, d: dict, prefix: str):
                 or kind is float and not abs(value) <= sys.float_info.max):
             raise InvalidConfig(f"config key {here!r} must be {what}, got {value!r}")
         values[key] = kind(value)
-    return replace(defaults, **values)
+    return cls()._replace(**values)
 
 
 # -- ground truth -----------------------------------------------------------------
@@ -205,8 +172,7 @@ _CYCLE_KEYS = ("start_s", "end_s", "phase", "mean_flow_ml_min", "stroke_volume_m
                "cardiac_period_s")
 
 
-@dataclass(frozen=True, eq=False)
-class GroundTruth:
+class GroundTruth(Frozen):
     """Per-cycle truth, consistent with the emitted signals by construction.
 
     The fully recorded cycles as read-only arrays in CycleTable's layout, in
@@ -217,51 +183,46 @@ class GroundTruth:
     an (n, 3) array back into lists would make to_dict twenty times slower.
     """
 
-    start_s: np.ndarray
-    end_s: np.ndarray
-    phase: np.ndarray
-    params: np.ndarray
-    sensor_delay_s: float
-    resp_period_s: float
-    eddy_offset_mm_s: float = 0.0
-    wrapped_pixels: tuple = ()
-    nominal_peak_velocity_mm_s: float | None = None
+    __slots__ = ("start_s", "end_s", "phase", "params", "sensor_delay_s", "resp_period_s",
+                 "eddy_offset_mm_s", "wrapped_pixels", "nominal_peak_velocity_mm_s")
 
-    def __post_init__(self):
-        for array in (self.start_s, self.end_s, self.phase, self.params):
+    def __init__(self, start_s: np.ndarray, end_s: np.ndarray, phase: np.ndarray,
+                 params: np.ndarray, sensor_delay_s: float, resp_period_s: float,
+                 eddy_offset_mm_s: float = 0.0, wrapped_pixels: tuple = (),
+                 nominal_peak_velocity_mm_s: float | None = None):
+        for array in (start_s, end_s, phase, params):
             array.flags.writeable = False
+        self._fill(locals())
 
     def to_dict(self) -> dict:
         """The truth manifest: one JSON object per cycle, then the scalar fields."""
         rows = zip(self.start_s.tolist(), self.end_s.tolist(), self.phase.tolist(),
                    *self.params.tolist())
-        scalars = {f.name: getattr(self, f.name) for f in fields(self)[4:]}  # after the arrays
+        scalars = {name: getattr(self, name) for name in self.__slots__[4:]}  # after the arrays
         return {"cycles": [dict(zip(_CYCLE_KEYS, row)) for row in rows], **scalars}
 
 
-class SignalBundle(NamedTuple):
-    flow: SampledSignal
-    resp: SampledSignal
-    truth: GroundTruth
+#: generate_signals' result: two SampledSignals and their GroundTruth.
+SignalBundle = namedtuple("SignalBundle", "flow resp truth")
 
 
-@dataclass(frozen=True, eq=False)
-class VesselSeries:
+class VesselSeries(Frozen):
     """A simulated velocity series held as its vessel pixels.
 
     Every pixel outside the vessel holds `background` in every frame, so the
     series is stored as that float32 value plus, per frame, the float32
-    velocities of the vessel pixels in row-major order. chunks() renders whole
-    frames a chunk at a time (what write_velocity_series consumes);
-    to_series() renders the same chunks into one array of all frames.
+    velocities of the vessel pixels in row-major order: member is the bool
+    (height, width) vessel, member_values the float32 (n_frames,
+    member.sum()) velocities. chunks() renders whole frames a chunk at a
+    time (what write_velocity_series consumes); to_series() renders the
+    same chunks into one array of all frames.
     """
 
-    member: np.ndarray  # bool (height, width)
-    member_values: np.ndarray  # float32 (n_frames, member.sum())
-    background: np.float32
-    dt_ms: float
-    venc_mm_s: float
-    pixel_area_mm2: float
+    __slots__ = ("member", "member_values", "background", "dt_ms", "venc_mm_s", "pixel_area_mm2")
+
+    def __init__(self, member: np.ndarray, member_values: np.ndarray, background: np.float32,
+                 dt_ms: float, venc_mm_s: float, pixel_area_mm2: float):
+        self._fill(locals())
 
     @property
     def n_frames(self) -> int:
@@ -315,10 +276,9 @@ class VesselSeries:
         )
 
 
-class ImageBundle(NamedTuple):
-    series: VesselSeries
-    mask: np.ndarray  # bool (height, width): the vessel
-    truth: GroundTruth
+#: generate_velocity_series' result: a VesselSeries, its vessel as a bool
+#: (height, width) mask, and the GroundTruth.
+ImageBundle = namedtuple("ImageBundle", "series mask truth")
 
 
 # -- waveforms --------------------------------------------------------------------
@@ -608,8 +568,9 @@ def generate_velocity_series(config: SimConfig) -> ImageBundle:
         venc_mm_s=vessel.venc_mm_s,
         pixel_area_mm2=vessel.pixel_area_mm2,
     )
-    truth = replace(
-        truth,
+    truth = GroundTruth(
+        truth.start_s, truth.end_s, truth.phase, truth.params, truth.sensor_delay_s,
+        truth.resp_period_s,
         eddy_offset_mm_s=config.artifacts.eddy_offset_mm_s,
         wrapped_pixels=wrapped,
         nominal_peak_velocity_mm_s=float(nominal_peak),

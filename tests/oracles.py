@@ -13,7 +13,7 @@ simulator's breathing modulation with the array forms `is_expiratory` and
 wrapped pixels one frame at a time.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -146,7 +146,9 @@ def shift_intervals(intervals: RespIntervals, delay_s: float) -> RespIntervals:
     """
     if delay_s < 0:
         raise ValueError(f"delay must be >= 0, got {delay_s}")
-    return replace(intervals, base_bounds=tuple(b + delay_s for b in intervals.base_bounds))
+    return RespIntervals(phases=intervals.phases,
+                         base_bounds=tuple(b + delay_s for b in intervals.base_bounds),
+                         mean_period_s=intervals.mean_period_s)
 
 
 def average_params(cycles: list, labels: list, phase: str, min_cycles: int = 3) -> CycleParams:

@@ -1045,6 +1045,53 @@ class TestReportCommand:
             assert not plots.exists()
 
 
+class TestRerunWritesNewFiles:
+    """A command run again into the paths it wrote replaces each file with a
+    new one holding the same bytes, instead of truncating and rewriting the
+    old one in place; an output path that is a symlink is written through."""
+
+    def test_same_bytes_new_inodes(self, dataset, tmp_path):
+        config, work = dataset.parent / "sim.json", tmp_path / "rerun"
+        sim, out = work / "sim", work / "out"
+        runs = [
+            ["simulate", "--config", str(config), "--out-dir", str(sim), "--with-images"],
+            ["extract", "--series", str(sim / "series.rtpc"), "--mask", str(sim / "mask.pgm"),
+             "--out", str(out / "flow.csv"), "--qc", str(out / "qc.json")],
+            ["analyze", "--flow", str(out / "flow.csv"), "--resp", str(sim / "resp.csv"),
+             "--out", str(out / "report.json"), "--plots", str(out / "plots")],
+        ]
+        out.mkdir(parents=True)
+        for argv in runs:
+            assert main(argv) == 0, argv
+        files = sorted(p for p in work.rglob("*") if p.is_file())
+        assert len(files) == 11
+        # A hard link to each first file keeps its inode in use, so a new
+        # file cannot be given the same number.
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        first = {}
+        for i, path in enumerate(files):
+            os.link(path, kept / str(i))
+            first[path] = (path.stat().st_ino, path.read_bytes())
+        for argv in runs:
+            assert main(argv) == 0, argv
+        for i, path in enumerate(files):
+            ino, data = first[path]
+            assert path.stat().st_ino != ino, path
+            assert (kept / str(i)).read_bytes() == data, path
+            if path.name != "report.json":  # its generated_at may differ
+                assert path.read_bytes() == data, path
+
+    def test_symlinked_out_writes_its_target(self, dataset, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main(["extract", "--series", str(dataset / "series.rtpc"),
+                     "--mask", str(dataset / "mask.pgm"), "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text().startswith("time_s,value\n")
+
+
 class TestNonUtf8Input:
     """A text input that is not UTF-8 is a format error (exit 3) naming the
     file, not an escaped UnicodeDecodeError."""
@@ -1254,6 +1301,30 @@ class TestImportFootprint:
             assert code == 0, argv
             assert not modules & not_run[argv[0]], argv
             assert "concurrent.futures" not in modules, argv
+
+    def test_start_without_dataclasses(self, dataset, tmp_path):
+        """No rtpc class is built by dataclasses: importing the command line,
+        --version and report load neither dataclasses nor its inspect, and
+        importing every rtpc module loads no dataclasses. Each runs in a fresh
+        interpreter."""
+        startup = {"dataclasses", "inspect"}
+        modules, _ = run_fresh("import json, sys\nimport rtpc.cli\nprint(json.dumps(sorted(sys.modules)))")
+        assert "rtpc.report" in modules
+        assert not startup & set(modules)
+        report = tmp_path / "report.json"
+        assert main(["analyze", "--flow", str(dataset / "flow.csv"), "--resp", str(dataset / "resp.csv"),
+                     "--out", str(report)]) == 0
+        for argv in (["--version"], ["report", "--in", report, "--plots", tmp_path / "plots"]):
+            code, modules, _ = footprint(argv)
+            assert code == 0, argv
+            assert not startup & modules, argv
+        modules, _ = run_fresh(
+            "import importlib, json, pkgutil, sys\nimport rtpc\n"
+            "for module in pkgutil.iter_modules(rtpc.__path__):\n"
+            "    importlib.import_module(f'rtpc.{module.name}')\n"
+            "print(json.dumps(sorted(sys.modules)))")
+        assert {"rtpc.synthgen", "rtpc.stats", "rtpc.svgplot"} <= set(modules)
+        assert "dataclasses" not in modules
 
     def test_load_only_what_each_run_needs(self, dataset, tmp_path):
         """No command loads numpy.ma, and only a command that draws loads

@@ -11,8 +11,6 @@ belt, or adding a slow drift to it, keeps the argmax delay, and the maxima
 within a bound stated with its reason.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -20,6 +18,7 @@ from helpers import signals
 
 from rtpc.cycles import detect_cycles
 from rtpc.diff import PARAMETERS, scan_artery
+from rtpc.io import SampledSignal
 from rtpc.respiration import detect_resp_intervals
 
 SEEDS = (1, 2, 3, 4)
@@ -72,6 +71,12 @@ def scans(flow, resp):
 def case(request):
     flow, resp, _ = simulation(request.param)
     return flow, resp, scans(flow, resp)
+
+
+def replace(signal, **changes):
+    """signal with the given fields changed, built by SampledSignal's own constructor."""
+    fields = {"t0_s": signal.t0_s, "dt_s": signal.dt_s, "values": signal.values, "kind": signal.kind}
+    return SampledSignal(**{**fields, **changes})
 
 
 def scaled(signal, factor, offset=0.0):

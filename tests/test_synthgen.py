@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import math
@@ -33,12 +32,12 @@ def roi_flow(series, roi):
 
 
 def with_field(config, key: str, value):
-    """config with the field at a dotted key set to value, built by
-    dataclasses.replace alone, so nothing but validate() checks it."""
+    """config with the field at a dotted key set to value, built by the
+    named tuple's _replace alone, so nothing but validate() checks it."""
     name, _, rest = key.partition(".")
     if rest:
         value = with_field(getattr(config, name), rest, value)
-    return dataclasses.replace(config, **{name: value})
+    return config._replace(**{name: value})
 
 
 class TestSimConfig:
