@@ -1,11 +1,14 @@
 """Cardiac cycle segmentation of a continuous flow signal.
 
-Boundaries are placed at diastolic minima (min-to-min) on a cubic-spline
-upsampled grid; the dominant period from the autocorrelation steers minimum
-separation and the validity band. Each cycle carries the parameter triple
-(mean flow, stroke volume, cardiac period), with mean flow defined as
-60 * SV / period so the identity between the three is exact by construction.
-detect_cycles returns the cycles as a CycleTable of arrays.
+The dominant period T comes from the autocorrelation of the flow's own
+samples. Where the highest peak in the period band lies at a multiple of a
+shorter peak (a sub-multiple of its lag that correlates well enough), the
+shorter lag is T, and a T below the band is refused. Boundaries are placed
+at diastolic minima (min-to-min) on a cubic-spline upsampled grid; T steers
+their minimum separation and the validity band. Each cycle carries the
+parameter triple (mean flow, stroke volume, cardiac period), with mean flow
+defined as 60 * SV / period so the identity between the three is exact by
+construction. detect_cycles returns the cycles as a CycleTable of arrays.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ import numpy as np
 
 from .errors import DegenerateCycle, NoCyclesFound, TooShort
 from .io import SampledSignal
-from .numerics import local_maxima, spline_grid, spline_values
-from .report import MIN_SEPARATION_FRACTION, PERIOD_BAND_S, UPSAMPLE_FACTOR, VALIDITY_BAND
+from .numerics import distinct, local_maxima, spline_grid, spline_values
+from .report import (MIN_SEPARATION_FRACTION, PERIOD_BAND_S, SUBMULTIPLE_THRESHOLD,
+                     UPSAMPLE_FACTOR, VALIDITY_BAND)
 
 
 class CycleTable:
@@ -35,8 +39,10 @@ class CycleTable:
 
     A stroke volume is one sum over the trapezoid terms of the whole signal,
     which are the terms np.trapezoid forms for the cycle alone, so it equals
-    np.trapezoid over the cycle's samples bit for bit. The arrays are
-    read-only.
+    np.trapezoid over the cycle's samples bit for bit. The cycles of one
+    length are summed together, as the rows of one C-ordered matrix: numpy
+    reduces each row in the same pairwise blocks as a slice of that length.
+    The arrays are read-only.
     """
 
     def __init__(self, signal: SampledSignal, bounds: np.ndarray, valid_period_s: tuple):
@@ -54,8 +60,14 @@ class CycleTable:
         self.midpoint_s = self.start_s + 0.5 * period
         y = signal.values
         terms = signal.dt_s * (y[1:] + y[:-1]) / 2.0
-        sums = [terms[i0:i1].sum() for i0, i1 in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-        stroke_volume = np.array(sums, dtype=np.float64) / 60.0
+        lengths = np.diff(bounds)
+        sums = np.empty(lengths.size)
+        for length in distinct(lengths)[0].tolist():
+            group = np.flatnonzero(lengths == length)
+            # One C-ordered (cycles x length) gather, summed along its rows:
+            # each row reduces pairwise as terms[i0:i1].sum() does.
+            sums[group] = terms[bounds[group, None] + np.arange(length)].sum(axis=1)
+        stroke_volume = sums / 60.0
         self.params = np.stack([60.0 * stroke_volume / period, stroke_volume, period])
         lo, hi = valid_period_s
         self.valid = (lo <= period) & (period <= hi)
@@ -96,13 +108,29 @@ def resample(flow: SampledSignal) -> SampledSignal:
                          kind=flow.kind)
 
 
-def _dominant_period(values: np.ndarray, dt_s: float, band: tuple) -> float:
-    """Lag of the highest autocorrelation peak within the period band.
+def _vertex(acorr: np.ndarray, lag: int) -> tuple:
+    """The parabola through acorr at lag - 1, lag and lag + 1: the lag of its
+    vertex (within half a lag of lag) and its height there."""
+    y0, y1, y2 = acorr[lag - 1], acorr[lag], acorr[lag + 1]
+    denom = y0 - 2 * y1 + y2
+    shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
+    shift = float(np.clip(shift, -0.5, 0.5))
+    return lag + shift, float(y1 - 0.25 * (y0 - y2) * shift)
 
-    Uses the biased FFT autocorrelation (decays with lag, so the fundamental
-    wins over its multiples on equal footing) with parabolic refinement of
-    the winning peak. The transform is zero-padded to the power of two at or
-    above n + the largest lag read, hi + 1, so no lag read wraps around.
+
+def _cardiac_period(values: np.ndarray, dt_s: float, band: tuple) -> float:
+    """The dominant period of values sampled every dt_s, within band.
+
+    Uses the biased FFT autocorrelation, zero-padded to the power of two at
+    or above n + the largest lag read, hi + 1, so no lag read wraps around.
+    Its highest local peak in the band, refined to the vertex of a parabola,
+    gives a lag L. On a coarse grid that peak can sit at a multiple of the
+    period, which the grid samples better than the period itself. So the
+    peaks below L are tried in turn, shortest lag first: the first that lies
+    within one sample of L / k for an integer k >= 2, and whose vertex height
+    reaches SUBMULTIPLE_THRESHOLD times L's, is the period instead (YIN's
+    rule: de Cheveigne & Kawahara, JASA 2002). Such a period below the band
+    raises NoCyclesFound naming its rate; L itself is clipped to the band.
     """
     x = values - values.mean()
     if not (x != 0).any():
@@ -118,18 +146,23 @@ def _dominant_period(values: np.ndarray, dt_s: float, band: tuple) -> float:
     acorr = acorr / acorr[0]
     if hi <= lo:
         raise NoCyclesFound(f"period band {band} unreachable at dt {dt_s}")
-    segment = acorr[lo : hi + 1]
-    local_max = (segment >= acorr[lo - 1 : hi]) & (segment >= acorr[lo + 1 : hi + 2])
-    peaks = np.flatnonzero(local_max)
-    if peaks.size == 0:
+    segment = acorr[1 : hi + 1]
+    peaks = np.flatnonzero((segment >= acorr[:hi]) & (segment >= acorr[2 : hi + 2])) + 1
+    in_band = peaks[peaks >= lo]
+    if in_band.size == 0:
         raise NoCyclesFound(f"no autocorrelation peak within {band} s")
-    best = peaks[int(np.argmax(segment[peaks]))] + lo  # argmax keeps the earliest tie
-    # Parabolic refinement around the winning lag.
-    y0, y1, y2 = acorr[best - 1], acorr[best], acorr[best + 1]
-    denom = y0 - 2 * y1 + y2
-    shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
-    shift = float(np.clip(shift, -0.5, 0.5))
-    return float(np.clip((best + shift) * dt_s, band[0], band[1]))
+    top = in_band[int(np.argmax(acorr[in_band]))]  # argmax keeps the earliest tie
+    lag, height = _vertex(acorr, top)
+    for peak in peaks[peaks < top].tolist():
+        sub, sub_height = _vertex(acorr, peak)
+        k = round(lag / sub)
+        if k >= 2 and abs(lag / k - sub) < 1.0 and sub_height >= SUBMULTIPLE_THRESHOLD * height:
+            period = sub * dt_s
+            if period < band[0]:
+                raise NoCyclesFound(f"cardiac period {period:.3g} s ({60.0 / period:.0f} beats/min) "
+                                    f"lies below the period band {band} s")
+            return period
+    return float(np.clip(lag * dt_s, band[0], band[1]))
 
 
 def _select_minima(values: np.ndarray, min_separation: int) -> np.ndarray:
@@ -155,16 +188,17 @@ def _select_minima(values: np.ndarray, min_separation: int) -> np.ndarray:
 def detect_cycles(flow: SampledSignal) -> CycleTable:
     """Segment a flow signal into cardiac-cycle flow curves.
 
-    Steps: (1) estimate the dominant period T from the autocorrelation within
-    PERIOD_BAND_S, on the signal upsampled UPSAMPLE_FACTOR times; (2) on
-    that signal, keep the deepest local minima at least
-    MIN_SEPARATION_FRACTION * T apart as boundaries; (3) flag cycles whose
-    period falls outside VALIDITY_BAND * T. Leading and trailing
+    Steps: (1) estimate the dominant period T within PERIOD_BAND_S from the
+    autocorrelation of the flow's own samples, taking a sub-multiple of the
+    highest peak's lag where one correlates well enough (_cardiac_period);
+    (2) on the signal upsampled UPSAMPLE_FACTOR times, keep the deepest local
+    minima at least MIN_SEPARATION_FRACTION * T apart as boundaries; (3) flag
+    cycles whose period falls outside VALIDITY_BAND * T. Leading and trailing
     partial cycles are discarded. The settings live in rtpc.report.
 
     Raises NoCyclesFound when the recording is shorter than three times the
-    period band upper bound, shows no periodicity, or yields fewer than three
-    boundaries.
+    period band upper bound, shows no periodicity, beats faster than the
+    period band allows, or yields fewer than three boundaries.
     """
     if flow.kind != "flow":
         raise ValueError(f"expected a flow signal, got kind {flow.kind!r}")
@@ -172,11 +206,11 @@ def detect_cycles(flow: SampledSignal) -> CycleTable:
         raise NoCyclesFound(
             f"recording of {flow.duration_s:.3g} s is shorter than 3 x {PERIOD_BAND_S[1]} s"
         )
+    # The raw-grid autocorrelation can peak at a multiple of T, which the
+    # 75 ms grid samples better than T itself; the sub-multiple check in
+    # _cardiac_period finds T below it, so T needs no upsampling.
+    period = _cardiac_period(flow.values, flow.dt_s, PERIOD_BAND_S)
     up = resample(flow)
-    # Period estimation runs on the upsampled grid too: at ~12 raw samples per
-    # cycle, a half-integer true period aligns worse with itself than with its
-    # double, and the raw-grid autocorrelation peaks at the wrong multiple.
-    period = _dominant_period(up.values, up.dt_s, PERIOD_BAND_S)
     min_sep = max(1, int(np.ceil(MIN_SEPARATION_FRACTION * period / up.dt_s)))
     boundaries = _select_minima(up.values, min_sep)
     if boundaries.size < 3:

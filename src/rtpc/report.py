@@ -28,9 +28,16 @@ REPORT_PARAMETERS = ("mean_flow", "stroke_volume", "cardiac_period")
 # -- analysis settings ------------------------------------------------------------
 
 #: detect_cycles: spline upsampling factor; search band (s) of the dominant period
-#: T; least boundary spacing and valid cycle periods, as fractions of T.
+#: T; the least autocorrelation, as a fraction of the highest in-band peak's,
+#: at which a peak at a sub-multiple of that peak's lag is taken as T; least
+#: boundary spacing and valid cycle periods, as fractions of T. The threshold
+#: is the middle, rounded, of -0.10 to 0.33: the thresholds that got the most
+#: periods right over simulated periods of 0.3-1.5 s with noise, modulation
+#: and varied pulse shapes. Any threshold up to 0.89 passes the narrower sweep
+#: that gates cycle counts (CHANGES.md has both).
 UPSAMPLE_FACTOR = 8
 PERIOD_BAND_S = (0.4, 2.0)
+SUBMULTIPLE_THRESHOLD = 0.1
 MIN_SEPARATION_FRACTION = 0.6
 VALIDITY_BAND = (0.6, 1.5)
 
@@ -82,6 +89,7 @@ def analysis_config(invert_belt: bool, delay_step_s: float, min_cycles: int,
         "cycles": {
             "upsample_factor": UPSAMPLE_FACTOR,
             "period_band_s": list(PERIOD_BAND_S),
+            "submultiple_threshold": SUBMULTIPLE_THRESHOLD,
             "min_separation_fraction": MIN_SEPARATION_FRACTION,
             "validity_band": list(VALIDITY_BAND),
         },
@@ -311,12 +319,13 @@ def write_report(report: Report, path) -> None:
     report.validate()
     try:
         text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
-        unlink_if_regular(path)
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
     except ValueError as exc:
         raise ParseError(f"report contains non-finite values: {exc}") from exc
+    unlink_if_regular(path)
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def read_report(path) -> Report:

@@ -6,7 +6,7 @@ one delay at a time, the plain way; the tests hold the package to them bit
 for bit. `as_table` turns a list of oracle cycles into the five arrays
 sweep_diffs and label_cycles read.
 
-Three more plain forms: `dominant_period_2n` takes the autocorrelation from an
+Three more plain forms: `cardiac_period_2n` takes the autocorrelation from an
 FFT zero-padded to twice the signal, `simulated_flow` evaluates the
 simulator's breathing modulation with the array forms `is_expiratory` and
 `modulation_waveform`, and `wrapped_member_values` draws the simulator's
@@ -20,6 +20,7 @@ import numpy as np
 
 from rtpc.errors import DegenerateCycle, InsufficientCycles, NoCyclesFound, ZeroInspiratoryValue
 from rtpc.io import SampledSignal
+from rtpc.report import SUBMULTIPLE_THRESHOLD
 from rtpc.respiration import EX, IN, RespIntervals
 from rtpc.synthgen import pulse_waveform
 
@@ -177,9 +178,10 @@ def diff_ex_in(p_ex: CycleParams, p_in: CycleParams) -> dict:
     return diffs
 
 
-def dominant_period_2n(values: np.ndarray, dt_s: float, band: tuple) -> float:
-    """cycles._dominant_period with the FFT zero-padded to the power of two
-    at or above 2n, so no lag of the whole signal wraps around."""
+def cardiac_period_2n(values: np.ndarray, dt_s: float, band: tuple) -> float:
+    """cycles._cardiac_period with the FFT zero-padded to the power of two
+    at or above 2n, so no lag of the whole signal wraps around, and its
+    peak search and sub-multiple rule written as loops over the lags."""
     x = values - values.mean()
     if not (x != 0).any():
         raise NoCyclesFound("constant signal has no cardiac periodicity")
@@ -194,17 +196,35 @@ def dominant_period_2n(values: np.ndarray, dt_s: float, band: tuple) -> float:
     hi = min(n - 2, int(np.floor(band[1] / dt_s)))
     if hi <= lo:
         raise NoCyclesFound(f"period band {band} unreachable at dt {dt_s}")
-    segment = acorr[lo : hi + 1]
-    local_max = (segment >= acorr[lo - 1 : hi]) & (segment >= acorr[lo + 1 : hi + 2])
-    peaks = np.flatnonzero(local_max)
-    if peaks.size == 0:
+
+    def vertex(lag):
+        y0, y1, y2 = acorr[lag - 1], acorr[lag], acorr[lag + 1]
+        denom = y0 - 2 * y1 + y2
+        shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
+        shift = float(np.clip(shift, -0.5, 0.5))
+        return lag + shift, float(y1 - 0.25 * (y0 - y2) * shift)
+
+    peaks = [lag for lag in range(1, hi + 1)
+             if acorr[lag] >= acorr[lag - 1] and acorr[lag] >= acorr[lag + 1]]
+    in_band = [lag for lag in peaks if lag >= lo]
+    if not in_band:
         raise NoCyclesFound(f"no autocorrelation peak within {band} s")
-    best = peaks[int(np.argmax(segment[peaks]))] + lo
-    y0, y1, y2 = acorr[best - 1], acorr[best], acorr[best + 1]
-    denom = y0 - 2 * y1 + y2
-    shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
-    shift = float(np.clip(shift, -0.5, 0.5))
-    return float(np.clip((best + shift) * dt_s, band[0], band[1]))
+    top = min(in_band, key=lambda lag: (-acorr[lag], lag))
+    lag, height = vertex(top)
+    for peak in peaks:
+        if peak >= top:
+            break
+        sub, sub_height = vertex(peak)
+        k = round(lag / sub)
+        if k < 2 or abs(lag / k - sub) >= 1.0 or sub_height < SUBMULTIPLE_THRESHOLD * height:
+            continue
+        if sub * dt_s < band[0]:
+            period = sub * dt_s
+            raise NoCyclesFound(f"cardiac period {period:.3g} s ({60.0 / period:.0f} beats/min) "
+                                f"lies below the period band {band} s")
+        lag = sub
+        break
+    return float(np.clip(lag * dt_s, band[0], band[1]))
 
 
 def is_expiratory(t, period_s: float):

@@ -105,6 +105,7 @@ class TestSimulate:
         cfg = tmp_path / "bad.json"
         cfg.write_text("{")
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 8
+        cfg.unlink()
         cfg.write_bytes('{"seed": 3, "note": "é"}'.encode("latin-1"))  # not UTF-8
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 8
         for bad in [
@@ -115,6 +116,7 @@ class TestSimulate:
             {"duration_s": None},
             {"vessel": {"peak_velocity_mm_s": 760.0}},
         ]:
+            cfg.unlink(missing_ok=True)
             cfg.write_text(json.dumps({**BASE_CONFIG, **bad}))
             assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 8
 
@@ -785,11 +787,13 @@ class TestAnalyze:
         assert report.config["cycles"] == {
             "upsample_factor": settings.UPSAMPLE_FACTOR,
             "period_band_s": list(settings.PERIOD_BAND_S),
+            "submultiple_threshold": settings.SUBMULTIPLE_THRESHOLD,
             "min_separation_fraction": settings.MIN_SEPARATION_FRACTION,
             "validity_band": list(settings.VALIDITY_BAND),
         } == {
             "upsample_factor": 8,
             "period_band_s": [0.4, 2.0],
+            "submultiple_threshold": 0.1,
             "min_separation_fraction": 0.6,
             "validity_band": [0.6, 1.5],
         }
@@ -815,6 +819,7 @@ class TestAnalyze:
         tree = json.loads(out.read_text())
         del tree["config"]["max_missing_fraction"]
         del tree["config"]["respiration"]["interval_duration_band"]
+        del tree["config"]["cycles"]["submultiple_threshold"]
         tree["config"]["quality"] = {"snr_threshold": 5.0}
         assert Report.from_dict(tree).arteries == report.arteries
         artery = report.arteries[0]
@@ -907,6 +912,20 @@ class TestAnalyze:
                    "--out", str(tmp_path / "r.json")])
         assert rc == 5
         assert not (tmp_path / "r.json").exists()
+
+    def test_heart_faster_than_the_band_exits_5(self, tmp_path, capsys):
+        # At 0.35 s the autocorrelation's highest in-band peak is three beats
+        # (1.05 s); the period is refused, not reported as three times itself.
+        cfg = write_config(tmp_path, {"duration_s": 300.0, "cardiac": {"base_period_s": 0.35}})
+        data = tmp_path / "fast"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(data)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--flow", str(data / "flow.csv"), "--resp", str(data / "resp.csv"),
+                     "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert "beats/min" in err and "below the period band" in err, err
+        assert not out.exists()
 
     def test_constant_resp_exit_code(self, dataset, tmp_path):
         flat = tmp_path / "flat.csv"

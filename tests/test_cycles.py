@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from helpers import match_boundaries, signals
-from oracles import CycleBoundary, cycle_params, cycles_of, dominant_period_2n
+from oracles import CycleBoundary, cardiac_period_2n, cycle_params, cycles_of
 
 from rtpc import cycles
 from rtpc.cycles import CycleTable, _select_minima, detect_cycles, resample
 from rtpc.errors import DegenerateCycle, NoCyclesFound, TooShort
 from rtpc.io import SampledSignal
 from rtpc.numerics import spline_grid, spline_values
-from rtpc.report import UPSAMPLE_FACTOR
+from rtpc.report import PERIOD_BAND_S, UPSAMPLE_FACTOR
 from rtpc.synthgen import SimConfig, WaveformConfig, generate_signals, pulse_waveform
 
 
@@ -94,19 +94,55 @@ class TestGridCache:
 
 
 class TestShortAutocorrelation:
-    """_dominant_period pads its FFT only to n + the largest lag it reads:
+    """_cardiac_period pads its FFT only to n + the largest lag it reads:
     the cycles are those of a 2n-padded FFT, the same boundaries and the
-    same validity, from clean to noisy, modulated or not. At 153 s and 306 s
-    the upsampled signal lies within the largest lag below a power of two,
-    so one padding too short wraps the lags read."""
+    same validity, from clean to noisy, modulated or not. On the 75 ms grid
+    the period band ends at lag 26 and lag 27 is read. At 151.575 s and
+    305.175 s (2021 and 4069 samples) n + 27 is a power of two, the least
+    padding that wraps no lag read; 151.65 s and 305.25 s are one sample
+    longer, where that power of two would wrap lag 27."""
+
+    DURATIONS = (151.575, 151.65, 305.175, 305.25)
+
+    def test_durations_sit_at_a_power_of_two(self):
+        hi = int(np.floor(PERIOD_BAND_S[1] / 0.075))
+        assert [int(round(d / 0.075)) + hi + 1 for d in self.DURATIONS] == [2048, 2049, 4096, 4097]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        duration_s=st.sampled_from(DURATIONS),
+        base_period_s=st.floats(1.9, 1.98),
+        noise_sd=st.sampled_from([0.0, 200.0]),
+        seed=st.integers(0, 1000),
+    )
+    def test_period_at_the_band_end_matches_2n_padding(self, duration_s, base_period_s,
+                                                        noise_sd, seed):
+        # A period near 2 s peaks at lag 26, whose vertex reads lag 27: the
+        # lag that one sample of padding too few would wrap.
+        flow = generate_signals(SimConfig.from_dict({
+            "duration_s": duration_s,
+            "cardiac": {"base_period_s": base_period_s},
+            "artifacts": {"noise_sd": noise_sd},
+            "seed": seed,
+        })).flow
+        outcomes = []
+        for cardiac_period in (cycles._cardiac_period, cardiac_period_2n):
+            try:
+                outcomes.append(cardiac_period(flow.values, flow.dt_s, PERIOD_BAND_S))
+            except NoCyclesFound as exc:
+                outcomes.append(str(exc))
+        if isinstance(outcomes[1], str):
+            assert outcomes[0] == outcomes[1]
+        else:
+            assert outcomes[0] == pytest.approx(outcomes[1], rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
         noise_sd=st.sampled_from([0.0, 200.0, 600.0]) | st.floats(0.0, 600.0),
         mean_flow_pct=st.floats(0.0, 10.0),
         period_pct=st.sampled_from([0.0]) | st.floats(0.0, 10.0),
-        base_period_s=st.floats(0.5, 1.2),
-        duration_s=st.sampled_from([600.0, 153.0, 306.0]) | st.floats(30.0, 600.0),
+        base_period_s=st.sampled_from([0.35, 0.5, 0.94]) | st.floats(0.3, 1.2),
+        duration_s=st.sampled_from((600.0, *DURATIONS)) | st.floats(30.0, 600.0),
         seed=st.integers(0, 1000),
     )
     def test_cycles_match_2n_padding(self, noise_sd, mean_flow_pct, period_pct, base_period_s,
@@ -119,14 +155,53 @@ class TestShortAutocorrelation:
             "seed": seed,
         })).flow
         outcomes = []
-        for dominant_period in (cycles._dominant_period, dominant_period_2n):
-            with mock.patch.object(cycles, "_dominant_period", dominant_period):
+        for cardiac_period in (cycles._cardiac_period, cardiac_period_2n):
+            with mock.patch.object(cycles, "_cardiac_period", cardiac_period):
                 try:
                     table = detect_cycles(flow)
                     outcomes.append((table.bounds.tolist(), table.valid.tolist()))
                 except NoCyclesFound as exc:
                     outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
+
+
+class TestSubMultiplePeriod:
+    """On the 75 ms grid the autocorrelation can peak at two to four beats,
+    which the grid samples better than one. The period is the shortest peak
+    at a sub-multiple of that lag that correlates well enough, and one below
+    PERIOD_BAND_S is refused. Simulator truth, 300 s, no modulation."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_beat_at_half_a_second(self, seed):
+        # 1.5 s is exactly 20 samples: the highest in-band peak is three beats.
+        flow, _, truth = signals(duration_s=300.0, cardiac={"base_period_s": 0.5}, seed=seed)
+        table = detect_cycles(flow)
+        assert len(table) == truth.start_s.size == 599
+        assert table.valid.all()
+        errors = match_boundaries(table.start_s, truth.start_s, tol_s=0.0375)
+        assert errors.max() <= 0.0375  # half a raw sample
+
+    def test_noisy_beats_not_paired(self):
+        # noise_sd 200 at 0.94 s: the highest in-band peak is two beats (1.875 s).
+        flow, _, truth = signals(duration_s=300.0, artifacts={"noise_sd": 200.0}, seed=1)
+        assert abs(len(detect_cycles(flow)) - truth.start_s.size) <= 0.02 * truth.start_s.size
+
+    @pytest.mark.parametrize("noise_sd", [0.0, 200.0])
+    @pytest.mark.parametrize("base_period_s", [0.30, 0.31, 0.32, 0.33, 0.34, 0.35, 0.36, 0.37,
+                                               0.38, 0.39])
+    def test_period_below_the_band_refused(self, base_period_s, noise_sd):
+        flow, _, _ = signals(duration_s=300.0, cardiac={"base_period_s": base_period_s},
+                             artifacts={"noise_sd": noise_sd}, seed=2)
+        with pytest.raises(NoCyclesFound, match=r"beats/min\) lies below the period band"):
+            detect_cycles(flow)
+
+    @pytest.mark.parametrize("base_period_s", [0.45, 0.6, 0.94, 1.5, 1.9])
+    def test_period_in_the_band_found(self, base_period_s):
+        flow, _, truth = signals(duration_s=300.0, cardiac={"base_period_s": base_period_s},
+                                 modulation={"mean_flow_pct": 10.0, "period_pct": 5.0}, seed=3)
+        period = cycles._cardiac_period(flow.values, flow.dt_s, PERIOD_BAND_S)
+        assert period == pytest.approx(np.median(truth.params[2]), rel=0.05)
+        assert abs(len(detect_cycles(flow)) - truth.start_s.size) <= 0.02 * truth.start_s.size
 
 
 def pulse_train(periods, scales=None, dt=0.075, lead=0.4):
@@ -247,6 +322,22 @@ class TestCycleTable:
             assert c.midpoint_s == table.midpoint_s[i]
             assert [c.params.mean_flow_ml_min, c.params.stroke_volume_ml,
                     c.params.cardiac_period_s] == table.params[:, i].tolist()
+
+    def test_stroke_volumes_equal_trapezoid_across_pairwise_blocks(self):
+        # numpy sums fewer than 8 terms in one loop, up to 128 in eight
+        # unrolled lanes and more by halving: cycles of 2 to 300 samples
+        # cover all three, three of each length, in shuffled order.
+        rng = np.random.default_rng(7)
+        lengths = rng.permutation(np.repeat(
+            [2, 3, 5, 7, 8, 9, 16, 63, 127, 128, 129, 130, 200, 255, 256, 257, 300], 3))
+        bounds = np.concatenate([[4], 4 + np.cumsum(lengths)])
+        dt = 0.0094
+        values = rng.normal(700.0, 300.0, bounds[-1] + 6)
+        table = CycleTable(SampledSignal(t0_s=0.0, dt_s=dt, values=values, kind="flow"), bounds,
+                           (0.0, 10.0))
+        expected = [np.trapezoid(values[i0 : i1 + 1], dx=dt) / 60.0
+                    for i0, i1 in zip(bounds[:-1], bounds[1:])]
+        assert table.params[1].tolist() == expected
 
     def test_degenerate_and_out_of_span_boundaries_rejected(self):
         s = SampledSignal(t0_s=0.0, dt_s=0.075, values=np.arange(10.0), kind="flow")

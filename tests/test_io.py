@@ -123,6 +123,7 @@ class TestVelocitySeries:
         for dt, venc, area in [(0.0, 800.0, 0.25), (75.0, -1.0, 0.25), (75.0, 800.0, 0.0)]:
             head = MAGIC + struct.pack("<III", 1, 1, 1) + struct.pack("<fff", dt, venc, area)
             path = tmp_path / "x.rtpc"
+            path.unlink(missing_ok=True)
             path.write_bytes(head + b"\x00" * 4)
             with pytest.raises(InvalidHeader):
                 read_velocity_series(path)
@@ -155,6 +156,7 @@ class TestVelocitySeries:
         for bad in (float("nan"), float("inf"), float("-inf")):
             frames = np.random.default_rng(2).normal(0.0, 300.0, size=(4, 5, 6))
             frames[2, 3, 1] = bad
+            path.unlink(missing_ok=True)
             path.write_bytes(head + frames.astype("<f4").tobytes())
             with pytest.raises(NonFiniteVelocity):
                 read_velocity_series(path)
@@ -289,6 +291,7 @@ class TestVelocitySeriesFuzz:
             path = Path(tmp) / "s.rtpc"
             bad = [raw[:size] for size in range(len(raw))] + [raw + b"\x00" * k for k in (1, 3, 4, 9)]
             for body in bad:
+                path.unlink(missing_ok=True)  # a new file: truncating one just written can block
                 path.write_bytes(body)
                 expected = BadMagic if len(body) < len(MAGIC) else TruncatedFile
                 with pytest.raises(expected):
@@ -604,6 +607,20 @@ class TestReport:
         )
         with pytest.raises(ParseError):
             write_report(bad, tmp_path / "bad.json")
+
+    def test_write_errors_name_their_cause(self, tmp_path):
+        """Only a value JSON cannot hold reads as a non-finite value; a path
+        the system refuses is an IoFailure (exit 3) that names the refusal."""
+        report = minimal_report()
+        with pytest.raises(ParseError, match="report contains non-finite values"):
+            write_report(report._replace(config={"x": float("nan")}), tmp_path / "nan.json")
+        with pytest.raises(IoFailure, match="embedded null byte") as caught:
+            write_report(report, str(tmp_path / "a\0b.json"))
+        assert "non-finite" not in str(caught.value)
+        assert caught.value.exit_code == 3
+        with pytest.raises(IoFailure, match="cannot write"):
+            write_report(report, tmp_path)  # a directory
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_config_echo_present(self, tmp_path):
         path = tmp_path / "r.json"
