@@ -14,13 +14,12 @@ construction. detect_cycles returns the cycles as a CycleTable of arrays.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateCycle, NoCyclesFound, TooShort
 from .io import SampledSignal
-from .numerics import distinct, local_maxima, spline_grid, spline_values
+from .numerics import distinct, local_maxima
 from .report import (MIN_SEPARATION_FRACTION, PERIOD_BAND_S, SUBMULTIPLE_THRESHOLD,
                      UPSAMPLE_FACTOR, VALIDITY_BAND)
 
@@ -78,34 +77,38 @@ class CycleTable:
         return self.valid.size
 
 
-@lru_cache(maxsize=1)
-def _spline_grid(t0_s: float, dt_s: float, n: int):
-    """numerics.spline_grid from the samples of (t0_s, dt_s, n) to the
-    dt_s / UPSAMPLE_FACTOR grid that resample evaluates.
-
-    The records of one analyze share a sampling grid, and so do the subjects
-    of a cohort, so the last grid is kept and each is factorised once. Its
-    arrays are read-only, so every caller in the process may share it.
-    """
-    t = t0_s + np.arange(n) * dt_s
-    step = dt_s / UPSAMPLE_FACTOR
-    tt = np.minimum(t0_s + np.arange((n - 1) * UPSAMPLE_FACTOR + 1) * step, t[-1])
-    return spline_grid(t, tt)
-
-
 def resample(flow: SampledSignal) -> SampledSignal:
     """Natural cubic-spline upsampling onto a dt / UPSAMPLE_FACTOR grid.
 
-    Original sample instants reproduce the original values (interpolation).
-    The values are scipy's CubicSpline(bc_type="natural") values, bit for
-    bit (numerics.spline_values on a numerics.spline_grid); the grid part is
-    kept for the next signal on the same grid.
+    In units of the sample spacing the second derivatives m solve
+    m[i-1] + 4 m[i] + m[i+1] = 6 (y[i-1] - 2 y[i] + y[i+1]), m = 0 at both
+    ends, by one Thomas elimination and back substitution (de Boor, ch. IV).
+    At f = k / UPSAMPLE_FACTOR into interval i the value is y[i] (1-f) +
+    y[i+1] f + m[i] ((1-f)^3 - (1-f)) / 6 + m[i+1] (f^3 - f) / 6, formed
+    elementwise, not by BLAS, so it is the same on every machine. Original
+    samples come back exactly; the values depend on the samples alone and
+    lie within 1e-10 * max|y| of scipy's CubicSpline(bc_type="natural").
     """
     if len(flow) < 4:
         raise TooShort(f"resampling needs >= 4 samples, got {len(flow)}")
-    values = spline_values(_spline_grid(flow.t0_s, flow.dt_s, len(flow)), flow.values)
-    return SampledSignal(t0_s=flow.t0_s, dt_s=flow.dt_s / UPSAMPLE_FACTOR, values=values,
-                         kind=flow.kind)
+    y = flow.values
+    ratios, solved = [], []
+    ratio = carry = 0.0
+    for r in (6.0 * (y[:-2] - 2.0 * y[1:-1] + y[2:])).tolist():
+        pivot = 4.0 - ratio
+        ratio, carry = 1.0 / pivot, (r - carry) / pivot
+        ratios.append(ratio)
+        solved.append(carry)
+    m = [0.0]  # the last m; the back substitution appends the others down to m[1]
+    for ratio, carry in zip(reversed(ratios), reversed(solved)):
+        m.append(carry - ratio * m[-1])
+    m = np.array([0.0] + m[::-1])
+    f = np.arange(UPSAMPLE_FACTOR) / UPSAMPLE_FACTOR
+    g = 1.0 - f
+    rows = (y[:-1, None] * g + y[1:, None] * f
+            + m[:-1, None] * ((g * g * g - g) / 6.0) + m[1:, None] * ((f * f * f - f) / 6.0))
+    return SampledSignal(t0_s=flow.t0_s, dt_s=flow.dt_s / UPSAMPLE_FACTOR,
+                         values=np.append(rows.ravel(), y[-1]), kind=flow.kind)
 
 
 def _vertex(acorr: np.ndarray, lag: int) -> tuple:

@@ -312,7 +312,8 @@ def read_signal_csv(path, kind: str) -> SampledSignal:
 
     The time column is validated for strict monotony and uniform spacing
     (relative tolerance 1e-6); dt_s is then fixed to the median spacing.
-    The file must be UTF-8; LF and CRLF line endings parse alike.
+    The file must be UTF-8; LF and CRLF line endings parse alike. After the
+    header, the text must be ASCII without '_', as write_signal_csv writes it.
     """
     if kind not in SIGNAL_KINDS:
         raise ValueError(f"kind must be one of {SIGNAL_KINDS}, got {kind!r}")
@@ -329,9 +330,15 @@ def read_signal_csv(path, kind: str) -> SampledSignal:
         raise TooShort(f"{path}: empty file")
     if lines[0] != CSV_HEADER:
         raise ParseError(f"{path}: expected header {CSV_HEADER!r}, got {lines[0]!r}")
+    # float() takes '_' and non-ASCII digits too; the rows before such a line parse as usual.
+    body = text.partition("\n")[2]
+    foreign = None if body.isascii() and "_" not in body else next(
+        lineno for lineno, raw in enumerate(body.split("\n"), start=2)
+        if not raw.isascii() or "_" in raw)
     times = []
     values = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    rows = lines[1:] if foreign is None else lines[1 : foreign - 1]
+    for lineno, line in enumerate(rows, start=2):
         if line == "":
             raise ParseError(f"{path}:{lineno}: blank line inside data")
         parts = line.split(",")
@@ -345,6 +352,8 @@ def read_signal_csv(path, kind: str) -> SampledSignal:
             raise ParseError(f"{path}:{lineno}: non-finite sample")
         times.append(t)
         values.append(v)
+    if foreign is not None:
+        raise ParseError(f"{path}:{foreign}: a field holds '_' or a non-ASCII character")
     if len(values) < 2:
         raise TooShort(f"{path}: need at least 2 samples, got {len(values)}")
     times = np.asarray(times)
@@ -417,6 +426,8 @@ def read_mask(path, expected_width: int, expected_height: int) -> np.ndarray:
     if magic != "P5":
         raise NotPgm(f"{path}: expected P5, got {magic!r}")
     try:
+        if "_" in w_tok + h_tok + maxval_tok:  # int() takes '_'; the tokens are ASCII already
+            raise ValueError("'_' in a PGM header field")
         width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
     except ValueError:
         raise NotPgm(f"{path}: non-numeric PGM header fields") from None

@@ -2,18 +2,10 @@
 exact numpy forms that take less memory than the plain one.
 
 Each function gives what one scipy or numpy routine gives, bit for bit (the
-scipy forms by the same operations in the same order), so every flow,
-cycle, breath and QC value is identical to what scipy computes. The tests
-compare each function with its original for exact equality.
+scipy forms by the same operations in the same order), so each step that
+calls one computes exactly what it would with scipy. The tests compare each
+function with its original for exact equality.
 
-- spline_values(spline_grid(x, xi), y):
-  scipy.interpolate.CubicSpline(x, y, bc_type="natural")(xi), in two parts:
-  spline_grid, which depends only on the abscissae and the evaluation points
-  (dgtsv's elimination factors and modified diagonal, each point's PPoly
-  interval and its offset h, h**2, h**3 into it), and spline_values, which
-  finishes it for one y (the right-hand side, the substitutions and the
-  evaluation), so a caller that interpolates many y on one grid builds the
-  grid once;
 - local_maxima: the peaks of scipy.signal.find_peaks(x);
 - find_peaks: scipy.signal.find_peaks(x, distance=, prominence=);
 - welch: scipy.signal.welch with a periodic Hann window, nperseg samples,
@@ -30,106 +22,10 @@ compare each function with its original for exact equality.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
 _COMPONENT_CHUNK_FRAMES = 256
-
-
-#: The part of the natural cubic spline through (x, y) at xi that depends on x
-#: and xi alone, as spline_grid builds it for spline_values. Read-only arrays:
-#: dx, the steps of x; k, the PPoly interval of each point of xi; h, h2, h3,
-#: each point's offset into its interval, squared and cubed. Tuples of floats:
-#: fact, dgtsv's elimination factors; diag, the diagonal elimination leaves;
-#: du, the super-diagonal.
-SplineGrid = namedtuple("SplineGrid", "dx fact diag du k h h2 h3")
-
-
-def spline_grid(x: np.ndarray, xi: np.ndarray) -> SplineGrid:
-    """The x- and xi-only part of the natural cubic spline through (x, y),
-    evaluated at xi within [x0, x-1].
-
-    Follows CubicSpline: the banded slope system, solved in the order of
-    LAPACK's dgtsv, then CubicHermiteSpline's coefficients and PPoly's
-    power-sum evaluation. dgtsv's row interchange is never taken for
-    near-uniform x (the pivot stays above 3.5 dx against dx below it), so it
-    is left out; x needs n >= 4 strictly increasing points.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    dx = np.diff(x)
-
-    # The banded system as CubicSpline builds it for bc_type="natural".
-    d = np.empty(n)
-    d[1:-1] = 2 * (dx[:-1] + dx[1:])
-    d[0] = 2 * dx[0]
-    d[-1] = 2 * dx[-1]
-    du = np.empty(n - 1)
-    du[1:] = dx[:-1]
-    du[0] = dx[0]
-    dl = np.empty(n - 1)
-    dl[:-1] = dx[1:]
-    dl[-1] = dx[-1]
-
-    # dgtsv's forward elimination, no interchange, on the matrix alone.
-    d, du, dl = d.tolist(), du.tolist(), dl.tolist()
-    fact = []
-    for i in range(n - 1):
-        fact.append(dl[i] / d[i])
-        d[i + 1] = d[i + 1] - fact[i] * du[i]
-
-    # PPoly: the interval closed on the right at the last breakpoint.
-    xi = np.asarray(xi, dtype=np.float64)
-    k = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, n - 2)
-    h = xi - x[k]
-    h2 = h * h
-    h3 = h2 * h
-    for array in (dx, k, h, h2, h3):
-        array.flags.writeable = False
-    return SplineGrid(dx, tuple(fact), tuple(d), tuple(du), k, h, h2, h3)
-
-
-def spline_values(grid: SplineGrid, y: np.ndarray) -> np.ndarray:
-    """The natural cubic spline through y on a spline_grid (see there)."""
-    y = np.asarray(y, dtype=np.float64)
-    dx = grid.dx
-    slope = np.diff(y) / dx
-    b = np.empty(y.size)
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    # Second derivative 0 at both ends, kept in scipy's expressions so a
-    # zero right-hand side keeps scipy's sign.
-    b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
-    b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
-
-    # dgtsv's forward substitution, then back substitution (the eliminated
-    # sub-diagonal stays in the last term as 0.0 * s[i + 2]).
-    b = b.tolist()
-    prev = b[0]
-    b[1:] = [prev := b_i - f * prev for b_i, f in zip(b[1:], grid.fact)]
-    d, du = grid.diag, grid.du
-    after = b[-1] / d[-1]
-    cur = (b[-2] - du[-1] * after) / d[-2]
-    s = [after, cur]
-    for b_i, du_i, d_i in zip(b[-3::-1], du[-2::-1], d[-3::-1]):
-        after, cur = cur, (b_i - du_i * cur - 0.0 * after) / d_i
-        s.append(cur)
-    s = np.array(s[::-1])
-
-    # CubicHermiteSpline coefficients, highest power first.
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    c0 = t / dx
-    c1 = (slope - s[:-1]) / dx - t
-    c2 = s[:-1]
-    c3 = y[:-1]
-
-    # PPoly's power-sum evaluation, term by term in its order.
-    k = grid.k
-    out = 0.0 + c3[k]
-    out += c2[k] * grid.h
-    out += c1[k] * grid.h2
-    out += c0[k] * grid.h3
-    return out
 
 
 def local_maxima(x: np.ndarray) -> np.ndarray:

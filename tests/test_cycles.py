@@ -13,7 +13,6 @@ from rtpc import cycles
 from rtpc.cycles import CycleTable, _select_minima, detect_cycles, resample
 from rtpc.errors import DegenerateCycle, NoCyclesFound, TooShort
 from rtpc.io import SampledSignal
-from rtpc.numerics import spline_grid, spline_values
 from rtpc.report import PERIOD_BAND_S, UPSAMPLE_FACTOR
 from rtpc.synthgen import SimConfig, WaveformConfig, generate_signals, pulse_waveform
 
@@ -26,7 +25,18 @@ class TestResample:
         assert UPSAMPLE_FACTOR == 8
         assert up.dt_s == pytest.approx(0.075 / 8)
         assert len(up) == (len(s) - 1) * 8 + 1
-        assert np.abs(up.values[::8] - s.values).max() <= 1e-9
+        assert np.array_equal(up.values[::8], s.values)
+
+    def test_values_depend_on_the_samples_alone(self):
+        rng = np.random.default_rng(5)
+        s = SampledSignal(t0_s=0.3, dt_s=0.075, values=rng.normal(700, 200, 400), kind="flow")
+        up = resample(s)
+        for t0, dt in ((12.6, 0.075), (0.3, 0.01), (-7.0, 1 / 3)):
+            moved = resample(SampledSignal(t0_s=t0, dt_s=dt, values=s.values, kind="flow"))
+            assert np.array_equal(moved.values.view(np.uint64), up.values.view(np.uint64))
+            assert (moved.t0_s, moved.dt_s) == (t0, dt / UPSAMPLE_FACTOR)
+        doubled = resample(SampledSignal(t0_s=0.3, dt_s=0.075, values=2 * s.values, kind="flow"))
+        assert np.array_equal(doubled.values, 2 * up.values)
 
     @pytest.mark.parametrize("freq", [0.5, 1.0, 1.5, 2.0])
     def test_sine_oracle(self, freq):
@@ -42,55 +52,6 @@ class TestResample:
         s = SampledSignal(t0_s=0.0, dt_s=0.075, values=np.arange(3.0), kind="flow")
         with pytest.raises(TooShort):
             resample(s)
-
-
-class TestGridCache:
-    """resample keeps the spline's grid part for the last (t0_s, dt_s, n) it
-    saw, and gives the values of a spline_grid built afresh bit for bit."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_cached_grid_matches_spline(self, data):
-        grids = [
-            (data.draw(st.floats(-100.0, 100.0).filter(lambda t0: t0 != 0.0)),
-             data.draw(st.sampled_from([0.075, 0.01, 1 / 3]) | st.floats(1e-3, 2.0)),
-             data.draw(st.integers(4, 120)))
-            for _ in range(2)
-        ]
-        cycles._spline_grid.cache_clear()
-        # a, b, a, a: each switch evicts the other grid (unless b equals a);
-        # the repeat is a hit with new values.
-        same = grids[1] == grids[0]
-        hits = [False, same, same, True]
-        for (t0, dt, n), hit in zip((grids[0], grids[1], grids[0], grids[0]), hits):
-            values = data.draw(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False),
-                                        min_size=n, max_size=n))
-            flow = SampledSignal(t0_s=t0, dt_s=dt, values=np.asarray(values), kind="flow")
-            before = cycles._spline_grid.cache_info().hits
-            up = resample(flow)
-            assert cycles._spline_grid.cache_info().hits == before + hit
-            t = flow.times
-            factor = UPSAMPLE_FACTOR
-            tt = np.minimum(t0 + np.arange((n - 1) * factor + 1) * (dt / factor), t[-1])
-            expected = spline_values(spline_grid(t, tt), flow.values)
-            assert np.array_equal(up.values.view(np.uint64), expected.view(np.uint64))
-            assert up.t0_s == flow.t0_s and up.dt_s == flow.dt_s / factor
-
-    def test_cached_arrays_are_read_only(self):
-        rng = np.random.default_rng(4)
-        flow = SampledSignal(t0_s=1.5, dt_s=0.075, values=rng.normal(0, 100, 50), kind="flow")
-        first = resample(flow)
-        grid = cycles._spline_grid(flow.t0_s, flow.dt_s, len(flow))
-        for name in ("dx", "k", "h", "h2", "h3"):
-            array = getattr(grid, name)
-            assert not array.flags.writeable, name
-            with pytest.raises(ValueError):
-                array[0] = 0
-        for name in ("fact", "diag", "du"):
-            assert isinstance(getattr(grid, name), tuple), name
-        again = resample(flow)
-        assert cycles._spline_grid(flow.t0_s, flow.dt_s, len(flow)) is grid
-        assert np.array_equal(first.values, again.values)
 
 
 class TestShortAutocorrelation:

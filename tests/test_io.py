@@ -400,6 +400,30 @@ class TestSignalCsv:
             assert rel.max() <= 1e-9
             assert float(f"{r.dt_s:.9g}") == float(f"{s.dt_s:.9g}")
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("time_s,value\n0.0,1\n0.075,1_0\n0.15,3\n", 3),
+        ("time_s,value\n0.0,1\n0.075,\u0661\u0662\n0.15,3\n", 3),
+        ("time_s,value\n0_0,1\n0.075,2\n0.15,3\n", 2),
+        ("time_s,value\n0.0,1\n0.075,2\n0.15,3\u00a0\n", 4),
+        ("time_s,value\n0.0,1\n0.075,2\n\u3000\n", 4),
+    ], ids=["underscore", "arabic-indic", "underscore-time", "nbsp", "ideographic-space-line"])
+    def test_number_outside_the_format_rejected(self, tmp_path, text, lineno):
+        path = tmp_path / "f.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"f.csv:{lineno}: a field holds '_' or a non-ASCII"):
+            read_signal_csv(path, kind="flow")
+        resp = tmp_path / "resp.csv"
+        write_signal_csv(SampledSignal(0.0, 0.075, np.sin(np.arange(400) / 20.0), "respiration"),
+                         resp)
+        assert cli_exit(["analyze", "--flow", str(path), "--resp", str(resp),
+                         "--out", str(tmp_path / "r.json")]) == 3
+
+    def test_earlier_row_error_comes_first(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("time_s,value\n0.0,1\n\n0.15,1_0\n")
+        with pytest.raises(ParseError, match="f.csv:3: blank line inside data"):
+            read_signal_csv(path, kind="flow")
+
     def test_lf_line_endings(self, tmp_path):
         s = SampledSignal(t0_s=0.0, dt_s=0.075, values=np.array([1.0, 2.0]), kind="flow")
         path = tmp_path / "f.csv"
@@ -470,6 +494,18 @@ class TestPgmMask:
         path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([0, 255, 0, 0]))
         mask = read_mask(path, 2, 2)
         assert mask.sum() == 1
+
+    @pytest.mark.parametrize("header", [b"P5\n1_0 1\n2_55\n", b"P5\n10 1\n2_55\n",
+                                        b"P5\n1_0 1\n255\n"], ids=["both", "maxval", "width"])
+    def test_underscore_in_header_rejected(self, tmp_path, header):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(header + bytes(10))
+        with pytest.raises(NotPgm, match="non-numeric PGM header fields"):
+            read_mask(path, 10, 1)
+        series = tmp_path / "s.rtpc"
+        series.write_bytes(series_bytes(10, 1, 2))
+        assert cli_exit(["extract", "--series", str(series), "--mask", str(path),
+                         "--out", str(tmp_path / "f.csv")]) == 3
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -828,6 +864,7 @@ class TestSignalCsvFuzz:
             # read_text's universal newlines: \r\n and a lone \r end a line too.
             rows = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")[1:]
             assert len(signal) == sum(1 for row in rows if row.strip())
+            assert all(row.isascii() and "_" not in row for row in rows)
 
     @settings(max_examples=300, deadline=None)
     @given(
