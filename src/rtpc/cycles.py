@@ -13,6 +13,7 @@ construction. detect_cycles returns the cycles as a CycleTable of arrays.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 
 import numpy as np
@@ -77,32 +78,51 @@ class CycleTable:
         return self.valid.size
 
 
+#: The root of z^2 + 4 z + 1 inside the unit circle. The inverse of the
+#: infinite (1, 4, 1) Toeplitz matrix is z^|k| / (2 sqrt 3) (Unser, Aldroubi
+#: & Eden, "B-spline signal processing", IEEE TSP 1993).
+_SPLINE_POLE = math.sqrt(3.0) - 2.0
+#: Terms kept on each side of that inverse in resample. The ones dropped
+#: weigh 2 sqrt 3 |z|^(K+1) / (1 - |z|) < 8.8e-18 in all, on second
+#: differences of at most 4 max|y|, so they move a second derivative by less
+#: than 3.6e-17 max|y|: under the rounding of the sum itself.
+SPLINE_TERMS = 30
+
+
 def resample(flow: SampledSignal) -> SampledSignal:
     """Natural cubic-spline upsampling onto a dt / UPSAMPLE_FACTOR grid.
 
     In units of the sample spacing the second derivatives m solve
-    m[i-1] + 4 m[i] + m[i+1] = 6 (y[i-1] - 2 y[i] + y[i+1]), m = 0 at both
-    ends, by one Thomas elimination and back substitution (de Boor, ch. IV).
-    At f = k / UPSAMPLE_FACTOR into interval i the value is y[i] (1-f) +
+    m[i-1] + 4 m[i] + m[i+1] = 6 d[i], d[i] = y[i-1] - 2 y[i] + y[i+1], with
+    m = 0 at both ends. Mirroring d antisymmetrically about both ends (d is
+    then periodic in 2 (n - 1)) turns that into the infinite system, whose
+    inverse is closed-form: m[i] = sqrt(3) * sum over |k| <= K of
+    z^|k| d[i-k], with z = sqrt(3) - 2 and K = SPLINE_TERMS. The sum runs as
+    2K + 1 elementwise multiply-adds, nearest terms last. At
+    f = k / UPSAMPLE_FACTOR into interval i the value is y[i] (1-f) +
     y[i+1] f + m[i] ((1-f)^3 - (1-f)) / 6 + m[i+1] (f^3 - f) / 6, formed
     elementwise, not by BLAS, so it is the same on every machine. Original
-    samples come back exactly; the values depend on the samples alone and
-    lie within 1e-10 * max|y| of scipy's CubicSpline(bc_type="natural").
+    samples come back exactly; the values depend on the samples alone, lie
+    within 1e-15 * max|y| of the tridiagonal solve by Thomas elimination and
+    within 1e-10 * max|y| of scipy's CubicSpline(bc_type="natural").
     """
     if len(flow) < 4:
         raise TooShort(f"resampling needs >= 4 samples, got {len(flow)}")
     y = flow.values
-    ratios, solved = [], []
-    ratio = carry = 0.0
-    for r in (6.0 * (y[:-2] - 2.0 * y[1:-1] + y[2:])).tolist():
-        pivot = 4.0 - ratio
-        ratio, carry = 1.0 / pivot, (r - carry) / pivot
-        ratios.append(ratio)
-        solved.append(carry)
-    m = [0.0]  # the last m; the back substitution appends the others down to m[1]
-    for ratio, carry in zip(reversed(ratios), reversed(solved)):
-        m.append(carry - ratio * m[-1])
-    m = np.array([0.0] + m[::-1])
+    n, k_max = y.size, SPLINE_TERMS
+    d = y[:-2] - 2.0 * y[1:-1] + y[2:]
+    period = np.concatenate(([0.0], d, [0.0], -d[::-1]))
+    # d[1 - K] .. d[n - 2 + K]; d[1] sits at k_max.
+    ext = period.take(np.arange(1 - k_max, n - 1 + k_max), mode="wrap")
+    acc = np.zeros(n - 2)
+    for k in range(k_max, 0, -1):  # Horner in z over the pairs d[i-k] + d[i+k]
+        acc *= _SPLINE_POLE
+        acc += ext[k_max - k : k_max - k + n - 2]
+        acc += ext[k_max + k : k_max + k + n - 2]
+    acc *= _SPLINE_POLE
+    acc += ext[k_max : k_max + n - 2]
+    m = np.zeros(n)
+    m[1:-1] = math.sqrt(3.0) * acc
     f = np.arange(UPSAMPLE_FACTOR) / UPSAMPLE_FACTOR
     g = 1.0 - f
     rows = (y[:-1, None] * g + y[1:, None] * f

@@ -18,12 +18,16 @@ from .cycles import CycleTable
 from .errors import InsufficientCycles, ZeroInspiratoryValue
 from .report import DELAY_STEP_S, MAX_MISSING_FRACTION, MIN_CYCLES, REPORT_PARAMETERS, DiffRecord
 # label_cycles stays importable here: perfbench/tracing.py hooks diff.label_cycles.
-from .respiration import EX, IN, RespIntervals, _interval_index, label_cycles  # noqa: F401
+from .respiration import EX, IN, RespIntervals, label_cycles  # noqa: F401
 
 PARAMETERS = REPORT_PARAMETERS
 
 #: Most delays a scan grid may hold; a finer step is refused before the grid is built.
 MAX_SCAN_DELAYS = 100_000
+
+#: Most (delay, cycle) labels sweep_diffs holds at once; a longer grid is
+#: labelled a block of delays at a time.
+LABEL_BLOCK = 1 << 16
 
 
 def _diff_pct(parameter: str, ex_value: float, in_value: float) -> float:
@@ -57,11 +61,15 @@ def sweep_diffs(
     of cycles. At each delay d a cycle takes the phase of the interval whose
     shifted half-open [start, end) holds its midpoint, where the shifted
     boundaries are intervals.base_bounds + d; midpoints outside the shifted
-    span are unlabelled. Every delay is labelled with one searchsorted; each
-    phase mean is a sum over a contiguous gather in cycle order divided by
-    its count, as np.mean computes it, so the sweep equals labelling and
-    averaging the cycles one by one at each delay bit for bit
-    (tests/oracles.py holds that per-cycle reference).
+    span are unlabelled. All delays are labelled in one pass: one
+    searchsorted of every shifted boundary into the midpoints, taken in
+    stable sorted order, gives how many midpoints lie in each shifted
+    interval. Each phase mean is then a sum over a contiguous gather in
+    cycle order divided by its count, as np.mean computes it, so the sweep
+    equals labelling and averaging the cycles one by one at each delay bit
+    for bit (tests/oracles.py holds that per-cycle reference). A grid of
+    more than LABEL_BLOCK delay-cycle pairs is labelled a block of delays at
+    a time.
 
     Delays where either phase has fewer than min_cycles valid cycles are
     skipped and recorded as NaN; more than MAX_MISSING_FRACTION of the grid
@@ -75,23 +83,34 @@ def sweep_diffs(
     delays = _delay_grid(intervals.mean_period_s, step_s)
     midpoints, valid, rows = cycles.midpoint_s, cycles.valid, cycles.params
     bounds = np.asarray(intervals.base_bounds)
-    # Index -1 (outside the span) picks the trailing False.
-    is_ex = np.array([p == EX for p in intervals.phases] + [False])
-    is_in = np.array([p == IN for p in intervals.phases] + [False])
+    order = np.argsort(midpoints, kind="stable")
+    sorted_midpoints = midpoints[order]
+    # The phase before the span, in each interval and past the span: 0 unlabelled, 1 EX, 2 IN.
+    codes = np.array([0] + [1 if p == EX else 2 for p in intervals.phases] + [0], dtype=np.int8)
     diffs = {p: np.full(delays.size, np.nan) for p in PARAMETERS}
     missing = 0
     covered = False
-    for i, delay in enumerate(delays.tolist()):
-        idx = _interval_index(midpoints, bounds, delay)
-        covered = covered or bool((idx >= 0).any())
-        ex = valid & is_ex[idx]
-        in_ = valid & is_in[idx]
-        n_ex, n_in = np.count_nonzero(ex), np.count_nonzero(in_)
-        if n_ex < min_cycles or n_in < min_cycles:
-            missing += 1
-            continue
-        for param, ex_row, in_row in zip(PARAMETERS, rows[:, ex], rows[:, in_]):
-            diffs[param][i] = _diff_pct(param, float(ex_row.sum() / n_ex), float(in_row.sum() / n_in))
+    block = max(1, LABEL_BLOCK // max(midpoints.size, 1))
+    for lo in range(0, delays.size, block):
+        shifted = bounds + delays[lo : lo + block, None]
+        # The midpoints below each shifted boundary, then in each stretch between two.
+        stretches = np.diff(np.searchsorted(sorted_midpoints, shifted), axis=1,
+                            prepend=0, append=midpoints.size)
+        phase = np.empty((shifted.shape[0], midpoints.size), dtype=np.int8)
+        phase[:, order] = np.repeat(np.tile(codes, shifted.shape[0]),
+                                    stretches.ravel()).reshape(phase.shape)
+        covered = covered or bool(phase.any())
+        ex, in_ = valid & (phase == 1), valid & (phase == 2)
+        for i, n_ex, n_in in zip(range(lo, lo + block), ex.sum(axis=1).tolist(),
+                                 in_.sum(axis=1).tolist()):
+            if n_ex < min_cycles or n_in < min_cycles:
+                missing += 1
+                continue
+            # C-ordered gathers in cycle order: each row sums pairwise as a 1-D slice does.
+            ex_mean = rows.take(ex[i - lo].nonzero()[0], axis=1).sum(axis=1) / n_ex
+            in_mean = rows.take(in_[i - lo].nonzero()[0], axis=1).sum(axis=1) / n_in
+            for param, ex_value, in_value in zip(PARAMETERS, ex_mean.tolist(), in_mean.tolist()):
+                diffs[param][i] = _diff_pct(param, ex_value, in_value)
     if midpoints.size and not covered:
         belt_start, belt_end = intervals.span
         raise InsufficientCycles(

@@ -307,56 +307,108 @@ def write_velocity_series(series, path) -> None:
 
 # -- signal CSV -------------------------------------------------------------------
 
-def read_signal_csv(path, kind: str) -> SampledSignal:
-    """Parse a "time_s,value" CSV into a uniformly sampled signal.
+#: The bytes a data row's fields may hold: digits, '.', an exponent mark and signs.
+_NUMBER_BYTES = b"0123456789.eE+-"
 
-    The time column is validated for strict monotony and uniform spacing
-    (relative tolerance 1e-6); dt_s is then fixed to the median spacing.
-    The file must be UTF-8; LF and CRLF line endings parse alike. After the
-    header, the text must be ASCII without '_', as write_signal_csv writes it.
+
+def _parse_rows(rows: str):
+    """The samples of rows as an (n, 2) array, or None if any row breaks the format.
+
+    rows is ASCII without '_', from the first data line to the last line that
+    is not blank. The bytes are checked first: with the number bytes taken
+    out, one ',' then one '\n' per row must remain, and every '+' must follow
+    an exponent mark. One np.array then converts every field, reading each
+    as float() does.
     """
-    if kind not in SIGNAL_KINDS:
-        raise ValueError(f"kind must be one of {SIGNAL_KINDS}, got {kind!r}")
+    if not rows:
+        return np.empty((0, 2))
+    raw = rows.encode("ascii")
+    n = raw.count(b"\n") + 1
+    if (raw.translate(None, _NUMBER_BYTES) != b",\n" * (n - 1) + b","
+            or b"+" in raw and raw.count(b"+") != raw.count(b"e+") + raw.count(b"E+")):
+        return None
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-    lines = [ln.strip() for ln in text.split("\n")]
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise TooShort(f"{path}: empty file")
-    if lines[0] != CSV_HEADER:
-        raise ParseError(f"{path}: expected header {CSV_HEADER!r}, got {lines[0]!r}")
-    # float() takes '_' and non-ASCII digits too; the rows before such a line parse as usual.
-    body = text.partition("\n")[2]
-    foreign = None if body.isascii() and "_" not in body else next(
-        lineno for lineno, raw in enumerate(body.split("\n"), start=2)
-        if not raw.isascii() or "_" in raw)
-    times = []
-    values = []
-    rows = lines[1:] if foreign is None else lines[1 : foreign - 1]
-    for lineno, line in enumerate(rows, start=2):
-        if line == "":
+        samples = np.array(rows.replace("\n", ",").split(","), dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(samples).all():
+        return None
+    return samples.reshape(n, 2)
+
+
+def _raise_first_bad_row(path, text: str):
+    """Raise the ParseError of the first data line of text that breaks the format.
+
+    The lines are read one by one only here, for a file that _parse_rows
+    refused, to name the line. Lines after the last one that is not blank
+    are not rows, but a '_' or a non-ASCII character there is still refused.
+    """
+    lines = text.split("\n")
+    last = max(i for i, line in enumerate(lines) if line.strip())
+    for lineno, line in enumerate(lines[1:], start=2):
+        # float() takes '_' and non-ASCII digits too.
+        if not line.isascii() or "_" in line:
+            raise ParseError(f"{path}:{lineno}: a field holds '_' or a non-ASCII character")
+        if lineno > last + 1:
+            continue
+        if not line.strip():
             raise ParseError(f"{path}:{lineno}: blank line inside data")
         parts = line.split(",")
         if len(parts) != 2:
             raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
+        # float() also takes surrounding whitespace and a leading '+'.
+        if (any(c.isspace() for c in line)
+                or line.count("+") != line.count("e+") + line.count("E+")):
+            raise ParseError(f"{path}:{lineno}: a field holds whitespace or a '+' "
+                             f"outside an exponent")
         try:
             t, v = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if not (math.isfinite(t) and math.isfinite(v)):
             raise ParseError(f"{path}:{lineno}: non-finite sample")
-        times.append(t)
-        values.append(v)
-    if foreign is not None:
-        raise ParseError(f"{path}:{foreign}: a field holds '_' or a non-ASCII character")
-    if len(values) < 2:
-        raise TooShort(f"{path}: need at least 2 samples, got {len(values)}")
-    times = np.asarray(times)
+    # Not reached while these checks refuse every row that _parse_rows refuses.
+    raise ParseError(f"{path}: the data rows do not parse")
+
+
+def read_signal_csv(path, kind: str) -> SampledSignal:
+    """Parse a "time_s,value" CSV into a uniformly sampled signal.
+
+    The file must be UTF-8; LF and CRLF line endings parse alike, and blank
+    lines after the last row are ignored. After the header, the text must be
+    ASCII without '_', as write_signal_csv writes it. Each row is two fields
+    and one ',', with no whitespace; a field is a number as float() reads
+    it, with no '+' but an exponent's. The body is parsed in one pass, and a
+    refused file names its first bad line. The time column is then checked
+    for strict monotony and uniform spacing (relative tolerance 1e-6); dt_s
+    is fixed to the median spacing.
+    """
+    if kind not in SIGNAL_KINDS:
+        raise ValueError(f"kind must be one of {SIGNAL_KINDS}, got {kind!r}")
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    if "\r" in text:  # CRLF and a lone CR end a line, as in read_text
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text.strip():
+        raise TooShort(f"{path}: empty file")
+    header, _, body = text.partition("\n")
+    if header.strip() != CSV_HEADER:
+        raise ParseError(f"{path}: expected header {CSV_HEADER!r}, got {header.strip()!r}")
+    samples = None
+    if body.isascii() and "_" not in body:
+        # The rows run to the end of the last line that is not blank.
+        last = len(body.rstrip())
+        end = body.find("\n", last) if last else 0
+        samples = _parse_rows(body if end < 0 else body[:end])
+    if samples is None:
+        _raise_first_bad_row(path, text)
+    if samples.shape[0] < 2:
+        raise TooShort(f"{path}: need at least 2 samples, got {samples.shape[0]}")
+    times = samples[:, 0]
     with np.errstate(over="ignore"):  # a step beyond the float range is refused below
         diffs = np.diff(times)
     if not (diffs > 0).all():
@@ -368,7 +420,7 @@ def read_signal_csv(path, kind: str) -> SampledSignal:
         raise NonUniformSampling(
             f"{path}: spacing varies by {np.abs(diffs - dt).max():.3g} s around median {dt:.9g} s"
         )
-    return SampledSignal(t0_s=float(times[0]), dt_s=dt, values=np.asarray(values), kind=kind)
+    return SampledSignal(t0_s=float(times[0]), dt_s=dt, values=samples[:, 1], kind=kind)
 
 
 def write_signal_csv(signal: SampledSignal, path) -> None:
@@ -425,12 +477,15 @@ def read_mask(path, expected_width: int, expected_height: int) -> np.ndarray:
         raise NotPgm(f"{path}: incomplete PGM header") from None
     if magic != "P5":
         raise NotPgm(f"{path}: expected P5, got {magic!r}")
-    try:
-        if "_" in w_tok + h_tok + maxval_tok:  # int() takes '_'; the tokens are ASCII already
-            raise ValueError("'_' in a PGM header field")
-        width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
-    except ValueError:
-        raise NotPgm(f"{path}: non-numeric PGM header fields") from None
+    fields = []
+    for token in (w_tok, h_tok, maxval_tok):
+        try:  # int() also takes a sign and '_', and refuses 4,300 digits or more
+            if not token.isdigit():  # the tokens are ASCII already
+                raise ValueError(token)
+            fields.append(int(token))
+        except ValueError:
+            raise NotPgm(f"{path}: non-numeric PGM header fields: {token!r}") from None
+    width, height, maxval = fields
     if width < 1 or height < 1 or not (0 < maxval <= 255):
         raise NotPgm(f"{path}: unsupported PGM geometry {width}x{height} maxval {maxval}")
     if (width, height) != (expected_width, expected_height):

@@ -6,21 +6,27 @@ one delay at a time, the plain way; the tests hold the package to them bit
 for bit. `as_table` turns a list of oracle cycles into the five arrays
 sweep_diffs and label_cycles read.
 
-Three more plain forms: `cardiac_period_2n` takes the autocorrelation from an
+More plain forms: `cardiac_period_2n` takes the autocorrelation from an
 FFT zero-padded to twice the signal, `simulated_flow` evaluates the
 simulator's breathing modulation with the array forms `is_expiratory` and
-`modulation_waveform`, and `wrapped_member_values` draws the simulator's
-wrapped pixels one frame at a time.
+`modulation_waveform`, `wrapped_member_values` draws the simulator's
+wrapped pixels one frame at a time, `thomas_resample` solves the upsampling
+spline's tridiagonal system by elimination, and `read_signal_csv_rows`
+reads a signal CSV one row at a time.
 """
 
+import math
 from dataclasses import dataclass
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from rtpc.errors import DegenerateCycle, InsufficientCycles, NoCyclesFound, ZeroInspiratoryValue
-from rtpc.io import SampledSignal
-from rtpc.report import SUBMULTIPLE_THRESHOLD
+from rtpc.errors import (DegenerateCycle, InsufficientCycles, NoCyclesFound, NonMonotoneTime,
+                         NonUniformSampling, ParseError, TooShort, ZeroInspiratoryValue)
+from rtpc.io import CSV_HEADER, SIGNAL_KINDS, SampledSignal
+from rtpc.numerics import median
+from rtpc.report import SUBMULTIPLE_THRESHOLD, UPSAMPLE_FACTOR
 from rtpc.respiration import EX, IN, RespIntervals
 from rtpc.synthgen import pulse_waveform
 
@@ -290,3 +296,88 @@ def wrapped_member_values(member_values, member, venc_mm_s: float, fraction: flo
             values[t, chosen] -= two_venc
             wrapped += [(t, int(member_ys[c]), int(member_xs[c])) for c in chosen]
     return values, tuple(wrapped)
+
+
+def thomas_resample(flow: SampledSignal) -> SampledSignal:
+    """cycles.resample with the second derivatives from one Thomas
+    elimination and back substitution of m[i-1] + 4 m[i] + m[i+1] =
+    6 (y[i-1] - 2 y[i] + y[i+1]), m = 0 at both ends (de Boor, ch. IV),
+    written as Python loops; the evaluation is resample's."""
+    if len(flow) < 4:
+        raise TooShort(f"resampling needs >= 4 samples, got {len(flow)}")
+    y = flow.values
+    ratios, solved = [], []
+    ratio = carry = 0.0
+    for r in (6.0 * (y[:-2] - 2.0 * y[1:-1] + y[2:])).tolist():
+        pivot = 4.0 - ratio
+        ratio, carry = 1.0 / pivot, (r - carry) / pivot
+        ratios.append(ratio)
+        solved.append(carry)
+    m = [0.0]  # the last m; the back substitution appends the others down to m[1]
+    for ratio, carry in zip(reversed(ratios), reversed(solved)):
+        m.append(carry - ratio * m[-1])
+    m = np.array([0.0] + m[::-1])
+    f = np.arange(UPSAMPLE_FACTOR) / UPSAMPLE_FACTOR
+    g = 1.0 - f
+    rows = (y[:-1, None] * g + y[1:, None] * f
+            + m[:-1, None] * ((g * g * g - g) / 6.0) + m[1:, None] * ((f * f * f - f) / 6.0))
+    return SampledSignal(t0_s=flow.t0_s, dt_s=flow.dt_s / UPSAMPLE_FACTOR,
+                         values=np.append(rows.ravel(), y[-1]), kind=flow.kind)
+
+
+def read_signal_csv_rows(path, kind: str) -> SampledSignal:
+    """io.read_signal_csv as it read a file one row at a time: each line
+    stripped, split at ',' and converted by float(), so a field may carry
+    surrounding whitespace and a leading '+'. Its messages and the order of
+    its checks are the package's."""
+    if kind not in SIGNAL_KINDS:
+        raise ValueError(f"kind must be one of {SIGNAL_KINDS}, got {kind!r}")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    lines = [ln.strip() for ln in text.split("\n")]
+    while lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise TooShort(f"{path}: empty file")
+    if lines[0] != CSV_HEADER:
+        raise ParseError(f"{path}: expected header {CSV_HEADER!r}, got {lines[0]!r}")
+    body = text.partition("\n")[2]
+    foreign = None if body.isascii() and "_" not in body else next(
+        lineno for lineno, raw in enumerate(body.split("\n"), start=2)
+        if not raw.isascii() or "_" in raw)
+    times = []
+    values = []
+    rows = lines[1:] if foreign is None else lines[1 : foreign - 1]
+    for lineno, line in enumerate(rows, start=2):
+        if line == "":
+            raise ParseError(f"{path}:{lineno}: blank line inside data")
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            t, v = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise ParseError(f"{path}:{lineno}: non-finite sample")
+        times.append(t)
+        values.append(v)
+    if foreign is not None:
+        raise ParseError(f"{path}:{foreign}: a field holds '_' or a non-ASCII character")
+    if len(values) < 2:
+        raise TooShort(f"{path}: need at least 2 samples, got {len(values)}")
+    times = np.asarray(times)
+    with np.errstate(over="ignore"):
+        diffs = np.diff(times)
+    if not (diffs > 0).all():
+        raise NonMonotoneTime(f"{path}: time column is not strictly increasing")
+    if not np.isfinite(diffs).all():
+        raise NonUniformSampling(f"{path}: a time step exceeds the float range")
+    dt = float(median(diffs))
+    if np.abs(diffs - dt).max() > 1e-6 * dt:
+        raise NonUniformSampling(
+            f"{path}: spacing varies by {np.abs(diffs - dt).max():.3g} s around median {dt:.9g} s"
+        )
+    return SampledSignal(t0_s=float(times[0]), dt_s=dt, values=np.asarray(values), kind=kind)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from helpers import match_boundaries, signals
-from oracles import CycleBoundary, cardiac_period_2n, cycle_params, cycles_of
+from oracles import CycleBoundary, cardiac_period_2n, cycle_params, cycles_of, thomas_resample
 
 from rtpc import cycles
 from rtpc.cycles import CycleTable, _select_minima, detect_cycles, resample
@@ -52,6 +52,42 @@ class TestResample:
         s = SampledSignal(t0_s=0.0, dt_s=0.075, values=np.arange(3.0), kind="flow")
         with pytest.raises(TooShort):
             resample(s)
+
+
+#: resample's stated distance from the tridiagonal solve, as a multiple of max|y|.
+THOMAS_BOUND = 1e-15
+
+
+class TestResampleMatchesThomas:
+    """resample's closed-form second derivatives against the tridiagonal
+    solve by elimination (oracles.thomas_resample): within THOMAS_BOUND *
+    max|y|, for every n from 4 to 64, where the mirrored second differences
+    wrap around the SPLINE_TERMS window, and for a 600 s artery."""
+
+    @staticmethod
+    def assert_close(flow):
+        got, want = resample(flow), thomas_resample(flow)
+        assert (got.t0_s, got.dt_s) == (want.t0_s, want.dt_s)
+        assert np.array_equal(got.values[::UPSAMPLE_FACTOR], want.values[::UPSAMPLE_FACTOR])
+        assert np.abs(got.values - want.values).max() <= THOMAS_BOUND * np.abs(flow.values).max()
+
+    @pytest.mark.parametrize("n", range(4, 65))
+    def test_every_short_length(self, n):
+        rng = np.random.default_rng(n)
+        for values in (rng.uniform(-1e6, 1e6, n), np.cumsum(rng.normal(0.0, 1.0, n)),
+                       700.0 + 200.0 * np.sin(0.7 * np.arange(n)) + rng.normal(0.0, 5.0, n)):
+            self.assert_close(SampledSignal(t0_s=0.0, dt_s=0.075, values=values, kind="flow"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=4, max_size=80))
+    def test_random_signals(self, values):
+        self.assert_close(SampledSignal(t0_s=0.0, dt_s=0.075, values=np.asarray(values),
+                                        kind="flow"))
+
+    def test_full_size_artery(self):
+        flow, _, _ = signals(duration_s=600.0, artifacts={"noise_sd": 20.0}, seed=1)
+        assert len(flow) == 8000
+        self.assert_close(flow)
 
 
 class TestShortAutocorrelation:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -310,16 +311,54 @@ def sweep_cases(draw):
     return cycles, intervals, step_s, min_cycles, missing_fraction
 
 
+@st.composite
+def unsorted_sweep_cases(draw):
+    """Cycles in no time order, some repeated, whose midpoints fill the first
+    three quarters of the first breath only: the delays that move both phases
+    past them are skipped under min_cycles, and delay 0 is not."""
+    intervals = periodic_intervals(period_s=4.0, n_breaths=4)
+    step_s = draw(st.sampled_from([0.075, 0.25, 0.5]), label="step_s")
+    on_bounds = [b + float(d) for d in _delay_grid(4.0, step_s)[:4] for b in intervals.base_bounds[:2]]
+    train = np.linspace(0.05, 2.95, draw(st.integers(12, 40), label="n_train")).tolist()
+    cycles = [make_cycle(mid - 0.4, mid + 0.4, 600.0 + 7.0 * k) for k, mid in enumerate(train)]
+    extra = draw(st.lists(st.one_of(st.sampled_from(on_bounds), st.floats(0.0, 3.0)), max_size=10),
+                 label="extra")
+    for mid in extra:
+        mean = draw(st.floats(100.0, 900.0), label="mean")
+        cycles.append(make_cycle(mid - 0.3, mid + 0.3, mean, valid=draw(st.booleans(), label="valid")))
+    repeats = draw(st.lists(st.integers(0, len(cycles) - 1), min_size=1, max_size=8),
+                   label="repeats")
+    cycles += [cycles[i] for i in repeats]
+    cycles = draw(st.permutations(cycles), label="order")
+    min_cycles = draw(st.integers(1, 3), label="min_cycles")
+    return cycles, intervals, step_s, min_cycles
+
+
 class TestSweepMatchesPerDelayOracle:
     @settings(max_examples=300, deadline=None)
-    @given(case=sweep_cases())
-    def test_bit_identical(self, case):
+    @given(case=sweep_cases(),
+           label_block=st.one_of(st.just(rtpc.diff.LABEL_BLOCK), st.integers(1, 400)))
+    def test_bit_identical(self, case, label_block):
+        # A small LABEL_BLOCK labels the grid one or a few delays at a time.
         cycles, intervals, step_s, min_cycles, missing_fraction = case
-        try:
-            assert_sweeps_identical(cycles, intervals, step_s, min_cycles, missing_fraction)
-        except ZeroInspiratoryValue:
-            with pytest.raises(ZeroInspiratoryValue), max_missing(missing_fraction):
-                sweep_diffs(as_table(cycles), intervals, step_s=step_s, min_cycles=min_cycles)
+        with mock.patch.object(rtpc.diff, "LABEL_BLOCK", label_block):
+            try:
+                assert_sweeps_identical(cycles, intervals, step_s, min_cycles, missing_fraction)
+            except ZeroInspiratoryValue:
+                with pytest.raises(ZeroInspiratoryValue), max_missing(missing_fraction):
+                    sweep_diffs(as_table(cycles), intervals, step_s=step_s,
+                                min_cycles=min_cycles)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=unsorted_sweep_cases())
+    def test_unsorted_repeated_midpoints_and_skipped_delays(self, case):
+        cycles, intervals, step_s, min_cycles = case
+        midpoints = [c.midpoint_s for c in cycles]
+        diffs = assert_sweeps_identical(cycles, intervals, step_s, min_cycles,
+                                        max_missing_fraction=1.0)
+        skipped = np.isnan(diffs["mean_flow"])
+        assert not skipped[0] and skipped.any()
+        assert len(set(midpoints)) < len(midpoints)
 
     def test_min_cycles_edge(self):
         # exactly min_cycles cycles per phase at zero delay: kept; one more needed: skipped
@@ -369,6 +408,21 @@ class TestSweepMatchesPerDelayOracle:
             message = str(exc.value)
             assert "5000.00-5024.00 s" in message
             assert "0.05-24.05 s" in message
+
+
+class TestFineGridLabelledInBlocks:
+    def test_labels_never_all_held_at_once(self):
+        # About 8,600 delays over 637 cycles: one int8 label per pair would
+        # take 5.5 MB; a block of LABEL_BLOCK pairs takes a fraction of that.
+        table, intervals = pair(duration_s=600.0, seed=1)
+        tracemalloc.start()
+        try:
+            delays, _diffs = sweep_diffs(table, intervals, step_s=0.0005, min_cycles=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert delays.size * len(table) > 10 * rtpc.diff.LABEL_BLOCK
+        assert peak < delays.size * len(table)
 
 
 class TestSignedMaxCompleteness:

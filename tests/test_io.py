@@ -45,6 +45,7 @@ from rtpc.io import (
 from rtpc.report import ArteryRecord, DiffRecord, QcFlags, Report, read_report, write_report
 
 from helpers import fresh_env
+from oracles import read_signal_csv_rows
 
 
 def random_series(rng, n=3, h=4, w=5, dt_ms=75.0, venc=800.0, area=0.25):
@@ -418,6 +419,24 @@ class TestSignalCsv:
         assert cli_exit(["analyze", "--flow", str(path), "--resp", str(resp),
                          "--out", str(tmp_path / "r.json")]) == 3
 
+    @pytest.mark.parametrize("row", ["0.0, 1", "0.075,+2", " 0.15 ,3e0"],
+                             ids=["space-after-comma", "plus-sign", "spaces-around-time"])
+    def test_signed_or_spaced_field_rejected(self, tmp_path, row):
+        path = tmp_path / "f.csv"
+        path.write_text(f"time_s,value\n-0.075,0\n{row}\n0.225,4\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"f.csv:3: a field holds whitespace or a '\+' outside"):
+            read_signal_csv(path, kind="flow")
+        resp = tmp_path / "resp.csv"
+        write_signal_csv(SampledSignal(0.0, 0.075, np.sin(np.arange(400) / 20.0), "respiration"),
+                         resp)
+        assert cli_exit(["analyze", "--flow", str(path), "--resp", str(resp),
+                         "--out", str(tmp_path / "r.json")]) == 3
+
+    def test_exponent_sign_reads(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("time_s,value\n0.0,1e+20\n0.075,2.5E+3\n0.15,-1e-3\n")
+        assert read_signal_csv(path, kind="flow").values.tolist() == [1e20, 2500.0, -1e-3]
+
     def test_earlier_row_error_comes_first(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("time_s,value\n0.0,1\n\n0.15,1_0\n")
@@ -504,6 +523,16 @@ class TestPgmMask:
             read_mask(path, 10, 1)
         series = tmp_path / "s.rtpc"
         series.write_bytes(series_bytes(10, 1, 2))
+        assert cli_exit(["extract", "--series", str(series), "--mask", str(path),
+                         "--out", str(tmp_path / "f.csv")]) == 3
+
+    def test_signed_header_rejected(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n+2 +1\n+255\n" + bytes(2))
+        with pytest.raises(NotPgm, match=r"non-numeric PGM header fields: '\+2'"):
+            read_mask(path, 2, 1)
+        series = tmp_path / "s.rtpc"
+        series.write_bytes(series_bytes(2, 1, 2))
         assert cli_exit(["extract", "--series", str(series), "--mask", str(path),
                          "--out", str(tmp_path / "f.csv")]) == 3
 
@@ -840,6 +869,36 @@ CSV_ODD_FIELDS = ["", " ", "nan", "inf", "-inf", "1e400", "-1e400", "1_0", "0x10
                   "1,5", "True", "1e-400", "+0", "-0", "1.7976931348623157e308"]
 
 
+@st.composite
+def csv_row_files(draw):
+    """A signal CSV's bytes from rows of repr times and values, with odd
+    fields, odd times, other headers, line endings and trailers mixed in."""
+    t0 = draw(st.floats(allow_nan=False, allow_infinity=False), label="t0")
+    dt = draw(st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                        st.sampled_from([0.075, 1e-3, -0.075, 0.0])), label="dt")
+    values = draw(st.lists(st.one_of(st.floats(), st.sampled_from(CSV_ODD_FIELDS)), max_size=6),
+                  label="values")
+    header = draw(st.sampled_from(["time_s,value", "time_s,value", "time_s;value", "t,v", ""]),
+                  label="header")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r", "\n\n"]), label="newline")
+    bad_time = draw(st.one_of(st.none(), st.tuples(st.integers(0, 5),
+                                                   st.sampled_from(CSV_ODD_FIELDS))),
+                    label="bad_time")
+    trailer = draw(st.sampled_from(["", "\n", "\n\n", " \n", "\n0.1,2", ",", "\t"]),
+                   label="trailer")
+    rows = [header]
+    for i, v in enumerate(values):
+        t = repr(t0 + i * dt)
+        if bad_time is not None and bad_time[0] == i:
+            t = bad_time[1]
+        rows.append(f"{t},{v if isinstance(v, str) else repr(v)}")
+    return (newline.join(rows) + trailer).encode("utf-8")
+
+
+#: Characters of random CSV text: the format's own, separators and near misses.
+CSV_TEXT = st.text(alphabet="0123456789.,e-+\n\r :nai_tmesvlu", max_size=60)
+
+
 class TestSignalCsvFuzz:
     """read_signal_csv on random text: only RtpcError subclasses escape,
     `rtpc analyze` exits with that error's code, and an accepted file gives
@@ -867,28 +926,12 @@ class TestSignalCsvFuzz:
             assert all(row.isascii() and "_" not in row for row in rows)
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        t0=st.floats(allow_nan=False, allow_infinity=False),
-        dt=st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-                     st.sampled_from([0.075, 1e-3, -0.075, 0.0])),
-        values=st.lists(st.one_of(st.floats(), st.sampled_from(CSV_ODD_FIELDS)), max_size=6),
-        header=st.sampled_from(["time_s,value", "time_s,value", "time_s;value", "t,v", ""]),
-        newline=st.sampled_from(["\n", "\r\n", "\r", "\n\n"]),
-        bad_time=st.one_of(st.none(), st.tuples(st.integers(0, 5), st.sampled_from(CSV_ODD_FIELDS))),
-        trailer=st.sampled_from(["", "\n", "\n\n", " \n", "\n0.1,2", ",", "\t"]),
-    )
-    def test_random_rows(self, t0, dt, values, header, newline, bad_time, trailer):
-        rows = [header]
-        for i, v in enumerate(values):
-            t = repr(t0 + i * dt)
-            if bad_time is not None and bad_time[0] == i:
-                t = bad_time[1]
-            rows.append(f"{t},{v if isinstance(v, str) else repr(v)}")
-        raw = (newline.join(rows) + trailer).encode("utf-8")
+    @given(raw=csv_row_files())
+    def test_random_rows(self, raw):
         self.check(raw)
 
     @settings(max_examples=150, deadline=None)
-    @given(text=st.text(alphabet="0123456789.,e-+\n\r :nai_tmesvlu", max_size=60))
+    @given(text=CSV_TEXT)
     def test_random_text(self, text):
         self.check(("time_s,value\n" + text).encode("utf-8"))
 
@@ -896,6 +939,89 @@ class TestSignalCsvFuzz:
     @given(raw=st.binary(max_size=60))
     def test_random_bytes(self, raw):
         self.check(b"time_s,value\n" + raw)
+
+
+#: A '+' that does not follow an exponent mark, or whitespace, inside a data row.
+SIGNED_OR_SPACED = re.compile(r"(?<![eE])\+|[^\S\n]")
+
+
+class TestSignalCsvMatchesRowOracle:
+    """read_signal_csv, which parses the body in one pass, against the
+    row-by-row reader it replaced (oracles.read_signal_csv_rows): the same
+    signal bit for bit, or the same exception class and message. The one
+    intended difference: a row whose field holds whitespace or a '+' outside
+    an exponent is now refused. Then the refusal names that row, and the old
+    reader accepted the file or refused it at that row or a later one."""
+
+    @staticmethod
+    def outcome(reader, path):
+        try:
+            signal = reader(path, kind="flow")
+        except RtpcError as exc:
+            return type(exc), str(exc)
+        return signal.t0_s, signal.dt_s, signal.kind, signal.values.tobytes()
+
+    def check(self, raw: bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "flow.csv"
+            path.write_bytes(raw)
+            new, old = self.outcome(read_signal_csv, path), self.outcome(read_signal_csv_rows, path)
+        if new == old:
+            return
+        assert new[0] is ParseError, (new, old)
+        found = re.fullmatch(r".*flow\.csv:(\d+): a field holds whitespace or a '\+' outside an "
+                             r"exponent", new[1])
+        assert found, (new, old)
+        lineno = int(found.group(1))
+        lines = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        assert SIGNED_OR_SPACED.search(lines[lineno - 1]), (new, lines[lineno - 1])
+        if isinstance(old[0], type):
+            old_line = re.match(r".*flow\.csv:(\d+): ", old[1])
+            assert old_line is None or int(old_line.group(1)) >= lineno, (new, old)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=csv_row_files())
+    def test_random_rows(self, raw):
+        self.check(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=CSV_TEXT)
+    def test_random_text(self, text):
+        self.check(("time_s,value\n" + text).encode("utf-8"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=st.binary(max_size=60))
+    def test_random_bytes(self, raw):
+        self.check(b"time_s,value\n" + raw)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 400),
+        t0=st.floats(-1e4, 1e4),
+        dt=st.sampled_from([0.075, 0.01, 0.5, 0.004, 1 / 3]),
+        scale=st.sampled_from([1e-12, 1.0, 700.0, 1e12, 1e300]),
+        seed=st.integers(0, 2**32 - 1),
+        ending=st.sampled_from([b"\n", b"\r\n"]),
+        trailer=st.sampled_from([b"", b"\n", b"\n \n"]),
+    )
+    def test_written_files(self, n, t0, dt, scale, seed, ending, trailer):
+        values = np.random.default_rng(seed).normal(0.0, scale, n)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "flow.csv"
+            write_signal_csv(SampledSignal(t0_s=t0, dt_s=dt, values=values, kind="flow"), path)
+            raw = path.read_bytes()
+        self.check(raw.replace(b"\n", ending) + trailer)
+
+    @pytest.mark.parametrize("row", ["0.075, 1", "0.075,+2", " 0.075 ,3e0", "0.075,2\t",
+                                     "+0.075,2", "0.075,1e++2"])
+    def test_the_intended_differences(self, row):
+        raw = f"time_s,value\n0.0,1\n{row}\n0.15,3\n".encode("ascii")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "flow.csv"
+            path.write_bytes(raw)
+            new, old = self.outcome(read_signal_csv, path), self.outcome(read_signal_csv_rows, path)
+        assert new != old
+        self.check(raw)
 
 
 JSON_VALUES = st.recursive(
