@@ -46,7 +46,7 @@ from .report import (
 _CALLS = {
     ".cycles": ("detect_cycles",),
     # No command calls sweep_diffs: perfbench/tracing.py wraps cli.sweep_diffs.
-    ".diff": ("MAX_SCAN_DELAYS", "scan_artery", "sweep_diffs"),
+    ".diff": ("_delay_grid", "scan_artery", "sweep_diffs"),
     ".extraction": ("COMPONENT_START_HALF_PX", "compute_flow", "correct_background", "quality_score",
                     "roi_values", "roi_window", "seed_window", "segment_roi", "sum_flows", "unalias"),
     ".io": ("SampledSignal", "read_mask", "read_signal_csv", "read_velocity_header",
@@ -345,12 +345,10 @@ def cmd_analyze(args, written: list) -> int:
 
     step_s = args.delay_step_ms / 1000.0
     intervals = detect_resp_intervals(resp)
-    if intervals.mean_period_s / step_s > MAX_SCAN_DELAYS:
-        return _usage_error(
-            "analyze",
-            f"--delay-step-ms {args.delay_step_ms!r} gives more than {MAX_SCAN_DELAYS} scan "
-            f"delays over the {intervals.mean_period_s:.3g} s mean breathing period",
-        )
+    try:
+        _delay_grid(intervals.mean_period_s, step_s)
+    except ValueError as exc:
+        return _usage_error("analyze", f"--delay-step-ms {args.delay_step_ms!r}: {exc}")
 
     jobs = [(Path(p).stem, f) for p, f in zip(flow_paths, flows)]
     if len(flows) > 1:

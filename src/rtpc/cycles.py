@@ -14,13 +14,12 @@ construction. detect_cycles returns the cycles as a CycleTable of arrays.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 
 import numpy as np
 
 from .errors import DegenerateCycle, NoCyclesFound, TooShort
 from .io import SampledSignal
-from .numerics import distinct, local_maxima
+from .numerics import distinct, local_maxima, spaced
 from .report import (MIN_SEPARATION_FRACTION, PERIOD_BAND_S, SUBMULTIPLE_THRESHOLD,
                      UPSAMPLE_FACTOR, VALIDITY_BAND)
 
@@ -189,23 +188,11 @@ def _cardiac_period(values: np.ndarray, dt_s: float, band: tuple) -> float:
 
 
 def _select_minima(values: np.ndarray, min_separation: int) -> np.ndarray:
-    """Greedy deepest-first minima selection with a separation constraint.
-
-    Ties on depth go to the earliest index, which makes the selection
-    deterministic. The accepted indices stay sorted, so each candidate is
-    checked against its two nearest accepted neighbours only.
-    """
+    """The local minima of values that numerics.spaced keeps at least
+    min_separation apart, taken deepest first and the earliest on ties."""
     candidates = local_maxima(-values)
-    order = candidates[np.lexsort((candidates, values[candidates]))]
-    accepted: list = []
-    for idx in order.tolist():
-        pos = bisect_left(accepted, idx)
-        if pos > 0 and idx - accepted[pos - 1] < min_separation:
-            continue
-        if pos < len(accepted) and accepted[pos] - idx < min_separation:
-            continue
-        accepted.insert(pos, idx)
-    return np.asarray(accepted, dtype=np.intp)
+    return candidates[spaced(candidates, np.argsort(values[candidates], kind="stable"),
+                             min_separation)]
 
 
 def detect_cycles(flow: SampledSignal) -> CycleTable:

@@ -2,10 +2,11 @@
 
 Diff(parameter) = 100 * (P_EX - P_IN) / P_IN, where P_EX and P_IN are the
 arithmetic means of a cycle parameter over valid expiratory / inspiratory
-cycles. The scan relabels cycles under respiratory intervals shifted by
-every delay on a grid covering one mean breathing period and takes the
-signed maximum; because a half-period shift swaps the phase sets, effects
-that are negative at zero delay still surface as positive maxima.
+cycles. The scan relabels cycles (respiration.phase_codes) under
+respiratory intervals shifted by every delay on a grid covering one mean
+breathing period and takes the signed maximum by rtpc.report.scan_peak's
+rule; because a half-period shift swaps the phase sets, effects that are
+negative at zero delay still surface as positive maxima.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import numpy as np
 
 from .cycles import CycleTable
 from .errors import InsufficientCycles, ZeroInspiratoryValue
-from .report import DELAY_STEP_S, MAX_MISSING_FRACTION, MIN_CYCLES, REPORT_PARAMETERS, DiffRecord
+from .report import (DELAY_STEP_S, MAX_MISSING_FRACTION, MIN_CYCLES, REPORT_PARAMETERS, DiffRecord,
+                     scan_peak)
 # label_cycles stays importable here: perfbench/tracing.py hooks diff.label_cycles.
-from .respiration import EX, IN, RespIntervals, label_cycles  # noqa: F401
+from .respiration import RespIntervals, label_cycles, phase_codes  # noqa: F401
 
 PARAMETERS = REPORT_PARAMETERS
 
@@ -37,6 +39,8 @@ def _diff_pct(parameter: str, ex_value: float, in_value: float) -> float:
 
 
 def _delay_grid(mean_period_s: float, step_s: float) -> np.ndarray:
+    """The multiples of step_s below mean_period_s; ValueError for a step
+    that is not finite and positive or gives more than MAX_SCAN_DELAYS."""
     if not (np.isfinite(step_s) and step_s > 0):
         raise ValueError(f"step_s must be finite and positive, got {step_s}")
     if mean_period_s / step_s > MAX_SCAN_DELAYS:
@@ -61,15 +65,12 @@ def sweep_diffs(
     of cycles. At each delay d a cycle takes the phase of the interval whose
     shifted half-open [start, end) holds its midpoint, where the shifted
     boundaries are intervals.base_bounds + d; midpoints outside the shifted
-    span are unlabelled. All delays are labelled in one pass: one
-    searchsorted of every shifted boundary into the midpoints, taken in
-    stable sorted order, gives how many midpoints lie in each shifted
-    interval. Each phase mean is then a sum over a contiguous gather in
-    cycle order divided by its count, as np.mean computes it, so the sweep
-    equals labelling and averaging the cycles one by one at each delay bit
-    for bit (tests/oracles.py holds that per-cycle reference). A grid of
-    more than LABEL_BLOCK delay-cycle pairs is labelled a block of delays at
-    a time.
+    span are unlabelled. respiration.phase_codes labels all delays in one
+    pass, a block of at most LABEL_BLOCK delay-cycle pairs at a time. Each
+    phase mean is then a sum over a contiguous gather in cycle order divided
+    by its count, as np.mean computes it, so the sweep equals labelling and
+    averaging the cycles one by one at each delay bit for bit
+    (tests/oracles.py holds that per-cycle reference).
 
     Delays where either phase has fewer than min_cycles valid cycles are
     skipped and recorded as NaN; more than MAX_MISSING_FRACTION of the grid
@@ -82,23 +83,12 @@ def sweep_diffs(
         raise ValueError(f"min_cycles must be >= 1, got {min_cycles}")
     delays = _delay_grid(intervals.mean_period_s, step_s)
     midpoints, valid, rows = cycles.midpoint_s, cycles.valid, cycles.params
-    bounds = np.asarray(intervals.base_bounds)
-    order = np.argsort(midpoints, kind="stable")
-    sorted_midpoints = midpoints[order]
-    # The phase before the span, in each interval and past the span: 0 unlabelled, 1 EX, 2 IN.
-    codes = np.array([0] + [1 if p == EX else 2 for p in intervals.phases] + [0], dtype=np.int8)
     diffs = {p: np.full(delays.size, np.nan) for p in PARAMETERS}
     missing = 0
     covered = False
     block = max(1, LABEL_BLOCK // max(midpoints.size, 1))
     for lo in range(0, delays.size, block):
-        shifted = bounds + delays[lo : lo + block, None]
-        # The midpoints below each shifted boundary, then in each stretch between two.
-        stretches = np.diff(np.searchsorted(sorted_midpoints, shifted), axis=1,
-                            prepend=0, append=midpoints.size)
-        phase = np.empty((shifted.shape[0], midpoints.size), dtype=np.int8)
-        phase[:, order] = np.repeat(np.tile(codes, shifted.shape[0]),
-                                    stretches.ravel()).reshape(phase.shape)
+        phase = phase_codes(midpoints, intervals, delays[lo : lo + block])
         covered = covered or bool(phase.any())
         ex, in_ = valid & (phase == 1), valid & (phase == 2)
         for i, n_ex, n_in in zip(range(lo, lo + block), ex.sum(axis=1).tolist(),
@@ -149,20 +139,15 @@ def scan_artery(
 
 
 def _record(parameter: str, delays_s: tuple, values: np.ndarray, mean_period_s: float) -> DiffRecord:
-    """parameter's DiffRecord from its Diff at each delay of delays_s (NaN if skipped)."""
-    if not np.isfinite(values).any():
-        raise InsufficientCycles(f"no usable delay for {parameter}")
-    best = int(np.nanargmax(values))  # first occurrence wins ties
-    argmax_delay = delays_s[best]
-    delay_pct = 100.0 * argmax_delay / mean_period_s
-    if not (0.0 <= delay_pct < 100.0):
-        raise InsufficientCycles(f"delay {argmax_delay} outside one breathing period")
+    """parameter's DiffRecord from its Diff at each delay of delays_s (NaN if
+    skipped), by report.scan_peak's rule."""
     diff_pct = tuple(v if math.isfinite(v) else None for v in values.tolist())
+    best, at = scan_peak(delays_s, diff_pct, mean_period_s, parameter, InsufficientCycles)
     return DiffRecord(
         diff_at_zero_pct=diff_pct[0],  # the grid starts at delay 0
-        max_diff_pct=float(values[best]),
-        argmax_delay_s=argmax_delay,
-        delay_pct=delay_pct,
+        max_diff_pct=best,
+        argmax_delay_s=at,
+        delay_pct=100.0 * at / mean_period_s,
         delays_s=delays_s,
         diff_pct=diff_pct,
     )

@@ -8,6 +8,8 @@ function with its original for exact equality.
 
 - local_maxima: the peaks of scipy.signal.find_peaks(x);
 - find_peaks: scipy.signal.find_peaks(x, distance=, prominence=);
+- spaced: find_peaks' distance rule for any priority order (cycles picks
+  beat boundaries with it too);
 - welch: scipy.signal.welch with a periodic Hann window, nperseg samples,
   half overlap and constant detrending;
 - seed_component: the union over frames of the component of
@@ -50,29 +52,36 @@ def local_maxima(x: np.ndarray) -> np.ndarray:
 def find_peaks(x: np.ndarray, distance: int, prominence: float) -> np.ndarray:
     """Indices of find_peaks(x, distance=distance, prominence=prominence).
 
-    As in scipy, the distance rule runs first, on all local maxima: the
-    highest peak (in np.argsort order, so ties resolve exactly as scipy's)
-    removes every lower-priority neighbour closer than distance. Then the
-    prominence floor applies to the survivors.
+    As in scipy, the distance rule runs first, on all local maxima: spaced
+    takes them highest first, in reversed np.argsort order, so ties resolve
+    exactly as scipy's. Then the prominence floor applies to the survivors.
     """
     x = np.asarray(x, dtype=np.float64)
     peaks = local_maxima(x)
-    keep = np.ones(peaks.size, dtype=bool)
-    distance = math.ceil(distance)
-    pos = peaks.tolist()
-    for j in np.argsort(x[peaks])[::-1].tolist():
+    peaks = peaks[spaced(peaks, np.argsort(x[peaks])[::-1], math.ceil(distance))]
+    return peaks[prominence <= _prominences(x, peaks)]
+
+
+def spaced(positions: np.ndarray, order: np.ndarray, distance: int) -> np.ndarray:
+    """The boolean mask of the sorted, distinct positions that the greedy
+    spacing rule keeps: taken in order (indices into positions, first
+    priority first), a position is kept unless a kept one lies closer than
+    distance, and each kept one removes every position closer than that."""
+    pos = positions.tolist()
+    keep = [True] * len(pos)
+    for j in order.tolist():
         if not keep[j]:
             continue
+        here = pos[j]
         k = j - 1
-        while k >= 0 and pos[j] - pos[k] < distance:
+        while k >= 0 and here - pos[k] < distance:
             keep[k] = False
             k -= 1
         k = j + 1
-        while k < len(pos) and pos[k] - pos[j] < distance:
+        while k < len(pos) and pos[k] - here < distance:
             keep[k] = False
             k += 1
-    peaks = peaks[keep]
-    return peaks[prominence <= _prominences(x, peaks)]
+    return np.array(keep, dtype=bool)
 
 
 def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:

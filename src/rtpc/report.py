@@ -1,8 +1,8 @@
 """Report records and the report JSON: what `analyze` writes and `report` reads.
 
 This module imports no numpy, so `rtpc report` runs without it. Readers are
-strict: a missing or mistyped field raises ParseError naming it, and so does
-a summary that disagrees with its scan. It also states each fixed analysis
+strict: a missing or mistyped field raises ParseError naming it, and so do a
+scan that breaks scan_peak's rule and a summary that disagrees with its scan. It also states each fixed analysis
 setting once: the detectors, the command line's defaults and help texts, and
 analysis_config, which builds the report's `config` block, read them here.
 Every writer of an output file calls unlink_if_regular first.
@@ -155,9 +155,9 @@ class DiffRecord(namedtuple(
 
     delays_s / diff_pct keep the whole delay scan as tuples of floats, so a
     report file alone can redraw the Diff-vs-delay plot; a skipped delay's
-    Diff, like diff_at_zero_pct, may be None. The scan starts at delay 0, and
-    Report.validate refuses a record whose other fields are not what its scan
-    gives.
+    Diff, like diff_at_zero_pct, may be None. The scan follows scan_peak's
+    rule, and Report.validate refuses a record whose scan breaks it or whose
+    other fields are not what its scan gives.
     """
 
     __slots__ = ()
@@ -219,21 +219,35 @@ class ArteryRecord(namedtuple("ArteryRecord", "name mean_flow_ml_min stroke_volu
         )
 
 
-def _check_scan(record: DiffRecord, where: str) -> None:
+def scan_peak(delays_s, diff_pct, period_s: float, where: str, error: type = ParseError) -> tuple:
+    """The first maximum of a delay scan's Diffs (None where skipped) and its delay.
+
+    The scan rule rtpc.diff builds each DiffRecord by and Report.validate
+    checks: one Diff per delay, at least one not None, and delays that start
+    at 0, strictly increase and stay below the breathing period period_s. A
+    scan that breaks it raises error, naming where and the field.
+    """
+    if len(delays_s) != len(diff_pct):
+        raise error(f"scan arrays of {where} differ in length")
+    if not delays_s or delays_s[0] != 0.0:
+        raise error(f"scan.delays_s of {where} must start at 0, got {reprlib.repr(list(delays_s))}")
+    for delay, after in zip(delays_s, (*delays_s[1:], period_s)):
+        if not delay < after:
+            raise error(f"scan.delays_s of {where} must increase strictly up to the {period_s!r} s "
+                        f"breathing period, but {delay!r} is not below {after!r}")
+    scanned = [(v, d) for d, v in zip(delays_s, diff_pct) if v is not None]
+    if not scanned:
+        raise error(f"scan.diff_pct of {where} holds no Diff")
+    return max(scanned, key=lambda pair: pair[0])  # the first of equal maxima
+
+
+def _check_scan(record: DiffRecord, period_s: float, where: str) -> None:
     """Raise ParseError, naming where and the field, unless record's scan
-    starts at delay 0 and its summary fields are what the scan gives."""
-    if len(record.delays_s) != len(record.diff_pct):
-        raise ParseError(f"scan arrays of {where} differ in length")
-    if not record.delays_s or record.delays_s[0] != 0.0:
-        raise ParseError(f"scan.delays_s of {where} must start at 0, got "
-                         f"{reprlib.repr(list(record.delays_s))}")
+    follows scan_peak's rule and its summary fields are what the scan gives."""
+    best, at = scan_peak(record.delays_s, record.diff_pct, period_s, where)
     if record.diff_at_zero_pct != record.diff_pct[0]:
         raise ParseError(f"at_zero_pct of {where} is {record.diff_at_zero_pct!r}, but its scan "
                          f"gives {record.diff_pct[0]!r} at delay 0")
-    scanned = [(v, d) for d, v in zip(record.delays_s, record.diff_pct) if v is not None]
-    if not scanned:
-        raise ParseError(f"scan.diff_pct of {where} holds no Diff")
-    best, at = max(scanned, key=lambda pair: pair[0])  # the first of equal maxima
     if record.max_diff_pct != best:
         raise ParseError(f"max_pct of {where} is {record.max_diff_pct!r}, but its scan's "
                          f"largest Diff is {best!r}")
@@ -253,6 +267,9 @@ class Report(namedtuple("Report", "version config resp_period_s arteries generat
         if not (math.isfinite(self.resp_period_s) and self.resp_period_s > 0):
             raise ParseError(f"resp_period_s must be positive, got {self.resp_period_s!r}")
         for artery in self.arteries:
+            if artery.n_cycles < 1:
+                raise ParseError(f"n_cycles of {artery.name!r} must be at least 1, "
+                                 f"got {artery.n_cycles!r}")
             if set(artery.diff) != set(REPORT_PARAMETERS):
                 raise ParseError(
                     f"artery {artery.name!r} must carry exactly one diff record per parameter "
@@ -266,7 +283,7 @@ class Report(namedtuple("Report", "version config resp_period_s arteries generat
                         f"delay_pct inconsistent for {artery.name!r}/{param}: "
                         f"{rec.delay_pct} vs 100*{rec.argmax_delay_s}/{self.resp_period_s}"
                     )
-                _check_scan(rec, f"{artery.name!r}/{param}")
+                _check_scan(rec, self.resp_period_s, f"{artery.name!r}/{param}")
 
     def to_dict(self) -> dict:
         d = {

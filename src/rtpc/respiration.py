@@ -3,8 +3,9 @@
 Belt polarity convention: rising amplitude is inhalation, so a trough-to-peak
 stretch is an inspiratory interval (IN) and peak-to-trough is expiratory
 (EX). Invert the belt signal upstream if a sensor uses the opposite
-convention. The delay scan (rtpc.diff) shifts the intervals by nonnegative
-delays; a positive delay means the flow response lags the belt.
+convention. phase_codes labels cycles under the intervals shifted by any
+delay, for label_cycles and for the delay scan (rtpc.diff); a positive
+delay means the flow response lags the belt.
 """
 
 from __future__ import annotations
@@ -116,48 +117,47 @@ def detect_resp_intervals(resp: SampledSignal) -> RespIntervals:
     peak_idx = find_peaks(smoothed, distance, prominence)
     trough_idx = find_peaks(-smoothed, distance, prominence)
 
-    events = sorted(
-        [(int(i), "peak") for i in peak_idx] + [(int(i), "trough") for i in trough_idx]
-    )
-    # Collapse runs of same-type events, keeping the most extreme (earliest on ties).
-    collapsed: list = []
-    for idx, etype in events:
-        if collapsed and collapsed[-1][1] == etype:
-            prev_idx = collapsed[-1][0]
-            better = (
-                smoothed[idx] > smoothed[prev_idx]
-                if etype == "peak"
-                else smoothed[idx] < smoothed[prev_idx]
-            )
-            if better:
-                collapsed[-1] = (idx, etype)
-        else:
-            collapsed.append((idx, etype))
+    # The extrema in time order (a sample is never both a peak and a trough).
+    index = np.concatenate((peak_idx, trough_idx))
+    order = np.argsort(index)
+    index, is_peak = index[order], order < peak_idx.size
+    # Collapse each run of same-type extrema to its most extreme one, the
+    # earliest on ties: a stable sort by run, then by rank, puts it first.
+    run_start = np.ones(index.size, dtype=bool)
+    run_start[1:] = is_peak[1:] != is_peak[:-1]
+    rank = np.where(is_peak, -smoothed[index], smoothed[index])
+    kept = np.lexsort((rank, np.cumsum(run_start)))[run_start]
+    index, is_peak = index[kept], is_peak[kept]
 
-    n_troughs = sum(1 for _, e in collapsed if e == "trough")
-    n_peaks = sum(1 for _, e in collapsed if e == "peak")
+    n_peaks = int(np.count_nonzero(is_peak))
+    n_troughs = index.size - n_peaks
     if n_troughs < 2 or n_peaks < 1:
         raise NoBreathsDetected(
             f"found {n_troughs} troughs and {n_peaks} peaks; need a full breath"
         )
-    trough_times = [resp.t0_s + i * resp.dt_s for i, e in collapsed if e == "trough"]
-    mean_period = float(np.mean(np.diff(trough_times)))
-    bounds = tuple(resp.t0_s + i * resp.dt_s for i, _ in collapsed)
-    phases = tuple(IN if e == "trough" else EX for i, e in collapsed[:-1])
-    return RespIntervals(phases=phases, base_bounds=bounds, mean_period_s=mean_period)
+    times = resp.t0_s + index * resp.dt_s
+    mean_period = float(np.mean(np.diff(times[~is_peak])))
+    phases = tuple(EX if peak else IN for peak in is_peak[:-1].tolist())
+    return RespIntervals(phases=phases, base_bounds=tuple(times.tolist()), mean_period_s=mean_period)
 
 
-def _interval_index(midpoints: np.ndarray, bounds: np.ndarray, delay_s: float) -> np.ndarray:
-    """Index of the half-open interval [start, end) holding each midpoint.
-
-    bounds are the undelayed interval boundaries and delay_s the shift; the
-    shifted boundaries are bounds + delay_s. Midpoints outside the shifted
-    span get -1.
-    """
-    shifted = bounds + delay_s
-    idx = np.searchsorted(shifted[:-1], midpoints, side="right") - 1
-    idx[(midpoints < shifted[0]) | (midpoints >= shifted[-1])] = -1
-    return idx
+def phase_codes(midpoints: np.ndarray, intervals: RespIntervals, delays: np.ndarray) -> np.ndarray:
+    """The (len(delays), len(midpoints)) int8 phase codes, 0 unlabelled, 1 EX
+    and 2 IN, of each midpoint under intervals shifted by each delay d: the
+    phase of the half-open [start, end) of base_bounds + d that holds it.
+    One searchsorted of every shifted boundary into the midpoints, taken in
+    stable sorted order, counts the midpoints in each shifted interval."""
+    order = np.argsort(midpoints, kind="stable")
+    shifted = np.asarray(intervals.base_bounds) + delays[:, None]
+    # The midpoints below each shifted boundary, then in each stretch between two.
+    stretches = np.diff(np.searchsorted(midpoints[order], shifted), axis=1,
+                        prepend=0, append=midpoints.size)
+    # The phase before the span, in each interval and past the span.
+    codes = np.array([0] + [1 if p == EX else 2 for p in intervals.phases] + [0], dtype=np.int8)
+    phase = np.empty((delays.size, midpoints.size), dtype=np.int8)
+    phase[:, order] = np.repeat(np.tile(codes, delays.size),
+                                stretches.ravel()).reshape(phase.shape)
+    return phase
 
 
 def label_cycles(cycles, intervals: RespIntervals) -> list:
@@ -165,7 +165,8 @@ def label_cycles(cycles, intervals: RespIntervals) -> list:
 
     A cycle gets the phase of the interval containing its temporal midpoint;
     intervals are half-open [start, end), and midpoints outside the covered
-    span are UNLABELED. cycles is a CycleTable; only its midpoint_s is read.
+    span are UNLABELED (phase_codes at delay 0). cycles is a CycleTable;
+    only its midpoint_s is read.
     """
-    idx = _interval_index(cycles.midpoint_s, np.asarray(intervals.base_bounds), 0.0)
-    return [intervals.phases[i] if i >= 0 else UNLABELED for i in idx.tolist()]
+    labels = (UNLABELED, EX, IN)
+    return [labels[c] for c in phase_codes(cycles.midpoint_s, intervals, np.zeros(1))[0].tolist()]

@@ -11,8 +11,11 @@ FFT zero-padded to twice the signal, `simulated_flow` evaluates the
 simulator's breathing modulation with the array forms `is_expiratory` and
 `modulation_waveform`, `wrapped_member_values` draws the simulator's
 wrapped pixels one frame at a time, `thomas_resample` solves the upsampling
-spline's tridiagonal system by elimination, and `read_signal_csv_rows`
-reads a signal CSV one row at a time.
+spline's tridiagonal system by elimination, `read_signal_csv_rows`
+reads a signal CSV one row at a time, `spaced_positions` applies the
+greedy spacing rule by checking each position against every accepted one,
+and `resp_intervals_by_events` collapses the belt's extrema one event at a
+time.
 """
 
 import math
@@ -22,12 +25,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from rtpc.errors import (DegenerateCycle, InsufficientCycles, NoCyclesFound, NonMonotoneTime,
-                         NonUniformSampling, ParseError, TooShort, ZeroInspiratoryValue)
+from rtpc.errors import (DegenerateCycle, InsufficientCycles, NoBreathsDetected, NoCyclesFound,
+                         NonMonotoneTime, NonUniformSampling, ParseError, TooShort,
+                         ZeroInspiratoryValue)
 from rtpc.io import CSV_HEADER, SIGNAL_KINDS, SampledSignal
-from rtpc.numerics import median
-from rtpc.report import SUBMULTIPLE_THRESHOLD, UPSAMPLE_FACTOR
-from rtpc.respiration import EX, IN, RespIntervals
+from rtpc.numerics import find_peaks, median
+from rtpc.report import (MIN_SEPARATION_S, PROMINENCE_FRACTION, SMOOTH_WINDOW_S,
+                         SUBMULTIPLE_THRESHOLD, UPSAMPLE_FACTOR)
+from rtpc.respiration import EX, IN, RespIntervals, _moving_average
 from rtpc.synthgen import pulse_waveform
 
 #: Report parameter name -> CycleParams field, in the order of a CycleTable's params rows.
@@ -381,3 +386,64 @@ def read_signal_csv_rows(path, kind: str) -> SampledSignal:
             f"{path}: spacing varies by {np.abs(diffs - dt).max():.3g} s around median {dt:.9g} s"
         )
     return SampledSignal(t0_s=float(times[0]), dt_s=dt, values=np.asarray(values), kind=kind)
+
+
+def spaced_positions(positions, distance: int) -> np.ndarray:
+    """The greedy spacing rule, quadratic: each of positions, taken in the
+    order given, is accepted unless an accepted one lies closer than
+    distance. Returns the accepted positions, sorted."""
+    accepted: list = []
+    for position in positions:
+        if all(abs(position - a) >= distance for a in accepted):
+            accepted.append(position)
+    return np.asarray(sorted(accepted), dtype=np.intp)
+
+
+def resp_intervals_by_events(resp: SampledSignal) -> RespIntervals:
+    """detect_resp_intervals with the extrema as (index, type) events, each
+    run of same-type events collapsed one event at a time."""
+    if resp.duration_s < 2.0 * MIN_SEPARATION_S:
+        raise NoBreathsDetected(
+            f"recording of {resp.duration_s:.3g} s is shorter than 2 x {MIN_SEPARATION_S} s"
+        )
+    window = max(1, int(round(SMOOTH_WINDOW_S / resp.dt_s)))
+    if window % 2 == 0:
+        window += 1
+    smoothed = _moving_average(resp.values, window)
+    signal_range = float(smoothed.max() - smoothed.min())
+    if signal_range <= 0:
+        raise NoBreathsDetected("belt signal is constant")
+    prominence = PROMINENCE_FRACTION * signal_range
+    distance = max(1, int(np.ceil(MIN_SEPARATION_S / resp.dt_s)))
+    peak_idx = find_peaks(smoothed, distance, prominence)
+    trough_idx = find_peaks(-smoothed, distance, prominence)
+
+    events = sorted(
+        [(int(i), "peak") for i in peak_idx] + [(int(i), "trough") for i in trough_idx]
+    )
+    # Collapse runs of same-type events, keeping the most extreme (earliest on ties).
+    collapsed: list = []
+    for idx, etype in events:
+        if collapsed and collapsed[-1][1] == etype:
+            prev_idx = collapsed[-1][0]
+            better = (
+                smoothed[idx] > smoothed[prev_idx]
+                if etype == "peak"
+                else smoothed[idx] < smoothed[prev_idx]
+            )
+            if better:
+                collapsed[-1] = (idx, etype)
+        else:
+            collapsed.append((idx, etype))
+
+    n_troughs = sum(1 for _, e in collapsed if e == "trough")
+    n_peaks = sum(1 for _, e in collapsed if e == "peak")
+    if n_troughs < 2 or n_peaks < 1:
+        raise NoBreathsDetected(
+            f"found {n_troughs} troughs and {n_peaks} peaks; need a full breath"
+        )
+    trough_times = [resp.t0_s + i * resp.dt_s for i, e in collapsed if e == "trough"]
+    mean_period = float(np.mean(np.diff(trough_times)))
+    bounds = tuple(resp.t0_s + i * resp.dt_s for i, _ in collapsed)
+    phases = tuple(IN if e == "trough" else EX for i, e in collapsed[:-1])
+    return RespIntervals(phases=phases, base_bounds=bounds, mean_period_s=mean_period)

@@ -457,10 +457,11 @@ class TestOutputNamesAnInput:
 
 
 class TestDelayGridBound:
-    """A --delay-step-ms so fine that the scan grid would exceed MAX_SCAN_DELAYS
-    exits 2 before the grid is built, with a message naming the option."""
+    """A --delay-step-ms so fine that the scan grid would exceed MAX_SCAN_DELAYS,
+    or that is 0 once in seconds, exits 2 before the grid is built, with a
+    message naming the option."""
 
-    @pytest.mark.parametrize("step_ms", ["1e-297", "1e-6"])
+    @pytest.mark.parametrize("step_ms", ["1e-297", "1e-6", "5e-324"])
     def test_usage_error_names_option(self, dataset, tmp_path, capsys, step_ms):
         out = tmp_path / "r.json"
         rc = main(["analyze", "--flow", str(dataset / "flow.csv"), "--resp", str(dataset / "resp.csv"),

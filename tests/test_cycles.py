@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from helpers import match_boundaries, signals
-from oracles import CycleBoundary, cardiac_period_2n, cycle_params, cycles_of, thomas_resample
+from oracles import (CycleBoundary, cardiac_period_2n, cycle_params, cycles_of, spaced_positions,
+                     thomas_resample)
 
 from rtpc import cycles
 from rtpc.cycles import CycleTable, _select_minima, detect_cycles, resample
@@ -422,12 +423,7 @@ def oracle_select_minima(values: np.ndarray, min_separation: int) -> np.ndarray:
     """The quadratic greedy selection the package used to run: every accepted
     minimum is checked against every candidate."""
     candidates, _ = find_peaks(-values)
-    order = sorted(candidates, key=lambda i: (values[i], i))
-    accepted: list = []
-    for idx in order:
-        if all(abs(idx - a) >= min_separation for a in accepted):
-            accepted.append(idx)
-    return np.asarray(sorted(accepted), dtype=np.intp)
+    return spaced_positions(sorted(candidates, key=lambda i: (values[i], i)), min_separation)
 
 
 class TestSelectMinima:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -591,3 +592,15 @@ class TestExtractResult:
         record = _record("mean_flow", (0.0, 1.0, 2.0), np.array([0.5, np.nan, 2.0]),
                          mean_period_s=4.0)
         assert record.diff_pct == (0.5, None, 2.0)
+
+    @pytest.mark.parametrize("delays, values, field", [
+        ((0.0, 2.0, 1.0), [0.5, 1.0, 2.0], "scan.delays_s"),
+        ((0.0, 1.0, 1.0), [0.5, 1.0, 2.0], "scan.delays_s"),
+        ((0.0, 2.0, 4.0), [2.0, 1.0, 0.5], "scan.delays_s"),
+        ((0.0, 1.0, 2.0), [np.nan, np.nan, np.nan], "scan.diff_pct"),
+    ], ids=["swapped", "repeated", "past-period", "no-diff"])
+    def test_scan_rule_refused(self, delays, values, field):
+        """_record builds by the rule the report reader checks: a scan that
+        breaks it is refused, naming the parameter and the field."""
+        with pytest.raises(InsufficientCycles, match=re.escape(f"{field} of mean_flow")):
+            _record("mean_flow", delays, np.array(values), mean_period_s=4.0)

@@ -729,9 +729,29 @@ def set_summary(tree, **fields):
     return tree
 
 
+#: Reports that break a rule analyze keeps, each with the record and field
+#: its error names: the argmax at 2.5 breathing periods (delay_pct 250),
+#: swapped scan delays, a repeated scan delay, and n_cycles below 1.
+RULE_BREACHES = {
+    "argmax-past-period": (
+        set_summary(set_scan(report_tree(), "delays_s", [0.0, 10.75]), delay_s=10.75),
+        "scan.delays_s of 'ICA_L'/mean_flow"),
+    "swapped-delays": (
+        set_scan(set_scan(report_tree(), "delays_s", [0.0, 0.56, 0.3]), "diff_pct", [2.7, 4.3, 1.0]),
+        "scan.delays_s of 'ICA_L'/mean_flow"),
+    "repeated-delay": (
+        set_scan(set_scan(report_tree(), "delays_s", [0.0, 0.56, 0.56]), "diff_pct", [2.7, 4.3, 1.0]),
+        "scan.delays_s of 'ICA_L'/mean_flow"),
+    "negative-n-cycles": (
+        json.loads(json.dumps(report_tree()).replace('"n_cycles": 126', '"n_cycles": -3')),
+        "n_cycles of 'ICA_L'"),
+}
+
+
 class TestReportReaderEdges:
     """Report files that used to end `rtpc report` in a traceback, a hang or
-    a silently truncated field: each exits 3 now, or plots."""
+    a silently truncated field, or that it used to draw: each exits 3 now, or
+    plots."""
 
     @pytest.mark.parametrize("text", [
         "1" * 5000,  # json.loads raises ValueError, not JSONDecodeError
@@ -746,14 +766,27 @@ class TestReportReaderEdges:
         json.dumps(set_summary(set_scan(report_tree(), "diff_pct", [None, None]),
                                at_zero_pct=None)),  # nothing to plot
         json.dumps(set_scan(set_scan(report_tree(), "delays_s", []), "diff_pct", [])),
+        *(json.dumps(tree) for tree, _ in RULE_BREACHES.values()),
     ], ids=["5000-digit-int", "deep-nesting", "int-beyond-float", "infinite-int-field",
             "fractional-int-field", "null-delay", "string-diff", "span-overflow", "all-null-diffs",
-            "empty-scan"])
+            "empty-scan", *RULE_BREACHES])
     def test_exit_3(self, tmp_path, text):
         path = tmp_path / "r.json"
         path.write_text(text)
         assert cli_exit(["report", "--in", str(path), "--plots", str(tmp_path / "p")]) == 3
         assert not list((tmp_path / "p").glob("*"))
+
+    @pytest.mark.parametrize("breach", RULE_BREACHES)
+    def test_rule_breach_names_record_and_field(self, tmp_path, breach):
+        """The reader and the writer refuse the same records."""
+        tree, where = RULE_BREACHES[breach]
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(tree))
+        with pytest.raises(ParseError, match=re.escape(where)):
+            read_report(path)
+        with pytest.raises(ParseError, match=re.escape(where)):
+            write_report(Report.from_dict(tree), tmp_path / "out.json")
+        assert not (tmp_path / "out.json").exists()
 
     def test_scan_narrower_than_float_spacing_plots(self, tmp_path):
         path = tmp_path / "r.json"

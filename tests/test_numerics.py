@@ -19,6 +19,7 @@ from scipy.signal import find_peaks as scipy_find_peaks
 from scipy.signal import welch as scipy_welch
 
 from helpers import run_fresh, signals
+from oracles import spaced_positions
 
 from rtpc import numerics
 from rtpc.cycles import resample
@@ -84,6 +85,22 @@ class TestFindPeaks:
         for distance in range(1, x.size + 1):
             expected, _ = scipy_find_peaks(x, distance=distance, prominence=1.0)
             assert np.array_equal(numerics.find_peaks(x, distance, 1.0), expected)
+
+
+class TestSpaced:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_quadratic_oracle(self, data):
+        """Any priority order keeps what checking each position against every
+        accepted one keeps."""
+        positions = sorted(data.draw(st.sets(st.integers(0, 300), max_size=60), label="positions"))
+        order = data.draw(st.permutations(range(len(positions))), label="order")
+        distance = data.draw(st.integers(1, 80), label="distance")
+        keep = numerics.spaced(np.asarray(positions, dtype=np.intp), np.asarray(order, dtype=np.intp),
+                               distance)
+        want = spaced_positions([positions[j] for j in order], distance)
+        assert keep.dtype == bool
+        assert np.array_equal(np.asarray(positions, dtype=np.intp)[keep], want)
 
 
 class TestNaturalCubicSpline:

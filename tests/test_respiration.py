@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import signals
-from oracles import as_table, make_cycle, periodic_intervals, shift_intervals
+from oracles import as_table, make_cycle, periodic_intervals, resp_intervals_by_events, shift_intervals
 
-from rtpc.errors import NoBreathsDetected, NonAlternating
+from rtpc.errors import NoBreathsDetected, NonAlternating, RtpcError
 from rtpc.io import SampledSignal
 from rtpc.respiration import (
     EX,
@@ -78,6 +80,39 @@ class TestDetectRespIntervals:
             intervals = detect_resp_intervals(sine_belt(period_s=period))
             for a, b in zip(intervals.phases[:-1], intervals.phases[1:]):
                 assert a != b
+
+
+def outcome(detect, resp):
+    """detect(resp), or the type and text of the RtpcError it raises."""
+    try:
+        return detect(resp)
+    except RtpcError as exc:
+        return type(exc), str(exc)
+
+
+def stepped_belt(dt_s: float, steps: list) -> SampledSignal:
+    """A belt that holds each (level, samples) step of steps in turn."""
+    levels, counts = zip(*steps)
+    return SampledSignal(t0_s=1.5, dt_s=dt_s, values=np.repeat(np.array(levels, dtype=np.float64), counts),
+                         kind="respiration")
+
+
+#: Belts of a few distinct levels held for a few samples each, so that
+#: smoothed extrema tie and plateau, and runs of same-type extrema occur.
+STEPPED_BELTS = st.builds(
+    stepped_belt,
+    st.sampled_from([0.075, 0.25, 0.5]),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6)), min_size=8, max_size=80),
+)
+
+
+class TestCollapseMatchesEventOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(resp=STEPPED_BELTS)
+    def test_stepped_belts(self, resp):
+        """detect_resp_intervals gives the intervals, or raises the error, of
+        the per-event collapse loop."""
+        assert outcome(detect_resp_intervals, resp) == outcome(resp_intervals_by_events, resp)
 
 
 class TestShiftIntervals:
