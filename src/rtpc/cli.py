@@ -47,9 +47,10 @@ _CALLS = {
     ".cycles": ("detect_cycles",),
     # No command calls sweep_diffs: perfbench/tracing.py wraps cli.sweep_diffs.
     ".diff": ("_delay_grid", "scan_artery", "sweep_diffs"),
-    ".extraction": ("COMPONENT_START_HALF_PX", "compute_flow", "correct_background", "quality_score",
-                    "roi_values", "roi_window", "seed_window", "segment_roi", "sum_flows", "unalias"),
-    ".io": ("SampledSignal", "read_mask", "read_signal_csv", "read_velocity_header",
+    ".extraction": ("COMPONENT_START_HALF_PX", "background_ring", "compute_flow", "correct_background",
+                    "quality_score", "roi_window", "seed_window", "segment_roi", "subtract_offset",
+                    "sum_flows", "unalias"),
+    ".io": ("SampledSignal", "read_mask", "read_pixels", "read_signal_csv", "read_velocity_header",
             "read_velocity_series", "write_mask", "write_signal_csv", "write_velocity_series"),
     ".respiration": ("detect_resp_intervals",),
     ".svgplot": ("render_line_chart",),
@@ -207,19 +208,18 @@ def _write_plots(arteries, plots: str, written: list) -> None:
 
 # -- commands --------------------------------------------------------------------
 
-def _seeded_roi(args, height: int, width: int) -> tuple:
-    """The last seed window read of the series, and the seed's ROI in it.
+def _seeded_roi(args, height: int, width: int):
+    """The seed's ROI as one (height, width) mask of the image.
 
     segment_roi runs on a window around the seed that covers --max-radius-px
     and at least COMPONENT_START_HALF_PX on each side. Its ROI is one mask,
-    the union of the seed's per-frame components, and the chain runs on it
-    as on a --mask. While the ROI's roi_window does not fit inside the
-    window, the window is read again twice as wide. roi_window grows the ROI
-    by at least one pixel, so a ROI that fits touches no window edge that is
-    not an image edge: it is the one whole frames give, and the window holds
-    it with its background band. The series is read once, plus once per
-    doubling; the chain runs on the last read. Errors name the seed in image
-    coordinates.
+    the union of the seed's per-frame components. While the ROI's
+    roi_window does not fit inside the window, the window is read again
+    twice as wide. roi_window grows the ROI by at least one pixel, so a ROI
+    that fits touches no window edge that is not an image edge: it is the
+    one whole frames give. The series is read once, plus once per doubling,
+    and each window is freed before the next read. Errors name the seed in
+    image coordinates.
     """
     import numpy as np
 
@@ -234,11 +234,12 @@ def _seeded_roi(args, height: int, width: int) -> tuple:
                               max_radius_px=args.max_radius_px)
         except (EmptySegmentation, SeedOutsideVessel) as exc:
             raise type(exc)(str(exc).replace(f"seed {local}", f"seed {args.seed}")) from None
+        del series
         image_roi = np.zeros((height, width), dtype=bool)
         image_roi[window] = roi
         if all(cut.start <= into.start and into.stop <= cut.stop
                for cut, into in zip(window, roi_window(image_roi))):
-            return series, roi
+            return image_roi
         half *= 2
 
 
@@ -267,12 +268,9 @@ def cmd_extract(args, written: list) -> int:
                               ("--max-radius-px", args.max_radius_px)):
             if value is not None:
                 return _usage_error("extract", f"{option} applies to --seed only, not to --mask")
-        mask = read_mask(args.mask, width, height)
-        if not mask.any():
+        roi = read_mask(args.mask, width, height)
+        if not roi.any():
             raise EmptySegmentation(f"mask {args.mask} has no member pixel")
-        window = roi_window(mask)
-        series = read_velocity_series(args.series, venc_mm_s=args.venc, window=window)
-        roi = mask[window]
     else:
         if args.threshold_fraction is None:
             args.threshold_fraction = settings.THRESHOLD_FRACTION
@@ -282,18 +280,22 @@ def cmd_extract(args, written: list) -> int:
             return _usage_error(
                 "extract", f"--seed {args.seed[0]},{args.seed[1]} lies outside the {width}x{height} image"
             )
-        series, roi = _seeded_roi(args, height, width)
+        roi = _seeded_roi(args, height, width)
 
-    # The window is only read: the chain after the estimate works on one
-    # (frames, ROI pixels) matrix.
+    # One pass over the file takes the ROI's pixels and its background
+    # ring's, each as a (frames, members) matrix; nothing else is kept.
+    masks = [roi] if args.no_background_correction else [roi, background_ring(roi)]
+    scalars, matrices = read_pixels(args.series, masks, venc_mm_s=args.venc)
+    values = matrices[0]
     background_offset = n_band = n_unaliased = None
     if not args.no_background_correction:
-        estimate = correct_background(series, roi)
+        # The ring matrix is dead once the estimate has taken its median in place.
+        estimate = correct_background(matrices.pop(), masks[1])
         background_offset, n_band = estimate.offset_mm_s, estimate.n_band_pixels
-    values = roi_values(series, roi, background_offset)
+        subtract_offset(values, background_offset)
     if not args.no_unalias:
-        n_unaliased = unalias(values, series.venc_mm_s)
-    flow = compute_flow(values, series.pixel_area_mm2, series.dt_s)
+        n_unaliased = unalias(values, scalars["venc_mm_s"])
+    flow = compute_flow(values, scalars["pixel_area_mm2"], scalars["dt_ms"] / 1000.0)
     out = Path(args.out)
     written.append(out)
     write_signal_csv(flow, out)

@@ -7,9 +7,12 @@ integrate them to ml/min, and sum arteries. A spectral quality gate flags
 signals without a usable cardiac component.
 
 A ROI is one bool (height, width) mask, applied to every frame, as read_mask
-and segment_roi give it. roi_values takes its members once, as a float32
-(frames, ROI pixels) matrix in row-major member order; unalias and
-compute_flow work on that matrix. No step writes to a series' frames.
+and segment_roi give it. The chain after segmentation takes only two sets of
+pixels, the ROI and its background ring (background_ring), each as a float32
+(frames, members) matrix in row-major member order: io.read_pixels reads
+both from a file in one pass, and roi_values takes one from a series in
+memory. correct_background takes the ring's matrix; subtract_offset, unalias
+and compute_flow work on the ROI's. No step writes to a series' frames.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     TooShort,
 )
 from .io import Frozen, SampledSignal, VelocityMapSeries
-from .numerics import distance_band, median, quantile, seed_component, welch
+from .numerics import distance_band, median, quantile, quantile_of_blocks, seed_component, welch
 from .report import (
     CARDIAC_BAND_HZ,
     MAX_RADIUS_PX,
@@ -53,10 +56,11 @@ MIN_BAND_PIXELS = 8
 COMPONENT_START_HALF_PX = 16
 
 #: Values a bounded gather over frames takes at once: about the ring values of
-#: one float64 std block of correct_background. unalias and compute_flow take
-#: the ROI matrix in row blocks of at most BLOCK_VALUES // 8 values, since
-#: each of unalias's (frames, k) blocks costs about eight float64 arrays of
-#: its size (512 KiB in all).
+#: one float64 std block of correct_background, or one block of segment_roi's
+#: reference speeds or of the band median's compaction. unalias and
+#: compute_flow take the ROI matrix in row blocks of at most BLOCK_VALUES // 8
+#: values, since each of unalias's (frames, k) blocks costs about eight
+#: float64 arrays of its size (512 KiB in all).
 BLOCK_VALUES = 1 << 16
 
 
@@ -109,15 +113,16 @@ def segment_roi(
     if not (math.isfinite(max_radius_px) and max_radius_px >= 0.0):
         raise ValueError(f"max_radius_px must be finite and >= 0, got {max_radius_px!r}")
     yy, xx = np.mgrid[0 : series.height, 0 : series.width]
-    neighborhood = (xx - sx) ** 2 + (yy - sy) ** 2 <= max_radius_px**2
-    # One contiguous gather, made absolute and partitioned in place (a
-    # percentile depends only on the multiset of values), and freed before
-    # the ROI is grown. np.percentile(near, 99.0) is its quantile at
-    # 99.0 / 100 == 0.99.
-    near = np.take(series.frames.reshape(series.n_frames, -1), np.flatnonzero(neighborhood), axis=1)
-    np.abs(near, out=near)
-    reference = float(quantile(near.reshape(-1), 0.99, overwrite_input=True))
-    del near
+    near = np.flatnonzero((xx - sx) ** 2 + (yy - sy) ** 2 <= max_radius_px**2)
+    # The neighbourhood's speeds a block of frames at a time: a percentile
+    # depends only on the multiset of values, and quantile_of_blocks keeps
+    # only the largest 1 % of them. np.percentile(speeds, 99.0) is their
+    # quantile at 99.0 / 100 == 0.99.
+    flat = series.frames.reshape(series.n_frames, -1)
+    step = max(1, BLOCK_VALUES // near.size)
+    speeds = (np.abs(np.take(flat[lo : lo + step], near, axis=1)).reshape(-1)
+              for lo in range(0, series.n_frames, step))
+    reference = float(quantile_of_blocks(speeds, series.n_frames * near.size, 0.99))
     if reference <= 0.0:
         raise EmptySegmentation(f"no velocity signal within {max_radius_px} px of seed {seed}")
     threshold = velocity_threshold_fraction * reference
@@ -155,82 +160,113 @@ def seed_window(seed_row: int, seed_col: int, half: int, height: int, width: int
     )
 
 
-def correct_background(series: VelocityMapSeries, roi: np.ndarray) -> BackgroundEstimate:
+def background_ring(roi: np.ndarray) -> np.ndarray:
+    """The pixels BAND_INNER_PX to BAND_OUTER_PX (2 to 6 px) from a ROI, as a
+    bool (height, width) mask: correct_background's candidates for the band.
+
+    roi is one (height, width) mask, read as membership (nonzero is True);
+    an empty ROI has an empty ring.
+    """
+    mask = np.asarray(roi, dtype=bool)
+    if mask.ndim != 2:
+        raise ValueError(f"ROI of shape {np.shape(roi)} is not one (height, width) mask")
+    window = roi_window(mask)  # it holds the ring, and every ROI pixel
+    ring = np.zeros_like(mask)
+    ring[window] = distance_band(mask[window], BAND_INNER_PX, BAND_OUTER_PX)
+    return ring
+
+
+def correct_background(ring_values: np.ndarray, ring: np.ndarray) -> BackgroundEstimate:
     """Estimate the stationary-tissue velocity offset (eddy-current bias).
 
-    Candidate pixels, the ring, lie at distance [BAND_INNER_PX,
-    BAND_OUTER_PX] from the ROI; those whose temporal standard
-    deviation is at most its BAND_QUANTILE quantile over the ring form the
-    band, which needs MIN_BAND_PIXELS. The offset is the median velocity over
-    band pixels and frames, treated as static; roi_values subtracts it.
+    ring is background_ring's mask around the ROI, and ring_values its
+    float32 (frames, ring pixels) matrix, as read_pixels or roi_values take
+    it. The ring pixels whose temporal standard deviation is at most its
+    BAND_QUANTILE quantile over the ring form the band, which needs
+    MIN_BAND_PIXELS. The offset is the median velocity over band pixels and
+    frames, treated as static; subtract_offset subtracts it. The band median
+    is taken in ring_values' own memory, so ring_values is overwritten.
     """
-    mask = _check_roi(series, roi)
-    if not mask.any():
-        raise ValueError("ROI is empty")
-    ring = distance_band(mask, BAND_INNER_PX, BAND_OUTER_PX)
-    if not ring.any():
+    ring = np.asarray(ring, dtype=bool)
+    n_ring = int(np.count_nonzero(ring))
+    if ring.ndim != 2 or ring_values.dtype != np.float32 or ring_values.shape[1:] != (n_ring,):
+        raise ValueError(f"a {ring_values.dtype} matrix of shape {ring_values.shape} is not the "
+                         f"float32 (frames, {n_ring}) matrix of a ring mask of shape {ring.shape}")
+    if not n_ring:
         raise InsufficientStationaryTissue("no pixels in the distance band around the ROI")
-    rows, cols = np.nonzero(ring)
-    n_blocks = max(1, rows.size // max(1, BLOCK_VALUES // series.n_frames))
-    # Blocks of about BLOCK_VALUES values. The gather lays each pixel's frames
-    # out as one contiguous column, which numpy reduces on its own: a pixel's
+    step = max(1, BLOCK_VALUES // len(ring_values))
+    # Blocks of about BLOCK_VALUES values. Each pixel's frames are one
+    # contiguous float64 column, which numpy reduces on its own: a pixel's
     # std does not depend on its block.
     stds = np.concatenate([
-        series.frames[:, r, c].astype(np.float64).std(axis=0)
-        for r, c in zip(np.array_split(rows, n_blocks), np.array_split(cols, n_blocks))
+        ring_values[:, lo : lo + step].astype(np.float64, order="F").std(axis=0)
+        for lo in range(0, n_ring, step)
     ])
     keep = stds <= quantile(stds, BAND_QUANTILE)
     n_band = int(keep.sum())
     if n_band < MIN_BAND_PIXELS:
         raise InsufficientStationaryTissue(f"{n_band} quiet band pixels, need {MIN_BAND_PIXELS}")
     band = np.zeros_like(ring)
-    band[rows[keep], cols[keep]] = True
-    flat = series.frames.reshape(series.n_frames, -1)
-    offset = _band_median(flat, rows[keep] * series.width + cols[keep])
+    band[ring] = keep
+    offset = _band_median(ring_values, keep)
     return BackgroundEstimate(offset_mm_s=offset, band=band, n_band_pixels=n_band)
 
 
-def roi_values(series: VelocityMapSeries, roi: np.ndarray,
-               offset_mm_s: float | None = None) -> np.ndarray:
-    """The ROI's velocities as a new float32 (frames, ROI pixels) matrix.
-
-    Each row holds one frame's ROI members in row-major order. An offset,
-    when given, is subtracted in float64 and rounded once to float32; a
-    value it takes beyond the float32 range raises NonFiniteVelocity. The
-    offset is used as given, so a -0.0 offset turns a -0.0 velocity into
-    +0.0, as IEEE subtraction does.
-    """
+def roi_values(series: VelocityMapSeries, roi: np.ndarray) -> np.ndarray:
+    """The velocities of a mask's members as a new float32 (frames, members)
+    matrix, each row one frame's members in row-major order: what
+    read_pixels reads from a file, from a series in memory. roi is one
+    (height, width) mask (a ROI or its ring), read as membership."""
     members = np.flatnonzero(_check_roi(series, roi))
-    values = np.take(series.frames.reshape(series.n_frames, -1), members, axis=1)
-    if offset_mm_s is not None:
-        try:
-            with np.errstate(over="raise"):
-                np.subtract(values, offset_mm_s, out=values, dtype=np.float64, casting="same_kind")
-        except FloatingPointError:
-            raise NonFiniteVelocity(
-                f"background correction: subtracting the offset {offset_mm_s!r} mm/s takes a velocity "
-                "beyond the float32 range"
-            ) from None
-    return values
+    return np.take(series.frames.reshape(series.n_frames, -1), members, axis=1)
 
 
-def _band_median(flat: np.ndarray, pixels: np.ndarray) -> float:
-    """float(np.median(flat[:, pixels].astype(np.float64))), bit for bit.
+def subtract_offset(values: np.ndarray, offset_mm_s: float) -> None:
+    """Subtract a background offset from a float32 ROI matrix, in place.
 
-    flat is a float32 (frames, pixels) array. numerics.median takes the
-    median of one float32 gather of the band, its middle averaged in float64,
-    which is np.median's value. Only the sign of a zero median can differ,
-    and only where the band holds a -0.0: which zero np.median picks follows
-    its float64 partition, so the median is then taken again that way, from
-    a fresh gather, as the partition has reordered the first.
+    The offset is subtracted in float64 and rounded once to float32; a value
+    it takes beyond the float32 range raises NonFiniteVelocity. The offset
+    is used as given, so a -0.0 offset turns a -0.0 velocity into +0.0, as
+    IEEE subtraction does.
     """
-    values = np.take(flat, pixels, axis=1)
-    offset = float(median(values.reshape(-1), overwrite_input=True))
-    if offset == 0.0 and (values.view(np.uint32) == 0x80000000).any():  # the bits of -0.0
-        del values
-        values = np.take(flat, pixels, axis=1).astype(np.float64)
-        offset = float(median(values.reshape(-1), overwrite_input=True))
-    return offset
+    try:
+        with np.errstate(over="raise"):
+            np.subtract(values, offset_mm_s, out=values, dtype=np.float64, casting="same_kind")
+    except FloatingPointError:
+        raise NonFiniteVelocity(
+            f"background correction: subtracting the offset {offset_mm_s!r} mm/s takes a velocity "
+            "beyond the float32 range"
+        ) from None
+
+
+def _band_median(values: np.ndarray, keep: np.ndarray) -> float:
+    """float(np.median(values[:, keep].astype(np.float64))), bit for bit,
+    taken in values' own memory, which it overwrites.
+
+    values is a float32 (frames, ring) matrix and keep a bool mask of its
+    columns. A block of rows at a time, the kept columns are gathered and
+    written to the front of the matrix's flat memory, in (frames, band)
+    order: a row's band values land no later than its own start, so no row
+    is overwritten before it is gathered. numerics.median of that float32
+    prefix, its middle averaged in float64, is np.median's value; only the
+    sign of a zero median can differ, and only where the band holds a -0.0,
+    because which zero np.median picks follows its float64 partition. So a
+    band holding a -0.0 takes that partition, on a float64 copy.
+    """
+    columns = np.flatnonzero(keep)
+    flat = values.reshape(-1)
+    n_band = columns.size
+    step = max(1, BLOCK_VALUES // values.shape[1])
+    negative_zero = False
+    for lo in range(0, len(values), step):
+        block = np.take(values[lo : lo + step], columns, axis=1)
+        # 0x80000000 is the bit pattern of -0.0.
+        negative_zero = negative_zero or bool((block.view(np.uint32) == 0x80000000).any())
+        flat[lo * n_band : lo * n_band + block.size] = block.reshape(-1)
+    band = flat[: len(values) * n_band]
+    if negative_zero:
+        band = band.astype(np.float64)
+    return float(median(band, overwrite_input=True))
 
 
 def _check_roi(series: VelocityMapSeries, roi: np.ndarray) -> np.ndarray:
@@ -280,7 +316,7 @@ def _row_blocks(values: np.ndarray):
 def unalias(values: np.ndarray, venc_mm_s: float) -> int:
     """Unwrap ROI velocities that jumped by multiples of twice the limit.
 
-    values is roi_values' float32 (frames, ROI pixels) matrix, unwrapped in
+    values is the ROI's float32 (frames, ROI pixels) matrix, unwrapped in
     place. Per frame, each ROI pixel is compared with the median of the
     other ROI pixels; if it deviates by more than venc it is shifted by the
     multiple of 2*venc that brings it closest to that median. One pass only.
@@ -324,7 +360,7 @@ def unalias(values: np.ndarray, venc_mm_s: float) -> int:
 def compute_flow(values: np.ndarray, pixel_area_mm2: float, dt_s: float) -> SampledSignal:
     """Integrate ROI velocities to a flow-rate signal in ml/min.
 
-    values is roi_values' (frames, ROI pixels) matrix, in mm/s. Q(t) = 0.06 *
+    values is the ROI's (frames, ROI pixels) matrix, in mm/s. Q(t) = 0.06 *
     pixel_area_mm2 * the sum of row t; an empty ROI yields Q = 0. Rows are
     summed as C-contiguous float64 blocks of at most BLOCK_VALUES // 8
     values, which numpy sums row by row as it sums the 1-D frame[roi], so

@@ -18,7 +18,9 @@ function with its original for exact equality.
 - median, quantile, distinct: np.median, np.quantile (and so np.percentile)
   and np.unique(return_counts=True) of a 1-D array, by numpy's own steps.
   np.median, np.quantile and a plain np.unique load numpy.ma (13-19 ms) on
-  first use; these do not.
+  first use; these do not;
+- quantile_of_blocks: quantile of the concatenation of blocks of values,
+  keeping only the largest values it depends on.
 """
 
 from __future__ import annotations
@@ -231,6 +233,22 @@ def median(values: np.ndarray, overwrite_input: bool = False):
     return part[middle - 1 + n % 2 : middle + 1].mean(dtype=np.float64)
 
 
+def _positions(n: int, q: float) -> tuple:
+    """np.quantile's virtual index (n - 1) * q of n values, and its
+    neighbours below and above (both -1 at or above n - 1)."""
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        return virtual, -1, -1
+    below = math.floor(virtual)
+    return virtual, below, below + 1
+
+
+def _lerp(a, b, t: float):
+    """numpy's two-sided lerp from a to b at t, in the dtype of a and b."""
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def quantile(values: np.ndarray, q: float, overwrite_input: bool = False):
     """np.quantile(values, q) of a non-empty 1-D float array for a float q in
     [0, 1], with numpy's default "linear" method, bit for bit, NaN included.
@@ -243,19 +261,41 @@ def quantile(values: np.ndarray, q: float, overwrite_input: bool = False):
     place.
     """
     part = values if overwrite_input else values.copy()
-    virtual = (part.size - 1) * q
-    if virtual >= part.size - 1:
-        below = above = -1
-    else:
-        below = math.floor(virtual)
-        above = below + 1
+    virtual, below, above = _positions(part.size, q)
     part.partition(sorted({0, -1, below, above}))
     if math.isnan(part[-1]):
         return part[-1]
-    t = virtual - below
-    a, b = part[below], part[above]
-    diff = b - a
-    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+    return _lerp(part[below], part[above], virtual - below)
+
+
+def quantile_of_blocks(blocks, n: int, q: float):
+    """quantile(np.concatenate(blocks), q), bit for bit, without the
+    concatenation.
+
+    blocks yields 1-D float arrays of one dtype, n >= 1 values in all, with no
+    NaN and not zeros of both signs (np.partition may order those two either
+    way). The quantile depends only on the values at and above position
+    below of the sorted values, the n - below largest (the largest alone at
+    or above n - 1). Those are kept and partitioned again with each block;
+    once they are n - below, a block adds only its values above the
+    smallest of them. The blocks are not written.
+    """
+    virtual, below, _above = _positions(n, q)
+    keep = n - below if below >= 0 else 1
+    top, floor, seen = None, None, 0
+    for block in blocks:
+        seen += block.size
+        if floor is not None:
+            block = block[block > floor]
+        top = block.copy() if top is None else np.concatenate((top, block))
+        if top.size > keep:
+            top.partition(top.size - keep)
+            top = top[top.size - keep :]
+            floor = top[0]
+    if seen != n or not n:
+        raise ValueError(f"blocks hold {seen} values, where n is {n} >= 1")
+    top.partition(min(1, top.size - 1))  # its smallest two first
+    return _lerp(top[0], top[min(1, keep - 1)], virtual - below)
 
 
 def distinct(values: np.ndarray) -> tuple:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import rtpc
+from rtpc import extraction
 from rtpc.synthgen import SimConfig, generate_signals, generate_velocity_series
 
 
@@ -39,6 +40,14 @@ def images(**overrides):
     """generate_velocity_series with caching across tests. Every call shares
     one series, whose frames are read-only: no extraction step writes them."""
     return _images_cached(json.dumps(overrides, sort_keys=True))
+
+
+def estimate_background(series, roi):
+    """correct_background on the ROI's ring, its matrix taken from a series in
+    memory as extract reads it from a file. A ROI that does not fit the
+    frames is refused as roi_values refuses it."""
+    ring = extraction.background_ring(extraction._check_roi(series, roi))
+    return extraction.correct_background(extraction.roi_values(series, ring), ring)
 
 
 def match_boundaries(detected: np.ndarray, truth: np.ndarray, tol_s: float):

@@ -16,8 +16,16 @@ reads a signal CSV one row at a time, `spaced_positions` applies the
 greedy spacing rule by checking each position against every accepted one,
 and `resp_intervals_by_events` collapses the belt's extrema one event at a
 time.
+
+`window_extract` is `rtpc extract`'s chain as it ran on a window of the
+series: it reads the ROI's window with read_velocity_series, estimates the
+background from whole-ring gathers of that window with np.quantile and
+np.median, subtracts the offset from a copy of the ROI's values, then
+unaliases and sums them. `seeded_roi` segments whole frames with one
+np.percentile of the reference neighbourhood's speeds.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,13 +33,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from rtpc.errors import (DegenerateCycle, InsufficientCycles, NoBreathsDetected, NoCyclesFound,
-                         NonMonotoneTime, NonUniformSampling, ParseError, TooShort,
-                         ZeroInspiratoryValue)
-from rtpc.io import CSV_HEADER, SIGNAL_KINDS, SampledSignal
-from rtpc.numerics import find_peaks, median
-from rtpc.report import (MIN_SEPARATION_S, PROMINENCE_FRACTION, SMOOTH_WINDOW_S,
-                         SUBMULTIPLE_THRESHOLD, UPSAMPLE_FACTOR)
+from rtpc.errors import (DegenerateCycle, InsufficientCycles, InsufficientStationaryTissue,
+                         NoBreathsDetected, NoCyclesFound, NonMonotoneTime, NonUniformSampling,
+                         ParseError, TooShort, ZeroInspiratoryValue)
+from rtpc.extraction import (BAND_INNER_PX, BAND_OUTER_PX, BAND_QUANTILE, MIN_BAND_PIXELS,
+                             compute_flow, quality_score, roi_window, unalias)
+from rtpc.io import CSV_HEADER, SIGNAL_KINDS, SampledSignal, read_velocity_series
+from rtpc.numerics import distance_band, find_peaks, median, seed_component
+from rtpc.report import (MAX_RADIUS_PX, MIN_SEPARATION_S, PROMINENCE_FRACTION, SMOOTH_WINDOW_S,
+                         SUBMULTIPLE_THRESHOLD, THRESHOLD_FRACTION, UPSAMPLE_FACTOR)
 from rtpc.respiration import EX, IN, RespIntervals, _moving_average
 from rtpc.synthgen import pulse_waveform
 
@@ -447,3 +457,56 @@ def resp_intervals_by_events(resp: SampledSignal) -> RespIntervals:
     bounds = tuple(resp.t0_s + i * resp.dt_s for i, _ in collapsed)
     phases = tuple(IN if e == "trough" else EX for i, e in collapsed[:-1])
     return RespIntervals(phases=phases, base_bounds=bounds, mean_period_s=mean_period)
+
+
+def seeded_roi(series_path, seed, threshold_fraction=THRESHOLD_FRACTION,
+               max_radius_px=MAX_RADIUS_PX, venc_mm_s=None) -> np.ndarray:
+    """segment_roi's mask on whole frames: threshold_fraction x the 99th
+    percentile of |velocity| within max_radius_px of the seed, over one
+    gather of every frame, then the union of the seed's components."""
+    series = read_velocity_series(series_path, venc_mm_s=venc_mm_s)
+    sx, sy = seed
+    yy, xx = np.mgrid[0 : series.height, 0 : series.width]
+    near = series.frames[:, (xx - sx) ** 2 + (yy - sy) ** 2 <= max_radius_px**2]
+    threshold = threshold_fraction * float(np.percentile(np.abs(near), 99.0))
+    return seed_component(series.frames, threshold, sy, sx)
+
+
+def window_extract(series_path, roi, background=True, unwrap=True, venc_mm_s=None) -> tuple:
+    """The flow and the QC sidecar bytes of `rtpc extract` on an image mask
+    roi, by the chain it ran on the ROI's window."""
+    window = roi_window(roi)
+    series = read_velocity_series(series_path, venc_mm_s=venc_mm_s, window=window)
+    roi = roi[window]
+    values = series.frames[:, roi]
+    offset = n_band = n_unaliased = None
+    if background:
+        ring = distance_band(roi, BAND_INNER_PX, BAND_OUTER_PX)
+        if not ring.any():
+            raise InsufficientStationaryTissue("no pixels in the distance band around the ROI")
+        ring_values = series.frames[:, ring]  # each pixel's frames one contiguous column
+        stds = ring_values.astype(np.float64).std(axis=0)
+        keep = stds <= np.quantile(stds, BAND_QUANTILE)
+        n_band = int(keep.sum())
+        if n_band < MIN_BAND_PIXELS:
+            raise InsufficientStationaryTissue(f"{n_band} quiet band pixels, need {MIN_BAND_PIXELS}")
+        offset = float(np.median(ring_values[:, keep].astype(np.float64)))
+        values = (values.astype(np.float64) - offset).astype(np.float32)
+    if unwrap:
+        n_unaliased = unalias(values, series.venc_mm_s)
+    flow = compute_flow(values, series.pixel_area_mm2, series.dt_s)
+    try:
+        qc = quality_score(flow)
+        snr, excluded = qc.cardiac_snr, qc.excluded
+    except TooShort:
+        snr, excluded = None, None
+    payload = {
+        "cardiac_snr": snr,
+        "excluded": excluded,
+        "empty_roi_frames": 0,
+        "n_roi_pixels": int(np.count_nonzero(roi)),
+        "background_offset_mm_s": offset,
+        "n_band_pixels": n_band,
+        "n_unaliased_pixels": n_unaliased,
+    }
+    return flow, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")

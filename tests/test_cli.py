@@ -22,14 +22,12 @@ from rtpc.cli import main
 from rtpc.errors import EmptySegmentation, InsufficientStationaryTissue, SeedOutsideVessel
 from rtpc.extraction import (
     COMPONENT_START_HALF_PX,
-    compute_flow,
+    background_ring,
     correct_background,
-    quality_score,
     roi_values,
     roi_window,
     seed_window,
     segment_roi,
-    unalias,
 )
 from rtpc.io import (
     MAGIC,
@@ -38,6 +36,7 @@ from rtpc.io import (
     frame_chunks,
     read_mask,
     read_signal_csv,
+    read_velocity_header,
     read_velocity_series,
     write_mask,
     write_signal_csv,
@@ -48,6 +47,7 @@ from rtpc.stats import spearman
 from rtpc.synthgen import SimConfig, generate_velocity_series
 
 from helpers import fresh_env, run_fresh
+from oracles import seeded_roi, window_extract
 
 
 BASE_CONFIG = {
@@ -351,8 +351,8 @@ class TestExtractOptions:
 
 
 class TestExtractSubtractsRoiOnly:
-    """extract subtracts the background offset from the ROI's values only, as
-    they are taken from the window, which it never writes."""
+    """extract subtracts the background offset from the ROI's values only, in
+    the ROI matrix it reads; no other pixel takes the offset."""
 
     def test_negative_zero_offset_keeps_csv_bytes(self, tmp_path, monkeypatch):
         """A band median of -0.0 (forced: numpy's median of zeros is +0.0) is
@@ -376,7 +376,7 @@ class TestExtractSubtractsRoiOnly:
         }, indent=2, sort_keys=True) + "\n"
 
     def test_overflow_outside_the_roi_exits_0(self, tmp_path, capsys):
-        """A window pixel outside the ROI and its band that the offset would take
+        """A pixel outside the ROI and its band that the offset would take
         beyond float32 feeds no output: exit 0 with the flow of the series
         without it. In the ROI, the same value exits 3 naming the step."""
         yy, xx = np.mgrid[0:32, 0:32]
@@ -396,7 +396,7 @@ class TestExtractSubtractsRoiOnly:
             rc = main(["extract", "--series", str(series), "--mask", str(tmp_path / "m.pgm"),
                        "--out", str(out)])
             flows[name] = (rc, capsys.readouterr().err, out.read_bytes() if out.exists() else None)
-        assert roi_window(disk) == (slice(4, 29), slice(4, 29))  # (4, 4) is read
+        assert roi_window(disk) == (slice(4, 29), slice(4, 29))  # (4, 4) lies outside the ring
         assert flows["clean"][:2] == flows["outside"][:2] == (0, "")
         assert flows["outside"][2] == flows["clean"][2]
         assert flows["inside"] == (3, f"rtpc extract: error: background correction: subtracting the "
@@ -472,37 +472,6 @@ class TestDelayGridBound:
         assert not out.exists() and not (tmp_path / "plots").exists()
 
 
-def full_frame_extract(series_path, mask_path=None, seed=None, background=True, unwrap=True,
-                       max_radius_px=settings.MAX_RADIUS_PX):
-    """The extraction chain on whole frames, with the QC payload `rtpc extract` writes."""
-    series = read_velocity_series(series_path)
-    if mask_path is not None:
-        mask = read_mask(mask_path, series.width, series.height)
-        roi = mask
-    else:
-        roi = segment_roi(series, seed=seed, max_radius_px=max_radius_px)
-    offset = n_band = n_unaliased = None
-    if background:
-        estimate = correct_background(series, roi)
-        offset, n_band = estimate.offset_mm_s, estimate.n_band_pixels
-    values = roi_values(series, roi, offset)
-    if unwrap:
-        before = values.copy()
-        unalias(values, series.venc_mm_s)
-        n_unaliased = int(np.count_nonzero(values != before))
-    flow = compute_flow(values, series.pixel_area_mm2, series.dt_s)
-    qc = quality_score(flow)
-    return flow, {
-        "cardiac_snr": qc.cardiac_snr,
-        "excluded": qc.excluded,
-        "empty_roi_frames": sum(not m.any() for m in np.broadcast_to(roi, series.frames.shape)),
-        "n_roi_pixels": int(np.count_nonzero(roi)),
-        "background_offset_mm_s": offset,
-        "n_band_pixels": n_band,
-        "n_unaliased_pixels": n_unaliased,
-    }
-
-
 def write_images(directory, series, mask):
     directory.mkdir()
     write_velocity_series(series, directory / "series.rtpc")
@@ -514,9 +483,11 @@ def write_images(directory, series, mask):
 def crop_datasets(tmp_path_factory):
     """A centred vessel, and the same frames cut so the image edge clips the
     vessel and its background ring; a 128x128 vessel of radius 24, whose
-    seeded ROI reaches past the first seed window; and 64x64 frames whose
-    count is not a multiple of the read chunk. Each has the seed pixel at
-    the centre."""
+    seeded ROI reaches past the first seed window; 64x64 frames whose count
+    is not a multiple of the read chunk; the centred frames with per-pixel
+    noise outside the vessel, so the band is a quarter of the ring; and the
+    centred frames under a header venc of 0, read with --venc. Each has the
+    seed pixel at the centre."""
     artifacts = {"eddy_offset_mm_s": 3.0, "aliased_pixel_fraction": 0.3, "noise_sd": 4.0}
     config = SimConfig.from_dict({"duration_s": 30.0, "artifacts": artifacts, "seed": 11})
     series, mask, truth = generate_velocity_series(config)
@@ -545,11 +516,23 @@ def crop_datasets(tmp_path_factory):
     chunks = list(frame_chunks(ragged.n_frames, ragged.height, ragged.width))
     assert len(chunks) > 1 and chunks[-1].stop - chunks[-1].start < chunks[0].stop
 
+    frames = series.to_series().frames
+    sd = np.random.default_rng(13).uniform(0.5, 6.0, mask.shape).astype(np.float32)
+    noise = np.random.default_rng(14).standard_normal(frames.shape, dtype=np.float32) * sd
+    noisy = VelocityMapSeries(frames=frames + noise * ~mask, dt_ms=series.dt_ms,
+                              venc_mm_s=series.venc_mm_s, pixel_area_mm2=series.pixel_area_mm2)
+    venc0 = root / "venc0"
+    venc0.mkdir()
+    write_raw_series(venc0 / "series.rtpc", frames, venc=0.0)
+    write_mask(mask, venc0 / "mask.pgm")
+
     return {
         "centred": (write_images(root / "centred", series, mask), "16,16"),
         "edge": (write_images(root / "edge", edge, mask[cut]), "4,4"),
         "wide": (write_images(root / "wide", wide, wide_mask), "64,64"),
         "ragged": (write_images(root / "ragged", ragged, ragged_mask), "32,32"),
+        "noisy": (write_images(root / "noisy", noisy, mask), "16,16"),
+        "venc0": (venc0, "16,16"),
     }
 
 
@@ -558,12 +541,13 @@ CHAIN_FLAGS = [(), ("--no-background-correction",), ("--no-unalias",),
 
 
 class TestExtractMatchesFullFrame:
-    """`rtpc extract` works on a window around the ROI; its outputs must be
-    those of the chain run on whole frames."""
+    """`rtpc extract` reads only the ROI's and its ring's pixels; its flow CSV
+    and QC bytes must be those of the chain as it ran on the ROI's window,
+    oracles.window_extract, on the ROI whole frames give."""
 
     @pytest.mark.parametrize("name, source, flags, radius", [
         pytest.param(name, source, flags, None, id=f"{name}-{source}-flags{i}")
-        for name in ("centred", "edge", "wide", "ragged")
+        for name in ("centred", "edge", "wide", "ragged", "noisy", "venc0")
         for source in ("mask", "seed")
         for i, flags in enumerate(CHAIN_FLAGS)
     ] + [
@@ -577,22 +561,30 @@ class TestExtractMatchesFullFrame:
         roi_args = ["--mask", str(data / "mask.pgm")] if source == "mask" else ["--seed", seed]
         if radius is not None:
             roi_args += ["--max-radius-px", str(radius)]
+        venc = 400.0 if name == "venc0" else None
+        if venc is not None:
+            roi_args += ["--venc", str(venc)]
         out, qc = tmp_path / "flow.csv", tmp_path / "qc.json"
         rc = main(["extract", "--series", str(data / "series.rtpc"), *roi_args, *flags,
                    "--out", str(out), "--qc", str(qc)])
         assert rc == 0
-        flow, payload = full_frame_extract(
-            data / "series.rtpc",
-            mask_path=data / "mask.pgm" if source == "mask" else None,
-            seed=tuple(int(v) for v in seed.split(",")),
-            background="--no-background-correction" not in flags,
-            unwrap="--no-unalias" not in flags,
-            max_radius_px=settings.MAX_RADIUS_PX if radius is None else radius,
-        )
+        series_path = data / "series.rtpc"
+        if source == "mask":
+            header = read_velocity_header(series_path)
+            roi = read_mask(data / "mask.pgm", header["width"], header["height"])
+        else:
+            roi = seeded_roi(series_path, tuple(int(v) for v in seed.split(",")),
+                             max_radius_px=settings.MAX_RADIUS_PX if radius is None else radius,
+                             venc_mm_s=venc)
+        flow, payload = window_extract(series_path, roi,
+                                       background="--no-background-correction" not in flags,
+                                       unwrap="--no-unalias" not in flags, venc_mm_s=venc)
         expected = tmp_path / "expected.csv"
         write_signal_csv(flow, expected)
         assert out.read_bytes() == expected.read_bytes()
-        assert json.loads(qc.read_text()) == payload
+        assert qc.read_bytes() == payload
+        if name == "noisy" and not flags:
+            assert json.loads(payload)["n_band_pixels"] < np.count_nonzero(background_ring(roi)) / 2
 
     def test_empty_ring_at_image_edge_same_error(self, crop_datasets, tmp_path, capsys):
         source = read_velocity_series(crop_datasets["centred"][0] / "series.rtpc")
@@ -603,8 +595,9 @@ class TestExtractMatchesFullFrame:
         member = np.zeros((6, 6), dtype=bool)
         member[:5, :5] = True  # every other pixel lies within 2 px of the mask
         data = write_images(tmp_path / "tiny", series, member)
+        ring = background_ring(member)
         with pytest.raises(InsufficientStationaryTissue) as library:
-            correct_background(series, member)
+            correct_background(roi_values(series, ring), ring)
         capsys.readouterr()
         out = tmp_path / "flow.csv"
         rc = main(["extract", "--series", str(data / "series.rtpc"),
@@ -652,7 +645,8 @@ class TestSeededExtractMatchesMask:
 
 class TestSeededExtractReads:
     """`extract --seed` reads the series once per seed window it segments on:
-    once, plus once per doubling, and runs the chain on the last read."""
+    once, plus once per doubling. The chain then reads the pixels of the
+    segmented mask and its ring in one more pass."""
 
     @pytest.mark.parametrize("name", ["centred", "wide"])
     def test_one_read_per_window(self, crop_datasets, tmp_path, monkeypatch, name):
@@ -670,18 +664,26 @@ class TestSeededExtractReads:
             half *= 2
         assert (len(windows) > 1) == (name == "wide")  # only the wide vessel doubles
 
-        calls = []
-        read = cli.read_velocity_series
+        calls, passes = [], []
+        read, read_pixels = cli.read_velocity_series, cli.read_pixels
 
         def spy(*args, **kwargs):
             calls.append(kwargs.get("window"))
             return read(*args, **kwargs)
 
+        def spy_pixels(path, masks, **kwargs):
+            passes.append([mask.copy() for mask in masks])
+            return read_pixels(path, masks, **kwargs)
+
         monkeypatch.setattr(cli, "read_velocity_series", spy)
+        monkeypatch.setattr(cli, "read_pixels", spy_pixels)
         rc = main(["extract", "--series", str(data / "series.rtpc"), "--seed", seed,
                    "--out", str(tmp_path / "flow.csv")])
         assert rc == 0
         assert calls == windows
+        roi = segment_roi(whole, seed=(sx, sy))
+        assert len(passes) == 1 and np.array_equal(passes[0][0], roi)
+        assert np.array_equal(passes[0][1], background_ring(roi))
 
 
 @pytest.fixture(scope="module")
@@ -698,26 +700,34 @@ def alloc_dataset(tmp_path_factory):
 
 
 class TestExtractAllocations:
-    """extract allocates the ROI window it reads once and only reads it: the
-    chain after the background estimate works on the ROI's (frames, members)
-    matrix, 0.29 windows here. Traced in process, the command's allocation
-    peak stays below 1.6 windows plus one read chunk. Measured on this
-    dataset: 1.032 (--mask) and 1.005 (--seed) windows plus a chunk; a copy
-    of the window held beside it would put the peak above 2 windows."""
-
-    WINDOWS_ALLOWED = 1.6
+    """extract holds only the pixels it uses. With --mask it reads the ROI's
+    and its background ring's pixels as two float32 (frames, members)
+    matrices in one pass, and never a window of the series; the background
+    estimate takes its band median in the ring matrix's own memory. With
+    --seed it segments on a seed window, frees it, then runs the --mask
+    chain. Traced in process, the allocation peak stays below 1.2 x the two
+    matrices plus one read chunk with --mask, and below 1.15 seed windows
+    plus one chunk with --seed. Measured on this dataset: 1.06 matrices
+    and 1.05 windows plus a chunk; the ring matrix copied for its median,
+    or the window held beside the matrices, would exceed its bound."""
 
     @pytest.mark.parametrize("source", ["mask", "seed"])
     def test_peak_below_bound(self, alloc_dataset, tmp_path, monkeypatch, source):
-        windows = []
-        read = cli.read_velocity_series
+        windows, matrices = [], []
+        read, read_pixels = cli.read_velocity_series, cli.read_pixels
 
-        def spy(*args, **kwargs):
+        def spy_window(*args, **kwargs):
             series = read(*args, **kwargs)
             windows.append(series.frames.nbytes)
             return series
 
-        monkeypatch.setattr(cli, "read_velocity_series", spy)
+        def spy_pixels(*args, **kwargs):
+            scalars, values = read_pixels(*args, **kwargs)
+            matrices.append(sum(m.nbytes for m in values))
+            return scalars, values
+
+        monkeypatch.setattr(cli, "read_velocity_series", spy_window)
+        monkeypatch.setattr(cli, "read_pixels", spy_pixels)
         roi_args = ["--mask", str(alloc_dataset / "mask.pgm")] if source == "mask" else ["--seed", "32,32"]
         tracemalloc.start()
         try:
@@ -728,9 +738,14 @@ class TestExtractAllocations:
             tracemalloc.stop()
         assert rc == 0
         assert json.loads((tmp_path / "qc.json").read_text())["n_unaliased_pixels"] > 0
-        window = max(windows)
-        assert window == 2000 * 33 * 33 * 4
-        assert peak < self.WINDOWS_ALLOWED * window + io.SERIES_CHUNK_BYTES, (peak, window)
+        assert len(matrices) == 1
+        if source == "mask":
+            assert windows == []
+            bound = 1.2 * matrices[0] + io.SERIES_CHUNK_BYTES
+        else:
+            assert windows == [2000 * 33 * 33 * 4]
+            bound = 1.15 * windows[0] + io.SERIES_CHUNK_BYTES
+        assert peak < bound, (peak, windows, matrices)
 
 
 def peak_rss_mb(argv, env) -> float:
@@ -745,10 +760,12 @@ def peak_rss_mb(argv, env) -> float:
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 class TestMemoryBound:
-    """simulate --with-images and extract hold a window of the series plus one
-    chunk, not whole frames. From N to 4N frames of 128x128, code that held
-    whole frames in each of those three commands would grow by at least
-    3N x 64 KiB (37.5 MB here); the bound is 25 MB."""
+    """simulate --with-images renders and writes one chunk of frames at a
+    time; extract --mask holds the ROI's and its ring's pixels plus one
+    chunk, and extract --seed a seed window plus one chunk; none holds whole
+    frames. From N to 4N frames of 128x128, code that held whole frames in
+    each of those three commands would grow by at least 3N x 64 KiB (37.5
+    MB here); the bound is 25 MB."""
 
     N_SECONDS = 15.0  # 200 frames at 75 ms
 

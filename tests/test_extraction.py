@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import images, run_fresh, signals
+from helpers import estimate_background, images, run_fresh, signals
 
 from rtpc import extraction
 
@@ -23,12 +23,14 @@ from rtpc.errors import (
 )
 from rtpc.extraction import (
     BAND_OUTER_PX,
+    background_ring,
     compute_flow,
     correct_background,
     quality_score,
     roi_values,
     roi_window,
     segment_roi,
+    subtract_offset,
     sum_flows,
     unalias,
 )
@@ -77,10 +79,17 @@ def flow_of(series, values):
     return compute_flow(values, series.pixel_area_mm2, series.dt_s)
 
 
+def corrected_values(series, roi):
+    """The ROI's values with its background offset subtracted, and the estimate."""
+    estimate = estimate_background(series, roi)
+    values = roi_values(series, roi)
+    subtract_offset(values, estimate.offset_mm_s)
+    return values, estimate
+
+
 def corrected_flow(series, roi):
     """The flow of the ROI's background-corrected values."""
-    estimate = correct_background(series, roi)
-    return flow_of(series, roi_values(series, roi, estimate.offset_mm_s))
+    return flow_of(series, corrected_values(series, roi)[0])
 
 
 def roi_flow(series, roi):
@@ -95,8 +104,8 @@ def unaliased(series, roi):
 
 
 class TestRoiSeries:
-    """The ROI correct_background and roi_values take: one (height, width)
-    mask for every frame, read as membership. A per-frame (n_frames, height,
+    """The ROI background_ring and roi_values take: one (height, width) mask
+    for every frame, read as membership. A per-frame (n_frames, height,
     width) stack is refused."""
 
     def test_static_mask_matches_its_stack(self):
@@ -112,8 +121,7 @@ class TestRoiSeries:
         forms = [mask.astype(np.uint8) * 255, padded[2:-2, 2:-2]]
 
         def chain(roi):
-            estimate = correct_background(series, roi)
-            values = roi_values(series, roi, estimate.offset_mm_s)
+            values, estimate = corrected_values(series, roi)
             n_changed = unalias(values, series.venc_mm_s)
             return estimate, n_changed, values, flow_of(series, values).values
 
@@ -129,7 +137,7 @@ class TestRoiSeries:
             assert np.array_equal(got[2].view(np.uint32), values.view(np.uint32))
             assert np.array_equal(got[3].view(np.uint64), flow.view(np.uint64))
         for roi in (stack, stack.astype(np.uint8) * 255):
-            for step in (correct_background, roi_values):
+            for step in (estimate_background, roi_values):
                 with pytest.raises(ValueError, match=rf"^ROI of shape {re.escape(str(stack.shape))} "):
                     step(series, roi)
 
@@ -166,7 +174,7 @@ class TestRoiSeries:
         rng = np.random.default_rng(2)
         series = VelocityMapSeries(frames=rng.normal(0.0, 500.0, (3, 4, 6)), dt_ms=75.0,
                                    venc_mm_s=100.0, pixel_area_mm2=0.25)
-        for step in (correct_background, roi_values):
+        for step in (estimate_background, roi_values):
             with pytest.raises(ValueError, match=r"^ROI of shape .*\(3, 4, 6\)") as exc:
                 step(series, np.ones(shape, dtype=bool))
             assert f"ROI of shape {shape} " in str(exc.value)
@@ -291,14 +299,14 @@ class TestCorrectBackground:
     def test_zero_background_unbiased(self):
         series, mask, _ = images(duration_s=60.0, seed=5)
         roi = mask
-        estimate = correct_background(series, roi)
+        estimate = estimate_background(series, roi)
         assert estimate.offset_mm_s == 0.0
 
     def test_synthetic_eddy_recovered(self):
         series, mask, _ = images(duration_s=60.0, seed=5,
                                  artifacts={"eddy_offset_mm_s": 3.0})
         roi = mask
-        estimate = correct_background(series, roi)
+        estimate = estimate_background(series, roi)
         assert estimate.offset_mm_s == pytest.approx(3.0, abs=0.1)
 
     def test_eddy_recovered_under_pixel_noise(self):
@@ -311,13 +319,13 @@ class TestCorrectBackground:
             pixel_area_mm2=series.pixel_area_mm2,
         )
         roi = mask
-        estimate = correct_background(noisy, roi)
+        estimate = estimate_background(noisy, roi)
         assert estimate.offset_mm_s == pytest.approx(3.0, abs=0.1)
 
     def test_band_disjoint_from_roi(self):
         series, mask, _ = images(duration_s=60.0, seed=5)
         roi = mask
-        estimate = correct_background(series, roi)
+        estimate = estimate_background(series, roi)
         assert not (estimate.band & mask).any()
         assert estimate.n_band_pixels >= 8
 
@@ -330,7 +338,7 @@ class TestCorrectBackground:
         roi = disk_mask(40, 40, 20, 20, radius)
         original = series.frames.copy()
         with mock.patch.object(extraction, "BLOCK_VALUES", 300 * 24):
-            estimate = correct_background(series, roi)
+            estimate = estimate_background(series, roi)
         # The whole-ring computation the function used to run.
         ring = distance_band(roi, 2.0, BAND_OUTER_PX)
         assert ring.sum() >= 4 * 24
@@ -360,7 +368,7 @@ class TestCorrectBackground:
         assert ring.sum() == 2 * 32 + 1
         expected = frames[:, ring].astype(np.float64).std(axis=0)
         with mock.patch.object(extraction, "quantile", wraps=extraction.quantile) as quantile:
-            correct_background(series, member)
+            estimate_background(series, member)
         stds = quantile.call_args.args[0]
         assert np.array_equal(stds.view(np.uint64), expected.view(np.uint64))
 
@@ -370,34 +378,77 @@ class TestCorrectBackground:
         series = VelocityMapSeries(frames=np.ones((3, 8, 8)), dt_ms=75.0,
                                    venc_mm_s=800.0, pixel_area_mm2=0.25)
         with pytest.raises(InsufficientStationaryTissue):
-            correct_background(series, full)
+            estimate_background(series, full)
 
     def test_estimate_writes_nothing_and_roi_values_subtract(self):
-        """correct_background only estimates; roi_values subtracts the offset
-        from the ROI's members in float64 and rounds once to float32, in
-        row-major member order."""
+        """correct_background only estimates, from the ring matrix it is given
+        (and may overwrite); roi_values takes the ROI's members in row-major
+        order, and subtract_offset subtracts the offset from them in float64
+        and rounds once to float32."""
         series, mask, _ = images(duration_s=60.0, seed=5,
                                  artifacts={"eddy_offset_mm_s": 3.0, "noise_sd": 4.0})
         original = series.frames.copy()
-        estimate = correct_background(series, mask)
+        ring = background_ring(mask)
+        ring_values = roi_values(series, ring)
+        assert np.array_equal(ring_values.view(np.uint32), original[:, ring].view(np.uint32))
+        estimate = correct_background(ring_values, ring)
         assert np.array_equal(series.frames.view(np.uint32), original.view(np.uint32))
         offset = float(np.median(original[:, estimate.band].astype(np.float64)))
         assert estimate.offset_mm_s == offset != 0.0
         assert estimate.n_band_pixels == int(estimate.band.sum())
-        values = roi_values(series, mask, estimate.offset_mm_s)
-        expected = (original[:, mask].astype(np.float64) - offset).astype(np.float32)
-        assert values.dtype == np.float32 and values.flags.c_contiguous
-        assert np.array_equal(values.view(np.uint32), expected.view(np.uint32))
+        assert not (estimate.band & ~ring).any()
         plain = roi_values(series, mask)
+        assert plain.dtype == np.float32 and plain.flags.c_contiguous
         assert np.array_equal(plain.view(np.uint32), original[:, mask].view(np.uint32))
+        values = plain.copy()
+        assert subtract_offset(values, estimate.offset_mm_s) is None
+        expected = (original[:, mask].astype(np.float64) - offset).astype(np.float32)
+        assert np.array_equal(values.view(np.uint32), expected.view(np.uint32))
         assert np.array_equal(series.frames.view(np.uint32), original.view(np.uint32))
 
+    def test_ring_matrix_must_match_its_mask(self):
+        """correct_background refuses, naming both shapes, a ring that is not
+        one (height, width) mask, and a matrix that is not float32 or whose
+        columns are not the ring's members."""
+        series, mask, _ = images(duration_s=60.0, seed=5)
+        ring = background_ring(mask)
+        good = roi_values(series, ring)
+        n_ring = int(ring.sum())
+        for values, given in ((good[:, 1:], ring), (good.astype(np.float64), ring),
+                              (good[0], ring), (good, np.broadcast_to(ring, (2, *ring.shape)))):
+            with pytest.raises(ValueError, match=rf"^a {values.dtype} matrix of shape "
+                                                 rf"{re.escape(str(values.shape))} is not the float32"):
+                correct_background(values, given)
+        assert correct_background(good, ring.astype(np.uint8) * 255).n_band_pixels <= n_ring
+
+    def test_ring_is_the_whole_images_distance_band(self):
+        """background_ring computes the band on the ROI's window only; it is
+        the band of the whole image, at image edges too, and empty for an
+        empty ROI."""
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            h, w = (int(v) for v in rng.integers(1, 40, 2))
+            roi = np.zeros((h, w), dtype=bool)
+            cy, cx, r = int(rng.integers(0, h)), int(rng.integers(0, w)), float(rng.uniform(0, 8))
+            roi |= disk_mask(h, w, cx, cy, r)
+            roi &= rng.random((h, w)) < 0.9
+            expected = distance_band(roi, 2.0, BAND_OUTER_PX) if roi.any() else np.zeros_like(roi)
+            assert np.array_equal(background_ring(roi), expected)
+        with pytest.raises(ValueError, match=r"^ROI of shape \(2, 4, 4\) is not one"):
+            background_ring(np.ones((2, 4, 4), dtype=bool))
+
     @settings(max_examples=300, deadline=None)
-    @given(case=band_cases())
-    def test_offset_is_float64_median_of_band(self, case):
+    @given(case=band_cases(), block_values=st.integers(1, 200))
+    def test_offset_is_float64_median_of_band(self, case, block_values):
+        """The median taken in the matrix's own memory, its band moved to the
+        front a block of rows at a time (blocks down to one row), is the
+        float64 median of a gather, sign of zero included."""
         flat, pixels = case
-        median = extraction._band_median(flat, pixels)
-        expected = float(np.median(flat[:, pixels].astype(np.float64)))
+        keep = np.zeros(flat.shape[1], dtype=bool)
+        keep[pixels] = True
+        expected = float(np.median(flat[:, keep].astype(np.float64)))
+        with mock.patch.object(extraction, "BLOCK_VALUES", block_values):
+            median = extraction._band_median(flat.copy(), keep)
         assert np.float64(median).view(np.uint64) == np.float64(expected).view(np.uint64)
 
     @pytest.mark.parametrize("zeros", SIGNED_ZEROS)
@@ -406,7 +457,7 @@ class TestCorrectBackground:
         """A zero median takes np.median's sign, with zeros of both signs tied."""
         series = signed_zero_series(zeros, n_frames)
         original = series.frames.copy()
-        estimate = correct_background(series, SIGNED_ZERO_ROI)
+        estimate = estimate_background(series, SIGNED_ZERO_ROI)
         offset = float(np.median(original[:, estimate.band].astype(np.float64)))
         assert offset == 0.0
         assert math.copysign(1.0, estimate.offset_mm_s) == math.copysign(1.0, offset)
@@ -426,22 +477,21 @@ class RefuseNumpyMa:
 
 sys.meta_path.insert(0, RefuseNumpyMa())
 import numpy as np
-from rtpc.extraction import correct_background
-from rtpc.io import VelocityMapSeries
+from rtpc.extraction import background_ring, correct_background
 roi = np.zeros((12, 12), dtype=bool)
 roi[6, 6] = True
+ring = background_ring(roi)
 offsets = []
 for frames in json.loads(sys.argv[1]):
-    series = VelocityMapSeries(frames=np.array(frames), dt_ms=75.0, venc_mm_s=800.0,
-                               pixel_area_mm2=0.25)
-    offsets.append(correct_background(series, roi).offset_mm_s)
+    values = np.array(frames, dtype=np.float32)[:, ring]
+    offsets.append(correct_background(values, ring).offset_mm_s)
 print(json.dumps(offsets))
 """
         frames = [signed_zero_series(zeros, n).frames.tolist() for zeros, n in cases]
         offsets, _ = run_fresh(script, json.dumps(frames))
         for (zeros, n_frames), offset in zip(cases, offsets, strict=True):
             series = signed_zero_series(zeros, n_frames)
-            band = correct_background(series, SIGNED_ZERO_ROI).band
+            band = estimate_background(series, SIGNED_ZERO_ROI).band
             expected = float(np.median(series.frames[:, band].astype(np.float64)))
             assert offset == expected == 0.0
             assert math.copysign(1.0, offset) == math.copysign(1.0, expected), (zeros, n_frames)
@@ -457,31 +507,32 @@ print(json.dumps(offsets))
         strip = np.ones((16, 16), dtype=bool)
         strip[:, 14:] = False
         with pytest.raises(InsufficientStationaryTissue, match="no pixels"):
-            correct_background(series, everything)
+            estimate_background(series, everything)
         with pytest.raises(InsufficientStationaryTissue, match="4 quiet band pixels, need 8"):
-            correct_background(series, strip)
+            estimate_background(series, strip)
         with pytest.raises(ValueError, match=r"^ROI of shape \(5, 16, 16\) "):
-            correct_background(series, np.broadcast_to(small, (5, 16, 16)))
+            estimate_background(series, np.broadcast_to(small, (5, 16, 16)))
         assert np.array_equal(series.frames.view(np.uint32), before.view(np.uint32))
 
     def test_traced_peak_does_not_grow_with_the_band(self):
         """The ring stds are taken a bounded block at a time, and the band
-        median from one float32 gather of the band. Traced beyond what is in
-        use when it is called, correct_background's peak on one 33x33 window
-        grows from 2000 to 8000 frames by at most that gather's growth (96
-        band pixels, 4 bytes, 6000 frames) and 64 KiB. Measured: 1.11 and
-        3.09 MB; a float64 gather, or a copy of the window, grows by more."""
+        median in the ring matrix's own memory. Traced beyond what is in use
+        when it is called, the ring matrix included, correct_background's
+        peak on the ring of a radius-10 ROI grows from 2000 to 8000 frames by
+        at most 64 KiB. Measured: 1.09 and 1.03 MB; a float32 gather
+        of the band grows by 2.3 MB (96 band pixels, 4 bytes, 6000 frames)."""
 
         def traced_peak(n_frames):
             rng = np.random.default_rng(6)
             frames = rng.standard_normal((n_frames, 33, 33), dtype=np.float32)
             frames += 15.0
             series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=400.0, pixel_area_mm2=0.25)
-            roi = disk_mask(33, 33, 16, 16, 10)
+            ring = background_ring(disk_mask(33, 33, 16, 16, 10))
+            ring_values = roi_values(series, ring)
             tracemalloc.start()
             try:
                 in_use = tracemalloc.get_traced_memory()[0]
-                estimate = correct_background(series, roi)
+                estimate = correct_background(ring_values, ring)
                 peak = tracemalloc.get_traced_memory()[1] - in_use
             finally:
                 tracemalloc.stop()
@@ -489,13 +540,14 @@ print(json.dumps(offsets))
             return peak
 
         small, large = traced_peak(2000), traced_peak(8000)
-        assert large <= small + 4 * 96 * 6000 + (64 << 10), (small, large)
+        assert large <= small + (64 << 10), (small, large)
 
 
 class TestChainReadsOnly:
-    """No step writes a series' frames: correct_background estimates,
-    roi_values takes the ROI's values into a new matrix, and unalias and
-    compute_flow work on that matrix."""
+    """No step writes a series' frames: roi_values takes the ring's and the
+    ROI's values into new matrices, correct_background estimates from the
+    ring's, and subtract_offset, unalias and compute_flow work on the
+    ROI's."""
 
     def test_read_only_frames_give_the_writable_flow(self):
         base = disk_series([5, 5, 5] * 10, speed=900.0, venc=400.0).frames
@@ -511,8 +563,7 @@ class TestChainReadsOnly:
         roi = disk_mask(24, 24, 12, 12, 5)
 
         def chain(series):
-            estimate = correct_background(series, roi)
-            values = roi_values(series, roi, estimate.offset_mm_s)
+            values, estimate = corrected_values(series, roi)
             n_changed = unalias(values, series.venc_mm_s)
             return estimate.offset_mm_s, n_changed, flow_of(series, values).values
 
@@ -522,14 +573,16 @@ class TestChainReadsOnly:
         assert np.array_equal(base.view(np.uint32), before.view(np.uint32))
 
     def test_offset_taken_as_given_signed_zero_included(self):
-        """roi_values subtracts the offset it is given, as the whole-window
+        """subtract_offset subtracts the offset it is given, as the whole-window
         subtraction did: -0.0 - -0.0 is +0.0, so a -0.0 offset turns a -0.0
         velocity into +0.0, where a +0.0 offset, or none, keeps it -0.0."""
         series = signed_zero_series([-0.0, -0.0], 4)
         roi = np.zeros((12, 12), dtype=bool)
         roi[6, 5:8] = True
         for offset, sign in ((-0.0, 1.0), (0.0, -1.0), (None, -1.0)):
-            values = roi_values(series, roi, offset)
+            values = roi_values(series, roi)
+            if offset is not None:
+                subtract_offset(values, offset)
             window = series.frames if offset is None else (
                 series.frames.astype(np.float64) - offset).astype(np.float32)
             assert np.array_equal(values.view(np.uint32), window[:, roi].view(np.uint32))
@@ -543,11 +596,13 @@ class TestChainReadsOnly:
         series = VelocityMapSeries(frames=frames, dt_ms=75.0, venc_mm_s=800.0, pixel_area_mm2=0.25)
         roi = np.zeros((12, 12), dtype=bool)
         roi[6, 6] = True
-        assert np.array_equal(roi_values(series, roi, -1e33), np.full((3, 1), np.float32(1e33)))
+        values = roi_values(series, roi)
+        subtract_offset(values, -1e33)
+        assert np.array_equal(values, np.full((3, 1), np.float32(1e33)))
         roi[0, 0] = True
         message = r"^background correction: subtracting the offset -1e\+33 mm/s takes a velocity beyond"
         with pytest.raises(NonFiniteVelocity, match=message):
-            roi_values(series, roi, -1e33)
+            subtract_offset(roi_values(series, roi), -1e33)
 
 
 def oracle_leave_one_out_medians(values: np.ndarray) -> np.ndarray:

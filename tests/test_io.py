@@ -36,6 +36,7 @@ from rtpc.io import (
     SampledSignal,
     VelocityMapSeries,
     read_mask,
+    read_pixels,
     read_signal_csv,
     read_velocity_series,
     write_mask,
@@ -253,6 +254,57 @@ class TestVelocitySeriesFuzz:
             assert (cut.dt_ms, cut.venc_mm_s, cut.pixel_area_mm2) == (
                 series.dt_ms, series.venc_mm_s, series.pixel_area_mm2)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 8)),
+        floats=st.tuples(HEADER_FLOATS, HEADER_FLOATS, HEADER_FLOATS),
+        extra=st.sampled_from([0, 0, 0, -4, -1, 1, 4]),
+        frames_per_chunk=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_pixels_read_as_the_series(self, dims, floats, extra, frames_per_chunk, data):
+        """read_pixels refuses each file read_velocity_series refuses, with
+        the same error and message. Otherwise its scalars are the series',
+        and each mask's matrix is a new float32 (frames, members) matrix of
+        the full read's members, in row-major order; a 0/255 mask is read as
+        membership."""
+        width, height, n_frames = dims
+        dt_ms, venc, area = floats
+        raw = series_bytes(width, height, n_frames, dt_ms, venc, area)
+        raw = raw[: len(raw) + extra] if extra < 0 else raw + b"\x01" * extra
+        override = 800.0 if venc == 0 else None
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            self.chunk_frames(mp, max(height, 1), max(width, 1), frames_per_chunk)
+            path = Path(tmp) / "s.rtpc"
+            path.write_bytes(raw)
+            try:
+                series = read_velocity_series(path, venc_mm_s=override)
+            except RtpcError as exc:
+                with pytest.raises(type(exc)) as caught:
+                    read_pixels(path, [], venc_mm_s=override)
+                assert str(caught.value) == str(exc)
+                return
+            size = height * width
+            masks = data.draw(st.lists(st.lists(st.booleans(), min_size=size, max_size=size).map(
+                lambda flags: np.array(flags).reshape(height, width)), max_size=3))
+            given_masks = [m.astype(np.uint8) * 255 for m in masks]
+            scalars, matrices = read_pixels(path, given_masks, venc_mm_s=override)
+        assert scalars == {"dt_ms": series.dt_ms, "venc_mm_s": series.venc_mm_s,
+                           "pixel_area_mm2": series.pixel_area_mm2}
+        assert len(matrices) == len(masks)
+        for mask, matrix in zip(masks, matrices):
+            assert matrix.dtype == np.float32 and matrix.flags.c_contiguous
+            assert matrix.shape == (n_frames, int(mask.sum()))
+            assert matrix.tobytes() == series.frames[:, mask].tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 4), (3,), (2, 3, 4)])
+    def test_pixels_mask_must_be_the_frames_shape(self, tmp_path, shape):
+        path = tmp_path / "s.rtpc"
+        path.write_bytes(series_bytes(4, 3, 2))
+        with pytest.raises(ValueError, match=rf"^mask of shape {re.escape(str(shape))} is not the "
+                                             r"frames' \(3, 4\)$"):
+            read_pixels(path, [np.ones((3, 4), dtype=bool), np.ones(shape, dtype=bool)])
+
     @pytest.mark.parametrize("window", [
         (slice(None), slice(0, 4)),
         (slice(0, 3), slice(None, 2)),
@@ -327,6 +379,8 @@ class TestVelocitySeriesFuzz:
                 read_velocity_series(path, window=(rows, cols))
             mask = np.zeros((height, width), dtype=bool)
             mask[rows.start, cols.start] = True
+            with pytest.raises(NonFiniteVelocity):
+                read_pixels(path, [mask])
             write_mask(mask, Path(tmp) / "m.pgm")
             assert main(["extract", "--series", str(path), "--mask", str(Path(tmp) / "m.pgm"),
                          "--out", str(Path(tmp) / "f.csv")]) == 3

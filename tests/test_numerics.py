@@ -293,6 +293,38 @@ class TestOrderStatistics:
             assert same_bits(numerics.quantile(values.copy(), q), expected)
             assert same_bits(numerics.quantile(values.copy(), q, overwrite_input=True), expected)
 
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data())
+    def test_quantile_of_blocks(self, data):
+        """Over blocks cut anywhere, down to one value each, empty blocks and
+        heavy ties included, quantile_of_blocks is quantile and np.quantile
+        of the whole, bit for bit, and writes no block. Zeros have one sign:
+        the partition may order -0.0 and +0.0 either way."""
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        width = 32 if dtype == np.float32 else 64
+        tie = st.sampled_from([0.0, 1.0, 2.5, -1.0])
+        value = tie | tie | st.floats(-1e3, 1e3, width=width) | st.floats(width=width, allow_nan=False)
+        values = np.array(data.draw(st.lists(value, min_size=1, max_size=80)), dtype=dtype)
+        values += dtype(0.0)  # -0.0 + 0.0 is +0.0
+        q = data.draw(st.sampled_from([0.0, 0.5, 0.99, 1.0]) | st.floats(0.0, 1.0))
+        if data.draw(st.booleans()):
+            cuts = list(range(1, values.size))  # one value per block
+        else:
+            cuts = sorted(data.draw(st.lists(st.integers(0, values.size), max_size=12)))
+        blocks = np.split(values, cuts)
+        given_blocks = [block.copy() for block in blocks]
+        with np.errstate(all="ignore"):  # inf - inf and the like, on every side
+            expected = np.quantile(values, q)
+            assert same_bits(numerics.quantile(values.copy(), q), expected)
+            got = numerics.quantile_of_blocks(iter(given_blocks), values.size, q)
+        assert same_bits(got, expected)
+        assert all(same_bits(a, b) for a, b in zip(given_blocks, blocks, strict=True))
+
+    @pytest.mark.parametrize("n", [0, 4, 6])
+    def test_quantile_of_blocks_counts_its_values(self, n):
+        with pytest.raises(ValueError, match=f"blocks hold 5 values, where n is {n} >= 1"):
+            numerics.quantile_of_blocks(iter([np.arange(3.0), np.arange(2.0)]), n, 0.5)
+
     @settings(max_examples=300, deadline=None)
     @given(values=order_samples(np.float32), p=st.sampled_from([99.0, 25.0, 50.0, 100.0, 0.0]))
     def test_percentile_is_quantile_over_100(self, values, p):
